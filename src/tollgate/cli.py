@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import runio
 from .envelope import Envelope
 from .exceptions import ModelValidationError, ScenarioError, TollgateError
-from .gate import run_episode
+from .gate import audit_budget_guarantee, run_episode
 from .scenario import (
     BUNDLED_SCENARIOS,
     Scenario,
@@ -25,7 +26,6 @@ from .scenario import (
     load_scenario,
     make_exact_envelope,
     resolve_scenario,
-    true_toll_fn,
 )
 from .verify import SUITES, run_suite
 
@@ -113,50 +113,34 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Audit a run directory through :func:`audit_budget_guarantee`, the
+    same audit the gating suite runs, with delta taken from the manifest."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
-    records = runio.read_episode_records(run_dir)
-    summary = runio.read_summary(run_dir)
+    logs = runio.read_episode_logs(run_dir)
     scenario = resolve_scenario(manifest["scenario_document"])
-    truth = true_toll_fn(scenario)
     budget = scenario.gate.initial_budget
-
-    episodes = manifest["episodes"]
-    if not records:
+    if not logs:
         print(f"run of scenario {manifest['scenario_name']!r}: zero episodes, nothing to audit")
         return 0
 
-    mix: dict[str, int] = {}
-    by_episode: dict[int, list[dict]] = {}
-    for rec in records:
-        mix[rec["verdict"]] = mix.get(rec["verdict"], 0) + 1
-        by_episode.setdefault(rec["episode"], []).append(rec)
-
-    covered = 0
-    quotes = 0
-    overruns = 0
-    for ep, recs in sorted(by_episode.items()):
-        true_sum = 0.0
-        for rec in sorted(recs, key=lambda r: r["step"]):
-            quotes += 1
-            if truth(rec["time"], rec["state"], rec["proposed"]) <= rec["envelope_value"] + 1e-9:
-                covered += 1
-            true_sum += truth(rec["time"], rec["state"], rec["executed"])
-        if true_sum > budget + 1e-9:
-            overruns += 1
-
-    finals = [float(row["b_final"]) for row in summary]
+    delta = manifest["envelope"].get("delta", 0.0)
+    audit = audit_budget_guarantee(logs, make_exact_envelope(scenario).predict, budget, delta)
+    mix = Counter(e.verdict for log in logs for e in log.entries)
+    finals = [log.budget_final for log in logs]
     print(f"scenario            : {manifest['scenario_name']} (hash {manifest['config_hash'][:12]})")
-    print(f"episodes            : {episodes}")
-    print(f"decision mix        : " + ", ".join(f"{k}={v}" for k, v in sorted(mix.items())))
+    print(f"episodes            : {manifest['episodes']}")
+    print(f"decision mix        : " + ", ".join(f"{k.value}={v}" for k, v in sorted(mix.items())))
     print(f"initial budget      : {budget}")
-    if finals:
-        print(f"final budget        : min={min(finals):.6f} mean={sum(finals)/len(finals):.6f}")
+    print(f"final budget        : min={min(finals):.6f} mean={sum(finals)/len(finals):.6f}")
+    covered, quotes = audit.quotes_covered, audit.quotes
     print(f"coverage estimate   : {covered}/{quotes} quotes covered ({covered/quotes:.4f})")
-    frac = overruns / len(by_episode)
-    verdict = "PASS" if overruns == 0 else "FAIL"
-    print(f"budget guarantee    : {overruns} overrun episode(s), fraction {frac:.4f} -> {verdict}")
-    return 0 if overruns == 0 else 1
+    verdict = "PASS" if audit.passed else "FAIL"
+    print(
+        f"budget guarantee    : {audit.overruns} overrun episode(s), "
+        f"fraction {audit.overrun_fraction:.4f} -> {verdict}"
+    )
+    return 0 if audit.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ import numpy as np
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
 from .exceptions import CalibrationSizeError, ModelValidationError
 from .risk import RiskSpec
-from .tolls import TollQuote, counterfactual_toll
+from .tolls import counterfactual_toll
 
 Predictor = Callable[[int, str, str], float]
 
@@ -37,17 +37,6 @@ class Envelope:
 
     def query(self, time: int, state: str, action: str) -> float:
         return max(self.predict(time, state, action) + self.inflation, 0.0)
-
-    def quote(self, time: int, state: str, action: str, spec: RiskSpec) -> TollQuote:
-        value = self.query(time, state, action)
-        return TollQuote(
-            signed_toll=value,
-            positive_toll=value,
-            action=action,
-            safe_default_used="",
-            risk_spec=spec,
-            source="envelope",
-        )
 
 
 def exact_envelope(

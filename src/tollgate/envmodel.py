@@ -12,7 +12,7 @@ all operations are pure and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exceptions import (
     KernelSumError,
@@ -20,6 +20,7 @@ from .exceptions import (
     NegativeLossError,
     PolicyUndefinedError,
     SafeDefaultError,
+    ScenarioParseError,
     UnreachableNodeError,
 )
 
@@ -257,6 +258,17 @@ class SafeDefaultMap:
 # construction
 
 
+def read_field(rec: Mapping, key: str, conv: Callable, path: str):
+    """``conv(rec[key])``; a missing or unconvertible field raises a
+    :class:`ScenarioParseError` naming ``path.key``."""
+    try:
+        return conv(rec[key])
+    except KeyError:
+        raise ScenarioParseError(f"missing field {key!r}", path=f"{path}.{key}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioParseError(f"malformed field {key!r}: {exc}", path=f"{path}.{key}") from None
+
+
 def build_model(spec: Mapping) -> EnvironmentModel:
     """Build and validate an :class:`EnvironmentModel` from a plain dict.
 
@@ -290,9 +302,9 @@ def build_model(spec: Mapping) -> EnvironmentModel:
 
     nodes: dict[tuple[int, str], dict[str, Kernel]] = {}
     for i, nrec in enumerate(spec.get("nodes", [])):
-        t = int(nrec["time"])
-        s = str(nrec["state"])
         path = f"nodes[{i}]"
+        t = read_field(nrec, "time", int, path)
+        s = read_field(nrec, "state", str, path)
         if not 0 <= t < horizon:
             raise ModelValidationError(f"node time {t} outside horizon", path=path)
         if s not in state_components:
@@ -307,10 +319,10 @@ def build_model(spec: Mapping) -> EnvironmentModel:
                 raise ModelValidationError("empty kernel row", path=kpath)
             row = []
             total = 0.0
-            for nxt, p in kernel_map.items():
+            for nxt in kernel_map:
                 if nxt not in state_components:
                     raise ModelValidationError(f"kernel targets unknown state {nxt!r}", path=kpath)
-                p = float(p)
+                p = read_field(kernel_map, nxt, float, kpath)
                 if p < 0:
                     raise ModelValidationError("negative kernel probability", path=kpath)
                 row.append((str(nxt), p))
@@ -328,12 +340,13 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         nodes[(t, s)] = actions
 
     terminal_losses: dict[str, float] = {}
-    for sid, loss in spec.get("terminal_losses", {}).items():
+    raw_losses = spec.get("terminal_losses", {})
+    for sid in raw_losses:
         if sid not in state_components:
             raise ModelValidationError(
                 f"terminal loss for unknown state {sid!r}", path=f"terminal_losses[{sid}]"
             )
-        loss = float(loss)
+        loss = read_field(raw_losses, sid, float, "terminal_losses")
         if not loss >= 0.0 or loss != loss or loss == float("inf"):
             raise NegativeLossError(
                 f"terminal loss must be finite and >= 0, got {loss!r}",
@@ -381,10 +394,20 @@ def build_model(spec: Mapping) -> EnvironmentModel:
     if raw_sdm:
         entries: dict[tuple[int, str, str], str] = {}
         for i, rec in enumerate(raw_sdm):
-            key = (int(rec["time"]), str(rec["state"]), str(rec["action"]))
-            entries[key] = str(rec["default"])
+            key, default = safe_default_entry(rec, f"safe_defaults[{i}]")
+            entries[key] = default
         model.safe_defaults = SafeDefaultMap.from_entries(entries, model)
     return model
+
+
+def safe_default_entry(rec: Mapping, path: str) -> tuple[tuple[int, str, str], str]:
+    """One safe-default record as ``((time, state, action), default)``."""
+    key = (
+        read_field(rec, "time", int, path),
+        read_field(rec, "state", str, path),
+        read_field(rec, "action", str, path),
+    )
+    return key, read_field(rec, "default", str, path)
 
 
 # ---------------------------------------------------------------------------

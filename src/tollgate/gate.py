@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +52,7 @@ class GateDecision:
     charged: float
 
 
-@dataclass(frozen=True)
-class GateEntry:
+class GateEntry(NamedTuple):
     step: int
     time: int
     state: str
@@ -212,7 +211,6 @@ class EpisodeLog:
     episode: int
     seed: int
     entries: tuple[GateEntry, ...]
-    terminal_state: str
     terminal_loss: float
     budget_initial: float
     budget_final: float
@@ -267,7 +265,6 @@ def run_episode(
         episode=episode,
         seed=seed,
         entries=ledger.entries,
-        terminal_state=state,
         terminal_loss=model.terminal_loss(state),
         budget_initial=cfg.initial_budget,
         budget_final=ledger.budget,
@@ -279,8 +276,7 @@ def run_episode(
 # audit
 
 
-@dataclass(frozen=True)
-class EpisodeAudit:
+class EpisodeAudit(NamedTuple):
     episode: int
     executed_true_toll_sum: float
     all_quotes_covered: bool
@@ -293,6 +289,8 @@ class AuditReport:
     """Outcome of recomputing true tolls over a batch of episode logs."""
 
     episodes: int
+    quotes: int
+    quotes_covered: int
     overruns: int
     overrun_fraction: float
     violation_fraction: float
@@ -320,33 +318,30 @@ def audit_budget_guarantee(
     """
     audits = []
     n = len(logs)
+    quotes = 0
+    quotes_covered = 0
     overruns = 0
     violations = 0
     accounting_exact = True
     for log in logs:
         true_sum = 0.0
         covered = True
-        budget = log.budget_initial
-        for prev_budget, entry in _budget_steps(log):
-            charged = prev_budget - entry.budget_after
-            budget = budget - charged
+        budget = prev_budget = log.budget_initial
+        for entry in log.entries:
+            budget = budget - (prev_budget - entry.budget_after)
+            prev_budget = entry.budget_after
             true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
             if true_positive_toll(entry.time, entry.state, entry.proposed) > entry.envelope_value + 1e-9:
                 covered = False
+            else:
+                quotes_covered += 1
+        quotes += len(log.entries)
         replay_exact = budget == log.budget_final
         accounting_exact &= replay_exact
         over = true_sum > initial_budget + 1e-9
         overruns += over
         violations += not covered
-        audits.append(
-            EpisodeAudit(
-                episode=log.episode,
-                executed_true_toll_sum=true_sum,
-                all_quotes_covered=covered,
-                overrun=over,
-                replay_exact=replay_exact,
-            )
-        )
+        audits.append(EpisodeAudit(log.episode, true_sum, covered, over, replay_exact))
     overrun_fraction = overruns / n if n else 0.0
     violation_fraction = violations / n if n else 0.0
     if delta == 0.0:
@@ -358,6 +353,8 @@ def audit_budget_guarantee(
         passed = violation_fraction <= threshold and overrun_fraction <= violation_fraction + 1e-12
     return AuditReport(
         episodes=n,
+        quotes=quotes,
+        quotes_covered=quotes_covered,
         overruns=overruns,
         overrun_fraction=overrun_fraction,
         violation_fraction=violation_fraction,

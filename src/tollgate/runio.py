@@ -3,7 +3,8 @@
 Episode logs are line-delimited JSON, one object per gate step, with sorted
 keys so identical runs serialize byte for byte. Summaries are plain CSV.
 The manifest embeds the resolved scenario document plus its hash, which
-makes a run directory self-describing for later audits.
+makes a run directory self-describing for later audits:
+:func:`read_episode_logs` rebuilds the episode logs from it alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .gate import EpisodeLog
+from .gate import EpisodeLog, GateEntry, Verdict
+from .scenario import resolve_gate_params
 
 EPISODE_LOG_NAME = "episodes.jsonl"
 SUMMARY_NAME = "summary.csv"
@@ -137,18 +139,53 @@ def read_manifest(run_dir: Path) -> dict:
 
 
 def read_episode_records(run_dir: Path) -> list[dict]:
-    path = Path(run_dir) / EPISODE_LOG_NAME
-    records = []
-    for line in path.read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    return _read_jsonl(Path(run_dir) / EPISODE_LOG_NAME)
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    # one decode of the lines as a JSON array beats one decode per line
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    return json.loads("[" + ",".join(lines) + "]")
 
 
 def read_summary(run_dir: Path) -> list[dict]:
     path = Path(run_dir) / SUMMARY_NAME
     with path.open() as fh:
         return list(csv.DictReader(fh))
+
+
+def read_episode_logs(run_dir: Path) -> list[EpisodeLog]:
+    """Rebuild the episode logs a run wrote, in episode order: the inverse of
+    the episode, summary and boundary writers."""
+    manifest = read_manifest(run_dir)
+    budget = resolve_gate_params(manifest["scenario_document"]).initial_budget
+    verdicts = {v.value: v for v in Verdict}
+    entries: dict[int, list[GateEntry]] = {}
+    for r in read_episode_records(run_dir):
+        entries.setdefault(r["episode"], []).append(
+            GateEntry(
+                r["step"], r["time"], r["state"], r["proposed"], r["envelope_value"],
+                verdicts[r["verdict"]], r["executed"], r["budget_after"], r["boundary_version"],
+            )
+        )
+    boundary_records: dict[int, list[dict]] = {}
+    for rec in _read_jsonl(Path(run_dir) / BOUNDARY_LOG_NAME):
+        boundary_records.setdefault(rec.pop("episode"), []).append(rec)
+    logs = []
+    for row in read_summary(run_dir):
+        episode = int(row["episode"])
+        logs.append(
+            EpisodeLog(
+                episode=episode,
+                seed=manifest["seed"],
+                entries=tuple(entries.get(episode, ())),
+                terminal_loss=float(row["terminal_loss"]),
+                budget_initial=budget,
+                budget_final=float(row["b_final"]),
+                boundary_records=tuple(boundary_records.get(episode, ())),
+            )
+        )
+    return logs
 
 
 def write_calibration_csv(path: Path, rows: Iterable[dict]) -> Path:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .boundary import BoundarySpec, PotentialSpec
 from .envelope import (
@@ -40,15 +39,17 @@ from .envmodel import (
     SafeDefaultMap,
     build_model,
     is_side_effect_bearing,
+    read_field,
+    safe_default_entry,
 )
 from .exceptions import (
     ScenarioInvariantError,
     ScenarioParseError,
     ScenarioReferenceError,
 )
-from .gate import GateConfig
+from .gate import GateConfig, run_episode
 from .risk import RiskSpec
-from .tolls import AmbiguitySet, counterfactual_toll
+from .tolls import AmbiguitySet
 
 SCHEMA_VERSION = 1
 BUNDLED_SCENARIOS = ("payments", "database", "trading")
@@ -122,7 +123,7 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     risk_spec = _resolve_risk(doc)
     boundaries = _resolve_boundaries(doc)
     exposure = _resolve_exposure(doc, model, boundaries)
-    gate = _resolve_gate(doc)
+    gate = resolve_gate_params(doc)
     envelope_config = dict(doc.get("envelope", {"kind": "exact"}))
     if envelope_config.get("kind") not in ("exact", "conformal"):
         raise ScenarioInvariantError(
@@ -158,13 +159,8 @@ def resolve_scenario(doc: Mapping) -> Scenario:
 def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefaultMap:
     entries: dict[tuple[int, str, str], str] = {}
     for i, rec in enumerate(doc.get("safe_defaults", [])):
-        try:
-            key = (int(rec["time"]), str(rec["state"]), str(rec["action"]))
-            entries[key] = str(rec["default"])
-        except KeyError as exc:
-            raise ScenarioParseError(
-                f"safe default entry missing field {exc}", path=f"safe_defaults[{i}]"
-            ) from exc
+        key, default = safe_default_entry(rec, f"safe_defaults[{i}]")
+        entries[key] = default
     sdm = SafeDefaultMap.from_entries(entries, model)
     for t, s in model.all_nodes():
         for a in model.actions(t, s):
@@ -186,22 +182,23 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
     for i, variant in enumerate(doc.get("ambiguity", [])):
         spec = copy.deepcopy(dict(base_spec))
         for j, ov in enumerate(variant.get("kernel_overrides", [])):
-            t, s, a = int(ov["time"]), str(ov["state"]), str(ov["action"])
+            path = f"ambiguity[{i}].kernel_overrides[{j}]"
+            t = read_field(ov, "time", int, path)
+            s = read_field(ov, "state", str, path)
+            a = read_field(ov, "action", str, path)
             found = False
             for node in spec.get("nodes", []):
                 if int(node["time"]) == t and str(node["state"]) == s:
                     if a not in node.get("actions", {}):
                         raise ScenarioReferenceError(
-                            f"override names unknown action {a!r}",
-                            path=f"ambiguity[{i}].kernel_overrides[{j}]",
+                            f"override names unknown action {a!r}", path=path
                         )
-                    node["actions"][a]["kernel"] = dict(ov["kernel"])
+                    node["actions"][a]["kernel"] = read_field(ov, "kernel", dict, path)
                     found = True
                     break
             if not found:
                 raise ScenarioReferenceError(
-                    f"override names unknown node ({t}, {s!r})",
-                    path=f"ambiguity[{i}].kernel_overrides[{j}]",
+                    f"override names unknown node ({t}, {s!r})", path=path
                 )
         for leaf, loss in variant.get("loss_overrides", {}).items():
             if leaf not in spec.get("terminal_losses", {}):
@@ -217,12 +214,13 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
 def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
     entries: dict[tuple[int, str], dict[str, float]] = {}
     for i, rec in enumerate(doc.get("policy", [])):
-        t, s = int(rec["time"]), str(rec["state"])
+        path = f"policy[{i}]"
+        t, s = read_field(rec, "time", int, path), read_field(rec, "state", str, path)
         if not model.has_node(t, s):
-            raise ScenarioReferenceError(
-                f"policy names unknown node ({t}, {s!r})", path=f"policy[{i}]"
-            )
-        entries[(t, s)] = {str(a): float(p) for a, p in rec["probs"].items()}
+            raise ScenarioReferenceError(f"policy names unknown node ({t}, {s!r})", path=path)
+        entries[(t, s)] = read_field(
+            rec, "probs", lambda probs: {str(a): float(p) for a, p in probs.items()}, path
+        )
     for t, s in model.all_nodes():
         if (t, s) not in entries:
             raise ScenarioInvariantError(
@@ -295,7 +293,7 @@ def _resolve_exposure(
     return out
 
 
-def _resolve_gate(doc: Mapping) -> GateParams:
+def resolve_gate_params(doc: Mapping) -> GateParams:
     rec = doc.get("gate", {})
     budget = float(rec.get("initial_budget", 0.0))
     order = tuple(str(m) for m in rec.get("fallback_order", ("downgrade", "block")))
@@ -318,22 +316,6 @@ def config_hash(scenario: Scenario) -> str:
 
 # ---------------------------------------------------------------------------
 # runtime assembly
-
-
-def true_toll_fn(scenario: Scenario):
-    """Exact positive-toll closure in the scenario's own risk mapping."""
-    cache: dict[tuple[int, str, str], float] = {}
-
-    def true_positive_toll(time: int, state: str, action: str) -> float:
-        key = (time, state, action)
-        if key not in cache:
-            cache[key] = counterfactual_toll(
-                scenario.model, time, state, action, scenario.policy,
-                scenario.risk_spec, scenario.safe_defaults,
-            ).positive_toll
-        return cache[key]
-
-    return true_positive_toll
 
 
 def make_exact_envelope(scenario: Scenario) -> Envelope:
@@ -377,31 +359,24 @@ def frozen_rollout_quotes(
     seed: int,
     episode_offset: int = 0,
 ) -> list[list[tuple[tuple[int, str, str], float]]]:
-    """Per-episode proposal quotes under the frozen policy with no gating.
+    """Per-episode proposal quotes under the frozen policy.
 
     Each episode contributes its list of ((time, state, action), true
-    positive toll) pairs, one per step, in step order. The executed action is
-    always the proposal, so the trajectory law matches an evaluation run
-    whose budget never binds.
+    positive toll) pairs, one per step, in step order. The rollouts are an
+    evaluation run whose budget never binds: under the exact envelope and an
+    infinite budget every proposal executes, so the executed action is
+    always the proposal.
     """
-    truth = true_toll_fn(scenario)
-    model = scenario.model
+    cfg = GateConfig(
+        initial_budget=math.inf,
+        fallback_order=("block",),
+        envelope=make_exact_envelope(scenario),
+        safe_defaults=scenario.safe_defaults,
+    )
     out = []
     for ep in range(episodes):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, episode_offset + ep]))
-        state = model.initial_state
-        quotes: list[tuple[tuple[int, str, str], float]] = []
-        for t in range(model.horizon):
-            dist = scenario.policy.action_dist(t, state)
-            actions = [a for a, _ in dist]
-            probs = np.asarray([p for _, p in dist])
-            proposed = actions[int(rng.choice(len(actions), p=probs / probs.sum()))]
-            quotes.append(((t, state, proposed), truth(t, state, proposed)))
-            kernel = model.kernel(t, state, proposed)
-            targets = [s for s, _ in kernel]
-            tprobs = np.asarray([p for _, p in kernel])
-            state = targets[int(rng.choice(len(targets), p=tprobs / tprobs.sum()))]
-        out.append(quotes)
+        log = run_episode(scenario.model, scenario.policy, cfg, seed, episode_offset + ep)
+        out.append([((e.time, e.state, e.proposed), e.envelope_value) for e in log.entries])
     return out
 
 

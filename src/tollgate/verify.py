@@ -34,12 +34,9 @@ from .scenario import (
     calibrate_conformal,
     load_scenario,
     make_exact_envelope,
-    true_toll_fn,
 )
 from .tolls import authority_premium, iap_check, verify_witness
 from .witnesses import payment_release_witness, random_payment_witness, shipment_tail_witness
-
-SUITES = ("time-consistency", "no-splitting", "iap", "gating", "cvar-demo")
 
 _TOL = 1e-9
 
@@ -659,7 +656,7 @@ def gating_suite(
             run_episode(sc.model, sc.policy, cfg, seed=seed, episode=i)
             for i in range(exact_episodes)
         ]
-        audit = audit_budget_guarantee(logs, true_toll_fn(sc), cfg.initial_budget, delta=0.0)
+        audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, cfg.initial_budget, delta=0.0)
         counts: dict[str, int] = {}
         for log in logs:
             for verdict, k in log.decision_counts().items():
@@ -700,7 +697,7 @@ def gating_suite(
         run_episode(sc.model, sc.policy, eval_cfg, seed=seed + 2000, episode=i)
         for i in range(eval_episodes)
     ]
-    audit = audit_budget_guarantee(eval_logs, true_toll_fn(sc), 50.0, delta=delta)
+    audit = audit_budget_guarantee(eval_logs, make_exact_envelope(sc).predict, 50.0, delta=delta)
     props.append(
         PropertyResult(
             "conformal-envelope-budget-guarantee",
@@ -729,7 +726,7 @@ def gating_suite(
         run_episode(sc.model, sc.policy, bad_cfg, seed=seed + 3000, episode=i)
         for i in range(min(eval_episodes, 300))
     ]
-    bad_audit = audit_budget_guarantee(bad_logs, true_toll_fn(sc), 50.0, delta=delta)
+    bad_audit = audit_budget_guarantee(bad_logs, make_exact_envelope(sc).predict, 50.0, delta=delta)
     props.append(
         PropertyResult(
             "deflated-envelope-fails-audit",
@@ -743,48 +740,31 @@ def gating_suite(
     return SuiteResult(suite="gating", seed=seed, properties=tuple(props))
 
 
+def _suite_table() -> dict:
+    """CLI name -> (suite function, scale keywords it takes), in ``all``
+    order. Built per call, so a rebound suite function takes effect."""
+    return {
+        "time-consistency": (time_consistency_suite, ("models", "axiom_trials")),
+        "cvar-demo": (cvar_demo_suite, ()),
+        "no-splitting": (no_splitting_suite, ("tuples",)),
+        "iap": (iap_suite, ("random_sets", "witness_draws")),
+        "gating": (
+            gating_suite,
+            ("exact_episodes", "calibration_episodes", "eval_episodes", "delta"),
+        ),
+    }
+
+
+SUITES = tuple(_suite_table())
+
+
 def run_suite(name: str, seed: int, **scale) -> list[SuiteResult]:
     """Dispatch one suite by CLI name, or every suite for ``all``."""
-    if name == "all":
-        return [
-            time_consistency_suite(seed, **_pick(scale, "models", "axiom_trials")),
-            cvar_demo_suite(seed),
-            no_splitting_suite(seed, **_pick(scale, "tuples")),
-            iap_suite(seed, **_pick(scale, "random_sets", "witness_draws")),
-            gating_suite(
-                seed,
-                **_pick(
-                    scale,
-                    "exact_episodes",
-                    "calibration_episodes",
-                    "eval_episodes",
-                    "delta",
-                ),
-            ),
-        ]
-    if name == "time-consistency":
-        return [time_consistency_suite(seed, **_pick(scale, "models", "axiom_trials"))]
-    if name == "cvar-demo":
-        return [cvar_demo_suite(seed)]
-    if name == "no-splitting":
-        return [no_splitting_suite(seed, **_pick(scale, "tuples"))]
-    if name == "iap":
-        return [iap_suite(seed, **_pick(scale, "random_sets", "witness_draws"))]
-    if name == "gating":
-        return [
-            gating_suite(
-                seed,
-                **_pick(
-                    scale,
-                    "exact_episodes",
-                    "calibration_episodes",
-                    "eval_episodes",
-                    "delta",
-                ),
-            )
-        ]
-    raise ValueError(f"unknown suite {name!r}")
-
-
-def _pick(scale: dict, *names: str) -> dict:
-    return {k: scale[k] for k in names if k in scale}
+    table = _suite_table()
+    if name != "all" and name not in table:
+        raise ValueError(f"unknown suite {name!r}")
+    return [
+        fn(seed, **{k: scale[k] for k in keys if k in scale})
+        for suite, (fn, keys) in table.items()
+        if name in ("all", suite)
+    ]

@@ -22,7 +22,6 @@ from tollgate.scenario import (
     bundled_scenario_path,
     load_scenario,
     make_exact_envelope,
-    true_toll_fn,
 )
 from tollgate.verify import gating_suite, iap_suite, no_splitting_suite, time_consistency_suite
 
@@ -133,7 +132,7 @@ def test_criterion_7_budget_guarantee_exact():
             run_episode(sc.model, sc.policy, cfg, seed=SEED, episode=i)
             for i in range(episodes)
         ]
-        audit = audit_budget_guarantee(logs, true_toll_fn(sc), cfg.initial_budget, delta=0.0)
+        audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, cfg.initial_budget, delta=0.0)
         assert audit.overruns == 0, f"{name}: {audit.overruns} overruns"
         assert audit.violation_fraction == 0.0
         assert audit.accounting_exact

@@ -24,7 +24,6 @@ from tollgate.scenario import (
     bundled_scenario_path,
     load_scenario,
     make_exact_envelope,
-    true_toll_fn,
 )
 
 
@@ -261,7 +260,7 @@ def test_budget_never_negative_and_charges_telescope():
 
 def test_audit_flags_deflated_envelope():
     sc = load_scenario(bundled_scenario_path("payments"))
-    truth = true_toll_fn(sc)
+    truth = make_exact_envelope(sc).predict
     flat = Envelope(kind="conformal", predict=lambda t, s, a: 0.0, inflation=0.0, delta=0.1)
     cfg = build_gate_config(sc, flat, budget_override=5.0)
     logs = [run_episode(sc.model, sc.policy, cfg, seed=77, episode=i) for i in range(150)]
@@ -275,8 +274,9 @@ def test_audit_exact_envelope_is_clean():
     env = make_exact_envelope(sc)
     cfg = build_gate_config(sc, env, exact_quoter=env)
     logs = [run_episode(sc.model, sc.policy, cfg, seed=5, episode=i) for i in range(120)]
-    audit = audit_budget_guarantee(logs, true_toll_fn(sc), cfg.initial_budget, delta=0.0)
+    audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, cfg.initial_budget, delta=0.0)
     assert audit.passed
     assert audit.overruns == 0
     assert audit.violation_fraction == 0.0
     assert audit.accounting_exact
+    assert audit.quotes == audit.quotes_covered == sum(len(log.entries) for log in logs)

@@ -173,6 +173,36 @@ def test_cli_corrupt_scenario_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _drop_policy_probs(doc):
+    del doc["policy"][0]["probs"]
+
+
+def _non_integer_node_time(doc):
+    doc["model"]["nodes"][1]["time"] = "soon"
+
+
+def _non_integer_safe_default_time(doc):
+    doc["safe_defaults"][0]["time"] = "first"
+
+
+@pytest.mark.parametrize(
+    "mutate, field_path",
+    [
+        (_drop_policy_probs, "policy[0].probs"),
+        (_non_integer_node_time, "nodes[1].time"),
+        (_non_integer_safe_default_time, "safe_defaults[0].time"),
+    ],
+)
+def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
+    mutate(payments_doc)
+    doc = tmp_path / "malformed.scn.json"
+    doc.write_text(json.dumps(payments_doc))
+    assert main(["run", "--scenario", str(doc), "--episodes", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[parse]" in err
+    assert f"(at {field_path})" in err
+
+
 def test_cli_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
