@@ -19,7 +19,7 @@ import numpy as np
 
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
 from .exceptions import CalibrationSizeError, ModelValidationError
-from .risk import RiskSpec
+from .risk import PolicyValues, RiskSpec
 from .tolls import counterfactual_toll
 
 Predictor = Callable[[int, str, str], float]
@@ -45,14 +45,20 @@ def exact_envelope(
     spec: RiskSpec,
     sdm: SafeDefaultMap,
 ) -> Envelope:
-    """Envelope whose every query is the exact positive toll."""
+    """Envelope whose every query is the exact positive toll.
+
+    Every key is priced once, off one shared :class:`PolicyValues`: a cold
+    key costs two one-step valuations plus the continuation nodes no earlier
+    key reached.
+    """
+    values = PolicyValues(model, cont, spec)
     cache: dict[tuple[int, str, str], float] = {}
 
     def predict(time: int, state: str, action: str) -> float:
         key = (time, state, action)
         if key not in cache:
             cache[key] = counterfactual_toll(
-                model, time, state, action, cont, spec, sdm
+                model, time, state, action, cont, spec, sdm, values=values
             ).positive_toll
         return cache[key]
 

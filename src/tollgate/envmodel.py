@@ -297,6 +297,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
             raise ModelValidationError(f"duplicate state id {sid!r}", path=f"states[{i}]")
         state_components[sid] = dict(rec.get("components", {}))
         state_order.append(sid)
+    state_index = {sid: i for i, sid in enumerate(state_order)}
 
     null_action = str(spec.get("null_action", "noop"))
 
@@ -329,7 +330,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
                 total += p
             if abs(total - 1.0) > KERNEL_TOL:
                 raise KernelSumError(f"kernel row sums to {total!r}, expected 1", path=kpath)
-            row.sort(key=lambda kv: state_order.index(kv[0]))
+            row.sort(key=lambda kv: state_index[kv[0]])
             actions[str(a)] = tuple(row)
         if not actions:
             raise ModelValidationError("node has an empty action set", path=path)

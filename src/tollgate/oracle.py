@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from scipy.special import logsumexp
-
 from .envmodel import EnvironmentModel, Intervention, Policy
 from .exceptions import EnumerationBudgetError
 from .risk import RiskSpec
@@ -89,6 +87,10 @@ def static_risk(dist: Mapping[float, float], spec: RiskSpec) -> float:
     if spec.kind == "expectation":
         return float(sum(v * p for v, p in zip(values, probs)))
     if spec.kind == "entropic":
+        # Imported here: scipy would double the start-up time of every CLI
+        # process, and only this branch needs it.
+        from scipy.special import logsumexp
+
         scaled = [spec.gamma * v for v in values]
         return float(logsumexp(scaled, b=probs) / spec.gamma)
     return _shortfall_by_minimisation(values, probs, spec.alpha)

@@ -30,7 +30,7 @@ from typing import Sequence
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
 from .exceptions import InvalidWitnessError, ModelValidationError
 from .oracle import EnumerationBudget, enumerate_policies
-from .risk import RiskSpec, evaluate_dynamic_risk
+from .risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
 
 _TOL = 1e-9
 _PROB_FLOOR = 1e-15
@@ -108,12 +108,24 @@ def counterfactual_toll(
     cont: Policy,
     spec: RiskSpec,
     sdm: SafeDefaultMap,
+    values: PolicyValues | None = None,
 ) -> TollQuote:
     """Exact toll of ``action`` at a node: root risk under the forced action
-    minus root risk under its forced safe default."""
+    minus root risk under its forced safe default.
+
+    Both valuations read one set of continuation values: ``values`` when
+    given (shared across keys, see :func:`evaluate_dynamic_risk`), else a
+    fresh :class:`PolicyValues` for this call.
+    """
     default = sdm.default_for(time, state, action)
-    risk_action = evaluate_dynamic_risk(model, Intervention(time, state, action), cont, spec).root
-    risk_default = evaluate_dynamic_risk(model, Intervention(time, state, default), cont, spec).root
+    if values is None:
+        values = PolicyValues(model, cont, spec)
+    risk_action = evaluate_dynamic_risk(
+        model, Intervention(time, state, action), cont, spec, values=values
+    ).root
+    risk_default = evaluate_dynamic_risk(
+        model, Intervention(time, state, default), cont, spec, values=values
+    ).root
     signed = risk_action - risk_default
     return TollQuote(
         signed_toll=signed,
@@ -137,7 +149,9 @@ def authority_premium(
     """Worst-case clamped toll of ``action`` over the ambiguity set.
 
     The positive part applies per model before the maximum is taken, which
-    coincides with clamping afterwards since the clamp is monotone.
+    coincides with clamping afterwards since the clamp is monotone. Each
+    model's action and default share one :class:`PolicyValues` (built by
+    :func:`counterfactual_toll`).
     """
     worst = 0.0
     for model in amb.models:
@@ -154,13 +168,17 @@ def robust_capital(
     cont: Policy,
     spec: RiskSpec,
 ) -> float:
-    """Worst-case root risk over models and over the granted action set."""
+    """Worst-case root risk over models and over the granted action set.
+    The actions share one :class:`PolicyValues` per model."""
     if not actions:
         raise ModelValidationError("action set must be nonempty", path="actions")
     best = None
     for model in amb.models:
+        values = PolicyValues(model, cont, spec)
         for a in actions:
-            root = evaluate_dynamic_risk(model, Intervention(time, state, a), cont, spec).root
+            root = evaluate_dynamic_risk(
+                model, Intervention(time, state, a), cont, spec, values=values
+            ).root
             best = root if best is None else max(best, root)
     return float(best)
 

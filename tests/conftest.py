@@ -93,3 +93,36 @@ def noop_policy():
         )
 
     return make
+
+
+@pytest.fixture
+def reference_values():
+    """The per-valuation backward recursion the engine memoises: a fresh
+    memo per call, post-order, the node at ``forced`` taking its forced
+    action. Shared and fresh engine values must equal it bit for bit."""
+    from tollgate.risk import _sigma
+
+    def values(model, cont, spec, start, forced=None):
+        memo = {}
+
+        def node_value(t, s):
+            if (t, s) in memo:
+                return memo[(t, s)]
+            if t == model.horizon:
+                v = model.terminal_loss(s)
+            else:
+                at_forced = forced is not None and (t, s) == (forced.time, forced.state)
+                force = forced.action if at_forced else None
+                children = [
+                    (node_value(t + 1, nxt), p)
+                    for nxt, p in model.effective_next(t, s, cont, forced=force)
+                    if p > 0.0
+                ]
+                v = _sigma(spec, [c for c, _ in children], [p for _, p in children])
+            memo[(t, s)] = float(v)
+            return memo[(t, s)]
+
+        node_value(*start)
+        return memo
+
+    return values

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tollgate import risk
 from tollgate.envmodel import Intervention
+from tollgate.exceptions import ModelValidationError
 from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.risk import (
     RiskSpec,
@@ -58,6 +60,24 @@ def test_entropic_shift_guards_overflow():
 def test_one_step_rejects_empty():
     with pytest.raises(Exception):
         one_step_risk(ENT, {})
+    for bad in (
+        [(1.0, 0.0)],
+        [(1.0, -0.5), (2.0, 1.5)],
+        [(1.0, 0.2), (2.0, 0.2)],
+        [(1.0, math.nan)],
+    ):
+        with pytest.raises(ModelValidationError):
+            one_step_risk(ENT, bad)
+
+
+def test_one_step_ignores_zero_mass_atoms():
+    # a zero-mass atom above the tail used to end the shortfall sweep early
+    es_half = RiskSpec(kind="conditional_es", alpha=0.5)
+    assert one_step_risk(es_half, [(10.0, 0.0), (1.0, 1.0)]) == 1.0
+    # and used to set the entropic shift, underflowing the sum to log(0)
+    assert one_step_risk(ENT, [(1000.0, 0.0), (0.0, 1.0)]) == 0.0
+    for spec in (ENT, MEAN, ES):
+        assert one_step_risk(spec, [(math.inf, 0.0), (2.0, 1.0)]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_single_step_recursion_equals_one_step(coin_model, noop_policy):
@@ -110,6 +130,36 @@ def test_shortfall_passes_core_and_homogeneity():
     report = check_axioms(ES, trials=1000, seed=13)
     assert report.all_core_passed()
     assert report.passed("positive_homogeneity")
+
+
+def test_locality_probe_trips_on_a_nonlocal_mapping(monkeypatch):
+    assert check_axioms(MEAN, trials=200, seed=14).passed("locality")
+    # the largest atom whatever its mass: sees the unrealised branch
+    monkeypatch.setattr(risk, "_sigma", lambda spec, values, probs: max(values))
+    report = check_axioms(MEAN, trials=200, seed=14)
+    assert not report.passed("locality")
+    assert report.results["locality"].counterexample["ghost"] > max(
+        report.results["locality"].counterexample["x"]
+    )
+
+
+def test_engine_values_match_the_reference_recursion(reference_values):
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        model = random_layered_model(rng, max_depth=5)
+        cont = random_policy(rng, model)
+        for spec in (ENT, MEAN, ES):
+            root = (0, model.initial_state)
+            expected = reference_values(model, cont, spec, root)
+            got = evaluate_policy_risk(model, cont, spec)
+            assert list(got.values.items()) == list(expected.items())
+            for t, s in model.all_nodes():
+                for a in model.actions(t, s):
+                    iv = Intervention(t, s, a)
+                    got = evaluate_dynamic_risk(model, iv, cont, spec)
+                    expected = reference_values(model, cont, spec, (t, s), forced=iv)
+                    assert list(got.values.items()) == list(expected.items())
+                    assert got.root == expected[(t, s)]
 
 
 def test_normalisation_direct():

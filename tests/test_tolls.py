@@ -7,7 +7,9 @@ import pytest
 
 from tollgate.envmodel import Intervention, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import InvalidWitnessError, ModelValidationError
-from tollgate.risk import RiskSpec, evaluate_dynamic_risk
+from tollgate import risk
+from tollgate.risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
+from tollgate.scenario import BUNDLED_SCENARIOS, bundled_scenario_path, load_scenario
 from tollgate.tolls import (
     AmbiguitySet,
     WitnessSpec,
@@ -104,6 +106,94 @@ def test_toll_deterministic_and_default_sensitive():
     other = counterfactual_toll(model, 0, "start", "wire_transfer", case.cont, ENT, other_sdm)
     assert other.signed_toll != first.signed_toll
     assert other.safe_default_used == "noop"
+
+
+def _every_key(model):
+    return [(t, s, a) for t, s in model.all_nodes() for a in model.actions(t, s)]
+
+
+def _assert_shared_tolls_match_fresh(model, cont, spec, sdm, reference_values):
+    shared = PolicyValues(model, cont, spec)
+    for t, s, a in _every_key(model):
+        quote = counterfactual_toll(model, t, s, a, cont, spec, sdm, values=shared)
+        fresh = counterfactual_toll(model, t, s, a, cont, spec, sdm)
+        d = sdm.default_for(t, s, a)
+        ref = (
+            reference_values(model, cont, spec, (t, s), forced=Intervention(t, s, a))[(t, s)]
+            - reference_values(model, cont, spec, (t, s), forced=Intervention(t, s, d))[(t, s)]
+        )
+        assert quote.signed_toll == fresh.signed_toll == ref
+        assert quote == fresh
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_shared_values_price_bundled_scenarios_bit_for_bit(name, reference_values):
+    sc = load_scenario(bundled_scenario_path(name))
+    for spec in (sc.risk_spec,) + ALL_SPECS:
+        _assert_shared_tolls_match_fresh(
+            sc.model, sc.policy, spec, sc.safe_defaults, reference_values
+        )
+
+
+def test_shared_values_price_random_trees_bit_for_bit(reference_values):
+    rng = np.random.default_rng(43)
+    for _ in range(15):
+        model = random_layered_model(rng, max_depth=5)
+        cont = random_policy(rng, model)
+        sdm = SafeDefaultMap({(t, s, a): "noop" for t, s, a in _every_key(model)})
+        for spec in ALL_SPECS:
+            _assert_shared_tolls_match_fresh(model, cont, spec, sdm, reference_values)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_shared_values_value_each_node_once(name, monkeypatch):
+    sc = load_scenario(bundled_scenario_path(name))
+    calls = []
+    sigma = risk._sigma
+    monkeypatch.setattr(risk, "_sigma", lambda *args: calls.append(1) or sigma(*args))
+    shared = PolicyValues(sc.model, sc.policy, sc.risk_spec)
+    keys = _every_key(sc.model)
+    first_valued = []
+    for t, s, a in keys:
+        for act in (a, sc.safe_defaults.default_for(t, s, a)):
+            iv = Intervention(t, s, act)
+            got = evaluate_dynamic_risk(sc.model, iv, sc.policy, sc.risk_spec, values=shared)
+            first_valued += [node for node in got.values if node != (t, s)]
+    # two one-step valuations per key plus one per decision node below a root
+    decision_nodes = [node for node in shared.memo if node[0] < sc.model.horizon]
+    assert len(calls) == 2 * len(keys) + len(decision_nodes)
+    assert first_valued == list(shared.memo)
+
+
+def test_shared_values_reject_a_mismatch():
+    rng = np.random.default_rng(44)
+    model = random_layered_model(rng, max_depth=3)
+    cont = random_policy(rng, model)
+    iv = Intervention(0, model.initial_state, "noop")
+    shared = PolicyValues(model, cont, ENT)
+    equal_spec = RiskSpec(kind="entropic", gamma=1.0)
+    assert (
+        evaluate_dynamic_risk(model, iv, cont, equal_spec, values=shared).root
+        == evaluate_dynamic_risk(model, iv, cont, ENT).root
+    )
+    twin = random_layered_model(np.random.default_rng(44), max_depth=3)
+    twin_cont = random_policy(rng, model)
+    loss = model.terminal_losses
+    for args, kwargs in [
+        ((twin, iv, cont, ENT), {}),
+        ((model, iv, twin_cont, ENT), {}),
+        ((model, iv, cont, MEAN), {}),
+        ((model, iv, cont, ENT), {"terminal_loss": loss}),
+    ]:
+        with pytest.raises(ModelValidationError):
+            evaluate_dynamic_risk(*args, **kwargs, values=shared)
+    overridden = PolicyValues(model, cont, ENT, terminal_loss=loss)
+    with pytest.raises(ModelValidationError):
+        evaluate_dynamic_risk(model, iv, cont, ENT, values=overridden)
+    with pytest.raises(ModelValidationError):
+        counterfactual_toll(
+            model, 0, model.initial_state, "noop", cont, MEAN, SafeDefaultMap({}), values=shared
+        )
 
 
 def test_pathwise_dominance_orders_tolls():
