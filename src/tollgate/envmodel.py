@@ -11,6 +11,7 @@ all operations are pure and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -177,9 +178,10 @@ class Policy:
                         f"policy puts mass on unavailable action {a!r}",
                         path=f"policy[{t},{s}]",
                     )
-                if p < 0:
+                if not (p >= 0 and math.isfinite(p)):
                     raise ModelValidationError(
-                        "policy probability is negative", path=f"policy[{t},{s}].{a}"
+                        f"policy probability must be finite and >= 0, got {p!r}",
+                        path=f"policy[{t},{s}].{a}",
                     )
                 row.append((a, float(p)))
                 total += p
@@ -324,8 +326,11 @@ def build_model(spec: Mapping) -> EnvironmentModel:
                 if nxt not in state_components:
                     raise ModelValidationError(f"kernel targets unknown state {nxt!r}", path=kpath)
                 p = read_field(kernel_map, nxt, float, kpath)
-                if p < 0:
-                    raise ModelValidationError("negative kernel probability", path=kpath)
+                if not (p >= 0 and math.isfinite(p)):
+                    raise ModelValidationError(
+                        f"kernel probability must be finite and >= 0, got {p!r}",
+                        path=f"{kpath}.{nxt}",
+                    )
                 row.append((str(nxt), p))
                 total += p
             if abs(total - 1.0) > KERNEL_TOL:

@@ -23,8 +23,10 @@ entry.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -234,6 +236,26 @@ def _budget_steps(log: EpisodeLog):
         prev = entry.budget_after
 
 
+@lru_cache(maxsize=1 << 14)
+def _inverse_cdf(row: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """Labels and normalised CDF of a ``(label, probability)`` row, built with
+    the arithmetic ``Generator.choice(n, p=q)`` uses on ``q = p / p.sum()``:
+    ``labels[bisect_right(cdf, rng.random())]`` then draws exactly the label
+    ``choice`` would. Rows are immutable tuples held by the policy or the
+    model, so the memo keys on the row itself."""
+    probs = np.asarray([p for _, p in row], dtype=float)
+    if not np.all(probs >= 0.0) or not np.all(np.isfinite(probs)):
+        raise ModelValidationError(
+            f"cannot sample a row with a negative or non-finite probability: {row!r}"
+        )
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise ModelValidationError(f"cannot sample a row of mass {total!r}: {row!r}")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    return tuple(label for label, _ in row), tuple(cdf.tolist())
+
+
 def run_episode(
     model: EnvironmentModel,
     proposal_policy: Policy,
@@ -244,23 +266,21 @@ def run_episode(
     """Gate one sampled trajectory from the model's initial state.
 
     Deterministic for a fixed (seed, episode): proposals and transitions draw
-    from one generator in a fixed call order. The executed action, not the
-    proposed one, drives the transition.
+    from one generator in a fixed call order. Each draw repeats
+    ``Generator.choice``'s inverse-CDF arithmetic (one ``random()`` searched
+    in the normalised cumulative sum), so the stream is the numpy one. The
+    executed action, not the proposed one, drives the transition.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, episode]))
+    uniform = np.random.default_rng(np.random.SeedSequence([seed, episode])).random
     boundary_ledger = BoundaryLedger(cfg.boundaries)
     ledger = GateLedger(budget=cfg.initial_budget)
     state = model.initial_state
     for t in range(model.horizon):
-        dist = proposal_policy.action_dist(t, state)
-        actions = [a for a, _ in dist]
-        probs = np.asarray([p for _, p in dist])
-        proposed = actions[int(rng.choice(len(actions), p=probs / probs.sum()))]
+        actions, cdf = _inverse_cdf(proposal_policy.action_dist(t, state))
+        proposed = actions[bisect_right(cdf, uniform())]
         decision, ledger = gate_step(ledger, cfg, model, boundary_ledger, t, state, proposed)
-        kernel = model.kernel(t, state, decision.executed_action)
-        targets = [s for s, _ in kernel]
-        tprobs = np.asarray([p for _, p in kernel])
-        state = targets[int(rng.choice(len(targets), p=tprobs / tprobs.sum()))]
+        targets, cdf = _inverse_cdf(model.kernel(t, state, decision.executed_action))
+        state = targets[bisect_right(cdf, uniform())]
     return EpisodeLog(
         episode=episode,
         seed=seed,

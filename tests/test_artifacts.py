@@ -1,4 +1,4 @@
-"""Byte identity of run artifacts and report output for fixed seeds.
+"""Byte identity of run artifacts, report and verify output for fixed seeds.
 
 For a fixed (scenario, seed) every artifact must stay byte for byte the
 same. The digests below pin the float output of the current toolchain; a
@@ -42,6 +42,11 @@ CALIBRATION_DIGESTS = {
     "envelope.json": "acb71bbc9d94bbabca16cfd531c29872e53503f0281c4f7ada497e4e6b03cefa",
 }
 
+VERIFY_DIGESTS = {
+    "no-splitting": "f042e35508bb42f4373171ae75ee236617fa089884fe918e12e8267ee4a78ba7",
+    "gating": "e8906cf45dd3c505f73fa2f99a494959e8c88f21aff275e86bc4a0d216f046ed",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -67,3 +72,9 @@ def test_calibrate_bytes_pinned(tmp_path):
     ]) == 0
     digests = {p.name: _sha256(p.read_bytes()) for p in out.iterdir()}
     assert digests == CALIBRATION_DIGESTS
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_pinned(suite, capsys):
+    assert main(["verify", "--suite", suite, "--seed", "301"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == VERIFY_DIGESTS[suite]

@@ -47,6 +47,21 @@ def test_potential_rejects_nonconvex_knots():
         )
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"kind": "linear", "weights": (float("nan"),)},
+        {"kind": "linear", "weights": (float("inf"),)},
+        {"kind": "power", "weights": (1.0,), "exponent": float("inf")},
+        {"kind": "piecewise_convex", "knots": (((0.0, 0.0), (1.0, float("nan"))),)},
+    ],
+    ids=["nan-weight", "inf-weight", "inf-exponent", "nan-knot"],
+)
+def test_potential_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ModelValidationError):
+        PotentialSpec(**kwargs)
+
+
 def test_zero_increment_pays_nothing():
     pot = PotentialSpec(kind="power", weights=(1.0,), exponent=2.0)
     state = BoundaryState("b", (2.0,))

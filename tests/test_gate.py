@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from tollgate.boundary import BoundaryLedger, BoundarySpec, PotentialSpec
 from tollgate.envelope import Envelope
-from tollgate.envmodel import SafeDefaultMap, build_model
+from tollgate.envmodel import KERNEL_TOL, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import ModelValidationError
 from tollgate.gate import (
     GateConfig,
     GateLedger,
     Verdict,
+    _inverse_cdf,
     audit_budget_guarantee,
     gate_step,
     run_episode,
@@ -233,6 +236,56 @@ def test_episode_rerun_is_bit_identical():
     logs_a = [run_episode(sc.model, sc.policy, cfg, seed=123, episode=i) for i in range(30)]
     logs_b = [run_episode(sc.model, sc.policy, cfg, seed=123, episode=i) for i in range(30)]
     assert episode_json_lines(logs_a) == episode_json_lines(logs_b)
+
+
+def _sampling_rows(rng: np.random.Generator) -> list[tuple[tuple[str, float], ...]]:
+    """Rows as the loader lets them through: random widths, zero-mass entries
+    first, in the middle and last, one-entry rows, and sums off 1 by up to
+    KERNEL_TOL."""
+    rows = [(("only", 1.0),)]
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        probs = rng.random(n)
+        if n >= 3:
+            probs[rng.choice((0, n // 2, n - 1))] = 0.0
+        probs = probs / probs.sum() * (1.0 + rng.uniform(-KERNEL_TOL, KERNEL_TOL))
+        rows.append(tuple((f"x{i}", float(p)) for i, p in enumerate(probs)))
+    return rows
+
+
+def test_sampler_draws_exactly_as_generator_choice():
+    rows = _sampling_rows(np.random.default_rng(11))
+    assert any(len(row) == 1 for row in rows)
+    for pos in (0, 1, -1):
+        assert any(len(row) >= 3 and row[pos][1] == 0.0 for row in rows)
+    seq = np.random.SeedSequence([5, 3])
+    old, new = np.random.default_rng(seq), np.random.default_rng(seq)
+    for k in range(6000):
+        row = rows[k % len(rows)]
+        probs = np.asarray([p for _, p in row])
+        expected = int(old.choice(len(row), p=probs / probs.sum()))
+        labels, cdf = _inverse_cdf(row)
+        assert bisect_right(cdf, new.random()) == expected
+        assert labels == tuple(label for label, _ in row)
+    assert old.random() == new.random()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (("act", float("nan")), ("noop", 1.0)),
+        (("act", -0.5), ("noop", 1.5)),
+        (("act", float("inf")), ("noop", 0.0)),
+        (("act", 0.0), ("noop", 0.0)),
+        (),
+    ],
+    ids=["nan", "negative", "inf", "zero-mass", "empty"],
+)
+def test_run_episode_refuses_invalid_policy_row(row):
+    model = _gate_model()
+    policy = Policy({(0, "r"): row})
+    with pytest.raises(ModelValidationError):
+        run_episode(model, policy, _cfg(model, 10.0), seed=1)
 
 
 def test_budget_never_negative_and_charges_telescope():

@@ -185,12 +185,29 @@ def _non_integer_safe_default_time(doc):
     doc["safe_defaults"][0]["time"] = "first"
 
 
+def _nan_policy_probability(doc):
+    doc["policy"][0]["probs"]["wire_transfer"] = float("nan")
+
+
+def _nan_kernel_probability(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"]["kernel"]["wired_fraud"] = float("nan")
+
+
+# NaN probabilities parse as floats; the model checks refuse them instead.
+_NOT_PARSE_ERRORS = {
+    _nan_policy_probability: "must be finite",
+    _nan_kernel_probability: "must be finite",
+}
+
+
 @pytest.mark.parametrize(
     "mutate, field_path",
     [
         (_drop_policy_probs, "policy[0].probs"),
         (_non_integer_node_time, "nodes[1].time"),
         (_non_integer_safe_default_time, "safe_defaults[0].time"),
+        (_nan_policy_probability, "policy[0,start].wire_transfer"),
+        (_nan_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
@@ -199,7 +216,7 @@ def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys
     doc.write_text(json.dumps(payments_doc))
     assert main(["run", "--scenario", str(doc), "--episodes", "1", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "[parse]" in err
+    assert _NOT_PARSE_ERRORS.get(mutate, "[parse]") in err
     assert f"(at {field_path})" in err
 
 
