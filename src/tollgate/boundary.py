@@ -16,10 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .exceptions import (
     ModelValidationError,
@@ -182,7 +180,7 @@ def apply_increment(state: BoundaryState, increment: Sequence[float]) -> Boundar
     """Pure update: exposure grows componentwise, version ticks by one."""
     inc = _check_increment(increment, len(state.exposure))
     after = tuple(e + d for e, d in zip(state.exposure, inc))
-    return replace(state, exposure=after, version=state.version + 1)
+    return BoundaryState(state.boundary_id, after, state.outside_state, state.version + 1)
 
 
 class BoundaryLedger:
@@ -198,6 +196,7 @@ class BoundaryLedger:
         self._states: dict[str, BoundaryState] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._history: list[BoundaryState] = []
+        self._first_id: str | None = None
         for spec in specs:
             if spec.boundary_id in self._specs:
                 raise ModelValidationError(
@@ -210,6 +209,15 @@ class BoundaryLedger:
                 outside_state=spec.outside_state,
             )
             self._locks[spec.boundary_id] = threading.Lock()
+            if self._first_id is None:
+                self._first_id = spec.boundary_id
+
+    @property
+    def first_version(self) -> int:
+        """Version of the first declared boundary, 0 without boundaries: the
+        ``boundary_version`` each gate entry logs."""
+        first = self._first_id
+        return 0 if first is None else self._states[first].version
 
     def spec(self, boundary_id: str) -> BoundarySpec:
         return self._specs[boundary_id]
@@ -316,6 +324,8 @@ def splitting_invariance_check(
     reference = pot.value(end) - pot.value(start)
     tolls = tuple(_sequence_toll(pot, start, steps) for steps in partitions)
     max_gap = max((abs(t - reference) for t in tolls), default=0.0)
+
+    import numpy as np
 
     adversary_max = 0.0
     rng = np.random.default_rng(seed)

@@ -46,10 +46,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     exact = make_exact_envelope(scenario)
     envelope: Envelope = exact
     extra: dict = {"envelope": {"kind": "exact"}}
-    if scenario.envelope_config.get("kind") == "conformal":
-        delta = float(scenario.envelope_config.get("delta", 0.1))
-        n = int(scenario.envelope_config.get("calibration_episodes", 200))
-        train = int(scenario.envelope_config.get("training_episodes", 100))
+    if scenario.envelope_config["kind"] == "conformal":
+        delta = scenario.envelope_config["delta"]
+        n = scenario.envelope_config["calibration_episodes"]
+        train = scenario.envelope_config["training_episodes"]
         calib = calibrate_conformal(scenario, n, delta, seed=seed + 10_000, training_episodes=train)
         envelope = calib.envelope
         extra = {
@@ -117,7 +117,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     same audit the gating suite runs, with delta taken from the manifest."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
-    logs = runio.read_episode_logs(run_dir)
+    logs = runio.read_episode_logs(run_dir, manifest)
     scenario = resolve_scenario(manifest["scenario_document"])
     budget = scenario.gate.initial_budget
     if not logs:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
 from .exceptions import CalibrationSizeError, ModelValidationError
 from .risk import PolicyValues, RiskSpec
@@ -133,6 +131,8 @@ def least_squares_predictor(
     clamp at zero."""
     if not training_set:
         raise ModelValidationError("training set must be nonempty", path="training_set")
+    import numpy as np
+
     rows = np.asarray([feature_map(t, s, a) for (t, s, a), _ in training_set], dtype=float)
     targets = np.asarray([y for _, y in training_set], dtype=float)
     weights, *_ = np.linalg.lstsq(rows, targets, rcond=None)

@@ -29,8 +29,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .boundary import BoundaryLedger, BoundarySpec
 from .envelope import Envelope
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
@@ -47,8 +45,10 @@ class Verdict(str, Enum):
     BLOCK = "BLOCK"
 
 
-@dataclass(frozen=True)
-class GateDecision:
+_VERDICTS_BY_VALUE = tuple((v.value, v) for v in Verdict)
+
+
+class GateDecision(NamedTuple):
     verdict: Verdict
     executed_action: str
     charged: float
@@ -66,15 +66,14 @@ class GateEntry(NamedTuple):
     boundary_version: int
 
 
-@dataclass(frozen=True)
-class GateLedger:
+class GateLedger(NamedTuple):
     """Running budget plus the strictly ordered decision trail."""
 
     budget: float
     entries: tuple[GateEntry, ...] = ()
 
     def with_entry(self, entry: GateEntry, charged: float) -> "GateLedger":
-        return GateLedger(budget=self.budget - charged, entries=self.entries + (entry,))
+        return GateLedger(self.budget - charged, self.entries + (entry,))
 
 
 @dataclass(frozen=True)
@@ -173,19 +172,13 @@ def gate_step(
             verdict = Verdict.ESCALATE_DENIED if last_denied else Verdict.BLOCK
             decision = GateDecision(verdict, model.null_action, 0.0)
 
-    version = _commit_exposure(cfg, boundary_ledger, time, state, decision.executed_action)
+    verdict, executed, charged = decision
+    version = _commit_exposure(cfg, boundary_ledger, time, state, executed)
     entry = GateEntry(
-        step=len(ledger.entries),
-        time=time,
-        state=state,
-        proposed=proposed,
-        envelope_value=quoted,
-        verdict=decision.verdict,
-        executed=decision.executed_action,
-        budget_after=ledger.budget - decision.charged,
-        boundary_version=version,
+        len(ledger.entries), time, state, proposed, quoted, verdict, executed,
+        ledger.budget - charged, version,
     )
-    return decision, ledger.with_entry(entry, decision.charged)
+    return decision, ledger.with_entry(entry, charged)
 
 
 def _commit_exposure(
@@ -195,13 +188,15 @@ def _commit_exposure(
     state: str,
     executed: str,
 ) -> int:
+    """Commit the executed action's exposure; return the first boundary's
+    version (0 without boundaries)."""
     if boundary_ledger is None:
         return 0
-    increments = cfg.exposure.get((time, state, executed), {})
-    for boundary_id, inc in increments.items():
-        boundary_ledger.commit(boundary_id, inc)
-    ids = boundary_ledger.boundary_ids()
-    return boundary_ledger.state(ids[0]).version if ids else 0
+    increments = cfg.exposure.get((time, state, executed))
+    if increments:
+        for boundary_id, inc in increments.items():
+            boundary_ledger.commit(boundary_id, inc)
+    return boundary_ledger.first_version
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +218,9 @@ class EpisodeLog:
         return math.fsum(e_prev - e.budget_after for e_prev, e in _budget_steps(self))
 
     def decision_counts(self) -> dict[str, int]:
-        counts = {v.value: 0 for v in Verdict}
-        for e in self.entries:
-            counts[e.verdict.value] += 1
-        return counts
+        """Entries per verdict, keyed by value in declaration order."""
+        verdicts = [e.verdict for e in self.entries]
+        return {value: verdicts.count(v) for value, v in _VERDICTS_BY_VALUE}
 
 
 def _budget_steps(log: EpisodeLog):
@@ -243,6 +237,8 @@ def _inverse_cdf(row: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], t
     ``labels[bisect_right(cdf, rng.random())]`` then draws exactly the label
     ``choice`` would. Rows are immutable tuples held by the policy or the
     model, so the memo keys on the row itself."""
+    import numpy as np
+
     probs = np.asarray([p for _, p in row], dtype=float)
     if not np.all(probs >= 0.0) or not np.all(np.isfinite(probs)):
         raise ModelValidationError(
@@ -271,6 +267,8 @@ def run_episode(
     in the normalised cumulative sum), so the stream is the numpy one. The
     executed action, not the proposed one, drives the transition.
     """
+    import numpy as np
+
     uniform = np.random.default_rng(np.random.SeedSequence([seed, episode])).random
     boundary_ledger = BoundaryLedger(cfg.boundaries)
     ledger = GateLedger(budget=cfg.initial_budget)

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .envmodel import (
     KERNEL_TOL,
     EnvironmentModel,
@@ -288,6 +286,8 @@ def check_axioms(spec: RiskSpec, trials: int, seed: int) -> AxiomReport:
     """
     if trials < 1:
         raise ModelValidationError("trials must be >= 1", path="trials")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     # The locality probe draws from its own stream so the others stay as
     # they are for a given seed.

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,38 +24,64 @@ SUMMARY_NAME = "summary.csv"
 MANIFEST_NAME = "manifest.json"
 BOUNDARY_LOG_NAME = "boundaries.jsonl"
 
-_SUMMARY_FIELDS = (
-    "episode",
-    "b_final",
-    "charged_sum",
-    "terminal_loss",
-    "n_execute",
-    "n_downgrade",
-    "n_escalate_approved",
-    "n_escalate_denied",
-    "n_block",
+# One count column per verdict, in declaration order, which is the order of
+# EpisodeLog.decision_counts.
+_SUMMARY_FIELDS = ("episode", "b_final", "charged_sum", "terminal_loss") + tuple(
+    "n_" + v.value.lower() for v in Verdict
 )
 
 
+# The keys of one episode-log line in sorted order, and the line they make
+# with json.dumps's default separators.
+_ENTRY_KEYS = (
+    "boundary_version",
+    "budget_after",
+    "envelope_value",
+    "episode",
+    "executed",
+    "proposed",
+    "state",
+    "step",
+    "time",
+    "verdict",
+)
+_ENTRY_LINE = "{" + ", ".join(f'"{key}": %s' for key in _ENTRY_KEYS) + "}"
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)``, done directly for plain strings, finite floats
+    and ints, which is what a gate entry holds."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def episode_json_lines(logs: Sequence[EpisodeLog]) -> list[str]:
+    """One line per gate entry, each equal to ``json.dumps(record,
+    sort_keys=True)`` of the entry's record."""
+    enc = _json_scalar
     lines = []
     for log in logs:
-        for entry in log.entries:
+        episode = enc(log.episode)
+        for e in log.entries:
             lines.append(
-                json.dumps(
-                    {
-                        "episode": log.episode,
-                        "step": entry.step,
-                        "time": entry.time,
-                        "state": entry.state,
-                        "proposed": entry.proposed,
-                        "envelope_value": entry.envelope_value,
-                        "verdict": entry.verdict.value,
-                        "executed": entry.executed,
-                        "budget_after": entry.budget_after,
-                        "boundary_version": entry.boundary_version,
-                    },
-                    sort_keys=True,
+                _ENTRY_LINE
+                % (
+                    enc(e.boundary_version),
+                    enc(e.budget_after),
+                    enc(e.envelope_value),
+                    episode,
+                    enc(e.executed),
+                    enc(e.proposed),
+                    enc(e.state),
+                    enc(e.step),
+                    enc(e.time),
+                    enc(e.verdict.value),
                 )
             )
     return lines
@@ -77,31 +105,25 @@ def write_boundary_log(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     return path
 
 
-def summary_rows(logs: Sequence[EpisodeLog]) -> list[dict]:
-    rows = []
-    for log in logs:
-        counts = log.decision_counts()
-        rows.append(
-            {
-                "episode": log.episode,
-                "b_final": repr(log.budget_final),
-                "charged_sum": repr(log.charged_total),
-                "terminal_loss": repr(log.terminal_loss),
-                "n_execute": counts["EXECUTE"],
-                "n_downgrade": counts["DOWNGRADE"],
-                "n_escalate_approved": counts["ESCALATE_APPROVED"],
-                "n_escalate_denied": counts["ESCALATE_DENIED"],
-                "n_block": counts["BLOCK"],
-            }
+def summary_rows(logs: Sequence[EpisodeLog]) -> list[tuple]:
+    """One row per episode, in the order of ``_SUMMARY_FIELDS``."""
+    return [
+        (
+            log.episode,
+            repr(log.budget_final),
+            repr(log.charged_total),
+            repr(log.terminal_loss),
+            *log.decision_counts().values(),
         )
-    return rows
+        for log in logs
+    ]
 
 
 def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     path = out_dir / SUMMARY_NAME
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(_SUMMARY_FIELDS)
         writer.writerows(summary_rows(logs))
     return path
 
@@ -154,10 +176,10 @@ def read_summary(run_dir: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def read_episode_logs(run_dir: Path) -> list[EpisodeLog]:
-    """Rebuild the episode logs a run wrote, in episode order: the inverse of
-    the episode, summary and boundary writers."""
-    manifest = read_manifest(run_dir)
+def read_episode_logs(run_dir: Path, manifest: dict) -> list[EpisodeLog]:
+    """Rebuild the episode logs a run wrote, in episode order, given its
+    manifest (:func:`read_manifest`): the inverse of the episode, summary
+    and boundary writers."""
     budget = resolve_gate_params(manifest["scenario_document"]).initial_budget
     verdicts = {v.value: v for v in Verdict}
     entries: dict[int, list[GateEntry]] = {}

@@ -124,11 +124,7 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     boundaries = _resolve_boundaries(doc)
     exposure = _resolve_exposure(doc, model, boundaries)
     gate = resolve_gate_params(doc)
-    envelope_config = dict(doc.get("envelope", {"kind": "exact"}))
-    if envelope_config.get("kind") not in ("exact", "conformal"):
-        raise ScenarioInvariantError(
-            f"unknown envelope kind {envelope_config.get('kind')!r}", path="envelope.kind"
-        )
+    envelope_config = _resolve_envelope(doc)
 
     categories = {str(a): str(c) for a, c in doc.get("action_categories", {}).items()}
     seen = set()
@@ -200,13 +196,16 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
                 raise ScenarioReferenceError(
                     f"override names unknown node ({t}, {s!r})", path=path
                 )
-        for leaf, loss in variant.get("loss_overrides", {}).items():
+        overrides = variant.get("loss_overrides", {})
+        for leaf in overrides:
             if leaf not in spec.get("terminal_losses", {}):
                 raise ScenarioReferenceError(
                     f"loss override names unknown leaf {leaf!r}",
                     path=f"ambiguity[{i}].loss_overrides[{leaf}]",
                 )
-            spec["terminal_losses"][leaf] = float(loss)
+            spec["terminal_losses"][leaf] = read_field(
+                overrides, leaf, float, f"ambiguity[{i}].loss_overrides"
+            )
         models.append(build_model(spec))
     return AmbiguitySet(models=tuple(models))
 
@@ -231,31 +230,44 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
     return Policy.from_entries(entries, model)
 
 
+def _optional_field(rec: Mapping, key: str, conv, path: str, default):
+    """:func:`read_field` for a field that may be absent."""
+    return read_field(rec, key, conv, path) if key in rec else default
+
+
 def _resolve_risk(doc: Mapping) -> RiskSpec:
     rec = doc.get("risk", {"kind": "expectation"})
     return RiskSpec(
         kind=str(rec.get("kind", "expectation")),
-        gamma=float(rec["gamma"]) if "gamma" in rec else None,
-        alpha=float(rec["alpha"]) if "alpha" in rec else None,
+        gamma=_optional_field(rec, "gamma", float, "risk", None),
+        alpha=_optional_field(rec, "alpha", float, "risk", None),
     )
+
+
+def _float_tuple(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
+
+
+def _knots(dims) -> tuple[tuple[tuple[float, float], ...], ...]:
+    return tuple(tuple((float(x), float(y)) for x, y in dim) for dim in dims)
 
 
 def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
     out = []
     for i, rec in enumerate(doc.get("boundaries", [])):
+        path = f"boundaries[{i}]"
         pot_rec = rec.get("potential", {})
+        pot_path = f"{path}.potential"
         pot = PotentialSpec(
             kind=str(pot_rec.get("kind", "linear")),
-            weights=tuple(float(w) for w in pot_rec.get("weights", ())),
-            exponent=float(pot_rec.get("exponent", 1.0)),
-            knots=tuple(
-                tuple((float(x), float(y)) for x, y in dim) for dim in pot_rec.get("knots", ())
-            ),
+            weights=_optional_field(pot_rec, "weights", _float_tuple, pot_path, ()),
+            exponent=_optional_field(pot_rec, "exponent", float, pot_path, 1.0),
+            knots=_optional_field(pot_rec, "knots", _knots, pot_path, ()),
         )
         out.append(
             BoundarySpec(
-                boundary_id=str(rec["id"]),
-                dimension=int(rec.get("dimension", pot.dimension)),
+                boundary_id=read_field(rec, "id", str, path),
+                dimension=_optional_field(rec, "dimension", int, path, pot.dimension),
                 potential=pot,
                 outside_state=str(rec.get("outside_state", "")),
             )
@@ -271,23 +283,23 @@ def _resolve_exposure(
     for i, nrec in enumerate(doc.get("model", {}).get("nodes", [])):
         t, s = int(nrec["time"]), str(nrec["state"])
         for a, arec in nrec.get("actions", {}).items():
-            for bid, inc in arec.get("exposure", {}).items():
+            path = f"model.nodes[{i}].actions[{a}].exposure"
+            increments = arec.get("exposure", {})
+            for bid in increments:
                 if bid not in dims:
                     raise ScenarioReferenceError(
-                        f"exposure names unknown boundary {bid!r}",
-                        path=f"model.nodes[{i}].actions[{a}].exposure",
+                        f"exposure names unknown boundary {bid!r}", path=path
                     )
-                vec = tuple(float(x) for x in inc)
+                vec = read_field(increments, bid, _float_tuple, path)
                 if len(vec) != dims[bid]:
                     raise ScenarioInvariantError(
                         f"exposure increment has dimension {len(vec)}, boundary "
                         f"{bid!r} expects {dims[bid]}",
-                        path=f"model.nodes[{i}].actions[{a}].exposure",
+                        path=path,
                     )
                 if any(x < 0 for x in vec):
                     raise ScenarioInvariantError(
-                        "exposure increments must be componentwise >= 0",
-                        path=f"model.nodes[{i}].actions[{a}].exposure",
+                        "exposure increments must be componentwise >= 0", path=path
                     )
                 out.setdefault((t, s, str(a)), {})[bid] = vec
     return out
@@ -295,12 +307,27 @@ def _resolve_exposure(
 
 def resolve_gate_params(doc: Mapping) -> GateParams:
     rec = doc.get("gate", {})
-    budget = float(rec.get("initial_budget", 0.0))
+    budget = _optional_field(rec, "initial_budget", float, "gate", 0.0)
     order = tuple(str(m) for m in rec.get("fallback_order", ("downgrade", "block")))
     policy = {str(k): str(v) for k, v in rec.get("escalation_policy", {}).items()}
     if budget < 0:
         raise ScenarioInvariantError("initial budget must be >= 0", path="gate.initial_budget")
     return GateParams(initial_budget=budget, fallback_order=order, escalation_policy=policy)
+
+
+def _resolve_envelope(doc: Mapping) -> dict:
+    """The envelope section; a conformal one gets its ``delta``,
+    ``calibration_episodes`` and ``training_episodes`` converted, defaults
+    filled in."""
+    config = dict(doc.get("envelope", {"kind": "exact"}))
+    kind = config.get("kind")
+    if kind == "conformal":
+        config["delta"] = _optional_field(config, "delta", float, "envelope", 0.1)
+        for key, default in (("calibration_episodes", 200), ("training_episodes", 100)):
+            config[key] = _optional_field(config, key, int, "envelope", default)
+    elif kind != "exact":
+        raise ScenarioInvariantError(f"unknown envelope kind {kind!r}", path="envelope.kind")
+    return config
 
 
 def _canonical(doc: Mapping) -> dict:

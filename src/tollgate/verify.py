@@ -12,9 +12,7 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .boundary import (
     PotentialSpec,
@@ -37,6 +35,9 @@ from .scenario import (
 )
 from .tolls import authority_premium, iap_check, verify_witness
 from .witnesses import payment_release_witness, random_payment_witness, shipment_tail_witness
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOL = 1e-9
 
@@ -183,6 +184,8 @@ def _reference_scenarios() -> list[Scenario]:
 def time_consistency_suite(
     seed: int, models: int = 200, axiom_trials: int = 1000
 ) -> SuiteResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     specs = (
         RiskSpec(kind="expectation"),
@@ -331,6 +334,8 @@ def cvar_demo_suite(seed: int) -> SuiteResult:
 
 
 def _random_potential(rng: np.random.Generator) -> PotentialSpec:
+    import numpy as np
+
     kind = rng.choice(("linear", "power", "piecewise_convex"))
     d = int(rng.integers(1, 4))
     if kind == "linear":
@@ -354,6 +359,8 @@ def _random_potential(rng: np.random.Generator) -> PotentialSpec:
 def _random_partition(
     rng: np.random.Generator, total: np.ndarray, pieces: int
 ) -> list[tuple[float, ...]]:
+    import numpy as np
+
     d = total.shape[0]
     if pieces == 1:
         return [tuple(total)]
@@ -367,6 +374,8 @@ def _random_partition(
 def no_splitting_suite(
     seed: int, tuples: int = 500, inject_fault: bool = False
 ) -> SuiteResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_case = None
@@ -462,6 +471,8 @@ def _faulty_sequence_gap(pot, start, total, partitions):
 
 
 def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> SuiteResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ent = RiskSpec(kind="entropic", gamma=1.0)
 
@@ -611,6 +622,8 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
 
 def _rekernel(rng: np.random.Generator, model: EnvironmentModel) -> EnvironmentModel:
     """Same skeleton, jittered kernels (support preserved)."""
+    import numpy as np
+
     nodes = []
     for t, s in model.all_nodes():
         actions = {}

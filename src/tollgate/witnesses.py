@@ -13,11 +13,13 @@ shape feeds the structural property suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap, build_model
 from .tolls import AmbiguitySet, WitnessSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +31,7 @@ def test_read_episode_logs_round_trips_run(name, tmp_path):
     env = make_exact_envelope(sc)
     cfg = build_gate_config(sc, env, exact_quoter=env)
     written = [run_episode(sc.model, sc.policy, cfg, seed=7, episode=i) for i in range(30)]
-    assert runio.read_episode_logs(out) == written
+    assert runio.read_episode_logs(out, runio.read_manifest(out)) == written
 
 
 def test_report_fails_exact_run_with_under_quoted_action(tmp_path, capsys):
@@ -67,3 +71,21 @@ def test_report_takes_delta_from_conformal_manifest(tmp_path, capsys):
     covered, quotes = map(int, re.search(r"(\d+)/(\d+) quotes covered", text).groups())
     assert covered < quotes
     assert text.rstrip().endswith("-> PASS")
+
+
+def test_report_leaves_numpy_and_scipy_unloaded(tmp_path):
+    # report is pure Python: auditing a run directory needs no sampling
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "database", "--episodes", "20", "--out", str(out)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; from tollgate.cli import main; code = main(['report', '--out', sys.argv[1]]); "
+        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "-> PASS" in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 False False"

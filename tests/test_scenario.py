@@ -193,6 +193,34 @@ def _nan_kernel_probability(doc):
     doc["model"]["nodes"][0]["actions"]["wire_transfer"]["kernel"]["wired_fraud"] = float("nan")
 
 
+def _non_numeric_gamma(doc):
+    doc["risk"]["gamma"] = "abc"
+
+
+def _non_numeric_initial_budget(doc):
+    doc["gate"]["initial_budget"] = "lots"
+
+
+def _non_numeric_potential_weight(doc):
+    doc["boundaries"][0]["potential"]["weights"] = ["x"]
+
+
+def _non_numeric_conformal_delta(doc):
+    doc["envelope"] = {"kind": "conformal", "delta": "x"}
+
+
+def _boundary_without_id(doc):
+    del doc["boundaries"][0]["id"]
+
+
+def _non_numeric_exposure(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"]["exposure"]["vendor_payments"] = ["one"]
+
+
+def _non_numeric_loss_override(doc):
+    doc["ambiguity"][0]["loss_overrides"] = {"funds_lost": "heavy"}
+
+
 # NaN probabilities parse as floats; the model checks refuse them instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
@@ -208,6 +236,13 @@ _NOT_PARSE_ERRORS = {
         (_non_integer_safe_default_time, "safe_defaults[0].time"),
         (_nan_policy_probability, "policy[0,start].wire_transfer"),
         (_nan_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
+        (_non_numeric_gamma, "risk.gamma"),
+        (_non_numeric_initial_budget, "gate.initial_budget"),
+        (_non_numeric_potential_weight, "boundaries[0].potential.weights"),
+        (_non_numeric_conformal_delta, "envelope.delta"),
+        (_boundary_without_id, "boundaries[0].id"),
+        (_non_numeric_exposure, "model.nodes[0].actions[wire_transfer].exposure.vendor_payments"),
+        (_non_numeric_loss_override, "ambiguity[0].loss_overrides.funds_lost"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
