@@ -25,7 +25,6 @@ from .envmodel import (
     SafeDefaultMap,
     build_model,
     is_side_effect_bearing,
-    terminal_loss_distribution,
 )
 from .gate import (
     AuditReport,
@@ -117,6 +116,5 @@ __all__ = [
     "run_episode",
     "splitting_invariance_check",
     "static_risk",
-    "terminal_loss_distribution",
     "verify_witness",
 ]

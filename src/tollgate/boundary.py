@@ -17,13 +17,16 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exceptions import (
     ModelValidationError,
     PartitionMismatchError,
     VersionConflictError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SUM_TOL = 1e-12
 _TELESCOPE_TOL = 1e-9
@@ -219,14 +222,8 @@ class BoundaryLedger:
         first = self._first_id
         return 0 if first is None else self._states[first].version
 
-    def spec(self, boundary_id: str) -> BoundarySpec:
-        return self._specs[boundary_id]
-
     def state(self, boundary_id: str) -> BoundaryState:
         return self._states[boundary_id]
-
-    def boundary_ids(self) -> tuple[str, ...]:
-        return tuple(self._specs)
 
     def quote(self, boundary_id: str, increment: Sequence[float]) -> float:
         return boundary_toll(
@@ -290,6 +287,24 @@ def _sequence_toll(pot: PotentialSpec, start: Sequence[float], steps: Sequence[S
     return total
 
 
+def random_partition(
+    rng: np.random.Generator, total: Sequence[float], pieces: int
+) -> list[tuple[float, ...]]:
+    """``total`` cut into ``pieces`` nonnegative increments at sorted uniform
+    cut points per dimension, in a random order; one piece draws nothing."""
+    import numpy as np
+
+    total = np.asarray(total, dtype=float)
+    d = total.shape[0]
+    if pieces == 1:
+        return [tuple(total)]
+    cuts = np.sort(rng.random((pieces - 1, d)), axis=0)
+    bounds = np.vstack([np.zeros((1, d)), cuts, np.ones((1, d))])
+    steps = (bounds[1:] - bounds[:-1]) * total
+    order = rng.permutation(pieces)
+    return [tuple(steps[k]) for k in order]
+
+
 def splitting_invariance_check(
     pot: PotentialSpec,
     start: Sequence[float],
@@ -330,12 +345,8 @@ def splitting_invariance_check(
     adversary_max = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(adversary_trials):
-        pieces = int(rng.integers(1, 6))
-        cuts = np.sort(rng.random((pieces - 1, d)), axis=0) if pieces > 1 else np.empty((0, d))
-        bounds = np.vstack([np.zeros((1, d)), cuts, np.ones((1, d))])
-        steps = (bounds[1:] - bounds[:-1]) * np.asarray(total_vec)
-        order = rng.permutation(pieces)
-        toll = _sequence_toll(pot, start, [steps[k] for k in order])
+        steps = random_partition(rng, total_vec, int(rng.integers(1, 6)))
+        toll = _sequence_toll(pot, start, steps)
         adversary_max = max(adversary_max, abs(toll - reference))
 
     return SplitCheckReport(

@@ -30,7 +30,6 @@ class Envelope:
     kind: str  # "exact" | "conformal"
     predict: Predictor
     inflation: float = 0.0
-    delta: float | None = None
     calibration_meta: dict = field(default_factory=dict)
 
     def query(self, time: int, state: str, action: str) -> float:
@@ -60,7 +59,7 @@ def exact_envelope(
             ).positive_toll
         return cache[key]
 
-    return Envelope(kind="exact", predict=predict, inflation=0.0, delta=0.0,
+    return Envelope(kind="exact", predict=predict, inflation=0.0,
                     calibration_meta={"tier": "deep-simulation"})
 
 
@@ -95,7 +94,6 @@ def fit_conformal_envelope(
         kind="conformal",
         predict=predictor,
         inflation=inflation,
-        delta=delta,
         calibration_meta={
             "n": n,
             "quantile_rank": k,

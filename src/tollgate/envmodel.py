@@ -62,7 +62,6 @@ class EnvironmentModel:
         terminal_losses: Mapping[str, float],
         initial_state: str,
         null_action: str,
-        safe_defaults: "SafeDefaultMap | None" = None,
     ) -> None:
         self.horizon = horizon
         self.components = tuple(components)
@@ -72,7 +71,6 @@ class EnvironmentModel:
         self._terminal_losses = dict(terminal_losses)
         self.initial_state = initial_state
         self.null_action = null_action
-        self.safe_defaults = safe_defaults
         self._external_names = tuple(c.name for c in self.components if c.external)
 
     # -- structure ---------------------------------------------------------
@@ -204,12 +202,6 @@ class Policy:
                 f"policy undefined at time {time}, state {state!r}"
             ) from None
 
-    def defined_at(self, time: int, state: str) -> bool:
-        return (time, state) in self._dist
-
-    def nodes(self) -> tuple[tuple[int, str], ...]:
-        return tuple(sorted(self._dist.keys()))
-
 
 class SafeDefaultMap:
     """Fixed map (time, state, action) -> substitute action.
@@ -252,9 +244,6 @@ class SafeDefaultMap:
     def default_for(self, time: int, state: str, action: str) -> str:
         return self._entries.get((time, state, action), action)
 
-    def entries(self) -> dict[tuple[int, str, str], str]:
-        return dict(self._entries)
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -262,13 +251,15 @@ class SafeDefaultMap:
 
 def read_field(rec: Mapping, key: str, conv: Callable, path: str):
     """``conv(rec[key])``; a missing or unconvertible field raises a
-    :class:`ScenarioParseError` naming ``path.key``."""
+    :class:`ScenarioParseError` naming ``path.key`` (``key`` at the top
+    level, where ``path`` is empty)."""
+    where = f"{path}.{key}" if path else key
     try:
         return conv(rec[key])
     except KeyError:
-        raise ScenarioParseError(f"missing field {key!r}", path=f"{path}.{key}") from None
+        raise ScenarioParseError(f"missing field {key!r}", path=where) from None
     except (TypeError, ValueError, AttributeError) as exc:
-        raise ScenarioParseError(f"malformed field {key!r}: {exc}", path=f"{path}.{key}") from None
+        raise ScenarioParseError(f"malformed field {key!r}: {exc}", path=where) from None
 
 
 def build_model(spec: Mapping) -> EnvironmentModel:
@@ -276,25 +267,26 @@ def build_model(spec: Mapping) -> EnvironmentModel:
 
     Expected keys: ``horizon``, ``components``, ``states``, ``nodes``,
     ``terminal_losses``, ``initial_state``; optional ``null_action``
-    (default ``"noop"``) and ``safe_defaults``. Construction is deterministic
-    and raises a distinct validation error per invariant class.
+    (default ``"noop"``). Safe defaults are declared at the scenario's top
+    level, not here. Construction is deterministic and raises a distinct
+    validation error per invariant class.
     """
-    try:
-        horizon = int(spec["horizon"])
-    except KeyError:
-        raise ModelValidationError("missing horizon", path="horizon") from None
+    horizon = read_field(spec, "horizon", int, "")
     if horizon < 1:
         raise ModelValidationError(f"horizon must be >= 1, got {horizon}", path="horizon")
 
     components = tuple(
-        ComponentSpec(name=str(c["name"]), external=bool(c.get("external", False)))
-        for c in spec.get("components", [])
+        ComponentSpec(
+            name=read_field(c, "name", str, f"components[{i}]"),
+            external=bool(c.get("external", False)),
+        )
+        for i, c in enumerate(spec.get("components", []))
     )
 
     state_components: dict[str, dict] = {}
     state_order: list[str] = []
     for i, rec in enumerate(spec.get("states", [])):
-        sid = str(rec["id"])
+        sid = read_field(rec, "id", str, f"states[{i}]")
         if sid in state_components:
             raise ModelValidationError(f"duplicate state id {sid!r}", path=f"states[{i}]")
         state_components[sid] = dict(rec.get("components", {}))
@@ -385,7 +377,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
                         path=f"nodes[{t},{s}].actions[{a}]",
                     )
 
-    model = EnvironmentModel(
+    return EnvironmentModel(
         horizon=horizon,
         components=components,
         state_components=state_components,
@@ -395,15 +387,6 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         initial_state=initial_state,
         null_action=null_action,
     )
-
-    raw_sdm = spec.get("safe_defaults")
-    if raw_sdm:
-        entries: dict[tuple[int, str, str], str] = {}
-        for i, rec in enumerate(raw_sdm):
-            key, default = safe_default_entry(rec, f"safe_defaults[{i}]")
-            entries[key] = default
-        model.safe_defaults = SafeDefaultMap.from_entries(entries, model)
-    return model
 
 
 def safe_default_entry(rec: Mapping, path: str) -> tuple[tuple[int, str, str], str]:
@@ -429,40 +412,6 @@ def _check_intervention(model: EnvironmentModel, iv: Intervention) -> None:
         raise UnreachableNodeError(
             f"intervention action {iv.action!r} unavailable at ({iv.time}, {iv.state!r})"
         )
-
-
-def terminal_loss_distribution(
-    model: EnvironmentModel,
-    iv: Intervention,
-    cont: Policy,
-) -> dict[float, float]:
-    """Exact law of the terminal loss when ``iv.action`` is forced at the
-    intervention node and ``cont`` is followed afterwards.
-
-    Returns a dict mapping loss value to probability; probabilities sum to
-    one up to accumulated float error (bounded by KERNEL_TOL per row).
-    """
-    _check_intervention(model, iv)
-    memo: dict[tuple[int, str], dict[float, float]] = {}
-
-    def node_law(t: int, s: str) -> dict[float, float]:
-        if t == model.horizon:
-            return {model.terminal_loss(s): 1.0}
-        key = (t, s)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        forced = iv.action if (t, s) == (iv.time, iv.state) else None
-        law: dict[float, float] = {}
-        for nxt, p in model.effective_next(t, s, cont, forced=forced):
-            if p <= 0.0:
-                continue
-            for loss, q in node_law(t + 1, nxt).items():
-                law[loss] = law.get(loss, 0.0) + p * q
-        memo[key] = law
-        return law
-
-    return node_law(iv.time, iv.state)
 
 
 def is_side_effect_bearing(

@@ -206,7 +206,6 @@ def _commit_exposure(
 @dataclass(frozen=True)
 class EpisodeLog:
     episode: int
-    seed: int
     entries: tuple[GateEntry, ...]
     terminal_loss: float
     budget_initial: float
@@ -281,7 +280,6 @@ def run_episode(
         state = targets[bisect_right(cdf, uniform())]
     return EpisodeLog(
         episode=episode,
-        seed=seed,
         entries=ledger.entries,
         terminal_loss=model.terminal_loss(state),
         budget_initial=cfg.initial_budget,

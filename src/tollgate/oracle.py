@@ -4,9 +4,10 @@ structural property test.
 These deliberately do NOT share code paths with the engine modules they
 cross-check. The terminal-law enumerator walks concrete paths one at a time
 (action branches included) instead of merging distributions node by node; the
-static risk evaluator goes through scipy's log-sum-exp and the minimisation
-form of expected shortfall instead of the engine's shifted sums and sorted
-tail averages. Agreement between the two routes is itself a tested property.
+static risk evaluator takes the entropic risk as a log-sum-exp over the scaled
+losses, summed with ``math.fsum``, and expected shortfall in its minimisation
+form, instead of the engine's loss-unit shifts and sorted tail averages.
+Agreement between the two routes is itself a tested property.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ class EnumerationBudget:
 
     max_paths: int = 1_000_000
     max_policies: int = 1_000_000
-    max_partitions: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if min(self.max_paths, self.max_policies, self.max_partitions) < 1:
+        if min(self.max_paths, self.max_policies) < 1:
             raise ValueError("all enumeration caps must be >= 1")
 
 
@@ -87,12 +87,12 @@ def static_risk(dist: Mapping[float, float], spec: RiskSpec) -> float:
     if spec.kind == "expectation":
         return float(sum(v * p for v, p in zip(values, probs)))
     if spec.kind == "entropic":
-        # Imported here: scipy would double the start-up time of every CLI
-        # process, and only this branch needs it.
-        from scipy.special import logsumexp
-
-        scaled = [spec.gamma * v for v in values]
-        return float(logsumexp(scaled, b=probs) / spec.gamma)
+        # Shifted by the largest scaled loss of positive mass, so every
+        # exponent is <= 0 and none overflows however large gamma * loss is;
+        # atoms of zero mass contribute nothing and are left out.
+        scaled = [(spec.gamma * v, p) for v, p in zip(values, probs) if p > 0.0]
+        m = max(x for x, _ in scaled)
+        return (m + math.log(math.fsum(p * math.exp(x - m) for x, p in scaled))) / spec.gamma
     return _shortfall_by_minimisation(values, probs, spec.alpha)
 
 

@@ -236,12 +236,10 @@ def evaluate_policy_risk(
     cont: Policy,
     spec: RiskSpec,
     terminal_loss: Mapping[str, float] | None = None,
-    start: tuple[int, str] | None = None,
 ) -> RiskValuation:
-    """Backward recursion with no forced action, starting from ``start``
-    (default: the model's initial node)."""
-    if start is None:
-        start = (0, model.initial_state)
+    """Backward recursion with no forced action from the model's initial
+    node."""
+    start = (0, model.initial_state)
     values = PolicyValues(model, cont, spec, terminal_loss)
     root = values.at(*start)
     return RiskValuation(values=values.memo, root_node=start, root=root)

@@ -199,7 +199,6 @@ def read_episode_logs(run_dir: Path, manifest: dict) -> list[EpisodeLog]:
         logs.append(
             EpisodeLog(
                 episode=episode,
-                seed=manifest["seed"],
                 entries=tuple(entries.get(episode, ())),
                 terminal_loss=float(row["terminal_loss"]),
                 budget_initial=budget,

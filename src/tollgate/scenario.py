@@ -67,7 +67,6 @@ class Scenario:
     """Fully resolved scenario: every id checked, every object built."""
 
     name: str
-    schema_version: int
     seed: int
     model: EnvironmentModel
     ambiguity: AmbiguitySet
@@ -113,7 +112,7 @@ def resolve_scenario(doc: Mapping) -> Scenario:
             path="schema_version",
         )
     name = str(doc.get("name", "unnamed"))
-    seed = int(doc.get("seed", 0))
+    seed = _optional_field(doc, "seed", int, "", 0)
 
     model = build_model(doc.get("model", {}))
 
@@ -135,7 +134,6 @@ def resolve_scenario(doc: Mapping) -> Scenario:
 
     return Scenario(
         name=name,
-        schema_version=SCHEMA_VERSION,
         seed=seed,
         model=model,
         ambiguity=ambiguity,

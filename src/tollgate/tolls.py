@@ -45,7 +45,6 @@ class TollQuote:
     action: str
     safe_default_used: str
     risk_spec: RiskSpec
-    source: str  # "exact" | "envelope"
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,6 @@ class AmbiguitySet:
                     f"model {i} does not share the skeleton of model 0",
                     path=f"ambiguity[{i}]",
                 )
-
-    def __len__(self) -> int:
-        return len(self.models)
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,6 @@ def counterfactual_toll(
         action=action,
         safe_default_used=default,
         risk_spec=spec,
-        source="exact",
     )
 
 

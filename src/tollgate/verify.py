@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 from .boundary import (
     PotentialSpec,
     path_dependence_counterexample,
+    random_partition,
     splitting_invariance_check,
 )
 from .envelope import Envelope, scaled_predictor
@@ -356,21 +357,6 @@ def _random_potential(rng: np.random.Generator) -> PotentialSpec:
     return PotentialSpec(kind="piecewise_convex", knots=tuple(knots))
 
 
-def _random_partition(
-    rng: np.random.Generator, total: np.ndarray, pieces: int
-) -> list[tuple[float, ...]]:
-    import numpy as np
-
-    d = total.shape[0]
-    if pieces == 1:
-        return [tuple(total)]
-    cuts = np.sort(rng.random((pieces - 1, d)), axis=0)
-    bounds = np.vstack([np.zeros((1, d)), cuts, np.ones((1, d))])
-    steps = (bounds[1:] - bounds[:-1]) * total
-    order = rng.permutation(pieces)
-    return [tuple(steps[k]) for k in order]
-
-
 def no_splitting_suite(
     seed: int, tuples: int = 500, inject_fault: bool = False
 ) -> SuiteResult:
@@ -387,7 +373,7 @@ def no_splitting_suite(
         start = rng.uniform(0.0, 4.0, size=d)
         total = rng.uniform(0.0, 6.0, size=d)
         partitions = [
-            _random_partition(rng, total, int(rng.integers(1, 6))) for _ in range(3)
+            random_partition(rng, total, int(rng.integers(1, 6))) for _ in range(3)
         ]
         if inject_fault:
             report_gap, bad = _faulty_sequence_gap(pot, start, total, partitions)
@@ -669,7 +655,7 @@ def gating_suite(
             run_episode(sc.model, sc.policy, cfg, seed=seed, episode=i)
             for i in range(exact_episodes)
         ]
-        audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, cfg.initial_budget, delta=0.0)
+        audit = audit_budget_guarantee(logs, env.predict, cfg.initial_budget, delta=0.0)
         counts: dict[str, int] = {}
         for log in logs:
             for verdict, k in log.decision_counts().items():
@@ -710,7 +696,7 @@ def gating_suite(
         run_episode(sc.model, sc.policy, eval_cfg, seed=seed + 2000, episode=i)
         for i in range(eval_episodes)
     ]
-    audit = audit_budget_guarantee(eval_logs, make_exact_envelope(sc).predict, 50.0, delta=delta)
+    audit = audit_budget_guarantee(eval_logs, env.predict, 50.0, delta=delta)
     props.append(
         PropertyResult(
             "conformal-envelope-budget-guarantee",
@@ -731,7 +717,6 @@ def gating_suite(
         kind="conformal",
         predict=scaled_predictor(calib.predictor, 0.2),
         inflation=0.0,
-        delta=delta,
         calibration_meta={"negative_control": True},
     )
     bad_cfg = build_gate_config(sc, deflated, exact_quoter=env, budget_override=50.0)
@@ -739,7 +724,7 @@ def gating_suite(
         run_episode(sc.model, sc.policy, bad_cfg, seed=seed + 3000, episode=i)
         for i in range(min(eval_episodes, 300))
     ]
-    bad_audit = audit_budget_guarantee(bad_logs, make_exact_envelope(sc).predict, 50.0, delta=delta)
+    bad_audit = audit_budget_guarantee(bad_logs, env.predict, 50.0, delta=delta)
     props.append(
         PropertyResult(
             "deflated-envelope-fails-audit",

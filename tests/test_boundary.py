@@ -162,7 +162,8 @@ def test_partition_sum_mismatch_rejected():
 
 
 def test_randomised_telescoping():
-    from tollgate.verify import _random_partition, _random_potential
+    from tollgate.boundary import random_partition
+    from tollgate.verify import _random_potential
 
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -170,7 +171,7 @@ def test_randomised_telescoping():
         d = pot.dimension
         start = tuple(rng.uniform(0.0, 4.0, size=d))
         total = rng.uniform(0.0, 6.0, size=d)
-        partitions = [_random_partition(rng, total, int(rng.integers(1, 6))) for _ in range(2)]
+        partitions = [random_partition(rng, total, int(rng.integers(1, 6))) for _ in range(2)]
         report = splitting_invariance_check(pot, start, tuple(total), partitions,
                                             adversary_trials=3, seed=int(rng.integers(2**31)))
         assert report.invariant_holds

@@ -174,6 +174,6 @@ def test_deflated_envelope_undercovers():
     from tollgate.envelope import Envelope
 
     bad = Envelope(kind="conformal", predict=scaled_predictor(predictor, 0.2),
-                   inflation=0.0, delta=0.1)
+                   inflation=0.0)
     test = _pooled_quotes(sc, 500, seed=700)
     assert coverage_estimate(bad, test) < 0.9

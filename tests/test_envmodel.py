@@ -12,7 +12,6 @@ from tollgate.envmodel import (
     SafeDefaultMap,
     build_model,
     is_side_effect_bearing,
-    terminal_loss_distribution,
 )
 from tollgate.exceptions import (
     KernelSumError,
@@ -22,7 +21,11 @@ from tollgate.exceptions import (
     SafeDefaultError,
     UnreachableNodeError,
 )
+from tollgate.oracle import enumerate_terminal_law
+from tollgate.risk import RiskSpec, evaluate_dynamic_risk
 from tollgate.witnesses import payment_release_witness
+
+MEAN = RiskSpec(kind="expectation")
 
 
 def _minimal_spec(**overrides):
@@ -70,11 +73,9 @@ def test_negative_loss_is_a_distinct_error():
 def test_safe_default_outside_action_set_is_a_distinct_error():
     spec = _minimal_spec()
     spec["nodes"][0]["actions"]["send"] = {"kernel": {"s2": 1.0}}
-    spec["safe_defaults"] = [
-        {"time": 0, "state": "s0", "action": "send", "default": "draft"},
-    ]
+    model = build_model(spec)
     with pytest.raises(SafeDefaultError):
-        build_model(spec)
+        SafeDefaultMap.from_entries({(0, "s0", "send"): "draft"}, model)
 
 
 def test_missing_null_action_rejected():
@@ -92,21 +93,21 @@ def test_duplicate_state_rejected():
 
 
 def test_deterministic_chain_gives_point_mass(chain_model, noop_policy):
-    law = terminal_loss_distribution(
+    law = enumerate_terminal_law(
         chain_model, Intervention(0, "a", "noop"), noop_policy(chain_model)
     )
     assert law == {5.0: 1.0}
 
 
 def test_single_kernel_row_law(coin_model, noop_policy):
-    law = terminal_loss_distribution(
+    law = enumerate_terminal_law(
         coin_model, Intervention(0, "start", "flip"), noop_policy(coin_model)
     )
     assert law == {0.0: 0.5, 1.0: 0.5}
 
 
 def test_bernoulli_sum_law(bernoulli_sum_model, noop_policy):
-    law = terminal_loss_distribution(
+    law = enumerate_terminal_law(
         bernoulli_sum_model, Intervention(0, "s", "noop"), noop_policy(bernoulli_sum_model)
     )
     assert law[0.0] == pytest.approx(0.25, abs=1e-12)
@@ -117,19 +118,19 @@ def test_bernoulli_sum_law(bernoulli_sum_model, noop_policy):
 
 def test_unreachable_intervention_rejected(coin_model, noop_policy):
     with pytest.raises(UnreachableNodeError):
-        terminal_loss_distribution(
-            coin_model, Intervention(0, "nowhere", "flip"), noop_policy(coin_model)
+        evaluate_dynamic_risk(
+            coin_model, Intervention(0, "nowhere", "flip"), noop_policy(coin_model), MEAN
         )
     with pytest.raises(UnreachableNodeError):
-        terminal_loss_distribution(
-            coin_model, Intervention(0, "start", "missing"), noop_policy(coin_model)
+        evaluate_dynamic_risk(
+            coin_model, Intervention(0, "start", "missing"), noop_policy(coin_model), MEAN
         )
 
 
 def test_policy_undefined_on_reachable_node(chain_model):
     partial = Policy.deterministic({(0, "a"): "noop"})
     with pytest.raises(PolicyUndefinedError):
-        terminal_loss_distribution(chain_model, Intervention(0, "a", "noop"), partial)
+        evaluate_dynamic_risk(chain_model, Intervention(0, "a", "noop"), partial, MEAN)
 
 
 def test_law_normalised_on_random_models():
@@ -142,7 +143,7 @@ def test_law_normalised_on_random_models():
         model = random_layered_model(rng)
         cont = random_policy(rng, model)
         for action in model.actions(0, model.initial_state):
-            law = terminal_loss_distribution(
+            law = enumerate_terminal_law(
                 model, Intervention(0, model.initial_state, action), cont
             )
             assert abs(sum(law.values()) - 1.0) <= 1e-12
@@ -153,7 +154,7 @@ def test_law_matches_monte_carlo_frequencies(bernoulli_sum_model, noop_policy):
     # exact law versus 1e5 sampled rollouts, three-sigma binomial bands
     model = bernoulli_sum_model
     cont = noop_policy(model)
-    law = terminal_loss_distribution(model, Intervention(0, "s", "noop"), cont)
+    law = enumerate_terminal_law(model, Intervention(0, "s", "noop"), cont)
     n = 100_000
     rng = random.Random(20260811)
     counts: dict[float, int] = {}

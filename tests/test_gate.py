@@ -314,7 +314,7 @@ def test_budget_never_negative_and_charges_telescope():
 def test_audit_flags_deflated_envelope():
     sc = load_scenario(bundled_scenario_path("payments"))
     truth = make_exact_envelope(sc).predict
-    flat = Envelope(kind="conformal", predict=lambda t, s, a: 0.0, inflation=0.0, delta=0.1)
+    flat = Envelope(kind="conformal", predict=lambda t, s, a: 0.0, inflation=0.0)
     cfg = build_gate_config(sc, flat, budget_override=5.0)
     logs = [run_episode(sc.model, sc.policy, cfg, seed=77, episode=i) for i in range(150)]
     audit = audit_budget_guarantee(logs, truth, 5.0, delta=0.1)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
+from decimal import MAX_EMAX, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ from tollgate.oracle import (
     static_risk,
 )
 from tollgate.risk import RiskSpec, evaluate_dynamic_risk
-from tollgate.envmodel import terminal_loss_distribution
 from tollgate.verify import random_layered_model, random_policy
 from tollgate.witnesses import payment_release_witness
 
@@ -92,17 +93,6 @@ def _binary_tree_model(levels: int):
     )
 
 
-def test_twelve_level_tree_cross_agreement(noop_policy):
-    model = _binary_tree_model(12)
-    cont = noop_policy(model)
-    iv = Intervention(0, "r0", "noop")
-    fast = terminal_loss_distribution(model, iv, cont)
-    slow = enumerate_terminal_law(model, iv, cont)
-    assert set(fast) == set(slow)
-    for loss in fast:
-        assert fast[loss] == pytest.approx(slow[loss], abs=1e-12)
-
-
 def test_path_budget_exceeded(noop_policy):
     model = _binary_tree_model(12)
     with pytest.raises(EnumerationBudgetError):
@@ -121,6 +111,47 @@ def test_static_risk_formulas():
     assert static_risk({0.0: 0.25, 4.0: 0.75}, MEAN) == pytest.approx(3.0, abs=1e-12)
     es = RiskSpec(kind="conditional_es", alpha=0.5)
     assert static_risk({0.0: 0.5, 10.0: 0.5}, es) == pytest.approx(10.0, abs=1e-12)
+
+
+def _entropic_by_decimal(dist, gamma):
+    # (1/gamma) log E[exp(gamma X)] in 50-digit decimal arithmetic, whose
+    # exponent range holds exp(gamma * loss) far beyond a float's 709
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ctx.Emax = MAX_EMAX
+        g = Decimal(gamma)
+        total = sum(Decimal(p) * (g * Decimal(v)).exp() for v, p in dist.items() if p > 0)
+        return float(total.ln() / g)
+
+
+def _entropic_laws():
+    yield {1000.0: 0.5, 0.0: 0.5}, 1.0
+    yield {0.0: 0.5, 1.0: 0.5}, 1.0
+    yield {800.0: 0.25, 750.0: 0.75, 2000.0: 0.0}, 1.0  # largest loss has no mass
+    yield {0.0: 0.0, 3.0: 1.0}, 2.5
+    yield {5.0e4: 1e-300, 10.0: 1.0 - 1e-300}, 0.5
+    yield {2.0e4: 0.125, 1.9e4: 0.875}, 40.0
+    rng = random.Random(20261018)
+    for _ in range(200):
+        gamma = rng.choice((0.01, 0.3, 1.0, 5.0, 50.0))
+        atoms = rng.randint(1, 12)
+        weights = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(atoms)]
+        if not any(weights):
+            weights[0] = 1.0
+        total = math.fsum(weights)
+        dist = {}
+        for w in weights:
+            dist[rng.uniform(0.0, 1.0e3)] = w / total
+        yield dist, gamma
+
+
+def test_static_entropic_matches_decimal_reference():
+    laws = list(_entropic_laws())
+    assert any(gamma * max(dist) > 709.0 for dist, gamma in laws)
+    for dist, gamma in laws:
+        reference = _entropic_by_decimal(dist, gamma)
+        got = static_risk(dist, RiskSpec(kind="entropic", gamma=gamma))
+        assert abs(got - reference) <= 1e-12 * abs(reference), (dist, gamma, got, reference)
 
 
 def test_policy_enumeration_counts():
@@ -200,9 +231,6 @@ def test_engine_oracle_agreement_on_random_models():
         action = model.actions(0, model.initial_state)[-1]
         iv = Intervention(0, model.initial_state, action)
         law = enumerate_terminal_law(model, iv, cont)
-        fast = terminal_loss_distribution(model, iv, cont)
-        for loss, p in law.items():
-            assert fast[loss] == pytest.approx(p, abs=1e-12)
         for spec in (ENT, MEAN):
             recursive = evaluate_dynamic_risk(model, iv, cont, spec).root
             assert recursive == pytest.approx(static_risk(law, spec), abs=1e-9)

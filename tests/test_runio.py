@@ -64,7 +64,7 @@ def _edge_logs() -> list[EpisodeLog]:
             )
             for step, (budget, envelope) in enumerate(_FLOATS)
         )
-        logs.append(EpisodeLog(10**12 * episode, 1, entries, 0.0, INF, entries[-1].budget_after, ()))
+        logs.append(EpisodeLog(10**12 * episode, entries, 0.0, INF, entries[-1].budget_after, ()))
     return logs
 
 

@@ -33,7 +33,7 @@ def test_bundled_scenarios_load():
         sc = load_scenario(bundled_scenario_path(name))
         assert sc.name == name
         assert sc.model.horizon >= 1
-        assert len(sc.ambiguity) >= 2
+        assert len(sc.ambiguity.models) >= 2
         assert sc.boundaries
 
 
@@ -221,6 +221,22 @@ def _non_numeric_loss_override(doc):
     doc["ambiguity"][0]["loss_overrides"] = {"funds_lost": "heavy"}
 
 
+def _non_integer_horizon(doc):
+    doc["model"]["horizon"] = "abc"
+
+
+def _non_integer_seed(doc):
+    doc["seed"] = "x"
+
+
+def _state_without_id(doc):
+    del doc["model"]["states"][2]["id"]
+
+
+def _component_without_name(doc):
+    del doc["model"]["components"][0]["name"]
+
+
 # NaN probabilities parse as floats; the model checks refuse them instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
@@ -243,6 +259,10 @@ _NOT_PARSE_ERRORS = {
         (_boundary_without_id, "boundaries[0].id"),
         (_non_numeric_exposure, "model.nodes[0].actions[wire_transfer].exposure.vendor_payments"),
         (_non_numeric_loss_override, "ambiguity[0].loss_overrides.funds_lost"),
+        (_non_integer_horizon, "horizon"),
+        (_non_integer_seed, "seed"),
+        (_state_without_id, "states[2].id"),
+        (_component_without_name, "components[0].name"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
