@@ -10,9 +10,7 @@ structural claim on desk-scale models.
 from .boundary import (
     BoundaryLedger,
     BoundarySpec,
-    BoundaryState,
     PotentialSpec,
-    apply_increment,
     boundary_toll,
     path_dependence_counterexample,
     splitting_invariance_check,
@@ -30,8 +28,6 @@ from .gate import (
     AuditReport,
     EpisodeLog,
     GateConfig,
-    GateDecision,
-    GateLedger,
     Verdict,
     audit_budget_guarantee,
     gate_step,
@@ -71,14 +67,11 @@ __all__ = [
     "AuditReport",
     "BoundaryLedger",
     "BoundarySpec",
-    "BoundaryState",
     "Envelope",
     "EnumerationBudget",
     "EnvironmentModel",
     "EpisodeLog",
     "GateConfig",
-    "GateDecision",
-    "GateLedger",
     "Intervention",
     "Policy",
     "PotentialSpec",
@@ -89,7 +82,6 @@ __all__ = [
     "TollQuote",
     "Verdict",
     "WitnessSpec",
-    "apply_increment",
     "audit_budget_guarantee",
     "authority_premium",
     "boundary_toll",

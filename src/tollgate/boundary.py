@@ -19,11 +19,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .exceptions import (
-    ModelValidationError,
-    PartitionMismatchError,
-    VersionConflictError,
-)
+from .exceptions import ModelValidationError, PartitionMismatchError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -148,57 +144,46 @@ class BoundarySpec:
             )
 
 
-@dataclass(frozen=True)
-class BoundaryState:
-    """Snapshot of one boundary's ledger: exposure, outside-state tag, and an
-    optimistic version counter that increases on every applied increment."""
-
-    boundary_id: str
-    exposure: tuple[float, ...]
-    outside_state: str = ""
-    version: int = 0
-
-
 def _check_increment(increment: Sequence[float], dimension: int) -> tuple[float, ...]:
     inc = tuple(float(x) for x in increment)
     if len(inc) != dimension:
         raise ModelValidationError(
             f"increment has dimension {len(inc)}, expected {dimension}", path="increment"
         )
-    if any(x < 0 for x in inc):
-        raise ModelValidationError("increment components must be >= 0", path="increment")
+    if not all(x >= 0 and math.isfinite(x) for x in inc):
+        raise ModelValidationError(
+            "increment components must be finite and >= 0", path="increment"
+        )
     return inc
 
 
+def _grown(exposure: Sequence[float], increment: Sequence[float]) -> tuple[float, ...]:
+    """``exposure`` plus a checked increment, componentwise."""
+    inc = _check_increment(increment, len(exposure))
+    return tuple(e + d for e, d in zip(exposure, inc))
+
+
 def boundary_toll(
-    state: BoundaryState, increment: Sequence[float], pot: PotentialSpec
+    exposure: Sequence[float], increment: Sequence[float], pot: PotentialSpec
 ) -> float:
-    """Potential difference charged for one increment; never mutates state."""
-    inc = _check_increment(increment, len(state.exposure))
-    after = tuple(e + d for e, d in zip(state.exposure, inc))
-    return pot.value(after) - pot.value(state.exposure)
-
-
-def apply_increment(state: BoundaryState, increment: Sequence[float]) -> BoundaryState:
-    """Pure update: exposure grows componentwise, version ticks by one."""
-    inc = _check_increment(increment, len(state.exposure))
-    after = tuple(e + d for e, d in zip(state.exposure, inc))
-    return BoundaryState(state.boundary_id, after, state.outside_state, state.version + 1)
+    """Potential difference charged for one increment on top of ``exposure``."""
+    return pot.value(_grown(exposure, increment)) - pot.value(exposure)
 
 
 class BoundaryLedger:
-    """Serialised per-boundary exposure ledger with optimistic versioning.
+    """Per-boundary exposure ledger: one exposure vector and one version per
+    boundary, the version ticking on every commit, plus the ordered record
+    of every commit for the run log.
 
-    Writes to one boundary are serialised behind a lock; a commit carrying a
-    stale expected version is rejected, which is the detectable form of a
-    quote landing after a concurrent update.
+    Writes to one boundary are serialised behind a lock.
     """
 
     def __init__(self, specs: Iterable[BoundarySpec]) -> None:
         self._specs: dict[str, BoundarySpec] = {}
-        self._states: dict[str, BoundaryState] = {}
+        self._exposure: dict[str, tuple[float, ...]] = {}
+        self._versions: dict[str, int] = {}
         self._locks: dict[str, threading.Lock] = {}
-        self._history: list[BoundaryState] = []
+        self._records: list[dict] = []
         self._first_id: str | None = None
         for spec in specs:
             if spec.boundary_id in self._specs:
@@ -206,11 +191,8 @@ class BoundaryLedger:
                     f"duplicate boundary id {spec.boundary_id!r}", path="boundaries"
                 )
             self._specs[spec.boundary_id] = spec
-            self._states[spec.boundary_id] = BoundaryState(
-                boundary_id=spec.boundary_id,
-                exposure=(0.0,) * spec.dimension,
-                outside_state=spec.outside_state,
-            )
+            self._exposure[spec.boundary_id] = (0.0,) * spec.dimension
+            self._versions[spec.boundary_id] = 0
             self._locks[spec.boundary_id] = threading.Lock()
             if self._first_id is None:
                 self._first_id = spec.boundary_id
@@ -220,45 +202,35 @@ class BoundaryLedger:
         """Version of the first declared boundary, 0 without boundaries: the
         ``boundary_version`` each gate entry logs."""
         first = self._first_id
-        return 0 if first is None else self._states[first].version
+        return 0 if first is None else self._versions[first]
 
-    def state(self, boundary_id: str) -> BoundaryState:
-        return self._states[boundary_id]
+    def exposure(self, boundary_id: str) -> tuple[float, ...]:
+        return self._exposure[boundary_id]
 
     def quote(self, boundary_id: str, increment: Sequence[float]) -> float:
         return boundary_toll(
-            self._states[boundary_id], increment, self._specs[boundary_id].potential
+            self._exposure[boundary_id], increment, self._specs[boundary_id].potential
         )
 
-    def commit(
-        self,
-        boundary_id: str,
-        increment: Sequence[float],
-        expected_version: int | None = None,
-    ) -> BoundaryState:
+    def commit(self, boundary_id: str, increment: Sequence[float]) -> None:
+        """Grow one boundary's exposure by a checked increment."""
         with self._locks[boundary_id]:
-            current = self._states[boundary_id]
-            if expected_version is not None and expected_version != current.version:
-                raise VersionConflictError(
-                    f"boundary {boundary_id!r} at version {current.version}, "
-                    f"write expected {expected_version}"
-                )
-            updated = apply_increment(current, increment)
-            self._states[boundary_id] = updated
-            self._history.append(updated)
-            return updated
+            exposure = _grown(self._exposure[boundary_id], increment)
+            version = self._versions[boundary_id] + 1
+            self._exposure[boundary_id] = exposure
+            self._versions[boundary_id] = version
+            self._records.append(
+                {
+                    "boundary_id": boundary_id,
+                    "version": version,
+                    "exposure": list(exposure),
+                    "outside_state": self._specs[boundary_id].outside_state,
+                }
+            )
 
     def export_records(self) -> list[dict]:
-        """Ordered increment history as plain records for the run log."""
-        return [
-            {
-                "boundary_id": st.boundary_id,
-                "version": st.version,
-                "exposure": list(st.exposure),
-                "outside_state": st.outside_state,
-            }
-            for st in self._history
-        ]
+        """Ordered commit history as plain records for the run log."""
+        return list(self._records)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +251,12 @@ class SplitCheckReport:
 
 
 def _sequence_toll(pot: PotentialSpec, start: Sequence[float], steps: Sequence[Sequence[float]]) -> float:
-    state = BoundaryState(boundary_id="check", exposure=tuple(float(x) for x in start))
+    exposure = tuple(float(x) for x in start)
     total = 0.0
     for step in steps:
-        total += boundary_toll(state, step, pot)
-        state = apply_increment(state, step)
+        after = _grown(exposure, step)
+        total += pot.value(after) - pot.value(exposure)
+        exposure = after
     return total
 
 

@@ -125,7 +125,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 0
 
     delta = manifest["envelope"].get("delta", 0.0)
-    audit = audit_budget_guarantee(logs, make_exact_envelope(scenario).predict, budget, delta)
+    audit = audit_budget_guarantee(logs, make_exact_envelope(scenario).predict, delta)
     mix = Counter(e.verdict for log in logs for e in log.entries)
     finals = [log.budget_final for log in logs]
     print(f"scenario            : {manifest['scenario_name']} (hash {manifest['config_hash'][:12]})")

@@ -12,6 +12,7 @@ all operations are pure and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -262,6 +263,45 @@ def read_field(rec: Mapping, key: str, conv: Callable, path: str):
         raise ScenarioParseError(f"malformed field {key!r}: {exc}", path=where) from None
 
 
+def optional_field(rec: Mapping, key: str, conv: Callable, path: str, default):
+    """:func:`read_field` for a field that may be absent."""
+    return read_field(rec, key, conv, path) if key in rec else default
+
+
+def as_int(value) -> int:
+    """Converter for :func:`read_field`: a JSON integer. An integral float
+    such as ``2.0`` counts; a bool, a string or a fraction does not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def as_object(value) -> Mapping:
+    """Shape converter for :func:`read_field`: a JSON object."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def as_objects(value) -> list:
+    """Shape converter for :func:`read_field`: a JSON array of objects."""
+    if not isinstance(value, list) or not all(isinstance(v, Mapping) for v in value):
+        raise TypeError("expected an array of objects")
+    return value
+
+
+def _component_values(value) -> dict:
+    """A state's components: a JSON object of scalars, which key the
+    external signature."""
+    rec = dict(as_object(value))
+    for name, v in rec.items():
+        if isinstance(v, (list, Mapping)):
+            raise TypeError(f"component {name!r} must be a scalar")
+    return rec
+
+
 def build_model(spec: Mapping) -> EnvironmentModel:
     """Build and validate an :class:`EnvironmentModel` from a plain dict.
 
@@ -271,7 +311,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
     level, not here. Construction is deterministic and raises a distinct
     validation error per invariant class.
     """
-    horizon = read_field(spec, "horizon", int, "")
+    horizon = read_field(spec, "horizon", as_int, "")
     if horizon < 1:
         raise ModelValidationError(f"horizon must be >= 1, got {horizon}", path="horizon")
 
@@ -280,25 +320,26 @@ def build_model(spec: Mapping) -> EnvironmentModel:
             name=read_field(c, "name", str, f"components[{i}]"),
             external=bool(c.get("external", False)),
         )
-        for i, c in enumerate(spec.get("components", []))
+        for i, c in enumerate(optional_field(spec, "components", as_objects, "", []))
     )
 
     state_components: dict[str, dict] = {}
     state_order: list[str] = []
-    for i, rec in enumerate(spec.get("states", [])):
-        sid = read_field(rec, "id", str, f"states[{i}]")
+    for i, rec in enumerate(optional_field(spec, "states", as_objects, "", [])):
+        path = f"states[{i}]"
+        sid = read_field(rec, "id", str, path)
         if sid in state_components:
-            raise ModelValidationError(f"duplicate state id {sid!r}", path=f"states[{i}]")
-        state_components[sid] = dict(rec.get("components", {}))
+            raise ModelValidationError(f"duplicate state id {sid!r}", path=path)
+        state_components[sid] = optional_field(rec, "components", _component_values, path, {})
         state_order.append(sid)
     state_index = {sid: i for i, sid in enumerate(state_order)}
 
     null_action = str(spec.get("null_action", "noop"))
 
     nodes: dict[tuple[int, str], dict[str, Kernel]] = {}
-    for i, nrec in enumerate(spec.get("nodes", [])):
+    for i, nrec in enumerate(optional_field(spec, "nodes", as_objects, "", [])):
         path = f"nodes[{i}]"
-        t = read_field(nrec, "time", int, path)
+        t = read_field(nrec, "time", as_int, path)
         s = read_field(nrec, "state", str, path)
         if not 0 <= t < horizon:
             raise ModelValidationError(f"node time {t} outside horizon", path=path)
@@ -307,9 +348,11 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         if (t, s) in nodes:
             raise ModelValidationError(f"duplicate node ({t}, {s!r})", path=path)
         actions: dict[str, Kernel] = {}
-        for a, arec in nrec.get("actions", {}).items():
+        action_recs = optional_field(nrec, "actions", as_object, path, {})
+        for a in action_recs:
+            arec = read_field(action_recs, a, as_object, f"{path}.actions")
             kpath = f"{path}.actions[{a}].kernel"
-            kernel_map = arec.get("kernel", {})
+            kernel_map = optional_field(arec, "kernel", as_object, f"{path}.actions[{a}]", {})
             if not kernel_map:
                 raise ModelValidationError("empty kernel row", path=kpath)
             row = []
@@ -338,7 +381,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         nodes[(t, s)] = actions
 
     terminal_losses: dict[str, float] = {}
-    raw_losses = spec.get("terminal_losses", {})
+    raw_losses = optional_field(spec, "terminal_losses", as_object, "", {})
     for sid in raw_losses:
         if sid not in state_components:
             raise ModelValidationError(
@@ -392,7 +435,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
 def safe_default_entry(rec: Mapping, path: str) -> tuple[tuple[int, str, str], str]:
     """One safe-default record as ``((time, state, action), default)``."""
     key = (
-        read_field(rec, "time", int, path),
+        read_field(rec, "time", as_int, path),
         read_field(rec, "state", str, path),
         read_field(rec, "action", str, path),
     )

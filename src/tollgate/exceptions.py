@@ -43,10 +43,6 @@ class EnumerationBudgetError(TollgateError):
     """A brute-force enumeration exceeded its hard cap."""
 
 
-class VersionConflictError(TollgateError):
-    """An exposure increment was submitted against a stale ledger version."""
-
-
 class PartitionMismatchError(TollgateError):
     """An increment sequence does not sum to the stated total."""
 

@@ -48,12 +48,6 @@ class Verdict(str, Enum):
 _VERDICTS_BY_VALUE = tuple((v.value, v) for v in Verdict)
 
 
-class GateDecision(NamedTuple):
-    verdict: Verdict
-    executed_action: str
-    charged: float
-
-
 class GateEntry(NamedTuple):
     step: int
     time: int
@@ -64,16 +58,6 @@ class GateEntry(NamedTuple):
     executed: str
     budget_after: float
     boundary_version: int
-
-
-class GateLedger(NamedTuple):
-    """Running budget plus the strictly ordered decision trail."""
-
-    budget: float
-    entries: tuple[GateEntry, ...] = ()
-
-    def with_entry(self, entry: GateEntry, charged: float) -> "GateLedger":
-        return GateLedger(self.budget - charged, self.entries + (entry,))
 
 
 @dataclass(frozen=True)
@@ -121,82 +105,71 @@ class GateConfig:
 
 
 def gate_step(
-    ledger: GateLedger,
+    budget: float,
     cfg: GateConfig,
     model: EnvironmentModel,
-    boundary_ledger: BoundaryLedger | None,
+    boundary_ledger: BoundaryLedger,
     time: int,
     state: str,
     proposed: str,
-) -> tuple[GateDecision, GateLedger]:
-    """Decide one proposal and return the decision plus the updated ledger.
+) -> tuple[GateEntry, float]:
+    """Decide one proposal against the remaining ``budget``; return the
+    ledger entry and the amount charged.
 
     The envelope comparison is non-strict: a quote exactly equal to the
     remaining budget executes. Exposure of the executed action is committed
-    to the boundary ledger in the same step as the entry is appended.
+    to the boundary ledger in the same step as the entry is made. An episode
+    decides once per time step, so the entry's step is its time.
     """
     quoted = cfg.envelope.query(time, state, proposed)
-    decision: GateDecision | None = None
-
-    if quoted <= ledger.budget:
-        decision = GateDecision(Verdict.EXECUTE, proposed, quoted)
+    if quoted <= budget:
+        verdict, executed, charged = Verdict.EXECUTE, proposed, quoted
     else:
-        last_denied = False
-        for mode in cfg.fallback_order:
-            last_denied = False
-            if mode == "downgrade":
-                fallback = cfg.safe_defaults.default_for(time, state, proposed)
-                if fallback not in model.actions(time, state):
-                    continue
-                fallback_quote = cfg.envelope.query(time, state, fallback)
-                if fallback_quote <= ledger.budget:
-                    decision = GateDecision(Verdict.DOWNGRADE, fallback, 0.0)
-                    break
-            elif mode == "escalate":
-                if cfg.approves(proposed):
-                    refiner = cfg.exact_quoter
-                    refined = (
-                        refiner.query(time, state, proposed) if refiner is not None else quoted
-                    )
-                    if refined <= ledger.budget:
-                        decision = GateDecision(Verdict.ESCALATE_APPROVED, proposed, refined)
-                        break
-                else:
-                    last_denied = True
-            elif mode == "block":
-                decision = GateDecision(Verdict.BLOCK, model.null_action, 0.0)
-                break
-        if decision is None:
-            # chain exhausted: block implicitly, tagged with the denial if
-            # an approver had the last word
-            verdict = Verdict.ESCALATE_DENIED if last_denied else Verdict.BLOCK
-            decision = GateDecision(verdict, model.null_action, 0.0)
-
-    verdict, executed, charged = decision
-    version = _commit_exposure(cfg, boundary_ledger, time, state, executed)
-    entry = GateEntry(
-        len(ledger.entries), time, state, proposed, quoted, verdict, executed,
-        ledger.budget - charged, version,
-    )
-    return decision, ledger.with_entry(entry, charged)
-
-
-def _commit_exposure(
-    cfg: GateConfig,
-    boundary_ledger: BoundaryLedger | None,
-    time: int,
-    state: str,
-    executed: str,
-) -> int:
-    """Commit the executed action's exposure; return the first boundary's
-    version (0 without boundaries)."""
-    if boundary_ledger is None:
-        return 0
+        verdict, executed, charged = _fall_back(budget, cfg, model, time, state, proposed, quoted)
     increments = cfg.exposure.get((time, state, executed))
     if increments:
         for boundary_id, inc in increments.items():
             boundary_ledger.commit(boundary_id, inc)
-    return boundary_ledger.first_version
+    entry = GateEntry(
+        time, time, state, proposed, quoted, verdict, executed,
+        budget - charged, boundary_ledger.first_version,
+    )
+    return entry, charged
+
+
+def _fall_back(
+    budget: float,
+    cfg: GateConfig,
+    model: EnvironmentModel,
+    time: int,
+    state: str,
+    proposed: str,
+    quoted: float,
+) -> tuple[Verdict, str, float]:
+    """Walk the fallback chain for an unaffordable proposal: the verdict,
+    the executed action and its charge."""
+    last_denied = False
+    for mode in cfg.fallback_order:
+        last_denied = False
+        if mode == "downgrade":
+            fallback = cfg.safe_defaults.default_for(time, state, proposed)
+            if fallback not in model.actions(time, state):
+                continue
+            if cfg.envelope.query(time, state, fallback) <= budget:
+                return Verdict.DOWNGRADE, fallback, 0.0
+        elif mode == "escalate":
+            if cfg.approves(proposed):
+                refiner = cfg.exact_quoter
+                refined = refiner.query(time, state, proposed) if refiner is not None else quoted
+                if refined <= budget:
+                    return Verdict.ESCALATE_APPROVED, proposed, refined
+            else:
+                last_denied = True
+        elif mode == "block":
+            return Verdict.BLOCK, model.null_action, 0.0
+    # chain exhausted: block implicitly, tagged with the denial if an
+    # approver had the last word
+    return (Verdict.ESCALATE_DENIED if last_denied else Verdict.BLOCK), model.null_action, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -270,34 +243,29 @@ def run_episode(
 
     uniform = np.random.default_rng(np.random.SeedSequence([seed, episode])).random
     boundary_ledger = BoundaryLedger(cfg.boundaries)
-    ledger = GateLedger(budget=cfg.initial_budget)
+    budget = cfg.initial_budget
+    entries = []
     state = model.initial_state
     for t in range(model.horizon):
         actions, cdf = _inverse_cdf(proposal_policy.action_dist(t, state))
         proposed = actions[bisect_right(cdf, uniform())]
-        decision, ledger = gate_step(ledger, cfg, model, boundary_ledger, t, state, proposed)
-        targets, cdf = _inverse_cdf(model.kernel(t, state, decision.executed_action))
+        entry, charged = gate_step(budget, cfg, model, boundary_ledger, t, state, proposed)
+        budget -= charged
+        entries.append(entry)
+        targets, cdf = _inverse_cdf(model.kernel(t, state, entry.executed))
         state = targets[bisect_right(cdf, uniform())]
     return EpisodeLog(
         episode=episode,
-        entries=ledger.entries,
+        entries=tuple(entries),
         terminal_loss=model.terminal_loss(state),
         budget_initial=cfg.initial_budget,
-        budget_final=ledger.budget,
+        budget_final=budget,
         boundary_records=tuple(boundary_ledger.export_records()),
     )
 
 
 # ---------------------------------------------------------------------------
 # audit
-
-
-class EpisodeAudit(NamedTuple):
-    episode: int
-    executed_true_toll_sum: float
-    all_quotes_covered: bool
-    overrun: bool
-    replay_exact: bool
 
 
 @dataclass(frozen=True)
@@ -313,13 +281,11 @@ class AuditReport:
     threshold: float
     passed: bool
     accounting_exact: bool
-    per_episode: tuple[EpisodeAudit, ...]
 
 
 def audit_budget_guarantee(
     logs: Sequence[EpisodeLog],
     true_positive_toll: Callable[[int, str, str], float],
-    initial_budget: float,
     delta: float,
 ) -> AuditReport:
     """Recompute every executed action's true positive toll and check the
@@ -327,12 +293,11 @@ def audit_budget_guarantee(
 
     An episode violates coverage when some quoted proposal's true toll
     exceeds its logged envelope value; it overruns when the executed true
-    tolls sum above the initial budget. The batch passes when the overrun
+    tolls sum above its initial budget. The batch passes when the overrun
     fraction stays within delta plus three binomial sigmas (exactly zero
     when delta is zero, the exact-envelope case). Charge accounting is
     replayed entry by entry and must reproduce the final budget bit for bit.
     """
-    audits = []
     n = len(logs)
     quotes = 0
     quotes_covered = 0
@@ -352,12 +317,9 @@ def audit_budget_guarantee(
             else:
                 quotes_covered += 1
         quotes += len(log.entries)
-        replay_exact = budget == log.budget_final
-        accounting_exact &= replay_exact
-        over = true_sum > initial_budget + 1e-9
-        overruns += over
+        accounting_exact &= budget == log.budget_final
+        overruns += true_sum > log.budget_initial + 1e-9
         violations += not covered
-        audits.append(EpisodeAudit(log.episode, true_sum, covered, over, replay_exact))
     overrun_fraction = overruns / n if n else 0.0
     violation_fraction = violations / n if n else 0.0
     if delta == 0.0:
@@ -377,5 +339,4 @@ def audit_budget_guarantee(
         threshold=threshold,
         passed=passed and accounting_exact,
         accounting_exact=accounting_exact,
-        per_episode=tuple(audits),
     )

@@ -139,19 +139,6 @@ def enumerate_policies(
         yield Policy.deterministic(dict(zip(nodes, combo)))
 
 
-def count_policies(
-    model: EnvironmentModel,
-    from_time: int,
-    from_state: str,
-    first_action: str | None = None,
-) -> int:
-    nodes = _reachable_decision_nodes(model, from_time, from_state, first_action)
-    count = 1
-    for t, s in nodes:
-        count *= len(model.actions(t, s))
-    return count
-
-
 def _reachable_decision_nodes(
     model: EnvironmentModel,
     from_time: int,

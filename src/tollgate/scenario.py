@@ -37,8 +37,12 @@ from .envmodel import (
     EnvironmentModel,
     Policy,
     SafeDefaultMap,
+    as_int,
+    as_object,
+    as_objects,
     build_model,
     is_side_effect_bearing,
+    optional_field,
     read_field,
     safe_default_entry,
 )
@@ -112,9 +116,9 @@ def resolve_scenario(doc: Mapping) -> Scenario:
             path="schema_version",
         )
     name = str(doc.get("name", "unnamed"))
-    seed = _optional_field(doc, "seed", int, "", 0)
+    seed = optional_field(doc, "seed", as_int, "", 0)
 
-    model = build_model(doc.get("model", {}))
+    model = build_model(optional_field(doc, "model", as_object, "", {}))
 
     sdm = _resolve_safe_defaults(doc, model)
     ambiguity = _resolve_ambiguity(doc, model)
@@ -125,7 +129,7 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     gate = resolve_gate_params(doc)
     envelope_config = _resolve_envelope(doc)
 
-    categories = {str(a): str(c) for a, c in doc.get("action_categories", {}).items()}
+    categories = optional_field(doc, "action_categories", _str_map, "", {})
     seen = set()
     for t, s in model.all_nodes():
         for a in model.actions(t, s):
@@ -152,8 +156,13 @@ def resolve_scenario(doc: Mapping) -> Scenario:
 
 def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefaultMap:
     entries: dict[tuple[int, str, str], str] = {}
-    for i, rec in enumerate(doc.get("safe_defaults", [])):
+    for i, rec in enumerate(optional_field(doc, "safe_defaults", as_objects, "", [])):
         key, default = safe_default_entry(rec, f"safe_defaults[{i}]")
+        if not model.has_node(key[0], key[1]):
+            raise ScenarioReferenceError(
+                f"safe default names unknown node ({key[0]}, {key[1]!r})",
+                path=f"safe_defaults[{i}]",
+            )
         entries[key] = default
     sdm = SafeDefaultMap.from_entries(entries, model)
     for t, s in model.all_nodes():
@@ -173,11 +182,13 @@ def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefault
 def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
     models = [base]
     base_spec = doc.get("model", {})
-    for i, variant in enumerate(doc.get("ambiguity", [])):
+    for i, variant in enumerate(optional_field(doc, "ambiguity", as_objects, "", [])):
         spec = copy.deepcopy(dict(base_spec))
-        for j, ov in enumerate(variant.get("kernel_overrides", [])):
+        for j, ov in enumerate(
+            optional_field(variant, "kernel_overrides", as_objects, f"ambiguity[{i}]", [])
+        ):
             path = f"ambiguity[{i}].kernel_overrides[{j}]"
-            t = read_field(ov, "time", int, path)
+            t = read_field(ov, "time", as_int, path)
             s = read_field(ov, "state", str, path)
             a = read_field(ov, "action", str, path)
             found = False
@@ -194,7 +205,7 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
                 raise ScenarioReferenceError(
                     f"override names unknown node ({t}, {s!r})", path=path
                 )
-        overrides = variant.get("loss_overrides", {})
+        overrides = optional_field(variant, "loss_overrides", as_object, f"ambiguity[{i}]", {})
         for leaf in overrides:
             if leaf not in spec.get("terminal_losses", {}):
                 raise ScenarioReferenceError(
@@ -210,9 +221,9 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
 
 def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
     entries: dict[tuple[int, str], dict[str, float]] = {}
-    for i, rec in enumerate(doc.get("policy", [])):
+    for i, rec in enumerate(optional_field(doc, "policy", as_objects, "", [])):
         path = f"policy[{i}]"
-        t, s = read_field(rec, "time", int, path), read_field(rec, "state", str, path)
+        t, s = read_field(rec, "time", as_int, path), read_field(rec, "state", str, path)
         if not model.has_node(t, s):
             raise ScenarioReferenceError(f"policy names unknown node ({t}, {s!r})", path=path)
         entries[(t, s)] = read_field(
@@ -228,22 +239,25 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
     return Policy.from_entries(entries, model)
 
 
-def _optional_field(rec: Mapping, key: str, conv, path: str, default):
-    """:func:`read_field` for a field that may be absent."""
-    return read_field(rec, key, conv, path) if key in rec else default
-
-
 def _resolve_risk(doc: Mapping) -> RiskSpec:
-    rec = doc.get("risk", {"kind": "expectation"})
+    rec = optional_field(doc, "risk", as_object, "", {"kind": "expectation"})
     return RiskSpec(
         kind=str(rec.get("kind", "expectation")),
-        gamma=_optional_field(rec, "gamma", float, "risk", None),
-        alpha=_optional_field(rec, "alpha", float, "risk", None),
+        gamma=optional_field(rec, "gamma", float, "risk", None),
+        alpha=optional_field(rec, "alpha", float, "risk", None),
     )
 
 
 def _float_tuple(values) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
+
+
+def _str_tuple(values) -> tuple[str, ...]:
+    return tuple(str(x) for x in values)
+
+
+def _str_map(rec) -> dict[str, str]:
+    return {str(k): str(v) for k, v in rec.items()}
 
 
 def _knots(dims) -> tuple[tuple[tuple[float, float], ...], ...]:
@@ -252,20 +266,20 @@ def _knots(dims) -> tuple[tuple[tuple[float, float], ...], ...]:
 
 def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
     out = []
-    for i, rec in enumerate(doc.get("boundaries", [])):
+    for i, rec in enumerate(optional_field(doc, "boundaries", as_objects, "", [])):
         path = f"boundaries[{i}]"
-        pot_rec = rec.get("potential", {})
+        pot_rec = optional_field(rec, "potential", as_object, path, {})
         pot_path = f"{path}.potential"
         pot = PotentialSpec(
             kind=str(pot_rec.get("kind", "linear")),
-            weights=_optional_field(pot_rec, "weights", _float_tuple, pot_path, ()),
-            exponent=_optional_field(pot_rec, "exponent", float, pot_path, 1.0),
-            knots=_optional_field(pot_rec, "knots", _knots, pot_path, ()),
+            weights=optional_field(pot_rec, "weights", _float_tuple, pot_path, ()),
+            exponent=optional_field(pot_rec, "exponent", float, pot_path, 1.0),
+            knots=optional_field(pot_rec, "knots", _knots, pot_path, ()),
         )
         out.append(
             BoundarySpec(
                 boundary_id=read_field(rec, "id", str, path),
-                dimension=_optional_field(rec, "dimension", int, path, pot.dimension),
+                dimension=optional_field(rec, "dimension", as_int, path, pot.dimension),
                 potential=pot,
                 outside_state=str(rec.get("outside_state", "")),
             )
@@ -281,8 +295,9 @@ def _resolve_exposure(
     for i, nrec in enumerate(doc.get("model", {}).get("nodes", [])):
         t, s = int(nrec["time"]), str(nrec["state"])
         for a, arec in nrec.get("actions", {}).items():
-            path = f"model.nodes[{i}].actions[{a}].exposure"
-            increments = arec.get("exposure", {})
+            apath = f"model.nodes[{i}].actions[{a}]"
+            increments = optional_field(arec, "exposure", as_object, apath, {})
+            path = f"{apath}.exposure"
             for bid in increments:
                 if bid not in dims:
                     raise ScenarioReferenceError(
@@ -295,19 +310,19 @@ def _resolve_exposure(
                         f"{bid!r} expects {dims[bid]}",
                         path=path,
                     )
-                if any(x < 0 for x in vec):
+                if not all(x >= 0 and math.isfinite(x) for x in vec):
                     raise ScenarioInvariantError(
-                        "exposure increments must be componentwise >= 0", path=path
+                        "exposure increments must be finite and componentwise >= 0", path=path
                     )
                 out.setdefault((t, s, str(a)), {})[bid] = vec
     return out
 
 
 def resolve_gate_params(doc: Mapping) -> GateParams:
-    rec = doc.get("gate", {})
-    budget = _optional_field(rec, "initial_budget", float, "gate", 0.0)
-    order = tuple(str(m) for m in rec.get("fallback_order", ("downgrade", "block")))
-    policy = {str(k): str(v) for k, v in rec.get("escalation_policy", {}).items()}
+    rec = optional_field(doc, "gate", as_object, "", {})
+    budget = optional_field(rec, "initial_budget", float, "gate", 0.0)
+    order = optional_field(rec, "fallback_order", _str_tuple, "gate", ("downgrade", "block"))
+    policy = optional_field(rec, "escalation_policy", _str_map, "gate", {})
     if budget < 0:
         raise ScenarioInvariantError("initial budget must be >= 0", path="gate.initial_budget")
     return GateParams(initial_budget=budget, fallback_order=order, escalation_policy=policy)
@@ -317,12 +332,12 @@ def _resolve_envelope(doc: Mapping) -> dict:
     """The envelope section; a conformal one gets its ``delta``,
     ``calibration_episodes`` and ``training_episodes`` converted, defaults
     filled in."""
-    config = dict(doc.get("envelope", {"kind": "exact"}))
+    config = dict(optional_field(doc, "envelope", as_object, "", {"kind": "exact"}))
     kind = config.get("kind")
     if kind == "conformal":
-        config["delta"] = _optional_field(config, "delta", float, "envelope", 0.1)
+        config["delta"] = optional_field(config, "delta", float, "envelope", 0.1)
         for key, default in (("calibration_episodes", 200), ("training_episodes", 100)):
-            config[key] = _optional_field(config, key, int, "envelope", default)
+            config[key] = optional_field(config, key, as_int, "envelope", default)
     elif kind != "exact":
         raise ScenarioInvariantError(f"unknown envelope kind {kind!r}", path="envelope.kind")
     return config

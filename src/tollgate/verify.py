@@ -392,11 +392,11 @@ def no_splitting_suite(
         # convex marginal monotonicity: a fixed increment never gets cheaper
         # at higher cumulative exposure
         if pot.kind == "power":
-            from .boundary import BoundaryState, boundary_toll
+            from .boundary import boundary_toll
 
             inc = rng.uniform(0.0, 2.0, size=d)
-            low = BoundaryState("probe", tuple(start))
-            high = BoundaryState("probe", tuple(start + rng.uniform(0.0, 3.0, size=d)))
+            low = tuple(start)
+            high = tuple(start + rng.uniform(0.0, 3.0, size=d))
             if boundary_toll(low, inc, pot) > boundary_toll(high, inc, pot) + _TOL:
                 marginal_ok = False
 
@@ -438,17 +438,17 @@ def no_splitting_suite(
 def _faulty_sequence_gap(pot, start, total, partitions):
     # fault injection for the negative control: a volume discount makes later
     # increments cheaper, which telescoping must catch
-    from .boundary import BoundaryState, apply_increment, boundary_toll
+    from .boundary import boundary_toll
 
     reference = pot.value(tuple(start + total)) - pot.value(tuple(start))
     worst = 0.0
     bad = None
     for steps in partitions:
-        state = BoundaryState("fault", tuple(start))
+        exposure = tuple(start)
         tolls = 0.0
         for k, step in enumerate(steps):
-            tolls += boundary_toll(state, step, pot) * (0.9**k)
-            state = apply_increment(state, step)
+            tolls += boundary_toll(exposure, step, pot) * (0.9**k)
+            exposure = tuple(e + d for e, d in zip(exposure, step))
         gap = abs(tolls - reference)
         if gap > worst:
             worst = gap
@@ -655,7 +655,7 @@ def gating_suite(
             run_episode(sc.model, sc.policy, cfg, seed=seed, episode=i)
             for i in range(exact_episodes)
         ]
-        audit = audit_budget_guarantee(logs, env.predict, cfg.initial_budget, delta=0.0)
+        audit = audit_budget_guarantee(logs, env.predict, delta=0.0)
         counts: dict[str, int] = {}
         for log in logs:
             for verdict, k in log.decision_counts().items():
@@ -696,7 +696,7 @@ def gating_suite(
         run_episode(sc.model, sc.policy, eval_cfg, seed=seed + 2000, episode=i)
         for i in range(eval_episodes)
     ]
-    audit = audit_budget_guarantee(eval_logs, env.predict, 50.0, delta=delta)
+    audit = audit_budget_guarantee(eval_logs, env.predict, delta=delta)
     props.append(
         PropertyResult(
             "conformal-envelope-budget-guarantee",
@@ -724,7 +724,7 @@ def gating_suite(
         run_episode(sc.model, sc.policy, bad_cfg, seed=seed + 3000, episode=i)
         for i in range(min(eval_episodes, 300))
     ]
-    bad_audit = audit_budget_guarantee(bad_logs, env.predict, 50.0, delta=delta)
+    bad_audit = audit_budget_guarantee(bad_logs, env.predict, delta=delta)
     props.append(
         PropertyResult(
             "deflated-envelope-fails-audit",

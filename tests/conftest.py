@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from tollgate.envmodel import Policy, build_model
+
+# Property tests draw the same examples on every run and keep no example
+# database on disk.
+settings.register_profile("tollgate", derandomize=True, database=None)
+settings.load_profile("tollgate")
 
 
 @pytest.fixture

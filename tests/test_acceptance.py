@@ -132,7 +132,7 @@ def test_criterion_7_budget_guarantee_exact():
             run_episode(sc.model, sc.policy, cfg, seed=SEED, episode=i)
             for i in range(episodes)
         ]
-        audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, cfg.initial_budget, delta=0.0)
+        audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, delta=0.0)
         assert audit.overruns == 0, f"{name}: {audit.overruns} overruns"
         assert audit.violation_fraction == 0.0
         assert audit.accounting_exact

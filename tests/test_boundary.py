@@ -10,18 +10,12 @@ import pytest
 from tollgate.boundary import (
     BoundaryLedger,
     BoundarySpec,
-    BoundaryState,
     PotentialSpec,
-    apply_increment,
     boundary_toll,
     path_dependence_counterexample,
     splitting_invariance_check,
 )
-from tollgate.exceptions import (
-    ModelValidationError,
-    PartitionMismatchError,
-    VersionConflictError,
-)
+from tollgate.exceptions import ModelValidationError, PartitionMismatchError
 
 
 def test_potential_must_vanish_at_origin():
@@ -64,56 +58,63 @@ def test_potential_rejects_non_finite_parameters(kwargs):
 
 def test_zero_increment_pays_nothing():
     pot = PotentialSpec(kind="power", weights=(1.0,), exponent=2.0)
-    state = BoundaryState("b", (2.0,))
-    assert boundary_toll(state, (0.0,), pot) == 0.0
+    assert boundary_toll((2.0,), (0.0,), pot) == 0.0
 
 
 def test_power_toll_example():
     pot = PotentialSpec(kind="power", weights=(1.0,), exponent=2.0)
-    state = BoundaryState("b", (2.0,))
-    assert boundary_toll(state, (1.0,), pot) == pytest.approx(5.0, abs=1e-12)
+    assert boundary_toll((2.0,), (1.0,), pot) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_linear_toll_is_exposure_independent():
     pot = PotentialSpec(kind="linear", weights=(2.0, 3.0))
     for exposure in ((0.0, 0.0), (7.5, 11.25)):
-        state = BoundaryState("b", exposure)
-        assert boundary_toll(state, (1.0, 1.0), pot) == pytest.approx(5.0, abs=1e-9)
+        assert boundary_toll(exposure, (1.0, 1.0), pot) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_negative_increment_rejected():
     pot = PotentialSpec(kind="linear", weights=(1.0,))
-    state = BoundaryState("b", (0.0,))
     with pytest.raises(ModelValidationError):
-        boundary_toll(state, (-0.5,), pot)
+        boundary_toll((0.0,), (-0.5,), pot)
+    ledger = BoundaryLedger([BoundarySpec("b", 1, pot)])
     with pytest.raises(ModelValidationError):
-        apply_increment(state, (-0.5,))
+        ledger.commit("b", (-0.5,))
 
 
-def test_apply_increment_versions():
-    state = BoundaryState("b", (0.0,))
-    updated = apply_increment(state, (3.0,))
-    assert updated.exposure == (3.0,)
-    assert updated.version == 1
-    again = apply_increment(apply_increment(state, (1.0,)), (2.0,))
-    assert again.exposure == (3.0,)
-    assert again.version == 2
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_ledger_rejects_non_finite_increment(bad):
+    pot = PotentialSpec(kind="linear", weights=(1.0, 1.0))
+    ledger = BoundaryLedger([BoundarySpec("b", 2, pot)])
+    with pytest.raises(ModelValidationError):
+        ledger.commit("b", (1.0, bad))
+    with pytest.raises(ModelValidationError):
+        ledger.quote("b", (bad, 0.0))
+    assert ledger.exposure("b") == (0.0, 0.0)
+    assert ledger.first_version == 0
+    assert ledger.export_records() == []
 
 
-def test_ledger_optimistic_versioning():
-    spec = BoundarySpec("b", 1, PotentialSpec(kind="linear", weights=(1.0,)))
-    ledger = BoundaryLedger([spec])
-    ledger.commit("b", (1.0,), expected_version=0)
-    with pytest.raises(VersionConflictError):
-        ledger.commit("b", (1.0,), expected_version=0)
-    assert ledger.state("b").exposure == (2.0,) or ledger.state("b").version == 1
+def test_ledger_commit_versions():
+    spec = BoundarySpec("b", 1, PotentialSpec(kind="linear", weights=(1.0,)), outside_state="tag")
+    other = BoundarySpec("c", 1, PotentialSpec(kind="linear", weights=(1.0,)))
+    ledger = BoundaryLedger([spec, other])
+    assert ledger.quote("b", (3.0,)) == 3.0
+    ledger.commit("b", (1.0,))
+    ledger.commit("c", (4.0,))
+    ledger.commit("b", (2.0,))
+    assert ledger.exposure("b") == (3.0,)
+    assert ledger.exposure("c") == (4.0,)
+    assert ledger.first_version == 2
+    assert ledger.export_records() == [
+        {"boundary_id": "b", "version": 1, "exposure": [1.0], "outside_state": "tag"},
+        {"boundary_id": "c", "version": 1, "exposure": [4.0], "outside_state": ""},
+        {"boundary_id": "b", "version": 2, "exposure": [3.0], "outside_state": "tag"},
+    ]
 
 
 def test_ledger_exposure_monotone_under_interleaving():
     spec = BoundarySpec("b", 2, PotentialSpec(kind="linear", weights=(1.0, 1.0)))
     ledger = BoundaryLedger([spec])
-    rng = np.random.default_rng(5)
-    snapshots = [ledger.state("b").exposure]
 
     def worker(seed):
         local = np.random.default_rng(seed)
@@ -182,7 +183,7 @@ def test_convex_marginal_toll_monotone_in_exposure():
     pot = PotentialSpec(kind="power", weights=(1.5,), exponent=2.5)
     inc = (0.7,)
     tolls = [
-        boundary_toll(BoundaryState("b", (e,)), inc, pot) for e in (0.0, 1.0, 2.0, 5.0)
+        boundary_toll((e,), inc, pot) for e in (0.0, 1.0, 2.0, 5.0)
     ]
     assert all(a <= b + 1e-12 for a, b in zip(tolls, tolls[1:]))
 

@@ -14,7 +14,6 @@ from tollgate.envmodel import KERNEL_TOL, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import ModelValidationError
 from tollgate.gate import (
     GateConfig,
-    GateLedger,
     Verdict,
     _inverse_cdf,
     audit_budget_guarantee,
@@ -71,29 +70,29 @@ def _cfg(model, budget, fallback=("downgrade", "block"), quotes=None, **kw) -> G
 def test_affordable_quote_executes():
     model = _gate_model()
     cfg = _cfg(model, budget=10.0, quotes={"act": 4.0})
-    decision, ledger = gate_step(GateLedger(budget=10.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.EXECUTE
-    assert decision.charged == 4.0
-    assert ledger.budget == 6.0
-    assert ledger.entries[0].budget_after == 6.0
+    entry, charged = gate_step(10.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.EXECUTE
+    assert charged == 4.0
+    assert entry.budget_after == 6.0
+    assert entry.step == entry.time == 0
 
 
 def test_unaffordable_quote_downgrades_uncharged():
     model = _gate_model()
     cfg = _cfg(model, budget=10.0, fallback=("downgrade",), quotes={"act": 12.0})
-    decision, ledger = gate_step(GateLedger(budget=10.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.DOWNGRADE
-    assert decision.executed_action == "mild"
-    assert decision.charged == 0.0
-    assert ledger.budget == 10.0
+    entry, charged = gate_step(10.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.DOWNGRADE
+    assert entry.executed == "mild"
+    assert charged == 0.0
+    assert entry.budget_after == 10.0
 
 
 def test_boundary_inequality_is_nonstrict():
     model = _gate_model()
     cfg = _cfg(model, budget=0.0, quotes={"act": 0.0})
-    decision, ledger = gate_step(GateLedger(budget=0.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.EXECUTE
-    assert ledger.budget == 0.0
+    entry, charged = gate_step(0.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.EXECUTE
+    assert entry.budget_after == 0.0
 
 
 def test_escalation_approved_requotes_at_exact_tier():
@@ -104,11 +103,11 @@ def test_escalation_approved_requotes_at_exact_tier():
         escalation_policy={"act": "approve"},
         exact_quoter=_quoted({"act": 0.5}),  # deep tier fits
     )
-    decision, ledger = gate_step(GateLedger(budget=1.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.ESCALATE_APPROVED
-    assert decision.executed_action == "act"
-    assert decision.charged == 0.5
-    assert ledger.budget == 0.5
+    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.ESCALATE_APPROVED
+    assert entry.executed == "act"
+    assert charged == 0.5
+    assert entry.budget_after == 0.5
 
 
 def test_escalation_approved_still_needs_budget():
@@ -119,10 +118,10 @@ def test_escalation_approved_still_needs_budget():
         escalation_policy={"act": "approve"},
         exact_quoter=_quoted({"act": 1.2}),  # refined quote still too big
     )
-    decision, _ = gate_step(GateLedger(budget=1.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.BLOCK
-    assert decision.executed_action == "noop"
-    assert decision.charged == 0.0
+    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.BLOCK
+    assert entry.executed == "noop"
+    assert charged == 0.0
 
 
 def test_escalation_denied_blocks_with_provenance():
@@ -132,11 +131,11 @@ def test_escalation_denied_blocks_with_provenance():
         quotes={"act": 1.5},
         escalation_policy={"default": "deny"},
     )
-    decision, ledger = gate_step(GateLedger(budget=1.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.ESCALATE_DENIED
-    assert decision.executed_action == "noop"
-    assert decision.charged == 0.0
-    assert ledger.budget == 1.0
+    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.ESCALATE_DENIED
+    assert entry.executed == "noop"
+    assert charged == 0.0
+    assert entry.budget_after == 1.0
 
 
 def test_exhausted_chain_blocks_implicitly():
@@ -145,9 +144,9 @@ def test_exhausted_chain_blocks_implicitly():
         model, budget=1.0, fallback=("downgrade",),
         quotes={"act": 5.0, "mild": 5.0},  # even the fallback is unaffordable
     )
-    decision, _ = gate_step(GateLedger(budget=1.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.BLOCK
-    assert decision.executed_action == "noop"
+    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.BLOCK
+    assert entry.executed == "noop"
 
 
 def test_unavailable_safe_default_falls_through():
@@ -158,8 +157,8 @@ def test_unavailable_safe_default_falls_through():
         envelope=_quoted({"act": 5.0}),
         safe_defaults=SafeDefaultMap({(0, "r", "act"): "ghost"}),  # not an action
     )
-    decision, _ = gate_step(GateLedger(budget=1.0), cfg, model, None, 0, "r", "act")
-    assert decision.verdict is Verdict.BLOCK
+    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    assert entry.verdict is Verdict.BLOCK
 
 
 def test_gate_config_validation():
@@ -183,10 +182,10 @@ def test_boundary_increment_committed_atomically():
         boundaries=(spec,),
         exposure={(0, "r", "act"): {"b": (2.5,)}},
     )
-    decision, gate_ledger = gate_step(GateLedger(budget=10.0), cfg, model, ledger, 0, "r", "act")
-    assert decision.verdict is Verdict.EXECUTE
-    assert ledger.state("b").exposure == (2.5,)
-    assert gate_ledger.entries[0].boundary_version == 1
+    entry, charged = gate_step(10.0, cfg, model, ledger, 0, "r", "act")
+    assert entry.verdict is Verdict.EXECUTE
+    assert ledger.exposure("b") == (2.5,)
+    assert entry.boundary_version == 1
     # a downgraded proposal executes the default, which carries no exposure,
     # so the boundary version stays put
     tight = _cfg(
@@ -194,10 +193,10 @@ def test_boundary_increment_committed_atomically():
         boundaries=(spec,),
         exposure={(0, "r", "act"): {"b": (2.5,)}},
     )
-    decision, gate_ledger = gate_step(GateLedger(budget=0.5), tight, model, ledger, 0, "r", "act")
-    assert decision.verdict is Verdict.DOWNGRADE
-    assert ledger.state("b").exposure == (2.5,)
-    assert gate_ledger.entries[0].boundary_version == 1
+    entry, charged = gate_step(0.5, tight, model, ledger, 0, "r", "act")
+    assert entry.verdict is Verdict.DOWNGRADE
+    assert ledger.exposure("b") == (2.5,)
+    assert entry.boundary_version == 1
 
 
 def test_zero_toll_scenario_executes_everything(coin_model, noop_policy):
@@ -317,7 +316,7 @@ def test_audit_flags_deflated_envelope():
     flat = Envelope(kind="conformal", predict=lambda t, s, a: 0.0, inflation=0.0)
     cfg = build_gate_config(sc, flat, budget_override=5.0)
     logs = [run_episode(sc.model, sc.policy, cfg, seed=77, episode=i) for i in range(150)]
-    audit = audit_budget_guarantee(logs, truth, 5.0, delta=0.1)
+    audit = audit_budget_guarantee(logs, truth, delta=0.1)
     assert audit.violation_fraction > audit.threshold
     assert not audit.passed
 
@@ -327,7 +326,7 @@ def test_audit_exact_envelope_is_clean():
     env = make_exact_envelope(sc)
     cfg = build_gate_config(sc, env, exact_quoter=env)
     logs = [run_episode(sc.model, sc.policy, cfg, seed=5, episode=i) for i in range(120)]
-    audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, cfg.initial_budget, delta=0.0)
+    audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, delta=0.0)
     assert audit.passed
     assert audit.overruns == 0
     assert audit.violation_fraction == 0.0

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tollgate.cli import main
 from tollgate.exceptions import (
     KernelSumError,
+    ModelValidationError,
+    ScenarioError,
     ScenarioInvariantError,
     ScenarioParseError,
     ScenarioReferenceError,
@@ -237,10 +242,89 @@ def _component_without_name(doc):
     del doc["model"]["components"][0]["name"]
 
 
-# NaN probabilities parse as floats; the model checks refuse them instead.
+def _ambiguity_item_not_object(doc):
+    doc["ambiguity"] = [5]
+
+
+def _categories_not_object(doc):
+    doc["action_categories"] = []
+
+
+def _boundary_item_not_object(doc):
+    doc["boundaries"] = ["x"]
+
+
+def _risk_not_object(doc):
+    doc["risk"] = []
+
+
+def _safe_defaults_not_array(doc):
+    doc["safe_defaults"] = 5
+
+
+def _fallback_order_not_array(doc):
+    doc["gate"]["fallback_order"] = 5
+
+
+def _escalation_policy_not_object(doc):
+    doc["gate"]["escalation_policy"] = []
+
+
+def _node_actions_not_object(doc):
+    doc["model"]["nodes"][0]["actions"] = []
+
+
+def _action_record_not_object(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"] = 5
+
+
+def _fractional_horizon(doc):
+    doc["model"]["horizon"] = 2.5
+
+
+def _boolean_seed(doc):
+    doc["seed"] = True
+
+
+def _fractional_node_time(doc):
+    doc["model"]["nodes"][1]["time"] = 1.5
+
+
+def _boolean_safe_default_time(doc):
+    doc["safe_defaults"][0]["time"] = True
+
+
+def _fractional_policy_time(doc):
+    doc["policy"][0]["time"] = 0.5
+
+
+def _fractional_boundary_dimension(doc):
+    doc["boundaries"][0]["dimension"] = 1.5
+
+
+def _fractional_calibration_episodes(doc):
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 200.5}
+
+
+def _boolean_training_episodes(doc):
+    doc["envelope"] = {"kind": "conformal", "training_episodes": True}
+
+
+def _nan_exposure(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"]["exposure"]["vendor_payments"] = [math.nan]
+
+
+def _infinite_exposure(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"]["exposure"]["vendor_payments"] = [math.inf]
+
+
+# NaN probabilities and exposures parse as floats; the model and exposure
+# checks refuse them instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
     _nan_kernel_probability: "must be finite",
+    _nan_exposure: "[invariant] exposure increments must be finite",
+    _infinite_exposure: "[invariant] exposure increments must be finite",
 }
 
 
@@ -263,6 +347,25 @@ _NOT_PARSE_ERRORS = {
         (_non_integer_seed, "seed"),
         (_state_without_id, "states[2].id"),
         (_component_without_name, "components[0].name"),
+        (_ambiguity_item_not_object, "ambiguity"),
+        (_categories_not_object, "action_categories"),
+        (_boundary_item_not_object, "boundaries"),
+        (_risk_not_object, "risk"),
+        (_safe_defaults_not_array, "safe_defaults"),
+        (_fallback_order_not_array, "gate.fallback_order"),
+        (_escalation_policy_not_object, "gate.escalation_policy"),
+        (_node_actions_not_object, "nodes[0].actions"),
+        (_action_record_not_object, "nodes[0].actions.wire_transfer"),
+        (_fractional_horizon, "horizon"),
+        (_boolean_seed, "seed"),
+        (_fractional_node_time, "nodes[1].time"),
+        (_boolean_safe_default_time, "safe_defaults[0].time"),
+        (_fractional_policy_time, "policy[0].time"),
+        (_fractional_boundary_dimension, "boundaries[0].dimension"),
+        (_fractional_calibration_episodes, "envelope.calibration_episodes"),
+        (_boolean_training_episodes, "envelope.training_episodes"),
+        (_nan_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
+        (_infinite_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
@@ -314,3 +417,53 @@ def test_cli_calibrate_too_small_fails(tmp_path, capsys):
 def test_cli_report_missing_artifacts(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "nope")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _paths(node, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+_BUNDLED_DOCS = {
+    name: json.loads(bundled_scenario_path(name).read_text()) for name in BUNDLED_SCENARIOS
+}
+_DOC_PATHS = {name: list(_paths(doc)) for name, doc in _BUNDLED_DOCS.items()}
+_OTHER_VALUES = (None, True, 7, 2.5, "x", [], {}, [7], {"x": 7})
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_document_resolves_or_raises_coded_error(name, data):
+    """Drop, retype or NaN one field of a bundled document: the loader either
+    resolves it or refuses it with a coded scenario or model error."""
+    doc = copy.deepcopy(_BUNDLED_DOCS[name])
+    *head, key = data.draw(st.sampled_from(_DOC_PATHS[name]), label="path")
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    mutation = data.draw(st.sampled_from(("drop", "retype", "nan")), label="mutation")
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "nan":
+        parent[key] = math.nan
+    else:
+        kind = _json_kind(parent[key])
+        others = [v for v in _OTHER_VALUES if _json_kind(v) != kind]
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(others), label="value"))
+    try:
+        resolve_scenario(doc)
+    except (ScenarioError, ModelValidationError):
+        pass
