@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .exceptions import (
     KernelSumError,
