@@ -25,7 +25,6 @@ from .envmodel import (
     is_side_effect_bearing,
 )
 from .gate import (
-    AuditReport,
     EpisodeLog,
     GateConfig,
     Verdict,
@@ -41,7 +40,6 @@ from .oracle import (
 )
 from .risk import (
     RiskSpec,
-    RiskValuation,
     check_axioms,
     cvar_inconsistency_demo,
     evaluate_dynamic_risk,
@@ -51,7 +49,6 @@ from .risk import (
 from .scenario import Scenario, bundled_scenario_path, config_hash, load_scenario
 from .tolls import (
     AmbiguitySet,
-    TollQuote,
     WitnessSpec,
     authority_premium,
     counterfactual_toll,
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguitySet",
-    "AuditReport",
     "BoundaryLedger",
     "BoundarySpec",
     "Envelope",
@@ -76,10 +72,8 @@ __all__ = [
     "Policy",
     "PotentialSpec",
     "RiskSpec",
-    "RiskValuation",
     "SafeDefaultMap",
     "Scenario",
-    "TollQuote",
     "Verdict",
     "WitnessSpec",
     "audit_budget_guarantee",

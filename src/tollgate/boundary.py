@@ -242,7 +242,6 @@ class SplitCheckReport:
     reference_toll: float
     partition_tolls: tuple[float, ...]
     max_gap: float
-    adversary_trials: int
     adversary_max_gap: float
 
     @property
@@ -326,7 +325,6 @@ def splitting_invariance_check(
         reference_toll=reference,
         partition_tolls=tolls,
         max_gap=max_gap,
-        adversary_trials=adversary_trials,
         adversary_max_gap=adversary_max,
     )
 
@@ -347,21 +345,10 @@ class PathDependenceReport:
     redesigned potential price the difference exactly.
     """
 
-    potential: PotentialSpec
-    start: tuple[float, ...]
-    sequence_bulk: tuple[tuple[float, ...], ...]
-    sequence_split: tuple[tuple[float, ...], ...]
     toll_bulk: float
     toll_split: float
-    true_risk_bulk: float
-    true_risk_split: float
     true_gap: float
     invisible_gap: float
-    redesigned_potential: PotentialSpec
-    redesigned_sequence_bulk: tuple[tuple[float, ...], ...]
-    redesigned_sequence_split: tuple[tuple[float, ...], ...]
-    redesigned_toll_bulk: float
-    redesigned_toll_split: float
     redesigned_invisible_gap: float
     compliant_ordering_max_gap: float
     compliant_orderings_searched: int
@@ -393,9 +380,7 @@ def path_dependence_counterexample() -> PathDependenceReport:
 
     toll_bulk = _sequence_toll(pot, start, bulk)
     toll_split = _sequence_toll(pot, start, split)
-    risk_bulk = _sequence_true_risk(bulk)
-    risk_split = _sequence_true_risk(split)
-    true_gap = risk_bulk - risk_split
+    true_gap = _sequence_true_risk(bulk) - _sequence_true_risk(split)
     invisible = abs(true_gap - (toll_bulk - toll_split))
 
     # Redesign: expose the path statistic as a second dimension counting
@@ -432,21 +417,10 @@ def path_dependence_counterexample() -> PathDependenceReport:
         max_gap = max(max_gap, abs(risk - reference[0]), abs(toll - reference[1]))
 
     return PathDependenceReport(
-        potential=pot,
-        start=start,
-        sequence_bulk=bulk,
-        sequence_split=split,
         toll_bulk=toll_bulk,
         toll_split=toll_split,
-        true_risk_bulk=risk_bulk,
-        true_risk_split=risk_split,
         true_gap=true_gap,
         invisible_gap=invisible,
-        redesigned_potential=pot2,
-        redesigned_sequence_bulk=bulk2,
-        redesigned_sequence_split=split2,
-        redesigned_toll_bulk=toll_bulk2,
-        redesigned_toll_split=toll_split2,
         redesigned_invisible_gap=invisible2,
         compliant_ordering_max_gap=max_gap,
         compliant_orderings_searched=searched,

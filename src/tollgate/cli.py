@@ -50,14 +50,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         delta = scenario.envelope_config["delta"]
         n = scenario.envelope_config["calibration_episodes"]
         train = scenario.envelope_config["training_episodes"]
-        calib = calibrate_conformal(scenario, n, delta, seed=seed + 10_000, training_episodes=train)
-        envelope = calib.envelope
+        envelope, _ = calibrate_conformal(
+            scenario, exact, n, delta, seed=seed + 10_000, training_episodes=train
+        )
         extra = {
             "envelope": {
                 "kind": "conformal",
                 "delta": delta,
-                "inflation": calib.inflation,
-                "quantile_rank": calib.quantile_rank,
+                "inflation": envelope.inflation,
+                "quantile_rank": envelope.calibration_meta["quantile_rank"],
                 "calibration_episodes": n,
             }
         }
@@ -95,20 +96,25 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    calib = calibrate_conformal(scenario, args.episodes, args.delta, seed=seed)
-    runio.write_calibration_csv(out_dir / "calibration.csv", calib.rows)
+    training_episodes = 200
+    envelope, rows = calibrate_conformal(
+        scenario, make_exact_envelope(scenario), args.episodes, args.delta, seed=seed,
+        training_episodes=training_episodes,
+    )
+    runio.write_calibration_csv(out_dir / "calibration.csv", rows)
+    quantile_rank = envelope.calibration_meta["quantile_rank"]
     meta = {
         "scenario": scenario.name,
         "config_hash": config_hash(scenario),
-        "delta": calib.delta,
-        "samples": calib.sample_count,
-        "training_episodes": calib.training_episodes,
-        "inflation": calib.inflation,
-        "quantile_rank": calib.quantile_rank,
+        "delta": args.delta,
+        "samples": args.episodes,
+        "training_episodes": training_episodes,
+        "inflation": envelope.inflation,
+        "quantile_rank": quantile_rank,
         "seed": seed,
     }
     (out_dir / "envelope.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    print(f"inflation={calib.inflation!r} quantile_rank={calib.quantile_rank}")
+    print(f"inflation={envelope.inflation!r} quantile_rank={quantile_rank}")
     return 0
 
 
@@ -117,9 +123,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     same audit the gating suite runs, with delta taken from the manifest."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
-    logs = runio.read_episode_logs(run_dir, manifest)
     scenario = resolve_scenario(manifest["scenario_document"])
     budget = scenario.gate.initial_budget
+    logs = runio.read_episode_logs(run_dir, budget)
     if not logs:
         print(f"run of scenario {manifest['scenario_name']!r}: zero episodes, nothing to audit")
         return 0

@@ -59,8 +59,7 @@ def exact_envelope(
             ).positive_toll
         return cache[key]
 
-    return Envelope(kind="exact", predict=predict, inflation=0.0,
-                    calibration_meta={"tier": "deep-simulation"})
+    return Envelope(kind="exact", predict=predict)
 
 
 def fit_conformal_envelope(
@@ -75,8 +74,7 @@ def fit_conformal_envelope(
     residual (true minus predicted), k = ceil((n + 1) * (1 - delta)), clamped
     at zero. k must not exceed n, otherwise the finite-sample quantile is
     vacuous and the fit is refused. Exchangeability of calibration and
-    evaluation points is the caller's obligation and is recorded, not
-    checked.
+    evaluation points is the caller's obligation and is not checked.
     """
     if not 0.0 < delta < 1.0:
         raise ModelValidationError("delta must lie in (0, 1)", path="delta")
@@ -94,12 +92,7 @@ def fit_conformal_envelope(
         kind="conformal",
         predict=predictor,
         inflation=inflation,
-        calibration_meta={
-            "n": n,
-            "quantile_rank": k,
-            "raw_margin": residuals[k - 1],
-            "exchangeability": "caller-asserted (frozen proposal policy)",
-        },
+        calibration_meta={"quantile_rank": k, "raw_margin": residuals[k - 1]},
     )
 
 

@@ -293,10 +293,12 @@ def audit_budget_guarantee(
 
     An episode violates coverage when some quoted proposal's true toll
     exceeds its logged envelope value; it overruns when the executed true
-    tolls sum above its initial budget. The batch passes when the overrun
-    fraction stays within delta plus three binomial sigmas (exactly zero
-    when delta is zero, the exact-envelope case). Charge accounting is
-    replayed entry by entry and must reproduce the final budget bit for bit.
+    tolls sum above its initial budget. A NaN quote, toll or sum is never
+    within its bound, so it counts against the run. The batch passes when
+    the overrun fraction stays within delta plus three binomial sigmas
+    (exactly zero when delta is zero, the exact-envelope case). Charge
+    accounting is replayed entry by entry and must reproduce the final
+    budget bit for bit.
     """
     n = len(logs)
     quotes = 0
@@ -312,13 +314,14 @@ def audit_budget_guarantee(
             budget = budget - (prev_budget - entry.budget_after)
             prev_budget = entry.budget_after
             true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
-            if true_positive_toll(entry.time, entry.state, entry.proposed) > entry.envelope_value + 1e-9:
+            true_toll = true_positive_toll(entry.time, entry.state, entry.proposed)
+            if not (true_toll <= entry.envelope_value + 1e-9):
                 covered = False
             else:
                 quotes_covered += 1
         quotes += len(log.entries)
         accounting_exact &= budget == log.budget_final
-        overruns += true_sum > log.budget_initial + 1e-9
+        overruns += not (true_sum <= log.budget_initial + 1e-9)
         violations += not covered
     overrun_fraction = overruns / n if n else 0.0
     violation_fraction = violations / n if n else 0.0

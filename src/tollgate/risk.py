@@ -49,8 +49,10 @@ class RiskSpec:
         if self.kind not in RISK_KINDS:
             raise ModelValidationError(f"unknown risk kind {self.kind!r}", path="risk.kind")
         if self.kind == "entropic":
-            if self.gamma is None or not self.gamma > 0:
-                raise ModelValidationError("entropic risk needs gamma > 0", path="risk.gamma")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ModelValidationError(
+                    "entropic risk needs a finite gamma > 0", path="risk.gamma"
+                )
             if self.alpha is not None:
                 raise ModelValidationError("alpha is not an entropic parameter", path="risk.alpha")
         elif self.kind == "conditional_es":
@@ -83,7 +85,6 @@ class RiskValuation:
     """
 
     values: dict[tuple[int, str], float]
-    root_node: tuple[int, str]
     root: float
 
 
@@ -228,7 +229,7 @@ def evaluate_dynamic_risk(
     root = values.forced(iv.time, iv.state, iv.action)
     valued = dict(islice(values.memo.items(), before, None))
     valued[(iv.time, iv.state)] = root
-    return RiskValuation(values=valued, root_node=(iv.time, iv.state), root=root)
+    return RiskValuation(values=valued, root=root)
 
 
 def evaluate_policy_risk(
@@ -239,10 +240,9 @@ def evaluate_policy_risk(
 ) -> RiskValuation:
     """Backward recursion with no forced action from the model's initial
     node."""
-    start = (0, model.initial_state)
     values = PolicyValues(model, cont, spec, terminal_loss)
-    root = values.at(*start)
-    return RiskValuation(values=values.memo, root_node=start, root=root)
+    root = values.at(0, model.initial_state)
+    return RiskValuation(values=values.memo, root=root)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +251,12 @@ def evaluate_policy_risk(
 
 @dataclass(frozen=True)
 class AxiomResult:
-    name: str
     passed: bool
-    trials: int
     counterexample: dict | None = None
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    spec: RiskSpec
     results: dict[str, AxiomResult] = field(default_factory=dict)
 
     def passed(self, name: str) -> bool:
@@ -349,10 +346,9 @@ def check_axioms(spec: RiskSpec, trials: int, seed: int) -> AxiomReport:
             }
 
     results = {
-        n: AxiomResult(name=n, passed=failures[n] is None, trials=trials, counterexample=failures[n])
-        for n in names
+        n: AxiomResult(passed=failures[n] is None, counterexample=failures[n]) for n in names
     }
-    return AxiomReport(spec=spec, results=results)
+    return AxiomReport(results=results)
 
 
 # ---------------------------------------------------------------------------

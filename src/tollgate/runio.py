@@ -3,8 +3,8 @@
 Episode logs are line-delimited JSON, one object per gate step, with sorted
 keys so identical runs serialize byte for byte. Summaries are plain CSV.
 The manifest embeds the resolved scenario document plus its hash, which
-makes a run directory self-describing for later audits:
-:func:`read_episode_logs` rebuilds the episode logs from it alone.
+makes a run directory self-describing for later audits: given the initial
+budget of that document, :func:`read_episode_logs` rebuilds the episode logs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .gate import EpisodeLog, GateEntry, Verdict
-from .scenario import resolve_gate_params
 
 EPISODE_LOG_NAME = "episodes.jsonl"
 SUMMARY_NAME = "summary.csv"
@@ -176,11 +175,10 @@ def read_summary(run_dir: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def read_episode_logs(run_dir: Path, manifest: dict) -> list[EpisodeLog]:
-    """Rebuild the episode logs a run wrote, in episode order, given its
-    manifest (:func:`read_manifest`): the inverse of the episode, summary
-    and boundary writers."""
-    budget = resolve_gate_params(manifest["scenario_document"]).initial_budget
+def read_episode_logs(run_dir: Path, budget_initial: float) -> list[EpisodeLog]:
+    """Rebuild the episode logs a run wrote, in episode order, given the
+    initial budget of its scenario: the inverse of the episode, summary and
+    boundary writers."""
     verdicts = {v.value: v for v in Verdict}
     entries: dict[int, list[GateEntry]] = {}
     for r in read_episode_records(run_dir):
@@ -201,7 +199,7 @@ def read_episode_logs(run_dir: Path, manifest: dict) -> list[EpisodeLog]:
                 episode=episode,
                 entries=tuple(entries.get(episode, ())),
                 terminal_loss=float(row["terminal_loss"]),
-                budget_initial=budget,
+                budget_initial=budget_initial,
                 budget_final=float(row["b_final"]),
                 boundary_records=tuple(boundary_records.get(episode, ())),
             )

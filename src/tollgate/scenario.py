@@ -28,7 +28,6 @@ from typing import Mapping, Sequence
 from .boundary import BoundarySpec, PotentialSpec
 from .envelope import (
     Envelope,
-    Predictor,
     exact_envelope,
     fit_conformal_envelope,
     least_squares_predictor,
@@ -126,7 +125,7 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     risk_spec = _resolve_risk(doc)
     boundaries = _resolve_boundaries(doc)
     exposure = _resolve_exposure(doc, model, boundaries)
-    gate = resolve_gate_params(doc)
+    gate = _resolve_gate_params(doc)
     envelope_config = _resolve_envelope(doc)
 
     categories = optional_field(doc, "action_categories", _str_map, "", {})
@@ -318,13 +317,19 @@ def _resolve_exposure(
     return out
 
 
-def resolve_gate_params(doc: Mapping) -> GateParams:
+def _resolve_gate_params(doc: Mapping) -> GateParams:
     rec = optional_field(doc, "gate", as_object, "", {})
     budget = optional_field(rec, "initial_budget", float, "gate", 0.0)
     order = optional_field(rec, "fallback_order", _str_tuple, "gate", ("downgrade", "block"))
     policy = optional_field(rec, "escalation_policy", _str_map, "gate", {})
     if budget < 0:
         raise ScenarioInvariantError("initial budget must be >= 0", path="gate.initial_budget")
+    for action, ruling in policy.items():
+        if ruling not in ("approve", "deny"):
+            raise ScenarioInvariantError(
+                f"escalation ruling must be 'approve' or 'deny', not {ruling!r}",
+                path=f"gate.escalation_policy.{action}",
+            )
     return GateParams(initial_budget=budget, fallback_order=order, escalation_policy=policy)
 
 
@@ -395,11 +400,13 @@ def feature_vector(scenario: Scenario, time: int, state: str, action: str) -> tu
 
 def frozen_rollout_quotes(
     scenario: Scenario,
+    exact: Envelope,
     episodes: int,
     seed: int,
     episode_offset: int = 0,
 ) -> list[list[tuple[tuple[int, str, str], float]]]:
-    """Per-episode proposal quotes under the frozen policy.
+    """Per-episode proposal quotes under the frozen policy, priced by the
+    scenario's exact envelope ``exact``.
 
     Each episode contributes its list of ((time, state, action), true
     positive toll) pairs, one per step, in step order. The rollouts are an
@@ -410,7 +417,7 @@ def frozen_rollout_quotes(
     cfg = GateConfig(
         initial_budget=math.inf,
         fallback_order=("block",),
-        envelope=make_exact_envelope(scenario),
+        envelope=exact,
         safe_defaults=scenario.safe_defaults,
     )
     out = []
@@ -420,26 +427,17 @@ def frozen_rollout_quotes(
     return out
 
 
-@dataclass(frozen=True)
-class CalibrationArtifacts:
-    envelope: Envelope
-    predictor: Predictor
-    rows: tuple[dict, ...]
-    inflation: float
-    quantile_rank: int
-    sample_count: int
-    delta: float
-    training_episodes: int
-
-
 def calibrate_conformal(
     scenario: Scenario,
+    exact: Envelope,
     n: int,
     delta: float,
     seed: int,
-    training_episodes: int = 200,
-) -> CalibrationArtifacts:
-    """Fit the fast-tier envelope from frozen-policy rollouts.
+    training_episodes: int,
+) -> tuple[Envelope, list[dict]]:
+    """Fit the fast-tier envelope from frozen-policy rollouts priced by the
+    scenario's exact envelope ``exact``; return it with one calibration row
+    per calibration episode.
 
     A linear predictor is fit on pooled quotes from a training block of
     episodes; the conformal margin is then calibrated on one score per
@@ -448,11 +446,11 @@ def calibrate_conformal(
     query set at the requested confidence.
     """
     feature = lambda t, s, a: feature_vector(scenario, t, s, a)
-    train = frozen_rollout_quotes(scenario, training_episodes, seed, episode_offset=0)
+    train = frozen_rollout_quotes(scenario, exact, training_episodes, seed)
     pooled = [q for ep in train for q in ep]
     predictor = least_squares_predictor(feature, pooled)
 
-    calib = frozen_rollout_quotes(scenario, n, seed, episode_offset=training_episodes)
+    calib = frozen_rollout_quotes(scenario, exact, n, seed, episode_offset=training_episodes)
     picked: list[tuple[tuple[int, str, str], float]] = []
     rows: list[dict] = []
     for ep_quotes in calib:
@@ -471,14 +469,4 @@ def calibrate_conformal(
                 "true_positive_toll": true,
             }
         )
-    env = fit_conformal_envelope(predictor, picked, delta)
-    return CalibrationArtifacts(
-        envelope=env,
-        predictor=predictor,
-        rows=tuple(rows),
-        inflation=env.inflation,
-        quantile_rank=int(env.calibration_meta["quantile_rank"]),
-        sample_count=n,
-        delta=delta,
-        training_episodes=training_episodes,
-    )
+    return fit_conformal_envelope(predictor, picked, delta), rows

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
 from .exceptions import InvalidWitnessError, ModelValidationError
-from .oracle import EnumerationBudget, enumerate_policies
+from .oracle import enumerate_policies
 from .risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
 
 _TOL = 1e-9
@@ -42,9 +42,7 @@ class TollQuote:
 
     signed_toll: float
     positive_toll: float
-    action: str
     safe_default_used: str
-    risk_spec: RiskSpec
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,7 @@ def counterfactual_toll(
     return TollQuote(
         signed_toll=signed,
         positive_toll=max(signed, 0.0),
-        action=action,
         safe_default_used=default,
-        risk_spec=spec,
     )
 
 
@@ -263,12 +259,8 @@ class WitnessReport:
     hedge_resistant: bool
     risk_strictly_monotone: bool
     event_probability: float
-    min_gap_everywhere: float
-    min_gap_on_event: float
     worst_hedged_gap: float
     policies_enumerated: int
-    base_risk: float
-    bumped_risk: float
 
     @property
     def satisfied(self) -> bool:
@@ -284,7 +276,6 @@ def verify_witness(
     spec: RiskSpec,
     sdm: SafeDefaultMap,
     witness: WitnessSpec,
-    budget: EnumerationBudget | None = None,
 ) -> WitnessReport:
     """Check the three certificate conditions for ``action`` against its safe
     default under the witness model.
@@ -317,13 +308,11 @@ def verify_witness(
         gaps_all.append(gap)
         if leaf_e in witness.event:
             gaps_event.append(gap)
-    min_gap_everywhere = min(gaps_all)
-    min_gap_on_event = min(gaps_event)
-    tail_gap_ok = min_gap_everywhere >= -_TOL and min_gap_on_event >= witness.min_gap - _TOL
+    tail_gap_ok = min(gaps_all) >= -_TOL and min(gaps_event) >= witness.min_gap - _TOL
 
     worst_hedged = None
     n_policies = 0
-    for hedge in enumerate_policies(model, time, state, budget=budget, first_action=action):
+    for hedge in enumerate_policies(model, time, state, first_action=action):
         n_policies += 1
         hedged_cells = coupled_terminal_cells(model, time, state, action, default, hedge, cont)
         event_gaps = [
@@ -357,12 +346,8 @@ def verify_witness(
         hedge_resistant=hedge_resistant,
         risk_strictly_monotone=risk_strictly_monotone,
         event_probability=event_prob,
-        min_gap_everywhere=min_gap_everywhere,
-        min_gap_on_event=min_gap_on_event,
         worst_hedged_gap=worst_hedged,
         policies_enumerated=n_policies,
-        base_risk=base_risk,
-        bumped_risk=bumped_risk,
     )
 
 

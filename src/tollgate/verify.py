@@ -648,8 +648,8 @@ def gating_suite(
     props: list[PropertyResult] = []
     scenarios = _reference_scenarios()
 
-    for sc in scenarios:
-        env = make_exact_envelope(sc)
+    exact = [make_exact_envelope(sc) for sc in scenarios]
+    for sc, env in zip(scenarios, exact):
         cfg = build_gate_config(sc, env, exact_quoter=env)
         logs = [
             run_episode(sc.model, sc.policy, cfg, seed=seed, episode=i)
@@ -672,8 +672,7 @@ def gating_suite(
             )
         )
 
-    sc = scenarios[0]
-    env = make_exact_envelope(sc)
+    sc, env = scenarios[0], exact[0]
     cfg = build_gate_config(sc, env, exact_quoter=env)
     runs = []
     for _ in range(2):
@@ -690,8 +689,10 @@ def gating_suite(
         )
     )
 
-    calib = calibrate_conformal(sc, calibration_episodes, delta, seed=seed + 1000)
-    eval_cfg = build_gate_config(sc, calib.envelope, exact_quoter=env, budget_override=50.0)
+    conformal, _ = calibrate_conformal(
+        sc, env, calibration_episodes, delta, seed=seed + 1000, training_episodes=200
+    )
+    eval_cfg = build_gate_config(sc, conformal, exact_quoter=env, budget_override=50.0)
     eval_logs = [
         run_episode(sc.model, sc.policy, eval_cfg, seed=seed + 2000, episode=i)
         for i in range(eval_episodes)
@@ -707,18 +708,13 @@ def gating_suite(
                 "violation_fraction": audit.violation_fraction,
                 "threshold": audit.threshold,
                 "overrun_fraction": audit.overrun_fraction,
-                "inflation": calib.inflation,
-                "quantile_rank": calib.quantile_rank,
+                "inflation": conformal.inflation,
+                "quantile_rank": conformal.calibration_meta["quantile_rank"],
             },
         )
     )
 
-    deflated = Envelope(
-        kind="conformal",
-        predict=scaled_predictor(calib.predictor, 0.2),
-        inflation=0.0,
-        calibration_meta={"negative_control": True},
-    )
+    deflated = Envelope(kind="conformal", predict=scaled_predictor(conformal.predict, 0.2))
     bad_cfg = build_gate_config(sc, deflated, exact_quoter=env, budget_override=50.0)
     bad_logs = [
         run_episode(sc.model, sc.policy, bad_cfg, seed=seed + 3000, episode=i)

@@ -8,10 +8,12 @@ change that re-baselines on purpose updates them and says why.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from tollgate.cli import main
+from tollgate.scenario import bundled_scenario_path
 
 RUN_DIGESTS = {
     "payments": {
@@ -37,6 +39,16 @@ RUN_DIGESTS = {
     },
 }
 
+# Payments with a conformal envelope: the run calibrates before it gates,
+# and the manifest records the fitted inflation and rank.
+CONFORMAL_RUN_DIGESTS = {
+    "boundaries.jsonl": "bea5a5612e1608fa5c6e10b919798eea5e671b4fdd7d09a6afd6b12e6ca33ff5",
+    "episodes.jsonl": "4fd52d371d2558c28753594855ee7b0b79a5f853a9564b9da126e7cc3a363d32",
+    "manifest.json": "e204812439645ff77638cd5950b17675fb4845e4cfe160aacabb4a8966ea5d25",
+    "summary.csv": "ac1b0606bb7470e515c153aa05e00e36d5afbfaf77b0dbdef2291bdef84b6a37",
+    "report": "17dfcaf7c2e93ea96d69c422cb7059ee0d729b7344ed2b72ce51ea824a5106d7",
+}
+
 CALIBRATION_DIGESTS = {
     "calibration.csv": "52dd4ce05c302f0d94ba5fe591901e17ae611229eb184dbfc9336d8e439b3fda",
     "envelope.json": "acb71bbc9d94bbabca16cfd531c29872e53503f0281c4f7ada497e4e6b03cefa",
@@ -52,16 +64,28 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
-def test_run_and_report_bytes_pinned(name, tmp_path, capsys):
-    out = tmp_path / name
-    args = ["run", "--scenario", name, "--episodes", "40", "--seed", "301", "--out", str(out)]
+def _run_and_report_digests(scenario, out, capsys) -> dict:
+    args = ["run", "--scenario", scenario, "--episodes", "40", "--seed", "301", "--out", str(out)]
     assert main(args) == 0
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     digests = {p.name: _sha256(p.read_bytes()) for p in out.iterdir()}
     digests["report"] = _sha256(capsys.readouterr().out.encode())
-    assert digests == RUN_DIGESTS[name]
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_run_and_report_bytes_pinned(name, tmp_path, capsys):
+    assert _run_and_report_digests(name, tmp_path / name, capsys) == RUN_DIGESTS[name]
+
+
+def test_conformal_run_and_report_bytes_pinned(tmp_path, capsys):
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 60, "training_episodes": 30}
+    scenario = tmp_path / "payments-conformal.scn.json"
+    scenario.write_text(json.dumps(doc))
+    digests = _run_and_report_digests(str(scenario), tmp_path / "run", capsys)
+    assert digests == CONFORMAL_RUN_DIGESTS
 
 
 def test_calibrate_bytes_pinned(tmp_path):

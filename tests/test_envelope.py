@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from tollgate import envelope
+from tollgate.cli import main
 from tollgate.envelope import (
     coverage_estimate,
     exact_envelope,
@@ -21,8 +25,10 @@ from tollgate.scenario import (
     feature_vector,
     frozen_rollout_quotes,
     load_scenario,
+    make_exact_envelope,
 )
 from tollgate.tolls import counterfactual_toll
+from tollgate.verify import gating_suite
 from tollgate.witnesses import payment_release_witness
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)
@@ -129,7 +135,8 @@ def test_coverage_requires_points():
 
 
 def _pooled_quotes(scenario, episodes, seed):
-    return [q for ep in frozen_rollout_quotes(scenario, episodes, seed) for q in ep]
+    exact = make_exact_envelope(scenario)
+    return [q for ep in frozen_rollout_quotes(scenario, exact, episodes, seed) for q in ep]
 
 
 def test_conformal_heldout_coverage():
@@ -177,3 +184,40 @@ def test_deflated_envelope_undercovers():
                    inflation=0.0)
     test = _pooled_quotes(sc, 500, seed=700)
     assert coverage_estimate(bad, test) < 0.9
+
+
+def _count_exact_envelopes(monkeypatch) -> list:
+    """Rebind every package binding of ``exact_envelope`` to a wrapper that
+    appends one item to the returned list per envelope built."""
+    original = envelope.exact_envelope
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tollgate" or name.startswith("tollgate."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return built
+
+
+def test_conformal_run_builds_one_exact_envelope(monkeypatch, tmp_path):
+    # calibration prices its rollouts through the run's own exact envelope
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 20, "training_episodes": 10}
+    scenario = tmp_path / "payments-conformal.scn.json"
+    scenario.write_text(json.dumps(doc))
+    built = _count_exact_envelopes(monkeypatch)
+    args = ["run", "--scenario", str(scenario), "--episodes", "5", "--out", str(tmp_path / "o")]
+    assert main(args) == 0
+    assert len(built) == 1
+
+
+def test_gating_suite_builds_one_exact_envelope_per_scenario(monkeypatch):
+    built = _count_exact_envelopes(monkeypatch)
+    gating_suite(1, exact_episodes=5, calibration_episodes=20, eval_episodes=10,
+                 determinism_episodes=2)
+    assert len(built) == 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from bisect import bisect_right
 
@@ -332,3 +333,35 @@ def test_audit_exact_envelope_is_clean():
     assert audit.violation_fraction == 0.0
     assert audit.accounting_exact
     assert audit.quotes == audit.quotes_covered == sum(len(log.entries) for log in logs)
+
+
+def _payments_log_and_truth():
+    sc = load_scenario(bundled_scenario_path("payments"))
+    env = make_exact_envelope(sc)
+    cfg = build_gate_config(sc, env, exact_quoter=env)
+    log = run_episode(sc.model, sc.policy, cfg, seed=5, episode=0)
+    assert audit_budget_guarantee([log], env.predict, delta=0.0).passed
+    return log, env.predict
+
+
+def test_audit_fails_nan_quote():
+    # negative control: a NaN envelope value covers nothing
+    log, truth = _payments_log_and_truth()
+    entries = (log.entries[0]._replace(envelope_value=math.nan),) + log.entries[1:]
+    audit = audit_budget_guarantee([dataclasses.replace(log, entries=entries)], truth, delta=0.0)
+    assert audit.quotes_covered == audit.quotes - 1
+    assert not audit.passed
+
+
+def test_audit_fails_nan_true_toll():
+    # negative control: a NaN true toll on an executed proposal is neither
+    # covered nor within the budget
+    log, truth = _payments_log_and_truth()
+    entry = next(e for e in log.entries if e.verdict is Verdict.EXECUTE)
+    key = (entry.time, entry.state, entry.proposed)
+    audit = audit_budget_guarantee(
+        [log], lambda t, s, a: math.nan if (t, s, a) == key else truth(t, s, a), delta=0.0
+    )
+    assert audit.quotes_covered < audit.quotes
+    assert audit.overruns == 1
+    assert not audit.passed

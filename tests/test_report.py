@@ -31,7 +31,7 @@ def test_read_episode_logs_round_trips_run(name, tmp_path):
     env = make_exact_envelope(sc)
     cfg = build_gate_config(sc, env, exact_quoter=env)
     written = [run_episode(sc.model, sc.policy, cfg, seed=7, episode=i) for i in range(30)]
-    assert runio.read_episode_logs(out, runio.read_manifest(out)) == written
+    assert runio.read_episode_logs(out, sc.gate.initial_budget) == written
 
 
 def test_report_fails_exact_run_with_under_quoted_action(tmp_path, capsys):

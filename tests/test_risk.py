@@ -42,6 +42,12 @@ def test_riskspec_validation():
         RiskSpec(kind="unknown")
 
 
+def test_entropic_gamma_must_be_finite():
+    with pytest.raises(ModelValidationError) as exc:
+        RiskSpec(kind="entropic", gamma=math.inf)
+    assert exc.value.path == "risk.gamma"
+
+
 def test_one_step_examples():
     assert one_step_risk(ENT, {3.0: 1.0}) == pytest.approx(3.0, abs=1e-12)
     assert one_step_risk(ENT, {0.0: 0.5, 1.0: 0.5}) == pytest.approx(

@@ -92,5 +92,5 @@ def test_infinite_budget_run_writes_json_dumps_lines(tmp_path):
     records = [json.loads(line) for line in lines]
     assert lines == [json.dumps(r, sort_keys=True) for r in records]
     assert all(r["budget_after"] == INF for r in records)
-    logs = runio.read_episode_logs(out, runio.read_manifest(out))
+    logs = runio.read_episode_logs(out, INF)
     assert runio.episode_json_lines(logs) == lines

@@ -202,6 +202,14 @@ def _non_numeric_gamma(doc):
     doc["risk"]["gamma"] = "abc"
 
 
+def _infinite_gamma(doc):
+    doc["risk"]["gamma"] = math.inf
+
+
+def _unknown_escalation_ruling(doc):
+    doc["gate"]["escalation_policy"]["wire_transfer"] = "approved"
+
+
 def _non_numeric_initial_budget(doc):
     doc["gate"]["initial_budget"] = "lots"
 
@@ -318,13 +326,16 @@ def _infinite_exposure(doc):
     doc["model"]["nodes"][0]["actions"]["wire_transfer"]["exposure"]["vendor_payments"] = [math.inf]
 
 
-# NaN probabilities and exposures parse as floats; the model and exposure
-# checks refuse them instead.
+# NaN probabilities and exposures, an infinite gamma and an unknown
+# escalation ruling parse; the model, risk, exposure and gate checks refuse
+# them instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
     _nan_kernel_probability: "must be finite",
     _nan_exposure: "[invariant] exposure increments must be finite",
     _infinite_exposure: "[invariant] exposure increments must be finite",
+    _infinite_gamma: "entropic risk needs a finite gamma > 0",
+    _unknown_escalation_ruling: "[invariant] escalation ruling must be 'approve' or 'deny'",
 }
 
 
@@ -337,6 +348,8 @@ _NOT_PARSE_ERRORS = {
         (_nan_policy_probability, "policy[0,start].wire_transfer"),
         (_nan_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
         (_non_numeric_gamma, "risk.gamma"),
+        (_infinite_gamma, "risk.gamma"),
+        (_unknown_escalation_ruling, "gate.escalation_policy.wire_transfer"),
         (_non_numeric_initial_budget, "gate.initial_budget"),
         (_non_numeric_potential_weight, "boundaries[0].potential.weights"),
         (_non_numeric_conformal_delta, "envelope.delta"),
