@@ -10,21 +10,19 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from . import runio
-from .envelope import Envelope
 from .exceptions import ModelValidationError, ScenarioError, TollgateError
 from .gate import audit_budget_guarantee, run_episode
 from .scenario import (
     BUNDLED_SCENARIOS,
     Scenario,
-    build_gate_config,
     bundled_scenario_path,
     calibrate_conformal,
     config_hash,
     load_scenario,
-    make_exact_envelope,
     resolve_scenario,
 )
 from .verify import SUITES, run_suite
@@ -43,16 +41,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    exact = make_exact_envelope(scenario)
-    envelope: Envelope = exact
+    cfg = scenario.gate
     extra: dict = {"envelope": {"kind": "exact"}}
     if scenario.envelope_config["kind"] == "conformal":
         delta = scenario.envelope_config["delta"]
         n = scenario.envelope_config["calibration_episodes"]
         train = scenario.envelope_config["training_episodes"]
         envelope, _ = calibrate_conformal(
-            scenario, exact, n, delta, seed=seed + 10_000, training_episodes=train
+            scenario, n, delta, seed=seed + 10_000, training_episodes=train
         )
+        cfg = replace(cfg, envelope=envelope)
         extra = {
             "envelope": {
                 "kind": "conformal",
@@ -63,7 +61,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             }
         }
 
-    cfg = build_gate_config(scenario, envelope, exact_quoter=exact)
     logs = [
         run_episode(scenario.model, scenario.policy, cfg, seed=seed, episode=i)
         for i in range(args.episodes)
@@ -98,8 +95,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     training_episodes = 200
     envelope, rows = calibrate_conformal(
-        scenario, make_exact_envelope(scenario), args.episodes, args.delta, seed=seed,
-        training_episodes=training_episodes,
+        scenario, args.episodes, args.delta, seed=seed, training_episodes=training_episodes
     )
     runio.write_calibration_csv(out_dir / "calibration.csv", rows)
     quantile_rank = envelope.calibration_meta["quantile_rank"]
@@ -131,7 +127,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 0
 
     delta = manifest["envelope"].get("delta", 0.0)
-    audit = audit_budget_guarantee(logs, make_exact_envelope(scenario).predict, delta)
+    audit = audit_budget_guarantee(logs, scenario.gate.exact_quoter.predict, delta)
     mix = Counter(e.verdict for log in logs for e in log.entries)
     finals = [log.budget_final for log in logs]
     print(f"scenario            : {manifest['scenario_name']} (hash {manifest['config_hash'][:12]})")

@@ -67,16 +67,15 @@ class GateConfig:
     ``escalation_policy`` maps action ids to "approve" or "deny", with an
     optional "default" key; the approver is scripted because runs are batch.
     ``exact_quoter`` is the deep-simulation tier used to re-quote approved
-    escalations; without it an approved escalation keeps the original quote
-    and therefore cannot execute (the budget test already failed once).
+    escalations.
     """
 
     initial_budget: float
     fallback_order: tuple[str, ...]
     envelope: Envelope
     safe_defaults: SafeDefaultMap
+    exact_quoter: Envelope
     escalation_policy: Mapping[str, str] = field(default_factory=dict)
-    exact_quoter: Envelope | None = None
     boundaries: tuple[BoundarySpec, ...] = ()
     exposure: Mapping[tuple[int, str, str], Mapping[str, tuple[float, ...]]] = field(
         default_factory=dict
@@ -125,7 +124,7 @@ def gate_step(
     if quoted <= budget:
         verdict, executed, charged = Verdict.EXECUTE, proposed, quoted
     else:
-        verdict, executed, charged = _fall_back(budget, cfg, model, time, state, proposed, quoted)
+        verdict, executed, charged = _fall_back(budget, cfg, model, time, state, proposed)
     increments = cfg.exposure.get((time, state, executed))
     if increments:
         for boundary_id, inc in increments.items():
@@ -144,7 +143,6 @@ def _fall_back(
     time: int,
     state: str,
     proposed: str,
-    quoted: float,
 ) -> tuple[Verdict, str, float]:
     """Walk the fallback chain for an unaffordable proposal: the verdict,
     the executed action and its charge."""
@@ -159,8 +157,7 @@ def _fall_back(
                 return Verdict.DOWNGRADE, fallback, 0.0
         elif mode == "escalate":
             if cfg.approves(proposed):
-                refiner = cfg.exact_quoter
-                refined = refiner.query(time, state, proposed) if refiner is not None else quoted
+                refined = cfg.exact_quoter.query(time, state, proposed)
                 if refined <= budget:
                     return Verdict.ESCALATE_APPROVED, proposed, refined
             else:

@@ -4,9 +4,9 @@ A scenario is one JSON document with an explicit schema version tying
 together every primitive a run needs: the environment model, the ambiguity
 variants, the frozen policy (it is both the pricing continuation and the
 proposal stream), the risk mapping, safe defaults, boundaries with their
-potentials, per-action exposure increments, the gate parameters, and the
-envelope configuration. All randomness is seeded through the document or the
-CLI; nothing ambient.
+potentials, per-action exposure increments, the gate, and the envelope
+configuration. All randomness is seeded through the document or the CLI;
+nothing ambient.
 
 Loader failures carry distinct codes: ``parse`` for unreadable documents,
 ``unresolved-reference`` for ids that do not resolve, and ``invariant`` (or
@@ -20,7 +20,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -59,15 +59,13 @@ BUNDLED_SCENARIOS = ("payments", "database", "trading")
 
 
 @dataclass(frozen=True)
-class GateParams:
-    initial_budget: float
-    fallback_order: tuple[str, ...]
-    escalation_policy: dict[str, str]
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Fully resolved scenario: every id checked, every object built."""
+    """Fully resolved scenario: every id checked, every object built.
+
+    ``gate`` is the scenario's one gate, validated at load. Its ``envelope``
+    and ``exact_quoter`` are both the scenario's one exact envelope; a caller
+    that quotes through another tier or budget ``dataclasses.replace``-s it.
+    """
 
     name: str
     seed: int
@@ -78,7 +76,7 @@ class Scenario:
     safe_defaults: SafeDefaultMap
     boundaries: tuple[BoundarySpec, ...]
     exposure: dict[tuple[int, str, str], dict[str, tuple[float, ...]]]
-    gate: GateParams
+    gate: GateConfig
     envelope_config: dict
     action_categories: dict[str, str]
     category_order: tuple[str, ...]
@@ -125,15 +123,16 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     risk_spec = _resolve_risk(doc)
     boundaries = _resolve_boundaries(doc)
     exposure = _resolve_exposure(doc, model, boundaries)
-    gate = _resolve_gate_params(doc)
+    actions = {a for t, s in model.all_nodes() for a in model.actions(t, s)}
+    exact = exact_envelope(model, policy, risk_spec, sdm)
+    gate = GateConfig(
+        envelope=exact, exact_quoter=exact, safe_defaults=sdm, boundaries=boundaries,
+        exposure=exposure, **_resolve_gate_fields(doc, actions),
+    )
     envelope_config = _resolve_envelope(doc)
 
     categories = optional_field(doc, "action_categories", _str_map, "", {})
-    seen = set()
-    for t, s in model.all_nodes():
-        for a in model.actions(t, s):
-            seen.add(categories.get(a, a))
-    category_order = tuple(sorted(seen))
+    category_order = tuple(sorted({categories.get(a, a) for a in actions}))
 
     return Scenario(
         name=name,
@@ -317,20 +316,25 @@ def _resolve_exposure(
     return out
 
 
-def _resolve_gate_params(doc: Mapping) -> GateParams:
+def _resolve_gate_fields(doc: Mapping, actions: set[str]) -> dict:
+    """The gate section's ``GateConfig`` fields. ``GateConfig`` itself
+    refuses a negative or NaN budget and an empty, unknown or repeated
+    fallback mode."""
     rec = optional_field(doc, "gate", as_object, "", {})
     budget = optional_field(rec, "initial_budget", float, "gate", 0.0)
     order = optional_field(rec, "fallback_order", _str_tuple, "gate", ("downgrade", "block"))
-    policy = optional_field(rec, "escalation_policy", _str_map, "gate", {})
-    if budget < 0:
-        raise ScenarioInvariantError("initial budget must be >= 0", path="gate.initial_budget")
-    for action, ruling in policy.items():
+    rulings = optional_field(rec, "escalation_policy", _str_map, "gate", {})
+    for action, ruling in rulings.items():
+        path = f"gate.escalation_policy.{action}"
+        if action != "default" and action not in actions:
+            raise ScenarioReferenceError(
+                f"escalation policy names unknown action {action!r}", path=path
+            )
         if ruling not in ("approve", "deny"):
             raise ScenarioInvariantError(
-                f"escalation ruling must be 'approve' or 'deny', not {ruling!r}",
-                path=f"gate.escalation_policy.{action}",
+                f"escalation ruling must be 'approve' or 'deny', not {ruling!r}", path=path
             )
-    return GateParams(initial_budget=budget, fallback_order=order, escalation_policy=policy)
+    return {"initial_budget": budget, "fallback_order": order, "escalation_policy": rulings}
 
 
 def _resolve_envelope(doc: Mapping) -> dict:
@@ -360,32 +364,7 @@ def config_hash(scenario: Scenario) -> str:
 
 
 # ---------------------------------------------------------------------------
-# runtime assembly
-
-
-def make_exact_envelope(scenario: Scenario) -> Envelope:
-    return exact_envelope(
-        scenario.model, scenario.policy, scenario.risk_spec, scenario.safe_defaults
-    )
-
-
-def build_gate_config(
-    scenario: Scenario,
-    envelope: Envelope,
-    exact_quoter: Envelope | None = None,
-    budget_override: float | None = None,
-) -> GateConfig:
-    budget = scenario.gate.initial_budget if budget_override is None else budget_override
-    return GateConfig(
-        initial_budget=budget,
-        fallback_order=scenario.gate.fallback_order,
-        envelope=envelope,
-        safe_defaults=scenario.safe_defaults,
-        escalation_policy=scenario.gate.escalation_policy,
-        exact_quoter=exact_quoter,
-        boundaries=scenario.boundaries,
-        exposure=scenario.exposure,
-    )
+# calibration
 
 
 def feature_vector(scenario: Scenario, time: int, state: str, action: str) -> tuple[float, ...]:
@@ -400,26 +379,20 @@ def feature_vector(scenario: Scenario, time: int, state: str, action: str) -> tu
 
 def frozen_rollout_quotes(
     scenario: Scenario,
-    exact: Envelope,
     episodes: int,
     seed: int,
     episode_offset: int = 0,
 ) -> list[list[tuple[tuple[int, str, str], float]]]:
     """Per-episode proposal quotes under the frozen policy, priced by the
-    scenario's exact envelope ``exact``.
+    scenario's exact envelope.
 
     Each episode contributes its list of ((time, state, action), true
-    positive toll) pairs, one per step, in step order. The rollouts are an
-    evaluation run whose budget never binds: under the exact envelope and an
-    infinite budget every proposal executes, so the executed action is
-    always the proposal.
+    positive toll) pairs, one per step, in step order. The rollouts are the
+    scenario's gate with a budget that never binds: every proposal executes,
+    so the fallback chain never runs and the executed action is always the
+    proposal. Only the quotes are kept, so no exposure is committed.
     """
-    cfg = GateConfig(
-        initial_budget=math.inf,
-        fallback_order=("block",),
-        envelope=exact,
-        safe_defaults=scenario.safe_defaults,
-    )
+    cfg = replace(scenario.gate, initial_budget=math.inf, exposure={})
     out = []
     for ep in range(episodes):
         log = run_episode(scenario.model, scenario.policy, cfg, seed, episode_offset + ep)
@@ -429,15 +402,14 @@ def frozen_rollout_quotes(
 
 def calibrate_conformal(
     scenario: Scenario,
-    exact: Envelope,
     n: int,
     delta: float,
     seed: int,
     training_episodes: int,
 ) -> tuple[Envelope, list[dict]]:
     """Fit the fast-tier envelope from frozen-policy rollouts priced by the
-    scenario's exact envelope ``exact``; return it with one calibration row
-    per calibration episode.
+    scenario's exact envelope; return it with one calibration row per
+    calibration episode.
 
     A linear predictor is fit on pooled quotes from a training block of
     episodes; the conformal margin is then calibrated on one score per
@@ -446,11 +418,11 @@ def calibrate_conformal(
     query set at the requested confidence.
     """
     feature = lambda t, s, a: feature_vector(scenario, t, s, a)
-    train = frozen_rollout_quotes(scenario, exact, training_episodes, seed)
+    train = frozen_rollout_quotes(scenario, training_episodes, seed)
     pooled = [q for ep in train for q in ep]
     predictor = least_squares_predictor(feature, pooled)
 
-    calib = frozen_rollout_quotes(scenario, exact, n, seed, episode_offset=training_episodes)
+    calib = frozen_rollout_quotes(scenario, n, seed, episode_offset=training_episodes)
     picked: list[tuple[tuple[int, str, str], float]] = []
     rows: list[dict] = []
     for ep_quotes in calib:

@@ -358,7 +358,6 @@ class AuthorityCheckReport:
     premium: float
     capital_base: float
     capital_extended: float
-    worst_risk_added: float
     capital_increased: bool
     added_exceeds_base: bool
     iff_holds: bool
@@ -401,7 +400,6 @@ def iap_check(
         premium=premium,
         capital_base=capital_base,
         capital_extended=capital_extended,
-        worst_risk_added=worst_added,
         capital_increased=capital_increased,
         added_exceeds_base=added_exceeds_base,
         iff_holds=capital_increased == added_exceeds_base,

@@ -11,7 +11,7 @@ failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 from .boundary import (
@@ -28,11 +28,9 @@ from .risk import RiskSpec, check_axioms, cvar_inconsistency_demo, evaluate_poli
 from .runio import episode_json_lines
 from .scenario import (
     Scenario,
-    build_gate_config,
     bundled_scenario_path,
     calibrate_conformal,
     load_scenario,
-    make_exact_envelope,
 )
 from .tolls import authority_premium, iap_check, verify_witness
 from .witnesses import payment_release_witness, random_payment_witness, shipment_tail_witness
@@ -648,14 +646,12 @@ def gating_suite(
     props: list[PropertyResult] = []
     scenarios = _reference_scenarios()
 
-    exact = [make_exact_envelope(sc) for sc in scenarios]
-    for sc, env in zip(scenarios, exact):
-        cfg = build_gate_config(sc, env, exact_quoter=env)
+    for sc in scenarios:
         logs = [
-            run_episode(sc.model, sc.policy, cfg, seed=seed, episode=i)
+            run_episode(sc.model, sc.policy, sc.gate, seed=seed, episode=i)
             for i in range(exact_episodes)
         ]
-        audit = audit_budget_guarantee(logs, env.predict, delta=0.0)
+        audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
         counts: dict[str, int] = {}
         for log in logs:
             for verdict, k in log.decision_counts().items():
@@ -672,12 +668,12 @@ def gating_suite(
             )
         )
 
-    sc, env = scenarios[0], exact[0]
-    cfg = build_gate_config(sc, env, exact_quoter=env)
+    sc = scenarios[0]
+    truth = sc.gate.exact_quoter.predict
     runs = []
     for _ in range(2):
         logs = [
-            run_episode(sc.model, sc.policy, cfg, seed=seed + 17, episode=i)
+            run_episode(sc.model, sc.policy, sc.gate, seed=seed + 17, episode=i)
             for i in range(determinism_episodes)
         ]
         runs.append("\n".join(episode_json_lines(logs)))
@@ -690,14 +686,14 @@ def gating_suite(
     )
 
     conformal, _ = calibrate_conformal(
-        sc, env, calibration_episodes, delta, seed=seed + 1000, training_episodes=200
+        sc, calibration_episodes, delta, seed=seed + 1000, training_episodes=200
     )
-    eval_cfg = build_gate_config(sc, conformal, exact_quoter=env, budget_override=50.0)
+    eval_cfg = replace(sc.gate, envelope=conformal, initial_budget=50.0)
     eval_logs = [
         run_episode(sc.model, sc.policy, eval_cfg, seed=seed + 2000, episode=i)
         for i in range(eval_episodes)
     ]
-    audit = audit_budget_guarantee(eval_logs, env.predict, delta=delta)
+    audit = audit_budget_guarantee(eval_logs, truth, delta=delta)
     props.append(
         PropertyResult(
             "conformal-envelope-budget-guarantee",
@@ -715,12 +711,12 @@ def gating_suite(
     )
 
     deflated = Envelope(kind="conformal", predict=scaled_predictor(conformal.predict, 0.2))
-    bad_cfg = build_gate_config(sc, deflated, exact_quoter=env, budget_override=50.0)
+    bad_cfg = replace(eval_cfg, envelope=deflated)
     bad_logs = [
         run_episode(sc.model, sc.policy, bad_cfg, seed=seed + 3000, episode=i)
         for i in range(min(eval_episodes, 300))
     ]
-    bad_audit = audit_budget_guarantee(bad_logs, env.predict, delta=delta)
+    bad_audit = audit_budget_guarantee(bad_logs, truth, delta=delta)
     props.append(
         PropertyResult(
             "deflated-envelope-fails-audit",

@@ -17,12 +17,7 @@ from tollgate.envmodel import Intervention
 from tollgate.gate import audit_budget_guarantee, run_episode
 from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.risk import RiskSpec, check_axioms, cvar_inconsistency_demo, evaluate_dynamic_risk
-from tollgate.scenario import (
-    build_gate_config,
-    bundled_scenario_path,
-    load_scenario,
-    make_exact_envelope,
-)
+from tollgate.scenario import bundled_scenario_path, load_scenario
 from tollgate.verify import gating_suite, iap_suite, no_splitting_suite, time_consistency_suite
 
 SEED = 20260811
@@ -126,13 +121,11 @@ def test_criterion_7_budget_guarantee_exact():
     episodes = 500
     for name in ("payments", "database", "trading"):
         sc = load_scenario(bundled_scenario_path(name))
-        env = make_exact_envelope(sc)
-        cfg = build_gate_config(sc, env, exact_quoter=env)
         logs = [
-            run_episode(sc.model, sc.policy, cfg, seed=SEED, episode=i)
+            run_episode(sc.model, sc.policy, sc.gate, seed=SEED, episode=i)
             for i in range(episodes)
         ]
-        audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, delta=0.0)
+        audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
         assert audit.overruns == 0, f"{name}: {audit.overruns} overruns"
         assert audit.violation_fraction == 0.0
         assert audit.accounting_exact

@@ -25,7 +25,6 @@ from tollgate.scenario import (
     feature_vector,
     frozen_rollout_quotes,
     load_scenario,
-    make_exact_envelope,
 )
 from tollgate.tolls import counterfactual_toll
 from tollgate.verify import gating_suite
@@ -135,8 +134,7 @@ def test_coverage_requires_points():
 
 
 def _pooled_quotes(scenario, episodes, seed):
-    exact = make_exact_envelope(scenario)
-    return [q for ep in frozen_rollout_quotes(scenario, exact, episodes, seed) for q in ep]
+    return [q for ep in frozen_rollout_quotes(scenario, episodes, seed) for q in ep]
 
 
 def test_conformal_heldout_coverage():

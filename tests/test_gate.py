@@ -22,12 +22,7 @@ from tollgate.gate import (
     run_episode,
 )
 from tollgate.runio import episode_json_lines
-from tollgate.scenario import (
-    build_gate_config,
-    bundled_scenario_path,
-    load_scenario,
-    make_exact_envelope,
-)
+from tollgate.scenario import bundled_scenario_path, load_scenario
 
 
 def _gate_model():
@@ -58,11 +53,12 @@ def _quoted(values: dict[str, float]) -> Envelope:
 
 
 def _cfg(model, budget, fallback=("downgrade", "block"), quotes=None, **kw) -> GateConfig:
-    quotes = quotes if quotes is not None else {}
+    envelope = _quoted(quotes if quotes is not None else {})
+    kw.setdefault("exact_quoter", envelope)
     return GateConfig(
         initial_budget=budget,
         fallback_order=tuple(fallback),
-        envelope=_quoted(quotes),
+        envelope=envelope,
         safe_defaults=SafeDefaultMap.from_entries({(0, "r", "act"): "mild"}, model),
         **kw,
     )
@@ -157,6 +153,7 @@ def test_unavailable_safe_default_falls_through():
         fallback_order=("downgrade", "block"),
         envelope=_quoted({"act": 5.0}),
         safe_defaults=SafeDefaultMap({(0, "r", "act"): "ghost"}),  # not an action
+        exact_quoter=_quoted({"act": 5.0}),
     )
     entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
     assert entry.verdict is Verdict.BLOCK
@@ -208,6 +205,7 @@ def test_zero_toll_scenario_executes_everything(coin_model, noop_policy):
         fallback_order=("downgrade", "block"),
         envelope=env,
         safe_defaults=SafeDefaultMap({}),
+        exact_quoter=env,
     )
     log = run_episode(coin_model, cont, cfg, seed=1, episode=0)
     assert all(e.verdict is Verdict.EXECUTE for e in log.entries)
@@ -216,8 +214,7 @@ def test_zero_toll_scenario_executes_everything(coin_model, noop_policy):
 
 def test_zero_budget_forces_safe_defaults():
     sc = load_scenario(bundled_scenario_path("payments"))
-    env = make_exact_envelope(sc)
-    cfg = build_gate_config(sc, env, exact_quoter=env, budget_override=0.0)
+    cfg = dataclasses.replace(sc.gate, initial_budget=0.0)
     logs = [run_episode(sc.model, sc.policy, cfg, seed=9, episode=i) for i in range(40)]
     for log in logs:
         assert log.budget_final == 0.0
@@ -231,10 +228,8 @@ def test_zero_budget_forces_safe_defaults():
 
 def test_episode_rerun_is_bit_identical():
     sc = load_scenario(bundled_scenario_path("payments"))
-    env = make_exact_envelope(sc)
-    cfg = build_gate_config(sc, env, exact_quoter=env)
-    logs_a = [run_episode(sc.model, sc.policy, cfg, seed=123, episode=i) for i in range(30)]
-    logs_b = [run_episode(sc.model, sc.policy, cfg, seed=123, episode=i) for i in range(30)]
+    logs_a = [run_episode(sc.model, sc.policy, sc.gate, seed=123, episode=i) for i in range(30)]
+    logs_b = [run_episode(sc.model, sc.policy, sc.gate, seed=123, episode=i) for i in range(30)]
     assert episode_json_lines(logs_a) == episode_json_lines(logs_b)
 
 
@@ -290,9 +285,7 @@ def test_run_episode_refuses_invalid_policy_row(row):
 
 def test_budget_never_negative_and_charges_telescope():
     sc = load_scenario(bundled_scenario_path("payments"))
-    env = make_exact_envelope(sc)
-    cfg = build_gate_config(sc, env, exact_quoter=env)
-    logs = [run_episode(sc.model, sc.policy, cfg, seed=31, episode=i) for i in range(100)]
+    logs = [run_episode(sc.model, sc.policy, sc.gate, seed=31, episode=i) for i in range(100)]
     for log in logs:
         prev = log.budget_initial
         charges = []
@@ -313,9 +306,9 @@ def test_budget_never_negative_and_charges_telescope():
 
 def test_audit_flags_deflated_envelope():
     sc = load_scenario(bundled_scenario_path("payments"))
-    truth = make_exact_envelope(sc).predict
+    truth = sc.gate.exact_quoter.predict
     flat = Envelope(kind="conformal", predict=lambda t, s, a: 0.0, inflation=0.0)
-    cfg = build_gate_config(sc, flat, budget_override=5.0)
+    cfg = dataclasses.replace(sc.gate, envelope=flat, initial_budget=5.0)
     logs = [run_episode(sc.model, sc.policy, cfg, seed=77, episode=i) for i in range(150)]
     audit = audit_budget_guarantee(logs, truth, delta=0.1)
     assert audit.violation_fraction > audit.threshold
@@ -324,10 +317,8 @@ def test_audit_flags_deflated_envelope():
 
 def test_audit_exact_envelope_is_clean():
     sc = load_scenario(bundled_scenario_path("trading"))
-    env = make_exact_envelope(sc)
-    cfg = build_gate_config(sc, env, exact_quoter=env)
-    logs = [run_episode(sc.model, sc.policy, cfg, seed=5, episode=i) for i in range(120)]
-    audit = audit_budget_guarantee(logs, make_exact_envelope(sc).predict, delta=0.0)
+    logs = [run_episode(sc.model, sc.policy, sc.gate, seed=5, episode=i) for i in range(120)]
+    audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
     assert audit.passed
     assert audit.overruns == 0
     assert audit.violation_fraction == 0.0
@@ -337,11 +328,10 @@ def test_audit_exact_envelope_is_clean():
 
 def _payments_log_and_truth():
     sc = load_scenario(bundled_scenario_path("payments"))
-    env = make_exact_envelope(sc)
-    cfg = build_gate_config(sc, env, exact_quoter=env)
-    log = run_episode(sc.model, sc.policy, cfg, seed=5, episode=0)
-    assert audit_budget_guarantee([log], env.predict, delta=0.0).passed
-    return log, env.predict
+    log = run_episode(sc.model, sc.policy, sc.gate, seed=5, episode=0)
+    truth = sc.gate.exact_quoter.predict
+    assert audit_budget_guarantee([log], truth, delta=0.0).passed
+    return log, truth
 
 
 def test_audit_fails_nan_quote():

@@ -14,13 +14,7 @@ import pytest
 from tollgate import runio
 from tollgate.cli import main
 from tollgate.gate import run_episode
-from tollgate.scenario import (
-    BUNDLED_SCENARIOS,
-    build_gate_config,
-    bundled_scenario_path,
-    load_scenario,
-    make_exact_envelope,
-)
+from tollgate.scenario import BUNDLED_SCENARIOS, bundled_scenario_path, load_scenario
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
@@ -28,9 +22,7 @@ def test_read_episode_logs_round_trips_run(name, tmp_path):
     out = tmp_path / name
     assert main(["run", "--scenario", name, "--episodes", "30", "--seed", "7", "--out", str(out)]) == 0
     sc = load_scenario(bundled_scenario_path(name))
-    env = make_exact_envelope(sc)
-    cfg = build_gate_config(sc, env, exact_quoter=env)
-    written = [run_episode(sc.model, sc.policy, cfg, seed=7, episode=i) for i in range(30)]
+    written = [run_episode(sc.model, sc.policy, sc.gate, seed=7, episode=i) for i in range(30)]
     assert runio.read_episode_logs(out, sc.gate.initial_budget) == written
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from tollgate.exceptions import (
     ScenarioParseError,
     ScenarioReferenceError,
 )
+from tollgate.gate import audit_budget_guarantee, run_episode
 from tollgate.scenario import (
     BUNDLED_SCENARIOS,
     bundled_scenario_path,
@@ -210,6 +212,10 @@ def _unknown_escalation_ruling(doc):
     doc["gate"]["escalation_policy"]["wire_transfer"] = "approved"
 
 
+def _misspelled_escalation_key(doc):
+    doc["gate"]["escalation_policy"] = {"wire_transfr": "approve", "default": "deny"}
+
+
 def _non_numeric_initial_budget(doc):
     doc["gate"]["initial_budget"] = "lots"
 
@@ -327,8 +333,8 @@ def _infinite_exposure(doc):
 
 
 # NaN probabilities and exposures, an infinite gamma and an unknown
-# escalation ruling parse; the model, risk, exposure and gate checks refuse
-# them instead.
+# escalation ruling or key parse; the model, risk, exposure and gate checks
+# refuse them instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
     _nan_kernel_probability: "must be finite",
@@ -336,6 +342,7 @@ _NOT_PARSE_ERRORS = {
     _infinite_exposure: "[invariant] exposure increments must be finite",
     _infinite_gamma: "entropic risk needs a finite gamma > 0",
     _unknown_escalation_ruling: "[invariant] escalation ruling must be 'approve' or 'deny'",
+    _misspelled_escalation_key: "[unresolved-reference] escalation policy names unknown action",
 }
 
 
@@ -350,6 +357,7 @@ _NOT_PARSE_ERRORS = {
         (_non_numeric_gamma, "risk.gamma"),
         (_infinite_gamma, "risk.gamma"),
         (_unknown_escalation_ruling, "gate.escalation_policy.wire_transfer"),
+        (_misspelled_escalation_key, "gate.escalation_policy.wire_transfr"),
         (_non_numeric_initial_budget, "gate.initial_budget"),
         (_non_numeric_potential_weight, "boundaries[0].potential.weights"),
         (_non_numeric_conformal_delta, "envelope.delta"),
@@ -389,6 +397,32 @@ def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys
     err = capsys.readouterr().err
     assert _NOT_PARSE_ERRORS.get(mutate, "[parse]") in err
     assert f"(at {field_path})" in err
+
+
+@pytest.mark.parametrize(
+    "gate, message, field_path",
+    [
+        ({"initial_budget": math.nan}, "initial budget must be >= 0", "gate.initial_budget"),
+        ({"initial_budget": -1.0}, "initial budget must be >= 0", "gate.initial_budget"),
+        ({"fallback_order": ["downgrade", "nan"]}, "unknown fallback mode 'nan'", "gate.fallback_order"),
+        ({"fallback_order": []}, "fallback order must be nonempty", "gate.fallback_order"),
+    ],
+    ids=["nan-budget", "negative-budget", "unknown-mode", "empty-order"],
+)
+def test_gate_section_refused_at_load(payments_doc, tmp_path, capsys, gate, message, field_path):
+    # the loader builds the scenario's GateConfig, so every command refuses a
+    # bad gate section the same way, calibrate included
+    payments_doc["gate"].update(gate)
+    with pytest.raises(ModelValidationError, match=re.escape(f"{message} (at {field_path})")):
+        resolve_scenario(payments_doc)
+    doc = tmp_path / "bad-gate.scn.json"
+    doc.write_text(json.dumps(payments_doc))
+    for command in (
+        ["run", "--scenario", str(doc), "--episodes", "1"],
+        ["calibrate", "--scenario", str(doc), "--episodes", "20"],
+    ):
+        assert main(command + ["--out", str(tmp_path / command[0])]) == 2
+        assert f"{message} (at {field_path})" in capsys.readouterr().err
 
 
 def test_cli_unknown_suite_is_usage_error():
@@ -461,7 +495,8 @@ _OTHER_VALUES = (None, True, 7, 2.5, "x", [], {}, [7], {"x": 7})
 @given(data=st.data())
 def test_fuzzed_document_resolves_or_raises_coded_error(name, data):
     """Drop, retype or NaN one field of a bundled document: the loader either
-    resolves it or refuses it with a coded scenario or model error."""
+    refuses it with a coded scenario or model error, or resolves a scenario
+    whose gate runs and passes the exact-tier audit."""
     doc = copy.deepcopy(_BUNDLED_DOCS[name])
     *head, key = data.draw(st.sampled_from(_DOC_PATHS[name]), label="path")
     parent = doc
@@ -477,6 +512,8 @@ def test_fuzzed_document_resolves_or_raises_coded_error(name, data):
         others = [v for v in _OTHER_VALUES if _json_kind(v) != kind]
         parent[key] = copy.deepcopy(data.draw(st.sampled_from(others), label="value"))
     try:
-        resolve_scenario(doc)
+        sc = resolve_scenario(doc)
     except (ScenarioError, ModelValidationError):
-        pass
+        return
+    logs = [run_episode(sc.model, sc.policy, sc.gate, seed=0, episode=i) for i in range(3)]
+    assert audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, 0.0).passed
