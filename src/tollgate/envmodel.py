@@ -128,9 +128,6 @@ class EnvironmentModel:
         comps = self._state_components[state]
         return tuple(comps.get(name) for name in self._external_names)
 
-    def state_record(self, state: str) -> dict:
-        return dict(self._state_components[state])
-
     # -- dynamics ----------------------------------------------------------
 
     def effective_next(

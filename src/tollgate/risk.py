@@ -443,12 +443,12 @@ def _cvar_demo_model() -> tuple[EnvironmentModel, Policy]:
     return model, cont
 
 
-def cvar_inconsistency_demo(alpha: float = 0.7) -> CvarDemoRecord:
-    """Return the built-in two-stage counterexample at level ``alpha``.
-
-    The default level 0.7 is the one the instance was derived for; the record
-    carries every number on both sides so callers can re-verify directly.
+def cvar_inconsistency_demo() -> CvarDemoRecord:
+    """Return the built-in two-stage counterexample at level 0.7, the level
+    the instance was derived for. The record carries every number on both
+    sides so callers can re-verify directly.
     """
+    alpha = 0.7
     model, cont = _cvar_demo_model()
     loss_a = {"broad_hit": 10.0, "broad_miss": 0.0, "narrow_hit": 10.0, "narrow_miss": 0.0}
     loss_b = {"broad_hit": 10.0, "broad_miss": 0.0, "narrow_hit": 1.7, "narrow_miss": 1.7}

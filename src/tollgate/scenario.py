@@ -274,14 +274,17 @@ def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
             exponent=optional_field(pot_rec, "exponent", float, pot_path, 1.0),
             knots=optional_field(pot_rec, "knots", _knots, pot_path, ()),
         )
-        out.append(
-            BoundarySpec(
-                boundary_id=read_field(rec, "id", str, path),
-                dimension=optional_field(rec, "dimension", as_int, path, pot.dimension),
-                potential=pot,
-                outside_state=str(rec.get("outside_state", "")),
-            )
+        spec = BoundarySpec(
+            boundary_id=read_field(rec, "id", str, path),
+            dimension=optional_field(rec, "dimension", as_int, path, pot.dimension),
+            potential=pot,
+            outside_state=str(rec.get("outside_state", "")),
         )
+        if any(b.boundary_id == spec.boundary_id for b in out):
+            raise ScenarioInvariantError(
+                f"duplicate boundary id {spec.boundary_id!r}", path=f"{path}.id"
+            )
+        out.append(spec)
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .boundary import (
     PotentialSpec,
+    boundary_toll,
     path_dependence_counterexample,
     random_partition,
     splitting_invariance_check,
@@ -32,13 +33,15 @@ from .scenario import (
     calibrate_conformal,
     load_scenario,
 )
-from .tolls import authority_premium, iap_check, verify_witness
+from .tolls import AmbiguitySet, authority_premium, iap_check, verify_witness
 from .witnesses import payment_release_witness, random_payment_witness, shipment_tail_witness
 
 if TYPE_CHECKING:
     import numpy as np
 
 _TOL = 1e-9
+# miss rate at which the gating suite calibrates and audits the conformal tier
+_CONFORMAL_DELTA = 0.1
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,7 @@ class SuiteResult:
 # random instance generation
 
 
-def random_layered_model(
-    rng: np.random.Generator, max_depth: int = 6, max_branch: int = 3
-) -> EnvironmentModel:
+def random_layered_model(rng: np.random.Generator, max_depth: int = 6) -> EnvironmentModel:
     """Layered tree with random kernels and losses, null action everywhere."""
     depth = int(rng.integers(2, max_depth + 1))
     sizes = [1] + [int(rng.integers(1, 4)) for _ in range(depth)]
@@ -89,7 +90,7 @@ def random_layered_model(
     nodes = []
     for t in range(depth):
         for sid in layer_states[t]:
-            n_actions = int(rng.integers(1, max_branch + 1))
+            n_actions = int(rng.integers(1, 4))
             actions = {}
             for j in range(n_actions):
                 name = "noop" if j == 0 else f"a{j}"
@@ -355,9 +356,7 @@ def _random_potential(rng: np.random.Generator) -> PotentialSpec:
     return PotentialSpec(kind="piecewise_convex", knots=tuple(knots))
 
 
-def no_splitting_suite(
-    seed: int, tuples: int = 500, inject_fault: bool = False
-) -> SuiteResult:
+def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -373,11 +372,6 @@ def no_splitting_suite(
         partitions = [
             random_partition(rng, total, int(rng.integers(1, 6))) for _ in range(3)
         ]
-        if inject_fault:
-            report_gap, bad = _faulty_sequence_gap(pot, start, total, partitions)
-            if report_gap > worst:
-                worst, worst_case = report_gap, bad
-            continue
         report = splitting_invariance_check(
             pot, tuple(start), tuple(total), partitions, adversary_trials=2, seed=int(rng.integers(2**31))
         )
@@ -390,8 +384,6 @@ def no_splitting_suite(
         # convex marginal monotonicity: a fixed increment never gets cheaper
         # at higher cumulative exposure
         if pot.kind == "power":
-            from .boundary import boundary_toll
-
             inc = rng.uniform(0.0, 2.0, size=d)
             low = tuple(start)
             high = tuple(start + rng.uniform(0.0, 3.0, size=d))
@@ -402,7 +394,7 @@ def no_splitting_suite(
     props = [
         PropertyResult(
             "telescoping-identity",
-            passed=(worst <= _TOL) if not inject_fault else False,
+            passed=worst <= _TOL,
             details={"worst_gap": worst, "worst_case": worst_case, "tuples": tuples},
         ),
         PropertyResult("toll-nonnegativity", passed=nonneg_ok, details={}),
@@ -433,27 +425,6 @@ def no_splitting_suite(
     return SuiteResult(suite="no-splitting", seed=seed, properties=tuple(props))
 
 
-def _faulty_sequence_gap(pot, start, total, partitions):
-    # fault injection for the negative control: a volume discount makes later
-    # increments cheaper, which telescoping must catch
-    from .boundary import boundary_toll
-
-    reference = pot.value(tuple(start + total)) - pot.value(tuple(start))
-    worst = 0.0
-    bad = None
-    for steps in partitions:
-        exposure = tuple(start)
-        tolls = 0.0
-        for k, step in enumerate(steps):
-            tolls += boundary_toll(exposure, step, pot) * (0.9**k)
-            exposure = tuple(e + d for e, d in zip(exposure, step))
-        gap = abs(tolls - reference)
-        if gap > worst:
-            worst = gap
-            bad = {"partition": [list(s) for s in steps], "toll_sum": tolls, "reference": reference}
-    return worst, bad
-
-
 def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> SuiteResult:
     import numpy as np
 
@@ -464,10 +435,6 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
     report = verify_witness(
         shipped.ambiguity, shipped.time, shipped.state, shipped.action,
         shipped.cont, ent, shipped.sdm, shipped.witness,
-    )
-    premium = authority_premium(
-        shipped.ambiguity, shipped.time, shipped.state, shipped.action,
-        shipped.cont, ent, shipped.sdm,
     )
     shipped_check = iap_check(
         shipped.ambiguity, shipped.time, shipped.state, shipped.base_actions,
@@ -494,9 +461,6 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
         legacy.ambiguity, legacy.time, legacy.state, legacy.base_actions,
         legacy.action, legacy.cont, ent, legacy.sdm,
     )
-    legacy_premium = authority_premium(
-        legacy.ambiguity, legacy.time, legacy.state, legacy.action, legacy.cont, ent, legacy.sdm
-    )
 
     iff_failures = []
     decomp_worst = 0.0
@@ -511,8 +475,6 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
         variants = [model] + [
             _rekernel(rng, model) for _ in range(int(rng.integers(1, 3)))
         ]
-        from .tolls import AmbiguitySet
-
         amb = AmbiguitySet(models=tuple(variants))
         sdm = SafeDefaultMap({})
         spec = (ent, RiskSpec(kind="expectation"), RiskSpec(kind="conditional_es", alpha=0.7))[
@@ -544,10 +506,10 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
     props = [
         PropertyResult(
             "shipped-witness-certifies",
-            passed=report.satisfied and premium > 0.0,
+            passed=report.satisfied and shipped_check.premium > 0.0,
             details={
                 "conditions": [report.tail_gap_ok, report.hedge_resistant, report.risk_strictly_monotone],
-                "premium": premium,
+                "premium": shipped_check.premium,
                 "policies": report.policies_enumerated,
             },
         ),
@@ -578,13 +540,13 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
         ),
         PropertyResult(
             "riskier-incumbent-leaves-capital-flat",
-            passed=legacy_premium > 0.0
+            passed=legacy_check.premium > 0.0
             and not legacy_check.capital_increased
             and not legacy_check.added_exceeds_base
             and legacy_check.iff_holds
             and legacy_check.max_decomposition_gap <= _TOL,
             details={
-                "premium": legacy_premium,
+                "premium": legacy_check.premium,
                 "capital_base": legacy_check.capital_base,
                 "capital_extended": legacy_check.capital_extended,
             },
@@ -625,8 +587,7 @@ def _rekernel(rng: np.random.Generator, model: EnvironmentModel) -> EnvironmentM
                 sids.add(nxt)
     spec = {
         "horizon": model.horizon,
-        "components": [{"name": "x", "external": True}],
-        "states": [{"id": s, "components": model.state_record(s)} for s in sorted(sids, key=model.state_index)],
+        "states": [{"id": s} for s in sorted(sids, key=model.state_index)],
         "initial_state": model.initial_state,
         "null_action": model.null_action,
         "nodes": nodes,
@@ -640,7 +601,6 @@ def gating_suite(
     exact_episodes: int = 500,
     calibration_episodes: int = 500,
     eval_episodes: int = 1000,
-    delta: float = 0.1,
     determinism_episodes: int = 50,
 ) -> SuiteResult:
     props: list[PropertyResult] = []
@@ -659,7 +619,7 @@ def gating_suite(
         props.append(
             PropertyResult(
                 f"exact-envelope-budget-guarantee[{sc.name}]",
-                passed=audit.passed and audit.overruns == 0 and audit.accounting_exact,
+                passed=audit.passed,
                 details={
                     "episodes": audit.episodes,
                     "overruns": audit.overruns,
@@ -686,20 +646,18 @@ def gating_suite(
     )
 
     conformal, _ = calibrate_conformal(
-        sc, calibration_episodes, delta, seed=seed + 1000, training_episodes=200
+        sc, calibration_episodes, _CONFORMAL_DELTA, seed=seed + 1000, training_episodes=200
     )
     eval_cfg = replace(sc.gate, envelope=conformal, initial_budget=50.0)
     eval_logs = [
         run_episode(sc.model, sc.policy, eval_cfg, seed=seed + 2000, episode=i)
         for i in range(eval_episodes)
     ]
-    audit = audit_budget_guarantee(eval_logs, truth, delta=delta)
+    audit = audit_budget_guarantee(eval_logs, truth, delta=_CONFORMAL_DELTA)
     props.append(
         PropertyResult(
             "conformal-envelope-budget-guarantee",
-            passed=audit.passed
-            and audit.violation_fraction <= audit.threshold
-            and audit.overrun_fraction <= audit.violation_fraction + 1e-12,
+            passed=audit.passed,
             details={
                 "violation_fraction": audit.violation_fraction,
                 "threshold": audit.threshold,
@@ -716,7 +674,7 @@ def gating_suite(
         run_episode(sc.model, sc.policy, bad_cfg, seed=seed + 3000, episode=i)
         for i in range(min(eval_episodes, 300))
     ]
-    bad_audit = audit_budget_guarantee(bad_logs, truth, delta=delta)
+    bad_audit = audit_budget_guarantee(bad_logs, truth, delta=_CONFORMAL_DELTA)
     props.append(
         PropertyResult(
             "deflated-envelope-fails-audit",
@@ -731,30 +689,23 @@ def gating_suite(
 
 
 def _suite_table() -> dict:
-    """CLI name -> (suite function, scale keywords it takes), in ``all``
-    order. Built per call, so a rebound suite function takes effect."""
+    """CLI name -> suite function, in ``all`` order. Built per call, so a
+    rebound suite function takes effect."""
     return {
-        "time-consistency": (time_consistency_suite, ("models", "axiom_trials")),
-        "cvar-demo": (cvar_demo_suite, ()),
-        "no-splitting": (no_splitting_suite, ("tuples",)),
-        "iap": (iap_suite, ("random_sets", "witness_draws")),
-        "gating": (
-            gating_suite,
-            ("exact_episodes", "calibration_episodes", "eval_episodes", "delta"),
-        ),
+        "time-consistency": time_consistency_suite,
+        "cvar-demo": cvar_demo_suite,
+        "no-splitting": no_splitting_suite,
+        "iap": iap_suite,
+        "gating": gating_suite,
     }
 
 
 SUITES = tuple(_suite_table())
 
 
-def run_suite(name: str, seed: int, **scale) -> list[SuiteResult]:
+def run_suite(name: str, seed: int) -> list[SuiteResult]:
     """Dispatch one suite by CLI name, or every suite for ``all``."""
     table = _suite_table()
     if name != "all" and name not in table:
         raise ValueError(f"unknown suite {name!r}")
-    return [
-        fn(seed, **{k: scale[k] for k in keys if k in scale})
-        for suite, (fn, keys) in table.items()
-        if name in ("all", suite)
-    ]
+    return [fn(seed) for suite, fn in table.items() if name in ("all", suite)]

@@ -149,9 +149,7 @@ def test_criterion_7_budget_guarantee_exact():
 
 
 def test_criterion_8_budget_guarantee_conformal():
-    result = gating_suite(
-        SEED, exact_episodes=1, calibration_episodes=500, eval_episodes=1000, delta=0.1
-    )
+    result = gating_suite(SEED, exact_episodes=1, calibration_episodes=500, eval_episodes=1000)
     by_name = {p.name: p for p in result.properties}
     good = by_name["conformal-envelope-budget-guarantee"]
     assert good.passed, good.details

@@ -55,7 +55,10 @@ CALIBRATION_DIGESTS = {
 }
 
 VERIFY_DIGESTS = {
+    "time-consistency": "28f9a981ddf5028d2e79a6cff20c651516f48b86e4d41e788454879aaa97f159",
+    "cvar-demo": "2b3fabea527e08ed40652780a0436c0da7525e10141167ee5160a733eeab2719",
     "no-splitting": "f042e35508bb42f4373171ae75ee236617fa089884fe918e12e8267ee4a78ba7",
+    "iap": "a0ff0ad4db81717ef574a499fc11375fa1c841cb48b0ade05770a8ae3f525924",
     "gating": "e8906cf45dd3c505f73fa2f99a494959e8c88f21aff275e86bc4a0d216f046ed",
 }
 

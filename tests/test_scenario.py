@@ -116,6 +116,19 @@ def test_exposure_unknown_boundary(payments_doc):
         resolve_scenario(payments_doc)
 
 
+def test_duplicate_boundary_id_refused_at_load(payments_doc, tmp_path, capsys):
+    payments_doc["boundaries"].append(copy.deepcopy(payments_doc["boundaries"][0]))
+    with pytest.raises(
+        ScenarioInvariantError,
+        match=re.escape("duplicate boundary id 'vendor_payments' (at boundaries[1].id)"),
+    ):
+        resolve_scenario(payments_doc)
+    doc = tmp_path / "twice.scn.json"
+    doc.write_text(json.dumps(payments_doc))
+    assert main(["run", "--scenario", str(doc), "--episodes", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "(at boundaries[1].id)" in capsys.readouterr().err
+
+
 def test_hash_covers_every_primitive(payments_doc):
     """Safe defaults, policy, risk mapping, boundary, and model family each
     feed the manifest hash."""

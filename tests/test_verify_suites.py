@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from tollgate import boundary, verify
 from tollgate.verify import no_splitting_suite, run_suite
 
 
-def test_run_suite_dispatch_and_reports():
-    results = run_suite(
-        "all",
-        seed=11,
-        models=10,
-        axiom_trials=100,
-        tuples=25,
-        random_sets=8,
-        witness_draws=8,
-        exact_episodes=25,
-        calibration_episodes=60,
-        eval_episodes=80,
-    )
+def test_run_suite_dispatch_and_reports(monkeypatch):
+    small = {
+        "time_consistency_suite": {"models": 10, "axiom_trials": 100},
+        "no_splitting_suite": {"tuples": 25},
+        "iap_suite": {"random_sets": 8, "witness_draws": 8},
+        "gating_suite": {"exact_episodes": 25, "calibration_episodes": 60, "eval_episodes": 80},
+    }
+    for attr, sizes in small.items():
+        monkeypatch.setattr(verify, attr, functools.partial(getattr(verify, attr), **sizes))
+    results = run_suite("all", seed=11)
     names = [r.suite for r in results]
     assert names == ["time-consistency", "cvar-demo", "no-splitting", "iap", "gating"]
     for result in results:
@@ -34,13 +34,23 @@ def test_run_suite_unknown_name():
         run_suite("bogus", seed=1)
 
 
-def test_no_splitting_fault_injection_fails_with_payload():
+def test_no_splitting_fault_injection_fails_with_payload(monkeypatch):
     # a volume discount on later increments breaks the telescoping identity;
-    # the suite must fail and surface the violating partition
-    result = no_splitting_suite(seed=11, tuples=25, inject_fault=True)
+    # the suite's own tolerance rule must catch it and report the worst gap
+    def discounted(pot, start, steps):
+        exposure = tuple(float(x) for x in start)
+        total = 0.0
+        for k, step in enumerate(steps):
+            after = tuple(e + d for e, d in zip(exposure, step))
+            total += (pot.value(after) - pot.value(exposure)) * 0.9**k
+            exposure = after
+        return total
+
+    monkeypatch.setattr(boundary, "_sequence_toll", discounted)
+    result = no_splitting_suite(seed=11, tuples=25)
     assert not result.passed
     broken = {p.name: p for p in result.properties}["telescoping-identity"]
     assert not broken.passed
-    payload = broken.details["worst_case"]
-    assert payload is not None
-    assert "partition" in payload and payload["toll_sum"] != payload["reference"]
+    worst = broken.details["worst_gap"]
+    assert worst > 1e-6
+    assert broken.details["worst_case"]["gap"] == worst
