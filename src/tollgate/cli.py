@@ -28,6 +28,17 @@ from .scenario import (
 from .verify import SUITES, run_suite
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, the entropy a seed sequence takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _scenario_from_arg(arg: str) -> Scenario:
     path = Path(arg)
     if not path.exists() and arg in BUNDLED_SCENARIOS:
@@ -155,20 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="gate episodes of a scenario and write artifacts")
     p_run.add_argument("--scenario", required=True, help="scenario path or bundled name")
     p_run.add_argument("--episodes", type=int, default=100)
-    p_run.add_argument("--seed", type=int, default=None, help="defaults to the scenario seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="defaults to the scenario seed")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), required=True)
-    p_verify.add_argument("--seed", type=int, default=20260811)
+    p_verify.add_argument("--seed", type=_seed, default=20260811)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cal = sub.add_parser("calibrate", help="fit the conformal envelope from frozen rollouts")
     p_cal.add_argument("--scenario", required=True)
     p_cal.add_argument("--episodes", type=int, default=500, help="calibration episodes")
     p_cal.add_argument("--delta", type=float, default=0.1)
-    p_cal.add_argument("--seed", type=int, default=None)
+    p_cal.add_argument("--seed", type=_seed, default=None)
     p_cal.add_argument("--out", required=True)
     p_cal.set_defaults(func=cmd_calibrate)
 

@@ -27,8 +27,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from ._stream import add_reduce, uniform_stream
 from .boundary import BoundaryLedger, BoundarySpec
 from .envelope import Envelope
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
@@ -202,23 +204,22 @@ def _budget_steps(log: EpisodeLog):
 @lru_cache(maxsize=1 << 14)
 def _inverse_cdf(row: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """Labels and normalised CDF of a ``(label, probability)`` row, built with
-    the arithmetic ``Generator.choice(n, p=q)`` uses on ``q = p / p.sum()``:
-    ``labels[bisect_right(cdf, rng.random())]`` then draws exactly the label
+    the arithmetic ``Generator.choice(n, p=q)`` uses on ``q = p / p.sum()``,
+    its pairwise ``sum`` reproduced by :func:`add_reduce`:
+    ``labels[bisect_right(cdf, uniform())]`` then draws exactly the label
     ``choice`` would. Rows are immutable tuples held by the policy or the
     model, so the memo keys on the row itself."""
-    import numpy as np
-
-    probs = np.asarray([p for _, p in row], dtype=float)
-    if not np.all(probs >= 0.0) or not np.all(np.isfinite(probs)):
+    probs = [float(p) for _, p in row]
+    if not all(0.0 <= p < math.inf for p in probs):
         raise ModelValidationError(
             f"cannot sample a row with a negative or non-finite probability: {row!r}"
         )
-    total = probs.sum()
+    total = add_reduce(probs)
     if not 0.0 < total < math.inf:
         raise ModelValidationError(f"cannot sample a row of mass {total!r}: {row!r}")
-    cdf = (probs / total).cumsum()
-    cdf /= cdf[-1]
-    return tuple(label for label, _ in row), tuple(cdf.tolist())
+    cdf = list(accumulate(p / total for p in probs))
+    last = cdf[-1]
+    return tuple(label for label, _ in row), tuple(c / last for c in cdf)
 
 
 def run_episode(
@@ -231,14 +232,16 @@ def run_episode(
     """Gate one sampled trajectory from the model's initial state.
 
     Deterministic for a fixed (seed, episode): proposals and transitions draw
-    from one generator in a fixed call order. Each draw repeats
-    ``Generator.choice``'s inverse-CDF arithmetic (one ``random()`` searched
-    in the normalised cumulative sum), so the stream is the numpy one. The
-    executed action, not the proposed one, drives the transition.
+    from one stream in a fixed call order. The stream is that of
+    ``default_rng(SeedSequence([seed, episode])).random``, reproduced bit for
+    bit in pure Python by :func:`uniform_stream`, and each draw repeats
+    ``Generator.choice``'s inverse-CDF arithmetic (one uniform searched in
+    the normalised cumulative sum), so the trajectories are the ones that
+    generator would sample. A negative seed or episode raises
+    :class:`ModelValidationError`. The executed action, not the proposed
+    one, drives the transition.
     """
-    import numpy as np
-
-    uniform = np.random.default_rng(np.random.SeedSequence([seed, episode])).random
+    uniform = uniform_stream(seed, episode)
     boundary_ledger = BoundaryLedger(cfg.boundaries)
     budget = cfg.initial_budget
     entries = []

@@ -114,6 +114,8 @@ def resolve_scenario(doc: Mapping) -> Scenario:
         )
     name = str(doc.get("name", "unnamed"))
     seed = optional_field(doc, "seed", as_int, "", 0)
+    if seed < 0:
+        raise ScenarioInvariantError(f"seed must be >= 0, got {seed}", path="seed")
 
     model = build_model(optional_field(doc, "model", as_object, "", {}))
 

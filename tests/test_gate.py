@@ -235,14 +235,17 @@ def test_episode_rerun_is_bit_identical():
 
 def _sampling_rows(rng: np.random.Generator) -> list[tuple[tuple[str, float], ...]]:
     """Rows as the loader lets them through: random widths, zero-mass entries
-    first, in the middle and last, one-entry rows, and sums off 1 by up to
-    KERNEL_TOL."""
+    first, in the middle, last and scattered, one-entry rows, and sums off 1
+    by up to KERNEL_TOL. Widths run to 300, past the 8-element and
+    128-element steps of a pairwise sum."""
     rows = [(("only", 1.0),)]
-    for _ in range(400):
-        n = int(rng.integers(1, 7))
+    for k in range(600):
+        n = int(rng.integers(1, 7)) if k < 400 else int(rng.integers(7, 301))
         probs = rng.random(n)
         if n >= 3:
             probs[rng.choice((0, n // 2, n - 1))] = 0.0
+        if n >= 7:
+            probs[rng.random(n) < 0.2] = 0.0
         probs = probs / probs.sum() * (1.0 + rng.uniform(-KERNEL_TOL, KERNEL_TOL))
         rows.append(tuple((f"x{i}", float(p)) for i, p in enumerate(probs)))
     return rows
@@ -253,6 +256,7 @@ def test_sampler_draws_exactly_as_generator_choice():
     assert any(len(row) == 1 for row in rows)
     for pos in (0, 1, -1):
         assert any(len(row) >= 3 and row[pos][1] == 0.0 for row in rows)
+    assert max(len(row) for row in rows) > 256
     seq = np.random.SeedSequence([5, 3])
     old, new = np.random.default_rng(seq), np.random.default_rng(seq)
     for k in range(6000):
@@ -263,6 +267,16 @@ def test_sampler_draws_exactly_as_generator_choice():
         assert bisect_right(cdf, new.random()) == expected
         assert labels == tuple(label for label, _ in row)
     assert old.random() == new.random()
+
+
+def test_inverse_cdf_matches_numpy_cumsum():
+    # element for element: the pairwise sum, the division and the running
+    # sum must all round as numpy's do, not just land in the same bin
+    for row in _sampling_rows(np.random.default_rng(12)):
+        probs = np.asarray([p for _, p in row])
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        assert _inverse_cdf(row)[1] == tuple(cdf.tolist())
 
 
 @pytest.mark.parametrize(
@@ -281,6 +295,14 @@ def test_run_episode_refuses_invalid_policy_row(row):
     policy = Policy({(0, "r"): row})
     with pytest.raises(ModelValidationError):
         run_episode(model, policy, _cfg(model, 10.0), seed=1)
+
+
+@pytest.mark.parametrize("seed, episode", [(-1, 0), (0, -1), (-(2**40), 3)])
+def test_run_episode_refuses_negative_seed_or_episode(seed, episode):
+    # numpy's SeedSequence refuses these with a bare ValueError
+    model = _gate_model()
+    with pytest.raises(ModelValidationError, match="non-negative integer"):
+        run_episode(model, Policy({(0, "r"): (("act", 1.0),)}), _cfg(model, 10.0), seed, episode)
 
 
 def test_budget_never_negative_and_charges_telescope():

@@ -81,3 +81,21 @@ def test_report_leaves_numpy_and_scipy_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "-> PASS" in done.stdout
     assert done.stdout.splitlines()[-1] == "0 False False"
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_run_leaves_numpy_and_scipy_unloaded(name, tmp_path):
+    # an exact-tier run samples from the pure-Python copy of numpy's stream
+    assert load_scenario(bundled_scenario_path(name)).envelope_config["kind"] == "exact"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; from tollgate.cli import main; "
+        "code = main(['run', '--scenario', sys.argv[1], '--episodes', '200', '--out', sys.argv[2]]); "
+        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, name, str(tmp_path / name)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False False"

@@ -345,6 +345,10 @@ def _infinite_exposure(doc):
     doc["model"]["nodes"][0]["actions"]["wire_transfer"]["exposure"]["vendor_payments"] = [math.inf]
 
 
+def _negative_seed(doc):
+    doc["seed"] = -5
+
+
 # NaN probabilities and exposures, an infinite gamma and an unknown
 # escalation ruling or key parse; the model, risk, exposure and gate checks
 # refuse them instead.
@@ -356,6 +360,7 @@ _NOT_PARSE_ERRORS = {
     _infinite_gamma: "entropic risk needs a finite gamma > 0",
     _unknown_escalation_ruling: "[invariant] escalation ruling must be 'approve' or 'deny'",
     _misspelled_escalation_key: "[unresolved-reference] escalation policy names unknown action",
+    _negative_seed: "[invariant] seed must be >= 0",
 }
 
 
@@ -400,6 +405,7 @@ _NOT_PARSE_ERRORS = {
         (_boolean_training_episodes, "envelope.training_episodes"),
         (_nan_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
         (_infinite_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
+        (_negative_seed, "seed"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
@@ -436,6 +442,25 @@ def test_gate_section_refused_at_load(payments_doc, tmp_path, capsys, gate, mess
     ):
         assert main(command + ["--out", str(tmp_path / command[0])]) == 2
         assert f"{message} (at {field_path})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--scenario", "payments", "--seed", "-1", "--out", "o"],
+        ["calibrate", "--scenario", "payments", "--seed", "-20000", "--out", "o"],
+        ["verify", "--suite", "time-consistency", "--seed", "-1"],
+        ["run", "--scenario", "payments", "--seed", "x", "--out", "o"],
+    ],
+    ids=["run", "calibrate", "verify", "not-an-integer"],
+)
+def test_cli_negative_seed_is_usage_error(command, capsys):
+    # a seed sequence takes non-negative entropy only; argparse refuses the
+    # rest before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
 
 
 def test_cli_unknown_suite_is_usage_error():
