@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import runio
-from .exceptions import ModelValidationError, ScenarioError, TollgateError
+from .exceptions import ModelValidationError, RunArtifactError, ScenarioError, TollgateError
 from .gate import audit_budget_guarantee, run_episode
 from .scenario import (
     BUNDLED_SCENARIOS,
@@ -28,15 +28,15 @@ from .scenario import (
 from .verify import SUITES, run_suite
 
 
-def _seed(text: str) -> int:
-    """``--seed``: a non-negative integer, the entropy a seed sequence takes."""
+def _nonneg_int(text: str) -> int:
+    """``--seed`` and ``--episodes``: a non-negative integer."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = None
-    if seed is None or seed < 0:
+        value = None
+    if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+    return value
 
 
 def _scenario_from_arg(arg: str) -> Scenario:
@@ -53,7 +53,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cfg = scenario.gate
-    extra: dict = {"envelope": {"kind": "exact"}}
+    envelope_record: dict = {"kind": "exact"}
     if scenario.envelope_config["kind"] == "conformal":
         delta = scenario.envelope_config["delta"]
         n = scenario.envelope_config["calibration_episodes"]
@@ -62,14 +62,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             scenario, n, delta, seed=seed + 10_000, training_episodes=train
         )
         cfg = replace(cfg, envelope=envelope)
-        extra = {
-            "envelope": {
-                "kind": "conformal",
-                "delta": delta,
-                "inflation": envelope.inflation,
-                "quantile_rank": envelope.calibration_meta["quantile_rank"],
-                "calibration_episodes": n,
-            }
+        envelope_record = {
+            "kind": "conformal",
+            "delta": delta,
+            "inflation": envelope.inflation,
+            "quantile_rank": envelope.calibration_meta["quantile_rank"],
+            "calibration_episodes": n,
         }
 
     logs = [
@@ -86,7 +84,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config_hash(scenario),
         seed,
         args.episodes,
-        extra=extra,
+        envelope_record,
     )
     print(f"wrote {args.episodes} episode(s) to {out_dir}")
     return 0
@@ -127,12 +125,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Audit a run directory through :func:`audit_budget_guarantee`, the
-    same audit the gating suite runs, with delta taken from the manifest."""
+    same audit the gating suite runs, with delta taken from the manifest.
+    A directory whose artifacts disagree on its episodes is refused."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
     scenario = resolve_scenario(manifest["scenario_document"])
     budget = scenario.gate.initial_budget
     logs = runio.read_episode_logs(run_dir, budget)
+    if len(logs) != manifest["episodes"]:
+        raise RunArtifactError(
+            f"manifest records {manifest['episodes']} episode(s) but "
+            f"{runio.SUMMARY_NAME} has {len(logs)}"
+        )
     if not logs:
         print(f"run of scenario {manifest['scenario_name']!r}: zero episodes, nothing to audit")
         return 0
@@ -165,21 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="gate episodes of a scenario and write artifacts")
     p_run.add_argument("--scenario", required=True, help="scenario path or bundled name")
-    p_run.add_argument("--episodes", type=int, default=100)
-    p_run.add_argument("--seed", type=_seed, default=None, help="defaults to the scenario seed")
+    p_run.add_argument("--episodes", type=_nonneg_int, default=100)
+    p_run.add_argument("--seed", type=_nonneg_int, default=None, help="defaults to the scenario seed")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), required=True)
-    p_verify.add_argument("--seed", type=_seed, default=20260811)
+    p_verify.add_argument("--seed", type=_nonneg_int, default=20260811)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cal = sub.add_parser("calibrate", help="fit the conformal envelope from frozen rollouts")
     p_cal.add_argument("--scenario", required=True)
-    p_cal.add_argument("--episodes", type=int, default=500, help="calibration episodes")
+    p_cal.add_argument("--episodes", type=_nonneg_int, default=500, help="calibration episodes")
     p_cal.add_argument("--delta", type=float, default=0.1)
-    p_cal.add_argument("--seed", type=_seed, default=None)
+    p_cal.add_argument("--seed", type=_nonneg_int, default=None)
     p_cal.add_argument("--out", required=True)
     p_cal.set_defaults(func=cmd_calibrate)
 

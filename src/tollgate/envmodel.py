@@ -31,14 +31,6 @@ SIDE_EFFECT_TV_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ComponentSpec:
-    """A named state component, flagged external if contractually visible."""
-
-    name: str
-    external: bool
-
-
-@dataclass(frozen=True)
 class Intervention:
     """A forced action at a (time, state) decision node."""
 
@@ -56,8 +48,7 @@ class EnvironmentModel:
     def __init__(
         self,
         horizon: int,
-        components: Sequence[ComponentSpec],
-        state_components: Mapping[str, Mapping[str, object]],
+        signatures: Mapping[str, tuple],
         state_order: Sequence[str],
         nodes: Mapping[tuple[int, str], Mapping[str, Kernel]],
         terminal_losses: Mapping[str, float],
@@ -65,14 +56,12 @@ class EnvironmentModel:
         null_action: str,
     ) -> None:
         self.horizon = horizon
-        self.components = tuple(components)
-        self._state_components = {s: dict(c) for s, c in state_components.items()}
+        self._signatures = dict(signatures)
         self._state_index = {s: i for i, s in enumerate(state_order)}
         self._nodes = {k: dict(v) for k, v in nodes.items()}
         self._terminal_losses = dict(terminal_losses)
         self.initial_state = initial_state
         self.null_action = null_action
-        self._external_names = tuple(c.name for c in self.components if c.external)
 
     # -- structure ---------------------------------------------------------
 
@@ -125,8 +114,8 @@ class EnvironmentModel:
         return self._state_index[state]
 
     def external_signature(self, state: str) -> tuple:
-        comps = self._state_components[state]
-        return tuple(comps.get(name) for name in self._external_names)
+        """The state's external component values, in declaration order."""
+        return self._signatures[state]
 
     # -- dynamics ----------------------------------------------------------
 
@@ -312,22 +301,23 @@ def build_model(spec: Mapping) -> EnvironmentModel:
     if horizon < 1:
         raise ModelValidationError(f"horizon must be >= 1, got {horizon}", path="horizon")
 
-    components = tuple(
-        ComponentSpec(
-            name=read_field(c, "name", str, f"components[{i}]"),
-            external=bool(c.get("external", False)),
-        )
-        for i, c in enumerate(optional_field(spec, "components", as_objects, "", []))
-    )
+    external: list[str] = []
+    for i, c in enumerate(optional_field(spec, "components", as_objects, "", [])):
+        name = read_field(c, "name", str, f"components[{i}]")
+        if c.get("external", False):
+            external.append(name)
 
-    state_components: dict[str, dict] = {}
+    # Each state keeps only its external signature, which is all the model
+    # reads of its components.
+    signatures: dict[str, tuple] = {}
     state_order: list[str] = []
     for i, rec in enumerate(optional_field(spec, "states", as_objects, "", [])):
         path = f"states[{i}]"
         sid = read_field(rec, "id", str, path)
-        if sid in state_components:
+        if sid in signatures:
             raise ModelValidationError(f"duplicate state id {sid!r}", path=path)
-        state_components[sid] = optional_field(rec, "components", _component_values, path, {})
+        comps = optional_field(rec, "components", _component_values, path, {})
+        signatures[sid] = tuple(comps.get(name) for name in external)
         state_order.append(sid)
     state_index = {sid: i for i, sid in enumerate(state_order)}
 
@@ -340,7 +330,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         s = read_field(nrec, "state", str, path)
         if not 0 <= t < horizon:
             raise ModelValidationError(f"node time {t} outside horizon", path=path)
-        if s not in state_components:
+        if s not in signatures:
             raise ModelValidationError(f"unknown state {s!r}", path=path)
         if (t, s) in nodes:
             raise ModelValidationError(f"duplicate node ({t}, {s!r})", path=path)
@@ -355,7 +345,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
             row = []
             total = 0.0
             for nxt in kernel_map:
-                if nxt not in state_components:
+                if nxt not in signatures:
                     raise ModelValidationError(f"kernel targets unknown state {nxt!r}", path=kpath)
                 p = read_field(kernel_map, nxt, float, kpath)
                 if not (p >= 0 and math.isfinite(p)):
@@ -380,7 +370,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
     terminal_losses: dict[str, float] = {}
     raw_losses = optional_field(spec, "terminal_losses", as_object, "", {})
     for sid in raw_losses:
-        if sid not in state_components:
+        if sid not in signatures:
             raise ModelValidationError(
                 f"terminal loss for unknown state {sid!r}", path=f"terminal_losses[{sid}]"
             )
@@ -393,7 +383,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         terminal_losses[str(sid)] = loss
 
     initial_state = str(spec.get("initial_state", state_order[0] if state_order else ""))
-    if initial_state not in state_components:
+    if initial_state not in signatures:
         raise ModelValidationError(
             f"initial state {initial_state!r} unknown", path="initial_state"
         )
@@ -419,8 +409,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
 
     return EnvironmentModel(
         horizon=horizon,
-        components=components,
-        state_components=state_components,
+        signatures=signatures,
         state_order=state_order,
         nodes=nodes,
         terminal_losses=terminal_losses,

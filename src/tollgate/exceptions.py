@@ -55,6 +55,10 @@ class InvalidWitnessError(TollgateError):
     """A witness event has zero probability under the designated model."""
 
 
+class RunArtifactError(TollgateError):
+    """The artifacts of a run directory disagree on which episodes it holds."""
+
+
 class ScenarioError(TollgateError):
     """Base class for scenario loading failures. Carries a stable error code."""
 

@@ -393,10 +393,6 @@ class CvarDemoRecord:
         )
 
     @property
-    def static_reversed(self) -> bool:
-        return self.static_a > self.static_b + 0.01
-
-    @property
     def recursive_consistent(self) -> bool:
         return self.recursive_a <= self.recursive_b + _AXIOM_TOL
 

@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .exceptions import RunArtifactError
 from .gate import EpisodeLog, GateEntry, Verdict
 
 EPISODE_LOG_NAME = "episodes.jsonl"
@@ -134,8 +135,10 @@ def write_manifest(
     scenario_hash: str,
     seed: int,
     episodes: int,
-    extra: dict | None = None,
+    envelope: dict,
 ) -> Path:
+    """Write the manifest; ``envelope`` records the tier that quoted the run
+    (``kind``, plus the conformal fit's ``delta`` and calibration)."""
     path = out_dir / MANIFEST_NAME
     manifest = {
         "scenario_name": scenario_name,
@@ -148,9 +151,8 @@ def write_manifest(
             "boundary_log": BOUNDARY_LOG_NAME,
         },
         "scenario_document": scenario_document,
+        "envelope": envelope,
     }
-    if extra:
-        manifest.update(extra)
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
 
@@ -178,7 +180,8 @@ def read_summary(run_dir: Path) -> list[dict]:
 def read_episode_logs(run_dir: Path, budget_initial: float) -> list[EpisodeLog]:
     """Rebuild the episode logs a run wrote, in episode order, given the
     initial budget of its scenario: the inverse of the episode, summary and
-    boundary writers."""
+    boundary writers. Raises :class:`RunArtifactError` unless the summary
+    rows and the episode log name the same episodes."""
     verdicts = {v.value: v for v in Verdict}
     entries: dict[int, list[GateEntry]] = {}
     for r in read_episode_records(run_dir):
@@ -191,13 +194,19 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> list[EpisodeLog]:
     boundary_records: dict[int, list[dict]] = {}
     for rec in _read_jsonl(Path(run_dir) / BOUNDARY_LOG_NAME):
         boundary_records.setdefault(rec.pop("episode"), []).append(rec)
+    rows = read_summary(run_dir)
+    if sorted(int(row["episode"]) for row in rows) != sorted(entries):
+        raise RunArtifactError(
+            f"{SUMMARY_NAME} has {len(rows)} episode row(s) but {EPISODE_LOG_NAME} "
+            f"logs {len(entries)} episode(s), not the same ones"
+        )
     logs = []
-    for row in read_summary(run_dir):
+    for row in rows:
         episode = int(row["episode"])
         logs.append(
             EpisodeLog(
                 episode=episode,
-                entries=tuple(entries.get(episode, ())),
+                entries=tuple(entries[episode]),
                 terminal_loss=float(row["terminal_loss"]),
                 budget_initial=budget_initial,
                 budget_final=float(row["b_final"]),

@@ -65,6 +65,8 @@ class Scenario:
     ``gate`` is the scenario's one gate, validated at load. Its ``envelope``
     and ``exact_quoter`` are both the scenario's one exact envelope; a caller
     that quotes through another tier or budget ``dataclasses.replace``-s it.
+    ``raw`` is the document as given, not a copy: its readers dump it with
+    sorted keys, and nothing mutates a document after resolving it.
     """
 
     name: str
@@ -80,7 +82,7 @@ class Scenario:
     envelope_config: dict
     action_categories: dict[str, str]
     category_order: tuple[str, ...]
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: Mapping = field(repr=False)
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -150,7 +152,7 @@ def resolve_scenario(doc: Mapping) -> Scenario:
         envelope_config=envelope_config,
         action_categories=categories,
         category_order=category_order,
-        raw=_canonical(doc),
+        raw=doc,
     )
 
 
@@ -355,10 +357,6 @@ def _resolve_envelope(doc: Mapping) -> dict:
     elif kind != "exact":
         raise ScenarioInvariantError(f"unknown envelope kind {kind!r}", path="envelope.kind")
     return config
-
-
-def _canonical(doc: Mapping) -> dict:
-    return json.loads(json.dumps(doc, sort_keys=True))
 
 
 def config_hash(scenario: Scenario) -> str:

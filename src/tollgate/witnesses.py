@@ -42,9 +42,7 @@ def _payment_model_spec(
     loss_recall: float,
     loss_review: float,
     loss_recalled_clean: float = 0.5,
-    loss_idle: float = 2.0,
     include_legacy: bool = False,
-    legacy_loss: float = 30.0,
 ) -> dict:
     f = fraud_prob
     states = [
@@ -104,7 +102,7 @@ def _payment_model_spec(
         "funds_settled": 0.0,
         "wire_recalled": loss_recalled_clean,
         "invoice_pending": 0.0,
-        "nothing_done": loss_idle,
+        "nothing_done": 2.0,
     }
     if include_legacy:
         states.extend([
@@ -122,7 +120,7 @@ def _payment_model_spec(
                 "noop": {"kernel": {"batch_done": 1.0}},
             }},
         ])
-        losses["batch_lost"] = legacy_loss
+        losses["batch_lost"] = 30.0
         losses["batch_done"] = 0.0
     return {
         "horizon": 2,

@@ -44,6 +44,43 @@ def test_report_fails_exact_run_with_under_quoted_action(tmp_path, capsys):
     assert text.rstrip().endswith("-> FAIL")
 
 
+def _cut_summary(out):
+    path = out / runio.SUMMARY_NAME
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:11]))
+
+
+def _drop_last_logged_episode(out):
+    path = out / runio.EPISODE_LOG_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if json.loads(line)["episode"] != 39))
+
+
+def _raise_manifest_count(out):
+    path = out / runio.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    manifest["episodes"] += 1
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_cut_summary, _drop_last_logged_episode, _raise_manifest_count],
+    ids=["summary-cut-to-10-rows", "episode-log-missing-one", "manifest-count-too-high"],
+)
+def test_report_refuses_run_whose_artifacts_disagree_on_episodes(corrupt, tmp_path, capsys):
+    # negative control: report audits every logged episode or none; a run
+    # directory whose episode log, summary rows and manifest count disagree
+    # is refused instead of audited in part
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "payments", "--episodes", "40", "--out", str(out)]) == 0
+    corrupt(out)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "PASS" not in captured.out
+
+
 def test_report_takes_delta_from_conformal_manifest(tmp_path, capsys):
     # a conformal run may leave some quotes uncovered; the audit allows
     # delta plus three sigmas of violating episodes, delta read from the

@@ -156,6 +156,32 @@ def test_hash_covers_every_primitive(payments_doc):
     assert flipped(lambda d: d["gate"].update({"initial_budget": 9.0})) != base
 
 
+def _reversed_keys(node):
+    if isinstance(node, dict):
+        return {key: _reversed_keys(node[key]) for key in reversed(list(node))}
+    if isinstance(node, list):
+        return [_reversed_keys(item) for item in node]
+    return node
+
+
+def test_key_order_changes_neither_hash_nor_manifest(payments_doc, tmp_path):
+    # a resolved scenario keeps its document as given, so the hash and the
+    # manifest must not depend on the document's key order; the episodes may
+    # (action order follows it), so only these two are compared
+    flipped = _reversed_keys(payments_doc)
+    assert json.dumps(flipped) != json.dumps(payments_doc)
+    assert json.dumps(flipped, sort_keys=True) == json.dumps(payments_doc, sort_keys=True)
+    assert config_hash(resolve_scenario(flipped)) == config_hash(resolve_scenario(payments_doc))
+    manifests = []
+    for name, doc in (("given", payments_doc), ("flipped", flipped)):
+        path = tmp_path / f"{name}.scn.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert main(["run", "--scenario", str(path), "--episodes", "5", "--out", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 def test_cli_run_report_round_trip(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "25", "--out", str(out)]) == 0
@@ -451,16 +477,21 @@ def test_gate_section_refused_at_load(payments_doc, tmp_path, capsys, gate, mess
         ["calibrate", "--scenario", "payments", "--seed", "-20000", "--out", "o"],
         ["verify", "--suite", "time-consistency", "--seed", "-1"],
         ["run", "--scenario", "payments", "--seed", "x", "--out", "o"],
+        ["run", "--scenario", "payments", "--episodes", "-5", "--out", "o"],
+        ["calibrate", "--scenario", "payments", "--episodes", "-5", "--out", "o"],
     ],
-    ids=["run", "calibrate", "verify", "not-an-integer"],
+    ids=["run", "calibrate", "verify", "not-an-integer", "run-episodes", "calibrate-episodes"],
 )
-def test_cli_negative_seed_is_usage_error(command, capsys):
-    # a seed sequence takes non-negative entropy only; argparse refuses the
-    # rest before any command runs
+def test_cli_negative_seed_is_usage_error(command, capsys, tmp_path, monkeypatch):
+    # a seed sequence takes non-negative entropy only, and an episode count
+    # is never negative; argparse refuses the rest before any command runs
+    monkeypatch.chdir(tmp_path)
+    option = next(arg for arg in command if arg in ("--seed", "--episodes"))
     with pytest.raises(SystemExit) as exc:
         main(command)
     assert exc.value.code == 2
-    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+    assert f"argument {option}: expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_unknown_suite_is_usage_error():

@@ -49,8 +49,43 @@ def test_no_splitting_fault_injection_fails_with_payload(monkeypatch):
     monkeypatch.setattr(boundary, "_sequence_toll", discounted)
     result = no_splitting_suite(seed=11, tuples=25)
     assert not result.passed
-    broken = {p.name: p for p in result.properties}["telescoping-identity"]
+    props = {p.name: p for p in result.properties}
+    broken = props["telescoping-identity"]
     assert not broken.passed
     worst = broken.details["worst_gap"]
     assert worst > 1e-6
     assert broken.details["worst_case"]["gap"] == worst
+    # the built-in instances price their sequences through the same sum
+    for name in (
+        "path-dependence-counterexample",
+        "boundary-redesign-restores-pricing",
+        "compliant-instance-has-no-ordering-gap",
+    ):
+        assert not props[name].passed, name
+
+
+def _failing(result) -> set[str]:
+    return {p.name for p in result.properties if not p.passed}
+
+
+def test_no_splitting_negated_potential_fails_nonnegativity(monkeypatch):
+    # a decreasing potential still telescopes, but charges negative tolls
+    value = boundary.PotentialSpec.value
+    monkeypatch.setattr(boundary.PotentialSpec, "value", lambda pot, e: -value(pot, e))
+    failing = _failing(no_splitting_suite(seed=11, tuples=25))
+    assert "toll-nonnegativity" in failing
+    assert "telescoping-identity" not in failing
+
+
+def test_no_splitting_concave_power_fails_marginal_monotonicity(monkeypatch):
+    # a concave power potential telescopes and charges nonnegative tolls, but
+    # a fixed increment gets cheaper at higher exposure
+    value = boundary.PotentialSpec.value
+
+    def concave(pot, exposure):
+        if pot.kind != "power":
+            return value(pot, exposure)
+        return float(sum(w * e**0.5 for w, e in zip(pot.weights, exposure)))
+
+    monkeypatch.setattr(boundary.PotentialSpec, "value", concave)
+    assert _failing(no_splitting_suite(seed=11, tuples=25)) == {"convex-marginal-monotonicity"}
