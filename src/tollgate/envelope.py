@@ -62,6 +62,21 @@ def exact_envelope(
     return Envelope(kind="exact", predict=predict)
 
 
+def conformal_rank(n: int, delta: float) -> int:
+    """The rank k = ceil((n + 1) * (1 - delta)) of the conformal margin among
+    n calibration residuals. A delta outside (0, 1) raises
+    :class:`ModelValidationError`; k > n, where the finite-sample quantile
+    is vacuous, raises :class:`CalibrationSizeError`."""
+    if not 0.0 < delta < 1.0:
+        raise ModelValidationError("delta must lie in (0, 1)", path="delta")
+    k = math.ceil((n + 1) * (1.0 - delta))
+    if n < 1 or k > n:
+        raise CalibrationSizeError(
+            f"need at least ceil(1/delta) - 1 calibration samples: n={n}, rank k={k}"
+        )
+    return k
+
+
 def fit_conformal_envelope(
     predictor: Predictor,
     calibration_set: Sequence[tuple[tuple[int, str, str], float]],
@@ -76,14 +91,7 @@ def fit_conformal_envelope(
     vacuous and the fit is refused. Exchangeability of calibration and
     evaluation points is the caller's obligation and is not checked.
     """
-    if not 0.0 < delta < 1.0:
-        raise ModelValidationError("delta must lie in (0, 1)", path="delta")
-    n = len(calibration_set)
-    k = math.ceil((n + 1) * (1.0 - delta))
-    if n < 1 or k > n:
-        raise CalibrationSizeError(
-            f"need at least ceil(1/delta) - 1 calibration samples: n={n}, rank k={k}"
-        )
+    k = conformal_rank(len(calibration_set), delta)
     residuals = sorted(
         float(true) - predictor(t, s, a) for (t, s, a), true in calibration_set
     )

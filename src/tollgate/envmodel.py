@@ -11,6 +11,7 @@ all operations are pure and safe to share across threads.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from collections.abc import Callable, Iterator, Mapping, Sequence
@@ -43,7 +44,8 @@ Kernel = tuple[tuple[str, float], ...]
 
 
 class EnvironmentModel:
-    """Immutable layered-tree environment. Construct via :func:`build_model`."""
+    """Immutable layered-tree environment. Construct via :func:`build_model`;
+    derive a variant with :meth:`replaced`."""
 
     def __init__(
         self,
@@ -62,6 +64,32 @@ class EnvironmentModel:
         self._terminal_losses = dict(terminal_losses)
         self.initial_state = initial_state
         self.null_action = null_action
+
+    def replaced(
+        self,
+        rows: Mapping[tuple[int, str, str], Mapping[str, float]] | None = None,
+        losses: Mapping[str, float] | None = None,
+        paths: Mapping[tuple[int, str, str], str] | None = None,
+        losses_path: str = "terminal_losses",
+    ) -> "EnvironmentModel":
+        """This model with the kernel rows ``rows[(t, s, a)]`` and the leaf
+        losses ``losses[leaf]`` replaced, each checked by :func:`build_model`'s
+        rules; its errors name ``paths[(t, s, a)]`` (else
+        ``nodes[t,s].actions[a]``) or ``losses_path``."""
+        nodes = dict(self._nodes)
+        for (t, s, a), kernel_map in (rows or {}).items():
+            self.kernel(t, s, a)  # raises for a key the model lacks
+            path = (paths or {}).get((t, s, a), f"nodes[{t},{s}].actions[{a}]")
+            row = _kernel_row(kernel_map, self._state_index, f"{path}.kernel")
+            _check_targets(row, t, self.horizon, nodes, self._terminal_losses, path)
+            nodes[(t, s)] = {**nodes[(t, s)], a: row}
+        terminal_losses = dict(self._terminal_losses)
+        for leaf in losses or {}:
+            self.terminal_loss(leaf)  # likewise
+            terminal_losses[leaf] = _terminal_loss(losses, leaf, losses_path)
+        variant = copy.copy(self)
+        variant._nodes, variant._terminal_losses = nodes, terminal_losses
+        return variant
 
     # -- structure ---------------------------------------------------------
 
@@ -288,6 +316,58 @@ def _component_values(value) -> dict:
     return rec
 
 
+def _kernel_row(kernel_map: Mapping, state_index: Mapping[str, int], path: str) -> Kernel:
+    """A kernel row: an object over known states whose probabilities are
+    finite, >= 0 and sum to 1 within ``KERNEL_TOL``, kept in state order.
+    Errors name ``path``, the row's ``kernel`` field."""
+    if not kernel_map:
+        raise ModelValidationError("empty kernel row", path=path)
+    row = []
+    total = 0.0
+    for nxt in kernel_map:
+        if nxt not in state_index:
+            raise ModelValidationError(f"kernel targets unknown state {nxt!r}", path=path)
+        p = read_field(kernel_map, nxt, float, path)
+        if not (p >= 0 and math.isfinite(p)):
+            raise ModelValidationError(
+                f"kernel probability must be finite and >= 0, got {p!r}",
+                path=f"{path}.{nxt}",
+            )
+        row.append((str(nxt), p))
+        total += p
+    if abs(total - 1.0) > KERNEL_TOL:
+        raise KernelSumError(f"kernel row sums to {total!r}, expected 1", path=path)
+    row.sort(key=lambda kv: state_index[kv[0]])
+    return tuple(row)
+
+
+def _check_targets(
+    row: Kernel, t: int, horizon: int, nodes: Mapping, losses: Mapping, path: str
+) -> None:
+    """Every positive-mass target of a row at time ``t`` is a decision node
+    at ``t + 1``, or, at the last decision layer, a leaf with a loss."""
+    for nxt, p in row:
+        if p <= 0.0:
+            continue
+        if t + 1 == horizon:
+            if nxt not in losses:
+                raise ModelValidationError(f"leaf state {nxt!r} has no terminal loss", path=path)
+        elif (t + 1, nxt) not in nodes:
+            raise ModelValidationError(
+                f"kernel targets {nxt!r} but no node exists at time {t + 1}", path=path
+            )
+
+
+def _terminal_loss(raw_losses: Mapping, sid: str, path: str) -> float:
+    """``raw_losses[sid]`` as a finite loss >= 0; errors name ``path``."""
+    loss = read_field(raw_losses, sid, float, path)
+    if not (loss >= 0 and math.isfinite(loss)):
+        raise NegativeLossError(
+            f"terminal loss must be finite and >= 0, got {loss!r}", path=f"{path}[{sid}]"
+        )
+    return loss
+
+
 def build_model(spec: Mapping) -> EnvironmentModel:
     """Build and validate an :class:`EnvironmentModel` from a plain dict.
 
@@ -338,27 +418,9 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         action_recs = optional_field(nrec, "actions", as_object, path, {})
         for a in action_recs:
             arec = read_field(action_recs, a, as_object, f"{path}.actions")
-            kpath = f"{path}.actions[{a}].kernel"
-            kernel_map = optional_field(arec, "kernel", as_object, f"{path}.actions[{a}]", {})
-            if not kernel_map:
-                raise ModelValidationError("empty kernel row", path=kpath)
-            row = []
-            total = 0.0
-            for nxt in kernel_map:
-                if nxt not in signatures:
-                    raise ModelValidationError(f"kernel targets unknown state {nxt!r}", path=kpath)
-                p = read_field(kernel_map, nxt, float, kpath)
-                if not (p >= 0 and math.isfinite(p)):
-                    raise ModelValidationError(
-                        f"kernel probability must be finite and >= 0, got {p!r}",
-                        path=f"{kpath}.{nxt}",
-                    )
-                row.append((str(nxt), p))
-                total += p
-            if abs(total - 1.0) > KERNEL_TOL:
-                raise KernelSumError(f"kernel row sums to {total!r}, expected 1", path=kpath)
-            row.sort(key=lambda kv: state_index[kv[0]])
-            actions[str(a)] = tuple(row)
+            apath = f"{path}.actions[{a}]"
+            kernel_map = optional_field(arec, "kernel", as_object, apath, {})
+            actions[str(a)] = _kernel_row(kernel_map, state_index, f"{apath}.kernel")
         if not actions:
             raise ModelValidationError("node has an empty action set", path=path)
         if null_action not in actions:
@@ -374,13 +436,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
             raise ModelValidationError(
                 f"terminal loss for unknown state {sid!r}", path=f"terminal_losses[{sid}]"
             )
-        loss = read_field(raw_losses, sid, float, "terminal_losses")
-        if not loss >= 0.0 or loss != loss or loss == float("inf"):
-            raise NegativeLossError(
-                f"terminal loss must be finite and >= 0, got {loss!r}",
-                path=f"terminal_losses[{sid}]",
-            )
-        terminal_losses[str(sid)] = loss
+        terminal_losses[str(sid)] = _terminal_loss(raw_losses, sid, "terminal_losses")
 
     initial_state = str(spec.get("initial_state", state_order[0] if state_order else ""))
     if initial_state not in signatures:
@@ -388,24 +444,9 @@ def build_model(spec: Mapping) -> EnvironmentModel:
             f"initial state {initial_state!r} unknown", path="initial_state"
         )
 
-    # Every kernel target at the last decision layer must carry a loss, and
-    # every intermediate target must itself be a decision node.
     for (t, s), actions in nodes.items():
         for a, row in actions.items():
-            for nxt, p in row:
-                if p <= 0.0:
-                    continue
-                if t + 1 == horizon:
-                    if nxt not in terminal_losses:
-                        raise ModelValidationError(
-                            f"leaf state {nxt!r} has no terminal loss",
-                            path=f"nodes[{t},{s}].actions[{a}]",
-                        )
-                elif (t + 1, nxt) not in nodes:
-                    raise ModelValidationError(
-                        f"kernel targets {nxt!r} but no node exists at time {t + 1}",
-                        path=f"nodes[{t},{s}].actions[{a}]",
-                    )
+            _check_targets(row, t, horizon, nodes, terminal_losses, f"nodes[{t},{s}].actions[{a}]")
 
     return EnvironmentModel(
         horizon=horizon,

@@ -15,6 +15,7 @@ class ModelValidationError(TollgateError):
     """A model document violates a structural invariant."""
 
     def __init__(self, message: str, path: str = "") -> None:
+        self.message = message
         self.path = path
         super().__init__(f"{message} (at {path})" if path else message)
 
@@ -56,7 +57,8 @@ class InvalidWitnessError(TollgateError):
 
 
 class RunArtifactError(TollgateError):
-    """The artifacts of a run directory disagree on which episodes it holds."""
+    """The artifacts of a run directory disagree on which episodes it holds,
+    or hold a cell that does not convert."""
 
 
 class ScenarioError(TollgateError):

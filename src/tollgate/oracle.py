@@ -39,7 +39,6 @@ def enumerate_terminal_law(
     iv: Intervention,
     cont: Policy,
     budget: EnumerationBudget | None = None,
-    terminal_loss: Mapping[str, float] | None = None,
 ) -> dict[float, float]:
     """Exact terminal-loss law by exhaustive path walk.
 
@@ -55,8 +54,7 @@ def enumerate_terminal_law(
     while stack:
         t, s, prob = stack.pop()
         if t == model.horizon:
-            loss = terminal_loss[s] if terminal_loss is not None else model.terminal_loss(s)
-            paths.append((float(loss), prob))
+            paths.append((float(model.terminal_loss(s)), prob))
             if len(paths) > budget.max_paths:
                 raise EnumerationBudgetError(
                     f"path enumeration exceeded cap {budget.max_paths}"

@@ -151,20 +151,13 @@ class PolicyValues:
     number of keys, each node being valued at most once:
     ``toll = forced(t, s, a) - forced(t, s, default)``. ``memo`` holds the
     valued nodes in the order they were first valued (children before
-    parents). ``terminal_loss`` overrides the model's losses (same keys).
+    parents).
     """
 
-    def __init__(
-        self,
-        model: EnvironmentModel,
-        cont: Policy,
-        spec: RiskSpec,
-        terminal_loss: Mapping[str, float] | None = None,
-    ) -> None:
+    def __init__(self, model: EnvironmentModel, cont: Policy, spec: RiskSpec) -> None:
         self.model = model
         self.cont = cont
         self.spec = spec
-        self.terminal_loss = terminal_loss
         self.memo: dict[tuple[int, str], float] = {}
 
     def at(self, t: int, s: str) -> float:
@@ -172,11 +165,7 @@ class PolicyValues:
         v = self.memo.get(key)
         if v is None:
             if t == self.model.horizon:
-                v = float(
-                    self.terminal_loss[s]
-                    if self.terminal_loss is not None
-                    else self.model.terminal_loss(s)
-                )
+                v = float(self.model.terminal_loss(s))
             else:
                 v = self._sigma_next(t, self.model.effective_next(t, s, self.cont))
             self.memo[key] = v
@@ -195,34 +184,27 @@ def evaluate_dynamic_risk(
     iv: Intervention,
     cont: Policy,
     spec: RiskSpec,
-    terminal_loss: Mapping[str, float] | None = None,
     values: PolicyValues | None = None,
 ) -> RiskValuation:
     """Backward recursion from the intervention node.
 
     The intervention action is forced at its node; afterwards the law of the
-    next node is the policy mixture of kernels. ``terminal_loss`` overrides
-    the model's own losses when supplied (same keys).
+    next node is the policy mixture of kernels. To value other losses or
+    kernels, pass a variant built by :meth:`EnvironmentModel.replaced`.
 
     ``values`` shares continuation values across calls. It must be built
-    for this model and policy (same objects) and an equal spec, with no
-    loss override on either side; otherwise :class:`ModelValidationError`.
+    for this model and policy (same objects) and an equal spec; otherwise
+    :class:`ModelValidationError`.
     Without it the result's ``values`` is the root and every node below it;
     with it, the root plus the nodes this call valued first, so their count
     is the work the call did.
     """
     _check_intervention(model, iv)
     if values is None:
-        values = PolicyValues(model, cont, spec, terminal_loss)
-    elif (
-        values.model is not model
-        or values.cont is not cont
-        or values.spec != spec
-        or terminal_loss is not None
-        or values.terminal_loss is not None
-    ):
+        values = PolicyValues(model, cont, spec)
+    elif values.model is not model or values.cont is not cont or values.spec != spec:
         raise ModelValidationError(
-            "shared values were built for another model, policy, spec or loss",
+            "shared values were built for another model, policy or spec",
             path="values",
         )
     before = len(values.memo)
@@ -232,15 +214,10 @@ def evaluate_dynamic_risk(
     return RiskValuation(values=valued, root=root)
 
 
-def evaluate_policy_risk(
-    model: EnvironmentModel,
-    cont: Policy,
-    spec: RiskSpec,
-    terminal_loss: Mapping[str, float] | None = None,
-) -> RiskValuation:
+def evaluate_policy_risk(model: EnvironmentModel, cont: Policy, spec: RiskSpec) -> RiskValuation:
     """Backward recursion with no forced action from the model's initial
     node."""
-    values = PolicyValues(model, cont, spec, terminal_loss)
+    values = PolicyValues(model, cont, spec)
     root = values.at(0, model.initial_state)
     return RiskValuation(values=values.memo, root=root)
 
@@ -466,9 +443,10 @@ def cvar_inconsistency_demo() -> CvarDemoRecord:
                 law[loss[leaf]] = law.get(loss[leaf], 0.0) + p * q
         return one_step_risk(spec_, law)
 
+    model_a, model_b = model.replaced(losses=loss_a), model.replaced(losses=loss_b)
     sv_a, sv_b = stage_values(loss_a), stage_values(loss_b)
-    rec_a = evaluate_policy_risk(model, cont, es, terminal_loss=loss_a).root
-    rec_b = evaluate_policy_risk(model, cont, es, terminal_loss=loss_b).root
+    rec_a = evaluate_policy_risk(model_a, cont, es).root
+    rec_b = evaluate_policy_risk(model_b, cont, es).root
     st_a, st_b = static_value(es, loss_a), static_value(es, loss_b)
 
     return CvarDemoRecord(
@@ -486,6 +464,6 @@ def cvar_inconsistency_demo() -> CvarDemoRecord:
         recursive_b=rec_b,
         expectation_static_a=static_value(mean, loss_a),
         expectation_static_b=static_value(mean, loss_b),
-        expectation_recursive_a=evaluate_policy_risk(model, cont, mean, terminal_loss=loss_a).root,
-        expectation_recursive_b=evaluate_policy_risk(model, cont, mean, terminal_loss=loss_b).root,
+        expectation_recursive_a=evaluate_policy_risk(model_a, cont, mean).root,
+        expectation_recursive_b=evaluate_policy_risk(model_b, cont, mean).root,
     )

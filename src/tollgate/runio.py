@@ -181,7 +181,8 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> list[EpisodeLog]:
     """Rebuild the episode logs a run wrote, in episode order, given the
     initial budget of its scenario: the inverse of the episode, summary and
     boundary writers. Raises :class:`RunArtifactError` unless the summary
-    rows and the episode log name the same episodes."""
+    rows and the episode log name the same episodes, or for an episode
+    number or summary amount that does not convert."""
     verdicts = {v.value: v for v in Verdict}
     entries: dict[int, list[GateEntry]] = {}
     for r in read_episode_records(run_dir):
@@ -194,26 +195,34 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> list[EpisodeLog]:
     boundary_records: dict[int, list[dict]] = {}
     for rec in _read_jsonl(Path(run_dir) / BOUNDARY_LOG_NAME):
         boundary_records.setdefault(rec.pop("episode"), []).append(rec)
-    rows = read_summary(run_dir)
-    if sorted(int(row["episode"]) for row in rows) != sorted(entries):
+    for episode in entries:
+        if type(episode) is not int:
+            raise RunArtifactError(f"{EPISODE_LOG_NAME} logs a non-integer episode {episode!r}")
+    try:
+        rows = [
+            (int(row["episode"]), float(row["terminal_loss"]), float(row["b_final"]))
+            for row in read_summary(run_dir)
+        ]
+    except (TypeError, ValueError) as exc:
+        raise RunArtifactError(
+            f"{SUMMARY_NAME} holds a cell that does not convert ({exc})"
+        ) from None
+    if sorted(episode for episode, _, _ in rows) != sorted(entries):
         raise RunArtifactError(
             f"{SUMMARY_NAME} has {len(rows)} episode row(s) but {EPISODE_LOG_NAME} "
             f"logs {len(entries)} episode(s), not the same ones"
         )
-    logs = []
-    for row in rows:
-        episode = int(row["episode"])
-        logs.append(
-            EpisodeLog(
-                episode=episode,
-                entries=tuple(entries[episode]),
-                terminal_loss=float(row["terminal_loss"]),
-                budget_initial=budget_initial,
-                budget_final=float(row["b_final"]),
-                boundary_records=tuple(boundary_records.get(episode, ())),
-            )
+    return [
+        EpisodeLog(
+            episode=episode,
+            entries=tuple(entries[episode]),
+            terminal_loss=terminal_loss,
+            budget_initial=budget_initial,
+            budget_final=budget_final,
+            boundary_records=tuple(boundary_records.get(episode, ())),
         )
-    return logs
+        for episode, terminal_loss, budget_final in rows
+    ]
 
 
 def write_calibration_csv(path: Path, rows: Iterable[dict]) -> Path:

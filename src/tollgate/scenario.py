@@ -16,7 +16,6 @@ the offending field path.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -28,6 +27,7 @@ from typing import Mapping, Sequence
 from .boundary import BoundarySpec, PotentialSpec
 from .envelope import (
     Envelope,
+    conformal_rank,
     exact_envelope,
     fit_conformal_envelope,
     least_squares_predictor,
@@ -46,6 +46,8 @@ from .envmodel import (
     safe_default_entry,
 )
 from .exceptions import (
+    CalibrationSizeError,
+    ModelValidationError,
     ScenarioInvariantError,
     ScenarioParseError,
     ScenarioReferenceError,
@@ -183,9 +185,8 @@ def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefault
 
 def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
     models = [base]
-    base_spec = doc.get("model", {})
     for i, variant in enumerate(optional_field(doc, "ambiguity", as_objects, "", [])):
-        spec = copy.deepcopy(dict(base_spec))
+        rows, paths = {}, {}
         for j, ov in enumerate(
             optional_field(variant, "kernel_overrides", as_objects, f"ambiguity[{i}]", [])
         ):
@@ -193,31 +194,24 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
             t = read_field(ov, "time", as_int, path)
             s = read_field(ov, "state", str, path)
             a = read_field(ov, "action", str, path)
-            found = False
-            for node in spec.get("nodes", []):
-                if int(node["time"]) == t and str(node["state"]) == s:
-                    if a not in node.get("actions", {}):
-                        raise ScenarioReferenceError(
-                            f"override names unknown action {a!r}", path=path
-                        )
-                    node["actions"][a]["kernel"] = read_field(ov, "kernel", dict, path)
-                    found = True
-                    break
-            if not found:
+            if not base.has_node(t, s):
                 raise ScenarioReferenceError(
                     f"override names unknown node ({t}, {s!r})", path=path
                 )
+            if a not in base.actions(t, s):
+                raise ScenarioReferenceError(f"override names unknown action {a!r}", path=path)
+            if (t, s, a) in rows:
+                raise ScenarioInvariantError(f"repeated override of action {a!r}", path=path)
+            rows[(t, s, a)] = read_field(ov, "kernel", as_object, path)
+            paths[(t, s, a)] = path
         overrides = optional_field(variant, "loss_overrides", as_object, f"ambiguity[{i}]", {})
         for leaf in overrides:
-            if leaf not in spec.get("terminal_losses", {}):
+            if leaf not in base.terminal_states:
                 raise ScenarioReferenceError(
                     f"loss override names unknown leaf {leaf!r}",
                     path=f"ambiguity[{i}].loss_overrides[{leaf}]",
                 )
-            spec["terminal_losses"][leaf] = read_field(
-                overrides, leaf, float, f"ambiguity[{i}].loss_overrides"
-            )
-        models.append(build_model(spec))
+        models.append(base.replaced(rows, overrides, paths, f"ambiguity[{i}].loss_overrides"))
     return AmbiguitySet(models=tuple(models))
 
 
@@ -347,13 +341,26 @@ def _resolve_gate_fields(doc: Mapping, actions: set[str]) -> dict:
 def _resolve_envelope(doc: Mapping) -> dict:
     """The envelope section; a conformal one gets its ``delta``,
     ``calibration_episodes`` and ``training_episodes`` converted, defaults
-    filled in."""
+    filled in, and is refused unless it can calibrate: delta in (0, 1), a
+    conformal rank within the calibration episodes, and a training episode."""
     config = dict(optional_field(doc, "envelope", as_object, "", {"kind": "exact"}))
     kind = config.get("kind")
     if kind == "conformal":
         config["delta"] = optional_field(config, "delta", float, "envelope", 0.1)
         for key, default in (("calibration_episodes", 200), ("training_episodes", 100)):
             config[key] = optional_field(config, key, as_int, "envelope", default)
+        try:
+            conformal_rank(config["calibration_episodes"], config["delta"])
+        except ModelValidationError as exc:
+            raise ScenarioInvariantError(exc.message, path="envelope.delta") from None
+        except CalibrationSizeError as exc:
+            raise ScenarioInvariantError(
+                str(exc), path="envelope.calibration_episodes"
+            ) from None
+        if config["training_episodes"] < 1:
+            raise ScenarioInvariantError(
+                "training_episodes must be >= 1", path="envelope.training_episodes"
+            )
     elif kind != "exact":
         raise ScenarioInvariantError(f"unknown envelope kind {kind!r}", path="envelope.kind")
     return config

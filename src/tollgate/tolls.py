@@ -331,14 +331,14 @@ def verify_witness(
     reduction = witness.min_gap - worst_hedged
     hedge_resistant = reduction <= witness.hedge_allowance + _TOL
 
-    base_losses = model.terminal_losses
-    bumped = {
-        leaf: loss + (witness.min_gap if leaf in witness.event else 0.0)
-        for leaf, loss in base_losses.items()
-    }
+    bumped = model.replaced(losses={
+        leaf: loss + witness.min_gap
+        for leaf, loss in model.terminal_losses.items()
+        if leaf in witness.event
+    })
     iv_default = Intervention(time, state, default)
     base_risk = evaluate_dynamic_risk(model, iv_default, cont, spec).root
-    bumped_risk = evaluate_dynamic_risk(model, iv_default, cont, spec, terminal_loss=bumped).root
+    bumped_risk = evaluate_dynamic_risk(bumped, iv_default, cont, spec).root
     risk_strictly_monotone = bumped_risk > base_risk + 1e-12
 
     return WitnessReport(

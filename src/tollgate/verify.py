@@ -150,8 +150,8 @@ def consistency_violations(
 ) -> list[dict]:
     """Nodes where the recursive ordering implication fails: the premise
     holds at every node of a later time yet some earlier node flips."""
-    vx = evaluate_policy_risk(model, cont, spec, terminal_loss=loss_x).values
-    vy = evaluate_policy_risk(model, cont, spec, terminal_loss=loss_y).values
+    vx = evaluate_policy_risk(model.replaced(losses=loss_x), cont, spec).values
+    vy = evaluate_policy_risk(model.replaced(losses=loss_y), cont, spec).values
     by_time: dict[int, list[tuple[int, str]]] = {}
     for node in vx:
         by_time.setdefault(node[0], []).append(node)
@@ -286,8 +286,10 @@ def cvar_demo_suite(seed: int) -> SuiteResult:
     record = cvar_inconsistency_demo()
     # re-derive both sides through the independent evaluators
     iv = Intervention(0, "root", "noop")
-    law_a = enumerate_terminal_law(record.model, iv, record.continuation, terminal_loss=record.loss_a)
-    law_b = enumerate_terminal_law(record.model, iv, record.continuation, terminal_loss=record.loss_b)
+    model_a = record.model.replaced(losses=record.loss_a)
+    model_b = record.model.replaced(losses=record.loss_b)
+    law_a = enumerate_terminal_law(model_a, iv, record.continuation)
+    law_b = enumerate_terminal_law(model_b, iv, record.continuation)
     es = RiskSpec(kind="conditional_es", alpha=record.alpha)
     oracle_static_a = static_risk(law_a, es)
     oracle_static_b = static_risk(law_b, es)
@@ -571,30 +573,14 @@ def _rekernel(rng: np.random.Generator, model: EnvironmentModel) -> EnvironmentM
     """Same skeleton, jittered kernels (support preserved)."""
     import numpy as np
 
-    nodes = []
+    rows = {}
     for t, s in model.all_nodes():
-        actions = {}
         for a in model.actions(t, s):
             row = model.kernel(t, s, a)
             raw = np.asarray([p for _, p in row]) + rng.uniform(0.01, 0.5, size=len(row))
             probs = raw / raw.sum()
-            actions[a] = {"kernel": {nxt: float(p) for (nxt, _), p in zip(row, probs)}}
-        nodes.append({"time": t, "state": s, "actions": actions})
-    sids = set(model.terminal_losses)
-    for t, s in model.all_nodes():
-        sids.add(s)
-        for a in model.actions(t, s):
-            for nxt, _ in model.kernel(t, s, a):
-                sids.add(nxt)
-    spec = {
-        "horizon": model.horizon,
-        "states": [{"id": s} for s in sorted(sids, key=model.state_index)],
-        "initial_state": model.initial_state,
-        "null_action": model.null_action,
-        "nodes": nodes,
-        "terminal_losses": model.terminal_losses,
-    }
-    return build_model(spec)
+            rows[(t, s, a)] = {nxt: float(p) for (nxt, _), p in zip(row, probs)}
+    return model.replaced(rows=rows)
 
 
 def gating_suite(

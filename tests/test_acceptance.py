@@ -74,8 +74,8 @@ def test_criterion_4_cvar_counterexample():
     assert rec.recursive_consistent
     es = RiskSpec(kind="conditional_es", alpha=rec.alpha)
     iv = Intervention(0, "root", "noop")
-    law_a = enumerate_terminal_law(rec.model, iv, rec.continuation, terminal_loss=rec.loss_a)
-    law_b = enumerate_terminal_law(rec.model, iv, rec.continuation, terminal_loss=rec.loss_b)
+    law_a = enumerate_terminal_law(rec.model.replaced(losses=rec.loss_a), iv, rec.continuation)
+    law_b = enumerate_terminal_law(rec.model.replaced(losses=rec.loss_b), iv, rec.continuation)
     assert static_risk(law_a, es) - static_risk(law_b, es) == pytest.approx(
         rec.static_gap, abs=1e-9
     )

@@ -56,6 +56,68 @@ def test_minimal_model_builds():
     assert model.terminal_loss("s2") == 1.0
 
 
+_FLIP = (0, "start", "flip")
+
+
+def test_replaced_swaps_only_the_given_rows_and_losses(coin_model):
+    variant = coin_model.replaced(
+        rows={_FLIP: {"lose": 0.25, "win": 0.75}}, losses={"lose": 3.0}
+    )
+    assert variant.kernel(0, "start", "flip") == (("win", 0.75), ("lose", 0.25))
+    assert variant.kernel(0, "start", "noop") == coin_model.kernel(0, "start", "noop")
+    assert variant.terminal_losses == {"win": 0.0, "lose": 3.0}
+    assert variant.actions(0, "start") == coin_model.actions(0, "start")
+    assert [variant.external_signature(s) for s in ("start", "win", "lose")] == [(0,), (0,), (1,)]
+    # the base model is untouched
+    assert coin_model.kernel(0, "start", "flip") == (("win", 0.5), ("lose", 0.5))
+    assert coin_model.terminal_losses == {"win": 0.0, "lose": 1.0}
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, path",
+    [
+        ({"rows": {_FLIP: {"win": 0.5}}}, KernelSumError, "nodes[0,start].actions[flip].kernel"),
+        ({"rows": {_FLIP: {"start": 1.0}}}, ModelValidationError, "nodes[0,start].actions[flip]"),
+        (
+            {"rows": {_FLIP: {"win": -0.5, "lose": 1.5}}},
+            ModelValidationError,
+            "nodes[0,start].actions[flip].kernel.win",
+        ),
+        ({"losses": {"lose": float("inf")}}, NegativeLossError, "terminal_losses[lose]"),
+        (
+            {"losses": {"lose": -1.0}, "losses_path": "v.loss_overrides"},
+            NegativeLossError,
+            "v.loss_overrides[lose]",
+        ),
+        (
+            {"rows": {_FLIP: {"win": 2.0}}, "paths": {_FLIP: "v.rows[0]"}},
+            KernelSumError,
+            "v.rows[0].kernel",
+        ),
+    ],
+    ids=["row-sum", "target-not-a-leaf", "negative-probability", "infinite-loss", "loss-path",
+         "row-path"],
+)
+def test_replaced_applies_the_build_rules(coin_model, kwargs, error, path):
+    with pytest.raises(error) as err:
+        coin_model.replaced(**kwargs)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rows": {(0, "start", "ghost"): {"win": 1.0}}},
+        {"rows": {(1, "win", "noop"): {"win": 1.0}}},
+        {"losses": {"start": 1.0}},
+    ],
+    ids=["unknown-action", "unknown-node", "not-a-leaf"],
+)
+def test_replaced_refuses_keys_the_model_lacks(coin_model, kwargs):
+    with pytest.raises(UnreachableNodeError):
+        coin_model.replaced(**kwargs)
+
+
 def test_kernel_row_sum_is_a_distinct_error():
     spec = _minimal_spec()
     spec["nodes"][0]["actions"]["noop"]["kernel"] = {"s1": 0.5, "s2": 0.4}

@@ -136,3 +136,57 @@ def test_run_leaves_numpy_and_scipy_unloaded(name, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False False"
+
+
+def _summary_episode_not_a_number(out):
+    path = out / runio.SUMMARY_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "x" + lines[1][lines[1].index(","):]
+    path.write_text("".join(lines))
+
+
+def _summary_final_budget_not_a_number(out):
+    path = out / runio.SUMMARY_NAME
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    cells = first.split(",")
+    cells[header.split(",").index("b_final")] = "abc"
+    path.write_text("".join([header, ",".join(cells), *rest]))
+
+
+def _logged_episode_a_string(out):
+    path = out / runio.EPISODE_LOG_NAME
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["episode"] = str(record["episode"])
+    lines[0] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            _summary_episode_not_a_number,
+            "summary.csv holds a cell that does not convert "
+            "(invalid literal for int() with base 10: 'x')",
+        ),
+        (
+            _summary_final_budget_not_a_number,
+            "summary.csv holds a cell that does not convert "
+            "(could not convert string to float: 'abc')",
+        ),
+        (_logged_episode_a_string, "episodes.jsonl logs a non-integer episode '0'"),
+    ],
+    ids=["summary-episode-x", "summary-b-final-abc", "log-episode-string"],
+)
+def test_report_refuses_unreadable_artifact_cells(corrupt, message, tmp_path, capsys):
+    # a cell that does not convert is a coded run-artifact error with exit 1,
+    # not a traceback
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
+    corrupt(out)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -96,7 +96,8 @@ def test_single_step_recursion_equals_one_step(coin_model, noop_policy):
 def test_constant_path_is_fixed_point(chain_model, noop_policy):
     cont = noop_policy(chain_model)
     loss = {"c": 7.0}
-    val = evaluate_dynamic_risk(chain_model, Intervention(0, "a", "noop"), cont, ENT, terminal_loss=loss)
+    iv = Intervention(0, "a", "noop")
+    val = evaluate_dynamic_risk(chain_model.replaced(losses=loss), iv, cont, ENT)
     assert all(v == pytest.approx(7.0, abs=1e-12) for v in val.values.values())
 
 
@@ -213,11 +214,12 @@ def test_recursive_translation_invariance_on_random_trees():
         model = random_layered_model(rng, max_depth=5)
         cont = random_policy(rng, model)
         shift = float(rng.uniform(-3, 3))
-        base_loss = {s: float(rng.uniform(0, 5)) for s in model.terminal_states}
+        # base losses in (3, 8) keep every moved loss >= 0, as a model requires
+        base_loss = {s: float(rng.uniform(3, 8)) for s in model.terminal_states}
         moved_loss = {s: v + shift for s, v in base_loss.items()}
         for spec in (ENT, MEAN, ES):
-            base = evaluate_policy_risk(model, cont, spec, terminal_loss=base_loss).root
-            moved = evaluate_policy_risk(model, cont, spec, terminal_loss=moved_loss).root
+            base = evaluate_policy_risk(model.replaced(losses=base_loss), cont, spec).root
+            moved = evaluate_policy_risk(model.replaced(losses=moved_loss), cont, spec).root
             assert moved == pytest.approx(base + shift, abs=1e-9)
 
 
@@ -230,8 +232,8 @@ def test_monotonicity_lift_on_random_trees():
         hi = {s: v + float(rng.uniform(0, 3)) for s, v in lo.items()}
         for spec in (ENT, MEAN, ES):
             assert (
-                evaluate_policy_risk(model, cont, spec, terminal_loss=lo).root
-                <= evaluate_policy_risk(model, cont, spec, terminal_loss=hi).root + 1e-9
+                evaluate_policy_risk(model.replaced(losses=lo), cont, spec).root
+                <= evaluate_policy_risk(model.replaced(losses=hi), cont, spec).root + 1e-9
             )
 
 
@@ -243,12 +245,12 @@ def test_entropic_strictly_monotone_in_reachable_bumps():
         model = random_layered_model(rng, max_depth=4)
         cont = random_policy(rng, model)
         base_loss = {s: float(rng.uniform(0, 5)) for s in model.terminal_states}
-        base = evaluate_policy_risk(model, cont, ENT, terminal_loss=base_loss)
+        base = evaluate_policy_risk(model.replaced(losses=base_loss), cont, ENT)
         reachable = [s for s in model.terminal_states if (model.horizon, s) in base.values]
         target = reachable[int(rng.integers(len(reachable)))]
         bumped_loss = dict(base_loss)
         bumped_loss[target] += 1.0
-        bumped = evaluate_policy_risk(model, cont, ENT, terminal_loss=bumped_loss)
+        bumped = evaluate_policy_risk(model.replaced(losses=bumped_loss), cont, ENT)
         probs = _reach_probability(model, cont, target)
         for node, v in base.values.items():
             if node[0] == model.horizon:
@@ -291,5 +293,5 @@ def test_cvar_demo_static_values_match_oracle():
     es = RiskSpec(kind="conditional_es", alpha=rec.alpha)
     iv = Intervention(0, "root", "noop")
     for losses, expected in ((rec.loss_a, rec.static_a), (rec.loss_b, rec.static_b)):
-        law = enumerate_terminal_law(rec.model, iv, rec.continuation, terminal_loss=losses)
+        law = enumerate_terminal_law(rec.model.replaced(losses=losses), iv, rec.continuation)
         assert static_risk(law, es) == pytest.approx(expected, abs=1e-9)

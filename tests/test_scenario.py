@@ -7,6 +7,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from tollgate.scenario import (
     load_scenario,
     resolve_scenario,
 )
+from tollgate.verify import _rekernel
 
 
 @pytest.fixture
@@ -106,6 +108,173 @@ def test_ambiguity_override_unknown_action(payments_doc):
     )
     with pytest.raises(ScenarioReferenceError):
         resolve_scenario(payments_doc)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_ambiguity_variants_replace_only_their_overrides(name):
+    # each variant is the base model with the overridden rows, in state
+    # order, and the overridden losses; states, signatures and actions stay
+    doc = json.loads(bundled_scenario_path(name).read_text())
+    sc = resolve_scenario(doc)
+    base = sc.model
+    states = [rec["id"] for rec in doc["model"]["states"]]
+    rekerneled = _rekernel(np.random.default_rng(5), base)
+    for variant, rec in zip(sc.ambiguity.models[1:], doc["ambiguity"], strict=True):
+        rows = {
+            (ov["time"], ov["state"], ov["action"]): ov["kernel"]
+            for ov in rec.get("kernel_overrides", [])
+        }
+        for t, s in base.all_nodes():
+            assert variant.actions(t, s) == base.actions(t, s)
+            for a in base.actions(t, s):
+                if (t, s, a) in rows:
+                    expected = tuple(
+                        sorted(rows[(t, s, a)].items(), key=lambda kv: base.state_index(kv[0]))
+                    )
+                else:
+                    expected = base.kernel(t, s, a)
+                assert variant.kernel(t, s, a) == expected
+        assert variant.terminal_losses == {**base.terminal_losses, **rec.get("loss_overrides", {})}
+    for variant in (*sc.ambiguity.models[1:], rekerneled):
+        assert list(variant.all_nodes()) == list(base.all_nodes())
+        assert [variant.state_index(s) for s in states] == list(range(len(states)))
+        assert all(variant.external_signature(s) == base.external_signature(s) for s in states)
+
+
+def _override_row_sum(doc):
+    doc["ambiguity"][0]["kernel_overrides"][0]["kernel"] = {"wired_fraud": 0.35}
+
+
+def _override_non_numeric_probability(doc):
+    doc["ambiguity"][0]["kernel_overrides"][0]["kernel"]["wired_fraud"] = "heavy"
+
+
+def _override_unknown_target(doc):
+    doc["ambiguity"][0]["kernel_overrides"][0]["kernel"] = {"ghost": 0.35, "wired_clear": 0.65}
+
+
+def _override_target_without_node(doc):
+    doc["ambiguity"][0]["kernel_overrides"][0]["kernel"] = {
+        "funds_lost": 0.35, "wired_clear": 0.65,
+    }
+
+
+def _override_negative_loss(doc):
+    doc["ambiguity"][0]["loss_overrides"] = {"funds_lost": -1.0}
+
+
+def _override_repeated(doc):
+    # the first of two overrides of one row would otherwise go unchecked
+    overrides = doc["ambiguity"][0]["kernel_overrides"]
+    overrides.insert(0, {**overrides[0], "kernel": {"wired_fraud": 0.35, "ghost": 7}})
+
+
+def _override_kernel_array(doc):
+    doc["ambiguity"][0]["kernel_overrides"][0]["kernel"] = [
+        ["wired_fraud", 0.35], ["wired_clear", 0.65],
+    ]
+
+
+@pytest.mark.parametrize(
+    "mutate, message, field_path",
+    [
+        (_override_row_sum, "kernel row sums to 0.35", "ambiguity[0].kernel_overrides[0].kernel"),
+        (
+            _override_non_numeric_probability,
+            "[parse] malformed field 'wired_fraud'",
+            "ambiguity[0].kernel_overrides[0].kernel.wired_fraud",
+        ),
+        (
+            _override_unknown_target,
+            "kernel targets unknown state 'ghost'",
+            "ambiguity[0].kernel_overrides[0].kernel",
+        ),
+        (
+            _override_target_without_node,
+            "kernel targets 'funds_lost' but no node exists at time 1",
+            "ambiguity[0].kernel_overrides[0]",
+        ),
+        (
+            _override_negative_loss,
+            "terminal loss must be finite and >= 0",
+            "ambiguity[0].loss_overrides[funds_lost]",
+        ),
+        (
+            _override_repeated,
+            "[invariant] repeated override of action 'wire_transfer'",
+            "ambiguity[0].kernel_overrides[1]",
+        ),
+        (
+            _override_kernel_array,
+            "[parse] malformed field 'kernel': expected an object",
+            "ambiguity[0].kernel_overrides[0].kernel",
+        ),
+    ],
+    ids=["row-sum", "non-numeric", "unknown-target", "no-node", "negative-loss", "repeated",
+         "array-kernel"],
+)
+def test_malformed_override_names_its_own_path(
+    payments_doc, tmp_path, capsys, mutate, message, field_path
+):
+    mutate(payments_doc)
+    with pytest.raises((ScenarioError, ModelValidationError)) as err:
+        resolve_scenario(payments_doc)
+    assert err.value.path == field_path
+    assert message in str(err.value)
+    doc = tmp_path / "bad-override.scn.json"
+    doc.write_text(json.dumps(payments_doc))
+    assert main(["run", "--scenario", str(doc), "--episodes", "1", "--out", str(tmp_path / "o")]) == 2
+    assert f"(at {field_path})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "envelope, message, field_path",
+    [
+        ({"calibration_episodes": 0}, "samples: n=0", "envelope.calibration_episodes"),
+        ({"calibration_episodes": -3}, "samples: n=-3", "envelope.calibration_episodes"),
+        (
+            {"delta": 0.01, "calibration_episodes": 20},
+            "calibration samples: n=20, rank k=21",
+            "envelope.calibration_episodes",
+        ),
+        ({"delta": 1.5}, "delta must lie in (0, 1)", "envelope.delta"),
+        ({"delta": math.nan}, "delta must lie in (0, 1)", "envelope.delta"),
+        ({"training_episodes": 0}, "training_episodes must be >= 1", "envelope.training_episodes"),
+    ],
+    ids=["no-calibration", "negative-calibration", "rank-past-n", "delta-1.5", "delta-nan",
+         "no-training"],
+)
+def test_conformal_section_that_cannot_calibrate_refused_at_load(
+    payments_doc, tmp_path, capsys, envelope, message, field_path
+):
+    # the conformal rank rule is checked at load, so every command refuses
+    # the section alike and before any rollout
+    payments_doc["envelope"] = {
+        "kind": "conformal", "delta": 0.1, "calibration_episodes": 60, "training_episodes": 30,
+        **envelope,
+    }
+    with pytest.raises(ScenarioInvariantError, match=re.escape(message)) as err:
+        resolve_scenario(payments_doc)
+    assert err.value.path == field_path
+    doc = tmp_path / "bad-envelope.scn.json"
+    doc.write_text(json.dumps(payments_doc))
+    for command in (
+        ["run", "--scenario", str(doc), "--episodes", "1"],
+        ["calibrate", "--scenario", str(doc), "--episodes", "20"],
+    ):
+        assert main(command + ["--out", str(tmp_path / command[0])]) == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error: [invariant]")
+        assert f"(at {field_path})" in err_text
+
+
+def test_conformal_section_defaults_calibrate(payments_doc):
+    # the pinned 60/30 section runs in test_artifacts; the defaults load too
+    payments_doc["envelope"] = {"kind": "conformal"}
+    config = resolve_scenario(payments_doc).envelope_config
+    assert (config["delta"], config["calibration_episodes"], config["training_episodes"]) == (
+        0.1, 200, 100,
+    )
 
 
 def test_exposure_unknown_boundary(payments_doc):

@@ -178,18 +178,9 @@ def test_shared_values_reject_a_mismatch():
     )
     twin = random_layered_model(np.random.default_rng(44), max_depth=3)
     twin_cont = random_policy(rng, model)
-    loss = model.terminal_losses
-    for args, kwargs in [
-        ((twin, iv, cont, ENT), {}),
-        ((model, iv, twin_cont, ENT), {}),
-        ((model, iv, cont, MEAN), {}),
-        ((model, iv, cont, ENT), {"terminal_loss": loss}),
-    ]:
+    for args in [(twin, iv, cont, ENT), (model, iv, twin_cont, ENT), (model, iv, cont, MEAN)]:
         with pytest.raises(ModelValidationError):
-            evaluate_dynamic_risk(*args, **kwargs, values=shared)
-    overridden = PolicyValues(model, cont, ENT, terminal_loss=loss)
-    with pytest.raises(ModelValidationError):
-        evaluate_dynamic_risk(model, iv, cont, ENT, values=overridden)
+            evaluate_dynamic_risk(*args, values=shared)
     with pytest.raises(ModelValidationError):
         counterfactual_toll(
             model, 0, model.initial_state, "noop", cont, MEAN, SafeDefaultMap({}), values=shared
@@ -206,8 +197,8 @@ def test_pathwise_dominance_orders_tolls():
         lo = {s: float(rng.uniform(0, 5)) for s in model.terminal_states}
         hi = {s: v + float(rng.uniform(0, 2)) for s, v in lo.items()}
         for spec in ALL_SPECS:
-            r_lo = evaluate_dynamic_risk(model, iv, cont, spec, terminal_loss=lo).root
-            r_hi = evaluate_dynamic_risk(model, iv, cont, spec, terminal_loss=hi).root
+            r_lo = evaluate_dynamic_risk(model.replaced(losses=lo), iv, cont, spec).root
+            r_hi = evaluate_dynamic_risk(model.replaced(losses=hi), iv, cont, spec).root
             assert r_lo <= r_hi + 1e-9
 
 

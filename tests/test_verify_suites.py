@@ -7,7 +7,8 @@ import functools
 import pytest
 
 from tollgate import boundary, verify
-from tollgate.verify import no_splitting_suite, run_suite
+from tollgate.envmodel import EnvironmentModel
+from tollgate.verify import cvar_demo_suite, iap_suite, no_splitting_suite, run_suite
 
 
 def test_run_suite_dispatch_and_reports(monkeypatch):
@@ -89,3 +90,25 @@ def test_no_splitting_concave_power_fails_marginal_monotonicity(monkeypatch):
 
     monkeypatch.setattr(boundary.PotentialSpec, "value", concave)
     assert _failing(no_splitting_suite(seed=11, tuples=25)) == {"convex-marginal-monotonicity"}
+
+
+def test_dropped_loss_variants_fail_cvar_demo_and_iap(monkeypatch):
+    # a loss variant that keeps the base losses: the cvar instance values
+    # loss b as loss a, and a witness bump moves no risk
+    replaced = EnvironmentModel.replaced
+
+    def without_losses(model, rows=None, losses=None, paths=None, losses_path="terminal_losses"):
+        return replaced(model, rows, None, paths)
+
+    assert not _failing(cvar_demo_suite(seed=11))
+    assert not _failing(iap_suite(seed=11, random_sets=8, witness_draws=8))
+    monkeypatch.setattr(EnvironmentModel, "replaced", without_losses)
+    assert _failing(cvar_demo_suite(seed=11)) == {
+        "oracle-agrees-with-static-values",
+        "expectation-tower-no-reversal",
+    }
+    assert _failing(iap_suite(seed=11, random_sets=8, witness_draws=8)) == {
+        "shipped-witness-certifies",
+        "tail-threshold-variant-splits-mappings",
+        "certificate-implies-positive-premium",
+    }
