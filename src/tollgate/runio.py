@@ -5,16 +5,23 @@ keys so identical runs serialize byte for byte. Summaries are plain CSV.
 The manifest embeds the resolved scenario document plus its hash, which
 makes a run directory self-describing for later audits: given the initial
 budget of that document, :func:`read_episode_logs` rebuilds the episode logs.
+
+The episode-log, boundary-log and summary readers and writers stream. A
+writer writes one episode at a time to an open file; a reader decodes a
+bounded batch of lines at a time. Neither holds a file's whole text, its
+list of lines or one decoded record per line.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exceptions import RunArtifactError
 from .gate import EpisodeLog, GateEntry, Verdict
@@ -30,22 +37,24 @@ _SUMMARY_FIELDS = ("episode", "b_final", "charged_sum", "terminal_loss") + tuple
     "n_" + v.value.lower() for v in Verdict
 )
 
+# The JSON types each key of an episode-log line may hold: the episode, then
+# the GateEntry fields in their order.
+_INT, _STR, _NUMBER = (int,), (str,), (int, float)
+_RECORD_KINDS = dict(
+    zip(
+        ("episode",) + GateEntry._fields,
+        (_INT, _INT, _INT, _STR, _STR, _NUMBER, _STR, _STR, _NUMBER, _INT),
+    )
+)
+_KIND_NAMES = {_INT: "non-integer", _STR: "non-string", _NUMBER: "non-numeric"}
 
 # The keys of one episode-log line in sorted order, and the line they make
 # with json.dumps's default separators.
-_ENTRY_KEYS = (
-    "boundary_version",
-    "budget_after",
-    "envelope_value",
-    "episode",
-    "executed",
-    "proposed",
-    "state",
-    "step",
-    "time",
-    "verdict",
-)
+_ENTRY_KEYS = tuple(sorted(_RECORD_KINDS))
 _ENTRY_LINE = "{" + ", ".join(f'"{key}": %s' for key in _ENTRY_KEYS) + "}"
+
+# Lines decoded per batch by _read_jsonl.
+_BATCH_LINES = 1024
 
 
 def _json_scalar(value) -> str:
@@ -61,62 +70,46 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
+def _entry_lines(log: EpisodeLog) -> Iterator[str]:
+    enc = _json_scalar
+    episode = enc(log.episode)
+    for e in log.entries:
+        yield _ENTRY_LINE % (
+            enc(e.boundary_version),
+            enc(e.budget_after),
+            enc(e.envelope_value),
+            episode,
+            enc(e.executed),
+            enc(e.proposed),
+            enc(e.state),
+            enc(e.step),
+            enc(e.time),
+            enc(e.verdict.value),
+        )
+
+
 def episode_json_lines(logs: Sequence[EpisodeLog]) -> list[str]:
     """One line per gate entry, each equal to ``json.dumps(record,
     sort_keys=True)`` of the entry's record."""
-    enc = _json_scalar
-    lines = []
-    for log in logs:
-        episode = enc(log.episode)
-        for e in log.entries:
-            lines.append(
-                _ENTRY_LINE
-                % (
-                    enc(e.boundary_version),
-                    enc(e.budget_after),
-                    enc(e.envelope_value),
-                    episode,
-                    enc(e.executed),
-                    enc(e.proposed),
-                    enc(e.state),
-                    enc(e.step),
-                    enc(e.time),
-                    enc(e.verdict.value),
-                )
-            )
-    return lines
+    return [line for log in logs for line in _entry_lines(log)]
 
 
 def write_episode_logs(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     path = out_dir / EPISODE_LOG_NAME
-    text = "\n".join(episode_json_lines(logs))
-    path.write_text(text + ("\n" if text else ""))
+    with path.open("w") as fh:
+        for log in logs:
+            for line in _entry_lines(log):
+                fh.write(line + "\n")
     return path
 
 
 def write_boundary_log(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     path = out_dir / BOUNDARY_LOG_NAME
-    lines = []
-    for log in logs:
-        for rec in log.boundary_records:
-            lines.append(json.dumps({"episode": log.episode, **rec}, sort_keys=True))
-    text = "\n".join(lines)
-    path.write_text(text + ("\n" if text else ""))
+    with path.open("w") as fh:
+        for log in logs:
+            for rec in log.boundary_records:
+                fh.write(json.dumps({"episode": log.episode, **rec}, sort_keys=True) + "\n")
     return path
-
-
-def summary_rows(logs: Sequence[EpisodeLog]) -> list[tuple]:
-    """One row per episode, in the order of ``_SUMMARY_FIELDS``."""
-    return [
-        (
-            log.episode,
-            repr(log.budget_final),
-            repr(log.charged_total),
-            repr(log.terminal_loss),
-            *log.decision_counts().values(),
-        )
-        for log in logs
-    ]
 
 
 def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
@@ -124,7 +117,16 @@ def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_FIELDS)
-        writer.writerows(summary_rows(logs))
+        writer.writerows(
+            (
+                log.episode,
+                repr(log.budget_final),
+                repr(log.charged_total),
+                repr(log.terminal_loss),
+                *log.decision_counts().values(),
+            )
+            for log in logs
+        )
     return path
 
 
@@ -161,52 +163,115 @@ def read_manifest(run_dir: Path) -> dict:
     return json.loads((Path(run_dir) / MANIFEST_NAME).read_text())
 
 
-def read_episode_records(run_dir: Path) -> list[dict]:
-    return _read_jsonl(Path(run_dir) / EPISODE_LOG_NAME)
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    # one decode of the lines as a JSON array beats one decode per line
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    return json.loads("[" + ",".join(lines) + "]")
-
-
-def read_summary(run_dir: Path) -> list[dict]:
-    path = Path(run_dir) / SUMMARY_NAME
+def _read_jsonl(path: Path) -> Iterator:
+    """The values of a JSON-lines file, in order; blank lines are skipped."""
+    # Each batch of up to _BATCH_LINES lines is decoded as one JSON array,
+    # so the text and records in flight stay bounded, whatever the file's
+    # size. It is also the fastest rule measured: read_episode_records on
+    # the 15,000-line log of a 5000-episode database run took 79 ms with
+    # batches, 92 ms with one array of the whole file and 121 ms with one
+    # decode per line (timeit medians of 10 alternating rounds, 2 vCPUs).
     with path.open() as fh:
-        return list(csv.DictReader(fh))
+        while lines := list(itertools.islice(fh, _BATCH_LINES)):
+            text = ",".join(line for line in lines if not line.isspace())
+            if text:
+                yield from json.loads("[" + text + "]")
+
+
+def _record_error(record) -> RunArtifactError:
+    """Why an episode-log record does not make a gate entry."""
+    if type(record) is not dict:
+        return RunArtifactError(f"{EPISODE_LOG_NAME} logs a non-object record {record!r}")
+    for key, kinds in _RECORD_KINDS.items():
+        if key not in record:
+            return RunArtifactError(f"{EPISODE_LOG_NAME} logs a record without {key!r}")
+        if type(record[key]) not in kinds:
+            return RunArtifactError(
+                f"{EPISODE_LOG_NAME} logs a {_KIND_NAMES[kinds]} {key} {record[key]!r}"
+            )
+    return RunArtifactError(f"{EPISODE_LOG_NAME} logs an unknown verdict {record['verdict']!r}")
+
+
+def read_episode_records(run_dir: Path) -> dict[int, list[GateEntry]]:
+    """The gate entries of a run's episode log, grouped by episode in order
+    of first appearance. Raises :class:`RunArtifactError` for a record that
+    is not an object, lacks a key, holds a value of the wrong JSON type or
+    names an unknown verdict. Each distinct label is kept as one string."""
+    fields = itemgetter(*_RECORD_KINDS)
+    verdicts = {v.value: v for v in Verdict}
+    labels: dict[str, str] = {}
+    label = labels.setdefault
+    entries: dict[int, list[GateEntry]] = {}
+    for record in _read_jsonl(Path(run_dir) / EPISODE_LOG_NAME):
+        try:
+            episode, step, time, state, proposed, value, verdict, executed, after, version = (
+                fields(record)
+            )
+        except (KeyError, TypeError):
+            raise _record_error(record) from None
+        # _RECORD_KINDS spelled out, which is cheaper than a loop over it;
+        # the types are checked before any value is hashed
+        if not (
+            type(episode) is type(step) is type(time) is type(version) is int
+            and type(state) is type(proposed) is type(verdict) is type(executed) is str
+            and type(value) in _NUMBER
+            and type(after) in _NUMBER
+            and verdict in verdicts
+        ):
+            raise _record_error(record)
+        entries.setdefault(episode, []).append(
+            GateEntry(
+                step, time, label(state, state), label(proposed, proposed), value,
+                verdicts[verdict], label(executed, executed), after, version,
+            )
+        )
+    return entries
+
+
+def read_summary(run_dir: Path) -> list[tuple[int, float, float]]:
+    """``(episode, terminal_loss, b_final)`` of each summary row, converted
+    as it is read; blank lines are skipped. Raises :class:`RunArtifactError`
+    for a missing column, a row shorter than the header or a cell that does
+    not convert."""
+    path = Path(run_dir) / SUMMARY_NAME
+    names = ("episode", "terminal_loss", "b_final")
+    with path.open() as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            return []
+        for name in names:
+            if name not in header:
+                raise RunArtifactError(f"{SUMMARY_NAME} has no {name!r} column")
+        cells = itemgetter(*map(header.index, names))
+        try:
+            return [
+                (int(episode), float(terminal_loss), float(b_final))
+                for episode, terminal_loss, b_final in map(cells, filter(None, rows))
+            ]
+        except IndexError:
+            raise RunArtifactError(
+                f"{SUMMARY_NAME} has a row shorter than its header (line {rows.line_num})"
+            ) from None
+        except ValueError as exc:
+            raise RunArtifactError(
+                f"{SUMMARY_NAME} holds a cell that does not convert ({exc})"
+            ) from None
 
 
 def read_episode_logs(run_dir: Path, budget_initial: float) -> list[EpisodeLog]:
-    """Rebuild the episode logs a run wrote, in episode order, given the
+    """Rebuild the episode logs a run wrote, in summary-row order, given the
     initial budget of its scenario: the inverse of the episode, summary and
     boundary writers. Raises :class:`RunArtifactError` unless the summary
-    rows and the episode log name the same episodes, or for an episode
-    number or summary amount that does not convert."""
-    verdicts = {v.value: v for v in Verdict}
-    entries: dict[int, list[GateEntry]] = {}
-    for r in read_episode_records(run_dir):
-        entries.setdefault(r["episode"], []).append(
-            GateEntry(
-                r["step"], r["time"], r["state"], r["proposed"], r["envelope_value"],
-                verdicts[r["verdict"]], r["executed"], r["budget_after"], r["boundary_version"],
-            )
-        )
+    rows and the episode log name the same episodes, or for a log record or
+    summary cell that does not convert."""
+    entries = read_episode_records(run_dir)
     boundary_records: dict[int, list[dict]] = {}
     for rec in _read_jsonl(Path(run_dir) / BOUNDARY_LOG_NAME):
+        if type(rec) is not dict or type(rec.get("episode")) is not int:
+            raise RunArtifactError(f"{BOUNDARY_LOG_NAME} logs a record without an integer episode")
         boundary_records.setdefault(rec.pop("episode"), []).append(rec)
-    for episode in entries:
-        if type(episode) is not int:
-            raise RunArtifactError(f"{EPISODE_LOG_NAME} logs a non-integer episode {episode!r}")
-    try:
-        rows = [
-            (int(row["episode"]), float(row["terminal_loss"]), float(row["b_final"]))
-            for row in read_summary(run_dir)
-        ]
-    except (TypeError, ValueError) as exc:
-        raise RunArtifactError(
-            f"{SUMMARY_NAME} holds a cell that does not convert ({exc})"
-        ) from None
+    rows = read_summary(run_dir)
     if sorted(episode for episode, _, _ in rows) != sorted(entries):
         raise RunArtifactError(
             f"{SUMMARY_NAME} has {len(rows)} episode row(s) but {EPISODE_LOG_NAME} "

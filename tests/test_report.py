@@ -162,6 +162,36 @@ def _logged_episode_a_string(out):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _first_log_record(change):
+    def corrupt(out):
+        path = out / runio.EPISODE_LOG_NAME
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(json.dumps(change(json.loads(first))) + "\n" + rest)
+
+    return corrupt
+
+
+def _first_log_field(key, value):
+    return _first_log_record(lambda record: {**record, key: value})
+
+
+def _summary_row_cut_short(out):
+    path = out / runio.SUMMARY_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].split(",", 1)[0] + "\n"
+    path.write_text("".join(lines))
+
+
+def _summary_column_renamed(out):
+    path = out / runio.SUMMARY_NAME
+    path.write_text(path.read_text().replace("terminal_loss", "loss", 1))
+
+
+def _boundary_record_a_list(out):
+    path = out / runio.BOUNDARY_LOG_NAME
+    path.write_text("[0]\n" + path.read_text())
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -176,12 +206,51 @@ def _logged_episode_a_string(out):
             "(could not convert string to float: 'abc')",
         ),
         (_logged_episode_a_string, "episodes.jsonl logs a non-integer episode '0'"),
+        (
+            _first_log_field("envelope_value", "abc"),
+            "episodes.jsonl logs a non-numeric envelope_value 'abc'",
+        ),
+        (
+            _first_log_field("budget_after", None),
+            "episodes.jsonl logs a non-numeric budget_after None",
+        ),
+        (_first_log_field("step", 1.5), "episodes.jsonl logs a non-integer step 1.5"),
+        (_first_log_field("time", "0"), "episodes.jsonl logs a non-integer time '0'"),
+        (
+            _first_log_field("boundary_version", True),
+            "episodes.jsonl logs a non-integer boundary_version True",
+        ),
+        (_first_log_field("state", ["s"]), "episodes.jsonl logs a non-string state ['s']"),
+        (_first_log_field("proposed", {}), "episodes.jsonl logs a non-string proposed {}"),
+        (_first_log_field("executed", 7), "episodes.jsonl logs a non-string executed 7"),
+        (_first_log_field("verdict", "MAYBE"), "episodes.jsonl logs an unknown verdict 'MAYBE'"),
+        (
+            _first_log_field("verdict", ["EXECUTE"]),
+            "episodes.jsonl logs a non-string verdict ['EXECUTE']",
+        ),
+        (
+            _first_log_record(lambda record: {k: v for k, v in record.items() if k != "step"}),
+            "episodes.jsonl logs a record without 'step'",
+        ),
+        (
+            _first_log_record(lambda record: [0, 1]),
+            "episodes.jsonl logs a non-object record [0, 1]",
+        ),
+        (_summary_row_cut_short, "summary.csv has a row shorter than its header (line 3)"),
+        (_summary_column_renamed, "summary.csv has no 'terminal_loss' column"),
+        (_boundary_record_a_list, "boundaries.jsonl logs a record without an integer episode"),
     ],
-    ids=["summary-episode-x", "summary-b-final-abc", "log-episode-string"],
+    ids=[
+        "summary-episode-x", "summary-b-final-abc", "log-episode-string",
+        "log-envelope-value-abc", "log-budget-after-null", "log-step-float", "log-time-string",
+        "log-boundary-version-bool", "log-state-list", "log-proposed-object",
+        "log-executed-int", "log-verdict-unknown", "log-verdict-list", "log-step-missing",
+        "log-record-list", "summary-row-short", "summary-column-missing", "boundary-record-list",
+    ],
 )
 def test_report_refuses_unreadable_artifact_cells(corrupt, message, tmp_path, capsys):
-    # a cell that does not convert is a coded run-artifact error with exit 1,
-    # not a traceback
+    # a record or cell that does not convert, or a record field of the wrong
+    # JSON type, is a coded run-artifact error with exit 1, not a traceback
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
     corrupt(out)

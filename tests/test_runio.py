@@ -1,17 +1,20 @@
 """Episode-log serialisation: each line is ``json.dumps(record,
-sort_keys=True)`` of its entry, on the edge values too."""
+sort_keys=True)`` of its entry, on the edge values too; the readers and
+writers stream, so their memory stays below the size of the log."""
 
 from __future__ import annotations
 
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from tollgate import runio
 from tollgate.cli import main
 from tollgate.gate import EpisodeLog, GateEntry, Verdict
-from tollgate.scenario import bundled_scenario_path
+from tollgate.scenario import bundled_scenario_path, load_scenario
 
 INF, NAN = math.inf, math.nan
 
@@ -94,3 +97,101 @@ def test_infinite_budget_run_writes_json_dumps_lines(tmp_path):
     assert all(r["budget_after"] == INF for r in records)
     logs = runio.read_episode_logs(out, INF)
     assert runio.episode_json_lines(logs) == lines
+
+
+def test_written_episode_log_reads_back_on_edge_entries(tmp_path):
+    logs = _edge_logs()
+    lines = runio.episode_json_lines(logs)
+    path = runio.write_episode_logs(tmp_path, logs)
+    assert path.read_text() == "".join(line + "\n" for line in lines)
+    entries = runio.read_episode_records(tmp_path)
+    assert [log.episode for log in logs] == list(entries)
+    rebuilt = [
+        EpisodeLog(log.episode, tuple(entries[log.episode]), 0.0, INF, 0.0, ()) for log in logs
+    ]
+    assert runio.episode_json_lines(rebuilt) == lines
+
+
+def test_readers_skip_blank_lines_across_batches(tmp_path):
+    # a stretch of blank lines longer than one batch must not end the read
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "payments", "--episodes", "30", "--out", str(out)]) == 0
+    budget = load_scenario(bundled_scenario_path("payments")).gate.initial_budget
+    expected = runio.read_episode_logs(out, budget)
+    assert any(log.boundary_records for log in expected)
+    blanks = ["\n", "   \n", "\t \n"] * runio._BATCH_LINES
+    for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
+        path = out / name
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(["\n", first, *blanks, *rest, " \n"]))
+    assert runio.read_episode_logs(out, budget) == expected
+
+
+def test_zero_episode_run_writes_empty_logs_and_a_header_only_summary(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "database", "--episodes", "0", "--out", str(out)]) == 0
+    assert (out / runio.EPISODE_LOG_NAME).read_bytes() == b""
+    assert (out / runio.BOUNDARY_LOG_NAME).read_bytes() == b""
+    assert (out / runio.SUMMARY_NAME).read_bytes() == (
+        b"episode,b_final,charged_sum,terminal_loss,n_execute,n_downgrade,"
+        b"n_escalate_approved,n_escalate_denied,n_block\r\n"
+    )
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert "zero episodes, nothing to audit" in capsys.readouterr().out
+
+
+def test_report_reads_no_whole_log_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "database", "--episodes", "50", "--out", str(out)]) == 0
+    read_text = Path.read_text
+
+    def refuse_logs(path, *args, **kwargs):
+        if path.name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
+            raise AssertionError(f"whole-file read of {path.name}")
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse_logs)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("-> PASS")
+
+
+@pytest.fixture(scope="module")
+def database_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("database") / "run"
+    assert main(["run", "--scenario", "database", "--episodes", "5000", "--out", str(out)]) == 0
+    return out, load_scenario(bundled_scenario_path("database")).gate.initial_budget
+
+
+def _traced_memory(fn):
+    """``fn()``, with the memory it still holds on return and its peak."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
+
+
+def test_reading_episode_logs_holds_less_than_the_log_in_flight(database_run):
+    # what the reader holds beyond the logs it returns is a bounded batch,
+    # not the file's text, its lines or one decoded record per line
+    out, budget = database_run
+    size = (out / runio.EPISODE_LOG_NAME).stat().st_size
+    logs, retained, peak = _traced_memory(lambda: runio.read_episode_logs(out, budget))
+    assert len(logs) == 5000
+    assert peak - retained < size
+
+
+def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run, tmp_path):
+    out, budget = database_run
+    logs = runio.read_episode_logs(out, budget)
+    size = (out / runio.EPISODE_LOG_NAME).stat().st_size
+    _, _, peak = _traced_memory(
+        lambda: (runio.write_episode_logs(tmp_path, logs), runio.write_boundary_log(tmp_path, logs))
+    )
+    assert peak < size
+    for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
