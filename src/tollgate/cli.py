@@ -141,7 +141,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"run of scenario {manifest['scenario_name']!r}: zero episodes, nothing to audit")
         return 0
 
-    delta = manifest["envelope"].get("delta", 0.0)
+    envelope = manifest["envelope"]
+    delta = envelope["delta"] if envelope["kind"] == "conformal" else 0.0
     audit = audit_budget_guarantee(logs, scenario.gate.exact_quoter.predict, delta)
     mix = Counter(e.verdict for log in logs for e in log.entries)
     finals = [log.budget_final for log in logs]
@@ -204,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     except TollgateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: missing or unreadable run artifacts ({exc})", file=sys.stderr)
         return 1
 

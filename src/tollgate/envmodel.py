@@ -169,10 +169,29 @@ class EnvironmentModel:
 
 
 class Policy:
-    """Probability map (time, state) -> distribution over available actions."""
+    """Probability map (time, state) -> distribution over available actions.
+
+    Every row is checked once, here: each probability finite and >= 0, the
+    row summing to 1 within ``KERNEL_TOL``.
+    """
 
     def __init__(self, dist: Mapping[tuple[int, str], Sequence[tuple[str, float]]]) -> None:
-        self._dist = {k: tuple(v) for k, v in dist.items()}
+        self._dist = {}
+        for (t, s), row in dist.items():
+            row = tuple(row)
+            total = 0.0
+            for a, p in row:
+                if not (p >= 0 and math.isfinite(p)):
+                    raise ModelValidationError(
+                        f"policy probability must be finite and >= 0, got {p!r}",
+                        path=f"policy[{t},{s}].{a}",
+                    )
+                total += p
+            if abs(total - 1.0) > KERNEL_TOL:
+                raise ModelValidationError(
+                    f"policy row sums to {total!r}, expected 1", path=f"policy[{t},{s}]"
+                )
+            self._dist[(t, s)] = row
 
     @classmethod
     def from_entries(
@@ -183,26 +202,13 @@ class Policy:
         dist: dict[tuple[int, str], tuple[tuple[str, float], ...]] = {}
         for (t, s), probs in entries.items():
             avail = model.actions(t, s)
-            total = 0.0
-            row = []
-            for a, p in probs.items():
+            for a in probs:
                 if a not in avail:
                     raise ModelValidationError(
                         f"policy puts mass on unavailable action {a!r}",
                         path=f"policy[{t},{s}]",
                     )
-                if not (p >= 0 and math.isfinite(p)):
-                    raise ModelValidationError(
-                        f"policy probability must be finite and >= 0, got {p!r}",
-                        path=f"policy[{t},{s}].{a}",
-                    )
-                row.append((a, float(p)))
-                total += p
-            if abs(total - 1.0) > KERNEL_TOL:
-                raise ModelValidationError(
-                    f"policy row sums to {total!r}, expected 1", path=f"policy[{t},{s}]"
-                )
-            dist[(t, s)] = tuple(row)
+            dist[(t, s)] = tuple((a, float(p)) for a, p in probs.items())
         return cls(dist)
 
     @classmethod

@@ -58,7 +58,7 @@ class InvalidWitnessError(TollgateError):
 
 class RunArtifactError(TollgateError):
     """The artifacts of a run directory disagree on which episodes it holds,
-    or hold a record or cell that does not convert."""
+    or hold a record, cell or manifest field that does not convert."""
 
 
 class ScenarioError(TollgateError):

@@ -28,13 +28,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from ._stream import add_reduce, uniform_stream
-from .boundary import BoundaryLedger, BoundarySpec
-from .envelope import Envelope
-from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
+from .boundary import BoundaryLedger
 from .exceptions import ModelValidationError
+
+if TYPE_CHECKING:
+    from .boundary import BoundarySpec
+    from .envelope import Envelope
+    from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
 
 FALLBACK_MODES = ("downgrade", "escalate", "block")
 
@@ -210,13 +213,7 @@ def _inverse_cdf(row: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], t
     ``choice`` would. Rows are immutable tuples held by the policy or the
     model, so the memo keys on the row itself."""
     probs = [float(p) for _, p in row]
-    if not all(0.0 <= p < math.inf for p in probs):
-        raise ModelValidationError(
-            f"cannot sample a row with a negative or non-finite probability: {row!r}"
-        )
     total = add_reduce(probs)
-    if not 0.0 < total < math.inf:
-        raise ModelValidationError(f"cannot sample a row of mass {total!r}: {row!r}")
     cdf = list(accumulate(p / total for p in probs))
     last = cdf[-1]
     return tuple(label for label, _ in row), tuple(c / last for c in cdf)

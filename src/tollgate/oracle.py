@@ -15,11 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .envmodel import EnvironmentModel, Intervention, Policy
 from .exceptions import EnumerationBudgetError
-from .risk import RiskSpec
+
+if TYPE_CHECKING:
+    from .risk import RiskSpec
 
 
 @dataclass(frozen=True)

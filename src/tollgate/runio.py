@@ -21,7 +21,7 @@ import math
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exceptions import RunArtifactError
 from .gate import EpisodeLog, GateEntry, Verdict
@@ -159,8 +159,49 @@ def write_manifest(
     return path
 
 
+# The manifest fields report reads: key, rule, and what the rule asks for.
+_MANIFEST_FIELDS = (
+    ("scenario_name", lambda v: type(v) is str, "a string"),
+    ("config_hash", lambda v: type(v) is str, "a string"),
+    ("episodes", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    ("scenario_document", lambda v: type(v) is dict, "an object"),
+    ("envelope", lambda v: type(v) is dict, "an object"),
+)
+
+
+def _manifest_field(record: dict, key: str, ok: Callable[[object], bool], what: str, path=""):
+    """``record[key]``; raises :class:`RunArtifactError`, naming ``path +
+    key``, when it is missing or not ``ok``."""
+    if key not in record:
+        raise RunArtifactError(f"{MANIFEST_NAME} has no {path + key!r}")
+    value = record[key]
+    if not ok(value):
+        raise RunArtifactError(f"{MANIFEST_NAME} holds {path + key} {value!r}, not {what}")
+    return value
+
+
 def read_manifest(run_dir: Path) -> dict:
-    return json.loads((Path(run_dir) / MANIFEST_NAME).read_text())
+    """The manifest :func:`write_manifest` wrote. Raises
+    :class:`RunArtifactError`, naming the field, unless it is an object
+    whose ``_MANIFEST_FIELDS`` keep their rules and whose envelope ``kind``
+    is ``exact`` or ``conformal``, a conformal one with a numeric ``delta``
+    in (0, 1)."""
+    manifest = json.loads((Path(run_dir) / MANIFEST_NAME).read_text())
+    if type(manifest) is not dict:
+        raise RunArtifactError(f"{MANIFEST_NAME} is not a JSON object")
+    for key, ok, what in _MANIFEST_FIELDS:
+        _manifest_field(manifest, key, ok, what)
+    envelope = manifest["envelope"]
+    kind = _manifest_field(
+        envelope, "kind", lambda v: v in ("exact", "conformal"), "'exact' or 'conformal'",
+        "envelope.",
+    )
+    if kind == "conformal":
+        _manifest_field(
+            envelope, "delta", lambda v: type(v) in _NUMBER and 0.0 < v < 1.0,
+            "a number in (0, 1)", "envelope.",
+        )
+    return manifest
 
 
 def _read_jsonl(path: Path) -> Iterator:

@@ -1,0 +1,55 @@
+"""Each module loads only what it runs: every module imports on its own, the
+gate reaches the pricing tier only through the envelope it is handed, and
+the oracle stays independent of the engine it cross-checks."""
+
+from __future__ import annotations
+
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted(
+    "tollgate" + ("" if path.stem == "__init__" else "." + path.stem)
+    for path in (SRC / "tollgate").glob("*.py")
+)
+
+
+@functools.cache
+def _loaded(module: str) -> frozenset[str]:
+    """The package modules a fresh interpreter holds after importing
+    ``module`` alone."""
+    code = (
+        f"import sys, {module}; "
+        "print(*(m for m in sys.modules if m == 'tollgate' or m.startswith('tollgate.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return frozenset(done.stdout.split())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    assert module in _loaded(module)
+
+
+def test_gate_loads_no_pricing_module():
+    assert _loaded("tollgate.gate") == {
+        "tollgate",
+        "tollgate._stream",
+        "tollgate.boundary",
+        "tollgate.exceptions",
+        "tollgate.gate",
+    }
+
+
+def test_oracle_loads_no_engine_module():
+    engine = {"risk", "tolls", "envelope", "gate", "scenario"}
+    assert not _loaded("tollgate.oracle") & {"tollgate." + name for name in engine}

@@ -192,6 +192,25 @@ def _boundary_record_a_list(out):
     path.write_text("[0]\n" + path.read_text())
 
 
+def _manifest(change):
+    def corrupt(out):
+        path = out / runio.MANIFEST_NAME
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+
+    return corrupt
+
+
+def _manifest_field(key, value):
+    return _manifest(lambda manifest: {**manifest, key: value})
+
+
+def _manifest_without(key):
+    return _manifest(lambda manifest: {k: v for k, v in manifest.items() if k != key})
+
+
+_MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document", "envelope")
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -239,6 +258,52 @@ def _boundary_record_a_list(out):
         (_summary_row_cut_short, "summary.csv has a row shorter than its header (line 3)"),
         (_summary_column_renamed, "summary.csv has no 'terminal_loss' column"),
         (_boundary_record_a_list, "boundaries.jsonl logs a record without an integer episode"),
+        (_manifest(lambda manifest: [manifest]), "manifest.json is not a JSON object"),
+        *(
+            (_manifest_without(key), f"manifest.json has no {key!r}")
+            for key in _MANIFEST_KEYS
+        ),
+        (_manifest_field("scenario_name", 3), "manifest.json holds scenario_name 3, not a string"),
+        (
+            _manifest_field("config_hash", None),
+            "manifest.json holds config_hash None, not a string",
+        ),
+        (
+            _manifest_field("episodes", "5"),
+            "manifest.json holds episodes '5', not a non-negative integer",
+        ),
+        (
+            _manifest_field("episodes", True),
+            "manifest.json holds episodes True, not a non-negative integer",
+        ),
+        (
+            _manifest_field("episodes", -1),
+            "manifest.json holds episodes -1, not a non-negative integer",
+        ),
+        (
+            _manifest_field("scenario_document", []),
+            "manifest.json holds scenario_document [], not an object",
+        ),
+        (
+            _manifest_field("envelope", [{"kind": "exact"}]),
+            "manifest.json holds envelope [{'kind': 'exact'}], not an object",
+        ),
+        (_manifest_field("envelope", {}), "manifest.json has no 'envelope.kind'"),
+        (
+            _manifest_field("envelope", {"kind": "fast"}),
+            "manifest.json holds envelope.kind 'fast', not 'exact' or 'conformal'",
+        ),
+        (
+            _manifest_field("envelope", {"kind": "conformal"}),
+            "manifest.json has no 'envelope.delta'",
+        ),
+        *(
+            (
+                _manifest_field("envelope", {"kind": "conformal", "delta": delta}),
+                f"manifest.json holds envelope.delta {delta!r}, not a number in (0, 1)",
+            )
+            for delta in ("0.1", 1.5, -0.2)
+        ),
     ],
     ids=[
         "summary-episode-x", "summary-b-final-abc", "log-episode-string",
@@ -246,6 +311,12 @@ def _boundary_record_a_list(out):
         "log-boundary-version-bool", "log-state-list", "log-proposed-object",
         "log-executed-int", "log-verdict-unknown", "log-verdict-list", "log-step-missing",
         "log-record-list", "summary-row-short", "summary-column-missing", "boundary-record-list",
+        "manifest-list", *(f"manifest-without-{key}" for key in _MANIFEST_KEYS),
+        "manifest-scenario-name-int", "manifest-config-hash-null", "manifest-episodes-string",
+        "manifest-episodes-bool", "manifest-episodes-negative", "manifest-document-list",
+        "manifest-envelope-list", "manifest-envelope-without-kind", "manifest-envelope-kind-fast",
+        "manifest-conformal-without-delta", "manifest-delta-string", "manifest-delta-1.5",
+        "manifest-delta-negative",
     ],
 )
 def test_report_refuses_unreadable_artifact_cells(corrupt, message, tmp_path, capsys):

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import functools
+import itertools
 
 import pytest
 
-from tollgate import boundary, verify
+from tollgate import boundary, gate, risk, verify
 from tollgate.envmodel import EnvironmentModel
-from tollgate.verify import cvar_demo_suite, iap_suite, no_splitting_suite, run_suite
+from tollgate.verify import (
+    cvar_demo_suite,
+    gating_suite,
+    iap_suite,
+    no_splitting_suite,
+    run_suite,
+    time_consistency_suite,
+)
 
 
 def test_run_suite_dispatch_and_reports(monkeypatch):
@@ -112,3 +120,36 @@ def test_dropped_loss_variants_fail_cvar_demo_and_iap(monkeypatch):
         "tail-threshold-variant-splits-mappings",
         "certificate-implies-positive-premium",
     }
+
+
+def test_inflated_entropic_mapping_fails_tower_identity(monkeypatch):
+    # a relative error of 1e-6 in the engine's entropic mapping, far above
+    # the tower identity's tolerance, separates it from the oracle's
+    # static log-sum-exp
+    assert not _failing(time_consistency_suite(11, models=20, axiom_trials=50))
+    entropic = risk._entropic
+    monkeypatch.setattr(
+        risk, "_entropic", lambda values, probs, gamma: entropic(values, probs, gamma) * (1 + 1e-6)
+    )
+    # the scaled mapping also breaks translation invariance and keeps the
+    # small-gamma limit away from the expectation
+    assert _failing(time_consistency_suite(11, models=20, axiom_trials=50)) == {
+        "entropic-axioms",
+        "entropic-tower-identity",
+        "entropic-vanishing-gamma-limit",
+    }
+
+
+def test_drifting_episode_stream_fails_determinism(monkeypatch):
+    # a stream that shifts each episode by how often it was asked for samples
+    # valid trajectories, so only the rerun comparison can catch it
+    sizes = dict(
+        exact_episodes=5, calibration_episodes=20, eval_episodes=10, determinism_episodes=2
+    )
+    assert not _failing(gating_suite(11, **sizes))
+    calls = itertools.count()
+    stream = gate.uniform_stream
+    monkeypatch.setattr(
+        gate, "uniform_stream", lambda seed, episode: stream(seed, episode + next(calls))
+    )
+    assert _failing(gating_suite(11, **sizes)) == {"episode-determinism"}
