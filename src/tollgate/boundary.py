@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -169,67 +168,65 @@ def boundary_toll(
     return pot.value(_grown(exposure, increment)) - pot.value(exposure)
 
 
+@dataclass(frozen=True)
 class BoundaryLedger:
-    """Per-boundary exposure ledger: one exposure vector and one version per
-    boundary, the version ticking on every commit, plus the ordered record
-    of every commit for the run log.
+    """Per-boundary exposure ledger as an immutable value: the boundary specs,
+    one exposure vector and one version per boundary in declaration order,
+    and the ordered record of every commit for the run log.
 
-    Writes to one boundary are serialised behind a lock.
+    :meth:`commit` returns the next ledger and leaves its receiver as it
+    was, so one empty ledger serves every episode of a gate and a ledger
+    forks by reference. Build the empty ledger with :meth:`empty`.
     """
 
-    def __init__(self, specs: Iterable[BoundarySpec]) -> None:
-        self._specs: dict[str, BoundarySpec] = {}
-        self._exposure: dict[str, tuple[float, ...]] = {}
-        self._versions: dict[str, int] = {}
-        self._locks: dict[str, threading.Lock] = {}
-        self._records: list[dict] = []
-        self._first_id: str | None = None
-        for spec in specs:
-            if spec.boundary_id in self._specs:
+    specs: tuple[BoundarySpec, ...]
+    exposures: tuple[tuple[float, ...], ...]
+    versions: tuple[int, ...]
+    records: tuple[dict, ...] = ()
+
+    @classmethod
+    def empty(cls, specs: Iterable[BoundarySpec]) -> BoundaryLedger:
+        """The ledger before any commit; a repeated boundary id is refused."""
+        specs = tuple(specs)
+        ids = [spec.boundary_id for spec in specs]
+        for i, boundary_id in enumerate(ids):
+            if boundary_id in ids[:i]:
                 raise ModelValidationError(
-                    f"duplicate boundary id {spec.boundary_id!r}", path="boundaries"
+                    f"duplicate boundary id {boundary_id!r}", path="boundaries"
                 )
-            self._specs[spec.boundary_id] = spec
-            self._exposure[spec.boundary_id] = (0.0,) * spec.dimension
-            self._versions[spec.boundary_id] = 0
-            self._locks[spec.boundary_id] = threading.Lock()
-            if self._first_id is None:
-                self._first_id = spec.boundary_id
+        return cls(specs, tuple((0.0,) * spec.dimension for spec in specs), (0,) * len(specs))
 
     @property
     def first_version(self) -> int:
         """Version of the first declared boundary, 0 without boundaries: the
         ``boundary_version`` each gate entry logs."""
-        first = self._first_id
-        return 0 if first is None else self._versions[first]
+        return self.versions[0] if self.versions else 0
 
-    def exposure(self, boundary_id: str) -> tuple[float, ...]:
-        return self._exposure[boundary_id]
+    def _index(self, boundary_id: str) -> int:
+        return [spec.boundary_id for spec in self.specs].index(boundary_id)
 
     def quote(self, boundary_id: str, increment: Sequence[float]) -> float:
-        return boundary_toll(
-            self._exposure[boundary_id], increment, self._specs[boundary_id].potential
+        i = self._index(boundary_id)
+        return boundary_toll(self.exposures[i], increment, self.specs[i].potential)
+
+    def commit(self, boundary_id: str, increment: Sequence[float]) -> BoundaryLedger:
+        """This ledger with one boundary's exposure grown by a checked
+        increment, its version ticked and the commit recorded."""
+        i = self._index(boundary_id)
+        exposure = _grown(self.exposures[i], increment)
+        version = self.versions[i] + 1
+        record = {
+            "boundary_id": boundary_id,
+            "version": version,
+            "exposure": list(exposure),
+            "outside_state": self.specs[i].outside_state,
+        }
+        return BoundaryLedger(
+            self.specs,
+            self.exposures[:i] + (exposure,) + self.exposures[i + 1 :],
+            self.versions[:i] + (version,) + self.versions[i + 1 :],
+            self.records + (record,),
         )
-
-    def commit(self, boundary_id: str, increment: Sequence[float]) -> None:
-        """Grow one boundary's exposure by a checked increment."""
-        with self._locks[boundary_id]:
-            exposure = _grown(self._exposure[boundary_id], increment)
-            version = self._versions[boundary_id] + 1
-            self._exposure[boundary_id] = exposure
-            self._versions[boundary_id] = version
-            self._records.append(
-                {
-                    "boundary_id": boundary_id,
-                    "version": version,
-                    "exposure": list(exposure),
-                    "outside_state": self._specs[boundary_id].outside_state,
-                }
-            )
-
-    def export_records(self) -> list[dict]:
-        """Ordered commit history as plain records for the run log."""
-        return list(self._records)
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """Audit a run directory through :func:`audit_budget_guarantee`, the
     same audit the gating suite runs, with delta taken from the manifest.
-    A directory whose artifacts disagree on its episodes is refused."""
+    A directory whose stored scenario does not hash to its recorded
+    ``config_hash``, or whose artifacts disagree on its episodes, is
+    refused."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
     scenario = resolve_scenario(manifest["scenario_document"])
+    digest = config_hash(scenario)
+    if digest != manifest["config_hash"]:
+        raise RunArtifactError(
+            f"{runio.MANIFEST_NAME} holds a scenario document that hashes to {digest[:12]}, "
+            f"not to its config_hash {manifest['config_hash'][:12]}"
+        )
     budget = scenario.gate.initial_budget
     logs = runio.read_episode_logs(run_dir, budget)
     if len(logs) != manifest["episodes"]:

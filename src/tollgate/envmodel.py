@@ -298,6 +298,17 @@ def as_int(value) -> int:
     return operator.index(value)
 
 
+def as_number(value) -> float:
+    """Converter for :func:`read_field`: a JSON number, as a float. A bool
+    or a string does not count, nor an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is too large for a float") from None
+
+
 def as_object(value) -> Mapping:
     """Shape converter for :func:`read_field`: a JSON object."""
     if not isinstance(value, Mapping):
@@ -333,7 +344,7 @@ def _kernel_row(kernel_map: Mapping, state_index: Mapping[str, int], path: str) 
     for nxt in kernel_map:
         if nxt not in state_index:
             raise ModelValidationError(f"kernel targets unknown state {nxt!r}", path=path)
-        p = read_field(kernel_map, nxt, float, path)
+        p = read_field(kernel_map, nxt, as_number, path)
         if not (p >= 0 and math.isfinite(p)):
             raise ModelValidationError(
                 f"kernel probability must be finite and >= 0, got {p!r}",
@@ -366,7 +377,7 @@ def _check_targets(
 
 def _terminal_loss(raw_losses: Mapping, sid: str, path: str) -> float:
     """``raw_losses[sid]`` as a finite loss >= 0; errors name ``path``."""
-    loss = read_field(raw_losses, sid, float, path)
+    loss = read_field(raw_losses, sid, as_number, path)
     if not (loss >= 0 and math.isfinite(loss)):
         raise NegativeLossError(
             f"terminal loss must be finite and >= 0, got {loss!r}", path=f"{path}[{sid}]"

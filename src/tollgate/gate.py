@@ -15,9 +15,9 @@ walks the configured fallback chain:
 
 A chain that exhausts without resolving blocks implicitly. The budget only
 ever decreases by charged quotes, so the running sum of charges equals the
-initial budget minus the final budget, entry by entry. Boundary exposure of
-whatever action actually executed is committed atomically with the ledger
-entry.
+initial budget minus the final budget, entry by entry. A step is a pure
+function of its arguments: it returns the entry, the charge and the next
+boundary ledger, and an episode folds the steps over ``(budget, ledger)``.
 """
 
 from __future__ import annotations
@@ -112,33 +112,31 @@ def gate_step(
     budget: float,
     cfg: GateConfig,
     model: EnvironmentModel,
-    boundary_ledger: BoundaryLedger,
+    ledger: BoundaryLedger,
     time: int,
     state: str,
     proposed: str,
-) -> tuple[GateEntry, float]:
+) -> tuple[GateEntry, float, BoundaryLedger]:
     """Decide one proposal against the remaining ``budget``; return the
-    ledger entry and the amount charged.
+    entry, the amount charged and the next ledger, which holds the executed
+    action's exposure. ``ledger`` itself is left as it was.
 
     The envelope comparison is non-strict: a quote exactly equal to the
-    remaining budget executes. Exposure of the executed action is committed
-    to the boundary ledger in the same step as the entry is made. An episode
-    decides once per time step, so the entry's step is its time.
+    remaining budget executes. An episode decides once per time step, so
+    the entry's step is its time.
     """
     quoted = cfg.envelope.query(time, state, proposed)
     if quoted <= budget:
         verdict, executed, charged = Verdict.EXECUTE, proposed, quoted
     else:
         verdict, executed, charged = _fall_back(budget, cfg, model, time, state, proposed)
-    increments = cfg.exposure.get((time, state, executed))
-    if increments:
-        for boundary_id, inc in increments.items():
-            boundary_ledger.commit(boundary_id, inc)
+    for boundary_id, inc in cfg.exposure.get((time, state, executed), {}).items():
+        ledger = ledger.commit(boundary_id, inc)
     entry = GateEntry(
         time, time, state, proposed, quoted, verdict, executed,
-        budget - charged, boundary_ledger.first_version,
+        budget - charged, ledger.first_version,
     )
-    return entry, charged
+    return entry, charged, ledger
 
 
 def _fall_back(
@@ -219,6 +217,11 @@ def _inverse_cdf(row: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], t
     return tuple(label for label, _ in row), tuple(c / last for c in cdf)
 
 
+# The empty ledger is a value, so the episodes of a gate share one and its
+# boundary ids are checked once, not once per episode.
+_empty_ledger = lru_cache(maxsize=64)(BoundaryLedger.empty)
+
+
 def run_episode(
     model: EnvironmentModel,
     proposal_policy: Policy,
@@ -239,14 +242,13 @@ def run_episode(
     one, drives the transition.
     """
     uniform = uniform_stream(seed, episode)
-    boundary_ledger = BoundaryLedger(cfg.boundaries)
-    budget = cfg.initial_budget
+    budget, ledger = cfg.initial_budget, _empty_ledger(tuple(cfg.boundaries))
     entries = []
     state = model.initial_state
     for t in range(model.horizon):
         actions, cdf = _inverse_cdf(proposal_policy.action_dist(t, state))
         proposed = actions[bisect_right(cdf, uniform())]
-        entry, charged = gate_step(budget, cfg, model, boundary_ledger, t, state, proposed)
+        entry, charged, ledger = gate_step(budget, cfg, model, ledger, t, state, proposed)
         budget -= charged
         entries.append(entry)
         targets, cdf = _inverse_cdf(model.kernel(t, state, entry.executed))
@@ -257,7 +259,7 @@ def run_episode(
         terminal_loss=model.terminal_loss(state),
         budget_initial=cfg.initial_budget,
         budget_final=budget,
-        boundary_records=tuple(boundary_ledger.export_records()),
+        boundary_records=ledger.records,
     )
 
 

@@ -37,6 +37,7 @@ from .envmodel import (
     Policy,
     SafeDefaultMap,
     as_int,
+    as_number,
     as_object,
     as_objects,
     build_model,
@@ -223,7 +224,7 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
         if not model.has_node(t, s):
             raise ScenarioReferenceError(f"policy names unknown node ({t}, {s!r})", path=path)
         entries[(t, s)] = read_field(
-            rec, "probs", lambda probs: {str(a): float(p) for a, p in probs.items()}, path
+            rec, "probs", lambda probs: {str(a): as_number(p) for a, p in probs.items()}, path
         )
     for t, s in model.all_nodes():
         if (t, s) not in entries:
@@ -239,13 +240,13 @@ def _resolve_risk(doc: Mapping) -> RiskSpec:
     rec = optional_field(doc, "risk", as_object, "", {"kind": "expectation"})
     return RiskSpec(
         kind=str(rec.get("kind", "expectation")),
-        gamma=optional_field(rec, "gamma", float, "risk", None),
-        alpha=optional_field(rec, "alpha", float, "risk", None),
+        gamma=optional_field(rec, "gamma", as_number, "risk", None),
+        alpha=optional_field(rec, "alpha", as_number, "risk", None),
     )
 
 
 def _float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(x) for x in values)
+    return tuple(as_number(x) for x in values)
 
 
 def _str_tuple(values) -> tuple[str, ...]:
@@ -257,7 +258,7 @@ def _str_map(rec) -> dict[str, str]:
 
 
 def _knots(dims) -> tuple[tuple[tuple[float, float], ...], ...]:
-    return tuple(tuple((float(x), float(y)) for x, y in dim) for dim in dims)
+    return tuple(tuple((as_number(x), as_number(y)) for x, y in dim) for dim in dims)
 
 
 def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
@@ -269,7 +270,7 @@ def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
         pot = PotentialSpec(
             kind=str(pot_rec.get("kind", "linear")),
             weights=optional_field(pot_rec, "weights", _float_tuple, pot_path, ()),
-            exponent=optional_field(pot_rec, "exponent", float, pot_path, 1.0),
+            exponent=optional_field(pot_rec, "exponent", as_number, pot_path, 1.0),
             knots=optional_field(pot_rec, "knots", _knots, pot_path, ()),
         )
         spec = BoundarySpec(
@@ -322,7 +323,7 @@ def _resolve_gate_fields(doc: Mapping, actions: set[str]) -> dict:
     refuses a negative or NaN budget and an empty, unknown or repeated
     fallback mode."""
     rec = optional_field(doc, "gate", as_object, "", {})
-    budget = optional_field(rec, "initial_budget", float, "gate", 0.0)
+    budget = optional_field(rec, "initial_budget", as_number, "gate", 0.0)
     order = optional_field(rec, "fallback_order", _str_tuple, "gate", ("downgrade", "block"))
     rulings = optional_field(rec, "escalation_policy", _str_map, "gate", {})
     for action, ruling in rulings.items():
@@ -346,7 +347,7 @@ def _resolve_envelope(doc: Mapping) -> dict:
     config = dict(optional_field(doc, "envelope", as_object, "", {"kind": "exact"}))
     kind = config.get("kind")
     if kind == "conformal":
-        config["delta"] = optional_field(config, "delta", float, "envelope", 0.1)
+        config["delta"] = optional_field(config, "delta", as_number, "envelope", 0.1)
         for key, default in (("calibration_episodes", 200), ("training_episodes", 100)):
             config[key] = optional_field(config, key, as_int, "envelope", default)
         try:

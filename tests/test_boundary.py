@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import threading
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_negative_increment_rejected():
     pot = PotentialSpec(kind="linear", weights=(1.0,))
     with pytest.raises(ModelValidationError):
         boundary_toll((0.0,), (-0.5,), pot)
-    ledger = BoundaryLedger([BoundarySpec("b", 1, pot)])
+    ledger = BoundaryLedger.empty([BoundarySpec("b", 1, pot)])
     with pytest.raises(ModelValidationError):
         ledger.commit("b", (-0.5,))
 
@@ -85,56 +86,71 @@ def test_negative_increment_rejected():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_ledger_rejects_non_finite_increment(bad):
     pot = PotentialSpec(kind="linear", weights=(1.0, 1.0))
-    ledger = BoundaryLedger([BoundarySpec("b", 2, pot)])
+    ledger = BoundaryLedger.empty([BoundarySpec("b", 2, pot)])
     with pytest.raises(ModelValidationError):
         ledger.commit("b", (1.0, bad))
     with pytest.raises(ModelValidationError):
         ledger.quote("b", (bad, 0.0))
-    assert ledger.exposure("b") == (0.0, 0.0)
+    assert ledger.exposures == ((0.0, 0.0),)
     assert ledger.first_version == 0
-    assert ledger.export_records() == []
+    assert ledger.records == ()
+
+
+def test_ledger_refuses_duplicate_boundary_id():
+    spec = BoundarySpec("b", 1, PotentialSpec(kind="linear", weights=(1.0,)))
+    with pytest.raises(ModelValidationError, match="duplicate boundary id 'b'") as info:
+        BoundaryLedger.empty([spec, spec])
+    assert info.value.path == "boundaries"
 
 
 def test_ledger_commit_versions():
     spec = BoundarySpec("b", 1, PotentialSpec(kind="linear", weights=(1.0,)), outside_state="tag")
     other = BoundarySpec("c", 1, PotentialSpec(kind="linear", weights=(1.0,)))
-    ledger = BoundaryLedger([spec, other])
+    ledger = BoundaryLedger.empty([spec, other])
     assert ledger.quote("b", (3.0,)) == 3.0
-    ledger.commit("b", (1.0,))
-    ledger.commit("c", (4.0,))
-    ledger.commit("b", (2.0,))
-    assert ledger.exposure("b") == (3.0,)
-    assert ledger.exposure("c") == (4.0,)
+    ledger = ledger.commit("b", (1.0,)).commit("c", (4.0,)).commit("b", (2.0,))
+    assert ledger.exposures == ((3.0,), (4.0,))
     assert ledger.first_version == 2
-    assert ledger.export_records() == [
+    assert ledger.versions == (2, 1)
+    assert ledger.records == (
         {"boundary_id": "b", "version": 1, "exposure": [1.0], "outside_state": "tag"},
         {"boundary_id": "c", "version": 1, "exposure": [4.0], "outside_state": ""},
         {"boundary_id": "b", "version": 2, "exposure": [3.0], "outside_state": "tag"},
-    ]
+    )
 
 
-def test_ledger_exposure_monotone_under_interleaving():
-    spec = BoundarySpec("b", 2, PotentialSpec(kind="linear", weights=(1.0, 1.0)))
-    ledger = BoundaryLedger([spec])
+def _two_boundary_ledger() -> BoundaryLedger:
+    """A ledger three commits in, over two boundaries."""
+    pot = PotentialSpec(kind="power", weights=(1.0, 0.5), exponent=2.0)
+    ledger = BoundaryLedger.empty(
+        [BoundarySpec("b", 2, pot, outside_state="tag"), BoundarySpec("c", 2, pot)]
+    )
+    return ledger.commit("b", (1.0, 0.5)).commit("c", (0.25, 0.0)).commit("b", (0.0, 2.0))
 
-    def worker(seed):
-        local = np.random.default_rng(seed)
-        for _ in range(50):
-            ledger.commit("b", tuple(local.uniform(0.0, 1.0, size=2)))
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    history = ledger.export_records()
-    assert len(history) == 200
-    prev = (0.0, 0.0)
-    for rec in history:
-        cur = tuple(rec["exposure"])
-        assert all(c >= p - 1e-12 for c, p in zip(cur, prev))
-        prev = cur
-    assert [rec["version"] for rec in history] == list(range(1, 201))
+def test_ledger_commit_returns_next_ledger_and_leaves_receiver_unchanged():
+    ledger = _two_boundary_ledger()
+    before = copy.deepcopy(ledger)
+    after = ledger.commit("c", (1.0, 1.0))
+    assert after is not ledger
+    assert ledger == before
+    assert ledger.exposures[1] == (0.25, 0.0)
+    assert after.exposures[1] == (1.25, 1.0)
+    assert after.versions == (2, 2) and ledger.versions == (2, 1)
+    assert after.records[:-1] == ledger.records
+    # a second commit from the same receiver forks it: both branches agree
+    # on the shared history and see only their own increment
+    fork = ledger.commit("c", (0.0, 3.0))
+    assert fork.exposures[1] == (0.25, 3.0)
+    assert after.exposures[1] == (1.25, 1.0)
+    assert ledger == before
+
+
+def test_ledger_survives_deepcopy_and_pickle_mid_episode():
+    ledger = _two_boundary_ledger()
+    for clone in (copy.deepcopy(ledger), pickle.loads(pickle.dumps(ledger))):
+        assert clone == ledger
+        assert clone.commit("b", (1.0, 1.0)) == ledger.commit("b", (1.0, 1.0))
 
 
 def test_splitting_example_power():

@@ -9,11 +9,13 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from tollgate._stream import uniform_stream
 from tollgate.boundary import BoundaryLedger, BoundarySpec, PotentialSpec
 from tollgate.envelope import Envelope
 from tollgate.envmodel import KERNEL_TOL, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import ModelValidationError
 from tollgate.gate import (
+    EpisodeLog,
     GateConfig,
     Verdict,
     _inverse_cdf,
@@ -67,7 +69,7 @@ def _cfg(model, budget, fallback=("downgrade", "block"), quotes=None, **kw) -> G
 def test_affordable_quote_executes():
     model = _gate_model()
     cfg = _cfg(model, budget=10.0, quotes={"act": 4.0})
-    entry, charged = gate_step(10.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(10.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.EXECUTE
     assert charged == 4.0
     assert entry.budget_after == 6.0
@@ -77,7 +79,7 @@ def test_affordable_quote_executes():
 def test_unaffordable_quote_downgrades_uncharged():
     model = _gate_model()
     cfg = _cfg(model, budget=10.0, fallback=("downgrade",), quotes={"act": 12.0})
-    entry, charged = gate_step(10.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(10.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.DOWNGRADE
     assert entry.executed == "mild"
     assert charged == 0.0
@@ -87,7 +89,7 @@ def test_unaffordable_quote_downgrades_uncharged():
 def test_boundary_inequality_is_nonstrict():
     model = _gate_model()
     cfg = _cfg(model, budget=0.0, quotes={"act": 0.0})
-    entry, charged = gate_step(0.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(0.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.EXECUTE
     assert entry.budget_after == 0.0
 
@@ -100,7 +102,7 @@ def test_escalation_approved_requotes_at_exact_tier():
         escalation_policy={"act": "approve"},
         exact_quoter=_quoted({"act": 0.5}),  # deep tier fits
     )
-    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(1.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.ESCALATE_APPROVED
     assert entry.executed == "act"
     assert charged == 0.5
@@ -115,7 +117,7 @@ def test_escalation_approved_still_needs_budget():
         escalation_policy={"act": "approve"},
         exact_quoter=_quoted({"act": 1.2}),  # refined quote still too big
     )
-    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(1.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.BLOCK
     assert entry.executed == "noop"
     assert charged == 0.0
@@ -128,7 +130,7 @@ def test_escalation_denied_blocks_with_provenance():
         quotes={"act": 1.5},
         escalation_policy={"default": "deny"},
     )
-    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(1.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.ESCALATE_DENIED
     assert entry.executed == "noop"
     assert charged == 0.0
@@ -141,7 +143,7 @@ def test_exhausted_chain_blocks_implicitly():
         model, budget=1.0, fallback=("downgrade",),
         quotes={"act": 5.0, "mild": 5.0},  # even the fallback is unaffordable
     )
-    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(1.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.BLOCK
     assert entry.executed == "noop"
 
@@ -155,7 +157,7 @@ def test_unavailable_safe_default_falls_through():
         safe_defaults=SafeDefaultMap({(0, "r", "act"): "ghost"}),  # not an action
         exact_quoter=_quoted({"act": 5.0}),
     )
-    entry, charged = gate_step(1.0, cfg, model, BoundaryLedger(()), 0, "r", "act")
+    entry, charged, _ = gate_step(1.0, cfg, model, BoundaryLedger.empty(()), 0, "r", "act")
     assert entry.verdict is Verdict.BLOCK
 
 
@@ -174,16 +176,17 @@ def test_gate_config_validation():
 def test_boundary_increment_committed_atomically():
     model = _gate_model()
     spec = BoundarySpec("b", 1, PotentialSpec(kind="linear", weights=(1.0,)))
-    ledger = BoundaryLedger([spec])
+    empty = BoundaryLedger.empty([spec])
     cfg = _cfg(
         model, budget=10.0, quotes={"act": 1.0},
         boundaries=(spec,),
         exposure={(0, "r", "act"): {"b": (2.5,)}},
     )
-    entry, charged = gate_step(10.0, cfg, model, ledger, 0, "r", "act")
+    entry, charged, ledger = gate_step(10.0, cfg, model, empty, 0, "r", "act")
     assert entry.verdict is Verdict.EXECUTE
-    assert ledger.exposure("b") == (2.5,)
+    assert ledger.exposures == ((2.5,),)
     assert entry.boundary_version == 1
+    assert empty.exposures == ((0.0,),)
     # a downgraded proposal executes the default, which carries no exposure,
     # so the boundary version stays put
     tight = _cfg(
@@ -191,9 +194,9 @@ def test_boundary_increment_committed_atomically():
         boundaries=(spec,),
         exposure={(0, "r", "act"): {"b": (2.5,)}},
     )
-    entry, charged = gate_step(0.5, tight, model, ledger, 0, "r", "act")
+    entry, charged, after = gate_step(0.5, tight, model, ledger, 0, "r", "act")
     assert entry.verdict is Verdict.DOWNGRADE
-    assert ledger.exposure("b") == (2.5,)
+    assert after.exposures == ((2.5,),)
     assert entry.boundary_version == 1
 
 
@@ -231,6 +234,65 @@ def test_episode_rerun_is_bit_identical():
     logs_a = [run_episode(sc.model, sc.policy, sc.gate, seed=123, episode=i) for i in range(30)]
     logs_b = [run_episode(sc.model, sc.policy, sc.gate, seed=123, episode=i) for i in range(30)]
     assert episode_json_lines(logs_a) == episode_json_lines(logs_b)
+
+
+def _stepped_episode(sc, seed: int, episode: int, ledger: BoundaryLedger):
+    """``run_episode``'s fold from ``ledger``, yielding ``None`` after each
+    gate step and the episode's log last."""
+    uniform = uniform_stream(seed, episode)
+    budget, state, entries = sc.gate.initial_budget, sc.model.initial_state, []
+    for t in range(sc.model.horizon):
+        actions, cdf = _inverse_cdf(sc.policy.action_dist(t, state))
+        proposed = actions[bisect_right(cdf, uniform())]
+        entry, charged, ledger = gate_step(budget, sc.gate, sc.model, ledger, t, state, proposed)
+        budget -= charged
+        entries.append(entry)
+        targets, cdf = _inverse_cdf(sc.model.kernel(t, state, entry.executed))
+        state = targets[bisect_right(cdf, uniform())]
+        yield None
+    yield EpisodeLog(
+        episode, tuple(entries), sc.model.terminal_loss(state), sc.gate.initial_budget,
+        budget, ledger.records,
+    )
+
+
+def _alternated_logs(sc, seed: int, episodes) -> list:
+    """Logs of ``episodes`` stepped alternately from one shared empty
+    ledger. ``zip`` draws from each episode in turn, one gate step at a
+    time; every episode lasts the model's horizon, so the last round holds
+    the logs."""
+    shared = BoundaryLedger.empty(sc.gate.boundaries)
+    *_, logs = zip(*(_stepped_episode(sc, seed, ep, shared) for ep in episodes))
+    return list(logs)
+
+
+def _payments_committing_episodes():
+    sc = load_scenario(bundled_scenario_path("payments"))
+    episodes = (1, 2)
+    logs = [run_episode(sc.model, sc.policy, sc.gate, seed=123, episode=i) for i in episodes]
+    assert all(log.boundary_records for log in logs)  # both episodes commit exposure
+    return sc, episodes, logs
+
+
+def test_alternated_episodes_from_one_ledger_match_run_episode():
+    sc, episodes, expected = _payments_committing_episodes()
+    assert _alternated_logs(sc, 123, episodes) == expected
+
+
+def test_alternated_episodes_catch_commit_that_mutates(monkeypatch):
+    # negative control: a commit that grows the ledger it is handed and
+    # returns it leaks the first episode's exposure into the second
+    sc, episodes, expected = _payments_committing_episodes()
+    commit = BoundaryLedger.commit
+
+    def commit_in_place(self, boundary_id, increment):
+        grown = commit(self, boundary_id, increment)
+        for name in ("exposures", "versions", "records"):
+            object.__setattr__(self, name, getattr(grown, name))
+        return self
+
+    monkeypatch.setattr(BoundaryLedger, "commit", commit_in_place)
+    assert _alternated_logs(sc, 123, episodes) != expected
 
 
 def _sampling_rows(rng: np.random.Generator) -> list[tuple[tuple[str, float], ...]]:

@@ -62,15 +62,48 @@ def _raise_manifest_count(out):
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _edit_stored_scenario(edit):
+    def corrupt(out):
+        path = out / runio.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        edit(manifest["scenario_document"])
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+    return corrupt
+
+
+def _zero_every_terminal_loss(doc):
+    losses = doc["model"]["terminal_losses"]
+    losses.update(dict.fromkeys(losses, 0.0))
+
+
+def _zero_the_budget(doc):
+    doc["gate"]["initial_budget"] = 0.0
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_cut_summary, _drop_last_logged_episode, _raise_manifest_count],
-    ids=["summary-cut-to-10-rows", "episode-log-missing-one", "manifest-count-too-high"],
+    [
+        _cut_summary,
+        _drop_last_logged_episode,
+        _raise_manifest_count,
+        _edit_stored_scenario(_zero_every_terminal_loss),
+        _edit_stored_scenario(_zero_the_budget),
+    ],
+    ids=[
+        "summary-cut-to-10-rows",
+        "episode-log-missing-one",
+        "manifest-count-too-high",
+        "stored-losses-zeroed",
+        "stored-budget-zeroed",
+    ],
 )
 def test_report_refuses_run_whose_artifacts_disagree_on_episodes(corrupt, tmp_path, capsys):
-    # negative control: report audits every logged episode or none; a run
-    # directory whose episode log, summary rows and manifest count disagree
-    # is refused instead of audited in part
+    # negative control: report audits every logged episode or none, under
+    # the scenario its manifest authenticates; a run directory whose
+    # episode log, summary rows and manifest count disagree, or whose
+    # stored scenario no longer hashes to its config_hash, is refused with
+    # one error line instead of audited
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "40", "--out", str(out)]) == 0
     corrupt(out)
@@ -78,6 +111,7 @@ def test_report_refuses_run_whose_artifacts_disagree_on_episodes(corrupt, tmp_pa
     assert main(["report", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
     assert "PASS" not in captured.out
 
 

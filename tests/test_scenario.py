@@ -544,6 +544,46 @@ def _negative_seed(doc):
     doc["seed"] = -5
 
 
+def _string_terminal_loss(doc):
+    doc["model"]["terminal_losses"]["funds_lost"] = "3.5"
+
+
+def _string_kernel_probability(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"]["kernel"]["wired_fraud"] = "0.2"
+
+
+def _boolean_policy_probability(doc):
+    doc["policy"][0]["probs"]["noop"] = True
+
+
+def _boolean_initial_budget(doc):
+    doc["gate"]["initial_budget"] = True
+
+
+def _oversized_initial_budget(doc):
+    doc["gate"]["initial_budget"] = 10**400
+
+
+def _boolean_gamma(doc):
+    doc["risk"]["gamma"] = True
+
+
+def _string_potential_weight(doc):
+    doc["boundaries"][0]["potential"]["weights"] = ["2"]
+
+
+def _string_potential_exponent(doc):
+    doc["boundaries"][0]["potential"]["exponent"] = "2"
+
+
+def _boolean_exposure(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"]["exposure"]["vendor_payments"] = [True]
+
+
+def _boolean_conformal_delta(doc):
+    doc["envelope"] = {"kind": "conformal", "delta": False}
+
+
 # NaN probabilities and exposures, an infinite gamma and an unknown
 # escalation ruling or key parse; the model, risk, exposure and gate checks
 # refuse them instead.
@@ -601,6 +641,16 @@ _NOT_PARSE_ERRORS = {
         (_nan_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
         (_infinite_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
         (_negative_seed, "seed"),
+        (_string_terminal_loss, "terminal_losses.funds_lost"),
+        (_string_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
+        (_boolean_policy_probability, "policy[0].probs"),
+        (_boolean_initial_budget, "gate.initial_budget"),
+        (_oversized_initial_budget, "gate.initial_budget"),
+        (_boolean_gamma, "risk.gamma"),
+        (_string_potential_weight, "boundaries[0].potential.weights"),
+        (_string_potential_exponent, "boundaries[0].potential.exponent"),
+        (_boolean_exposure, "model.nodes[0].actions[wire_transfer].exposure.vendor_payments"),
+        (_boolean_conformal_delta, "envelope.delta"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
