@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import runio
 from .exceptions import ModelValidationError, RunArtifactError, ScenarioError, TollgateError
-from .gate import audit_budget_guarantee, run_episode
+from .gate import Gate, audit_budget_guarantee, run_episode
 from .scenario import (
     BUNDLED_SCENARIOS,
     Scenario,
@@ -70,10 +70,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             "calibration_episodes": n,
         }
 
-    logs = [
-        run_episode(scenario.model, scenario.policy, cfg, seed=seed, episode=i)
-        for i in range(args.episodes)
-    ]
+    gate = Gate(scenario.model, scenario.policy, cfg)
+    logs = [run_episode(gate, seed=seed, episode=i) for i in range(args.episodes)]
+    # the logs keep the entries and records they share; the rest of the
+    # trie is freed before the writers allocate theirs
+    del gate
     runio.write_episode_logs(out_dir, logs)
     runio.write_summary_csv(out_dir, logs)
     runio.write_boundary_log(out_dir, logs)

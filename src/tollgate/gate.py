@@ -18,6 +18,13 @@ ever decreases by charged quotes, so the running sum of charges equals the
 initial budget minus the final budget, entry by entry. A step is a pure
 function of its arguments: it returns the entry, the charge and the next
 boundary ledger, and an episode folds the steps over ``(budget, ledger)``.
+
+A :class:`Gate` memoises that fold along sampled prefixes. The prefix
+``(proposed, next_state)*`` of an episode fixes its time, state, budget and
+ledger, so a proposal already decided on the same prefix gets the same
+decision back: that is exact because the step is pure. Episodes that walk
+one path share their ``entries`` and ``boundary_records`` objects, which
+the run-log writers encode once per path.
 """
 
 from __future__ import annotations
@@ -116,15 +123,24 @@ def gate_step(
     time: int,
     state: str,
     proposed: str,
+    node: dict,
 ) -> tuple[GateEntry, float, BoundaryLedger]:
     """Decide one proposal against the remaining ``budget``; return the
     entry, the amount charged and the next ledger, which holds the executed
     action's exposure. ``ledger`` itself is left as it was.
 
+    ``node`` holds the steps already decided on this step's sampled prefix,
+    keyed by proposal; a step decided here is stored in it. The other
+    arguments are fixed by the prefix, so a stored step is returned as it
+    is. Pass ``{}`` to decide afresh.
+
     The envelope comparison is non-strict: a quote exactly equal to the
     remaining budget executes. An episode decides once per time step, so
     the entry's step is its time.
     """
+    step = node.get(proposed)
+    if step is not None:
+        return step
     quoted = cfg.envelope.query(time, state, proposed)
     if quoted <= budget:
         verdict, executed, charged = Verdict.EXECUTE, proposed, quoted
@@ -136,7 +152,8 @@ def gate_step(
         time, time, state, proposed, quoted, verdict, executed,
         budget - charged, ledger.first_version,
     )
-    return entry, charged, ledger
+    step = node[proposed] = (entry, charged, ledger)
+    return step
 
 
 def _fall_back(
@@ -176,8 +193,7 @@ def _fall_back(
 # episodes
 
 
-@dataclass(frozen=True)
-class EpisodeLog:
+class EpisodeLog(NamedTuple):
     episode: int
     entries: tuple[GateEntry, ...]
     terminal_loss: float
@@ -217,18 +233,50 @@ def _inverse_cdf(row: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], t
     return tuple(label for label, _ in row), tuple(c / last for c in cdf)
 
 
-# The empty ledger is a value, so the episodes of a gate share one and its
-# boundary ids are checked once, not once per episode.
-_empty_ledger = lru_cache(maxsize=64)(BoundaryLedger.empty)
+class _Prefix(dict):
+    """One node of a :class:`Gate`'s trie: what the gate decided on one
+    sampled prefix. As a dict it is the memo of :func:`gate_step`, the steps
+    keyed by proposal. ``proposals`` holds the proposal labels and CDF at
+    its ``(time, state)``; ``moves`` holds, per proposal, the executed
+    action's transition labels and CDF and the child prefixes keyed by next
+    state; ``outcome`` holds, at the horizon, the episode's shared entries,
+    terminal loss and boundary records."""
+
+    __slots__ = ("proposals", "moves", "outcome")
+
+    def __init__(self) -> None:
+        self.proposals = self.outcome = None
+        self.moves: dict[str, tuple[tuple[str, ...], tuple[float, ...], dict]] = {}
 
 
-def run_episode(
-    model: EnvironmentModel,
-    proposal_policy: Policy,
-    cfg: GateConfig,
-    seed: int,
-    episode: int = 0,
-) -> EpisodeLog:
+# Prefixes one Gate holds at most, at about 0.7 kB each. The paths a run
+# repeats are few: each bundled scenario walks at most 11 distinct paths in
+# 5,000 episodes, through at most 23 prefixes. An episode that leaves the
+# held prefixes decides the rest of its path afresh, so a run with many
+# distinct paths, like the 6x80 ladder's 1,362 prefixes in 300 episodes,
+# holds a bounded trie.
+_PREFIXES_HELD = 256
+
+
+class Gate:
+    """A gate on one model and proposal policy, and what it has decided.
+
+    It holds the empty ledger, whose boundary ids are checked once, and a
+    trie of the sampled prefixes its episodes walked, at most
+    ``_PREFIXES_HELD`` of them. :func:`run_episode` decides, commits and
+    samples each held prefix once, and the episodes that walk one held path
+    share its entries and boundary records. Build one gate per batch of
+    episodes.
+    """
+
+    def __init__(self, model: EnvironmentModel, policy: Policy, cfg: GateConfig) -> None:
+        self.model, self.policy, self.cfg = model, policy, cfg
+        self.empty_ledger = BoundaryLedger.empty(cfg.boundaries)
+        self.root = _Prefix()
+        self.prefixes = 1
+
+
+def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
     """Gate one sampled trajectory from the model's initial state.
 
     Deterministic for a fixed (seed, episode): proposals and transitions draw
@@ -240,27 +288,42 @@ def run_episode(
     generator would sample. A negative seed or episode raises
     :class:`ModelValidationError`. The executed action, not the proposed
     one, drives the transition.
+
+    Every draw is consumed; each step walks the gate's trie one prefix down,
+    and a step, a CDF or an outcome the trie already holds is reused. The
+    budget after a step is its entry's ``budget_after``, which is the
+    remaining budget minus the charge.
     """
     uniform = uniform_stream(seed, episode)
-    budget, ledger = cfg.initial_budget, _empty_ledger(tuple(cfg.boundaries))
+    model, cfg = gate.model, gate.cfg
+    budget, ledger, node = cfg.initial_budget, gate.empty_ledger, gate.root
     entries = []
     state = model.initial_state
     for t in range(model.horizon):
-        actions, cdf = _inverse_cdf(proposal_policy.action_dist(t, state))
+        if node.proposals is None:
+            node.proposals = _inverse_cdf(gate.policy.action_dist(t, state))
+        actions, cdf = node.proposals
         proposed = actions[bisect_right(cdf, uniform())]
-        entry, charged, ledger = gate_step(budget, cfg, model, ledger, t, state, proposed)
-        budget -= charged
+        entry, _, ledger = gate_step(budget, cfg, model, ledger, t, state, proposed, node)
+        budget = entry.budget_after
         entries.append(entry)
-        targets, cdf = _inverse_cdf(model.kernel(t, state, entry.executed))
+        move = node.moves.get(proposed)
+        if move is None:
+            move = node.moves[proposed] = (
+                *_inverse_cdf(model.kernel(t, state, entry.executed)), {}
+            )
+        targets, cdf, children = move
         state = targets[bisect_right(cdf, uniform())]
-    return EpisodeLog(
-        episode=episode,
-        entries=tuple(entries),
-        terminal_loss=model.terminal_loss(state),
-        budget_initial=cfg.initial_budget,
-        budget_final=budget,
-        boundary_records=ledger.records,
-    )
+        node = children.get(state)
+        if node is None:
+            node = _Prefix()
+            if gate.prefixes < _PREFIXES_HELD:
+                children[state] = node
+                gate.prefixes += 1
+    if node.outcome is None:
+        node.outcome = (tuple(entries), model.terminal_loss(state), ledger.records)
+    entries, terminal_loss, records = node.outcome
+    return EpisodeLog(episode, entries, terminal_loss, cfg.initial_budget, budget, records)
 
 
 # ---------------------------------------------------------------------------

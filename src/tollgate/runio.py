@@ -49,12 +49,21 @@ _RECORD_KINDS = dict(
 _KIND_NAMES = {_INT: "non-integer", _STR: "non-string", _NUMBER: "non-numeric"}
 
 # The keys of one episode-log line in sorted order, and the line they make
-# with json.dumps's default separators.
+# with json.dumps's default separators, in two halves on either side of
+# the episode number.
 _ENTRY_KEYS = tuple(sorted(_RECORD_KINDS))
-_ENTRY_LINE = "{" + ", ".join(f'"{key}": %s' for key in _ENTRY_KEYS) + "}"
+_EPISODE_AT = _ENTRY_KEYS.index("episode")
+_ENTRY_HEAD = "{" + "".join(f'"{key}": %s, ' for key in _ENTRY_KEYS[:_EPISODE_AT]) + '"episode": '
+_ENTRY_TAIL = "".join(f', "{key}": %s' for key in _ENTRY_KEYS[_EPISODE_AT + 1 :]) + "}\n"
 
 # Lines decoded per batch by _read_jsonl.
 _BATCH_LINES = 1024
+
+# Paths one writer call holds encoded. The logs one Gate samples share the
+# entries and boundary records of each path they walk, so a writer encodes
+# a path once while it holds it; a run with more distinct paths than this
+# encodes some again, and logs that share nothing are encoded one by one.
+_PATHS_HELD = 64
 
 
 def _json_scalar(value) -> str:
@@ -70,63 +79,111 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _entry_lines(log: EpisodeLog) -> Iterator[str]:
+def _by_identity(encode: Callable) -> Callable:
+    """``encode``, memoised on the identities of its arguments for the last
+    ``_PATHS_HELD`` distinct argument lists. The memo holds the arguments,
+    so no id is reused while it is held. Equal arguments that are distinct
+    objects are encoded apart: ``0.0 == -0.0`` and ``1 == 1.0``, but they
+    encode differently."""
+    memo: dict[tuple[int, ...], tuple] = {}
+
+    def encoded(*args):
+        key = tuple(map(id, args))
+        held = memo.get(key)
+        if held is None:
+            if len(memo) >= _PATHS_HELD:
+                del memo[next(iter(memo))]
+            held = memo[key] = (args, encode(*args))
+        return held[1]
+
+    return encoded
+
+
+def _entry_parts(entries: tuple[GateEntry, ...]) -> list[str]:
+    """The episode-log lines of ``entries``, split where the episode number
+    goes: joined by an encoded episode number, they are that episode's
+    lines."""
     enc = _json_scalar
-    episode = enc(log.episode)
-    for e in log.entries:
-        yield _ENTRY_LINE % (
-            enc(e.boundary_version),
-            enc(e.budget_after),
-            enc(e.envelope_value),
-            episode,
-            enc(e.executed),
-            enc(e.proposed),
-            enc(e.state),
-            enc(e.step),
-            enc(e.time),
-            enc(e.verdict.value),
+    parts = [""]
+    for e in entries:
+        parts[-1] += _ENTRY_HEAD % (
+            enc(e.boundary_version), enc(e.budget_after), enc(e.envelope_value)
         )
+        parts.append(
+            _ENTRY_TAIL % (
+                enc(e.executed), enc(e.proposed), enc(e.state), enc(e.step), enc(e.time),
+                enc(e.verdict.value),
+            )
+        )
+    return parts
+
+
+def _boundary_parts(records: tuple[dict, ...]) -> list[str]:
+    """The boundary-log lines of ``records``, ``json.dumps({"episode":
+    episode, **record}, sort_keys=True)`` each, split where the episode
+    number goes, as :func:`_entry_parts` splits entry lines."""
+    parts = [""]
+    for rec in records:
+        if "episode" in rec:  # the record's own episode wins
+            parts[-1] += json.dumps(rec, sort_keys=True) + "\n"
+            continue
+        head = json.dumps({k: v for k, v in rec.items() if k < "episode"}, sort_keys=True)
+        tail = json.dumps({k: v for k, v in rec.items() if k > "episode"}, sort_keys=True)
+        parts[-1] += head[:-1] + ('"episode": ' if head == "{}" else ', "episode": ')
+        parts.append(("}" if tail == "{}" else ", " + tail[1:]) + "\n")
+    return parts
+
+
+def _episode_texts(paths: Iterable[tuple[int, object]], parts_of) -> Iterator[str]:
+    """Each ``(episode, path)``'s lines: ``parts_of(path)`` joined by the
+    encoded episode number, each path encoded once while it is held."""
+    parts_of = _by_identity(parts_of)
+    for episode, path in paths:
+        yield _json_scalar(episode).join(parts_of(path))
 
 
 def episode_json_lines(logs: Sequence[EpisodeLog]) -> list[str]:
     """One line per gate entry, each equal to ``json.dumps(record,
     sort_keys=True)`` of the entry's record."""
-    return [line for log in logs for line in _entry_lines(log)]
+    texts = _episode_texts(((log.episode, log.entries) for log in logs), _entry_parts)
+    # every line ends in a newline, and json.dumps escapes any in a value
+    return [line for text in texts for line in text.split("\n")[:-1]]
 
 
 def write_episode_logs(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     path = out_dir / EPISODE_LOG_NAME
     with path.open("w") as fh:
-        for log in logs:
-            for line in _entry_lines(log):
-                fh.write(line + "\n")
+        fh.writelines(_episode_texts(((log.episode, log.entries) for log in logs), _entry_parts))
     return path
 
 
 def write_boundary_log(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     path = out_dir / BOUNDARY_LOG_NAME
     with path.open("w") as fh:
-        for log in logs:
-            for rec in log.boundary_records:
-                fh.write(json.dumps({"episode": log.episode, **rec}, sort_keys=True) + "\n")
+        fh.writelines(
+            _episode_texts(((log.episode, log.boundary_records) for log in logs), _boundary_parts)
+        )
     return path
+
+
+def _summary_tail(entries, budget_initial, budget_final, terminal_loss) -> str:
+    """A summary row after its episode cell: the cells csv.writer writes,
+    none of which needs quoting, and the row's terminator."""
+    log = EpisodeLog(0, entries, terminal_loss, budget_initial, budget_final, ())
+    cells = (repr(budget_final), repr(log.charged_total), repr(terminal_loss)) + tuple(
+        map(str, log.decision_counts().values())
+    )
+    return "," + ",".join(cells) + "\r\n"
 
 
 def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     path = out_dir / SUMMARY_NAME
+    tail_of = _by_identity(_summary_tail)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_FIELDS)
-        writer.writerows(
-            (
-                log.episode,
-                repr(log.budget_final),
-                repr(log.charged_total),
-                repr(log.terminal_loss),
-                *log.decision_counts().values(),
-            )
-            for log in logs
-        )
+        fh.write(",".join(_SUMMARY_FIELDS) + "\r\n")
+        for log in logs:
+            tail = tail_of(log.entries, log.budget_initial, log.budget_final, log.terminal_loss)
+            fh.write(str(log.episode) + tail)
     return path
 
 
@@ -155,7 +212,11 @@ def write_manifest(
         "scenario_document": scenario_document,
         "envelope": envelope,
     }
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    # json.dump writes the chunks json.dumps would join; an indented dumps
+    # of the 6x80 ladder's document peaks at 5.8 MB, the dump at 0.08 MB
+    with path.open("w") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     return path
 
 

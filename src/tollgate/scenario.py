@@ -53,7 +53,7 @@ from .exceptions import (
     ScenarioParseError,
     ScenarioReferenceError,
 )
-from .gate import GateConfig, run_episode
+from .gate import Gate, GateConfig, run_episode
 from .risk import RiskSpec
 from .tolls import AmbiguitySet
 
@@ -404,9 +404,10 @@ def frozen_rollout_quotes(
     proposal. Only the quotes are kept, so no exposure is committed.
     """
     cfg = replace(scenario.gate, initial_budget=math.inf, exposure={})
+    gate = Gate(scenario.model, scenario.policy, cfg)
     out = []
     for ep in range(episodes):
-        log = run_episode(scenario.model, scenario.policy, cfg, seed, episode_offset + ep)
+        log = run_episode(gate, seed, episode_offset + ep)
         out.append([((e.time, e.state, e.proposed), e.envelope_value) for e in log.entries])
     return out
 

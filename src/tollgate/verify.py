@@ -23,7 +23,7 @@ from .boundary import (
 )
 from .envelope import Envelope, scaled_predictor
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap, build_model
-from .gate import audit_budget_guarantee, run_episode
+from .gate import Gate, audit_budget_guarantee, run_episode
 from .oracle import enumerate_terminal_law, static_risk
 from .risk import RiskSpec, check_axioms, cvar_inconsistency_demo, evaluate_policy_risk, evaluate_dynamic_risk
 from .runio import episode_json_lines
@@ -594,10 +594,8 @@ def gating_suite(
     scenarios = _reference_scenarios()
 
     for sc in scenarios:
-        logs = [
-            run_episode(sc.model, sc.policy, sc.gate, seed=seed, episode=i)
-            for i in range(exact_episodes)
-        ]
+        gate = Gate(sc.model, sc.policy, sc.gate)
+        logs = [run_episode(gate, seed=seed, episode=i) for i in range(exact_episodes)]
         audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
         counts: dict[str, int] = {}
         for log in logs:
@@ -619,10 +617,9 @@ def gating_suite(
     truth = sc.gate.exact_quoter.predict
     runs = []
     for _ in range(2):
-        logs = [
-            run_episode(sc.model, sc.policy, sc.gate, seed=seed + 17, episode=i)
-            for i in range(determinism_episodes)
-        ]
+        # a fresh gate per run, so the rerun decides every step again
+        gate = Gate(sc.model, sc.policy, sc.gate)
+        logs = [run_episode(gate, seed=seed + 17, episode=i) for i in range(determinism_episodes)]
         runs.append("\n".join(episode_json_lines(logs)))
     props.append(
         PropertyResult(
@@ -636,10 +633,8 @@ def gating_suite(
         sc, calibration_episodes, _CONFORMAL_DELTA, seed=seed + 1000, training_episodes=200
     )
     eval_cfg = replace(sc.gate, envelope=conformal, initial_budget=50.0)
-    eval_logs = [
-        run_episode(sc.model, sc.policy, eval_cfg, seed=seed + 2000, episode=i)
-        for i in range(eval_episodes)
-    ]
+    eval_gate = Gate(sc.model, sc.policy, eval_cfg)
+    eval_logs = [run_episode(eval_gate, seed=seed + 2000, episode=i) for i in range(eval_episodes)]
     audit = audit_budget_guarantee(eval_logs, truth, delta=_CONFORMAL_DELTA)
     props.append(
         PropertyResult(
@@ -657,9 +652,9 @@ def gating_suite(
 
     deflated = Envelope(kind="conformal", predict=scaled_predictor(conformal.predict, 0.2))
     bad_cfg = replace(eval_cfg, envelope=deflated)
+    bad_gate = Gate(sc.model, sc.policy, bad_cfg)
     bad_logs = [
-        run_episode(sc.model, sc.policy, bad_cfg, seed=seed + 3000, episode=i)
-        for i in range(min(eval_episodes, 300))
+        run_episode(bad_gate, seed=seed + 3000, episode=i) for i in range(min(eval_episodes, 300))
     ]
     bad_audit = audit_budget_guarantee(bad_logs, truth, delta=_CONFORMAL_DELTA)
     props.append(

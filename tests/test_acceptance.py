@@ -14,7 +14,7 @@ import pytest
 
 from tollgate.cli import main
 from tollgate.envmodel import Intervention
-from tollgate.gate import audit_budget_guarantee, run_episode
+from tollgate.gate import Gate, audit_budget_guarantee, run_episode
 from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.risk import RiskSpec, check_axioms, cvar_inconsistency_demo, evaluate_dynamic_risk
 from tollgate.scenario import bundled_scenario_path, load_scenario
@@ -121,10 +121,8 @@ def test_criterion_7_budget_guarantee_exact():
     episodes = 500
     for name in ("payments", "database", "trading"):
         sc = load_scenario(bundled_scenario_path(name))
-        logs = [
-            run_episode(sc.model, sc.policy, sc.gate, seed=SEED, episode=i)
-            for i in range(episodes)
-        ]
+        gate = Gate(sc.model, sc.policy, sc.gate)
+        logs = [run_episode(gate, seed=SEED, episode=i) for i in range(episodes)]
         audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
         assert audit.overruns == 0, f"{name}: {audit.overruns} overruns"
         assert audit.violation_fraction == 0.0

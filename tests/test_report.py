@@ -13,7 +13,7 @@ import pytest
 
 from tollgate import runio
 from tollgate.cli import main
-from tollgate.gate import run_episode
+from tollgate.gate import Gate, run_episode
 from tollgate.scenario import BUNDLED_SCENARIOS, bundled_scenario_path, load_scenario
 
 
@@ -22,7 +22,8 @@ def test_read_episode_logs_round_trips_run(name, tmp_path):
     out = tmp_path / name
     assert main(["run", "--scenario", name, "--episodes", "30", "--seed", "7", "--out", str(out)]) == 0
     sc = load_scenario(bundled_scenario_path(name))
-    written = [run_episode(sc.model, sc.policy, sc.gate, seed=7, episode=i) for i in range(30)]
+    gate = Gate(sc.model, sc.policy, sc.gate)
+    written = [run_episode(gate, seed=7, episode=i) for i in range(30)]
     assert runio.read_episode_logs(out, sc.gate.initial_budget) == written
 
 

@@ -4,6 +4,8 @@ writers stream, so their memory stays below the size of the log."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -13,7 +15,7 @@ import pytest
 
 from tollgate import runio
 from tollgate.cli import main
-from tollgate.gate import EpisodeLog, GateEntry, Verdict
+from tollgate.gate import EpisodeLog, Gate, GateEntry, Verdict, run_episode
 from tollgate.scenario import bundled_scenario_path, load_scenario
 
 INF, NAN = math.inf, math.nan
@@ -110,6 +112,102 @@ def test_written_episode_log_reads_back_on_edge_entries(tmp_path):
         EpisodeLog(log.episode, tuple(entries[log.episode]), 0.0, INF, 0.0, ()) for log in logs
     ]
     assert runio.episode_json_lines(rebuilt) == lines
+
+
+def _summary_reference(logs) -> str:
+    """summary.csv as csv.writer writes it, cell by cell."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(runio._SUMMARY_FIELDS)
+    for log in logs:
+        writer.writerow(
+            (log.episode, repr(log.budget_final), repr(log.charged_total),
+             repr(log.terminal_loss), *log.decision_counts().values())
+        )
+    return out.getvalue()
+
+
+def _boundary_reference(logs) -> str:
+    return "".join(
+        json.dumps({"episode": log.episode, **rec}, sort_keys=True) + "\n"
+        for log in logs
+        for rec in log.boundary_records
+    )
+
+
+def _written(tmp_path: Path, logs) -> dict[str, str]:
+    """The text of each run log the writers make of ``logs``."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    paths = (
+        runio.write_episode_logs(tmp_path, logs),
+        runio.write_summary_csv(tmp_path, logs),
+        runio.write_boundary_log(tmp_path, logs),
+    )
+    return {path.name: path.read_bytes().decode() for path in paths}
+
+
+def _twin_logs() -> list[EpisodeLog]:
+    """Logs whose entries and records are separate objects, equal by value
+    and alike in hash, that encode differently: a signed zero, an int
+    against a float, and a NUL label, boundary id and outside state."""
+    entry = GateEntry(0, 0, "\x00", "\x00", 1.0, Verdict.EXECUTE, "\x00", 0.0, 1)
+    twins = [
+        ((entry,), (entry._replace(budget_after=-0.0),)),
+        ((entry,), (entry._replace(envelope_value=1),)),
+    ]
+    rec = {"boundary_id": "\x00", "version": 1, "exposure": [0.0], "outside_state": "\x00"}
+    records = [
+        ({**rec},), ({**rec, "exposure": [-0.0]},), ({**rec, "version": 1.0},),
+        ({"a": 1, "z": 2}, {"a": 1}, {"z": 2}, {}, {"episode": 7, "a": 0}),
+    ]
+    logs = []
+    for a, b in twins:
+        for entries in (a, b, a, b):
+            for boundary_records in records:
+                logs.append(
+                    EpisodeLog(len(logs), entries, 0.0, 1.0, entries[-1].budget_after,
+                               boundary_records)
+                )
+    return logs
+
+
+def test_writers_encode_twin_paths_apart(tmp_path):
+    logs = _twin_logs()
+    written = _written(tmp_path, logs)
+    assert written[runio.EPISODE_LOG_NAME] == "".join(
+        json.dumps(_record(log, e), sort_keys=True) + "\n" for log in logs for e in log.entries
+    )
+    assert written[runio.SUMMARY_NAME] == _summary_reference(logs)
+    assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(logs)
+    assert '"budget_after": -0.0' in written[runio.EPISODE_LOG_NAME]
+    assert '"envelope_value": 1,' in written[runio.EPISODE_LOG_NAME]
+    assert '"boundary_id": "\\u0000", "episode": 0,' in written[runio.BOUNDARY_LOG_NAME]
+
+
+def test_writers_match_csv_and_json_dumps_on_edge_logs(tmp_path):
+    logs = _edge_logs()
+    written = _written(tmp_path, logs)
+    assert written[runio.SUMMARY_NAME] == _summary_reference(logs)
+    assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(logs)
+
+
+def test_shared_and_unshared_paths_write_the_same_bytes(tmp_path):
+    sc = load_scenario(bundled_scenario_path("payments"))
+    gate = Gate(sc.model, sc.policy, sc.gate)
+    shared = [run_episode(gate, 1, ep) for ep in range(200)]
+    assert len({id(log.entries) for log in shared}) < 20
+    unshared = [
+        log._replace(
+            entries=tuple(list(log.entries)),
+            boundary_records=tuple(dict(rec) for rec in log.boundary_records),
+        )
+        for log in shared
+    ]
+    assert len({id(log.entries) for log in unshared}) == 200
+    written = _written(tmp_path / "shared", shared)
+    assert written == _written(tmp_path / "unshared", unshared)
+    assert written[runio.SUMMARY_NAME] == _summary_reference(shared)
+    assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(shared)
 
 
 def test_readers_skip_blank_lines_across_batches(tmp_path):

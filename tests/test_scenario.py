@@ -21,7 +21,7 @@ from tollgate.exceptions import (
     ScenarioParseError,
     ScenarioReferenceError,
 )
-from tollgate.gate import audit_budget_guarantee, run_episode
+from tollgate.gate import Gate, audit_budget_guarantee, run_episode
 from tollgate.scenario import (
     BUNDLED_SCENARIOS,
     bundled_scenario_path,
@@ -803,5 +803,6 @@ def test_fuzzed_document_resolves_or_raises_coded_error(name, data):
         sc = resolve_scenario(doc)
     except (ScenarioError, ModelValidationError):
         return
-    logs = [run_episode(sc.model, sc.policy, sc.gate, seed=0, episode=i) for i in range(3)]
+    gate = Gate(sc.model, sc.policy, sc.gate)
+    logs = [run_episode(gate, seed=0, episode=i) for i in range(3)]
     assert audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, 0.0).passed
