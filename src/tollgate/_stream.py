@@ -13,7 +13,7 @@ generator (O'Neill 2014: a 128-bit LCG with the XSL-RR output), and each
 interleaved accumulators. Its rounding, not the exact sum, is what
 ``Generator.choice`` normalises by.
 
-``run`` samples through these so that it never has to import numpy.
+``run`` samples through these, so the package does not depend on numpy.
 """
 
 from __future__ import annotations

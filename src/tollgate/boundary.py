@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .exceptions import ModelValidationError, PartitionMismatchError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _SUM_TOL = 1e-12
 
@@ -253,21 +251,17 @@ def _sequence_toll(pot: PotentialSpec, start: Sequence[float], steps: Sequence[S
 
 
 def random_partition(
-    rng: np.random.Generator, total: Sequence[float], pieces: int
+    rng: random.Random, total: Sequence[float], pieces: int
 ) -> list[tuple[float, ...]]:
     """``total`` cut into ``pieces`` nonnegative increments at sorted uniform
     cut points per dimension, in a random order; one piece draws nothing."""
-    import numpy as np
-
-    total = np.asarray(total, dtype=float)
-    d = total.shape[0]
-    if pieces == 1:
-        return [tuple(total)]
-    cuts = np.sort(rng.random((pieces - 1, d)), axis=0)
-    bounds = np.vstack([np.zeros((1, d)), cuts, np.ones((1, d))])
-    steps = (bounds[1:] - bounds[:-1]) * total
-    order = rng.permutation(pieces)
-    return [tuple(steps[k]) for k in order]
+    columns = []
+    for x in total:
+        bounds = [0.0, *sorted(rng.random() for _ in range(pieces - 1)), 1.0]
+        columns.append([(hi - lo) * x for lo, hi in zip(bounds, bounds[1:])])
+    steps = list(zip(*columns))
+    rng.shuffle(steps)
+    return steps
 
 
 def splitting_invariance_check(

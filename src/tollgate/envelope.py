@@ -130,16 +130,43 @@ def least_squares_predictor(
     clamp at zero."""
     if not training_set:
         raise ModelValidationError("training set must be nonempty", path="training_set")
-    import numpy as np
-
-    rows = np.asarray([feature_map(t, s, a) for (t, s, a), _ in training_set], dtype=float)
-    targets = np.asarray([y for _, y in training_set], dtype=float)
-    weights, *_ = np.linalg.lstsq(rows, targets, rcond=None)
+    rows = [feature_map(t, s, a) for (t, s, a), _ in training_set]
+    weights = _least_squares_weights(rows, [y for _, y in training_set])
 
     def predict(time: int, state: str, action: str) -> float:
-        return float(np.dot(np.asarray(feature_map(time, state, action), dtype=float), weights))
+        return _dot(weights, feature_map(time, state, action))
 
     return predict
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return math.fsum(a * b for a, b in zip(u, v))
+
+
+def _least_squares_weights(
+    rows: Sequence[Sequence[float]], targets: Sequence[float]
+) -> list[float]:
+    """Weights minimising the squared residual of ``rows`` against
+    ``targets``, by modified Gram-Schmidt on the columns, the targets taken
+    as one last column. A column whose part outside the span of the earlier
+    columns is at most 1e-9 of its norm gets weight 0: the fitted values of
+    a rank-deficient design are unique all the same."""
+    n = len(rows[0])
+    basis, r = [], {}
+    for k, col in enumerate([*zip(*rows), targets]):
+        scale = math.hypot(*col)
+        for j, q in basis:
+            r[j, k] = _dot(q, col)
+            col = [x - r[j, k] * e for x, e in zip(col, q)]
+        norm = math.hypot(*col)
+        if k < n and norm > 1e-9 * scale:
+            r[k, k] = norm
+            basis.append((k, [x / norm for x in col]))
+    weights = [0.0] * n
+    for j, _ in reversed(basis):
+        tail = _dot([r[j, k] for k in range(j + 1, n)], weights[j + 1:])
+        weights[j] = (r[j, n] - tail) / r[j, j]
+    return weights
 
 
 def scaled_predictor(base: Predictor, factor: float) -> Predictor:

@@ -358,9 +358,10 @@ def audit_budget_guarantee(
     tolls sum above its initial budget. A NaN quote, toll or sum is never
     within its bound, so it counts against the run. The batch passes when
     the overrun fraction stays within delta plus three binomial sigmas
-    (exactly zero when delta is zero, the exact-envelope case). Charge
-    accounting is replayed entry by entry and must reproduce the final
-    budget bit for bit.
+    (exactly zero when delta is zero, the exact-envelope case). Each
+    ``budget_after`` must be the budget before it less the charge its verdict
+    implies, and the last one the final budget, bit for bit: EXECUTE charges
+    its quote, ESCALATE_APPROVED its true toll, any other verdict nothing.
     """
     n = len(logs)
     quotes = 0
@@ -371,12 +372,16 @@ def audit_budget_guarantee(
     for log in logs:
         true_sum = 0.0
         covered = True
-        budget = prev_budget = log.budget_initial
+        budget = log.budget_initial
         for entry in log.entries:
-            budget = budget - (prev_budget - entry.budget_after)
-            prev_budget = entry.budget_after
-            true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
             true_toll = true_positive_toll(entry.time, entry.state, entry.proposed)
+            if entry.verdict is Verdict.EXECUTE:
+                budget -= entry.envelope_value
+            elif entry.verdict is Verdict.ESCALATE_APPROVED:
+                budget -= true_toll
+            accounting_exact &= entry.budget_after == budget
+            budget = entry.budget_after
+            true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
             if not (true_toll <= entry.envelope_value + 1e-9):
                 covered = False
             else:

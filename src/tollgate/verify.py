@@ -11,8 +11,9 @@ failure.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .boundary import (
     PotentialSpec,
@@ -35,9 +36,6 @@ from .scenario import (
 )
 from .tolls import AmbiguitySet, authority_premium, iap_check, verify_witness
 from .witnesses import payment_release_witness, random_payment_witness, shipment_tail_witness
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _TOL = 1e-9
 # miss rate at which the gating suite calibrates and audits the conformal tier
@@ -77,10 +75,10 @@ class SuiteResult:
 # random instance generation
 
 
-def random_layered_model(rng: np.random.Generator, max_depth: int = 6) -> EnvironmentModel:
+def random_layered_model(rng: random.Random, max_depth: int = 6) -> EnvironmentModel:
     """Layered tree with random kernels and losses, null action everywhere."""
-    depth = int(rng.integers(2, max_depth + 1))
-    sizes = [1] + [int(rng.integers(1, 4)) for _ in range(depth)]
+    depth = rng.randint(2, max_depth)
+    sizes = [1] + [rng.randint(1, 3) for _ in range(depth)]
     layer_states = [[f"t{t}s{i}" for i in range(n)] for t, n in enumerate(sizes)]
     states = [
         {"id": sid, "components": {"x": i}}
@@ -89,23 +87,16 @@ def random_layered_model(rng: np.random.Generator, max_depth: int = 6) -> Enviro
     ]
     nodes = []
     for t in range(depth):
+        after = layer_states[t + 1]
         for sid in layer_states[t]:
-            n_actions = int(rng.integers(1, 4))
             actions = {}
-            for j in range(n_actions):
+            for j in range(rng.randint(1, 3)):
                 name = "noop" if j == 0 else f"a{j}"
-                support_size = int(rng.integers(1, min(3, len(layer_states[t + 1])) + 1))
-                targets = rng.choice(len(layer_states[t + 1]), size=support_size, replace=False)
-                raw = rng.random(support_size) + 0.05
-                probs = raw / raw.sum()
-                actions[name] = {
-                    "kernel": {
-                        layer_states[t + 1][int(k)]: float(p)
-                        for k, p in zip(targets, probs)
-                    }
-                }
+                targets = rng.sample(after, rng.randint(1, min(3, len(after))))
+                probs = _normalised([rng.random() + 0.05 for _ in targets])
+                actions[name] = {"kernel": dict(zip(targets, probs))}
             nodes.append({"time": t, "state": sid, "actions": actions})
-    losses = {sid: float(rng.uniform(0.0, 5.0)) for sid in layer_states[depth]}
+    losses = {sid: rng.uniform(0.0, 5.0) for sid in layer_states[depth]}
     return build_model(
         {
             "horizon": depth,
@@ -119,25 +110,28 @@ def random_layered_model(rng: np.random.Generator, max_depth: int = 6) -> Enviro
     )
 
 
-def random_policy(rng: np.random.Generator, model: EnvironmentModel) -> Policy:
+def _normalised(weights: list[float]) -> list[float]:
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def random_policy(rng: random.Random, model: EnvironmentModel) -> Policy:
     entries = {}
     for t, s in model.all_nodes():
         actions = model.actions(t, s)
-        raw = rng.random(len(actions)) + 0.05
-        probs = raw / raw.sum()
-        entries[(t, s)] = {a: float(p) for a, p in zip(actions, probs)}
+        entries[(t, s)] = dict(zip(actions, _normalised([rng.random() + 0.05 for _ in actions])))
     return Policy.from_entries(entries, model)
 
 
 def _random_loss_pair(
-    rng: np.random.Generator, model: EnvironmentModel, ordered: bool
+    rng: random.Random, model: EnvironmentModel, ordered: bool
 ) -> tuple[dict[str, float], dict[str, float]]:
     leaves = model.terminal_states
-    x = {s: float(rng.uniform(0.0, 5.0)) for s in leaves}
+    x = {s: rng.uniform(0.0, 5.0) for s in leaves}
     if ordered:
-        y = {s: x[s] + float(rng.uniform(0.0, 3.0)) for s in leaves}
+        y = {s: x[s] + rng.uniform(0.0, 3.0) for s in leaves}
     else:
-        y = {s: float(rng.uniform(0.0, 5.0)) for s in leaves}
+        y = {s: rng.uniform(0.0, 5.0) for s in leaves}
     return x, y
 
 
@@ -183,9 +177,7 @@ def _reference_scenarios() -> list[Scenario]:
 def time_consistency_suite(
     seed: int, models: int = 200, axiom_trials: int = 1000
 ) -> SuiteResult:
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     specs = (
         RiskSpec(kind="expectation"),
         RiskSpec(kind="entropic", gamma=1.0),
@@ -199,8 +191,7 @@ def time_consistency_suite(
     for _ in range(models):
         model = random_layered_model(rng)
         cont = random_policy(rng, model)
-        ordered = bool(rng.random() < 0.5)
-        loss_x, loss_y = _random_loss_pair(rng, model, ordered)
+        loss_x, loss_y = _random_loss_pair(rng, model, ordered=rng.random() < 0.5)
         for spec in specs:
             bad = consistency_violations(model, cont, spec, loss_x, loss_y)
             checked += 1
@@ -334,33 +325,32 @@ def cvar_demo_suite(seed: int) -> SuiteResult:
     return SuiteResult(suite="cvar-demo", seed=seed, properties=tuple(props))
 
 
-def _random_potential(rng: np.random.Generator) -> PotentialSpec:
-    import numpy as np
-
+def _random_potential(rng: random.Random) -> PotentialSpec:
     kind = rng.choice(("linear", "power", "piecewise_convex"))
-    d = int(rng.integers(1, 4))
+    d = rng.randint(1, 3)
     if kind == "linear":
-        return PotentialSpec(kind="linear", weights=tuple(rng.uniform(0.0, 3.0, size=d)))
+        return PotentialSpec(kind="linear", weights=_uniforms(rng, 0.0, 3.0, d))
     if kind == "power":
         return PotentialSpec(
-            kind="power",
-            weights=tuple(rng.uniform(0.0, 3.0, size=d)),
-            exponent=float(rng.uniform(1.0, 3.0)),
+            kind="power", weights=_uniforms(rng, 0.0, 3.0, d), exponent=rng.uniform(1.0, 3.0)
         )
     knots = []
     for _ in range(d):
-        xs = np.cumsum(rng.uniform(0.5, 3.0, size=4))
-        slopes = np.cumsum(rng.uniform(0.0, 2.0, size=4))
-        ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(np.concatenate([[0.0], xs])))])
-        pts = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in zip(xs, ys[1:])]
+        # four segments of random width, each at least as steep as the last
+        pts, slope = [(0.0, 0.0)], 0.0
+        for _ in range(4):
+            width, slope = rng.uniform(0.5, 3.0), slope + rng.uniform(0.0, 2.0)
+            pts.append((pts[-1][0] + width, pts[-1][1] + slope * width))
         knots.append(tuple(pts))
     return PotentialSpec(kind="piecewise_convex", knots=tuple(knots))
 
 
-def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
-    import numpy as np
+def _uniforms(rng: random.Random, low: float, high: float, n: int) -> tuple[float, ...]:
+    return tuple(rng.uniform(low, high) for _ in range(n))
 
-    rng = np.random.default_rng(seed)
+
+def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
+    rng = random.Random(seed)
     worst = 0.0
     worst_case = None
     nonneg_ok = True
@@ -368,16 +358,10 @@ def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
     for _ in range(tuples):
         pot = _random_potential(rng)
         d = pot.dimension
-        start = rng.uniform(0.0, 4.0, size=d)
-        total = rng.uniform(0.0, 6.0, size=d)
-        partitions = [
-            random_partition(rng, total, int(rng.integers(1, 6))) for _ in range(3)
-        ]
-        # two more partitions from a stream of their own, so the suite's
-        # stream draws one seed for them
-        adv = np.random.default_rng(int(rng.integers(2**31)))
-        partitions += [random_partition(adv, total, int(adv.integers(1, 6))) for _ in range(2)]
-        report = splitting_invariance_check(pot, tuple(start), tuple(total), partitions)
+        start = _uniforms(rng, 0.0, 4.0, d)
+        total = _uniforms(rng, 0.0, 6.0, d)
+        partitions = [random_partition(rng, total, rng.randint(1, 5)) for _ in range(5)]
+        report = splitting_invariance_check(pot, start, total, partitions)
         gap = report.max_gap
         if gap > worst:
             worst = gap
@@ -387,10 +371,9 @@ def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
         # convex marginal monotonicity: a fixed increment never gets cheaper
         # at higher cumulative exposure
         if pot.kind == "power":
-            inc = rng.uniform(0.0, 2.0, size=d)
-            low = tuple(start)
-            high = tuple(start + rng.uniform(0.0, 3.0, size=d))
-            if boundary_toll(low, inc, pot) > boundary_toll(high, inc, pot) + _TOL:
+            inc = _uniforms(rng, 0.0, 2.0, d)
+            high = tuple(s + u for s, u in zip(start, _uniforms(rng, 0.0, 3.0, d)))
+            if boundary_toll(start, inc, pot) > boundary_toll(high, inc, pot) + _TOL:
                 marginal_ok = False
 
     counter = path_dependence_counterexample()
@@ -429,9 +412,7 @@ def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
 
 
 def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> SuiteResult:
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ent = RiskSpec(kind="entropic", gamma=1.0)
 
     shipped = payment_release_witness()
@@ -472,17 +453,17 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
         root_actions = model.actions(0, model.initial_state)
         if len(root_actions) < 2:
             continue
-        added = str(rng.choice(root_actions))
+        added = rng.choice(root_actions)
         base = [a for a in root_actions if a != added]
         cont = random_policy(rng, model)
         variants = [model] + [
-            _rekernel(rng, model) for _ in range(int(rng.integers(1, 3)))
+            _rekernel(rng, model) for _ in range(rng.randint(1, 2))
         ]
         amb = AmbiguitySet(models=tuple(variants))
         sdm = SafeDefaultMap({})
-        spec = (ent, RiskSpec(kind="expectation"), RiskSpec(kind="conditional_es", alpha=0.7))[
-            int(rng.integers(0, 3))
-        ]
+        spec = rng.choice(
+            (ent, RiskSpec(kind="expectation"), RiskSpec(kind="conditional_es", alpha=0.7))
+        )
         chk = iap_check(amb, 0, model.initial_state, base, added, cont, spec, sdm)
         decomp_worst = max(decomp_worst, chk.max_decomposition_gap)
         if not chk.iff_holds:
@@ -569,17 +550,14 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
     return SuiteResult(suite="iap", seed=seed, properties=tuple(props))
 
 
-def _rekernel(rng: np.random.Generator, model: EnvironmentModel) -> EnvironmentModel:
+def _rekernel(rng: random.Random, model: EnvironmentModel) -> EnvironmentModel:
     """Same skeleton, jittered kernels (support preserved)."""
-    import numpy as np
-
     rows = {}
     for t, s in model.all_nodes():
         for a in model.actions(t, s):
             row = model.kernel(t, s, a)
-            raw = np.asarray([p for _, p in row]) + rng.uniform(0.01, 0.5, size=len(row))
-            probs = raw / raw.sum()
-            rows[(t, s, a)] = {nxt: float(p) for (nxt, _), p in zip(row, probs)}
+            probs = _normalised([p + rng.uniform(0.01, 0.5) for _, p in row])
+            rows[(t, s, a)] = {nxt: q for (nxt, _), q in zip(row, probs)}
     return model.replaced(rows=rows)
 
 

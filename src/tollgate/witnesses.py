@@ -12,14 +12,11 @@ shape feeds the structural property suites.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap, build_model
 from .tolls import AmbiguitySet, WitnessSpec
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,7 @@ def shipment_tail_witness() -> WitnessCase:
     )
 
 
-def random_payment_witness(rng: np.random.Generator) -> WitnessCase:
+def random_payment_witness(rng: random.Random) -> WitnessCase:
     """Randomised payment-shaped instance for structural fuzzing.
 
     Parameters are drawn so the family mixes certificates that hold with
@@ -263,16 +260,16 @@ def random_payment_witness(rng: np.random.Generator) -> WitnessCase:
     resistance, a mispriced clean path breaks the everywhere-gap, and the
     declared gap is sometimes overstated.
     """
-    n_models = int(rng.integers(1, 4))
-    fraud = sorted(float(f) for f in rng.uniform(0.05, 0.45, size=n_models))
-    loss_lost = float(rng.uniform(4.0, 12.0))
-    loss_review = float(rng.uniform(0.3, 2.0))
-    recall_cut = float(rng.uniform(0.0, loss_lost - loss_review))
+    n_models = rng.randint(1, 3)
+    fraud = sorted(rng.uniform(0.05, 0.45) for _ in range(n_models))
+    loss_lost = rng.uniform(4.0, 12.0)
+    loss_review = rng.uniform(0.3, 2.0)
+    recall_cut = rng.uniform(0.0, loss_lost - loss_review)
     loss_recall = loss_lost - recall_cut
     # occasionally price the clean wire outcome above the clean draft
     # outcome, violating the everywhere-nonnegative gap
-    clean_gap_break = bool(rng.random() < 0.25)
-    loss_recalled_clean = float(rng.uniform(0.0, 1.0))
+    clean_gap_break = rng.random() < 0.25
+    loss_recalled_clean = rng.uniform(0.0, 1.0)
 
     models = []
     for f in fraud:
@@ -280,19 +277,19 @@ def random_payment_witness(rng: np.random.Generator) -> WitnessCase:
             f, loss_lost, loss_recall, loss_review, loss_recalled_clean=loss_recalled_clean
         )
         if clean_gap_break:
-            spec["terminal_losses"]["invoice_pending"] = float(rng.uniform(0.5, 2.0))
+            spec["terminal_losses"]["invoice_pending"] = rng.uniform(0.5, 2.0)
         models.append(build_model(spec))
     amb = AmbiguitySet(models=tuple(models))
     cont = _payment_continuation(models[0])
 
     true_gap = loss_lost - loss_review
-    overstated = bool(rng.random() < 0.2)
-    min_gap = true_gap + (float(rng.uniform(0.1, 1.0)) if overstated else 0.0)
+    overstated = rng.random() < 0.2
+    min_gap = true_gap + (rng.uniform(0.1, 1.0) if overstated else 0.0)
     max_reduction = min_gap - (loss_recall - loss_review)
     if rng.random() < 0.5:
-        allowance = max_reduction + float(rng.uniform(0.0, 0.5))
+        allowance = max_reduction + rng.uniform(0.0, 0.5)
     else:
-        allowance = max(0.0, max_reduction - float(rng.uniform(0.05, 0.5)))
+        allowance = max(0.0, max_reduction - rng.uniform(0.05, 0.5))
     allowance = min(allowance, min_gap * 0.99)
     return WitnessCase(
         ambiguity=amb,
@@ -303,7 +300,7 @@ def random_payment_witness(rng: np.random.Generator) -> WitnessCase:
         cont=cont,
         sdm=_payment_sdm(models[0]),
         witness=WitnessSpec(
-            model_index=int(rng.integers(0, n_models)),
+            model_index=rng.randrange(n_models),
             event=PAYMENT_FRAUD_EVENT,
             min_gap=min_gap,
             hedge_allowance=max(0.0, allowance),

@@ -43,23 +43,23 @@ RUN_DIGESTS = {
 # and the manifest records the fitted inflation and rank.
 CONFORMAL_RUN_DIGESTS = {
     "boundaries.jsonl": "bea5a5612e1608fa5c6e10b919798eea5e671b4fdd7d09a6afd6b12e6ca33ff5",
-    "episodes.jsonl": "4fd52d371d2558c28753594855ee7b0b79a5f853a9564b9da126e7cc3a363d32",
-    "manifest.json": "e204812439645ff77638cd5950b17675fb4845e4cfe160aacabb4a8966ea5d25",
-    "summary.csv": "ac1b0606bb7470e515c153aa05e00e36d5afbfaf77b0dbdef2291bdef84b6a37",
+    "episodes.jsonl": "cf27e77ca42ae35d17fb00d4c1561a821e9c3a92ea900fd143522bfa11eb1d59",
+    "manifest.json": "d8df819a51d22da6f2f270dee74b3a2b10a5034c83f6c67be000f1b96ae5e339",
+    "summary.csv": "2b7a89cec7b46098adfaaea9a4b5497b37c8a2404ba7c7dcb7dfd498807145ab",
     "report": "17dfcaf7c2e93ea96d69c422cb7059ee0d729b7344ed2b72ce51ea824a5106d7",
 }
 
 CALIBRATION_DIGESTS = {
     "calibration.csv": "52dd4ce05c302f0d94ba5fe591901e17ae611229eb184dbfc9336d8e439b3fda",
-    "envelope.json": "acb71bbc9d94bbabca16cfd531c29872e53503f0281c4f7ada497e4e6b03cefa",
+    "envelope.json": "bd0dec59cd040de3274d129e9ca66f3a1ca982af62ae4924b33ad33c37cbe076",
 }
 
 VERIFY_DIGESTS = {
-    "time-consistency": "28f9a981ddf5028d2e79a6cff20c651516f48b86e4d41e788454879aaa97f159",
+    "time-consistency": "651b555707cf77a514da044fa63316450c656dc888e8c7ff6d0e3dc0339167ca",
     "cvar-demo": "2b3fabea527e08ed40652780a0436c0da7525e10141167ee5160a733eeab2719",
-    "no-splitting": "f042e35508bb42f4373171ae75ee236617fa089884fe918e12e8267ee4a78ba7",
-    "iap": "a0ff0ad4db81717ef574a499fc11375fa1c841cb48b0ade05770a8ae3f525924",
-    "gating": "e8906cf45dd3c505f73fa2f99a494959e8c88f21aff275e86bc4a0d216f046ed",
+    "no-splitting": "2628751b089faaf3382355bf6fd56623b8ef20d91bb16db69618279e85b65336",
+    "iap": "6d146b675d7d1a7203fbb839b3df0c373e711b88b3c6570e61969fb578036d26",
+    "gating": "9c13789986e113634e63f1863df5e7281f03de3475be591b58b68ffaa9ff2ed6",
 }
 
 

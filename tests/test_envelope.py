@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from tollgate.envelope import (
 from tollgate.exceptions import CalibrationSizeError, ModelValidationError
 from tollgate.risk import RiskSpec
 from tollgate.scenario import (
+    BUNDLED_SCENARIOS,
     bundled_scenario_path,
     feature_vector,
     frozen_rollout_quotes,
@@ -104,8 +106,8 @@ def test_queries_never_negative():
 
 
 def test_inflation_monotone_in_delta():
-    rng = np.random.default_rng(9)
-    calib = [((0, "s", "a"), float(r)) for r in rng.uniform(0, 1, size=60)]
+    rng = random.Random(9)
+    calib = [((0, "s", "a"), rng.uniform(0, 1)) for _ in range(60)]
     inflations = [
         fit_conformal_envelope(_zero_predictor, calib, delta=d).inflation
         for d in (0.3, 0.2, 0.1, 0.05)
@@ -159,16 +161,55 @@ def test_split_conformal_marginal_validity_over_resamples():
     train = _pooled_quotes(sc, 80, seed=400)
     predictor = least_squares_predictor(feature, train)
     pool = _pooled_quotes(sc, 400, seed=500)
-    rng = np.random.default_rng(77)
+    rng = random.Random(77)
     delta = 0.1
     coverages = []
     for _ in range(200):
-        perm = rng.permutation(len(pool))
-        calib = [pool[i] for i in perm[:100]]
-        test = [pool[i] for i in perm[100:400]]
-        env = fit_conformal_envelope(predictor, calib, delta=delta)
-        coverages.append(coverage_estimate(env, test))
-    assert float(np.mean(coverages)) >= 1 - delta - 0.02
+        drawn = rng.sample(pool, 400)
+        env = fit_conformal_envelope(predictor, drawn[:100], delta=delta)
+        coverages.append(coverage_estimate(env, drawn[100:]))
+    assert sum(coverages) / len(coverages) >= 1 - delta - 0.02
+
+
+def _numpy_lstsq_predictor(feature, training_set):
+    rows = np.asarray([feature(*key) for key, _ in training_set], dtype=float)
+    weights, _, rank, _ = np.linalg.lstsq(rows, [y for _, y in training_set], rcond=None)
+    return (lambda t, s, a: float(np.dot(feature(t, s, a), weights))), rank
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_least_squares_fit_matches_numpy_on_bundled_training_sets(name):
+    # the calibration's training set: 200 frozen rollouts at the scenario
+    # seed; its design is rank deficient (the bias column is, for one, the
+    # sum of the category one-hots), so only the fitted values are unique
+    sc = load_scenario(bundled_scenario_path(name))
+    feature = lambda t, s, a: feature_vector(sc, t, s, a)
+    train = _pooled_quotes(sc, 200, seed=sc.seed)
+    predictor = least_squares_predictor(feature, train)
+    reference, rank = _numpy_lstsq_predictor(feature, train)
+    assert rank < len(feature(*train[0][0]))
+    keys = [(t, s, a) for t, s in sc.model.all_nodes() for a in sc.model.actions(t, s)]
+    for key in keys:
+        assert abs(predictor(*key) - reference(*key)) <= 1e-12, key
+
+
+def test_least_squares_gives_a_spanned_column_weight_zero():
+    # a duplicated column adds nothing the first copy does not span
+    rng = random.Random(19)
+    rows = {}
+    for i in range(40):
+        x = rng.uniform(-2.0, 2.0)
+        rows[(i, "s", "a")] = (1.0, x, rng.uniform(0.0, 5.0), x)
+    train = [(key, 3.0 * row[1] - row[2] + rng.gauss(0.0, 0.1)) for key, row in rows.items()]
+    feature = lambda t, s, a: rows[(t, s, a)]
+    predictor = least_squares_predictor(feature, train)
+    reference, rank = _numpy_lstsq_predictor(feature, train)
+    assert rank == 3
+    for key in rows:
+        assert abs(predictor(*key) - reference(*key)) <= 1e-12, key
+    weights = envelope._least_squares_weights(list(rows.values()), [y for _, y in train])
+    assert weights[3] == 0.0
+    assert weights[1] == pytest.approx(3.0, abs=0.1)
 
 
 def test_deflated_envelope_undercovers():

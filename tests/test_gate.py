@@ -606,6 +606,26 @@ def test_audit_exact_envelope_is_clean():
     assert audit.quotes == audit.quotes_covered == sum(len(log.entries) for log in logs)
 
 
+def test_audit_replays_escalated_and_downgraded_charges():
+    # a fast tier that quotes three times the exact toll sends proposals
+    # down the chain: approved escalations are charged their exact re-quote,
+    # downgrades nothing, and the audit derives both charges from the verdict
+    sc = load_scenario(bundled_scenario_path("payments"))
+    truth = sc.gate.exact_quoter.predict
+    fast = Envelope(kind="conformal", predict=lambda t, s, a: 3.0 * truth(t, s, a))
+    cfg = dataclasses.replace(
+        sc.gate, envelope=fast, fallback_order=("escalate", "downgrade", "block"),
+        escalation_policy={"default": "approve"},
+    )
+    gate = Gate(sc.model, sc.policy, cfg)
+    logs = [run_episode(gate, seed=3, episode=i) for i in range(200)]
+    verdicts = {e.verdict for log in logs for e in log.entries}
+    assert {Verdict.ESCALATE_APPROVED, Verdict.DOWNGRADE} <= verdicts
+    assert audit_budget_guarantee(logs, truth, delta=0.1).accounting_exact
+    # the same logs judged as if an approved escalation were free
+    assert not audit_budget_guarantee(logs, lambda t, s, a: 0.0, delta=0.1).accounting_exact
+
+
 def _payments_log_and_truth():
     sc = load_scenario(bundled_scenario_path("payments"))
     log = run_episode(Gate(sc.model, sc.policy, sc.gate), seed=5, episode=0)

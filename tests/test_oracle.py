@@ -10,7 +10,6 @@ import sys
 from decimal import MAX_EMAX, Decimal, localcontext
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from tollgate.envmodel import Intervention, build_model
@@ -220,7 +219,7 @@ def test_policy_budget_exceeded():
 
 
 def test_engine_oracle_agreement_on_random_models():
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     for _ in range(25):
         model = random_layered_model(rng, max_depth=5)
         cont = random_policy(rng, model)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -171,6 +172,73 @@ def test_run_leaves_numpy_and_scipy_unloaded(name, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False False"
+
+
+def test_no_command_loads_numpy_or_scipy(tmp_path):
+    # the package has no runtime dependency: a conformal run and its report,
+    # calibrate and every verify suite stay in pure Python too
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 20, "training_episodes": 10}
+    conformal = tmp_path / "payments-conformal.scn.json"
+    conformal.write_text(json.dumps(doc))
+    out = str(tmp_path / "conformal")
+    commands = [
+        ["run", "--scenario", str(conformal), "--episodes", "200", "--out", out],
+        ["report", "--out", out],
+        ["calibrate", "--scenario", "trading", "--episodes", "30", "--out", str(tmp_path / "cal")],
+        ["verify", "--suite", "all", "--seed", "1"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import json, sys; from tollgate.cli import main; "
+        "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+        "print(codes, [m for m in ('numpy', 'scipy') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+
+
+def _report_exit(out, capsys) -> tuple[int, str]:
+    capsys.readouterr()
+    code = main(["report", "--out", str(out)])
+    return code, capsys.readouterr().out
+
+
+def test_report_fails_run_with_a_corrupted_budget_after(tmp_path, capsys):
+    # negative control: each charge follows from its entry's verdict, so a
+    # budget_after that no charge explains fails the accounting, even where
+    # the later entries and the final budget are left as they were
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "database", "--episodes", "50", "--out", str(out)]) == 0
+    assert _report_exit(out, capsys)[0] == 0
+    path = out / runio.EPISODE_LOG_NAME
+    first, rest = path.read_text().split("\n", 1)
+    record = json.loads(first)
+    assert record["verdict"] == "EXECUTE" and record["budget_after"] == 0.5
+    record["budget_after"] = 0.0
+    path.write_text(json.dumps(record) + "\n" + rest)
+    code, text = _report_exit(out, capsys)
+    assert code == 1
+    assert text.rstrip().endswith("-> FAIL")
+
+
+def test_report_passes_run_at_an_infinite_budget(tmp_path, capsys):
+    # an unbounded budget stays infinite after every charge; the replay
+    # must not difference infinities into NaN
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["gate"]["initial_budget"] = math.inf
+    scenario = tmp_path / "payments-unbounded.scn.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario), "--episodes", "20", "--out", str(out)]) == 0
+    code, text = _report_exit(out, capsys)
+    assert code == 0
+    assert "initial budget      : inf" in text
+    assert text.rstrip().endswith("-> PASS")
 
 
 def _summary_episode_not_a_number(out):

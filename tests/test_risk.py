@@ -4,8 +4,8 @@ two-stage shortfall counterexample."""
 from __future__ import annotations
 
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,7 +151,7 @@ def test_locality_probe_trips_on_a_nonlocal_mapping(monkeypatch):
 
 
 def test_engine_values_match_the_reference_recursion(reference_values):
-    rng = np.random.default_rng(24)
+    rng = random.Random(24)
     for _ in range(20):
         model = random_layered_model(rng, max_depth=5)
         cont = random_policy(rng, model)
@@ -209,13 +209,13 @@ def test_entropic_dominates_expectation(values):
 
 
 def test_recursive_translation_invariance_on_random_trees():
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     for _ in range(20):
         model = random_layered_model(rng, max_depth=5)
         cont = random_policy(rng, model)
-        shift = float(rng.uniform(-3, 3))
+        shift = rng.uniform(-3, 3)
         # base losses in (3, 8) keep every moved loss >= 0, as a model requires
-        base_loss = {s: float(rng.uniform(3, 8)) for s in model.terminal_states}
+        base_loss = {s: rng.uniform(3, 8) for s in model.terminal_states}
         moved_loss = {s: v + shift for s, v in base_loss.items()}
         for spec in (ENT, MEAN, ES):
             base = evaluate_policy_risk(model.replaced(losses=base_loss), cont, spec).root
@@ -224,12 +224,12 @@ def test_recursive_translation_invariance_on_random_trees():
 
 
 def test_monotonicity_lift_on_random_trees():
-    rng = np.random.default_rng(22)
+    rng = random.Random(22)
     for _ in range(20):
         model = random_layered_model(rng, max_depth=5)
         cont = random_policy(rng, model)
-        lo = {s: float(rng.uniform(0, 5)) for s in model.terminal_states}
-        hi = {s: v + float(rng.uniform(0, 3)) for s, v in lo.items()}
+        lo = {s: rng.uniform(0, 5) for s in model.terminal_states}
+        hi = {s: v + rng.uniform(0, 3) for s, v in lo.items()}
         for spec in (ENT, MEAN, ES):
             assert (
                 evaluate_policy_risk(model.replaced(losses=lo), cont, spec).root
@@ -240,14 +240,14 @@ def test_monotonicity_lift_on_random_trees():
 def test_entropic_strictly_monotone_in_reachable_bumps():
     # a bump on one positive-probability leaf strictly raises every ancestor
     # that can reach it and leaves every other node untouched
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     for _ in range(10):
         model = random_layered_model(rng, max_depth=4)
         cont = random_policy(rng, model)
-        base_loss = {s: float(rng.uniform(0, 5)) for s in model.terminal_states}
+        base_loss = {s: rng.uniform(0, 5) for s in model.terminal_states}
         base = evaluate_policy_risk(model.replaced(losses=base_loss), cont, ENT)
         reachable = [s for s in model.terminal_states if (model.horizon, s) in base.values]
-        target = reachable[int(rng.integers(len(reachable)))]
+        target = rng.choice(reachable)
         bumped_loss = dict(base_loss)
         bumped_loss[target] += 1.0
         bumped = evaluate_policy_risk(model.replaced(losses=bumped_loss), cont, ENT)

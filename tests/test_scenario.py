@@ -5,9 +5,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import random
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,7 +118,7 @@ def test_ambiguity_variants_replace_only_their_overrides(name):
     sc = resolve_scenario(doc)
     base = sc.model
     states = [rec["id"] for rec in doc["model"]["states"]]
-    rekerneled = _rekernel(np.random.default_rng(5), base)
+    rekerneled = _rekernel(random.Random(5), base)
     for variant, rec in zip(sc.ambiguity.models[1:], doc["ambiguity"], strict=True):
         rows = {
             (ov["time"], ov["state"], ov["action"]): ov["kernel"]

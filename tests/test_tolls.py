@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+import random
+
 import pytest
 
 from tollgate.envmodel import Intervention, Policy, SafeDefaultMap, build_model
@@ -136,7 +137,7 @@ def test_shared_values_price_bundled_scenarios_bit_for_bit(name, reference_value
 
 
 def test_shared_values_price_random_trees_bit_for_bit(reference_values):
-    rng = np.random.default_rng(43)
+    rng = random.Random(43)
     for _ in range(15):
         model = random_layered_model(rng, max_depth=5)
         cont = random_policy(rng, model)
@@ -166,7 +167,7 @@ def test_shared_values_value_each_node_once(name, monkeypatch):
 
 
 def test_shared_values_reject_a_mismatch():
-    rng = np.random.default_rng(44)
+    rng = random.Random(44)
     model = random_layered_model(rng, max_depth=3)
     cont = random_policy(rng, model)
     iv = Intervention(0, model.initial_state, "noop")
@@ -176,7 +177,7 @@ def test_shared_values_reject_a_mismatch():
         evaluate_dynamic_risk(model, iv, cont, equal_spec, values=shared).root
         == evaluate_dynamic_risk(model, iv, cont, ENT).root
     )
-    twin = random_layered_model(np.random.default_rng(44), max_depth=3)
+    twin = random_layered_model(random.Random(44), max_depth=3)
     twin_cont = random_policy(rng, model)
     for args in [(twin, iv, cont, ENT), (model, iv, twin_cont, ENT), (model, iv, cont, MEAN)]:
         with pytest.raises(ModelValidationError):
@@ -188,14 +189,14 @@ def test_shared_values_reject_a_mismatch():
 
 
 def test_pathwise_dominance_orders_tolls():
-    rng = np.random.default_rng(41)
+    rng = random.Random(41)
     for _ in range(10):
         model = random_layered_model(rng, max_depth=4)
         cont = random_policy(rng, model)
         action = model.actions(0, model.initial_state)[0]
         iv = Intervention(0, model.initial_state, action)
-        lo = {s: float(rng.uniform(0, 5)) for s in model.terminal_states}
-        hi = {s: v + float(rng.uniform(0, 2)) for s, v in lo.items()}
+        lo = {s: rng.uniform(0, 5) for s in model.terminal_states}
+        hi = {s: v + rng.uniform(0, 2) for s, v in lo.items()}
         for spec in ALL_SPECS:
             r_lo = evaluate_dynamic_risk(model.replaced(losses=lo), iv, cont, spec).root
             r_hi = evaluate_dynamic_risk(model.replaced(losses=hi), iv, cont, spec).root
@@ -324,7 +325,7 @@ def test_witness_spec_validation():
 def test_coupled_cells_marginals_recover_both_laws():
     # the coupling is only a coupling if each side's marginal reproduces the
     # forced rollout law of that branch
-    rng = np.random.default_rng(44)
+    rng = random.Random(44)
     for _ in range(15):
         model = random_layered_model(rng, max_depth=4)
         cont = random_policy(rng, model)
@@ -470,7 +471,7 @@ def test_iap_rejects_added_action_already_granted():
 
 
 def test_certificate_implies_positive_premium_randomised():
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     satisfied = 0
     for _ in range(40):
         case = random_payment_witness(rng)
@@ -489,7 +490,7 @@ def test_certificate_implies_positive_premium_randomised():
 
 
 def test_max_decomposition_on_random_ambiguity_sets():
-    rng = np.random.default_rng(43)
+    rng = random.Random(43)
     from tollgate.verify import _rekernel
 
     for _ in range(20):
