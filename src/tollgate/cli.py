@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -126,10 +125,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Audit a run directory through :func:`audit_budget_guarantee`, the
-    same audit the gating suite runs, with delta taken from the manifest.
-    A directory whose stored scenario does not hash to its recorded
-    ``config_hash``, or whose artifacts disagree on its episodes, is
-    refused."""
+    same audit the gating suite runs, in one pass, with delta taken from the
+    manifest. A directory whose stored scenario does not hash to its
+    recorded ``config_hash``, or whose artifacts disagree on its episodes,
+    is refused."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
     scenario = resolve_scenario(manifest["scenario_document"])
@@ -140,26 +139,25 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"not to its config_hash {manifest['config_hash'][:12]}"
         )
     budget = scenario.gate.initial_budget
+    envelope = manifest["envelope"]
+    delta = envelope["delta"] if envelope["kind"] == "conformal" else 0.0
     logs = runio.read_episode_logs(run_dir, budget)
-    if len(logs) != manifest["episodes"]:
+    audit = audit_budget_guarantee(logs, scenario.gate.exact_quoter.predict, delta)
+    if audit.episodes != manifest["episodes"]:
         raise RunArtifactError(
             f"manifest records {manifest['episodes']} episode(s) but "
-            f"{runio.SUMMARY_NAME} has {len(logs)}"
+            f"{runio.SUMMARY_NAME} has {audit.episodes}"
         )
-    if not logs:
+    if not audit.episodes:
         print(f"run of scenario {manifest['scenario_name']!r}: zero episodes, nothing to audit")
         return 0
 
-    envelope = manifest["envelope"]
-    delta = envelope["delta"] if envelope["kind"] == "conformal" else 0.0
-    audit = audit_budget_guarantee(logs, scenario.gate.exact_quoter.predict, delta)
-    mix = Counter(e.verdict for log in logs for e in log.entries)
-    finals = [log.budget_final for log in logs]
+    mix = sorted(f"{verdict}={k}" for verdict, k in audit.decisions.items() if k)
     print(f"scenario            : {manifest['scenario_name']} (hash {manifest['config_hash'][:12]})")
     print(f"episodes            : {manifest['episodes']}")
-    print(f"decision mix        : " + ", ".join(f"{k.value}={v}" for k, v in sorted(mix.items())))
+    print("decision mix        : " + ", ".join(mix))
     print(f"initial budget      : {budget}")
-    print(f"final budget        : min={min(finals):.6f} mean={sum(finals)/len(finals):.6f}")
+    print(f"final budget        : min={audit.final_min:.6f} mean={audit.final_mean:.6f}")
     covered, quotes = audit.quotes_covered, audit.quotes
     print(f"coverage estimate   : {covered}/{quotes} quotes covered ({covered/quotes:.4f})")
     verdict = "PASS" if audit.passed else "FAIL"

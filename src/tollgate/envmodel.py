@@ -456,10 +456,9 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         terminal_losses[str(sid)] = _terminal_loss(raw_losses, sid, "terminal_losses")
 
     initial_state = str(spec.get("initial_state", state_order[0] if state_order else ""))
-    if initial_state not in signatures:
-        raise ModelValidationError(
-            f"initial state {initial_state!r} unknown", path="initial_state"
-        )
+    if (0, initial_state) not in nodes:
+        what = "has no decision node at time 0" if initial_state in signatures else "unknown"
+        raise ModelValidationError(f"initial state {initial_state!r} {what}", path="initial_state")
 
     for (t, s), actions in nodes.items():
         for a, row in actions.items():

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from ._stream import add_reduce, uniform_stream
 from .boundary import BoundaryLedger
@@ -343,15 +343,18 @@ class AuditReport:
     threshold: float
     passed: bool
     accounting_exact: bool
+    decisions: dict[str, int]  # entries per verdict value, in declaration order
+    final_min: float  # the least and the mean final budget, NaN for no logs
+    final_mean: float
 
 
 def audit_budget_guarantee(
-    logs: Sequence[EpisodeLog],
+    logs: Iterable[EpisodeLog],
     true_positive_toll: Callable[[int, str, str], float],
     delta: float,
 ) -> AuditReport:
     """Recompute every executed action's true positive toll and check the
-    budget guarantee.
+    budget guarantee, in one pass over ``logs`` that keeps running totals.
 
     An episode violates coverage when some quoted proposal's true toll
     exceeds its logged envelope value; it overruns when the executed true
@@ -363,13 +366,15 @@ def audit_budget_guarantee(
     implies, and the last one the final budget, bit for bit: EXECUTE charges
     its quote, ESCALATE_APPROVED its true toll, any other verdict nothing.
     """
-    n = len(logs)
+    n = 0
     quotes = 0
     quotes_covered = 0
     overruns = 0
     violations = 0
     accounting_exact = True
-    for log in logs:
+    decisions = dict.fromkeys(Verdict, 0)
+    final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
+    for n, log in enumerate(logs, 1):
         true_sum = 0.0
         covered = True
         budget = log.budget_initial
@@ -381,6 +386,7 @@ def audit_budget_guarantee(
                 budget -= true_toll
             accounting_exact &= entry.budget_after == budget
             budget = entry.budget_after
+            decisions[entry.verdict] += 1
             true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
             if not (true_toll <= entry.envelope_value + 1e-9):
                 covered = False
@@ -390,6 +396,8 @@ def audit_budget_guarantee(
         accounting_exact &= budget == log.budget_final
         overruns += not (true_sum <= log.budget_initial + 1e-9)
         violations += not covered
+        final_min = log.budget_final if n == 1 else min(final_min, log.budget_final)
+        final_sum += log.budget_final
     overrun_fraction = overruns / n if n else 0.0
     violation_fraction = violations / n if n else 0.0
     if delta == 0.0:
@@ -409,4 +417,7 @@ def audit_budget_guarantee(
         threshold=threshold,
         passed=passed and accounting_exact,
         accounting_exact=accounting_exact,
+        decisions={v.value: k for v, k in decisions.items()},
+        final_min=final_min,
+        final_mean=final_sum / n if n else math.nan,
     )

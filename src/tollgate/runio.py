@@ -9,7 +9,8 @@ budget of that document, :func:`read_episode_logs` rebuilds the episode logs.
 The episode-log, boundary-log and summary readers and writers stream. A
 writer writes one episode at a time to an open file; a reader decodes a
 bounded batch of lines at a time. Neither holds a file's whole text, its
-list of lines or one decoded record per line.
+list of lines or one decoded record per line. :func:`read_episode_logs`
+joins the three logs in one ordered pass and refuses logs out of order.
 """
 
 from __future__ import annotations
@@ -294,16 +295,16 @@ def _record_error(record) -> RunArtifactError:
     return RunArtifactError(f"{EPISODE_LOG_NAME} logs an unknown verdict {record['verdict']!r}")
 
 
-def read_episode_records(run_dir: Path) -> dict[int, list[GateEntry]]:
-    """The gate entries of a run's episode log, grouped by episode in order
-    of first appearance. Raises :class:`RunArtifactError` for a record that
-    is not an object, lacks a key, holds a value of the wrong JSON type or
-    names an unknown verdict. Each distinct label is kept as one string."""
+def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, ...]]]:
+    """``(episode, entries)`` of each run of episode-log lines on one episode,
+    in order. Raises :class:`RunArtifactError` for a record that is not an
+    object, lacks a key, holds a value of the wrong JSON type or names an
+    unknown verdict. Each distinct label is kept as one string."""
     fields = itemgetter(*_RECORD_KINDS)
     verdicts = {v.value: v for v in Verdict}
     labels: dict[str, str] = {}
     label = labels.setdefault
-    entries: dict[int, list[GateEntry]] = {}
+    current, entries = None, []
     for record in _read_jsonl(Path(run_dir) / EPISODE_LOG_NAME):
         try:
             episode, step, time, state, proposed, value, verdict, executed, after, version = (
@@ -321,36 +322,38 @@ def read_episode_records(run_dir: Path) -> dict[int, list[GateEntry]]:
             and verdict in verdicts
         ):
             raise _record_error(record)
-        entries.setdefault(episode, []).append(
+        if episode != current:
+            if entries:
+                yield current, tuple(entries)
+            current, entries = episode, []
+        entries.append(
             GateEntry(
                 step, time, label(state, state), label(proposed, proposed), value,
                 verdicts[verdict], label(executed, executed), after, version,
             )
         )
-    return entries
+    if entries:
+        yield current, tuple(entries)
 
 
-def read_summary(run_dir: Path) -> list[tuple[int, float, float]]:
-    """``(episode, terminal_loss, b_final)`` of each summary row, converted
-    as it is read; blank lines are skipped. Raises :class:`RunArtifactError`
-    for a missing column, a row shorter than the header or a cell that does
-    not convert."""
-    path = Path(run_dir) / SUMMARY_NAME
+def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
+    """``(episode, terminal_loss, b_final)`` of each summary row, in file
+    order, converted as it is read; blank lines are skipped. Raises
+    :class:`RunArtifactError` for a missing column, a row shorter than the
+    header or a cell that does not convert."""
     names = ("episode", "terminal_loss", "b_final")
-    with path.open() as fh:
+    with (Path(run_dir) / SUMMARY_NAME).open() as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None:
-            return []
+            return
         for name in names:
             if name not in header:
                 raise RunArtifactError(f"{SUMMARY_NAME} has no {name!r} column")
         cells = itemgetter(*map(header.index, names))
         try:
-            return [
-                (int(episode), float(terminal_loss), float(b_final))
-                for episode, terminal_loss, b_final in map(cells, filter(None, rows))
-            ]
+            for episode, terminal_loss, b_final in map(cells, filter(None, rows)):
+                yield int(episode), float(terminal_loss), float(b_final)
         except IndexError:
             raise RunArtifactError(
                 f"{SUMMARY_NAME} has a row shorter than its header (line {rows.line_num})"
@@ -361,35 +364,38 @@ def read_summary(run_dir: Path) -> list[tuple[int, float, float]]:
             ) from None
 
 
-def read_episode_logs(run_dir: Path, budget_initial: float) -> list[EpisodeLog]:
-    """Rebuild the episode logs a run wrote, in summary-row order, given the
-    initial budget of its scenario: the inverse of the episode, summary and
-    boundary writers. Raises :class:`RunArtifactError` unless the summary
-    rows and the episode log name the same episodes, or for a log record or
-    summary cell that does not convert."""
-    entries = read_episode_records(run_dir)
-    boundary_records: dict[int, list[dict]] = {}
+def _read_boundary_records(run_dir: Path) -> Iterator[tuple[int, dict]]:
+    """``(episode, record)`` of each boundary-log line, in order."""
     for rec in _read_jsonl(Path(run_dir) / BOUNDARY_LOG_NAME):
         if type(rec) is not dict or type(rec.get("episode")) is not int:
             raise RunArtifactError(f"{BOUNDARY_LOG_NAME} logs a record without an integer episode")
-        boundary_records.setdefault(rec.pop("episode"), []).append(rec)
-    rows = read_summary(run_dir)
-    if sorted(episode for episode, _, _ in rows) != sorted(entries):
-        raise RunArtifactError(
-            f"{SUMMARY_NAME} has {len(rows)} episode row(s) but {EPISODE_LOG_NAME} "
-            f"logs {len(entries)} episode(s), not the same ones"
-        )
-    return [
-        EpisodeLog(
-            episode=episode,
-            entries=tuple(entries[episode]),
-            terminal_loss=terminal_loss,
-            budget_initial=budget_initial,
-            budget_final=budget_final,
-            boundary_records=tuple(boundary_records.get(episode, ())),
-        )
-        for episode, terminal_loss, budget_final in rows
-    ]
+        yield rec.pop("episode"), rec
+
+
+def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeLog]:
+    """Rebuild a run's episode logs, one at a time in summary-row order,
+    given the initial budget of its scenario: the inverse of the episode,
+    summary and boundary writers. Raises :class:`RunArtifactError` for a
+    record or cell that does not convert, or where the logs disagree on the
+    next episode (for a boundary record, once no row is left to take it)."""
+    groups, boundary = read_episode_records(run_dir), _read_boundary_records(run_dir)
+    pending = next(boundary, None)
+    for episode, loss, final in read_summary(run_dir):
+        logged, entries = next(groups, ("none", ()))
+        if logged != episode:
+            raise RunArtifactError(
+                f"{SUMMARY_NAME} has episode {episode} next, {EPISODE_LOG_NAME} episode {logged}"
+            )
+        records = []
+        while pending is not None and pending[0] == episode:
+            records.append(pending[1])
+            pending = next(boundary, None)
+        yield EpisodeLog(episode, entries, loss, budget_initial, final, tuple(records))
+    for name, left in ((EPISODE_LOG_NAME, next(groups, None)), (BOUNDARY_LOG_NAME, pending)):
+        if left is not None:
+            raise RunArtifactError(
+                f"{name} logs episode {left[0]} out of order, or with no {SUMMARY_NAME} row"
+            )
 
 
 def write_calibration_csv(path: Path, rows: Iterable[dict]) -> Path:

@@ -573,12 +573,8 @@ def gating_suite(
 
     for sc in scenarios:
         gate = Gate(sc.model, sc.policy, sc.gate)
-        logs = [run_episode(gate, seed=seed, episode=i) for i in range(exact_episodes)]
+        logs = (run_episode(gate, seed=seed, episode=i) for i in range(exact_episodes))
         audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
-        counts: dict[str, int] = {}
-        for log in logs:
-            for verdict, k in log.decision_counts().items():
-                counts[verdict] = counts.get(verdict, 0) + k
         props.append(
             PropertyResult(
                 f"exact-envelope-budget-guarantee[{sc.name}]",
@@ -586,7 +582,7 @@ def gating_suite(
                 details={
                     "episodes": audit.episodes,
                     "overruns": audit.overruns,
-                    "decision_mix": counts,
+                    "decision_mix": audit.decisions,
                 },
             )
         )

@@ -25,7 +25,7 @@ def test_read_episode_logs_round_trips_run(name, tmp_path):
     sc = load_scenario(bundled_scenario_path(name))
     gate = Gate(sc.model, sc.policy, sc.gate)
     written = [run_episode(gate, seed=7, episode=i) for i in range(30)]
-    assert runio.read_episode_logs(out, sc.gate.initial_budget) == written
+    assert list(runio.read_episode_logs(out, sc.gate.initial_budget)) == written
 
 
 def test_report_fails_exact_run_with_under_quoted_action(tmp_path, capsys):
@@ -55,6 +55,26 @@ def _drop_last_logged_episode(out):
     path = out / runio.EPISODE_LOG_NAME
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if json.loads(line)["episode"] != 39))
+
+
+def _split_logged_episode(out):
+    # episode 5's lines, split around episode 6's
+    path = out / runio.EPISODE_LOG_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    five, six = ([line for line in lines if json.loads(line)["episode"] == ep] for ep in (5, 6))
+    start = lines.index(five[0])
+    lines[start : start + len(five) + len(six)] = [five[0], *six, *five[1:]]
+    path.write_text("".join(lines))
+
+
+def _swap_lines(name, i, j):
+    def corrupt(out):
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[i], lines[j] = lines[j], lines[i]
+        path.write_text("".join(lines))
+
+    return corrupt
 
 
 def _raise_manifest_count(out):
@@ -88,6 +108,9 @@ def _zero_the_budget(doc):
     [
         _cut_summary,
         _drop_last_logged_episode,
+        _split_logged_episode,
+        _swap_lines(runio.BOUNDARY_LOG_NAME, 2, 5),
+        _swap_lines(runio.SUMMARY_NAME, 1, 2),
         _raise_manifest_count,
         _edit_stored_scenario(_zero_every_terminal_loss),
         _edit_stored_scenario(_zero_the_budget),
@@ -95,6 +118,9 @@ def _zero_the_budget(doc):
     ids=[
         "summary-cut-to-10-rows",
         "episode-log-missing-one",
+        "episode-split-around-another",
+        "boundary-records-swapped",
+        "summary-rows-swapped",
         "manifest-count-too-high",
         "stored-losses-zeroed",
         "stored-budget-zeroed",
@@ -103,9 +129,10 @@ def _zero_the_budget(doc):
 def test_report_refuses_run_whose_artifacts_disagree_on_episodes(corrupt, tmp_path, capsys):
     # negative control: report audits every logged episode or none, under
     # the scenario its manifest authenticates; a run directory whose
-    # episode log, summary rows and manifest count disagree, or whose
-    # stored scenario no longer hashes to its config_hash, is refused with
-    # one error line instead of audited
+    # episode log, boundary log, summary rows and manifest count disagree
+    # on its episodes or their order, or whose stored scenario no longer
+    # hashes to its config_hash, is refused with one error line instead of
+    # audited
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "40", "--out", str(out)]) == 0
     corrupt(out)
@@ -138,51 +165,24 @@ def test_report_takes_delta_from_conformal_manifest(tmp_path, capsys):
     assert text.rstrip().endswith("-> PASS")
 
 
-def test_report_leaves_numpy_and_scipy_unloaded(tmp_path):
-    # report is pure Python: auditing a run directory needs no sampling
-    out = tmp_path / "run"
-    assert main(["run", "--scenario", "database", "--episodes", "20", "--out", str(out)]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import sys; from tollgate.cli import main; code = main(['report', '--out', sys.argv[1]]); "
-        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(out)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "-> PASS" in done.stdout
-    assert done.stdout.splitlines()[-1] == "0 False False"
-
-
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-def test_run_leaves_numpy_and_scipy_unloaded(name, tmp_path):
-    # an exact-tier run samples from the pure-Python copy of numpy's stream
-    assert load_scenario(bundled_scenario_path(name)).envelope_config["kind"] == "exact"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import sys; from tollgate.cli import main; "
-        "code = main(['run', '--scenario', sys.argv[1], '--episodes', '200', '--out', sys.argv[2]]); "
-        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code, name, str(tmp_path / name)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False False"
-
-
 def test_no_command_loads_numpy_or_scipy(tmp_path):
-    # the package has no runtime dependency: a conformal run and its report,
-    # calibrate and every verify suite stay in pure Python too
+    # the package has no runtime dependency: an exact-tier run of each
+    # bundled scenario samples from the pure-Python copy of numpy's stream,
+    # and its report, a conformal run and its report, calibrate and every
+    # verify suite stay in pure Python too
+    for name in BUNDLED_SCENARIOS:
+        assert load_scenario(bundled_scenario_path(name)).envelope_config["kind"] == "exact"
     doc = json.loads(bundled_scenario_path("payments").read_text())
     doc["envelope"] = {"kind": "conformal", "calibration_episodes": 20, "training_episodes": 10}
     conformal = tmp_path / "payments-conformal.scn.json"
     conformal.write_text(json.dumps(doc))
     out = str(tmp_path / "conformal")
     commands = [
+        *(
+            ["run", "--scenario", name, "--episodes", "200", "--out", str(tmp_path / name)]
+            for name in BUNDLED_SCENARIOS
+        ),
+        ["report", "--out", str(tmp_path / BUNDLED_SCENARIOS[0])],
         ["run", "--scenario", str(conformal), "--episodes", "200", "--out", out],
         ["report", "--out", out],
         ["calibrate", "--scenario", "trading", "--episodes", "30", "--out", str(tmp_path / "cal")],

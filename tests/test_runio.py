@@ -15,7 +15,14 @@ import pytest
 
 from tollgate import runio
 from tollgate.cli import main
-from tollgate.gate import EpisodeLog, Gate, GateEntry, Verdict, run_episode
+from tollgate.gate import (
+    EpisodeLog,
+    Gate,
+    GateEntry,
+    Verdict,
+    audit_budget_guarantee,
+    run_episode,
+)
 from tollgate.scenario import bundled_scenario_path, load_scenario
 
 INF, NAN = math.inf, math.nan
@@ -97,7 +104,7 @@ def test_infinite_budget_run_writes_json_dumps_lines(tmp_path):
     records = [json.loads(line) for line in lines]
     assert lines == [json.dumps(r, sort_keys=True) for r in records]
     assert all(r["budget_after"] == INF for r in records)
-    logs = runio.read_episode_logs(out, INF)
+    logs = list(runio.read_episode_logs(out, INF))
     assert runio.episode_json_lines(logs) == lines
 
 
@@ -106,7 +113,7 @@ def test_written_episode_log_reads_back_on_edge_entries(tmp_path):
     lines = runio.episode_json_lines(logs)
     path = runio.write_episode_logs(tmp_path, logs)
     assert path.read_text() == "".join(line + "\n" for line in lines)
-    entries = runio.read_episode_records(tmp_path)
+    entries = dict(runio.read_episode_records(tmp_path))
     assert [log.episode for log in logs] == list(entries)
     rebuilt = [
         EpisodeLog(log.episode, tuple(entries[log.episode]), 0.0, INF, 0.0, ()) for log in logs
@@ -215,14 +222,14 @@ def test_readers_skip_blank_lines_across_batches(tmp_path):
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "30", "--out", str(out)]) == 0
     budget = load_scenario(bundled_scenario_path("payments")).gate.initial_budget
-    expected = runio.read_episode_logs(out, budget)
+    expected = list(runio.read_episode_logs(out, budget))
     assert any(log.boundary_records for log in expected)
     blanks = ["\n", "   \n", "\t \n"] * runio._BATCH_LINES
     for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
         path = out / name
         first, *rest = path.read_text().splitlines(keepends=True)
         path.write_text("".join(["\n", first, *blanks, *rest, " \n"]))
-    assert runio.read_episode_logs(out, budget) == expected
+    assert list(runio.read_episode_logs(out, budget)) == expected
 
 
 def test_zero_episode_run_writes_empty_logs_and_a_header_only_summary(tmp_path, capsys):
@@ -278,14 +285,32 @@ def test_reading_episode_logs_holds_less_than_the_log_in_flight(database_run):
     # not the file's text, its lines or one decoded record per line
     out, budget = database_run
     size = (out / runio.EPISODE_LOG_NAME).stat().st_size
-    logs, retained, peak = _traced_memory(lambda: runio.read_episode_logs(out, budget))
+    logs, retained, peak = _traced_memory(lambda: list(runio.read_episode_logs(out, budget)))
     assert len(logs) == 5000
     assert peak - retained < size
 
 
+def test_report_audit_peak_does_not_grow_with_the_run(database_run, tmp_path):
+    # the audit folds over the logs as they are read and keeps running
+    # totals, so a run ten times longer peaks no higher, within 1 MB
+    out, budget = database_run
+    short = tmp_path / "run"
+    assert main(["run", "--scenario", "database", "--episodes", "500", "--out", str(short)]) == 0
+    truth = load_scenario(bundled_scenario_path("database")).gate.exact_quoter.predict
+
+    def audit(run_dir):
+        return audit_budget_guarantee(runio.read_episode_logs(run_dir, budget), truth, 0.0)
+
+    audit(out)  # prices every quoted key before either audit is traced
+    short_audit, _, short_peak = _traced_memory(lambda: audit(short))
+    long_audit, _, long_peak = _traced_memory(lambda: audit(out))
+    assert (short_audit.episodes, long_audit.episodes) == (500, 5000)
+    assert long_peak - short_peak < 1 << 20
+
+
 def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run, tmp_path):
     out, budget = database_run
-    logs = runio.read_episode_logs(out, budget)
+    logs = list(runio.read_episode_logs(out, budget))
     size = (out / runio.EPISODE_LOG_NAME).stat().st_size
     _, _, peak = _traced_memory(
         lambda: (runio.write_episode_logs(tmp_path, logs), runio.write_boundary_log(tmp_path, logs))

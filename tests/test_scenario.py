@@ -584,9 +584,18 @@ def _boolean_conformal_delta(doc):
     doc["envelope"] = {"kind": "conformal", "delta": False}
 
 
-# NaN probabilities and exposures, an infinite gamma and an unknown
-# escalation ruling or key parse; the model, risk, exposure and gate checks
-# refuse them instead.
+def _leaf_initial_state(doc):
+    doc["model"]["initial_state"] = "funds_lost"
+
+
+def _later_initial_state(doc):
+    # a state whose only decision node is at time 1
+    doc["model"]["initial_state"] = "wired_fraud"
+
+
+# NaN probabilities and exposures, an infinite gamma, an unknown escalation
+# ruling or key and an initial state with no time-0 node parse; the model,
+# risk, exposure and gate checks refuse them instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
     _nan_kernel_probability: "must be finite",
@@ -596,6 +605,8 @@ _NOT_PARSE_ERRORS = {
     _unknown_escalation_ruling: "[invariant] escalation ruling must be 'approve' or 'deny'",
     _misspelled_escalation_key: "[unresolved-reference] escalation policy names unknown action",
     _negative_seed: "[invariant] seed must be >= 0",
+    _leaf_initial_state: "initial state 'funds_lost' has no decision node at time 0",
+    _later_initial_state: "initial state 'wired_fraud' has no decision node at time 0",
 }
 
 
@@ -651,6 +662,8 @@ _NOT_PARSE_ERRORS = {
         (_string_potential_exponent, "boundaries[0].potential.exponent"),
         (_boolean_exposure, "model.nodes[0].actions[wire_transfer].exposure.vendor_payments"),
         (_boolean_conformal_delta, "envelope.delta"),
+        (_leaf_initial_state, "initial_state"),
+        (_later_initial_state, "initial_state"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
@@ -661,6 +674,7 @@ def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys
     err = capsys.readouterr().err
     assert _NOT_PARSE_ERRORS.get(mutate, "[parse]") in err
     assert f"(at {field_path})" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
