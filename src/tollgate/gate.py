@@ -18,6 +18,8 @@ ever decreases by charged quotes, so the running sum of charges equals the
 initial budget minus the final budget, entry by entry. A step is a pure
 function of its arguments: it returns the entry, the charge and the next
 boundary ledger, and an episode folds the steps over ``(budget, ledger)``.
+Episodes sample their proposals and transitions from the standard
+library's Mersenne Twister, one generator per ``(seed, episode)``.
 
 A :class:`Gate` memoises that fold along sampled prefixes. The prefix
 ``(proposed, next_state)*`` of an episode fixes its time, state, budget and
@@ -30,14 +32,15 @@ the run-log writers encode once per path.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from ._stream import add_reduce, uniform_stream
 from .boundary import BoundaryLedger
 from .exceptions import ModelValidationError
 
@@ -218,17 +221,30 @@ def _budget_steps(log: EpisodeLog):
         prev = entry.budget_after
 
 
+def uniform_stream(seed: int, episode: int) -> Callable[[], float]:
+    """The uniform draws of one episode: ``random.Random(k).random``, keyed
+    by the Cantor pairing ``k = (s + e)(s + e + 1) / 2 + e`` of the seed
+    ``s`` and the episode ``e``. The pairing is one-to-one on non-negative
+    integers of any size, so distinct pairs seed distinct generators.
+    Python guarantees that ``random()`` gives the same sequence for the same
+    int seed across versions, so a run's artifacts do too. A negative seed
+    or episode raises :class:`ModelValidationError`."""
+    s, e = index(seed), index(episode)
+    if s < 0 or e < 0:
+        raise ModelValidationError(
+            f"a seed or episode must be a non-negative integer, got {min(s, e)}"
+        )
+    return random.Random((s + e) * (s + e + 1) // 2 + e).random
+
+
 @lru_cache(maxsize=1 << 14)
 def _inverse_cdf(row: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """Labels and normalised CDF of a ``(label, probability)`` row, built with
-    the arithmetic ``Generator.choice(n, p=q)`` uses on ``q = p / p.sum()``,
-    its pairwise ``sum`` reproduced by :func:`add_reduce`:
-    ``labels[bisect_right(cdf, uniform())]`` then draws exactly the label
-    ``choice`` would. Rows are immutable tuples held by the policy or the
+    """Labels and CDF of a ``(label, probability)`` row: the running sum
+    divided by its last element, which makes the last value exactly 1.0, so
+    ``labels[bisect_right(cdf, uniform())]`` always draws a label, and never
+    one of zero mass. Rows are immutable tuples held by the policy or the
     model, so the memo keys on the row itself."""
-    probs = [float(p) for _, p in row]
-    total = add_reduce(probs)
-    cdf = list(accumulate(p / total for p in probs))
+    cdf = list(accumulate(float(p) for _, p in row))
     last = cdf[-1]
     return tuple(label for label, _ in row), tuple(c / last for c in cdf)
 
@@ -279,13 +295,10 @@ class Gate:
 def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
     """Gate one sampled trajectory from the model's initial state.
 
-    Deterministic for a fixed (seed, episode): proposals and transitions draw
-    from one stream in a fixed call order. The stream is that of
-    ``default_rng(SeedSequence([seed, episode])).random``, reproduced bit for
-    bit in pure Python by :func:`uniform_stream`, and each draw repeats
-    ``Generator.choice``'s inverse-CDF arithmetic (one uniform searched in
-    the normalised cumulative sum), so the trajectories are the ones that
-    generator would sample. A negative seed or episode raises
+    Deterministic for a fixed (seed, episode): proposals and transitions
+    draw, in a fixed call order, from the one stream
+    :func:`uniform_stream` returns, each by searching one uniform in the
+    row's CDF. A negative seed or episode raises
     :class:`ModelValidationError`. The executed action, not the proposed
     one, drives the transition.
 
@@ -387,7 +400,10 @@ def audit_budget_guarantee(
             accounting_exact &= entry.budget_after == budget
             budget = entry.budget_after
             decisions[entry.verdict] += 1
-            true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
+            if entry.executed == entry.proposed:
+                true_sum += true_toll
+            else:
+                true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
             if not (true_toll <= entry.envelope_value + 1e-9):
                 covered = False
             else:

@@ -17,41 +17,41 @@ from tollgate.scenario import bundled_scenario_path
 
 RUN_DIGESTS = {
     "payments": {
-        "boundaries.jsonl": "5c439b3d753ae3e0903ec2fdc494ef1c297a52f282afc21af83f8d325dd4f137",
-        "episodes.jsonl": "7ef16f7d65e863706b44c44bebc09f1117ea96addafd0478b8824a474e494eda",
+        "boundaries.jsonl": "311cfa227df8ec93b639d14ffad4b09b40fc8b3aebb903a4cedf1b9fe7c05a3e",
+        "episodes.jsonl": "011ab309446cc72449630382f95abc4271620244ed07f814ab070b061fd092e6",
         "manifest.json": "edf5b9021000090dc414fe18937bebb8d4ddf175ab75771f60624a84898d428e",
-        "summary.csv": "47aeb5e543e0b0106df69717786652448c7c17ea7c408ddb2ae862e045d83bde",
-        "report": "0cb7a8c648fb492bf9bd7ff0a89d91fb9b3b6cc0cc16fff07d70981427e14237",
+        "summary.csv": "918159758f9ca994a86ce52b81be0e7a78b326827f9da5e8b1a161df69639b8b",
+        "report": "9b22a0c018ec340cc03a65857bd598ade8d73288c2a302847378a7d42153a894",
     },
     "database": {
-        "boundaries.jsonl": "1a2cf0aadd72dcd6c3051b78ce1fdc879304f654260501842a4c4c7dd0105378",
-        "episodes.jsonl": "2d14a82bda1b1a8d4f836e6087758c73ea27f603fcb05161fc2cc3f0fc522bbc",
+        "boundaries.jsonl": "73493aca3b9f0ab7dad5bd0b5c5e0660afd2c56872e9d98444a1b24a831802dc",
+        "episodes.jsonl": "7725ce4d4acfd66f64ffe71954759c14bca5766c989389865ffc68352fb6a046",
         "manifest.json": "6150fc3fc595b2f88b1817c2d3ee0bfff4694d9f5eaecf8f0b2067eabebf7bc2",
-        "summary.csv": "4a4e2eae2d8900a2a1c25bce4f3f308712304a13e0fa050e9d4b1b727a0d3eb7",
-        "report": "9ce2bdc500102c8000572f45a515fc25f60c7921e2d3fc63ff081a23c8b670b3",
+        "summary.csv": "5c068c13c6751c2971c8263e07cee7999cbb5a8de0c7b787912eb1ca9316e82b",
+        "report": "77e772b51d0d317a96155623bfd560ade47b6bb8cd1432b767f9f3e3fc2ac6f0",
     },
     "trading": {
-        "boundaries.jsonl": "9074e9a233dbdc347c980542d5a8fde9307661b0b005211fc83b8927f0cde212",
-        "episodes.jsonl": "452f1683f36576f84b8155de61c2fb3a1441272813d0f212509e6f606572a54e",
+        "boundaries.jsonl": "2aa674f6539e3ec35baa92521cf2949e33f5c07d506327c69f200d37424d5894",
+        "episodes.jsonl": "ce76cb4ca35136b743869c51ff8b333d21bbb3d1b9b676b594ae96e4524ca969",
         "manifest.json": "05b77239da6812132a6cc415470c51b4f86b346877d37d688fadb74692f9700e",
-        "summary.csv": "b62d4bb321daa12344fb9cf12a93e9fe84a620781110fe17809053e42d9cc78f",
-        "report": "07c8ecf2c5fa4bbe24d1fd89baeba48b9a08528db9658c160189e6d7dc8da457",
+        "summary.csv": "5b974aeb3b1fe5d88dcbb35f57d71145a9efca70c51e3b8e320972b53473a861",
+        "report": "693cebf2d1b255f781101b7578e59857a113bebf6999684d50e7d9112dc60dd6",
     },
 }
 
 # Payments with a conformal envelope: the run calibrates before it gates,
 # and the manifest records the fitted inflation and rank.
 CONFORMAL_RUN_DIGESTS = {
-    "boundaries.jsonl": "bea5a5612e1608fa5c6e10b919798eea5e671b4fdd7d09a6afd6b12e6ca33ff5",
-    "episodes.jsonl": "cf27e77ca42ae35d17fb00d4c1561a821e9c3a92ea900fd143522bfa11eb1d59",
-    "manifest.json": "d8df819a51d22da6f2f270dee74b3a2b10a5034c83f6c67be000f1b96ae5e339",
-    "summary.csv": "2b7a89cec7b46098adfaaea9a4b5497b37c8a2404ba7c7dcb7dfd498807145ab",
-    "report": "17dfcaf7c2e93ea96d69c422cb7059ee0d729b7344ed2b72ce51ea824a5106d7",
+    "boundaries.jsonl": "130f7d3be3b8bb1b1ea2a5ad960b1e09291349c25e70ebcad3d5546b490fe32a",
+    "episodes.jsonl": "1f90482f1c5852139ea0b12b9aa2683ebd17a73ec23913dab39f3af762c0cdf2",
+    "manifest.json": "27d4ad626169ceafcbb5a582d53d578d6d378645fa5fa7c2f8a67b50e4e30ad3",
+    "summary.csv": "f5ae9b7694d75bf3ea1fe3d31e2fcede0003ae2eee30d165f6dbfed33e1d16f3",
+    "report": "180114f3c3e702eab4c6172b34f9fea5f4b032712fc48682b627a6bd17a24dee",
 }
 
 CALIBRATION_DIGESTS = {
-    "calibration.csv": "52dd4ce05c302f0d94ba5fe591901e17ae611229eb184dbfc9336d8e439b3fda",
-    "envelope.json": "bd0dec59cd040de3274d129e9ca66f3a1ca982af62ae4924b33ad33c37cbe076",
+    "calibration.csv": "bd7c721d4f03dea87f51f27472ed0e7534ebf2c50015cd6e3b09872d2478c74f",
+    "envelope.json": "4877f401bd4502bb698afb2f9c441476b56128663c602a9483ccbc518581398d",
 }
 
 VERIFY_DIGESTS = {
@@ -59,7 +59,7 @@ VERIFY_DIGESTS = {
     "cvar-demo": "2b3fabea527e08ed40652780a0436c0da7525e10141167ee5160a733eeab2719",
     "no-splitting": "2628751b089faaf3382355bf6fd56623b8ef20d91bb16db69618279e85b65336",
     "iap": "6d146b675d7d1a7203fbb839b3df0c373e711b88b3c6570e61969fb578036d26",
-    "gating": "9c13789986e113634e63f1863df5e7281f03de3475be591b58b68ffaa9ff2ed6",
+    "gating": "492c7230b57532e9a9ae9295bf2e1ea539586c796298cc990f771805410993e9",
 }
 
 

@@ -8,12 +8,12 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
+from itertools import islice
 
-import numpy as np
 import pytest
 
 from tollgate import gate as gate_module
-from tollgate._stream import uniform_stream
 from tollgate.boundary import BoundaryLedger, BoundarySpec, PotentialSpec
 from tollgate.cli import main
 from tollgate.envelope import Envelope
@@ -28,6 +28,7 @@ from tollgate.gate import (
     audit_budget_guarantee,
     gate_step,
     run_episode,
+    uniform_stream,
 )
 from tollgate.runio import episode_json_lines
 from tollgate.scenario import (
@@ -284,12 +285,14 @@ def _alternated_logs(sc, seed: int, episodes) -> list:
 
 
 def _payments_committing_episodes():
+    """The first two payments episodes at seed 123 that commit exposure,
+    and their logs."""
     sc = load_scenario(bundled_scenario_path("payments"))
-    episodes = (1, 2)
     gate = Gate(sc.model, sc.policy, sc.gate)
-    logs = [run_episode(gate, seed=123, episode=i) for i in episodes]
-    assert all(log.boundary_records for log in logs)  # both episodes commit exposure
-    return sc, episodes, logs
+    sampled = (run_episode(gate, seed=123, episode=ep) for ep in range(100))
+    logs = list(islice((log for log in sampled if log.boundary_records), 2))
+    assert len(logs) == 2
+    return sc, tuple(log.episode for log in logs), logs
 
 
 def test_alternated_episodes_from_one_ledger_match_run_episode():
@@ -489,50 +492,145 @@ def test_sampling_through_one_gate_retains_little():
     assert retained < 1.5e6
 
 
-def _sampling_rows(rng: np.random.Generator) -> list[tuple[tuple[str, float], ...]]:
+def _sampling_rows(rng: random.Random) -> list[tuple[tuple[str, float], ...]]:
     """Rows as the loader lets them through: random widths, zero-mass entries
     first, in the middle, last and scattered, one-entry rows, and sums off 1
-    by up to KERNEL_TOL. Widths run to 300, past the 8-element and
-    128-element steps of a pairwise sum."""
+    by up to KERNEL_TOL. Widths run to 300, so running sums grow long."""
     rows = [(("only", 1.0),)]
     for k in range(600):
-        n = int(rng.integers(1, 7)) if k < 400 else int(rng.integers(7, 301))
-        probs = rng.random(n)
+        n = rng.randint(1, 6) if k < 400 else rng.randint(7, 300)
+        probs = [rng.random() for _ in range(n)]
         if n >= 3:
             probs[rng.choice((0, n // 2, n - 1))] = 0.0
         if n >= 7:
-            probs[rng.random(n) < 0.2] = 0.0
-        probs = probs / probs.sum() * (1.0 + rng.uniform(-KERNEL_TOL, KERNEL_TOL))
-        rows.append(tuple((f"x{i}", float(p)) for i, p in enumerate(probs)))
+            probs = [0.0 if rng.random() < 0.2 else p for p in probs]
+        scale = (1.0 + rng.uniform(-KERNEL_TOL, KERNEL_TOL)) / sum(probs)
+        rows.append(tuple((f"x{i}", p * scale) for i, p in enumerate(probs)))
     return rows
 
 
-def test_sampler_draws_exactly_as_generator_choice():
-    rows = _sampling_rows(np.random.default_rng(11))
+def test_inverse_cdf_ends_at_exactly_one():
+    rows = _sampling_rows(random.Random(11))
     assert any(len(row) == 1 for row in rows)
     for pos in (0, 1, -1):
         assert any(len(row) >= 3 and row[pos][1] == 0.0 for row in rows)
     assert max(len(row) for row in rows) > 256
-    seq = np.random.SeedSequence([5, 3])
-    old, new = np.random.default_rng(seq), np.random.default_rng(seq)
-    for k in range(6000):
-        row = rows[k % len(rows)]
-        probs = np.asarray([p for _, p in row])
-        expected = int(old.choice(len(row), p=probs / probs.sum()))
+    assert any(abs(math.fsum(p for _, p in row) - 1.0) > KERNEL_TOL / 2 for row in rows)
+    for row in rows:
         labels, cdf = _inverse_cdf(row)
-        assert bisect_right(cdf, new.random()) == expected
         assert labels == tuple(label for label, _ in row)
-    assert old.random() == new.random()
+        assert cdf[-1] == 1.0
+        assert all(a <= b for a, b in zip(cdf, cdf[1:]))
 
 
-def test_inverse_cdf_matches_numpy_cumsum():
-    # element for element: the pairwise sum, the division and the running
-    # sum must all round as numpy's do, not just land in the same bin
-    for row in _sampling_rows(np.random.default_rng(12)):
-        probs = np.asarray([p for _, p in row])
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        assert _inverse_cdf(row)[1] == tuple(cdf.tolist())
+def test_inverse_cdf_never_draws_a_zero_mass_label():
+    # a uniform lies in [0, 1): its ends and every breakpoint of the CDF are
+    # the draws most likely to land on a zero-width bin
+    for row in _sampling_rows(random.Random(12)):
+        _, cdf = _inverse_cdf(row)
+        for u in {0.0, math.nextafter(1.0, 0.0), *(c for c in cdf if c < 1.0)}:
+            assert row[bisect_right(cdf, u)][1] > 0.0, (row, u)
+
+
+def test_distinct_seed_episode_pairs_give_distinct_streams():
+    # (1, 23) and (12, 3) share the digits of a joined key; the large seeds
+    # run past the digit limit of int-to-str conversion
+    big = (2**64, 2**200 + 3, 10**5000)
+    pairs = {(s, e) for s in range(40) for e in range(40)}
+    pairs |= {(1, 23), (12, 3)} | {(s, e) for s in big for e in (0, 1, 7)}
+    pairs |= {(e, s) for s, e in pairs}
+    firsts = {uniform_stream(s, e)() for s, e in pairs}
+    assert len(firsts) == len(pairs)
+
+
+def test_bool_seed_streams_as_its_int():
+    a, b = uniform_stream(True, 0), uniform_stream(1, 0)
+    assert [a() for _ in range(8)] == [b() for _ in range(8)]
+
+
+def _path_law(model, policy, cfg) -> dict:
+    """The exact law of gated paths, each keyed by its ``(state, proposed)``
+    steps and its terminal loss: every proposal and transition branch walked
+    through ``gate_step`` with a fresh memo."""
+    law: Counter = Counter()
+
+    def walk(t, state, budget, ledger, steps, mass):
+        if t == model.horizon:
+            law[steps, model.terminal_loss(state)] += mass
+            return
+        for proposed, p in policy.action_dist(t, state):
+            if p == 0.0:
+                continue
+            entry, _, after = gate_step(budget, cfg, model, ledger, t, state, proposed, {})
+            for target, q in model.kernel(t, state, entry.executed):
+                if q > 0.0:
+                    walk(t + 1, target, entry.budget_after, after,
+                         (*steps, (state, proposed)), mass * p * q)
+
+    walk(0, model.initial_state, cfg.initial_budget, BoundaryLedger.empty(cfg.boundaries), (), 1.0)
+    return law
+
+
+# 0.999 quantiles of the chi-square law, by degrees of freedom
+_CHI2_999 = {7: 24.32, 9: 27.88, 10: 29.59}
+
+
+def _fidelity_problems(name: str, seed: int = 1, episodes: int = 5000) -> list[str]:
+    """Sample ``episodes`` episodes of a bundled scenario and compare their
+    paths with the exact law: sampled paths outside the law, a law whose
+    mass is not 1, and a chi-square statistic at or above its 0.999
+    quantile are problems."""
+    sc = load_scenario(bundled_scenario_path(name))
+    law = _path_law(sc.model, sc.policy, sc.gate)
+    gate = Gate(sc.model, sc.policy, sc.gate)
+    counts = Counter(
+        (tuple((e.state, e.proposed) for e in log.entries), log.terminal_loss)
+        for log in (run_episode(gate, seed, ep) for ep in range(episodes))
+    )
+    problems = []
+    outside = sum(n for path, n in counts.items() if path not in law)
+    if outside:
+        problems.append(f"{outside} sampled episodes outside the law")
+    mass = math.fsum(law.values())
+    if not abs(mass - 1.0) <= 1e-12:
+        problems.append(f"law mass {mass!r}")
+    stat = sum((counts[path] - episodes * p) ** 2 / (episodes * p) for path, p in law.items())
+    df = len(law) - 1
+    if not stat < _CHI2_999[df]:
+        problems.append(f"chi-square {stat:.2f} on {df} degrees of freedom")
+    return problems
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_sampled_paths_follow_the_gated_law(name):
+    assert _fidelity_problems(name) == []
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_fidelity_catches_rotated_labels(name, monkeypatch):
+    # negative control: each drawn bin is read as its neighbour's label
+    inverse_cdf = gate_module._inverse_cdf
+
+    def rotated(row):
+        labels, cdf = inverse_cdf(row)
+        return labels[1:] + labels[:1], cdf
+
+    monkeypatch.setattr(gate_module, "_inverse_cdf", rotated)
+    assert _fidelity_problems(name)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_fidelity_catches_transition_from_the_proposed_action(name, monkeypatch):
+    # negative control: the sampler moves by the proposed action's kernel,
+    # not the executed one's
+    step = gate_module.gate_step
+
+    def proposed_moves(*args):
+        entry, charged, ledger = step(*args)
+        return entry._replace(executed=entry.proposed), charged, ledger
+
+    monkeypatch.setattr(gate_module, "gate_step", proposed_moves)
+    assert _fidelity_problems(name)
 
 
 @pytest.mark.parametrize(
@@ -554,7 +652,6 @@ def test_run_episode_refuses_invalid_policy_row(row):
 
 @pytest.mark.parametrize("seed, episode", [(-1, 0), (0, -1), (-(2**40), 3)])
 def test_run_episode_refuses_negative_seed_or_episode(seed, episode):
-    # numpy's SeedSequence refuses these with a bare ValueError
     model = _gate_model()
     with pytest.raises(ModelValidationError, match="non-negative integer"):
         run_episode(Gate(model, Policy({(0, "r"): (("act", 1.0),)}), _cfg(model, 10.0)), seed, episode)
@@ -624,6 +721,27 @@ def test_audit_replays_escalated_and_downgraded_charges():
     assert audit_budget_guarantee(logs, truth, delta=0.1).accounting_exact
     # the same logs judged as if an approved escalation were free
     assert not audit_budget_guarantee(logs, lambda t, s, a: 0.0, delta=0.1).accounting_exact
+
+
+def test_audit_asks_the_quoter_once_where_one_answer_serves():
+    # an entry that executes its proposal needs one true toll; a diverted
+    # one needs the proposal's and the executed action's
+    sc = load_scenario(bundled_scenario_path("payments"))
+    gate = Gate(sc.model, sc.policy, sc.gate)
+    logs = [run_episode(gate, seed=301, episode=i) for i in range(200)]
+    entries = [e for log in logs for e in log.entries]
+    diverted = sum(e.executed != e.proposed for e in entries)
+    assert 0 < diverted < len(entries)
+    truth, calls = sc.gate.exact_quoter.predict, []
+
+    def counted(t, s, a):
+        calls.append(a)
+        return truth(t, s, a)
+
+    assert audit_budget_guarantee(logs, counted, delta=0.0) == audit_budget_guarantee(
+        logs, truth, delta=0.0
+    )
+    assert len(calls) == len(entries) + diverted
 
 
 def _payments_log_and_truth():

@@ -43,7 +43,6 @@ def test_module_imports_alone(module):
 def test_gate_loads_no_pricing_module():
     assert _loaded("tollgate.gate") == {
         "tollgate",
-        "tollgate._stream",
         "tollgate.boundary",
         "tollgate.exceptions",
         "tollgate.gate",

@@ -147,27 +147,33 @@ def test_report_refuses_run_whose_artifacts_disagree_on_episodes(corrupt, tmp_pa
 def test_report_takes_delta_from_conformal_manifest(tmp_path, capsys):
     # a conformal run may leave some quotes uncovered; the audit allows
     # delta plus three sigmas of violating episodes, delta read from the
-    # manifest, where an exact-tier reading (delta 0) would fail the run
+    # manifest, where an exact-tier reading (delta 0) would fail the run.
+    # Some seeds cover every quote, so the test runs seeds until one does not.
     doc = json.loads(bundled_scenario_path("trading").read_text())
     doc["envelope"] = {
         "kind": "conformal", "delta": 0.1, "calibration_episodes": 200, "training_episodes": 100,
     }
     scenario = tmp_path / "trading-conformal.scn.json"
     scenario.write_text(json.dumps(doc))
-    out = tmp_path / "run"
-    assert main(["run", "--scenario", str(scenario), "--episodes", "150", "--out", str(out)]) == 0
-    assert runio.read_manifest(out)["envelope"]["delta"] == 0.1
-    capsys.readouterr()
-    assert main(["report", "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    covered, quotes = map(int, re.search(r"(\d+)/(\d+) quotes covered", text).groups())
-    assert covered < quotes
-    assert text.rstrip().endswith("-> PASS")
+    for seed in range(10):
+        out = tmp_path / f"run-{seed}"
+        run = ["run", "--scenario", str(scenario), "--episodes", "150", "--seed", str(seed)]
+        assert main([*run, "--out", str(out)]) == 0
+        assert runio.read_manifest(out)["envelope"]["delta"] == 0.1
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text.rstrip().endswith("-> PASS")
+        covered, quotes = map(int, re.search(r"(\d+)/(\d+) quotes covered", text).groups())
+        if covered < quotes:
+            break
+    else:
+        pytest.fail("no seed left a quote uncovered")
 
 
 def test_no_command_loads_numpy_or_scipy(tmp_path):
     # the package has no runtime dependency: an exact-tier run of each
-    # bundled scenario samples from the pure-Python copy of numpy's stream,
+    # bundled scenario samples from the standard library's generator,
     # and its report, a conformal run and its report, calibrate and every
     # verify suite stay in pure Python too
     for name in BUNDLED_SCENARIOS:

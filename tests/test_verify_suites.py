@@ -144,7 +144,7 @@ def test_drifting_episode_stream_fails_determinism(monkeypatch):
     # a stream that shifts each episode by how often it was asked for samples
     # valid trajectories, so only the rerun comparison can catch it
     sizes = dict(
-        exact_episodes=5, calibration_episodes=20, eval_episodes=10, determinism_episodes=2
+        exact_episodes=5, calibration_episodes=20, eval_episodes=10, determinism_episodes=5
     )
     assert not _failing(gating_suite(11, **sizes))
     calls = itertools.count()
