@@ -104,19 +104,6 @@ def fit_conformal_envelope(
     )
 
 
-def coverage_estimate(
-    env: Envelope,
-    test_set: Sequence[tuple[tuple[int, str, str], float]],
-) -> float:
-    """Fraction of test points whose true positive toll the envelope covers."""
-    if not test_set:
-        raise ModelValidationError("test set must be nonempty", path="test_set")
-    hits = sum(
-        1 for (t, s, a), true in test_set if float(true) <= env.query(t, s, a) + 1e-12
-    )
-    return hits / len(test_set)
-
-
 # ---------------------------------------------------------------------------
 # base predictors
 

@@ -270,7 +270,9 @@ class _Prefix(dict):
 # 5,000 episodes, through at most 23 prefixes. An episode that leaves the
 # held prefixes decides the rest of its path afresh, so a run with many
 # distinct paths, like the 6x80 ladder's 1,362 prefixes in 300 episodes,
-# holds a bounded trie.
+# holds a bounded trie. Past the held prefixes every step calls
+# _inverse_cdf, so its memo stays: without it, 300 warm ladder episodes took
+# 27-28 ms instead of 15-21 ms.
 _PREFIXES_HELD = 256
 
 
@@ -300,7 +302,8 @@ def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
     :func:`uniform_stream` returns, each by searching one uniform in the
     row's CDF. A negative seed or episode raises
     :class:`ModelValidationError`. The executed action, not the proposed
-    one, drives the transition.
+    one, drives the transition. The log holds ``index(episode)``, so an
+    episode of ``True`` logs as ``1``, which the log readers accept.
 
     Every draw is consumed; each step walks the gate's trie one prefix down,
     and a step, a CDF or an outcome the trie already holds is reused. The
@@ -336,7 +339,7 @@ def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
     if node.outcome is None:
         node.outcome = (tuple(entries), model.terminal_loss(state), ledger.records)
     entries, terminal_loss, records = node.outcome
-    return EpisodeLog(episode, entries, terminal_loss, cfg.initial_budget, budget, records)
+    return EpisodeLog(index(episode), entries, terminal_loss, cfg.initial_budget, budget, records)
 
 
 # ---------------------------------------------------------------------------

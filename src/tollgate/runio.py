@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -49,14 +47,6 @@ _RECORD_KINDS = dict(
 )
 _KIND_NAMES = {_INT: "non-integer", _STR: "non-string", _NUMBER: "non-numeric"}
 
-# The keys of one episode-log line in sorted order, and the line they make
-# with json.dumps's default separators, in two halves on either side of
-# the episode number.
-_ENTRY_KEYS = tuple(sorted(_RECORD_KINDS))
-_EPISODE_AT = _ENTRY_KEYS.index("episode")
-_ENTRY_HEAD = "{" + "".join(f'"{key}": %s, ' for key in _ENTRY_KEYS[:_EPISODE_AT]) + '"episode": '
-_ENTRY_TAIL = "".join(f', "{key}": %s' for key in _ENTRY_KEYS[_EPISODE_AT + 1 :]) + "}\n"
-
 # Lines decoded per batch by _read_jsonl.
 _BATCH_LINES = 1024
 
@@ -65,19 +55,6 @@ _BATCH_LINES = 1024
 # a path once while it holds it; a run with more distinct paths than this
 # encodes some again, and logs that share nothing are encoded one by one.
 _PATHS_HELD = 64
-
-
-def _json_scalar(value) -> str:
-    """``json.dumps(value)``, done directly for plain strings, finite floats
-    and ints, which is what a gate entry holds."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is int:
-        return int.__repr__(value)
-    return json.dumps(value)
 
 
 def _by_identity(encode: Callable) -> Callable:
@@ -100,47 +77,37 @@ def _by_identity(encode: Callable) -> Callable:
     return encoded
 
 
-def _entry_parts(entries: tuple[GateEntry, ...]) -> list[str]:
-    """The episode-log lines of ``entries``, split where the episode number
-    goes: joined by an encoded episode number, they are that episode's
-    lines."""
-    enc = _json_scalar
-    parts = [""]
-    for e in entries:
-        parts[-1] += _ENTRY_HEAD % (
-            enc(e.boundary_version), enc(e.budget_after), enc(e.envelope_value)
-        )
-        parts.append(
-            _ENTRY_TAIL % (
-                enc(e.executed), enc(e.proposed), enc(e.state), enc(e.step), enc(e.time),
-                enc(e.verdict.value),
-            )
-        )
-    return parts
+# json.dumps's rules with sorted keys, built once for every record encoded.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _boundary_parts(records: tuple[dict, ...]) -> list[str]:
-    """The boundary-log lines of ``records``, ``json.dumps({"episode":
-    episode, **record}, sort_keys=True)`` each, split where the episode
-    number goes, as :func:`_entry_parts` splits entry lines."""
+def _record_parts(records: Iterable[dict]) -> list[str]:
+    """The log lines of ``records``, ``json.dumps({**record, "episode":
+    episode}, sort_keys=True)`` each, split where the episode number goes:
+    joined by the episode number, they are that episode's lines. Each record
+    is encoded once, with episode 0, and split at its ``"episode": 0`` key;
+    a quote inside a JSON string is escaped, so no value of a flat record
+    can match."""
     parts = [""]
     for rec in records:
-        if "episode" in rec:  # the record's own episode wins
-            parts[-1] += json.dumps(rec, sort_keys=True) + "\n"
-            continue
-        head = json.dumps({k: v for k, v in rec.items() if k < "episode"}, sort_keys=True)
-        tail = json.dumps({k: v for k, v in rec.items() if k > "episode"}, sort_keys=True)
-        parts[-1] += head[:-1] + ('"episode": ' if head == "{}" else ', "episode": ')
-        parts.append(("}" if tail == "{}" else ", " + tail[1:]) + "\n")
+        head, tail = _ENCODE({**rec, "episode": 0}).split('"episode": 0', 1)
+        parts[-1] += head + '"episode": '
+        parts.append(tail + "\n")
     return parts
+
+
+def _entry_parts(entries: tuple[GateEntry, ...]) -> list[str]:
+    """:func:`_record_parts` of each entry's fields, with the verdict's value
+    in place of the verdict."""
+    return _record_parts({**e._asdict(), "verdict": e.verdict.value} for e in entries)
 
 
 def _episode_texts(paths: Iterable[tuple[int, object]], parts_of) -> Iterator[str]:
     """Each ``(episode, path)``'s lines: ``parts_of(path)`` joined by the
-    encoded episode number, each path encoded once while it is held."""
+    episode number, each path encoded once while it is held."""
     parts_of = _by_identity(parts_of)
     for episode, path in paths:
-        yield _json_scalar(episode).join(parts_of(path))
+        yield str(episode).join(parts_of(path))
 
 
 def episode_json_lines(logs: Sequence[EpisodeLog]) -> list[str]:
@@ -162,7 +129,7 @@ def write_boundary_log(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
     path = out_dir / BOUNDARY_LOG_NAME
     with path.open("w") as fh:
         fh.writelines(
-            _episode_texts(((log.episode, log.boundary_records) for log in logs), _boundary_parts)
+            _episode_texts(((log.episode, log.boundary_records) for log in logs), _record_parts)
         )
     return path
 
@@ -299,11 +266,9 @@ def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, 
     """``(episode, entries)`` of each run of episode-log lines on one episode,
     in order. Raises :class:`RunArtifactError` for a record that is not an
     object, lacks a key, holds a value of the wrong JSON type or names an
-    unknown verdict. Each distinct label is kept as one string."""
+    unknown verdict."""
     fields = itemgetter(*_RECORD_KINDS)
     verdicts = {v.value: v for v in Verdict}
-    labels: dict[str, str] = {}
-    label = labels.setdefault
     current, entries = None, []
     for record in _read_jsonl(Path(run_dir) / EPISODE_LOG_NAME):
         try:
@@ -328,8 +293,7 @@ def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, 
             current, entries = episode, []
         entries.append(
             GateEntry(
-                step, time, label(state, state), label(proposed, proposed), value,
-                verdicts[verdict], label(executed, executed), after, version,
+                step, time, state, proposed, value, verdicts[verdict], executed, after, version
             )
         )
     if entries:
