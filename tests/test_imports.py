@@ -40,12 +40,6 @@ def test_module_imports_alone(module):
     assert module in _loaded(module)
 
 
-def test_cli_loads_the_verify_suites():
-    # bench/spans.py wraps the verify suites it finds among the loaded
-    # modules, so the CLI must import them
-    assert "tollgate.verify" in _loaded("tollgate.cli")
-
-
 def test_gate_loads_no_pricing_module():
     assert _loaded("tollgate.gate") == {
         "tollgate",

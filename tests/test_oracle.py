@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import MAX_EMAX, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,20 @@ from tollgate.witnesses import payment_release_witness
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)
 MEAN = RiskSpec(kind="expectation")
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_cli_import_leaves_module_unloaded(module):
+    # the CLI still imports the verify suites, which the benchmark's tracer
+    # looks up among the loaded modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys, tollgate.cli; print({module!r} in sys.modules, 'tollgate.verify' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False True"
 
 
 def test_budget_caps_must_be_positive():
