@@ -7,15 +7,14 @@ increments. The boundary toll of an increment is the difference of a
 monotone potential evaluated after and before the increment, so any
 decomposition of the same total exposure into smaller steps telescopes to
 the same total charge. An opaque outside-state tag rides along in the ledger
-and survives session churn; the path-dependence counterexample below shows
+and survives session churn; the ``no-splitting`` suite of
+:mod:`tollgate.verify` checks a path-dependence counterexample that shows
 exactly what omitting it from the exposure vector costs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -250,20 +249,6 @@ def _sequence_toll(pot: PotentialSpec, start: Sequence[float], steps: Sequence[S
     return total
 
 
-def random_partition(
-    rng: random.Random, total: Sequence[float], pieces: int
-) -> list[tuple[float, ...]]:
-    """``total`` cut into ``pieces`` nonnegative increments at sorted uniform
-    cut points per dimension, in a random order; one piece draws nothing."""
-    columns = []
-    for x in total:
-        bounds = [0.0, *sorted(rng.random() for _ in range(pieces - 1)), 1.0]
-        columns.append([(hi - lo) * x for lo, hi in zip(bounds, bounds[1:])])
-    steps = list(zip(*columns))
-    rng.shuffle(steps)
-    return steps
-
-
 def splitting_invariance_check(
     pot: PotentialSpec,
     start: Sequence[float],
@@ -303,102 +288,4 @@ def splitting_invariance_check(
         reference_toll=reference,
         partition_tolls=tolls,
         max_gap=max((abs(t - reference) for t in tolls), default=0.0),
-    )
-
-
-# ---------------------------------------------------------------------------
-# path-dependence counterexample
-
-
-@dataclass(frozen=True)
-class PathDependenceReport:
-    """What a boundary potential cannot see when the loss law depends on the
-    order and granularity of increments, not just their sum.
-
-    Two payment sequences reach the same cumulative exposure, so their
-    boundary-toll totals agree to the last bit, yet the true risk of the
-    sequence containing one large transfer differs by ``true_gap``. Folding
-    the offending path statistic into a second exposure dimension makes a
-    redesigned potential price the difference exactly.
-    """
-
-    toll_bulk: float
-    toll_split: float
-    true_gap: float
-    invisible_gap: float
-    redesigned_invisible_gap: float
-    compliant_ordering_max_gap: float
-    compliant_orderings_searched: int
-
-
-_LARGE_TRANSFER_THRESHOLD = 3.0
-_REVIEW_BYPASS_PENALTY = 4.0
-
-
-def _sequence_true_risk(steps: Sequence[Sequence[float]]) -> float:
-    # Crafted loss rule for the counterexample: the insured loss grows with
-    # the square of total exposure, plus a review-bypass penalty if any single
-    # increment reached the large-transfer threshold. The second term depends
-    # on the path, not on cumulative exposure.
-    total = sum(step[0] for step in steps)
-    loss = 0.5 * total**2
-    if any(step[0] >= _LARGE_TRANSFER_THRESHOLD for step in steps):
-        loss += _REVIEW_BYPASS_PENALTY
-    return loss
-
-
-def path_dependence_counterexample() -> PathDependenceReport:
-    """Built-in instance violating the exposure-determined-loss assumption,
-    plus the boundary redesign that restores it."""
-    pot = PotentialSpec(kind="power", weights=(0.5,), exponent=2.0)
-    start = (0.0,)
-    bulk = ((3.0,), (1.0,))
-    split = ((2.0,), (2.0,))
-
-    toll_bulk = _sequence_toll(pot, start, bulk)
-    toll_split = _sequence_toll(pot, start, split)
-    true_gap = _sequence_true_risk(bulk) - _sequence_true_risk(split)
-    invisible = abs(true_gap - (toll_bulk - toll_split))
-
-    # Redesign: expose the path statistic as a second dimension counting
-    # large transfers, priced linearly at the bypass penalty.
-    pot2 = PotentialSpec(
-        kind="piecewise_convex",
-        knots=(
-            ((0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (4.0, 8.0), (8.0, 32.0)),
-            ((0.0, 0.0), (1.0, _REVIEW_BYPASS_PENALTY)),
-        ),
-    )
-    bulk2 = tuple(
-        (step[0], 1.0 if step[0] >= _LARGE_TRANSFER_THRESHOLD else 0.0) for step in bulk
-    )
-    split2 = tuple(
-        (step[0], 1.0 if step[0] >= _LARGE_TRANSFER_THRESHOLD else 0.0) for step in split
-    )
-    toll_bulk2 = _sequence_toll(pot2, (0.0, 0.0), bulk2)
-    toll_split2 = _sequence_toll(pot2, (0.0, 0.0), split2)
-    invisible2 = abs(true_gap - (toll_bulk2 - toll_split2))
-
-    # With the assumption satisfied (no path term), exhaustive reordering of
-    # up to four increments finds no realised-toll gap.
-    compliant_steps = [(1.0,), (1.0,), (2.0,), (0.5,)]
-    max_gap = 0.0
-    searched = 0
-    reference = None
-    for perm in itertools.permutations(compliant_steps):
-        searched += 1
-        risk = 0.5 * sum(s[0] for s in perm) ** 2  # loss law without the path term
-        toll = _sequence_toll(pot, start, perm)
-        if reference is None:
-            reference = (risk, toll)
-        max_gap = max(max_gap, abs(risk - reference[0]), abs(toll - reference[1]))
-
-    return PathDependenceReport(
-        toll_bulk=toll_bulk,
-        toll_split=toll_split,
-        true_gap=true_gap,
-        invisible_gap=invisible,
-        redesigned_invisible_gap=invisible2,
-        compliant_ordering_max_gap=max_gap,
-        compliant_orderings_searched=searched,
     )

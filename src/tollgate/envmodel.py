@@ -60,7 +60,9 @@ class EnvironmentModel:
         self.horizon = horizon
         self._signatures = dict(signatures)
         self._state_index = {s: i for i, s in enumerate(state_order)}
-        self._nodes = {k: dict(v) for k, v in nodes.items()}
+        # decision nodes by time, then declared state order: all_nodes' order
+        order = sorted(nodes, key=lambda node: (node[0], self._state_index[node[1]]))
+        self._nodes = {node: dict(nodes[node]) for node in order}
         self._terminal_losses = dict(terminal_losses)
         self.initial_state = initial_state
         self.null_action = null_action
@@ -96,15 +98,8 @@ class EnvironmentModel:
     def has_node(self, time: int, state: str) -> bool:
         return (time, state) in self._nodes
 
-    def nodes_at(self, time: int) -> tuple[str, ...]:
-        found = [s for (t, s) in self._nodes if t == time]
-        found.sort(key=self._state_index.__getitem__)
-        return tuple(found)
-
     def all_nodes(self) -> Iterator[tuple[int, str]]:
-        for t in range(self.horizon):
-            for s in self.nodes_at(t):
-                yield (t, s)
+        return iter(self._nodes)
 
     def actions(self, time: int, state: str) -> tuple[str, ...]:
         node = self._nodes.get((time, state))

@@ -13,11 +13,11 @@ from tollgate.boundary import (
     BoundarySpec,
     PotentialSpec,
     boundary_toll,
-    path_dependence_counterexample,
-    random_partition,
     splitting_invariance_check,
 )
 from tollgate.exceptions import ModelValidationError, PartitionMismatchError
+from tollgate.instances import random_partition, random_potential
+from tollgate.verify import no_splitting_suite
 
 
 def test_potential_must_vanish_at_origin():
@@ -182,11 +182,9 @@ def test_partition_sum_mismatch_rejected():
 
 
 def test_randomised_telescoping():
-    from tollgate.verify import _random_potential
-
     rng = random.Random(6)
     for _ in range(100):
-        pot = _random_potential(rng)
+        pot = random_potential(rng)
         d = pot.dimension
         start = tuple(rng.uniform(0.0, 4.0) for _ in range(d))
         total = tuple(rng.uniform(0.0, 6.0) for _ in range(d))
@@ -206,14 +204,15 @@ def test_convex_marginal_toll_monotone_in_exposure():
 
 
 def test_path_dependence_counterexample_and_redesign():
-    report = path_dependence_counterexample()
+    props = {p.name: p for p in no_splitting_suite(seed=0, tuples=1).properties}
+    counter = props["path-dependence-counterexample"].details
     # equal cumulative exposure, identical boundary tolls
-    assert report.toll_bulk == pytest.approx(report.toll_split, abs=1e-9)
+    assert counter["lambda_bulk"] == pytest.approx(counter["lambda_split"], abs=1e-9)
     # yet the true risk differs by more than the detection threshold
-    assert report.true_gap > 0.01
-    assert report.invisible_gap > 0.01
+    assert counter["true_gap"] > 0.01
+    assert counter["invisible_gap"] > 0.01
     # folding the path statistic into the exposure makes the gap priceable
-    assert report.redesigned_invisible_gap <= 1e-9
+    assert props["boundary-redesign-restores-pricing"].details["residual"] <= 1e-9
     # and with the assumption satisfied no ordering shows any gap
-    assert report.compliant_ordering_max_gap <= 1e-9
-    assert report.compliant_orderings_searched == 24
+    assert props["compliant-instance-has-no-ordering-gap"].passed
+    assert props["compliant-instance-has-no-ordering-gap"].details["orderings"] == 24

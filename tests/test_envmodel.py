@@ -198,7 +198,7 @@ def test_policy_undefined_on_reachable_node(chain_model):
 def test_law_normalised_on_random_models():
     import random
 
-    from tollgate.verify import random_layered_model, random_policy
+    from tollgate.instances import random_layered_model, random_policy
 
     rng = random.Random(55)
     for _ in range(25):

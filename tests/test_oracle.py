@@ -14,6 +14,7 @@ import pytest
 
 from tollgate.envmodel import Intervention, build_model
 from tollgate.exceptions import EnumerationBudgetError
+from tollgate.instances import random_layered_model, random_policy
 from tollgate.oracle import (
     EnumerationBudget,
     enumerate_policies,
@@ -21,7 +22,6 @@ from tollgate.oracle import (
     static_risk,
 )
 from tollgate.risk import RiskSpec, evaluate_dynamic_risk
-from tollgate.verify import random_layered_model, random_policy
 from tollgate.witnesses import payment_release_witness
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)

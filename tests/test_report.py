@@ -247,6 +247,61 @@ def test_report_passes_run_at_an_infinite_budget(tmp_path, capsys):
     assert text.rstrip().endswith("-> PASS")
 
 
+def _deep_chain_document(horizon: int, p: float, loss: float) -> dict:
+    # one risky action at t = 0 enters the hit chain with probability p;
+    # every later node only has noop, and only the hit leaf loses
+    ok = [f"ok{t}" for t in range(1, horizon + 1)]
+    hit = [f"hit{t}" for t in range(1, horizon + 1)]
+    nodes = [{"time": 0, "state": "start", "actions": {
+        "noop": {"kernel": {ok[0]: 1.0}},
+        "risky": {"kernel": {ok[0]: 1.0 - p, hit[0]: p}},
+    }}]
+    policy = [{"time": 0, "state": "start", "probs": {"noop": 0.5, "risky": 0.5}}]
+    for chain in (ok, hit):
+        for t in range(1, horizon):
+            nodes.append({"time": t, "state": chain[t - 1], "actions": {
+                "noop": {"kernel": {chain[t]: 1.0}},
+            }})
+            policy.append({"time": t, "state": chain[t - 1], "probs": {"noop": 1.0}})
+    return {
+        "schema_version": 1,
+        "name": f"chain-{horizon}",
+        "seed": 3,
+        "model": {
+            "horizon": horizon,
+            "states": [{"id": s} for s in ["start", *ok, *hit]],
+            "initial_state": "start",
+            "nodes": nodes,
+            "terminal_losses": {ok[-1]: 0.0, hit[-1]: loss},
+        },
+        "safe_defaults": [{"time": 0, "state": "start", "action": "risky", "default": "noop"}],
+        "policy": policy,
+        "risk": {"kind": "entropic", "gamma": 1.0},
+        "boundaries": [],
+        "gate": {"initial_budget": 10.0, "fallback_order": ["block"], "escalation_policy": {}},
+        "envelope": {"kind": "exact"},
+    }
+
+
+def test_deep_chain_runs_and_reports(tmp_path, capsys):
+    # a valid tree this deep prices without the Python stack growing with
+    # the horizon, so neither command meets a RecursionError
+    scenario = tmp_path / "chain.scn.json"
+    scenario.write_text(json.dumps(_deep_chain_document(1000, p=0.25, loss=2.0)))
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario), "--episodes", "20", "--out", str(out)]) == 0
+    code, text = _report_exit(out, capsys)
+    assert code == 0
+    assert text.rstrip().endswith("-> PASS")
+    records = [json.loads(line) for line in (out / runio.EPISODE_LOG_NAME).open()]
+    quotes = [rec["envelope_value"] for rec in records if rec["proposed"] == "risky"]
+    # the hit chain carries its leaf loss up unchanged, so the toll is the
+    # one-step entropic risk of the leaf loss at t = 0
+    toll = math.log(0.25 * math.exp(2.0) + 0.75)
+    assert quotes and all(q == pytest.approx(toll, rel=1e-12) for q in quotes)
+    assert {rec["envelope_value"] for rec in records if rec["proposed"] == "noop"} == {0.0}
+
+
 def _summary_episode_not_a_number(out):
     path = out / runio.SUMMARY_NAME
     lines = path.read_text().splitlines(keepends=True)

@@ -39,8 +39,10 @@ _FLOATS = [
     (0.1 + 0.2, 1e-7),
 ]
 
-# The last four would be cut in the wrong place by a split of a boundary
-# line at anything short of its whole "episode": 0 key.
+# "episode" and the three labels after it would be cut in the wrong place by
+# a split of a boundary line at anything short of its whole "episode": 0
+# key, and the last two by a cut between records at }, {" or }, { (a string
+# that ends in }, { is followed by its closing quote).
 _LABELS = [
     "plain",
     "café ☃ \U0001f600",
@@ -53,6 +55,8 @@ _LABELS = [
     '{"episode": 0, "a": 1}',
     '\\"episode": 0',
     '\x00"épisode": 0',
+    "}, {",
+    '}, {"',
 ]
 
 

@@ -22,6 +22,7 @@ from tollgate.exceptions import (
     ScenarioReferenceError,
 )
 from tollgate.gate import Gate, audit_budget_guarantee, run_episode
+from tollgate.instances import rekernel
 from tollgate.scenario import (
     BUNDLED_SCENARIOS,
     bundled_scenario_path,
@@ -29,7 +30,6 @@ from tollgate.scenario import (
     load_scenario,
     resolve_scenario,
 )
-from tollgate.verify import _rekernel
 
 
 @pytest.fixture
@@ -118,7 +118,7 @@ def test_ambiguity_variants_replace_only_their_overrides(name):
     sc = resolve_scenario(doc)
     base = sc.model
     states = [rec["id"] for rec in doc["model"]["states"]]
-    rekerneled = _rekernel(random.Random(5), base)
+    rekerneled = rekernel(random.Random(5), base)
     for variant, rec in zip(sc.ambiguity.models[1:], doc["ambiguity"], strict=True):
         rows = {
             (ov["time"], ov["state"], ov["action"]): ov["kernel"]

@@ -8,6 +8,7 @@ import pytest
 
 from tollgate.envmodel import Intervention, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import InvalidWitnessError, ModelValidationError
+from tollgate.instances import random_layered_model, random_policy
 from tollgate.oracle import enumerate_terminal_law
 from tollgate import risk
 from tollgate.risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
@@ -22,7 +23,6 @@ from tollgate.tolls import (
     robust_capital,
     verify_witness,
 )
-from tollgate.verify import random_layered_model, random_policy
 from tollgate.witnesses import (
     _payment_model_spec,
     payment_release_witness,
@@ -491,7 +491,7 @@ def test_certificate_implies_positive_premium_randomised():
 
 def test_max_decomposition_on_random_ambiguity_sets():
     rng = random.Random(43)
-    from tollgate.verify import _rekernel
+    from tollgate.instances import rekernel
 
     for _ in range(20):
         model = random_layered_model(rng, max_depth=4)
@@ -501,7 +501,7 @@ def test_max_decomposition_on_random_ambiguity_sets():
         added = root_actions[-1]
         base = [a for a in root_actions if a != added]
         cont = random_policy(rng, model)
-        amb = AmbiguitySet(models=(model, _rekernel(rng, model)))
+        amb = AmbiguitySet(models=(model, rekernel(rng, model)))
         chk = iap_check(amb, 0, model.initial_state, base, added, cont, MEAN, SafeDefaultMap({}))
         assert chk.max_decomposition_gap <= 1e-9
         assert chk.iff_holds
