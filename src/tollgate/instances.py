@@ -19,6 +19,7 @@ from .envmodel import EnvironmentModel, Policy, build_model
 from .exceptions import ModelValidationError
 from .risk import RiskSpec
 
+# The slack every property check of the fuzzer and the suites allows.
 _TOL = 1e-9
 
 

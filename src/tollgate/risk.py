@@ -140,11 +140,6 @@ def _expected_shortfall(values: Sequence[float], probs: Sequence[float], alpha: 
     return total / tail
 
 
-# Layers below a node that PolicyValues.at values by recursion, three Python
-# frames each; deeper nodes go on an explicit stack.
-_RECURSION_LAYERS = 100
-
-
 class PolicyValues:
     """Lazily memoised node values of the frozen policy ``cont``.
 
@@ -156,10 +151,6 @@ class PolicyValues:
     ``toll = forced(t, s, a) - forced(t, s, default)``. ``memo`` holds the
     valued nodes in the order they were first valued (children before
     parents).
-
-    ``at`` recurses once per layer. A node more than ``_RECURSION_LAYERS``
-    layers above the horizon is valued by :meth:`_at_deep` instead, so the
-    Python stack never grows with the horizon.
     """
 
     def __init__(self, model: EnvironmentModel, cont: Policy, spec: RiskSpec) -> None:
@@ -169,39 +160,35 @@ class PolicyValues:
         self.memo: dict[tuple[int, str], float] = {}
 
     def at(self, t: int, s: str) -> float:
-        key = (t, s)
-        v = self.memo.get(key)
-        if v is None:
-            if t == self.model.horizon:
-                v = float(self.model.terminal_loss(s))
-            elif self.model.horizon - t > _RECURSION_LAYERS:
-                return self._at_deep(t, s)
-            else:
-                v = self._sigma_next(t, self.model.effective_next(t, s, self.cont))
-            self.memo[key] = v
-        return v
-
-    def _at_deep(self, t: int, s: str) -> float:
-        """``at(t, s)`` for an unvalued deep node: the same walk, in the same
-        order, with the deep nodes on an explicit stack of ``(time, state,
-        live rows, child values)`` frames. Shallower children go to ``at``."""
-        deep_below = self.model.horizon - _RECURSION_LAYERS
+        """The node's value. An unvalued node is valued depth first, children
+        in row order, on an explicit stack of ``(time, state, live rows,
+        child values)`` frames, so the Python stack does not grow with the
+        horizon."""
+        memo = self.memo
+        v = memo.get((t, s))
+        if v is not None:
+            return v
+        horizon = self.model.horizon
+        if t == horizon:
+            v = memo[(t, s)] = float(self.model.terminal_loss(s))
+            return v
         stack = [(t, s, self._live_next(t, s), [])]
-        while True:
+        while stack:
             t, s, rows, values = stack[-1]
-            if len(values) < len(rows):
-                nxt = rows[len(values)][0]
-                v = self.memo.get((t + 1, nxt))
-                if v is None and t + 1 < deep_below:
-                    stack.append((t + 1, nxt, self._live_next(t + 1, nxt), []))
-                else:
-                    values.append(self.at(t + 1, nxt) if v is None else v)
-                continue
-            v = self.memo[(t, s)] = float(_sigma(self.spec, values, [p for _, p in rows]))
-            stack.pop()
-            if not stack:
-                return v
-            stack[-1][3].append(v)
+            for nxt, _ in rows[len(values):]:
+                v = memo.get((t + 1, nxt))
+                if v is None:
+                    if t + 1 < horizon:
+                        stack.append((t + 1, nxt, self._live_next(t + 1, nxt), []))
+                        break
+                    v = memo[(t + 1, nxt)] = float(self.model.terminal_loss(nxt))
+                values.append(v)
+            else:
+                v = memo[(t, s)] = float(_sigma(self.spec, values, [p for _, p in rows]))
+                stack.pop()
+                if stack:
+                    stack[-1][3].append(v)
+        return v
 
     def _live_next(self, t: int, s: str) -> list[tuple[str, float]]:
         return [(nxt, p) for nxt, p in self.model.effective_next(t, s, self.cont) if p > 0.0]

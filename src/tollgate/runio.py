@@ -81,30 +81,25 @@ def _by_identity(encode: Callable) -> Callable:
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _record_parts(records: Sequence[dict]) -> list[str]:
+def _record_parts(records: Iterable[dict]) -> list[str]:
     """The log lines of ``records``, ``json.dumps({**record, "episode":
     episode}, sort_keys=True)`` each, split where the episode number goes:
-    joined by the episode number, they are that episode's lines.
-
-    The records are encoded in one call, as a list of ``{**record,
-    "episode": 0}`` with an empty string before each, cut into lines at
-    each ``}, "", {`` and split at each ``"episode": 0`` key. In JSON an
-    unescaped quote opens or closes a string, and no closing quote is
-    followed by a quote or a letter, so in a flat record's text neither
-    pattern can match. ``}, {"`` could: a string ending in ``}, {`` is
-    followed by its closing quote."""
-    if not records:
-        return [""]
-    text = _ENCODE([item for rec in records for item in ("", {**rec, "episode": 0})])
-    lines = text[len('["", '):-1].replace('}, "", {', "}\n{") + "\n"
-    parts = lines.split('"episode": 0')
-    return [part + '"episode": ' for part in parts[:-1]] + parts[-1:]
+    joined by the episode number, they are that episode's lines. Each record
+    is encoded once, with episode 0, and split at its ``"episode": 0`` key;
+    a quote inside a JSON string is escaped, so no value of a flat record
+    can match."""
+    parts = [""]
+    for rec in records:
+        head, tail = _ENCODE({**rec, "episode": 0}).split('"episode": 0', 1)
+        parts[-1] += head + '"episode": '
+        parts.append(tail + "\n")
+    return parts
 
 
 def _entry_parts(entries: tuple[GateEntry, ...]) -> list[str]:
     """:func:`_record_parts` of each entry's fields; ``json`` writes a
     verdict as its value, as it writes any ``str``."""
-    return _record_parts([e._asdict() for e in entries])
+    return _record_parts(e._asdict() for e in entries)
 
 
 def _episode_texts(paths: Iterable[tuple[int, object]], parts_of) -> Iterator[str]:

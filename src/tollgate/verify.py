@@ -24,6 +24,7 @@ from .envelope import Envelope, scaled_predictor
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
 from .gate import Gate, audit_budget_guarantee, run_episode
 from .instances import (
+    _TOL,
     CORE_AXIOMS,
     check_axioms,
     cvar_demo_model,
@@ -47,7 +48,6 @@ from .scenario import (
 from .tolls import AmbiguitySet, authority_premium, iap_check, verify_witness
 from .witnesses import payment_release_witness, random_payment_witness, shipment_tail_witness
 
-_TOL = 1e-9
 # miss rate at which the gating suite calibrates and audits the conformal tier
 _CONFORMAL_DELTA = 0.1
 

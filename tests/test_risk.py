@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from tollgate import risk
 from tollgate.envmodel import Intervention
 from tollgate.exceptions import ModelValidationError
-from tollgate.instances import check_axioms, random_layered_model, random_policy
+from tollgate.instances import (
+    CORE_AXIOMS,
+    check_axioms,
+    cvar_demo_model,
+    random_layered_model,
+    random_policy,
+)
 from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.risk import RiskSpec, evaluate_dynamic_risk, evaluate_policy_risk, one_step_risk
 from tollgate.verify import cvar_demo_suite
@@ -21,7 +27,6 @@ from tollgate.verify import cvar_demo_suite
 ENT = RiskSpec(kind="entropic", gamma=1.0)
 MEAN = RiskSpec(kind="expectation")
 ES = RiskSpec(kind="conditional_es", alpha=0.7)
-CORE = ("normalisation", "monotonicity", "locality", "translation_invariance", "convexity")
 
 
 def test_riskspec_validation():
@@ -116,20 +121,20 @@ def test_terminal_values_equal_losses(bernoulli_sum_model, noop_policy):
 
 def test_entropic_axioms_pass_and_homogeneity_fails():
     fails = check_axioms(ENT, trials=1000, seed=11)
-    assert all(fails[name] is None for name in CORE)
+    assert all(fails[name] is None for name in CORE_AXIOMS)
     cx = fails["positive_homogeneity"]
     assert cx is not None and "scale" in cx
 
 
 def test_expectation_passes_everything():
     fails = check_axioms(MEAN, trials=1000, seed=12)
-    assert list(fails) == [*CORE, "positive_homogeneity"]
+    assert list(fails) == [*CORE_AXIOMS, "positive_homogeneity"]
     assert all(cx is None for cx in fails.values())
 
 
 def test_shortfall_passes_core_and_homogeneity():
     fails = check_axioms(ES, trials=1000, seed=13)
-    assert list(fails) == [*CORE, "positive_homogeneity"]
+    assert list(fails) == [*CORE_AXIOMS, "positive_homogeneity"]
     assert all(cx is None for cx in fails.values())
 
 
@@ -285,8 +290,18 @@ def test_cvar_demo_reverses_and_recursion_repairs():
 
 
 def test_cvar_demo_static_values_match_oracle():
-    props = _cvar_demo_properties()
-    static = props["static-reading-reverses"].details
-    oracle = props["oracle-agrees-with-static-values"].details
-    assert oracle["oracle_a"] == pytest.approx(static["static_a"], abs=1e-9)
-    assert oracle["oracle_b"] == pytest.approx(static["static_b"], abs=1e-9)
+    # the suite's two loss maps, valued statically through the oracle's
+    # enumerated terminal laws
+    static = _cvar_demo_properties()["static-reading-reverses"].details
+    model, cont = cvar_demo_model()
+    es = RiskSpec(kind="conditional_es", alpha=0.7)
+    iv = Intervention(0, "root", "noop")
+    loss_a = {"broad_hit": 10.0, "broad_miss": 0.0, "narrow_hit": 10.0, "narrow_miss": 0.0}
+    loss_b = {"broad_hit": 10.0, "broad_miss": 0.0, "narrow_hit": 1.7, "narrow_miss": 1.7}
+    oracle = [
+        static_risk(enumerate_terminal_law(model.replaced(losses=loss), iv, cont), es)
+        for loss in (loss_a, loss_b)
+    ]
+    assert oracle[0] == pytest.approx(static["static_a"], abs=1e-9)
+    assert oracle[1] == pytest.approx(static["static_b"], abs=1e-9)
+    assert oracle[0] - oracle[1] == pytest.approx(static["gap"], abs=1e-9)

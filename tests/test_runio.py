@@ -41,8 +41,8 @@ _FLOATS = [
 
 # "episode" and the three labels after it would be cut in the wrong place by
 # a split of a boundary line at anything short of its whole "episode": 0
-# key, and the last two by a cut between records at }, {" or }, { (a string
-# that ends in }, { is followed by its closing quote).
+# key, and the last two by a writer that encoded a path's records as one
+# list and cut it into lines at }, { or }, {".
 _LABELS = [
     "plain",
     "café ☃ \U0001f600",
