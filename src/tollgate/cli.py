@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import runio
+from .envelope import conformal_rank
 from .exceptions import ModelValidationError, RunArtifactError, ScenarioError, TollgateError
 from .gate import Gate, audit_budget_guarantee, run_episode
 from .scenario import (
@@ -65,7 +66,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "kind": "conformal",
             "delta": delta,
             "inflation": envelope.inflation,
-            "quantile_rank": envelope.calibration_meta["quantile_rank"],
+            "quantile_rank": envelope.quantile_rank,
             "calibration_episodes": n,
         }
 
@@ -99,6 +100,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_arg(args.scenario)
+    # refused before any rollout runs or any directory is made
+    quantile_rank = conformal_rank(args.episodes, args.delta)
     seed = scenario.seed if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -107,7 +110,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         scenario, args.episodes, args.delta, seed=seed, training_episodes=training_episodes
     )
     runio.write_calibration_csv(out_dir / "calibration.csv", rows)
-    quantile_rank = envelope.calibration_meta["quantile_rank"]
     meta = {
         "scenario": scenario.name,
         "config_hash": config_hash(scenario),
@@ -209,11 +211,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TollgateError as exc:
+    except (TollgateError, OSError) as exc:
+        # an OSError names the path and the OS reason
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: missing or unreadable run artifacts ({exc})", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(f"error: unreadable run artifacts ({exc})", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,7 @@ queries are pure, immutable after fitting, and never negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
@@ -30,7 +30,7 @@ class Envelope:
     kind: str  # "exact" | "conformal"
     predict: Predictor
     inflation: float = 0.0
-    calibration_meta: dict = field(default_factory=dict)
+    quantile_rank: int = 0  # rank of the conformal margin; 0 when not fitted
 
     def query(self, time: int, state: str, action: str) -> float:
         return max(self.predict(time, state, action) + self.inflation, 0.0)
@@ -96,12 +96,7 @@ def fit_conformal_envelope(
         float(true) - predictor(t, s, a) for (t, s, a), true in calibration_set
     )
     inflation = max(residuals[k - 1], 0.0)
-    return Envelope(
-        kind="conformal",
-        predict=predictor,
-        inflation=inflation,
-        calibration_meta={"quantile_rank": k, "raw_margin": residuals[k - 1]},
-    )
+    return Envelope(kind="conformal", predict=predictor, inflation=inflation, quantile_rank=k)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,13 @@ def as_int(value) -> int:
     return operator.index(value)
 
 
+def as_str(value) -> str:
+    """Converter for :func:`read_field`: a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def as_number(value) -> float:
     """Converter for :func:`read_field`: a JSON number, as a float. A bool
     or a string does not count, nor an integer too large for a float."""
@@ -345,7 +352,7 @@ def _kernel_row(kernel_map: Mapping, state_index: Mapping[str, int], path: str) 
                 f"kernel probability must be finite and >= 0, got {p!r}",
                 path=f"{path}.{nxt}",
             )
-        row.append((str(nxt), p))
+        row.append((nxt, p))
         total += p
     if abs(total - 1.0) > KERNEL_TOL:
         raise KernelSumError(f"kernel row sums to {total!r}, expected 1", path=path)
@@ -395,7 +402,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
 
     external: list[str] = []
     for i, c in enumerate(optional_field(spec, "components", as_objects, "", [])):
-        name = read_field(c, "name", str, f"components[{i}]")
+        name = read_field(c, "name", as_str, f"components[{i}]")
         if c.get("external", False):
             external.append(name)
 
@@ -405,7 +412,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
     state_order: list[str] = []
     for i, rec in enumerate(optional_field(spec, "states", as_objects, "", [])):
         path = f"states[{i}]"
-        sid = read_field(rec, "id", str, path)
+        sid = read_field(rec, "id", as_str, path)
         if sid in signatures:
             raise ModelValidationError(f"duplicate state id {sid!r}", path=path)
         comps = optional_field(rec, "components", _component_values, path, {})
@@ -413,13 +420,13 @@ def build_model(spec: Mapping) -> EnvironmentModel:
         state_order.append(sid)
     state_index = {sid: i for i, sid in enumerate(state_order)}
 
-    null_action = str(spec.get("null_action", "noop"))
+    null_action = optional_field(spec, "null_action", as_str, "", "noop")
 
     nodes: dict[tuple[int, str], dict[str, Kernel]] = {}
     for i, nrec in enumerate(optional_field(spec, "nodes", as_objects, "", [])):
         path = f"nodes[{i}]"
         t = read_field(nrec, "time", as_int, path)
-        s = read_field(nrec, "state", str, path)
+        s = read_field(nrec, "state", as_str, path)
         if not 0 <= t < horizon:
             raise ModelValidationError(f"node time {t} outside horizon", path=path)
         if s not in signatures:
@@ -432,7 +439,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
             arec = read_field(action_recs, a, as_object, f"{path}.actions")
             apath = f"{path}.actions[{a}]"
             kernel_map = optional_field(arec, "kernel", as_object, apath, {})
-            actions[str(a)] = _kernel_row(kernel_map, state_index, f"{apath}.kernel")
+            actions[a] = _kernel_row(kernel_map, state_index, f"{apath}.kernel")
         if not actions:
             raise ModelValidationError("node has an empty action set", path=path)
         if null_action not in actions:
@@ -448,9 +455,9 @@ def build_model(spec: Mapping) -> EnvironmentModel:
             raise ModelValidationError(
                 f"terminal loss for unknown state {sid!r}", path=f"terminal_losses[{sid}]"
             )
-        terminal_losses[str(sid)] = _terminal_loss(raw_losses, sid, "terminal_losses")
+        terminal_losses[sid] = _terminal_loss(raw_losses, sid, "terminal_losses")
 
-    initial_state = str(spec.get("initial_state", state_order[0] if state_order else ""))
+    initial_state = optional_field(spec, "initial_state", as_str, "", next(iter(state_order), ""))
     if (0, initial_state) not in nodes:
         what = "has no decision node at time 0" if initial_state in signatures else "unknown"
         raise ModelValidationError(f"initial state {initial_state!r} {what}", path="initial_state")
@@ -474,10 +481,10 @@ def safe_default_entry(rec: Mapping, path: str) -> tuple[tuple[int, str, str], s
     """One safe-default record as ``((time, state, action), default)``."""
     key = (
         read_field(rec, "time", as_int, path),
-        read_field(rec, "state", str, path),
-        read_field(rec, "action", str, path),
+        read_field(rec, "state", as_str, path),
+        read_field(rec, "action", as_str, path),
     )
-    return key, read_field(rec, "default", str, path)
+    return key, read_field(rec, "default", as_str, path)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ _VERDICTS_BY_VALUE = tuple((v.value, v) for v in Verdict)
 
 
 class GateEntry(NamedTuple):
-    step: int
     time: int
     state: str
     proposed: str
@@ -138,8 +137,7 @@ def gate_step(
     is. Pass ``{}`` to decide afresh.
 
     The envelope comparison is non-strict: a quote exactly equal to the
-    remaining budget executes. An episode decides once per time step, so
-    the entry's step is its time.
+    remaining budget executes.
     """
     step = node.get(proposed)
     if step is not None:
@@ -152,8 +150,7 @@ def gate_step(
     for boundary_id, inc in cfg.exposure.get((time, state, executed), {}).items():
         ledger = ledger.commit(boundary_id, inc)
     entry = GateEntry(
-        time, time, state, proposed, quoted, verdict, executed,
-        budget - charged, ledger.first_version,
+        time, state, proposed, quoted, verdict, executed, budget - charged, ledger.first_version
     )
     step = node[proposed] = (entry, charged, ledger)
     return step

@@ -36,12 +36,12 @@ _SUMMARY_FIELDS = ("episode", "b_final", "charged_sum", "terminal_loss") + tuple
     "n_" + v.value.lower() for v in Verdict
 )
 
-# The JSON types each key of an episode-log line may hold: the episode, then
-# the GateEntry fields in their order.
+# The JSON types each key of an episode-log line may hold: the episode, the
+# step, which is the entry's time, then the GateEntry fields in their order.
 _INT, _STR, _NUMBER = (int,), (str,), (int, float)
 _RECORD_KINDS = dict(
     zip(
-        ("episode",) + GateEntry._fields,
+        ("episode", "step") + GateEntry._fields,
         (_INT, _INT, _INT, _STR, _STR, _NUMBER, _STR, _STR, _NUMBER, _INT),
     )
 )
@@ -97,9 +97,9 @@ def _record_parts(records: Iterable[dict]) -> list[str]:
 
 
 def _entry_parts(entries: tuple[GateEntry, ...]) -> list[str]:
-    """:func:`_record_parts` of each entry's fields; ``json`` writes a
-    verdict as its value, as it writes any ``str``."""
-    return _record_parts(e._asdict() for e in entries)
+    """:func:`_record_parts` of each entry's fields and its ``step``, its
+    time; ``json`` writes a verdict as its value, as it writes any ``str``."""
+    return _record_parts({**e._asdict(), "step": e.time} for e in entries)
 
 
 def _episode_texts(paths: Iterable[tuple[int, object]], parts_of) -> Iterator[str]:
@@ -259,14 +259,18 @@ def _record_error(record) -> RunArtifactError:
             return RunArtifactError(
                 f"{EPISODE_LOG_NAME} logs a {_KIND_NAMES[kinds]} {key} {record[key]!r}"
             )
+    if record["step"] != record["time"]:
+        return RunArtifactError(
+            f"{EPISODE_LOG_NAME} logs step {record['step']} at time {record['time']}"
+        )
     return RunArtifactError(f"{EPISODE_LOG_NAME} logs an unknown verdict {record['verdict']!r}")
 
 
 def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, ...]]]:
     """``(episode, entries)`` of each run of episode-log lines on one episode,
     in order. Raises :class:`RunArtifactError` for a record that is not an
-    object, lacks a key, holds a value of the wrong JSON type or names an
-    unknown verdict."""
+    object, lacks a key, holds a value of the wrong JSON type, names an
+    unknown verdict or logs a step other than its time."""
     fields = itemgetter(*_RECORD_KINDS)
     verdicts = {v.value: v for v in Verdict}
     current, entries = None, []
@@ -285,6 +289,7 @@ def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, 
             and type(value) in _NUMBER
             and type(after) in _NUMBER
             and verdict in verdicts
+            and step == time
         ):
             raise _record_error(record)
         if episode != current:
@@ -292,9 +297,7 @@ def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, 
                 yield current, tuple(entries)
             current, entries = episode, []
         entries.append(
-            GateEntry(
-                step, time, state, proposed, value, verdicts[verdict], executed, after, version
-            )
+            GateEntry(time, state, proposed, value, verdicts[verdict], executed, after, version)
         )
     if entries:
         yield current, tuple(entries)

@@ -40,6 +40,7 @@ from .envmodel import (
     as_number,
     as_object,
     as_objects,
+    as_str,
     build_model,
     is_side_effect_bearing,
     optional_field,
@@ -117,7 +118,7 @@ def resolve_scenario(doc: Mapping) -> Scenario:
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}",
             path="schema_version",
         )
-    name = str(doc.get("name", "unnamed"))
+    name = optional_field(doc, "name", as_str, "", "unnamed")
     seed = optional_field(doc, "seed", as_int, "", 0)
     if seed < 0:
         raise ScenarioInvariantError(f"seed must be >= 0, got {seed}", path="seed")
@@ -193,8 +194,8 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
         ):
             path = f"ambiguity[{i}].kernel_overrides[{j}]"
             t = read_field(ov, "time", as_int, path)
-            s = read_field(ov, "state", str, path)
-            a = read_field(ov, "action", str, path)
+            s = read_field(ov, "state", as_str, path)
+            a = read_field(ov, "action", as_str, path)
             if not base.has_node(t, s):
                 raise ScenarioReferenceError(
                     f"override names unknown node ({t}, {s!r})", path=path
@@ -220,11 +221,11 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
     entries: dict[tuple[int, str], dict[str, float]] = {}
     for i, rec in enumerate(optional_field(doc, "policy", as_objects, "", [])):
         path = f"policy[{i}]"
-        t, s = read_field(rec, "time", as_int, path), read_field(rec, "state", str, path)
+        t, s = read_field(rec, "time", as_int, path), read_field(rec, "state", as_str, path)
         if not model.has_node(t, s):
             raise ScenarioReferenceError(f"policy names unknown node ({t}, {s!r})", path=path)
         entries[(t, s)] = read_field(
-            rec, "probs", lambda probs: {str(a): as_number(p) for a, p in probs.items()}, path
+            rec, "probs", lambda probs: {a: as_number(p) for a, p in probs.items()}, path
         )
     for t, s in model.all_nodes():
         if (t, s) not in entries:
@@ -239,7 +240,7 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
 def _resolve_risk(doc: Mapping) -> RiskSpec:
     rec = optional_field(doc, "risk", as_object, "", {"kind": "expectation"})
     return RiskSpec(
-        kind=str(rec.get("kind", "expectation")),
+        kind=optional_field(rec, "kind", as_str, "risk", "expectation"),
         gamma=optional_field(rec, "gamma", as_number, "risk", None),
         alpha=optional_field(rec, "alpha", as_number, "risk", None),
     )
@@ -250,11 +251,13 @@ def _float_tuple(values) -> tuple[float, ...]:
 
 
 def _str_tuple(values) -> tuple[str, ...]:
-    return tuple(str(x) for x in values)
+    if not isinstance(values, list):
+        raise TypeError("expected an array of strings")
+    return tuple(as_str(x) for x in values)
 
 
 def _str_map(rec) -> dict[str, str]:
-    return {str(k): str(v) for k, v in rec.items()}
+    return {k: as_str(v) for k, v in rec.items()}
 
 
 def _knots(dims) -> tuple[tuple[tuple[float, float], ...], ...]:
@@ -268,16 +271,16 @@ def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
         pot_rec = optional_field(rec, "potential", as_object, path, {})
         pot_path = f"{path}.potential"
         pot = PotentialSpec(
-            kind=str(pot_rec.get("kind", "linear")),
+            kind=optional_field(pot_rec, "kind", as_str, pot_path, "linear"),
             weights=optional_field(pot_rec, "weights", _float_tuple, pot_path, ()),
             exponent=optional_field(pot_rec, "exponent", as_number, pot_path, 1.0),
             knots=optional_field(pot_rec, "knots", _knots, pot_path, ()),
         )
         spec = BoundarySpec(
-            boundary_id=read_field(rec, "id", str, path),
+            boundary_id=read_field(rec, "id", as_str, path),
             dimension=optional_field(rec, "dimension", as_int, path, pot.dimension),
             potential=pot,
-            outside_state=str(rec.get("outside_state", "")),
+            outside_state=optional_field(rec, "outside_state", as_str, path, ""),
         )
         if any(b.boundary_id == spec.boundary_id for b in out):
             raise ScenarioInvariantError(
@@ -293,7 +296,7 @@ def _resolve_exposure(
     dims = {b.boundary_id: b.dimension for b in boundaries}
     out: dict[tuple[int, str, str], dict[str, tuple[float, ...]]] = {}
     for i, nrec in enumerate(doc.get("model", {}).get("nodes", [])):
-        t, s = int(nrec["time"]), str(nrec["state"])
+        t, s = int(nrec["time"]), nrec["state"]
         for a, arec in nrec.get("actions", {}).items():
             apath = f"model.nodes[{i}].actions[{a}]"
             increments = optional_field(arec, "exposure", as_object, apath, {})
@@ -314,7 +317,7 @@ def _resolve_exposure(
                     raise ScenarioInvariantError(
                         "exposure increments must be finite and componentwise >= 0", path=path
                     )
-                out.setdefault((t, s, str(a)), {})[bid] = vec
+                out.setdefault((t, s, a), {})[bid] = vec
     return out
 
 

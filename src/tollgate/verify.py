@@ -51,6 +51,11 @@ from .witnesses import payment_release_witness, random_payment_witness, shipment
 # miss rate at which the gating suite calibrates and audits the conformal tier
 _CONFORMAL_DELTA = 0.1
 
+# sizes that a suite both runs at and prints in its details
+_SPLIT_TUPLES = 500
+_IAP_RANDOM_SETS = 100
+_DETERMINISM_EPISODES = 50
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -120,9 +125,7 @@ def _reference_scenarios() -> list[Scenario]:
     return [load_scenario(bundled_scenario_path(name)) for name in ("payments", "database", "trading")]
 
 
-def time_consistency_suite(
-    seed: int, models: int = 200, axiom_trials: int = 1000
-) -> SuiteResult:
+def time_consistency_suite(seed: int) -> SuiteResult:
     rng = random.Random(seed)
     specs = (
         RiskSpec(kind="expectation"),
@@ -134,7 +137,7 @@ def time_consistency_suite(
     tower_worst = 0.0
     limit_worst = 0.0
     checked = 0
-    for _ in range(models):
+    for _ in range(200):
         model = random_layered_model(rng)
         cont = random_policy(rng, model)
         loss_x, loss_y = random_loss_pair(rng, model, ordered=rng.random() < 0.5)
@@ -174,9 +177,9 @@ def time_consistency_suite(
             tower_scenarios.append({"scenario": sc.name, "action": action, "gap": gap})
     tower_scenario_worst = max(row["gap"] for row in tower_scenarios)
 
-    ent_fails = check_axioms(RiskSpec(kind="entropic", gamma=1.0), axiom_trials, seed)
-    mean_fails = check_axioms(RiskSpec(kind="expectation"), axiom_trials, seed + 1)
-    es_fails = check_axioms(RiskSpec(kind="conditional_es", alpha=0.7), axiom_trials, seed + 2)
+    ent_fails = check_axioms(RiskSpec(kind="entropic", gamma=1.0), seed)
+    mean_fails = check_axioms(RiskSpec(kind="expectation"), seed + 1)
+    es_fails = check_axioms(RiskSpec(kind="conditional_es", alpha=0.7), seed + 2)
     ent_core_held = all(ent_fails[name] is None for name in CORE_AXIOMS)
 
     props = [
@@ -312,13 +315,13 @@ def _sequence_true_risk(steps: Sequence[Sequence[float]]) -> float:
     return loss
 
 
-def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
+def no_splitting_suite(seed: int) -> SuiteResult:
     rng = random.Random(seed)
     worst = 0.0
     worst_case = None
     nonneg_ok = True
     marginal_ok = True
-    for _ in range(tuples):
+    for _ in range(_SPLIT_TUPLES):
         pot = random_potential(rng)
         d = pot.dimension
         start = uniforms(rng, 0.0, 4.0, d)
@@ -383,7 +386,7 @@ def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
         PropertyResult(
             "telescoping-identity",
             passed=worst <= _TOL,
-            details={"worst_gap": worst, "worst_case": worst_case, "tuples": tuples},
+            details={"worst_gap": worst, "worst_case": worst_case, "tuples": _SPLIT_TUPLES},
         ),
         PropertyResult("toll-nonnegativity", passed=nonneg_ok, details={}),
         PropertyResult("convex-marginal-monotonicity", passed=marginal_ok, details={}),
@@ -411,7 +414,7 @@ def no_splitting_suite(seed: int, tuples: int = 500) -> SuiteResult:
     return SuiteResult(suite="no-splitting", seed=seed, properties=tuple(props))
 
 
-def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> SuiteResult:
+def iap_suite(seed: int) -> SuiteResult:
     rng = random.Random(seed)
     ent = RiskSpec(kind="entropic", gamma=1.0)
 
@@ -448,7 +451,7 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
 
     iff_failures = []
     decomp_worst = 0.0
-    for _ in range(random_sets):
+    for _ in range(_IAP_RANDOM_SETS):
         model = random_layered_model(rng, max_depth=4)
         root_actions = model.actions(0, model.initial_state)
         if len(root_actions) < 2:
@@ -471,7 +474,7 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
 
     implication_failures = []
     satisfied_count = 0
-    for _ in range(witness_draws):
+    for _ in range(60):
         case = random_payment_witness(rng)
         for spec in (ent, RiskSpec(kind="expectation")):
             rep = verify_witness(
@@ -539,7 +542,7 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
             "capital-iff-random-families",
             passed=not iff_failures and decomp_worst <= _TOL,
             details={"failures": iff_failures[:3], "worst_decomposition_gap": decomp_worst,
-                     "sets": random_sets},
+                     "sets": _IAP_RANDOM_SETS},
         ),
         PropertyResult(
             "certificate-implies-positive-premium",
@@ -550,19 +553,13 @@ def iap_suite(seed: int, random_sets: int = 100, witness_draws: int = 60) -> Sui
     return SuiteResult(suite="iap", seed=seed, properties=tuple(props))
 
 
-def gating_suite(
-    seed: int,
-    exact_episodes: int = 500,
-    calibration_episodes: int = 500,
-    eval_episodes: int = 1000,
-    determinism_episodes: int = 50,
-) -> SuiteResult:
+def gating_suite(seed: int) -> SuiteResult:
     props: list[PropertyResult] = []
     scenarios = _reference_scenarios()
 
     for sc in scenarios:
         gate = Gate(sc.model, sc.policy, sc.gate)
-        logs = (run_episode(gate, seed=seed, episode=i) for i in range(exact_episodes))
+        logs = (run_episode(gate, seed=seed, episode=i) for i in range(500))
         audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
         props.append(
             PropertyResult(
@@ -582,22 +579,20 @@ def gating_suite(
     for _ in range(2):
         # a fresh gate per run, so the rerun decides every step again
         gate = Gate(sc.model, sc.policy, sc.gate)
-        logs = [run_episode(gate, seed=seed + 17, episode=i) for i in range(determinism_episodes)]
+        logs = [run_episode(gate, seed=seed + 17, episode=i) for i in range(_DETERMINISM_EPISODES)]
         runs.append("\n".join(episode_json_lines(logs)))
     props.append(
         PropertyResult(
             "episode-determinism",
             passed=runs[0] == runs[1],
-            details={"episodes": determinism_episodes},
+            details={"episodes": _DETERMINISM_EPISODES},
         )
     )
 
-    conformal, _ = calibrate_conformal(
-        sc, calibration_episodes, _CONFORMAL_DELTA, seed=seed + 1000, training_episodes=200
-    )
+    conformal, _ = calibrate_conformal(sc, 500, _CONFORMAL_DELTA, seed=seed + 1000, training_episodes=200)
     eval_cfg = replace(sc.gate, envelope=conformal, initial_budget=50.0)
     eval_gate = Gate(sc.model, sc.policy, eval_cfg)
-    eval_logs = [run_episode(eval_gate, seed=seed + 2000, episode=i) for i in range(eval_episodes)]
+    eval_logs = [run_episode(eval_gate, seed=seed + 2000, episode=i) for i in range(1000)]
     audit = audit_budget_guarantee(eval_logs, truth, delta=_CONFORMAL_DELTA)
     props.append(
         PropertyResult(
@@ -608,7 +603,7 @@ def gating_suite(
                 "threshold": audit.threshold,
                 "overrun_fraction": audit.overrun_fraction,
                 "inflation": conformal.inflation,
-                "quantile_rank": conformal.calibration_meta["quantile_rank"],
+                "quantile_rank": conformal.quantile_rank,
             },
         )
     )
@@ -616,9 +611,7 @@ def gating_suite(
     deflated = Envelope(kind="conformal", predict=scaled_predictor(conformal.predict, 0.2))
     bad_cfg = replace(eval_cfg, envelope=deflated)
     bad_gate = Gate(sc.model, sc.policy, bad_cfg)
-    bad_logs = [
-        run_episode(bad_gate, seed=seed + 3000, episode=i) for i in range(min(eval_episodes, 300))
-    ]
+    bad_logs = [run_episode(bad_gate, seed=seed + 3000, episode=i) for i in range(300)]
     bad_audit = audit_budget_guarantee(bad_logs, truth, delta=_CONFORMAL_DELTA)
     props.append(
         PropertyResult(

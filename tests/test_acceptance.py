@@ -36,7 +36,7 @@ def _report(criterion: str, detail: str) -> None:
 
 def test_criterion_1_time_consistency_suite():
     started = time.monotonic()
-    result = time_consistency_suite(SEED, models=200, axiom_trials=1000)
+    result = time_consistency_suite(SEED)
     elapsed = time.monotonic() - started
     ordering = {p.name: p for p in result.properties}["recursive-ordering-implication"]
     assert ordering.passed, ordering.details
@@ -49,7 +49,7 @@ def test_criterion_1_time_consistency_suite():
 
 
 def test_criterion_2_entropic_axioms():
-    fails = check_axioms(RiskSpec(kind="entropic", gamma=1.0), trials=1000, seed=SEED)
+    fails = check_axioms(RiskSpec(kind="entropic", gamma=1.0), seed=SEED)
     assert all(fails[name] is None for name in CORE_AXIOMS)
     cx = fails["positive_homogeneity"]
     assert cx is not None
@@ -100,7 +100,7 @@ def test_criterion_4_cvar_counterexample():
 
 
 def test_criterion_5_no_splitting():
-    result = no_splitting_suite(SEED, tuples=500)
+    result = no_splitting_suite(SEED)
     by_name = {p.name: p for p in result.properties}
     assert by_name["telescoping-identity"].passed, by_name["telescoping-identity"].details
     assert by_name["path-dependence-counterexample"].passed
@@ -114,7 +114,7 @@ def test_criterion_5_no_splitting():
 
 
 def test_criterion_6_irreversible_authority():
-    result = iap_suite(SEED, random_sets=100, witness_draws=60)
+    result = iap_suite(SEED)
     by_name = {p.name: p for p in result.properties}
     for prop in (
         "shipped-witness-certifies",
@@ -160,7 +160,7 @@ def test_criterion_7_budget_guarantee_exact():
 
 
 def test_criterion_8_budget_guarantee_conformal():
-    result = gating_suite(SEED, exact_episodes=1, calibration_episodes=500, eval_episodes=1000)
+    result = gating_suite(SEED)
     by_name = {p.name: p for p in result.properties}
     good = by_name["conformal-envelope-budget-guarantee"]
     assert good.passed, good.details

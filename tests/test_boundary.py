@@ -204,7 +204,7 @@ def test_convex_marginal_toll_monotone_in_exposure():
 
 
 def test_path_dependence_counterexample_and_redesign():
-    props = {p.name: p for p in no_splitting_suite(seed=0, tuples=1).properties}
+    props = {p.name: p for p in no_splitting_suite(seed=0).properties}
     counter = props["path-dependence-counterexample"].details
     # equal cumulative exposure, identical boundary tolls
     assert counter["lambda_bulk"] == pytest.approx(counter["lambda_split"], abs=1e-9)

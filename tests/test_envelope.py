@@ -57,7 +57,7 @@ def test_exact_envelope_clamps_and_matches_tolls():
 def test_conformal_rank_example():
     calib = [((0, "s", "a"), r) for r in (0.1, 0.2, 0.3, 0.4)]
     env = fit_conformal_envelope(_zero_predictor, calib, delta=0.25)
-    assert env.calibration_meta["quantile_rank"] == 4
+    assert env.quantile_rank == 4
     assert env.inflation == pytest.approx(0.4, abs=1e-12)
     assert env.query(0, "s", "a") == pytest.approx(0.4, abs=1e-12)
 
@@ -77,7 +77,7 @@ def test_conformal_small_sample_rejected():
 def test_conformal_degenerate_rank():
     # one sample at half confidence: rank one, margin is that residual
     env = fit_conformal_envelope(_zero_predictor, [((0, "s", "a"), 0.37)], delta=0.5)
-    assert env.calibration_meta["quantile_rank"] == 1
+    assert env.quantile_rank == 1
     assert env.inflation == pytest.approx(0.37, abs=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_negative_margin_clamped():
     calib = [((0, "s", "a"), 0.1)] * 10
     env = fit_conformal_envelope(lambda t, s, a: 0.5, calib, delta=0.2)
     assert env.inflation == 0.0
-    assert env.calibration_meta["raw_margin"] < 0.0
+    assert env.query(0, "s", "a") == 0.5
 
 
 def test_queries_never_negative():
@@ -254,6 +254,5 @@ def test_conformal_run_builds_one_exact_envelope(monkeypatch, tmp_path):
 
 def test_gating_suite_builds_one_exact_envelope_per_scenario(monkeypatch):
     built = _count_exact_envelopes(monkeypatch)
-    gating_suite(1, exact_episodes=5, calibration_episodes=20, eval_episodes=10,
-                 determinism_episodes=2)
+    gating_suite(1)
     assert len(built) == 3

@@ -86,7 +86,7 @@ def test_affordable_quote_executes():
     assert entry.verdict is Verdict.EXECUTE
     assert charged == 4.0
     assert entry.budget_after == 6.0
-    assert entry.step == entry.time == 0
+    assert entry.time == 0
 
 
 def test_unaffordable_quote_downgrades_uncharged():

@@ -398,6 +398,7 @@ _MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document
             "episodes.jsonl logs a non-numeric budget_after None",
         ),
         (_first_log_field("step", 1.5), "episodes.jsonl logs a non-integer step 1.5"),
+        (_first_log_field("step", 5), "episodes.jsonl logs step 5 at time 0"),
         (_first_log_field("time", "0"), "episodes.jsonl logs a non-integer time '0'"),
         (
             _first_log_field("boundary_version", True),
@@ -471,7 +472,8 @@ _MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document
     ],
     ids=[
         "summary-episode-x", "summary-b-final-abc", "log-episode-string",
-        "log-envelope-value-abc", "log-budget-after-null", "log-step-float", "log-time-string",
+        "log-envelope-value-abc", "log-budget-after-null", "log-step-float", "log-step-not-time",
+        "log-time-string",
         "log-boundary-version-bool", "log-state-list", "log-proposed-object",
         "log-executed-int", "log-verdict-unknown", "log-verdict-list", "log-step-missing",
         "log-record-list", "summary-row-short", "summary-column-missing", "boundary-record-list",

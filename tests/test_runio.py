@@ -63,7 +63,7 @@ _LABELS = [
 def _record(log: EpisodeLog, entry: GateEntry) -> dict:
     return {
         "episode": log.episode,
-        "step": entry.step,
+        "step": entry.time,
         "time": entry.time,
         "state": entry.state,
         "proposed": entry.proposed,
@@ -81,7 +81,7 @@ def _edge_logs() -> list[EpisodeLog]:
     for episode, label in enumerate(_LABELS):
         entries = tuple(
             GateEntry(
-                step, step, label, label[::-1] + "p", envelope, verdicts[step % len(verdicts)],
+                step, label, label[::-1] + "p", envelope, verdicts[step % len(verdicts)],
                 "x" + label, budget, 2**40 * step,
             )
             for step, (budget, envelope) in enumerate(_FLOATS)
@@ -168,7 +168,7 @@ def _twin_logs() -> list[EpisodeLog]:
     """Logs whose entries and records are separate objects, equal by value
     and alike in hash, that encode differently: a signed zero, an int
     against a float, and a NUL label, boundary id and outside state."""
-    entry = GateEntry(0, 0, "\x00", "\x00", 1.0, Verdict.EXECUTE, "\x00", 0.0, 1)
+    entry = GateEntry(0, "\x00", "\x00", 1.0, Verdict.EXECUTE, "\x00", 0.0, 1)
     twins = [
         ((entry,), (entry._replace(budget_after=-0.0),)),
         ((entry,), (entry._replace(envelope_value=1),)),

@@ -593,6 +593,42 @@ def _later_initial_state(doc):
     doc["model"]["initial_state"] = "wired_fraud"
 
 
+def _object_name(doc):
+    doc["name"] = {"x": 1}
+
+
+def _list_component_name(doc):
+    doc["model"]["components"][0]["name"] = ["phase"]
+
+
+def _numeric_state_id(doc):
+    doc["model"]["states"][14]["id"] = 14
+
+
+def _list_outside_state(doc):
+    doc["boundaries"][0]["outside_state"] = [1, 2]
+
+
+def _list_action_category(doc):
+    doc["action_categories"]["noop"] = ["idle"]
+
+
+def _numeric_boundary_id(doc):
+    doc["boundaries"][0]["id"] = 7
+
+
+def _numeric_null_action(doc):
+    doc["model"]["null_action"] = 1
+
+
+def _list_initial_state(doc):
+    doc["model"]["initial_state"] = ["start"]
+
+
+def _string_fallback_order(doc):
+    doc["gate"]["fallback_order"] = "block"
+
+
 # NaN probabilities and exposures, an infinite gamma, an unknown escalation
 # ruling or key and an initial state with no time-0 node parse; the model,
 # risk, exposure and gate checks refuse them instead.
@@ -664,6 +700,15 @@ _NOT_PARSE_ERRORS = {
         (_boolean_conformal_delta, "envelope.delta"),
         (_leaf_initial_state, "initial_state"),
         (_later_initial_state, "initial_state"),
+        (_object_name, "name"),
+        (_list_component_name, "components[0].name"),
+        (_numeric_state_id, "states[14].id"),
+        (_list_outside_state, "boundaries[0].outside_state"),
+        (_list_action_category, "action_categories"),
+        (_numeric_boundary_id, "boundaries[0].id"),
+        (_numeric_null_action, "null_action"),
+        (_list_initial_state, "initial_state"),
+        (_string_fallback_order, "gate.fallback_order"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
@@ -753,14 +798,47 @@ def test_cli_calibrate_writes_artifacts(tmp_path, capsys):
     assert meta["inflation"] >= 0.0
 
 
-def test_cli_calibrate_too_small_fails(tmp_path, capsys):
-    out = tmp_path / "cal"
-    code = main([
-        "calibrate", "--scenario", "payments", "--episodes", "3",
-        "--delta", "0.1", "--seed", "4", "--out", str(out),
-    ])
-    assert code == 1
-    assert "calibration" in capsys.readouterr().err.lower()
+def test_cli_calibrate_too_small_fails(tmp_path, capsys, monkeypatch):
+    # a calibration that cannot be fitted, for too few episodes (exit 1) or
+    # a delta outside (0, 1) (exit 2), is refused before any rollout runs
+    # and before the output directory is made
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("calibrate ran a rollout before refusing")
+
+    monkeypatch.setattr("tollgate.scenario.frozen_rollout_quotes", no_rollouts)
+    for episodes, delta, code, message in (
+        ("3", "0.1", 1, "calibration samples"),
+        ("500", "1.5", 2, "delta must lie in (0, 1)"),
+    ):
+        out = tmp_path / f"cal-{delta}"
+        assert main([
+            "calibrate", "--scenario", "payments", "--episodes", episodes,
+            "--delta", delta, "--seed", "4", "--out", str(out),
+        ]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--scenario", "payments", "--episodes", "1"],
+        ["calibrate", "--scenario", "payments", "--episodes", "20"],
+    ],
+    ids=["run", "calibrate"],
+)
+def test_cli_write_failure_names_the_path(tmp_path, capsys, command):
+    # an output directory below a regular file cannot be made: the error
+    # names the path and the OS reason, not the run artifacts
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main(command + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert "Not a directory" in err
+    assert "artifacts" not in err
 
 
 def test_cli_report_missing_artifacts(tmp_path, capsys):

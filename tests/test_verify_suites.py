@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import pytest
 
-from tollgate import boundary, gate, risk, verify
+from tollgate import boundary, gate, risk
 from tollgate.envmodel import EnvironmentModel
 from tollgate.verify import (
     cvar_demo_suite,
@@ -19,19 +18,16 @@ from tollgate.verify import (
 )
 
 
-def test_run_suite_dispatch_and_reports(monkeypatch):
-    small = {
-        "time_consistency_suite": {"models": 10, "axiom_trials": 100},
-        "no_splitting_suite": {"tuples": 25},
-        "iap_suite": {"random_sets": 8, "witness_draws": 8},
-        "gating_suite": {"exact_episodes": 25, "calibration_episodes": 60, "eval_episodes": 80},
-    }
-    for attr, sizes in small.items():
-        monkeypatch.setattr(verify, attr, functools.partial(getattr(verify, attr), **sizes))
-    results = run_suite("all", seed=11)
-    names = [r.suite for r in results]
-    assert names == ["time-consistency", "cvar-demo", "no-splitting", "iap", "gating"]
-    for result in results:
+@pytest.fixture(scope="module")
+def clean():
+    """Each suite's clean result at seed 11, by suite name: run once per
+    module, so the controls below spend their time on the fault runs."""
+    return {result.suite: result for result in run_suite("all", seed=11)}
+
+
+def test_run_suite_dispatch_and_reports(clean):
+    assert list(clean) == ["time-consistency", "cvar-demo", "no-splitting", "iap", "gating"]
+    for result in clean.values():
         assert result.passed, result.to_dict()
         payload = result.to_dict()
         assert payload["suite"] == result.suite
@@ -56,7 +52,7 @@ def test_no_splitting_fault_injection_fails_with_payload(monkeypatch):
         return total
 
     monkeypatch.setattr(boundary, "_sequence_toll", discounted)
-    result = no_splitting_suite(seed=11, tuples=25)
+    result = no_splitting_suite(seed=11)
     assert not result.passed
     props = {p.name: p for p in result.properties}
     broken = props["telescoping-identity"]
@@ -81,7 +77,7 @@ def test_no_splitting_negated_potential_fails_nonnegativity(monkeypatch):
     # a decreasing potential still telescopes, but charges negative tolls
     value = boundary.PotentialSpec.value
     monkeypatch.setattr(boundary.PotentialSpec, "value", lambda pot, e: -value(pot, e))
-    failing = _failing(no_splitting_suite(seed=11, tuples=25))
+    failing = _failing(no_splitting_suite(seed=11))
     assert "toll-nonnegativity" in failing
     assert "telescoping-identity" not in failing
 
@@ -97,10 +93,10 @@ def test_no_splitting_concave_power_fails_marginal_monotonicity(monkeypatch):
         return float(sum(w * e**0.5 for w, e in zip(pot.weights, exposure)))
 
     monkeypatch.setattr(boundary.PotentialSpec, "value", concave)
-    assert _failing(no_splitting_suite(seed=11, tuples=25)) == {"convex-marginal-monotonicity"}
+    assert _failing(no_splitting_suite(seed=11)) == {"convex-marginal-monotonicity"}
 
 
-def test_dropped_loss_variants_fail_cvar_demo_and_iap(monkeypatch):
+def test_dropped_loss_variants_fail_cvar_demo_and_iap(monkeypatch, clean):
     # a loss variant that keeps the base losses: the cvar instance values
     # loss b as loss a, and a witness bump moves no risk
     replaced = EnvironmentModel.replaced
@@ -108,48 +104,45 @@ def test_dropped_loss_variants_fail_cvar_demo_and_iap(monkeypatch):
     def without_losses(model, rows=None, losses=None, paths=None, losses_path="terminal_losses"):
         return replaced(model, rows, None, paths)
 
-    assert not _failing(cvar_demo_suite(seed=11))
-    assert not _failing(iap_suite(seed=11, random_sets=8, witness_draws=8))
+    assert not _failing(clean["cvar-demo"])
+    assert not _failing(clean["iap"])
     monkeypatch.setattr(EnvironmentModel, "replaced", without_losses)
     assert _failing(cvar_demo_suite(seed=11)) == {
         "oracle-agrees-with-static-values",
         "expectation-tower-no-reversal",
     }
-    assert _failing(iap_suite(seed=11, random_sets=8, witness_draws=8)) == {
+    assert _failing(iap_suite(seed=11)) == {
         "shipped-witness-certifies",
         "tail-threshold-variant-splits-mappings",
         "certificate-implies-positive-premium",
     }
 
 
-def test_inflated_entropic_mapping_fails_tower_identity(monkeypatch):
+def test_inflated_entropic_mapping_fails_tower_identity(monkeypatch, clean):
     # a relative error of 1e-6 in the engine's entropic mapping, far above
     # the tower identity's tolerance, separates it from the oracle's
     # static log-sum-exp
-    assert not _failing(time_consistency_suite(11, models=20, axiom_trials=50))
+    assert not _failing(clean["time-consistency"])
     entropic = risk._entropic
     monkeypatch.setattr(
         risk, "_entropic", lambda values, probs, gamma: entropic(values, probs, gamma) * (1 + 1e-6)
     )
     # the scaled mapping also breaks translation invariance and keeps the
     # small-gamma limit away from the expectation
-    assert _failing(time_consistency_suite(11, models=20, axiom_trials=50)) == {
+    assert _failing(time_consistency_suite(11)) == {
         "entropic-axioms",
         "entropic-tower-identity",
         "entropic-vanishing-gamma-limit",
     }
 
 
-def test_drifting_episode_stream_fails_determinism(monkeypatch):
+def test_drifting_episode_stream_fails_determinism(monkeypatch, clean):
     # a stream that shifts each episode by how often it was asked for samples
     # valid trajectories, so only the rerun comparison can catch it
-    sizes = dict(
-        exact_episodes=5, calibration_episodes=20, eval_episodes=10, determinism_episodes=5
-    )
-    assert not _failing(gating_suite(11, **sizes))
+    assert not _failing(clean["gating"])
     calls = itertools.count()
     stream = gate.uniform_stream
     monkeypatch.setattr(
         gate, "uniform_stream", lambda seed, episode: stream(seed, episode + next(calls))
     )
-    assert _failing(gating_suite(11, **sizes)) == {"episode-determinism"}
+    assert _failing(gating_suite(11)) == {"episode-determinism"}
