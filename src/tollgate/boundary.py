@@ -15,16 +15,17 @@ exactly what omitting it from the exposure vector costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .exceptions import ModelValidationError, PartitionMismatchError
 
 _SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(
+    namedtuple("PotentialSpec", "kind weights exponent knots", defaults=((), 1.0, ()))
+):
     """Monotone toll potential on the exposure cone, zero at the origin.
 
     kinds:
@@ -36,12 +37,10 @@ class PotentialSpec:
                         nonnegative slopes
     """
 
-    kind: str
-    weights: tuple[float, ...] = ()
-    exponent: float = 1.0
-    knots: tuple[tuple[tuple[float, float], ...], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> PotentialSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind in ("linear", "power"):
             if not self.weights:
                 raise ModelValidationError("potential needs weights", path="potential.weights")
@@ -86,6 +85,7 @@ class PotentialSpec:
             raise ModelValidationError(f"unknown potential kind {self.kind!r}", path="potential.kind")
         # These structural checks already make phi zero at the origin and
         # nondecreasing on the exposure cone, so no sampled probe is needed.
+        return self
 
     @property
     def dimension(self) -> int:
@@ -119,17 +119,16 @@ def _piecewise_eval(knots: Sequence[tuple[float, float]], x: float) -> float:
     return y1 + slope * (x - x1)
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
+class BoundarySpec(
+    namedtuple("BoundarySpec", "boundary_id dimension potential outside_state", defaults=("",))
+):
     """Contractual aggregation unit: id, exposure dimension, potential, and a
     declaration of the outside-state variables that persist across splits."""
 
-    boundary_id: str
-    dimension: int
-    potential: PotentialSpec
-    outside_state: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> BoundarySpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.dimension < 1:
             raise ModelValidationError("boundary dimension must be >= 1", path="boundary.dimension")
         if self.potential.dimension != self.dimension:
@@ -137,6 +136,7 @@ class BoundarySpec:
                 "potential dimension does not match boundary dimension",
                 path="boundary.potential",
             )
+        return self
 
 
 def _check_increment(increment: Sequence[float], dimension: int) -> tuple[float, ...]:
@@ -165,8 +165,7 @@ def boundary_toll(
     return pot.value(_grown(exposure, increment)) - pot.value(exposure)
 
 
-@dataclass(frozen=True)
-class BoundaryLedger:
+class BoundaryLedger(NamedTuple):
     """Per-boundary exposure ledger as an immutable value: the boundary specs,
     one exposure vector and one version per boundary in declaration order,
     and the ordered record of every commit for the run log.
@@ -230,8 +229,7 @@ class BoundaryLedger:
 # splitting invariance
 
 
-@dataclass(frozen=True)
-class SplitCheckReport:
+class SplitCheckReport(NamedTuple):
     reference_toll: float
     partition_tolls: tuple[float, ...]
     max_gap: float

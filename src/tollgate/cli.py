@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import runio
@@ -61,7 +60,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         envelope, _ = calibrate_conformal(
             scenario, n, delta, seed=seed + 10_000, training_episodes=train
         )
-        cfg = replace(cfg, envelope=envelope)
+        cfg = cfg._replace(envelope=envelope)
         envelope_record = {
             "kind": "conformal",
             "delta": delta,

@@ -12,8 +12,7 @@ queries are pure, immutable after fitting, and never negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
 from .exceptions import CalibrationSizeError, ModelValidationError
@@ -23,8 +22,7 @@ from .tolls import counterfactual_toll
 Predictor = Callable[[int, str, str], float]
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Nonnegative upper bound c(time, state, action) on the positive toll."""
 
     kind: str  # "exact" | "conformal"

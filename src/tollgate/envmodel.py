@@ -15,7 +15,7 @@ import copy
 import math
 import operator
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exceptions import (
     KernelSumError,
@@ -31,8 +31,7 @@ KERNEL_TOL = 1e-12
 SIDE_EFFECT_TV_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Intervention:
+class Intervention(NamedTuple):
     """A forced action at a (time, state) decision node."""
 
     time: int

@@ -34,20 +34,18 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 from operator import index
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .boundary import BoundaryLedger
 from .exceptions import ModelValidationError
 
 if TYPE_CHECKING:
-    from .boundary import BoundarySpec
-    from .envelope import Envelope
-    from .envmodel import EnvironmentModel, Policy, SafeDefaultMap
+    from .envmodel import EnvironmentModel, Policy
 
 FALLBACK_MODES = ("downgrade", "escalate", "block")
 
@@ -74,28 +72,30 @@ class GateEntry(NamedTuple):
     boundary_version: int
 
 
-@dataclass(frozen=True)
-class GateConfig:
+class GateConfig(
+    namedtuple(
+        "GateConfig",
+        "initial_budget fallback_order envelope safe_defaults exact_quoter"
+        " escalation_policy boundaries exposure",
+        defaults=({}, (), {}),
+    )
+):
     """Wiring for one gate: budget, fallback chain, approver, and quoting.
 
-    ``escalation_policy`` maps action ids to "approve" or "deny", with an
-    optional "default" key; the approver is scripted because runs are batch.
-    ``exact_quoter`` is the deep-simulation tier used to re-quote approved
-    escalations.
+    ``envelope`` quotes each proposal; ``exact_quoter``, an envelope of the
+    deep-simulation tier, re-quotes approved escalations. ``safe_defaults``
+    is a :class:`SafeDefaultMap`. ``escalation_policy`` maps action ids to
+    "approve" or "deny", with an optional "default" key; the approver is
+    scripted because runs are batch. ``boundaries`` is a tuple of
+    :class:`BoundarySpec`, and ``exposure`` maps (time, state, action) to
+    each boundary id's increment. The default mappings are shared and never
+    mutated.
     """
 
-    initial_budget: float
-    fallback_order: tuple[str, ...]
-    envelope: Envelope
-    safe_defaults: SafeDefaultMap
-    exact_quoter: Envelope
-    escalation_policy: Mapping[str, str] = field(default_factory=dict)
-    boundaries: tuple[BoundarySpec, ...] = ()
-    exposure: Mapping[tuple[int, str, str], Mapping[str, tuple[float, ...]]] = field(
-        default_factory=dict
-    )
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GateConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.initial_budget >= 0.0:
             raise ModelValidationError("initial budget must be >= 0", path="gate.initial_budget")
         if not self.fallback_order:
@@ -111,6 +111,11 @@ class GateConfig:
                     f"duplicate fallback mode {mode!r}", path="gate.fallback_order"
                 )
             seen.add(mode)
+        return self
+
+    def _replace(self, **changes) -> GateConfig:
+        """A copy with ``changes``, checked like a new config."""
+        return GateConfig(**{**self._asdict(), **changes})
 
     def approves(self, action: str) -> bool:
         ruling = self.escalation_policy.get(action, self.escalation_policy.get("default", "deny"))
@@ -343,8 +348,7 @@ def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
 # audit
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of recomputing true tolls over a batch of episode logs."""
 
     episodes: int

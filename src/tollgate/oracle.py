@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .envmodel import EnvironmentModel, Intervention, Policy
@@ -24,16 +24,18 @@ if TYPE_CHECKING:
     from .risk import RiskSpec
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(
+    namedtuple("EnumerationBudget", "max_paths max_policies", defaults=(1_000_000, 1_000_000))
+):
     """Hard caps for brute-force enumeration; exceeding any cap is an error."""
 
-    max_paths: int = 1_000_000
-    max_policies: int = 1_000_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> EnumerationBudget:
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.max_paths, self.max_policies) < 1:
             raise ValueError("all enumeration caps must be >= 1")
+        return self
 
 
 def enumerate_terminal_law(

@@ -20,9 +20,9 @@ order a pair of losses in opposite directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .envmodel import (
     KERNEL_TOL,
@@ -36,15 +36,13 @@ from .exceptions import ModelValidationError
 RISK_KINDS = ("expectation", "entropic", "conditional_es")
 
 
-@dataclass(frozen=True)
-class RiskSpec:
+class RiskSpec(namedtuple("RiskSpec", "kind gamma alpha", defaults=(None, None))):
     """Descriptor of a one-step conditional risk mapping."""
 
-    kind: str
-    gamma: float | None = None
-    alpha: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> RiskSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in RISK_KINDS:
             raise ModelValidationError(f"unknown risk kind {self.kind!r}", path="risk.kind")
         if self.kind == "entropic":
@@ -66,6 +64,7 @@ class RiskSpec:
                 raise ModelValidationError(
                     "expectation takes no parameters", path="risk"
                 )
+        return self
 
     def describe(self) -> str:
         if self.kind == "entropic":
@@ -75,8 +74,7 @@ class RiskSpec:
         return "expectation"
 
 
-@dataclass(frozen=True)
-class RiskValuation:
+class RiskValuation(NamedTuple):
     """Node-by-node valuation of a terminal loss under the recursion.
 
     ``values`` maps (time, state) to the value at that node; terminal entries

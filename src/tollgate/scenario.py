@@ -19,10 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .boundary import BoundarySpec, PotentialSpec
 from .envelope import (
@@ -62,13 +61,12 @@ SCHEMA_VERSION = 1
 BUNDLED_SCENARIOS = ("payments", "database", "trading")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Fully resolved scenario: every id checked, every object built.
 
     ``gate`` is the scenario's one gate, validated at load. Its ``envelope``
     and ``exact_quoter`` are both the scenario's one exact envelope; a caller
-    that quotes through another tier or budget ``dataclasses.replace``-s it.
+    that quotes through another tier or budget ``_replace``-s it.
     ``raw`` is the document as given, not a copy: its readers dump it with
     sorted keys, and nothing mutates a document after resolving it.
     """
@@ -86,7 +84,7 @@ class Scenario:
     envelope_config: dict
     action_categories: dict[str, str]
     category_order: tuple[str, ...]
-    raw: Mapping = field(repr=False)
+    raw: Mapping
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -406,7 +404,7 @@ def frozen_rollout_quotes(
     so the fallback chain never runs and the executed action is always the
     proposal. Only the quotes are kept, so no exposure is committed.
     """
-    cfg = replace(scenario.gate, initial_budget=math.inf, exposure={})
+    cfg = scenario.gate._replace(initial_budget=math.inf, exposure={})
     gate = Gate(scenario.model, scenario.policy, cfg)
     out = []
     for ep in range(episodes):

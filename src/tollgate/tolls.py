@@ -24,8 +24,8 @@ declared state order, so exogenous randomness moves both branches together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
 from .exceptions import InvalidWitnessError, ModelValidationError
@@ -36,8 +36,7 @@ _TOL = 1e-9
 _PROB_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class TollQuote:
+class TollQuote(NamedTuple):
     """A priced action: signed counterfactual toll plus the charged clamp."""
 
     signed_toll: float
@@ -45,13 +44,13 @@ class TollQuote:
     safe_default_used: str
 
 
-@dataclass(frozen=True)
-class AmbiguitySet:
+class AmbiguitySet(namedtuple("AmbiguitySet", "models")):
     """Nonempty finite family of models sharing one state/action skeleton."""
 
-    models: tuple[EnvironmentModel, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> AmbiguitySet:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.models:
             raise ModelValidationError("ambiguity set must be nonempty", path="ambiguity")
         base = self.models[0]
@@ -68,10 +67,10 @@ class AmbiguitySet:
                     f"model {i} does not share the skeleton of model 0",
                     path=f"ambiguity[{i}]",
                 )
+        return self
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(namedtuple("WitnessSpec", "model_index event min_gap hedge_allowance")):
     """Candidate certificate of uncompensated irreversible tail exposure.
 
     ``event`` is a set of terminal states; ``min_gap`` is the loss gap the
@@ -79,12 +78,10 @@ class WitnessSpec:
     much of that gap any continuation policy may claw back.
     """
 
-    model_index: int
-    event: frozenset[str]
-    min_gap: float
-    hedge_allowance: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> WitnessSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.min_gap > 0:
             raise ModelValidationError("min_gap must be > 0", path="witness.min_gap")
         if not 0 <= self.hedge_allowance < self.min_gap:
@@ -92,6 +89,7 @@ class WitnessSpec:
                 "hedge_allowance must satisfy 0 <= allowance < min_gap",
                 path="witness.hedge_allowance",
             )
+        return self
 
 
 def counterfactual_toll(
@@ -251,8 +249,7 @@ def _comonotone_merge(
     return out
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Outcome of checking the three witness conditions under one model."""
 
     tail_gap_ok: bool
@@ -351,8 +348,7 @@ def verify_witness(
     )
 
 
-@dataclass(frozen=True)
-class AuthorityCheckReport:
+class AuthorityCheckReport(NamedTuple):
     """Both halves of the authority-pricing statement for one added action."""
 
     premium: float

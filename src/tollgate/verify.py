@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 # The path-dependence check reaches boundary._sequence_toll through its
 # module at call time, so a fault patched into it reaches the check too.
@@ -57,15 +56,13 @@ _IAP_RANDOM_SETS = 100
 _DETERMINISM_EPISODES = 50
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     seed: int
     properties: tuple[PropertyResult, ...]
@@ -470,7 +467,7 @@ def iap_suite(seed: int) -> SuiteResult:
         chk = iap_check(amb, 0, model.initial_state, base, added, cont, spec, sdm)
         decomp_worst = max(decomp_worst, chk.max_decomposition_gap)
         if not chk.iff_holds:
-            iff_failures.append({"added": added, "report": chk.__dict__})
+            iff_failures.append({"added": added, "report": chk._asdict()})
 
     implication_failures = []
     satisfied_count = 0
@@ -590,7 +587,7 @@ def gating_suite(seed: int) -> SuiteResult:
     )
 
     conformal, _ = calibrate_conformal(sc, 500, _CONFORMAL_DELTA, seed=seed + 1000, training_episodes=200)
-    eval_cfg = replace(sc.gate, envelope=conformal, initial_budget=50.0)
+    eval_cfg = sc.gate._replace(envelope=conformal, initial_budget=50.0)
     eval_gate = Gate(sc.model, sc.policy, eval_cfg)
     eval_logs = [run_episode(eval_gate, seed=seed + 2000, episode=i) for i in range(1000)]
     audit = audit_budget_guarantee(eval_logs, truth, delta=_CONFORMAL_DELTA)
@@ -609,7 +606,7 @@ def gating_suite(seed: int) -> SuiteResult:
     )
 
     deflated = Envelope(kind="conformal", predict=scaled_predictor(conformal.predict, 0.2))
-    bad_cfg = replace(eval_cfg, envelope=deflated)
+    bad_cfg = eval_cfg._replace(envelope=deflated)
     bad_gate = Gate(sc.model, sc.policy, bad_cfg)
     bad_logs = [run_episode(bad_gate, seed=seed + 3000, episode=i) for i in range(300)]
     bad_audit = audit_budget_guarantee(bad_logs, truth, delta=_CONFORMAL_DELTA)

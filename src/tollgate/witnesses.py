@@ -13,14 +13,13 @@ shape feeds the structural property suites.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap, build_model
 from .tolls import AmbiguitySet, WitnessSpec
 
 
-@dataclass(frozen=True)
-class WitnessCase:
+class WitnessCase(NamedTuple):
     """Everything verify_witness and the authority checks need, bundled."""
 
     ambiguity: AmbiguitySet

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import random
@@ -230,7 +229,7 @@ def test_zero_toll_scenario_executes_everything(coin_model, noop_policy):
 
 def test_zero_budget_forces_safe_defaults():
     sc = load_scenario(bundled_scenario_path("payments"))
-    cfg = dataclasses.replace(sc.gate, initial_budget=0.0)
+    cfg = sc.gate._replace(initial_budget=0.0)
     gate = Gate(sc.model, sc.policy, cfg)
     logs = [run_episode(gate, seed=9, episode=i) for i in range(40)]
     for log in logs:
@@ -301,18 +300,18 @@ def test_alternated_episodes_from_one_ledger_match_run_episode():
 
 
 def test_alternated_episodes_catch_commit_that_mutates(monkeypatch):
-    # negative control: a commit that grows the ledger it is handed and
-    # returns it leaks the first episode's exposure into the second
+    # negative control: a commit that grows the ledger it kept from its
+    # last call, not the one it is handed, leaks the first episode's
+    # exposure into the second
     sc, episodes, expected = _payments_committing_episodes()
     commit = BoundaryLedger.commit
+    kept = []
 
-    def commit_in_place(self, boundary_id, increment):
-        grown = commit(self, boundary_id, increment)
-        for name in ("exposures", "versions", "records"):
-            object.__setattr__(self, name, getattr(grown, name))
-        return self
+    def commit_kept(self, boundary_id, increment):
+        kept.append(commit(kept[-1] if kept else self, boundary_id, increment))
+        return kept[-1]
 
-    monkeypatch.setattr(BoundaryLedger, "commit", commit_in_place)
+    monkeypatch.setattr(BoundaryLedger, "commit", commit_kept)
     assert _alternated_logs(sc, 123, episodes) != expected
 
 
@@ -393,10 +392,10 @@ def _memo_inputs() -> dict:
         for sc in [load_scenario(bundled_scenario_path(name))]
     }
     inputs["payments-unbounded"] = (
-        payments.model, payments.policy, dataclasses.replace(payments.gate, initial_budget=math.inf)
+        payments.model, payments.policy, payments.gate._replace(initial_budget=math.inf)
     )
     inputs["payments-conformal"] = (
-        payments.model, payments.policy, dataclasses.replace(payments.gate, envelope=conformal)
+        payments.model, payments.policy, payments.gate._replace(envelope=conformal)
     )
     layered = resolve_scenario(_layered_document())
     inputs["layered"] = (layered.model, layered.policy, layered.gate)
@@ -683,7 +682,7 @@ def test_audit_flags_deflated_envelope():
     sc = load_scenario(bundled_scenario_path("payments"))
     truth = sc.gate.exact_quoter.predict
     flat = Envelope(kind="conformal", predict=lambda t, s, a: 0.0, inflation=0.0)
-    cfg = dataclasses.replace(sc.gate, envelope=flat, initial_budget=5.0)
+    cfg = sc.gate._replace(envelope=flat, initial_budget=5.0)
     gate = Gate(sc.model, sc.policy, cfg)
     logs = [run_episode(gate, seed=77, episode=i) for i in range(150)]
     audit = audit_budget_guarantee(logs, truth, delta=0.1)
@@ -710,8 +709,8 @@ def test_audit_replays_escalated_and_downgraded_charges():
     sc = load_scenario(bundled_scenario_path("payments"))
     truth = sc.gate.exact_quoter.predict
     fast = Envelope(kind="conformal", predict=lambda t, s, a: 3.0 * truth(t, s, a))
-    cfg = dataclasses.replace(
-        sc.gate, envelope=fast, fallback_order=("escalate", "downgrade", "block"),
+    cfg = sc.gate._replace(
+        envelope=fast, fallback_order=("escalate", "downgrade", "block"),
         escalation_policy={"default": "approve"},
     )
     gate = Gate(sc.model, sc.policy, cfg)
