@@ -292,6 +292,13 @@ def as_int(value) -> int:
     return operator.index(value)
 
 
+def as_bool(value) -> bool:
+    """Converter for :func:`read_field`: a JSON boolean."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {value!r}")
+    return value
+
+
 def as_str(value) -> str:
     """Converter for :func:`read_field`: a JSON string."""
     if not isinstance(value, str):
@@ -402,7 +409,7 @@ def build_model(spec: Mapping) -> EnvironmentModel:
     external: list[str] = []
     for i, c in enumerate(optional_field(spec, "components", as_objects, "", [])):
         name = read_field(c, "name", as_str, f"components[{i}]")
-        if c.get("external", False):
+        if optional_field(c, "external", as_bool, f"components[{i}]", False):
             external.append(name)
 
     # Each state keeps only its external signature, which is all the model

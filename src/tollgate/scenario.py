@@ -110,7 +110,7 @@ def load_scenario(path: str | Path) -> Scenario:
 def resolve_scenario(doc: Mapping) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ScenarioParseError("scenario document must be a JSON object")
-    version = doc.get("schema_version")
+    version = optional_field(doc, "schema_version", as_int, "", None)
     if version != SCHEMA_VERSION:
         raise ScenarioInvariantError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}",
@@ -138,6 +138,12 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     envelope_config = _resolve_envelope(doc)
 
     categories = optional_field(doc, "action_categories", _str_map, "", {})
+    for action in categories:
+        if action not in actions:
+            raise ScenarioReferenceError(
+                f"action categories name unknown action {action!r}",
+                path=f"action_categories.{action}",
+            )
     category_order = tuple(sorted({categories.get(a, a) for a in actions}))
 
     return Scenario(
@@ -186,6 +192,7 @@ def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefault
 def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
     models = [base]
     for i, variant in enumerate(optional_field(doc, "ambiguity", as_objects, "", [])):
+        optional_field(variant, "name", as_str, f"ambiguity[{i}]", "")  # a label, only checked
         rows, paths = {}, {}
         for j, ov in enumerate(
             optional_field(variant, "kernel_overrides", as_objects, f"ambiguity[{i}]", [])

@@ -185,6 +185,17 @@ def test_gate_config_validation():
         _cfg(model, budget=1.0, fallback=("retry",))
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [{"initial_budget": -1.0}, {"fallback_order": ()}, {"fallback_order": ("block", "block")}],
+    ids=["negative-budget", "empty-order", "repeated-mode"],
+)
+def test_gate_config_replace_checks_replaced_fields(changes):
+    cfg = _cfg(_gate_model(), budget=1.0)
+    with pytest.raises(ModelValidationError):
+        cfg._replace(**changes)
+
+
 def test_boundary_increment_committed_atomically():
     model = _gate_model()
     spec = BoundarySpec("b", 1, PotentialSpec(kind="linear", weights=(1.0,)))

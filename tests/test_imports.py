@@ -19,20 +19,24 @@ MODULES = sorted(
 )
 
 
-@functools.cache
-def _loaded(module: str) -> frozenset[str]:
-    """The package modules a fresh interpreter holds after importing
-    ``module`` alone."""
-    code = (
-        f"import sys, {module}; "
-        "print(*(m for m in sys.modules if m == 'tollgate' or m.startswith('tollgate.')))"
-    )
+def _fresh(code: str) -> frozenset[str]:
+    """The words that ``code`` prints in a fresh interpreter."""
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return frozenset(done.stdout.split())
+
+
+@functools.cache
+def _loaded(module: str) -> frozenset[str]:
+    """The package modules a fresh interpreter holds after importing
+    ``module`` alone."""
+    return _fresh(
+        f"import sys, {module}; "
+        "print(*(m for m in sys.modules if m == 'tollgate' or m.startswith('tollgate.')))"
+    )
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -52,3 +56,10 @@ def test_gate_loads_no_pricing_module():
 def test_oracle_loads_no_engine_module():
     engine = {"risk", "tolls", "envelope", "gate", "scenario"}
     assert not _loaded("tollgate.oracle") & {"tollgate." + name for name in engine}
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # every command pays for what the CLI imports before it does any work
+    assert not _fresh(
+        "import sys, tollgate.cli; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
+    )

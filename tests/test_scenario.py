@@ -629,9 +629,30 @@ def _string_fallback_order(doc):
     doc["gate"]["fallback_order"] = "block"
 
 
+def _boolean_schema_version(doc):
+    doc["schema_version"] = True
+
+
+def _string_component_external(doc):
+    doc["model"]["components"][0]["external"] = "x"
+
+
+def _numeric_component_external(doc):
+    doc["model"]["components"][1]["external"] = 0
+
+
+def _object_ambiguity_name(doc):
+    doc["ambiguity"][0]["name"] = {}
+
+
+def _misspelled_category_key(doc):
+    doc["action_categories"] = {"noop": "idle", "wire_transfr": "x"}
+
+
 # NaN probabilities and exposures, an infinite gamma, an unknown escalation
-# ruling or key and an initial state with no time-0 node parse; the model,
-# risk, exposure and gate checks refuse them instead.
+# ruling or key, an unknown category key and an initial state with no time-0
+# node parse; the model, risk, exposure, gate and category checks refuse them
+# instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
     _nan_kernel_probability: "must be finite",
@@ -640,6 +661,7 @@ _NOT_PARSE_ERRORS = {
     _infinite_gamma: "entropic risk needs a finite gamma > 0",
     _unknown_escalation_ruling: "[invariant] escalation ruling must be 'approve' or 'deny'",
     _misspelled_escalation_key: "[unresolved-reference] escalation policy names unknown action",
+    _misspelled_category_key: "[unresolved-reference] action categories name unknown action",
     _negative_seed: "[invariant] seed must be >= 0",
     _leaf_initial_state: "initial state 'funds_lost' has no decision node at time 0",
     _later_initial_state: "initial state 'wired_fraud' has no decision node at time 0",
@@ -709,6 +731,11 @@ _NOT_PARSE_ERRORS = {
         (_numeric_null_action, "null_action"),
         (_list_initial_state, "initial_state"),
         (_string_fallback_order, "gate.fallback_order"),
+        (_boolean_schema_version, "schema_version"),
+        (_string_component_external, "components[0].external"),
+        (_numeric_component_external, "components[1].external"),
+        (_object_ambiguity_name, "ambiguity[0].name"),
+        (_misspelled_category_key, "action_categories.wire_transfr"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):

@@ -6,8 +6,9 @@ import itertools
 
 import pytest
 
-from tollgate import boundary, gate, risk
+from tollgate import boundary, gate, risk, tolls
 from tollgate.envmodel import EnvironmentModel
+from tollgate.tolls import AmbiguitySet
 from tollgate.verify import (
     cvar_demo_suite,
     gating_suite,
@@ -116,6 +117,25 @@ def test_dropped_loss_variants_fail_cvar_demo_and_iap(monkeypatch, clean):
         "tail-threshold-variant-splits-mappings",
         "certificate-implies-positive-premium",
     }
+
+
+def test_first_model_capital_fails_capital_iff(monkeypatch, clean):
+    # a robust capital that prices only the first model misses the worst
+    # case that the added action's own root risk, taken over every model,
+    # still sees
+    assert not _failing(clean["iap"])
+    capital = tolls.robust_capital
+    monkeypatch.setattr(
+        tolls, "robust_capital",
+        lambda amb, *args: capital(AmbiguitySet(amb.models[:1]), *args),
+    )
+    result = iap_suite(seed=11)
+    assert _failing(result) == {"capital-iff-random-families"}
+    failures = {p.name: p for p in result.properties}["capital-iff-random-families"].details[
+        "failures"
+    ]
+    assert failures
+    assert all(isinstance(f["report"], dict) for f in failures)
 
 
 def test_inflated_entropic_mapping_fails_tower_identity(monkeypatch, clean):
