@@ -18,12 +18,13 @@ import math
 from collections import namedtuple
 from typing import Iterable, NamedTuple, Sequence
 
-from .exceptions import ModelValidationError, PartitionMismatchError
+from .exceptions import Checked, ModelValidationError, PartitionMismatchError
 
 _SUM_TOL = 1e-12
 
 
 class PotentialSpec(
+    Checked,
     namedtuple("PotentialSpec", "kind weights exponent knots", defaults=((), 1.0, ()))
 ):
     """Monotone toll potential on the exposure cone, zero at the origin.
@@ -120,6 +121,7 @@ def _piecewise_eval(knots: Sequence[tuple[float, float]], x: float) -> float:
 
 
 class BoundarySpec(
+    Checked,
     namedtuple("BoundarySpec", "boundary_id dimension potential outside_state", defaults=("",))
 ):
     """Contractual aggregation unit: id, exposure dimension, potential, and a

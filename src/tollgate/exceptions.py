@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of the records
+that check their fields.
 
 Validation errors carry a ``path`` describing where in a model or scenario
 document the offending field lives, so loader diagnostics stay actionable.
@@ -81,3 +82,18 @@ class ScenarioReferenceError(ScenarioError):
 
 class ScenarioInvariantError(ScenarioError):
     code = "invariant"
+
+
+class Checked:
+    """Base of a named tuple whose ``__new__`` checks its fields. Its
+    ``_make``, which ``_replace`` calls, builds through ``__new__`` too, so
+    no copy or rebuild of the record skips the checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)

@@ -42,7 +42,7 @@ from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .boundary import BoundaryLedger
-from .exceptions import ModelValidationError
+from .exceptions import Checked, ModelValidationError
 
 if TYPE_CHECKING:
     from .envmodel import EnvironmentModel, Policy
@@ -60,6 +60,14 @@ class Verdict(str, Enum):
 
 _VERDICTS_BY_VALUE = tuple((v.value, v) for v in Verdict)
 
+# Paths one identity memo holds: the distinct paths a run-log writer holds
+# encoded, a reader holds shared and the audit holds audited. The episodes
+# one Gate samples share the entries and boundary records of each path they
+# walk, so a memo keyed by those objects does a path's work once while it
+# holds it. A run with more distinct paths than this does some work again,
+# and objects that are shared by nothing are worked on one by one.
+_PATHS_HELD = 64
+
 
 class GateEntry(NamedTuple):
     time: int
@@ -73,6 +81,7 @@ class GateEntry(NamedTuple):
 
 
 class GateConfig(
+    Checked,
     namedtuple(
         "GateConfig",
         "initial_budget fallback_order envelope safe_defaults exact_quoter"
@@ -112,10 +121,6 @@ class GateConfig(
                 )
             seen.add(mode)
         return self
-
-    def _replace(self, **changes) -> GateConfig:
-        """A copy with ``changes``, checked like a new config."""
-        return GateConfig(**{**self._asdict(), **changes})
 
     def approves(self, action: str) -> bool:
         ruling = self.escalation_policy.get(action, self.escalation_policy.get("default", "deny"))
@@ -348,6 +353,26 @@ def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
 # audit
 
 
+# What the audit counts per path and adds up over episodes: the entries
+# per verdict, in declaration order, then the quotes, the covered quotes,
+# and whether the path violates coverage and overruns its budget.
+_TALLIES = (*Verdict, "quotes", "quotes_covered", "violations", "overruns")
+
+
+class _PathAudit:
+    """What the audit finds on one path from one initial budget: its
+    ``tally`` in ``_TALLIES`` order, whether its charges replay ``exact``,
+    the ``budget`` after its last entry, and the ``episodes`` that walked it
+    so far. It holds the entries and budget it is keyed by, so their ids
+    are not reused while it is held."""
+
+    __slots__ = ("held", "tally", "exact", "budget", "episodes")
+
+    def __init__(self, entries: tuple[GateEntry, ...], budget_initial: float) -> None:
+        self.held = entries, budget_initial
+        self.exact, self.episodes = True, 0
+
+
 class AuditReport(NamedTuple):
     """Outcome of recomputing true tolls over a batch of episode logs."""
 
@@ -382,42 +407,69 @@ def audit_budget_guarantee(
     ``budget_after`` must be the budget before it less the charge its verdict
     implies, and the last one the final budget, bit for bit: EXECUTE charges
     its quote, ESCALATE_APPROVED its true toll, any other verdict nothing.
+
+    Everything but the final budget follows from an episode's entries and
+    initial budget, so each distinct pair of those objects is audited once,
+    asking ``true_positive_toll`` once per entry, or twice for one that
+    executes another action than its proposal, and is then counted once per
+    episode that holds it. ``true_positive_toll`` must be a function of its
+    arguments. The pairs are told apart by identity, and at most
+    ``_PATHS_HELD`` of them are held; the episodes of one :class:`Gate`,
+    and those :func:`tollgate.runio.read_episode_logs` rebuilds, share the
+    entries of each path they walk.
     """
-    n = 0
-    quotes = 0
-    quotes_covered = 0
-    overruns = 0
-    violations = 0
-    accounting_exact = True
-    decisions = dict.fromkeys(Verdict, 0)
-    final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
-    for n, log in enumerate(logs, 1):
+
+    def audited(entries: tuple[GateEntry, ...], budget_initial: float) -> _PathAudit:
+        path = _PathAudit(entries, budget_initial)
+        tally = dict.fromkeys(_TALLIES, 0)
         true_sum = 0.0
-        covered = True
-        budget = log.budget_initial
-        for entry in log.entries:
+        budget = budget_initial
+        for entry in entries:
             true_toll = true_positive_toll(entry.time, entry.state, entry.proposed)
             if entry.verdict is Verdict.EXECUTE:
                 budget -= entry.envelope_value
             elif entry.verdict is Verdict.ESCALATE_APPROVED:
                 budget -= true_toll
-            accounting_exact &= entry.budget_after == budget
+            path.exact &= entry.budget_after == budget
             budget = entry.budget_after
-            decisions[entry.verdict] += 1
+            tally[entry.verdict] += 1
             if entry.executed == entry.proposed:
                 true_sum += true_toll
             else:
                 true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
-            if not (true_toll <= entry.envelope_value + 1e-9):
-                covered = False
+            if true_toll <= entry.envelope_value + 1e-9:
+                tally["quotes_covered"] += 1
             else:
-                quotes_covered += 1
-        quotes += len(log.entries)
-        accounting_exact &= budget == log.budget_final
-        overruns += not (true_sum <= log.budget_initial + 1e-9)
-        violations += not covered
+                tally["violations"] = 1
+        tally["quotes"] = len(entries)
+        tally["overruns"] = not (true_sum <= budget_initial + 1e-9)
+        path.tally, path.budget = tally.values(), budget
+        return path
+
+    total = dict.fromkeys(_TALLIES, 0)
+
+    def count(path: _PathAudit) -> None:
+        for name, k in zip(_TALLIES, path.tally):
+            total[name] += k * path.episodes
+
+    n = 0
+    paths: dict[tuple[int, int], _PathAudit] = {}
+    accounting_exact = True
+    final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
+    for n, log in enumerate(logs, 1):
+        key = id(log.entries), id(log.budget_initial)
+        path = paths.get(key)
+        if path is None:
+            if len(paths) >= _PATHS_HELD:
+                count(paths.pop(next(iter(paths))))
+            path = paths[key] = audited(log.entries, log.budget_initial)
+        path.episodes += 1
+        accounting_exact &= path.exact and path.budget == log.budget_final
         final_min = log.budget_final if n == 1 else min(final_min, log.budget_final)
         final_sum += log.budget_final
+    for path in paths.values():
+        count(path)
+    quotes, overruns, violations = total["quotes"], total["overruns"], total["violations"]
     overrun_fraction = overruns / n if n else 0.0
     violation_fraction = violations / n if n else 0.0
     if delta == 0.0:
@@ -430,14 +482,14 @@ def audit_budget_guarantee(
     return AuditReport(
         episodes=n,
         quotes=quotes,
-        quotes_covered=quotes_covered,
+        quotes_covered=total["quotes_covered"],
         overruns=overruns,
         overrun_fraction=overrun_fraction,
         violation_fraction=violation_fraction,
         threshold=threshold,
         passed=passed and accounting_exact,
         accounting_exact=accounting_exact,
-        decisions={v.value: k for v, k in decisions.items()},
+        decisions={v.value: total[v] for v in Verdict},
         final_min=final_min,
         final_mean=final_sum / n if n else math.nan,
     )

@@ -18,13 +18,14 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .envmodel import EnvironmentModel, Intervention, Policy
-from .exceptions import EnumerationBudgetError
+from .exceptions import Checked, EnumerationBudgetError
 
 if TYPE_CHECKING:
     from .risk import RiskSpec
 
 
 class EnumerationBudget(
+    Checked,
     namedtuple("EnumerationBudget", "max_paths max_policies", defaults=(1_000_000, 1_000_000))
 ):
     """Hard caps for brute-force enumeration; exceeding any cap is an error."""

@@ -31,12 +31,12 @@ from .envmodel import (
     Policy,
     _check_intervention,
 )
-from .exceptions import ModelValidationError
+from .exceptions import Checked, ModelValidationError
 
 RISK_KINDS = ("expectation", "entropic", "conditional_es")
 
 
-class RiskSpec(namedtuple("RiskSpec", "kind gamma alpha", defaults=(None, None))):
+class RiskSpec(Checked, namedtuple("RiskSpec", "kind gamma alpha", defaults=(None, None))):
     """Descriptor of a one-step conditional risk mapping."""
 
     __slots__ = ()

@@ -9,8 +9,12 @@ budget of that document, :func:`read_episode_logs` rebuilds the episode logs.
 The episode-log, boundary-log and summary readers and writers stream. A
 writer writes one episode at a time to an open file; a reader decodes a
 bounded batch of lines at a time. Neither holds a file's whole text, its
-list of lines or one decoded record per line. :func:`read_episode_logs`
-joins the three logs in one ordered pass and refuses logs out of order.
+list of lines or one decoded record per line. The log readers hold the
+first lines they decode, keyed by their text around the episode number, so
+a line that repeats but for its episode is decoded once and its repeats
+share one record, as the episodes that walk one path share one tuple of
+entries. :func:`read_episode_logs` joins the three logs in one ordered pass
+and refuses logs out of order.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import re
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exceptions import RunArtifactError
-from .gate import EpisodeLog, GateEntry, Verdict
+from .gate import _PATHS_HELD, EpisodeLog, GateEntry, Verdict
 
 EPISODE_LOG_NAME = "episodes.jsonl"
 SUMMARY_NAME = "summary.csv"
@@ -47,14 +52,8 @@ _RECORD_KINDS = dict(
 )
 _KIND_NAMES = {_INT: "non-integer", _STR: "non-string", _NUMBER: "non-numeric"}
 
-# Lines decoded per batch by _read_jsonl.
+# Lines decoded per batch by _read_batches.
 _BATCH_LINES = 1024
-
-# Paths one writer call holds encoded. The logs one Gate samples share the
-# entries and boundary records of each path they walk, so a writer encodes
-# a path once while it holds it; a run with more distinct paths than this
-# encodes some again, and logs that share nothing are encoded one by one.
-_PATHS_HELD = 64
 
 
 def _by_identity(encode: Callable) -> Callable:
@@ -233,19 +232,125 @@ def read_manifest(run_dir: Path) -> dict:
     return manifest
 
 
-def _read_jsonl(path: Path) -> Iterator:
-    """The values of a JSON-lines file, in order; blank lines are skipped."""
-    # Each batch of up to _BATCH_LINES lines is decoded as one JSON array,
-    # so the text and records in flight stay bounded, whatever the file's
-    # size. It is also the fastest rule measured: read_episode_records on
-    # the 15,000-line log of a 5000-episode database run took 79 ms with
-    # batches, 92 ms with one array of the whole file and 121 ms with one
-    # decode per line (timeit medians of 10 alternating rounds, 2 vCPUs).
+# The key before the episode number on each line the writers write.
+_EPISODE_KEY = '"episode": '
+
+# Distinct lines one reader holds decoded: the first ones it meets. The
+# lines of a bundled run's log repeat but for their episode, database's
+# 15,000 as 14 texts. A line past the held ones is decoded each time, as in
+# a log where nothing repeats; on the 6x80 ladder, where most lines do not
+# repeat, a memo that evicted its oldest line instead cost more than its
+# hits saved.
+_LINES_HELD = 256
+
+_DECODE = json.JSONDecoder().raw_decode
+
+
+# An episode number as json writes it: ASCII digits and no leading zero,
+# and few enough that int takes them whatever its digit limit.
+_EPISODE_NUMBER = re.compile(r"0|[1-9][0-9]{0,99}")
+
+
+def _one_episode_key(line: str) -> bool:
+    """Whether ``line`` spells "episode" as a JSON string once, as
+    ``"episode"``: every other spelling of it escapes a letter as
+    ``\\u006x`` or ``\\u007x``. The record of such a line that has an
+    episode key has it there, and nowhere else."""
+    return "\\u006" not in line and "\\u007" not in line and line.count('"episode"') == 1
+
+
+def _read_batches(path: Path, convert: Callable) -> Iterator[Iterable[tuple[int, object]]]:
+    """The ``(episode, value)`` pairs ``convert`` makes of the records of a
+    JSON-lines file, in order, one batch of up to ``_BATCH_LINES`` lines at
+    a time; blank lines are skipped. ``convert`` raises
+    :class:`RunArtifactError` for a record it refuses.
+
+    A line is cut at its first ``"episode": `` key, and the text around the
+    number is the key of a memo of the values converted so far, so a line
+    that repeats but for its episode is decoded and checked once, and its
+    repeats share one value. A line enters the memo only when the cut is
+    its one episode key (:func:`_one_episode_key`) and its number is how
+    ``json`` writes one (``_EPISODE_NUMBER``); then the line with any
+    other such number decodes to the same record with that episode.
+
+    A line that misses the memo is decoded alone, and it must be one JSON
+    value and then its line end: then the lines of the batch, joined as one
+    JSON array, decode to exactly those values. A batch with a line that
+    does not, or whose record ``convert`` refuses, is decoded as that array
+    and converted record by record, which is the rule for every batch
+    without the memo; so a refusal raises what it raises without the memo,
+    at the same record, JSON decode offsets included.
+    """
+    # Batches keep the text and values in flight bounded, whatever the
+    # file's size. read_episode_records on the 15,000-line log of a
+    # 5000-episode database run took 48 ms decoding each batch as one JSON
+    # array, and 15 ms with the memo; on the 1,800 lines of the 6x80
+    # ladder's 300 episodes, of which 1,148 are distinct, 6.3 ms and 6.9 ms
+    # (CPU time, min of 15 and 60 alternating rounds, 2 vCPUs).
+    memo: dict[tuple[str, str], object] = {}
     with path.open() as fh:
         while lines := list(itertools.islice(fh, _BATCH_LINES)):
-            text = ",".join(line for line in lines if not line.isspace())
-            if text:
-                yield from json.loads("[" + text + "]")
+            pairs = _memo_pairs(lines, memo, convert)
+            if pairs is None:
+                text = ",".join(line for line in lines if not line.isspace())
+                pairs = map(convert, json.loads("[" + text + "]")) if text else ()
+            yield pairs
+
+
+def _memo_pairs(lines: list[str], memo: dict, convert: Callable) -> list | None:
+    """The pairs of a batch whose every line hits the memo or decodes alone,
+    adding to the memo the lines that may enter it while it has room; else
+    None."""
+    pairs = []
+    cut = number = None
+    for line in lines:
+        head, _, tail = line.partition(_EPISODE_KEY)
+        digits, _, rest = tail.partition(",")
+        if digits != cut:
+            cut, number = digits, int(digits) if _EPISODE_NUMBER.fullmatch(digits) else None
+        key = head, rest
+        value = memo.get(key) if number is not None else None
+        if value is not None:
+            pairs.append((number, value))
+            continue
+        try:
+            record, end = _DECODE(line)
+        except (ValueError, RecursionError):
+            if line.isspace():
+                continue
+            return None
+        if line[end:] != "\n" and end != len(line):
+            return None
+        try:
+            pair = convert(record)
+        except RunArtifactError:
+            return None
+        if number is not None and len(memo) < _LINES_HELD and _one_episode_key(line):
+            memo[key] = pair[1]
+        pairs.append(pair)
+    return pairs
+
+
+def _sharing() -> Callable[[list], tuple]:
+    """A function that makes a list a tuple, the same tuple for lists of the
+    same objects, for the first ``_PATHS_HELD`` distinct lists it meets. It
+    holds each tuple it shares, so no id in its key is reused."""
+    held: dict[tuple[int, ...], tuple] = {}
+
+    def shared(items: list) -> tuple:
+        key = tuple(map(id, items))
+        path = held.get(key)
+        if path is None:
+            path = tuple(items)
+            if len(held) < _PATHS_HELD:
+                held[key] = path
+        return path
+
+    return shared
+
+
+_FIELDS = itemgetter(*_RECORD_KINDS)
+_VERDICTS = {v.value: v for v in Verdict}
 
 
 def _record_error(record) -> RunArtifactError:
@@ -266,41 +371,49 @@ def _record_error(record) -> RunArtifactError:
     return RunArtifactError(f"{EPISODE_LOG_NAME} logs an unknown verdict {record['verdict']!r}")
 
 
+def _entry(record) -> tuple[int, GateEntry]:
+    """The episode and gate entry of an episode-log record. Raises
+    :class:`RunArtifactError` for a record that is not an object, lacks a
+    key, holds a value of the wrong JSON type, names an unknown verdict or
+    logs a step other than its time."""
+    try:
+        episode, step, time, state, proposed, value, verdict, executed, after, version = (
+            _FIELDS(record)
+        )
+    except (KeyError, TypeError):
+        raise _record_error(record) from None
+    # _RECORD_KINDS spelled out, which is cheaper than a loop over it; the
+    # types are checked before any value is hashed
+    if not (
+        type(episode) is type(step) is type(time) is type(version) is int
+        and type(state) is type(proposed) is type(verdict) is type(executed) is str
+        and type(value) in _NUMBER
+        and type(after) in _NUMBER
+        and verdict in _VERDICTS
+        and step == time
+    ):
+        raise _record_error(record)
+    return episode, GateEntry(
+        time, state, proposed, value, _VERDICTS[verdict], executed, after, version
+    )
+
+
 def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, ...]]]:
     """``(episode, entries)`` of each run of episode-log lines on one episode,
-    in order. Raises :class:`RunArtifactError` for a record that is not an
-    object, lacks a key, holds a value of the wrong JSON type, names an
-    unknown verdict or logs a step other than its time."""
-    fields = itemgetter(*_RECORD_KINDS)
-    verdicts = {v.value: v for v in Verdict}
+    in order. Raises :class:`RunArtifactError` for a record :func:`_entry`
+    refuses. Lines that repeat but for their episode share one entry, and
+    runs of lines that share their entries share one tuple of them."""
+    shared = _sharing()
     current, entries = None, []
-    for record in _read_jsonl(Path(run_dir) / EPISODE_LOG_NAME):
-        try:
-            episode, step, time, state, proposed, value, verdict, executed, after, version = (
-                fields(record)
-            )
-        except (KeyError, TypeError):
-            raise _record_error(record) from None
-        # _RECORD_KINDS spelled out, which is cheaper than a loop over it;
-        # the types are checked before any value is hashed
-        if not (
-            type(episode) is type(step) is type(time) is type(version) is int
-            and type(state) is type(proposed) is type(verdict) is type(executed) is str
-            and type(value) in _NUMBER
-            and type(after) in _NUMBER
-            and verdict in verdicts
-            and step == time
-        ):
-            raise _record_error(record)
-        if episode != current:
-            if entries:
-                yield current, tuple(entries)
-            current, entries = episode, []
-        entries.append(
-            GateEntry(time, state, proposed, value, verdicts[verdict], executed, after, version)
-        )
+    for pairs in _read_batches(Path(run_dir) / EPISODE_LOG_NAME, _entry):
+        for episode, entry in pairs:
+            if episode != current:
+                if entries:
+                    yield current, shared(entries)
+                current, entries = episode, []
+            entries.append(entry)
     if entries:
-        yield current, tuple(entries)
+        yield current, shared(entries)
 
 
 def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
@@ -331,12 +444,18 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
             ) from None
 
 
+def _boundary_record(rec) -> tuple[int, dict]:
+    """The episode of a boundary-log record, and the record without it."""
+    if type(rec) is not dict or type(rec.get("episode")) is not int:
+        raise RunArtifactError(f"{BOUNDARY_LOG_NAME} logs a record without an integer episode")
+    return rec.pop("episode"), rec
+
+
 def _read_boundary_records(run_dir: Path) -> Iterator[tuple[int, dict]]:
-    """``(episode, record)`` of each boundary-log line, in order."""
-    for rec in _read_jsonl(Path(run_dir) / BOUNDARY_LOG_NAME):
-        if type(rec) is not dict or type(rec.get("episode")) is not int:
-            raise RunArtifactError(f"{BOUNDARY_LOG_NAME} logs a record without an integer episode")
-        yield rec.pop("episode"), rec
+    """``(episode, record)`` of each boundary-log line, in order; lines that
+    repeat but for their episode share one record."""
+    for pairs in _read_batches(Path(run_dir) / BOUNDARY_LOG_NAME, _boundary_record):
+        yield from pairs
 
 
 def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeLog]:
@@ -344,8 +463,11 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
     given the initial budget of its scenario: the inverse of the episode,
     summary and boundary writers. Raises :class:`RunArtifactError` for a
     record or cell that does not convert, or where the logs disagree on the
-    next episode (for a boundary record, once no row is left to take it)."""
+    next episode (for a boundary record, once no row is left to take it).
+    Episodes whose boundary records are the same objects share one tuple
+    of them."""
     groups, boundary = read_episode_records(run_dir), _read_boundary_records(run_dir)
+    shared = _sharing()
     pending = next(boundary, None)
     for episode, loss, final in read_summary(run_dir):
         logged, entries = next(groups, ("none", ()))
@@ -357,7 +479,7 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
         while pending is not None and pending[0] == episode:
             records.append(pending[1])
             pending = next(boundary, None)
-        yield EpisodeLog(episode, entries, loss, budget_initial, final, tuple(records))
+        yield EpisodeLog(episode, entries, loss, budget_initial, final, shared(records))
     for name, left in ((EPISODE_LOG_NAME, next(groups, None)), (BOUNDARY_LOG_NAME, pending)):
         if left is not None:
             raise RunArtifactError(

@@ -275,18 +275,24 @@ def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
         path = f"boundaries[{i}]"
         pot_rec = optional_field(rec, "potential", as_object, path, {})
         pot_path = f"{path}.potential"
-        pot = PotentialSpec(
-            kind=optional_field(pot_rec, "kind", as_str, pot_path, "linear"),
-            weights=optional_field(pot_rec, "weights", _float_tuple, pot_path, ()),
-            exponent=optional_field(pot_rec, "exponent", as_number, pot_path, 1.0),
-            knots=optional_field(pot_rec, "knots", _knots, pot_path, ()),
-        )
-        spec = BoundarySpec(
-            boundary_id=read_field(rec, "id", as_str, path),
-            dimension=optional_field(rec, "dimension", as_int, path, pot.dimension),
-            potential=pot,
-            outside_state=optional_field(rec, "outside_state", as_str, path, ""),
-        )
+        try:
+            pot = PotentialSpec(
+                kind=optional_field(pot_rec, "kind", as_str, pot_path, "linear"),
+                weights=optional_field(pot_rec, "weights", _float_tuple, pot_path, ()),
+                exponent=optional_field(pot_rec, "exponent", as_number, pot_path, 1.0),
+                knots=optional_field(pot_rec, "knots", _knots, pot_path, ()),
+            )
+            spec = BoundarySpec(
+                boundary_id=read_field(rec, "id", as_str, path),
+                dimension=optional_field(rec, "dimension", as_int, path, pot.dimension),
+                potential=pot,
+                outside_state=optional_field(rec, "outside_state", as_str, path, ""),
+            )
+        except ModelValidationError as exc:
+            # the constructors name a field of a potential or of a boundary;
+            # root it at this boundary of the document
+            field = exc.path.removeprefix("boundary.")
+            raise ScenarioInvariantError(exc.message, path=f"{path}.{field}") from None
         if any(b.boundary_id == spec.boundary_id for b in out):
             raise ScenarioInvariantError(
                 f"duplicate boundary id {spec.boundary_id!r}", path=f"{path}.id"

@@ -28,7 +28,7 @@ from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
-from .exceptions import InvalidWitnessError, ModelValidationError
+from .exceptions import Checked, InvalidWitnessError, ModelValidationError
 from .oracle import enumerate_policies
 from .risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
 
@@ -44,7 +44,7 @@ class TollQuote(NamedTuple):
     safe_default_used: str
 
 
-class AmbiguitySet(namedtuple("AmbiguitySet", "models")):
+class AmbiguitySet(Checked, namedtuple("AmbiguitySet", "models")):
     """Nonempty finite family of models sharing one state/action skeleton."""
 
     __slots__ = ()
@@ -70,7 +70,7 @@ class AmbiguitySet(namedtuple("AmbiguitySet", "models")):
         return self
 
 
-class WitnessSpec(namedtuple("WitnessSpec", "model_index event min_gap hedge_allowance")):
+class WitnessSpec(Checked, namedtuple("WitnessSpec", "model_index event min_gap hedge_allowance")):
     """Candidate certificate of uncompensated irreversible tail exposure.
 
     ``event`` is a set of terminal states; ``min_gap`` is the loss gap the

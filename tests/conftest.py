@@ -1,4 +1,5 @@
-"""Shared tiny models used across the test modules."""
+"""Shared tiny models, and shared bundled runs, used across the test
+modules."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import tempfile
 import pytest
 from hypothesis import settings
 
+from tollgate.cli import main
 from tollgate.envmodel import Policy, build_model
 
 # Property tests draw the same examples on every run and keep no example
@@ -23,6 +25,29 @@ settings.load_profile("tollgate")
 
 def pytest_sessionfinish(session, exitstatus):
     shutil.rmtree(_HYPOTHESIS_STORAGE, ignore_errors=True)
+
+
+# Episodes and seed of the shared bundled runs: the size the benchmark runs,
+# where most episodes walk a path an earlier one walked.
+BUNDLED_RUN_EPISODES, BUNDLED_RUN_SEED = 5000, 1
+
+
+@pytest.fixture(scope="session")
+def bundled_run(tmp_path_factory):
+    """A function from a bundled scenario's name to the directory of its
+    ``BUNDLED_RUN_EPISODES``-episode run at ``BUNDLED_RUN_SEED``, made once
+    per session. A test that edits a run edits a copy of it."""
+    made = {}
+
+    def run(name):
+        if name not in made:
+            out = tmp_path_factory.mktemp(name) / "run"
+            args = ["run", "--scenario", name, "--episodes", str(BUNDLED_RUN_EPISODES)]
+            assert main(args + ["--seed", str(BUNDLED_RUN_SEED), "--out", str(out)]) == 0
+            made[name] = out
+        return made[name]
+
+    return run
 
 
 @pytest.fixture

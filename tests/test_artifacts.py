@@ -39,6 +39,34 @@ RUN_DIGESTS = {
     },
 }
 
+# The shared bundled runs at the benchmark's size, 5,000 episodes at seed 1
+# (see conftest.py), and their reports. Most of their lines repeat an earlier
+# line but for the episode, and most episodes an earlier episode's path, so
+# these reports go through the readers' line memo and the audit's path memo.
+BENCH_SIZE_DIGESTS = {
+    "payments": {
+        "boundaries.jsonl": "d4f948fe2d82173f043d186824d06883aaf4a6727ea71d0ea1681d30b8123de7",
+        "episodes.jsonl": "2402686ffcff69028e3250ae9af5b80a532ae05b6ca145ab2af53dcdd96ddd75",
+        "manifest.json": "d1ab6a0c4645a8a3885ba34c0159f0382110676c0d22c4c0e0e7249945ac6cb7",
+        "summary.csv": "e1845461f17ee283600302b28f3dec47c769c4bd0d94be0650b473ac9735278d",
+        "report": "0b408b13a2dc9bcc85ca02c55df9c8804b3f2dfc32d4ad911c13e6e23572986b",
+    },
+    "database": {
+        "boundaries.jsonl": "70e3a07bfd749fecff7573671244ba2c8e25968fa0dcf69986abc742ac627b64",
+        "episodes.jsonl": "c4006afc4b1891c79fc36ebf74b264b3401c6f0e14fe532df2a20e650ef2f138",
+        "manifest.json": "585d40ff3f4146e56933f3c5fb3b27c7eb0e81ee52f06d0bcd0ceb69ed1cf76f",
+        "summary.csv": "9f439b8cfc9cb27d2eff686f153de564ea621d8cb75128b0178748665974b68d",
+        "report": "7d24148db9e5b68495ca614461c7974e9931cd14f8d6648f797088dc6f0817d4",
+    },
+    "trading": {
+        "boundaries.jsonl": "01b30db9f6b7a7415f5babef47a78f4d9b3f46fc225d1efc77aa140dc40e49c5",
+        "episodes.jsonl": "f450e1d548597260448090965933c4edd8f01d4ffb2b7b2eeee10697bfe6527e",
+        "manifest.json": "e69dfa3b8a48e038f1147dd7484d5295ff9f142626500ddc5aaa077f3980ae76",
+        "summary.csv": "860f2cff792bd34d9a7ab7b5ab98c46c0e8297ab3b71185f40ddd380078c30b3",
+        "report": "bc670143548d568bb7d6c6691b34629f192bd6edf5c6fad5e5af632d4fcf4780",
+    },
+}
+
 # Payments with a conformal envelope: the run calibrates before it gates,
 # and the manifest records the fitted inflation and rank.
 CONFORMAL_RUN_DIGESTS = {
@@ -80,6 +108,16 @@ def _run_and_report_digests(scenario, out, capsys) -> dict:
 @pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
 def test_run_and_report_bytes_pinned(name, tmp_path, capsys):
     assert _run_and_report_digests(name, tmp_path / name, capsys) == RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SIZE_DIGESTS))
+def test_run_and_report_bytes_pinned_at_the_benchmark_size(name, bundled_run, capsys):
+    out = bundled_run(name)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    digests = {p.name: _sha256(p.read_bytes()) for p in out.iterdir()}
+    digests["report"] = _sha256(capsys.readouterr().out.encode())
+    assert digests == BENCH_SIZE_DIGESTS[name]
 
 
 def test_conformal_run_and_report_bytes_pinned(tmp_path, capsys):

@@ -18,6 +18,9 @@ from tollgate.cli import main
 from tollgate.envelope import Envelope
 from tollgate.envmodel import KERNEL_TOL, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import ModelValidationError
+from tollgate.oracle import EnumerationBudget
+from tollgate.risk import RiskSpec
+from tollgate.tolls import AmbiguitySet, WitnessSpec
 from tollgate.gate import (
     EpisodeLog,
     Gate,
@@ -194,6 +197,46 @@ def test_gate_config_replace_checks_replaced_fields(changes):
     cfg = _cfg(_gate_model(), budget=1.0)
     with pytest.raises(ModelValidationError):
         cfg._replace(**changes)
+
+
+# Each record that checks its fields, a valid instance of it, a change that
+# breaks it, and what its constructor raises for that change.
+_CHECKED_RECORDS = {
+    "RiskSpec": (lambda: RiskSpec("expectation"), {"kind": "bogus"}, ModelValidationError),
+    "EnumerationBudget": (lambda: EnumerationBudget(), {"max_paths": 0}, ValueError),
+    "PotentialSpec": (
+        lambda: PotentialSpec("power", (0.3,), 2.0), {"exponent": 0.5}, ModelValidationError
+    ),
+    "BoundarySpec": (
+        lambda: BoundarySpec("b", 1, PotentialSpec("linear", (1.0,))), {"dimension": 2},
+        ModelValidationError,
+    ),
+    "AmbiguitySet": (lambda: AmbiguitySet((_gate_model(),)), {"models": ()}, ModelValidationError),
+    "WitnessSpec": (
+        lambda: WitnessSpec(0, frozenset({"r"}), 1.0, 0.0), {"hedge_allowance": 1.0},
+        ModelValidationError,
+    ),
+    "GateConfig": (
+        lambda: _cfg(_gate_model(), budget=1.0), {"initial_budget": -1.0}, ModelValidationError
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED_RECORDS))
+def test_checked_records_check_every_build(name):
+    # _make and _replace build through the constructor, so neither makes a
+    # record its constructor refuses
+    make, change, error = _CHECKED_RECORDS[name]
+    record = make()
+    assert type(record)._make(record) == record
+    with pytest.raises(error):
+        type(record)(**{**record._asdict(), **change})
+    with pytest.raises(error):
+        record._replace(**change)
+    with pytest.raises(error):
+        type(record)._make({**record._asdict(), **change}.values())
+    with pytest.raises(TypeError):
+        type(record)._make(record[:-1])
 
 
 def test_boundary_increment_committed_atomically():
@@ -735,13 +778,16 @@ def test_audit_replays_escalated_and_downgraded_charges():
 
 def test_audit_asks_the_quoter_once_where_one_answer_serves():
     # an entry that executes its proposal needs one true toll; a diverted
-    # one needs the proposal's and the executed action's
+    # one needs the proposal's and the executed action's; and the episodes
+    # that share one path's entries need them once
     sc = load_scenario(bundled_scenario_path("payments"))
     gate = Gate(sc.model, sc.policy, sc.gate)
     logs = [run_episode(gate, seed=301, episode=i) for i in range(200)]
     entries = [e for log in logs for e in log.entries]
     diverted = sum(e.executed != e.proposed for e in entries)
     assert 0 < diverted < len(entries)
+    paths = {id(log.entries): log.entries for log in logs}.values()
+    assert len(paths) < 20
     truth, calls = sc.gate.exact_quoter.predict, []
 
     def counted(t, s, a):
@@ -751,7 +797,31 @@ def test_audit_asks_the_quoter_once_where_one_answer_serves():
     assert audit_budget_guarantee(logs, counted, delta=0.0) == audit_budget_guarantee(
         logs, truth, delta=0.0
     )
-    assert len(calls) == len(entries) + diverted
+    assert len(calls) == sum(1 + (e.executed != e.proposed) for path in paths for e in path)
+
+
+def test_audit_counts_and_checks_every_episode_of_a_shared_path():
+    # a path is folded once per entries and initial budget, but every
+    # episode on it is counted and its final budget checked, also once the
+    # paths outnumber the ones the audit holds
+    sc = load_scenario(bundled_scenario_path("payments"))
+    gate = Gate(sc.model, sc.policy, sc.gate)
+    truth = sc.gate.exact_quoter.predict
+    shared = [run_episode(gate, seed=5, episode=i) for i in range(150)]
+    copies = [log._replace(entries=tuple(list(log.entries))) for log in shared]
+    logs = [log for pair in zip(shared, copies) for log in pair]
+    assert len({id(log.entries) for log in logs}) > gate_module._PATHS_HELD
+    audit = audit_budget_guarantee(logs, truth, delta=0.0)
+    entries = [e for log in logs for e in log.entries]
+    assert (audit.episodes, audit.quotes) == (len(logs), len(entries))
+    assert audit.decisions == {v.value: sum(e.verdict is v for e in entries) for v in Verdict}
+    assert audit.passed
+    log = shared[0]
+    for bad in (
+        log._replace(budget_final=log.budget_final + 1.0),
+        log._replace(budget_initial=log.budget_initial + 1.0),
+    ):
+        assert not audit_budget_guarantee([log, bad], truth, delta=0.0).accounting_exact
 
 
 def _payments_log_and_truth():

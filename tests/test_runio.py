@@ -6,15 +6,20 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import random
+import re
 import tracemalloc
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
 from tollgate import runio
 from tollgate.cli import main
+from tollgate.exceptions import RunArtifactError
 from tollgate.gate import (
     EpisodeLog,
     Gate,
@@ -291,11 +296,9 @@ def test_report_reads_no_whole_log_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.rstrip().endswith("-> PASS")
 
 
-@pytest.fixture(scope="module")
-def database_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("database") / "run"
-    assert main(["run", "--scenario", "database", "--episodes", "5000", "--out", str(out)]) == 0
-    return out, load_scenario(bundled_scenario_path("database")).gate.initial_budget
+@pytest.fixture
+def database_run(bundled_run):
+    return bundled_run("database"), load_scenario(bundled_scenario_path("database")).gate.initial_budget
 
 
 def _traced_memory(fn):
@@ -347,3 +350,294 @@ def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run
     assert peak < size
     for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the line memo of the readers, against the decode it stands in for
+
+
+def _reference_values(path: Path, batch_lines: int):
+    """The readers' decode before they kept a memo of lines: the values of a
+    JSON-lines file, each batch of lines decoded as one JSON array."""
+    with path.open() as fh:
+        while lines := list(itertools.islice(fh, batch_lines)):
+            text = ",".join(line for line in lines if not line.isspace())
+            if text:
+                yield from json.loads("[" + text + "]")
+
+
+def _reference_episode_records(run_dir: Path, batch_lines: int):
+    """read_episode_records before it kept a memo of lines."""
+    fields = itemgetter(*runio._RECORD_KINDS)
+    verdicts = {v.value: v for v in Verdict}
+    current, entries = None, []
+    for record in _reference_values(run_dir / runio.EPISODE_LOG_NAME, batch_lines):
+        try:
+            episode, step, time, state, proposed, value, verdict, executed, after, version = (
+                fields(record)
+            )
+        except (KeyError, TypeError):
+            raise runio._record_error(record) from None
+        if not (
+            type(episode) is type(step) is type(time) is type(version) is int
+            and type(state) is type(proposed) is type(verdict) is type(executed) is str
+            and type(value) in (int, float)
+            and type(after) in (int, float)
+            and verdict in verdicts
+            and step == time
+        ):
+            raise runio._record_error(record)
+        if episode != current:
+            if entries:
+                yield current, tuple(entries)
+            current, entries = episode, []
+        entries.append(
+            GateEntry(time, state, proposed, value, verdicts[verdict], executed, after, version)
+        )
+    if entries:
+        yield current, tuple(entries)
+
+
+def _reference_boundary_records(run_dir: Path, batch_lines: int):
+    """_read_boundary_records before it kept a memo of lines."""
+    for rec in _reference_values(run_dir / runio.BOUNDARY_LOG_NAME, batch_lines):
+        if type(rec) is not dict or type(rec.get("episode")) is not int:
+            raise RunArtifactError(
+                f"{runio.BOUNDARY_LOG_NAME} logs a record without an integer episode"
+            )
+        yield rec.pop("episode"), rec
+
+
+_READERS = {
+    runio.EPISODE_LOG_NAME: (runio.read_episode_records, _reference_episode_records),
+    runio.BOUNDARY_LOG_NAME: (runio._read_boundary_records, _reference_boundary_records),
+}
+
+
+def _outcome(items) -> tuple:
+    """The repr of what a reader yields, and the type and message of what it
+    raises after that, if anything."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except (RunArtifactError, ValueError) as exc:
+        return repr(got), type(exc), str(exc)
+    return repr(got), None, None
+
+
+def _agrees_with_reference(run_dir: Path, name: str, batch_lines: int) -> bool:
+    read, reference = _READERS[name]
+    return _outcome(read(run_dir)) == _outcome(reference(run_dir, batch_lines))
+
+
+def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
+    # two lines that differ only in their episode put the line in the memo;
+    # a copy of it that is corrupted anywhere but in a canonical episode
+    # number is refused as a read without the memo refuses it
+    first = (database_run[0] / runio.EPISODE_LOG_NAME).open().readline()
+    assert first.startswith('{"boundary_version": 1,') and '"episode": 0,' in first
+
+    def copy(episode):
+        return first.replace('"episode": 0,', f'"episode": {episode},')
+
+    corruptions = {
+        "verdict": (
+            copy(2).replace('"EXECUTE"', '"MAYBE"'),
+            "episodes.jsonl logs an unknown verdict 'MAYBE'",
+        ),
+        "leading zero": (copy("02"), "Expecting ',' delimiter: line 3 column 82 (char 497)"),
+        "arabic digit": (copy("٢"), "Expecting value: line 3 column 81 (char 496)"),
+        "float episode": (copy("2.0"), "episodes.jsonl logs a non-integer episode 2.0"),
+        "escaped key": (
+            copy(2).replace("}\n", ', "\\u0065pisode": "2"}\n'),
+            "episodes.jsonl logs a non-integer episode '2'",
+        ),
+        "second key": (copy(2).replace("}\n", ', "episode": -1}\n'), None),
+        "truncated": (
+            copy(2)[:-30] + "\n", "Invalid control character at: line 3 column 179 (char 594)"
+        ),
+    }
+    for what, (bad, message) in corruptions.items():
+        run_dir = tmp_path / what.replace(" ", "-")
+        run_dir.mkdir()
+        (run_dir / runio.EPISODE_LOG_NAME).write_text(copy(0) + copy(1) + bad)
+        assert _agrees_with_reference(run_dir, runio.EPISODE_LOG_NAME, runio._BATCH_LINES), what
+        if message is None:
+            # a later key wins, and the reader takes the line apart from
+            # the held one
+            assert [ep for ep, _ in runio.read_episode_records(run_dir)] == [0, 1, -1]
+            continue
+        with pytest.raises((RunArtifactError, ValueError), match=re.escape(message)):
+            list(runio.read_episode_records(run_dir))
+
+
+# Lines per batch in the differential test, so that its short logs span
+# several batches, and the lines of each log it edits.
+_EDIT_BATCH_LINES, _EDIT_LOG_LINES = 8, 32
+
+_DIGITS = "0123456789"
+_FOREIGN_DIGITS = ("٠١٢٣٤٥٦٧٨٩",
+                   "０１２３４５６７８９")
+_NUMBER = re.compile(r'"episode": (\d+)')
+
+
+def _with_episode(line: str, text: str) -> str:
+    """``line`` with the text of its episode number replaced."""
+    match = _NUMBER.search(line)
+    return line[: match.start(1)] + text + line[match.end(1) :] if match else line
+
+
+def _episode_text(line: str) -> str:
+    match = _NUMBER.search(line)
+    return match.group(1) if match else "0"
+
+
+def _before_last_brace(line: str, text: str) -> str:
+    at = line.rfind("}")
+    return line[:at] + text + line[at:] if at >= 0 else line + text
+
+
+# Edits of one line: each takes the random source and the line, and returns
+# its replacement, which may hold no line, one, or several.
+_LINE_EDITS = {
+    "duplicate key, same number": lambda rng, line: line.replace(
+        "{", '{"episode": %s, ' % _episode_text(line), 1
+    ),
+    "duplicate key first": lambda rng, line: line.replace(
+        "{", '{"episode": %d, ' % rng.randrange(40), 1
+    ),
+    "duplicate key last": lambda rng, line: _before_last_brace(
+        line, ', "episode": %d' % rng.randrange(40)
+    ),
+    "escaped key": lambda rng, line: line.replace(
+        '"episode"', rng.choice(['"\\u0065pisode"', '"episod\\u0065"', '"ep\\u0069sode"']), 1
+    ),
+    "escaped duplicate first": lambda rng, line: line.replace(
+        "{", '{"\\u0065pisode": %d, ' % rng.randrange(40), 1
+    ),
+    "escaped duplicate last": lambda rng, line: _before_last_brace(
+        line, ', "episod\\u0065": %d' % rng.randrange(40)
+    ),
+    "non-ASCII digits": lambda rng, line: _with_episode(
+        line,
+        _episode_text(line).translate(str.maketrans(_DIGITS, rng.choice(_FOREIGN_DIGITS))),
+    ),
+    "superscript digit": lambda rng, line: _with_episode(line, "²"),
+    "mixed digits": lambda rng, line: _with_episode(
+        line, _episode_text(line) + rng.choice(_FOREIGN_DIGITS)[rng.randrange(10)]
+    ),
+    "leading zero": lambda rng, line: _with_episode(line, "0" + _episode_text(line)),
+    "minus zero": lambda rng, line: _with_episode(line, "-0"),
+    "negative": lambda rng, line: _with_episode(line, "-" + _episode_text(line)),
+    "float": lambda rng, line: _with_episode(line, _episode_text(line) + ".0"),
+    "exponent": lambda rng, line: _with_episode(
+        line, _episode_text(line) + rng.choice(["e0", "E+0", "e-1", "e400"])
+    ),
+    "other number": lambda rng, line: _with_episode(
+        line, str(rng.choice([rng.randrange(40), 10**20 + rng.randrange(3)]))
+    ),
+    "long number": lambda rng, line: _with_episode(line, "1" * rng.choice([99, 100, 101, 5000])),
+    "long number after a bad value": lambda rng, line: _with_episode(line, "1" * 5000).replace(
+        ": ", ": x", 1
+    ),
+    "number as string": lambda rng, line: _with_episode(line, '"%s"' % _episode_text(line)),
+    "space after key": lambda rng, line: line.replace(
+        '"episode": ', rng.choice(['"episode":  ', '"episode" : ', '"episode":', '"episode":\t']),
+        1,
+    ),
+    "space around line": lambda rng, line: rng.choice([" ", "\t", ""])
+    + line[:-1]
+    + rng.choice([" ", "\t", "\f", " ", ""])
+    + line[-1:],
+    "space before comma": lambda rng, line: line.replace(
+        ", ", rng.choice([" , ", ",  ", ",\t"]), 1
+    ),
+    "CRLF": lambda rng, line: line.replace("\n", "\r\n"),
+    "carriage return inside": lambda rng, line: _cut(rng, line, "\r"),
+    "split in two": lambda rng, line: _cut(rng, line, "\n"),
+    "truncated": lambda rng, line: line[: rng.randrange(len(line))] + "\n",
+    "deleted character": lambda rng, line: _cut(rng, line, "", 1),
+    "inserted character": lambda rng, line: _cut(rng, line, rng.choice('"\\,:{}[] 0-.eN\x00')),
+    "no newline": lambda rng, line: line.rstrip("\n"),
+    "unknown verdict": lambda rng, line: line.replace('"EXECUTE"', '"MAYBE"', 1),
+    "step is not time": lambda rng, line: line.replace('"step": ', '"step": 1', 1),
+    "NaN value": lambda rng, line: re.sub(r"(\d+\.\d+)", "NaN", line, count=1),
+    "list record": lambda rng, line: "[" + line[:-1] + "]\n",
+    "two records": lambda rng, line: line[:-1] + ", " + line,
+    "blank": lambda rng, line: rng.choice(["\n", "  \n", "\t\n", "\f\n"]),
+}
+
+
+def _cut(rng, line: str, insert: str, drop: int = 0) -> str:
+    at = rng.randrange(len(line))
+    return line[:at] + insert + line[at + drop :]
+
+
+def _edit(rng: random.Random, kind: str, lines: list[str]) -> list[str]:
+    """``lines`` with an edit of ``kind``: a line edit on a random line, or
+    one of the edits of the whole log below."""
+    lines = list(lines)
+    edge = _EDIT_BATCH_LINES * rng.randrange(1, _EDIT_LOG_LINES // _EDIT_BATCH_LINES)
+    if kind == "blank lines across a batch edge":
+        blanks = [rng.choice(["\n", " \n", "\t\n"]) for _ in range(rng.randrange(1, 12))]
+        at = edge + rng.randrange(-3, 2)
+        lines[at:at] = blanks
+    elif kind == "CRLF everywhere":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    elif kind == "copy with another number, then corrupted":
+        i = rng.randrange(len(lines))
+        twin = _with_episode(lines[i], str(rng.randrange(40)))
+        bad = rng.choice([k for k in _LINE_EDITS if k != "blank"])
+        lines[i + 1 : i + 1] = [twin, _LINE_EDITS[bad](rng, twin)]
+    elif kind == "edited, then copied with another number":
+        i = rng.randrange(len(lines))
+        edited = _LINE_EDITS[rng.choice([k for k in _LINE_EDITS if k != "blank"])](rng, lines[i])
+        lines[i : i + 1] = [edited, _with_episode(edited, str(rng.randrange(40)))]
+    elif kind == "bad lines in two batches":
+        first, later = rng.randrange(edge), edge + rng.randrange(len(lines) - edge)
+        for i in (later, first):
+            lines[i] = _LINE_EDITS[rng.choice(["truncated", "unknown verdict", "float"])](
+                rng, lines[i]
+            )
+    elif kind == "swapped lines":
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        i = rng.randrange(len(lines))
+        lines[i] = _LINE_EDITS[kind](rng, lines[i])
+    return lines
+
+
+_FILE_EDITS = (
+    "blank lines across a batch edge",
+    "CRLF everywhere",
+    "copy with another number, then corrupted",
+    "edited, then copied with another number",
+    "bad lines in two batches",
+    "swapped lines",
+)
+
+
+def test_readers_agree_with_the_batch_decode_on_edited_logs(bundled_run, tmp_path, monkeypatch):
+    # each edit reads back as the batch decode reads it: the same records,
+    # or the same error after the same records
+    monkeypatch.setattr(runio, "_BATCH_LINES", _EDIT_BATCH_LINES)
+    rng = random.Random(20261019)
+    kinds = [*_LINE_EDITS, *_FILE_EDITS]
+    edits = 0
+    for scenario in ("payments", "database"):
+        for name in _READERS:
+            with (bundled_run(scenario) / name).open() as fh:
+                lines = list(itertools.islice(fh, _EDIT_LOG_LINES))
+            run_dir = tmp_path / f"{scenario}-{name}"
+            run_dir.mkdir()
+            for k in range(7 * len(kinds)):
+                kind = kinds[k % len(kinds)]
+                edited = _edit(rng, kind, lines)
+                if rng.random() < 0.25:
+                    edited = _edit(rng, rng.choice(kinds), edited)
+                (run_dir / name).write_bytes("".join(edited).encode("utf-8", "surrogatepass"))
+                assert _agrees_with_reference(run_dir, name, _EDIT_BATCH_LINES), (kind, edited)
+                edits += 1
+    assert edits >= 1000

@@ -749,6 +749,38 @@ def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def _boundary_exponent_half(doc):
+    doc["boundaries"][0]["potential"]["exponent"] = 0.5
+
+
+def _boundary_dimension_two(doc):
+    doc["boundaries"][0]["dimension"] = 2
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            _boundary_exponent_half,
+            "power potential needs a finite exponent >= 1 (at boundaries[0].potential.exponent)",
+        ),
+        (
+            _boundary_dimension_two,
+            "potential dimension does not match boundary dimension (at boundaries[0].potential)",
+        ),
+    ],
+    ids=["exponent-half", "dimension-two"],
+)
+def test_cli_boundary_constructor_error_is_coded_at_its_document_path(
+    payments_doc, tmp_path, capsys, mutate, message
+):
+    mutate(payments_doc)
+    doc = tmp_path / "boundary.scn.json"
+    doc.write_text(json.dumps(payments_doc))
+    assert main(["run", "--scenario", str(doc), "--episodes", "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: [invariant] {message}\n"
+
+
 @pytest.mark.parametrize(
     "gate, message, field_path",
     [
