@@ -435,7 +435,8 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
     # two lines that differ only in their episode put the line in the memo;
     # a copy of it that is corrupted anywhere but in a canonical episode
     # number is refused as a read without the memo refuses it
-    first = (database_run[0] / runio.EPISODE_LOG_NAME).open().readline()
+    with (database_run[0] / runio.EPISODE_LOG_NAME).open() as fh:
+        first = fh.readline()
     assert first.startswith('{"boundary_version": 1,') and '"episode": 0,' in first
 
     def copy(episode):
