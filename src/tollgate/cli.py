@@ -21,6 +21,8 @@ from .scenario import (
     bundled_scenario_path,
     calibrate_conformal,
     config_hash,
+    document_bytes,
+    document_hash,
     load_scenario,
     resolve_scenario,
 )
@@ -77,11 +79,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     runio.write_episode_logs(out_dir, logs)
     runio.write_summary_csv(out_dir, logs)
     runio.write_boundary_log(out_dir, logs)
+    # the document is encoded once, for its hash and the manifest, and only
+    # now, so its bytes are not held while the episodes run
+    document = document_bytes(scenario)
     runio.write_manifest(
         out_dir,
         scenario.name,
-        scenario.raw,
-        config_hash(scenario),
+        document,
+        document_hash(document),
         seed,
         args.episodes,
         envelope_record,

@@ -268,13 +268,13 @@ def read_field(rec: Mapping, key: str, conv: Callable, path: str):
     """``conv(rec[key])``; a missing or unconvertible field raises a
     :class:`ScenarioParseError` naming ``path.key`` (``key`` at the top
     level, where ``path`` is empty)."""
-    where = f"{path}.{key}" if path else key
     try:
         return conv(rec[key])
     except KeyError:
-        raise ScenarioParseError(f"missing field {key!r}", path=where) from None
+        message = f"missing field {key!r}"
     except (TypeError, ValueError, AttributeError) as exc:
-        raise ScenarioParseError(f"malformed field {key!r}: {exc}", path=where) from None
+        message = f"malformed field {key!r}: {exc}"
+    raise ScenarioParseError(message, path=f"{path}.{key}" if path else key)
 
 
 def optional_field(rec: Mapping, key: str, conv: Callable, path: str, default):

@@ -18,7 +18,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .envmodel import EnvironmentModel, Intervention, Policy
-from .exceptions import Checked, EnumerationBudgetError
+from .exceptions import Checked, EnumerationBudgetError, ModelValidationError
 
 if TYPE_CHECKING:
     from .risk import RiskSpec
@@ -34,8 +34,9 @@ class EnumerationBudget(
 
     def __new__(cls, *args, **kwargs) -> EnumerationBudget:
         self = super().__new__(cls, *args, **kwargs)
-        if min(self.max_paths, self.max_policies) < 1:
-            raise ValueError("all enumeration caps must be >= 1")
+        for field in self._fields:
+            if getattr(self, field) < 1:
+                raise ModelValidationError("an enumeration cap must be >= 1", path=f"budget.{field}")
         return self
 
 

@@ -2,9 +2,10 @@
 
 Episode logs are line-delimited JSON, one object per gate step, with sorted
 keys so identical runs serialize byte for byte. Summaries are plain CSV.
-The manifest embeds the resolved scenario document plus its hash, which
-makes a run directory self-describing for later audits: given the initial
-budget of that document, :func:`read_episode_logs` rebuilds the episode logs.
+The manifest is compact JSON with sorted keys. It embeds the scenario
+document, in the canonical bytes its ``config_hash`` hashes, which makes a
+run directory self-describing for later audits: given the initial budget of
+that document, :func:`read_episode_logs` rebuilds the episode logs.
 
 The episode-log, boundary-log and summary readers and writers stream. A
 writer writes one episode at a time to an open file; a reader decodes a
@@ -157,14 +158,19 @@ def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
 def write_manifest(
     out_dir: Path,
     scenario_name: str,
-    scenario_document: dict,
+    scenario_document: bytes,
     scenario_hash: str,
     seed: int,
     episodes: int,
     envelope: dict,
 ) -> Path:
-    """Write the manifest; ``envelope`` records the tier that quoted the run
-    (``kind``, plus the conformal fit's ``delta`` and calibration)."""
+    """Write the manifest as ``json.dumps(manifest, sort_keys=True,
+    separators=(",", ":"))`` and a newline, where ``scenario_document`` is
+    the document's own encoding by those rules, the bytes its
+    ``scenario_hash`` hashes. Those bytes go in as they are, so the
+    document is never encoded again. ``envelope`` records the tier that
+    quoted the run (``kind``, plus the conformal fit's ``delta`` and
+    calibration)."""
     path = out_dir / MANIFEST_NAME
     manifest = {
         "scenario_name": scenario_name,
@@ -176,14 +182,17 @@ def write_manifest(
             "summary": SUMMARY_NAME,
             "boundary_log": BOUNDARY_LOG_NAME,
         },
-        "scenario_document": scenario_document,
+        "scenario_document": 0,
         "envelope": envelope,
     }
-    # json.dump writes the chunks json.dumps would join; an indented dumps
-    # of the 6x80 ladder's document peaks at 5.8 MB, the dump at 0.08 MB
-    with path.open("w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # encoded with a 0 for the document and split there; a quote inside a
+    # JSON string is escaped, so no value can match the key
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    head, tail = text.split('"scenario_document":0', 1)
+    with path.open("wb") as fh:
+        fh.write(f'{head}"scenario_document":'.encode())
+        fh.write(scenario_document)
+        fh.write(f"{tail}\n".encode())
     return path
 
 

@@ -131,9 +131,9 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     exposure = _resolve_exposure(doc, model, boundaries)
     actions = {a for t, s in model.all_nodes() for a in model.actions(t, s)}
     exact = exact_envelope(model, policy, risk_spec, sdm)
-    gate = GateConfig(
-        envelope=exact, exact_quoter=exact, safe_defaults=sdm, boundaries=boundaries,
-        exposure=exposure, **_resolve_gate_fields(doc, actions),
+    gate = _invariant(
+        GateConfig, envelope=exact, exact_quoter=exact, safe_defaults=sdm,
+        boundaries=boundaries, exposure=exposure, **_resolve_gate_fields(doc, actions),
     )
     envelope_config = _resolve_envelope(doc)
 
@@ -164,6 +164,16 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     )
 
 
+def _invariant(record, **fields):
+    """``record(**fields)``; the :class:`ModelValidationError` of a record
+    that refuses its fields is raised as an ``[invariant]`` error at the
+    document path it names."""
+    try:
+        return record(**fields)
+    except ModelValidationError as exc:
+        raise ScenarioInvariantError(exc.message, path=exc.path) from None
+
+
 def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefaultMap:
     entries: dict[tuple[int, str, str], str] = {}
     for i, rec in enumerate(optional_field(doc, "safe_defaults", as_objects, "", [])):
@@ -177,9 +187,9 @@ def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefault
     sdm = SafeDefaultMap.from_entries(entries, model)
     for t, s in model.all_nodes():
         for a in model.actions(t, s):
-            if a == model.null_action:
+            if a == model.null_action or (t, s, a) in entries:
                 continue
-            if is_side_effect_bearing(model, t, s, a) and (t, s, a) not in entries:
+            if is_side_effect_bearing(model, t, s, a):
                 raise ScenarioInvariantError(
                     f"action {a!r} at ({t}, {s!r}) bears side effects but has no "
                     "safe-default entry; every priced action needs its contractual "
@@ -244,7 +254,8 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
 
 def _resolve_risk(doc: Mapping) -> RiskSpec:
     rec = optional_field(doc, "risk", as_object, "", {"kind": "expectation"})
-    return RiskSpec(
+    return _invariant(
+        RiskSpec,
         kind=optional_field(rec, "kind", as_str, "risk", "expectation"),
         gamma=optional_field(rec, "gamma", as_number, "risk", None),
         alpha=optional_field(rec, "alpha", as_number, "risk", None),
@@ -381,11 +392,23 @@ def _resolve_envelope(doc: Mapping) -> dict:
     return config
 
 
+def document_bytes(scenario: Scenario) -> bytes:
+    """The scenario document as one canonical text: compact JSON with sorted
+    keys, which is ASCII. :func:`config_hash` hashes these bytes, and a
+    run's manifest embeds them as they are."""
+    return json.dumps(scenario.raw, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def document_hash(document: bytes) -> str:
+    """The ``config_hash`` of a scenario whose :func:`document_bytes` are
+    ``document``."""
+    return hashlib.sha256(document).hexdigest()
+
+
 def config_hash(scenario: Scenario) -> str:
     """Hash of the resolved document; any change to the model family, policy,
     risk mapping, safe defaults, or boundaries changes the digest."""
-    blob = json.dumps(scenario.raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return document_hash(document_bytes(scenario))
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_gate_config_replace_checks_replaced_fields(changes):
 # breaks it, and what its constructor raises for that change.
 _CHECKED_RECORDS = {
     "RiskSpec": (lambda: RiskSpec("expectation"), {"kind": "bogus"}, ModelValidationError),
-    "EnumerationBudget": (lambda: EnumerationBudget(), {"max_paths": 0}, ValueError),
+    "EnumerationBudget": (lambda: EnumerationBudget(), {"max_paths": 0}, ModelValidationError),
     "PotentialSpec": (
         lambda: PotentialSpec("power", (0.3,), 2.0), {"exponent": 0.5}, ModelValidationError
     ),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tollgate.envmodel import Intervention, build_model
-from tollgate.exceptions import EnumerationBudgetError
+from tollgate.exceptions import EnumerationBudgetError, ModelValidationError
 from tollgate.instances import random_layered_model, random_policy
 from tollgate.oracle import (
     EnumerationBudget,
@@ -43,8 +43,10 @@ def test_cli_import_leaves_module_unloaded(module):
 
 
 def test_budget_caps_must_be_positive():
-    with pytest.raises(ValueError):
-        EnumerationBudget(max_paths=0)
+    for field in EnumerationBudget._fields:
+        with pytest.raises(ModelValidationError) as exc:
+            EnumerationBudget(**{field: 0})
+        assert exc.value.path == f"budget.{field}"
 
 
 def test_point_mass_on_chain(chain_model, noop_policy):

@@ -5,12 +5,14 @@ writers stream, so their memory stays below the size of the log."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
 import math
 import random
 import re
+import shutil
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
@@ -28,7 +30,7 @@ from tollgate.gate import (
     audit_budget_guarantee,
     run_episode,
 )
-from tollgate.scenario import bundled_scenario_path, load_scenario
+from tollgate.scenario import bundled_scenario_path, config_hash, load_scenario, resolve_scenario
 
 INF, NAN = math.inf, math.nan
 
@@ -294,6 +296,59 @@ def test_report_reads_no_whole_log_file(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     assert capsys.readouterr().out.rstrip().endswith("-> PASS")
+
+
+@pytest.fixture(scope="module")
+def conformal_run(tmp_path_factory):
+    """A 40-episode run of payments with a conformal envelope."""
+    root = tmp_path_factory.mktemp("conformal")
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 60, "training_episodes": 30}
+    scenario = root / "payments-conformal.scn.json"
+    scenario.write_text(json.dumps(doc))
+    out = root / "run"
+    assert main(["run", "--scenario", str(scenario), "--episodes", "40", "--out", str(out)]) == 0
+    return out
+
+
+_MANIFEST_RUNS = ("payments", "database", "trading", "conformal")
+
+
+def _manifest_run(name, bundled_run, conformal_run) -> Path:
+    return conformal_run if name == "conformal" else bundled_run(name)
+
+
+@pytest.mark.parametrize("name", _MANIFEST_RUNS)
+def test_manifest_is_canonical_around_the_hashed_document(name, bundled_run, conformal_run):
+    # the manifest is its content's compact sorted-key encoding, and the
+    # document bytes inside it are the bytes its config_hash hashes
+    text = (_manifest_run(name, bundled_run, conformal_run) / runio.MANIFEST_NAME).read_bytes()
+    manifest = json.loads(text)
+    assert text == (json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    key = b'"scenario_document":'
+    start = text.index(key) + len(key)
+    document, end = json.JSONDecoder().raw_decode(text.decode("ascii"), start)
+    assert document == manifest["scenario_document"]
+    assert hashlib.sha256(text[start:end]).hexdigest() == manifest["config_hash"]
+    assert manifest["config_hash"] == config_hash(resolve_scenario(document))
+
+
+@pytest.mark.parametrize("name", _MANIFEST_RUNS)
+def test_report_reads_an_indented_manifest_alike(name, bundled_run, conformal_run, tmp_path, capsys):
+    # a run directory written while manifests were indented reports the
+    # same bytes as its compact twin
+    out = _manifest_run(name, bundled_run, conformal_run)
+    indented = tmp_path / "indented"
+    shutil.copytree(out, indented)
+    path = indented / runio.MANIFEST_NAME
+    path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2) + "\n")
+    assert path.read_bytes() != (out / runio.MANIFEST_NAME).read_bytes()
+    capsys.readouterr()
+    reports = []
+    for run_dir in (out, indented):
+        assert main(["report", "--out", str(run_dir)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 @pytest.fixture

@@ -649,16 +649,32 @@ def _misspelled_category_key(doc):
     doc["action_categories"] = {"noop": "idle", "wire_transfr": "x"}
 
 
-# NaN probabilities and exposures, an infinite gamma, an unknown escalation
-# ruling or key, an unknown category key and an initial state with no time-0
-# node parse; the model, risk, exposure, gate and category checks refuse them
+def _negative_initial_budget(doc):
+    doc["gate"]["initial_budget"] = -1.0
+
+
+def _unknown_risk_kind(doc):
+    doc["risk"]["kind"] = "bogus"
+
+
+def _unknown_fallback_mode(doc):
+    doc["gate"]["fallback_order"] = ["downgrade", "fly"]
+
+
+# NaN probabilities and exposures, an infinite gamma, an unknown risk kind, a
+# negative budget, an unknown fallback mode, an unknown escalation ruling or
+# key, an unknown category key and an initial state with no time-0 node
+# parse; the model, risk, exposure, gate and category checks refuse them
 # instead.
 _NOT_PARSE_ERRORS = {
     _nan_policy_probability: "must be finite",
     _nan_kernel_probability: "must be finite",
     _nan_exposure: "[invariant] exposure increments must be finite",
     _infinite_exposure: "[invariant] exposure increments must be finite",
-    _infinite_gamma: "entropic risk needs a finite gamma > 0",
+    _infinite_gamma: "[invariant] entropic risk needs a finite gamma > 0",
+    _negative_initial_budget: "[invariant] initial budget must be >= 0",
+    _unknown_risk_kind: "[invariant] unknown risk kind 'bogus'",
+    _unknown_fallback_mode: "[invariant] unknown fallback mode 'fly'",
     _unknown_escalation_ruling: "[invariant] escalation ruling must be 'approve' or 'deny'",
     _misspelled_escalation_key: "[unresolved-reference] escalation policy names unknown action",
     _misspelled_category_key: "[unresolved-reference] action categories name unknown action",
@@ -736,6 +752,9 @@ _NOT_PARSE_ERRORS = {
         (_numeric_component_external, "components[1].external"),
         (_object_ambiguity_name, "ambiguity[0].name"),
         (_misspelled_category_key, "action_categories.wire_transfr"),
+        (_negative_initial_budget, "gate.initial_budget"),
+        (_unknown_risk_kind, "risk.kind"),
+        (_unknown_fallback_mode, "gate.fallback_order"),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
@@ -795,7 +814,8 @@ def test_gate_section_refused_at_load(payments_doc, tmp_path, capsys, gate, mess
     # the loader builds the scenario's GateConfig, so every command refuses a
     # bad gate section the same way, calibrate included
     payments_doc["gate"].update(gate)
-    with pytest.raises(ModelValidationError, match=re.escape(f"{message} (at {field_path})")):
+    error = f"[invariant] {message} (at {field_path})"
+    with pytest.raises(ScenarioInvariantError, match=re.escape(error)):
         resolve_scenario(payments_doc)
     doc = tmp_path / "bad-gate.scn.json"
     doc.write_text(json.dumps(payments_doc))
@@ -804,7 +824,7 @@ def test_gate_section_refused_at_load(payments_doc, tmp_path, capsys, gate, mess
         ["calibrate", "--scenario", str(doc), "--episodes", "20"],
     ):
         assert main(command + ["--out", str(tmp_path / command[0])]) == 2
-        assert f"{message} (at {field_path})" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize(
