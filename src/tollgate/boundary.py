@@ -132,11 +132,11 @@ class BoundarySpec(
     def __new__(cls, *args, **kwargs) -> BoundarySpec:
         self = super().__new__(cls, *args, **kwargs)
         if self.dimension < 1:
-            raise ModelValidationError("boundary dimension must be >= 1", path="boundary.dimension")
+            raise ModelValidationError("boundary dimension must be >= 1", path="dimension")
         if self.potential.dimension != self.dimension:
             raise ModelValidationError(
                 "potential dimension does not match boundary dimension",
-                path="boundary.potential",
+                path="potential",
             )
         return self
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import runio
 from .envelope import conformal_rank
-from .exceptions import ModelValidationError, RunArtifactError, ScenarioError, TollgateError
+from .exceptions import RunArtifactError, ScenarioError, TollgateError
 from .gate import Gate, audit_budget_guarantee, run_episode
 from .scenario import (
     BUNDLED_SCENARIOS,
@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ModelValidationError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TollgateError, OSError) as exc:

@@ -18,11 +18,8 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import NamedTuple
 
 from .exceptions import (
-    KernelSumError,
     ModelValidationError,
-    NegativeLossError,
     PolicyUndefinedError,
-    SafeDefaultError,
     ScenarioParseError,
     UnreachableNodeError,
 )
@@ -238,19 +235,19 @@ class SafeDefaultMap:
         for (t, s, a), d in entries.items():
             avail = model.actions(t, s)
             if a not in avail:
-                raise SafeDefaultError(
+                raise ModelValidationError(
                     f"safe default declared for unavailable action {a!r}",
                     path=f"safe_defaults[{t},{s},{a}]",
                 )
             if d not in avail:
-                raise SafeDefaultError(
+                raise ModelValidationError(
                     f"safe default {d!r} is not available at the same node",
                     path=f"safe_defaults[{t},{s},{a}]",
                 )
         sdm = cls(entries)
         for (t, s, a), d in entries.items():
             if sdm.default_for(t, s, d) != d:
-                raise SafeDefaultError(
+                raise ModelValidationError(
                     f"safe default {d!r} must map to itself",
                     path=f"safe_defaults[{t},{s},{a}]",
                 )
@@ -317,16 +314,16 @@ def as_number(value) -> float:
         raise ValueError(f"{value} is too large for a float") from None
 
 
-def as_object(value) -> Mapping:
+def as_object(value) -> dict:
     """Shape converter for :func:`read_field`: a JSON object."""
-    if not isinstance(value, Mapping):
+    if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {type(value).__name__}")
     return value
 
 
 def as_objects(value) -> list:
     """Shape converter for :func:`read_field`: a JSON array of objects."""
-    if not isinstance(value, list) or not all(isinstance(v, Mapping) for v in value):
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
         raise TypeError("expected an array of objects")
     return value
 
@@ -336,7 +333,7 @@ def _component_values(value) -> dict:
     external signature."""
     rec = dict(as_object(value))
     for name, v in rec.items():
-        if isinstance(v, (list, Mapping)):
+        if isinstance(v, (list, dict)):
             raise TypeError(f"component {name!r} must be a scalar")
     return rec
 
@@ -361,7 +358,7 @@ def _kernel_row(kernel_map: Mapping, state_index: Mapping[str, int], path: str) 
         row.append((nxt, p))
         total += p
     if abs(total - 1.0) > KERNEL_TOL:
-        raise KernelSumError(f"kernel row sums to {total!r}, expected 1", path=path)
+        raise ModelValidationError(f"kernel row sums to {total!r}, expected 1", path=path)
     row.sort(key=lambda kv: state_index[kv[0]])
     return tuple(row)
 
@@ -387,7 +384,7 @@ def _terminal_loss(raw_losses: Mapping, sid: str, path: str) -> float:
     """``raw_losses[sid]`` as a finite loss >= 0; errors name ``path``."""
     loss = read_field(raw_losses, sid, as_number, path)
     if not (loss >= 0 and math.isfinite(loss)):
-        raise NegativeLossError(
+        raise ModelValidationError(
             f"terminal loss must be finite and >= 0, got {loss!r}", path=f"{path}[{sid}]"
         )
     return loss
@@ -399,8 +396,9 @@ def build_model(spec: Mapping) -> EnvironmentModel:
     Expected keys: ``horizon``, ``components``, ``states``, ``nodes``,
     ``terminal_losses``, ``initial_state``; optional ``null_action``
     (default ``"noop"``). Safe defaults are declared at the scenario's top
-    level, not here. Construction is deterministic and raises a distinct
-    validation error per invariant class.
+    level, not here. Construction is deterministic; errors name fields by
+    their path within ``spec`` (``nodes[1].time``), which the scenario
+    loader roots at ``model``.
     """
     horizon = read_field(spec, "horizon", as_int, "")
     if horizon < 1:

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the base of the records
 that check their fields.
 
-Validation errors carry a ``path`` describing where in a model or scenario
-document the offending field lives, so loader diagnostics stay actionable.
+Every refusal of a scenario document is a :class:`ScenarioError` with a
+code and the ``path`` of the offending field from the document root; the
+loader roots a section's errors there with :meth:`ScenarioError.under`.
 """
 
 from __future__ import annotations
@@ -12,25 +13,34 @@ class TollgateError(Exception):
     """Base class for all package errors."""
 
 
-class ModelValidationError(TollgateError):
-    """A model document violates a structural invariant."""
+class ScenarioError(TollgateError):
+    """Base class for scenario loading failures. Carries a stable error code."""
+
+    code = "scenario"
 
     def __init__(self, message: str, path: str = "") -> None:
         self.message = message
         self.path = path
-        super().__init__(f"{message} (at {path})" if path else message)
+        super().__init__(f"[{self.code}] {message}" + (f" (at {path})" if path else ""))
+
+    def under(self, root: str) -> ScenarioError:
+        """This error at ``root.path``: the path from a section's root made
+        the path from the document's."""
+        return type(self)(self.message, f"{root}.{self.path}" if self.path else root)
 
 
-class KernelSumError(ModelValidationError):
-    """A transition kernel row does not sum to one."""
+class ScenarioParseError(ScenarioError):
+    code = "parse"
 
 
-class NegativeLossError(ModelValidationError):
-    """A terminal loss is negative or non-finite."""
+class ScenarioReferenceError(ScenarioError):
+    code = "unresolved-reference"
 
 
-class SafeDefaultError(ModelValidationError):
-    """A safe-default entry points outside the action set or breaks idempotence."""
+class ModelValidationError(ScenarioError):
+    """A model, record or scenario section violates a structural invariant."""
+
+    code = "invariant"
 
 
 class UnreachableNodeError(TollgateError):
@@ -60,28 +70,6 @@ class InvalidWitnessError(TollgateError):
 class RunArtifactError(TollgateError):
     """The artifacts of a run directory disagree on which episodes it holds,
     or hold a record, cell or manifest field that does not convert."""
-
-
-class ScenarioError(TollgateError):
-    """Base class for scenario loading failures. Carries a stable error code."""
-
-    code = "scenario"
-
-    def __init__(self, message: str, path: str = "") -> None:
-        self.path = path
-        super().__init__(f"[{self.code}] {message}" + (f" (at {path})" if path else ""))
-
-
-class ScenarioParseError(ScenarioError):
-    code = "parse"
-
-
-class ScenarioReferenceError(ScenarioError):
-    code = "unresolved-reference"
-
-
-class ScenarioInvariantError(ScenarioError):
-    code = "invariant"
 
 
 class Checked:

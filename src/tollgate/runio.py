@@ -20,6 +20,7 @@ and refuses logs out of order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -196,6 +197,16 @@ def write_manifest(
     return path
 
 
+@contextlib.contextmanager
+def _decoding(name: str) -> Iterator[None]:
+    """Raise :class:`RunArtifactError`, naming the artifact ``name``, for
+    bytes that are not UTF-8 or JSON nested past the recursion limit."""
+    try:
+        yield
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise RunArtifactError(f"{name} does not decode ({exc})") from None
+
+
 # The manifest fields report reads: key, rule, and what the rule asks for.
 _MANIFEST_FIELDS = (
     ("scenario_name", lambda v: type(v) is str, "a string"),
@@ -223,7 +234,8 @@ def read_manifest(run_dir: Path) -> dict:
     whose ``_MANIFEST_FIELDS`` keep their rules and whose envelope ``kind``
     is ``exact`` or ``conformal``, a conformal one with a numeric ``delta``
     in (0, 1)."""
-    manifest = json.loads((Path(run_dir) / MANIFEST_NAME).read_text())
+    with _decoding(MANIFEST_NAME):
+        manifest = json.loads((Path(run_dir) / MANIFEST_NAME).read_text(encoding="utf-8"))
     if type(manifest) is not dict:
         raise RunArtifactError(f"{MANIFEST_NAME} is not a JSON object")
     for key, ok, what in _MANIFEST_FIELDS:
@@ -297,7 +309,7 @@ def _read_batches(path: Path, convert: Callable) -> Iterator[Iterable[tuple[int,
     # ladder's 300 episodes, of which 1,148 are distinct, 6.3 ms and 6.9 ms
     # (CPU time, min of 15 and 60 alternating rounds, 2 vCPUs).
     memo: dict[tuple[str, str], object] = {}
-    with path.open() as fh:
+    with _decoding(path.name), path.open(encoding="utf-8") as fh:
         while lines := list(itertools.islice(fh, _BATCH_LINES)):
             pairs = _memo_pairs(lines, memo, convert)
             if pairs is None:
@@ -431,7 +443,7 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
     :class:`RunArtifactError` for a missing column, a row shorter than the
     header or a cell that does not convert."""
     names = ("episode", "terminal_loss", "b_final")
-    with (Path(run_dir) / SUMMARY_NAME).open() as fh:
+    with _decoding(SUMMARY_NAME), (Path(run_dir) / SUMMARY_NAME).open(encoding="utf-8") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None:

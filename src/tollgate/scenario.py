@@ -9,9 +9,9 @@ configuration. All randomness is seeded through the document or the CLI;
 nothing ambient.
 
 Loader failures carry distinct codes: ``parse`` for unreadable documents,
-``unresolved-reference`` for ids that do not resolve, and ``invariant`` (or
-a model validation subclass) for structural violations. Every error names
-the offending field path.
+``unresolved-reference`` for ids that do not resolve, and ``invariant`` for
+structural violations. Every error names the offending field by its path
+from the document root.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .envmodel import (
 from .exceptions import (
     CalibrationSizeError,
     ModelValidationError,
-    ScenarioInvariantError,
+    ScenarioError,
     ScenarioParseError,
     ScenarioReferenceError,
 )
@@ -97,31 +97,39 @@ def bundled_scenario_path(name: str) -> Path:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario file: {exc}", path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not UTF-8 text: {exc}", path=str(path)) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid JSON: {exc}", path=str(path)) from exc
+    except RecursionError:
+        raise ScenarioParseError("JSON nested too deeply to decode", path=str(path)) from None
     return resolve_scenario(doc)
 
 
 def resolve_scenario(doc: Mapping) -> Scenario:
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
     version = optional_field(doc, "schema_version", as_int, "", None)
     if version != SCHEMA_VERSION:
-        raise ScenarioInvariantError(
+        raise ModelValidationError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}",
             path="schema_version",
         )
     name = optional_field(doc, "name", as_str, "", "unnamed")
     seed = optional_field(doc, "seed", as_int, "", 0)
     if seed < 0:
-        raise ScenarioInvariantError(f"seed must be >= 0, got {seed}", path="seed")
+        raise ModelValidationError(f"seed must be >= 0, got {seed}", path="seed")
 
-    model = build_model(optional_field(doc, "model", as_object, "", {}))
+    spec = optional_field(doc, "model", as_object, "", {})
+    try:
+        model = build_model(spec)
+    except ScenarioError as exc:
+        raise exc.under("model") from None
 
     sdm = _resolve_safe_defaults(doc, model)
     ambiguity = _resolve_ambiguity(doc, model)
@@ -131,8 +139,8 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     exposure = _resolve_exposure(doc, model, boundaries)
     actions = {a for t, s in model.all_nodes() for a in model.actions(t, s)}
     exact = exact_envelope(model, policy, risk_spec, sdm)
-    gate = _invariant(
-        GateConfig, envelope=exact, exact_quoter=exact, safe_defaults=sdm,
+    gate = GateConfig(
+        envelope=exact, exact_quoter=exact, safe_defaults=sdm,
         boundaries=boundaries, exposure=exposure, **_resolve_gate_fields(doc, actions),
     )
     envelope_config = _resolve_envelope(doc)
@@ -164,16 +172,6 @@ def resolve_scenario(doc: Mapping) -> Scenario:
     )
 
 
-def _invariant(record, **fields):
-    """``record(**fields)``; the :class:`ModelValidationError` of a record
-    that refuses its fields is raised as an ``[invariant]`` error at the
-    document path it names."""
-    try:
-        return record(**fields)
-    except ModelValidationError as exc:
-        raise ScenarioInvariantError(exc.message, path=exc.path) from None
-
-
 def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefaultMap:
     entries: dict[tuple[int, str, str], str] = {}
     for i, rec in enumerate(optional_field(doc, "safe_defaults", as_objects, "", [])):
@@ -190,7 +188,7 @@ def _resolve_safe_defaults(doc: Mapping, model: EnvironmentModel) -> SafeDefault
             if a == model.null_action or (t, s, a) in entries:
                 continue
             if is_side_effect_bearing(model, t, s, a):
-                raise ScenarioInvariantError(
+                raise ModelValidationError(
                     f"action {a!r} at ({t}, {s!r}) bears side effects but has no "
                     "safe-default entry; every priced action needs its contractual "
                     "minimal-authority substitute declared up front",
@@ -218,7 +216,7 @@ def _resolve_ambiguity(doc: Mapping, base: EnvironmentModel) -> AmbiguitySet:
             if a not in base.actions(t, s):
                 raise ScenarioReferenceError(f"override names unknown action {a!r}", path=path)
             if (t, s, a) in rows:
-                raise ScenarioInvariantError(f"repeated override of action {a!r}", path=path)
+                raise ModelValidationError(f"repeated override of action {a!r}", path=path)
             rows[(t, s, a)] = read_field(ov, "kernel", as_object, path)
             paths[(t, s, a)] = path
         overrides = optional_field(variant, "loss_overrides", as_object, f"ambiguity[{i}]", {})
@@ -244,7 +242,7 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
         )
     for t, s in model.all_nodes():
         if (t, s) not in entries:
-            raise ScenarioInvariantError(
+            raise ModelValidationError(
                 f"policy undefined at node ({t}, {s!r}); the frozen policy must "
                 "cover every decision node",
                 path=f"policy[{t},{s}]",
@@ -254,8 +252,7 @@ def _resolve_policy(doc: Mapping, model: EnvironmentModel) -> Policy:
 
 def _resolve_risk(doc: Mapping) -> RiskSpec:
     rec = optional_field(doc, "risk", as_object, "", {"kind": "expectation"})
-    return _invariant(
-        RiskSpec,
+    return RiskSpec(
         kind=optional_field(rec, "kind", as_str, "risk", "expectation"),
         gamma=optional_field(rec, "gamma", as_number, "risk", None),
         alpha=optional_field(rec, "alpha", as_number, "risk", None),
@@ -300,12 +297,9 @@ def _resolve_boundaries(doc: Mapping) -> tuple[BoundarySpec, ...]:
                 outside_state=optional_field(rec, "outside_state", as_str, path, ""),
             )
         except ModelValidationError as exc:
-            # the constructors name a field of a potential or of a boundary;
-            # root it at this boundary of the document
-            field = exc.path.removeprefix("boundary.")
-            raise ScenarioInvariantError(exc.message, path=f"{path}.{field}") from None
+            raise exc.under(path) from None
         if any(b.boundary_id == spec.boundary_id for b in out):
-            raise ScenarioInvariantError(
+            raise ModelValidationError(
                 f"duplicate boundary id {spec.boundary_id!r}", path=f"{path}.id"
             )
         out.append(spec)
@@ -330,13 +324,13 @@ def _resolve_exposure(
                     )
                 vec = read_field(increments, bid, _float_tuple, path)
                 if len(vec) != dims[bid]:
-                    raise ScenarioInvariantError(
+                    raise ModelValidationError(
                         f"exposure increment has dimension {len(vec)}, boundary "
                         f"{bid!r} expects {dims[bid]}",
                         path=path,
                     )
                 if not all(x >= 0 and math.isfinite(x) for x in vec):
-                    raise ScenarioInvariantError(
+                    raise ModelValidationError(
                         "exposure increments must be finite and componentwise >= 0", path=path
                     )
                 out.setdefault((t, s, a), {})[bid] = vec
@@ -358,7 +352,7 @@ def _resolve_gate_fields(doc: Mapping, actions: set[str]) -> dict:
                 f"escalation policy names unknown action {action!r}", path=path
             )
         if ruling not in ("approve", "deny"):
-            raise ScenarioInvariantError(
+            raise ModelValidationError(
                 f"escalation ruling must be 'approve' or 'deny', not {ruling!r}", path=path
             )
     return {"initial_budget": budget, "fallback_order": order, "escalation_policy": rulings}
@@ -378,17 +372,16 @@ def _resolve_envelope(doc: Mapping) -> dict:
         try:
             conformal_rank(config["calibration_episodes"], config["delta"])
         except ModelValidationError as exc:
-            raise ScenarioInvariantError(exc.message, path="envelope.delta") from None
+            raise exc.under("envelope") from None
         except CalibrationSizeError as exc:
-            raise ScenarioInvariantError(
-                str(exc), path="envelope.calibration_episodes"
-            ) from None
+            # a TollgateError, which calibrate's own refusal exits 1 with
+            raise ModelValidationError(str(exc), path="envelope.calibration_episodes") from None
         if config["training_episodes"] < 1:
-            raise ScenarioInvariantError(
+            raise ModelValidationError(
                 "training_episodes must be >= 1", path="envelope.training_episodes"
             )
     elif kind != "exact":
-        raise ScenarioInvariantError(f"unknown envelope kind {kind!r}", path="envelope.kind")
+        raise ModelValidationError(f"unknown envelope kind {kind!r}", path="envelope.kind")
     return config
 
 

@@ -14,11 +14,8 @@ from tollgate.envmodel import (
     is_side_effect_bearing,
 )
 from tollgate.exceptions import (
-    KernelSumError,
     ModelValidationError,
-    NegativeLossError,
     PolicyUndefinedError,
-    SafeDefaultError,
     UnreachableNodeError,
 )
 from tollgate.oracle import enumerate_terminal_law
@@ -74,34 +71,38 @@ def test_replaced_swaps_only_the_given_rows_and_losses(coin_model):
 
 
 @pytest.mark.parametrize(
-    "kwargs, error, path",
+    "kwargs, message, path",
     [
-        ({"rows": {_FLIP: {"win": 0.5}}}, KernelSumError, "nodes[0,start].actions[flip].kernel"),
-        ({"rows": {_FLIP: {"start": 1.0}}}, ModelValidationError, "nodes[0,start].actions[flip]"),
+        ({"rows": {_FLIP: {"win": 0.5}}}, "kernel row sums", "nodes[0,start].actions[flip].kernel"),
+        ({"rows": {_FLIP: {"start": 1.0}}}, "no terminal loss", "nodes[0,start].actions[flip]"),
         (
             {"rows": {_FLIP: {"win": -0.5, "lose": 1.5}}},
-            ModelValidationError,
+            "kernel probability must be finite",
             "nodes[0,start].actions[flip].kernel.win",
         ),
-        ({"losses": {"lose": float("inf")}}, NegativeLossError, "terminal_losses[lose]"),
+        (
+            {"losses": {"lose": float("inf")}},
+            "terminal loss must be finite",
+            "terminal_losses[lose]",
+        ),
         (
             {"losses": {"lose": -1.0}, "losses_path": "v.loss_overrides"},
-            NegativeLossError,
+            "terminal loss must be finite",
             "v.loss_overrides[lose]",
         ),
         (
             {"rows": {_FLIP: {"win": 2.0}}, "paths": {_FLIP: "v.rows[0]"}},
-            KernelSumError,
+            "kernel row sums",
             "v.rows[0].kernel",
         ),
     ],
     ids=["row-sum", "target-not-a-leaf", "negative-probability", "infinite-loss", "loss-path",
          "row-path"],
 )
-def test_replaced_applies_the_build_rules(coin_model, kwargs, error, path):
-    with pytest.raises(error) as err:
+def test_replaced_applies_the_build_rules(coin_model, kwargs, message, path):
+    with pytest.raises(ModelValidationError, match=message) as err:
         coin_model.replaced(**kwargs)
-    assert err.value.path == path
+    assert (err.value.code, err.value.path) == ("invariant", path)
 
 
 @pytest.mark.parametrize(
@@ -121,23 +122,25 @@ def test_replaced_refuses_keys_the_model_lacks(coin_model, kwargs):
 def test_kernel_row_sum_is_a_distinct_error():
     spec = _minimal_spec()
     spec["nodes"][0]["actions"]["noop"]["kernel"] = {"s1": 0.5, "s2": 0.4}
-    with pytest.raises(KernelSumError) as err:
+    with pytest.raises(ModelValidationError, match="kernel row sums to 0.9") as err:
         build_model(spec)
-    assert "nodes[0]" in str(err.value)
+    assert (err.value.code, err.value.path) == ("invariant", "nodes[0].actions[noop].kernel")
 
 
 def test_negative_loss_is_a_distinct_error():
     spec = _minimal_spec(terminal_losses={"s1": 0.0, "s2": -1.0})
-    with pytest.raises(NegativeLossError):
+    with pytest.raises(ModelValidationError, match="terminal loss must be finite and >= 0") as err:
         build_model(spec)
+    assert (err.value.code, err.value.path) == ("invariant", "terminal_losses[s2]")
 
 
 def test_safe_default_outside_action_set_is_a_distinct_error():
     spec = _minimal_spec()
     spec["nodes"][0]["actions"]["send"] = {"kernel": {"s2": 1.0}}
     model = build_model(spec)
-    with pytest.raises(SafeDefaultError):
+    with pytest.raises(ModelValidationError, match="safe default 'draft' is not available") as err:
         SafeDefaultMap.from_entries({(0, "s0", "send"): "draft"}, model)
+    assert (err.value.code, err.value.path) == ("invariant", "safe_defaults[0,s0,send]")
 
 
 def test_missing_null_action_rejected():
@@ -269,7 +272,8 @@ def test_safe_default_must_be_idempotent():
     spec["nodes"][0]["actions"]["a"] = {"kernel": {"s1": 1.0}}
     spec["nodes"][0]["actions"]["b"] = {"kernel": {"s2": 1.0}}
     model = build_model(spec)
-    with pytest.raises(SafeDefaultError):
+    with pytest.raises(ModelValidationError, match="safe default 'b' must map to itself") as err:
         SafeDefaultMap.from_entries(
             {(0, "s0", "a"): "b", (0, "s0", "b"): "a"}, model
         )
+    assert (err.value.code, err.value.path) == ("invariant", "safe_defaults[0,s0,a]")

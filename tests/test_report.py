@@ -496,3 +496,46 @@ def test_report_refuses_unreadable_artifact_cells(corrupt, message, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+# A JSON array nested past any recursion limit the decoder allows.
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _appended(name, data):
+    def corrupt(out):
+        with (out / name).open("ab") as fh:
+            fh.write(data)
+
+    return corrupt
+
+
+def _manifest_with_deep_value(out):
+    path = out / runio.MANIFEST_NAME
+    path.write_text(path.read_text().replace("{", '{"deep":' + _TOO_DEEP + ",", 1))
+
+
+@pytest.mark.parametrize(
+    "corrupt, name",
+    [
+        (_appended(runio.EPISODE_LOG_NAME, b"\xff\n"), runio.EPISODE_LOG_NAME),
+        (_appended(runio.SUMMARY_NAME, b"\xff\r\n"), runio.SUMMARY_NAME),
+        (_appended(runio.MANIFEST_NAME, b"\xff"), runio.MANIFEST_NAME),
+        (_appended(runio.EPISODE_LOG_NAME, f"{_TOO_DEEP}\n".encode()), runio.EPISODE_LOG_NAME),
+        (_manifest_with_deep_value, runio.MANIFEST_NAME),
+    ],
+    ids=["log-not-utf-8", "summary-not-utf-8", "manifest-not-utf-8", "log-line-too-deep",
+         "manifest-value-too-deep"],
+)
+def test_report_refuses_undecodable_artifact(corrupt, name, tmp_path, capsys):
+    # bytes that are not UTF-8, or JSON nested past the decoder's recursion
+    # limit, are one error line naming the artifact, not a traceback
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
+    corrupt(out)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} does not decode (")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

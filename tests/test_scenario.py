@@ -9,15 +9,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tollgate.cli import main
 from tollgate.exceptions import (
-    KernelSumError,
     ModelValidationError,
     ScenarioError,
-    ScenarioInvariantError,
     ScenarioParseError,
     ScenarioReferenceError,
 )
@@ -58,6 +54,42 @@ def test_parse_error_on_corrupt_file(tmp_path):
         load_scenario(bad)
 
 
+# A JSON array nested past any recursion limit the decoder allows.
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _payments_with_deep_model() -> bytes:
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    text = json.dumps({**doc, "model": None}).replace('"model": null', f'"model": {_TOO_DEEP}')
+    return text.encode()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (_TOO_DEEP.encode(), "JSON nested too deeply to decode"),
+        (_payments_with_deep_model(), "JSON nested too deeply to decode"),
+    ],
+    ids=["not-utf-8", "document-too-deep", "model-too-deep"],
+)
+def test_undecodable_scenario_file_is_coded_parse_error(data, message, tmp_path, capsys):
+    # one error line at the file's path and exit 2, before any output
+    # directory is made, not a traceback
+    doc = tmp_path / "undecodable.scn.json"
+    doc.write_bytes(data)
+    for command in (
+        ["run", "--scenario", str(doc), "--episodes", "1"],
+        ["calibrate", "--scenario", str(doc), "--episodes", "20"],
+    ):
+        out = tmp_path / command[0]
+        assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [parse] {message}")
+        assert err.endswith(f"(at {doc})\n") and err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_parse_error_on_missing_file(tmp_path):
     with pytest.raises(ScenarioParseError):
         load_scenario(tmp_path / "missing.scn.json")
@@ -65,18 +97,19 @@ def test_parse_error_on_missing_file(tmp_path):
 
 def test_schema_version_checked(payments_doc):
     payments_doc["schema_version"] = 99
-    with pytest.raises(ScenarioInvariantError):
+    with pytest.raises(ModelValidationError) as err:
         resolve_scenario(payments_doc)
+    assert (err.value.code, err.value.path) == ("invariant", "schema_version")
 
 
 def test_kernel_row_error_names_the_row(payments_doc):
     payments_doc["model"]["nodes"][0]["actions"]["wire_transfer"]["kernel"] = {
         "wired_fraud": 0.2, "wired_clear": 0.7,
     }
-    with pytest.raises(KernelSumError) as err:
+    with pytest.raises(ModelValidationError, match="kernel row sums to") as err:
         resolve_scenario(payments_doc)
-    assert "nodes[0]" in str(err.value)
-    assert "wire_transfer" in str(err.value)
+    assert err.value.code == "invariant"
+    assert err.value.path == "model.nodes[0].actions[wire_transfer].kernel"
 
 
 def test_missing_safe_default_for_priced_action(payments_doc):
@@ -84,16 +117,18 @@ def test_missing_safe_default_for_priced_action(payments_doc):
         e for e in payments_doc["safe_defaults"]
         if not (e["action"] == "wire_transfer" and e["time"] == 0)
     ]
-    with pytest.raises(ScenarioInvariantError) as err:
+    with pytest.raises(ModelValidationError, match="has no safe-default entry") as err:
         resolve_scenario(payments_doc)
-    assert "safe-default" in str(err.value)
-    assert "wire_transfer" in str(err.value)
+    assert err.value.code == "invariant"
+    assert err.value.path == "safe_defaults[0,start,wire_transfer]"
 
 
 def test_policy_must_cover_every_node(payments_doc):
-    payments_doc["policy"] = payments_doc["policy"][:-1]
-    with pytest.raises(ScenarioInvariantError):
+    last = payments_doc["policy"].pop()
+    with pytest.raises(ModelValidationError, match="policy undefined") as err:
         resolve_scenario(payments_doc)
+    assert err.value.code == "invariant"
+    assert err.value.path == f"policy[{last['time']},{last['state']}]"
 
 
 def test_policy_unknown_node_is_reference_error(payments_doc):
@@ -217,7 +252,7 @@ def test_malformed_override_names_its_own_path(
     payments_doc, tmp_path, capsys, mutate, message, field_path
 ):
     mutate(payments_doc)
-    with pytest.raises((ScenarioError, ModelValidationError)) as err:
+    with pytest.raises(ScenarioError) as err:
         resolve_scenario(payments_doc)
     assert err.value.path == field_path
     assert message in str(err.value)
@@ -253,9 +288,9 @@ def test_conformal_section_that_cannot_calibrate_refused_at_load(
         "kind": "conformal", "delta": 0.1, "calibration_episodes": 60, "training_episodes": 30,
         **envelope,
     }
-    with pytest.raises(ScenarioInvariantError, match=re.escape(message)) as err:
+    with pytest.raises(ModelValidationError, match=re.escape(message)) as err:
         resolve_scenario(payments_doc)
-    assert err.value.path == field_path
+    assert (err.value.code, err.value.path) == ("invariant", field_path)
     doc = tmp_path / "bad-envelope.scn.json"
     doc.write_text(json.dumps(payments_doc))
     for command in (
@@ -288,7 +323,7 @@ def test_exposure_unknown_boundary(payments_doc):
 def test_duplicate_boundary_id_refused_at_load(payments_doc, tmp_path, capsys):
     payments_doc["boundaries"].append(copy.deepcopy(payments_doc["boundaries"][0]))
     with pytest.raises(
-        ScenarioInvariantError,
+        ModelValidationError,
         match=re.escape("duplicate boundary id 'vendor_payments' (at boundaries[1].id)"),
     ):
         resolve_scenario(payments_doc)
@@ -661,14 +696,34 @@ def _unknown_fallback_mode(doc):
     doc["gate"]["fallback_order"] = ["downgrade", "fly"]
 
 
+def _kernel_row_sum_081(doc):
+    doc["model"]["nodes"][0]["actions"]["wire_transfer"]["kernel"]["wired_clear"] = 0.61
+
+
+def _zero_horizon(doc):
+    doc["model"]["horizon"] = 0
+
+
+def _negative_terminal_loss(doc):
+    doc["model"]["terminal_losses"]["funds_lost"] = -1.0
+
+
+def _unavailable_safe_default(doc):
+    doc["safe_defaults"][0]["default"] = "ghost"
+
+
+def _policy_row_sum_two(doc):
+    doc["policy"][0]["probs"]["noop"] = 1.15
+
+
 # NaN probabilities and exposures, an infinite gamma, an unknown risk kind, a
 # negative budget, an unknown fallback mode, an unknown escalation ruling or
-# key, an unknown category key and an initial state with no time-0 node
-# parse; the model, risk, exposure, gate and category checks refuse them
-# instead.
+# key, an unknown category key, an initial state with no time-0 node and
+# each model, safe-default, policy and override refusal parse; the model,
+# risk, exposure, gate and category checks refuse them instead.
 _NOT_PARSE_ERRORS = {
-    _nan_policy_probability: "must be finite",
-    _nan_kernel_probability: "must be finite",
+    _nan_policy_probability: "[invariant] policy probability must be finite",
+    _nan_kernel_probability: "[invariant] kernel probability must be finite",
     _nan_exposure: "[invariant] exposure increments must be finite",
     _infinite_exposure: "[invariant] exposure increments must be finite",
     _infinite_gamma: "[invariant] entropic risk needs a finite gamma > 0",
@@ -679,19 +734,52 @@ _NOT_PARSE_ERRORS = {
     _misspelled_escalation_key: "[unresolved-reference] escalation policy names unknown action",
     _misspelled_category_key: "[unresolved-reference] action categories name unknown action",
     _negative_seed: "[invariant] seed must be >= 0",
-    _leaf_initial_state: "initial state 'funds_lost' has no decision node at time 0",
-    _later_initial_state: "initial state 'wired_fraud' has no decision node at time 0",
+    _leaf_initial_state: "[invariant] initial state 'funds_lost' has no decision node at time 0",
+    _later_initial_state: "[invariant] initial state 'wired_fraud' has no decision node at time 0",
+    _kernel_row_sum_081: "[invariant] kernel row sums to 0.81, expected 1",
+    _zero_horizon: "[invariant] horizon must be >= 1, got 0",
+    _negative_terminal_loss: "[invariant] terminal loss must be finite and >= 0, got -1.0",
+    _unavailable_safe_default: "[invariant] safe default 'ghost' is not available",
+    _policy_row_sum_two: "[invariant] policy row sums to 2.0, expected 1",
+    _override_negative_loss: "[invariant] terminal loss must be finite and >= 0, got -1.0",
 }
+
+
+# Fields of the model section, by their path within it. Their rows assert
+# the path from the document root, model.<path>, and keep <path> in their
+# ids, which name the field within the section.
+_MODEL_FIELDS = [
+    (_non_integer_node_time, "nodes[1].time"),
+    (_nan_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
+    (_non_integer_horizon, "horizon"),
+    (_state_without_id, "states[2].id"),
+    (_component_without_name, "components[0].name"),
+    (_node_actions_not_object, "nodes[0].actions"),
+    (_action_record_not_object, "nodes[0].actions.wire_transfer"),
+    (_fractional_horizon, "horizon"),
+    (_fractional_node_time, "nodes[1].time"),
+    (_string_terminal_loss, "terminal_losses.funds_lost"),
+    (_string_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
+    (_leaf_initial_state, "initial_state"),
+    (_later_initial_state, "initial_state"),
+    (_list_component_name, "components[0].name"),
+    (_numeric_state_id, "states[14].id"),
+    (_numeric_null_action, "null_action"),
+    (_list_initial_state, "initial_state"),
+    (_string_component_external, "components[0].external"),
+    (_numeric_component_external, "components[1].external"),
+    (_kernel_row_sum_081, "nodes[0].actions[wire_transfer].kernel"),
+    (_zero_horizon, "horizon"),
+    (_negative_terminal_loss, "terminal_losses[funds_lost]"),
+]
 
 
 @pytest.mark.parametrize(
     "mutate, field_path",
     [
         (_drop_policy_probs, "policy[0].probs"),
-        (_non_integer_node_time, "nodes[1].time"),
         (_non_integer_safe_default_time, "safe_defaults[0].time"),
         (_nan_policy_probability, "policy[0,start].wire_transfer"),
-        (_nan_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
         (_non_numeric_gamma, "risk.gamma"),
         (_infinite_gamma, "risk.gamma"),
         (_unknown_escalation_ruling, "gate.escalation_policy.wire_transfer"),
@@ -702,10 +790,7 @@ _NOT_PARSE_ERRORS = {
         (_boundary_without_id, "boundaries[0].id"),
         (_non_numeric_exposure, "model.nodes[0].actions[wire_transfer].exposure.vendor_payments"),
         (_non_numeric_loss_override, "ambiguity[0].loss_overrides.funds_lost"),
-        (_non_integer_horizon, "horizon"),
         (_non_integer_seed, "seed"),
-        (_state_without_id, "states[2].id"),
-        (_component_without_name, "components[0].name"),
         (_ambiguity_item_not_object, "ambiguity"),
         (_categories_not_object, "action_categories"),
         (_boundary_item_not_object, "boundaries"),
@@ -713,11 +798,7 @@ _NOT_PARSE_ERRORS = {
         (_safe_defaults_not_array, "safe_defaults"),
         (_fallback_order_not_array, "gate.fallback_order"),
         (_escalation_policy_not_object, "gate.escalation_policy"),
-        (_node_actions_not_object, "nodes[0].actions"),
-        (_action_record_not_object, "nodes[0].actions.wire_transfer"),
-        (_fractional_horizon, "horizon"),
         (_boolean_seed, "seed"),
-        (_fractional_node_time, "nodes[1].time"),
         (_boolean_safe_default_time, "safe_defaults[0].time"),
         (_fractional_policy_time, "policy[0].time"),
         (_fractional_boundary_dimension, "boundaries[0].dimension"),
@@ -726,8 +807,6 @@ _NOT_PARSE_ERRORS = {
         (_nan_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
         (_infinite_exposure, "model.nodes[0].actions[wire_transfer].exposure"),
         (_negative_seed, "seed"),
-        (_string_terminal_loss, "terminal_losses.funds_lost"),
-        (_string_kernel_probability, "nodes[0].actions[wire_transfer].kernel.wired_fraud"),
         (_boolean_policy_probability, "policy[0].probs"),
         (_boolean_initial_budget, "gate.initial_budget"),
         (_oversized_initial_budget, "gate.initial_budget"),
@@ -736,25 +815,24 @@ _NOT_PARSE_ERRORS = {
         (_string_potential_exponent, "boundaries[0].potential.exponent"),
         (_boolean_exposure, "model.nodes[0].actions[wire_transfer].exposure.vendor_payments"),
         (_boolean_conformal_delta, "envelope.delta"),
-        (_leaf_initial_state, "initial_state"),
-        (_later_initial_state, "initial_state"),
         (_object_name, "name"),
-        (_list_component_name, "components[0].name"),
-        (_numeric_state_id, "states[14].id"),
         (_list_outside_state, "boundaries[0].outside_state"),
         (_list_action_category, "action_categories"),
         (_numeric_boundary_id, "boundaries[0].id"),
-        (_numeric_null_action, "null_action"),
-        (_list_initial_state, "initial_state"),
         (_string_fallback_order, "gate.fallback_order"),
         (_boolean_schema_version, "schema_version"),
-        (_string_component_external, "components[0].external"),
-        (_numeric_component_external, "components[1].external"),
         (_object_ambiguity_name, "ambiguity[0].name"),
         (_misspelled_category_key, "action_categories.wire_transfr"),
         (_negative_initial_budget, "gate.initial_budget"),
         (_unknown_risk_kind, "risk.kind"),
         (_unknown_fallback_mode, "gate.fallback_order"),
+        (_unavailable_safe_default, "safe_defaults[0,start,wire_transfer]"),
+        (_policy_row_sum_two, "policy[0,start]"),
+        (_override_negative_loss, "ambiguity[0].loss_overrides[funds_lost]"),
+        *(
+            pytest.param(mutate, f"model.{path}", id=f"{mutate.__name__}-{path}")
+            for mutate, path in _MODEL_FIELDS
+        ),
     ],
 )
 def test_cli_malformed_field_is_coded_parse_error(payments_doc, tmp_path, capsys, mutate, field_path):
@@ -815,7 +893,7 @@ def test_gate_section_refused_at_load(payments_doc, tmp_path, capsys, gate, mess
     # bad gate section the same way, calibrate included
     payments_doc["gate"].update(gate)
     error = f"[invariant] {message} (at {field_path})"
-    with pytest.raises(ScenarioInvariantError, match=re.escape(error)):
+    with pytest.raises(ModelValidationError, match=re.escape(error)):
         resolve_scenario(payments_doc)
     doc = tmp_path / "bad-gate.scn.json"
     doc.write_text(json.dumps(payments_doc))
@@ -938,42 +1016,59 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def _json_kind(value) -> str:
-    return "number" if type(value) in (int, float) else type(value).__name__
+_BUNDLED_TEXTS = {name: bundled_scenario_path(name).read_text() for name in BUNDLED_SCENARIOS}
+# A mutation sets one field, a leaf or a whole section, to one of these
+# values, or deletes it (_DELETE).
+_MUTATION_VALUES = (
+    None, True, -1, 0, 1.5, 10**400, "x", [], {}, [1.0], math.nan, math.inf, -0.0,
+)
+_DELETE = object()
+_MUTATIONS_PER_DOCUMENT = 1000
 
 
-_BUNDLED_DOCS = {
-    name: json.loads(bundled_scenario_path(name).read_text()) for name in BUNDLED_SCENARIOS
-}
-_DOC_PATHS = {name: list(_paths(doc)) for name, doc in _BUNDLED_DOCS.items()}
-_OTHER_VALUES = (None, True, 7, 2.5, "x", [], {}, [7], {"x": 7})
+def _seeded_mutations(name: str) -> list[tuple[tuple, object]]:
+    """``_MUTATIONS_PER_DOCUMENT`` distinct ``(field path, value)`` pairs of
+    the bundled document ``name``, drawn by a fixed seed."""
+    doc = json.loads(_BUNDLED_TEXTS[name])
+    pairs = [(path, value) for path in _paths(doc) for value in _MUTATION_VALUES + (_DELETE,)]
+    return random.Random(f"mutations-{name}").sample(pairs, _MUTATIONS_PER_DOCUMENT)
 
 
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_fuzzed_document_resolves_or_raises_coded_error(name, data):
-    """Drop, retype or NaN one field of a bundled document: the loader either
-    refuses it with a coded scenario or model error, or resolves a scenario
-    whose gate runs and passes the exact-tier audit."""
-    doc = copy.deepcopy(_BUNDLED_DOCS[name])
-    *head, key = data.draw(st.sampled_from(_DOC_PATHS[name]), label="path")
+def _mutated(name: str, path: tuple, value) -> dict:
+    doc = json.loads(_BUNDLED_TEXTS[name])
+    *head, key = path
     parent = doc
     for step in head:
         parent = parent[step]
-    mutation = data.draw(st.sampled_from(("drop", "retype", "nan")), label="mutation")
-    if mutation == "drop":
+    if value is _DELETE:
         del parent[key]
-    elif mutation == "nan":
-        parent[key] = math.nan
     else:
-        kind = _json_kind(parent[key])
-        others = [v for v in _OTHER_VALUES if _json_kind(v) != kind]
-        parent[key] = copy.deepcopy(data.draw(st.sampled_from(others), label="value"))
-    try:
-        sc = resolve_scenario(doc)
-    except (ScenarioError, ModelValidationError):
-        return
-    gate = Gate(sc.model, sc.policy, sc.gate)
-    logs = [run_episode(gate, seed=0, episode=i) for i in range(3)]
-    assert audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, 0.0).passed
+        parent[key] = copy.deepcopy(value)
+    return doc
+
+
+def _root_key(path: str) -> str:
+    """The first segment of a field path: ``model`` of ``model.nodes[1].time``,
+    ``policy`` of ``policy[0,start]``."""
+    return re.split(r"[.\[]", path, maxsplit=1)[0]
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_fuzzed_document_resolves_or_raises_coded_error(name):
+    """Set one field of a bundled document to an odd value, or delete it: the
+    loader either refuses it with a coded error whose path starts at a key of
+    the document, or resolves a scenario whose gate runs and passes the
+    exact-tier audit."""
+    top = set(json.loads(_BUNDLED_TEXTS[name]))
+    unrooted = []
+    for path, value in _seeded_mutations(name):
+        try:
+            sc = resolve_scenario(_mutated(name, path, value))
+        except ScenarioError as exc:
+            if _root_key(exc.path) not in top:
+                unrooted.append((path, value, str(exc)))
+            continue
+        gate = Gate(sc.model, sc.policy, sc.gate)
+        logs = [run_episode(gate, seed=0, episode=i) for i in range(3)]
+        assert audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, 0.0).passed, path
+    assert not unrooted, f"{len(unrooted)} refusal(s) not rooted at the document: {unrooted[:3]}"
