@@ -81,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     runio.write_boundary_log(out_dir, logs)
     # the document is encoded once, for its hash and the manifest, and only
     # now, so its bytes are not held while the episodes run
-    document = document_bytes(scenario)
+    document = document_bytes(scenario.raw)
     runio.write_manifest(
         out_dir,
         scenario.name,
@@ -133,17 +133,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Audit a run directory through :func:`audit_budget_guarantee`, the
     same audit the gating suite runs, in one pass, with delta taken from the
     manifest. A directory whose stored scenario does not hash to its
-    recorded ``config_hash``, or whose artifacts disagree on its episodes,
-    is refused."""
+    recorded ``config_hash``, checked before the document is resolved, or
+    whose artifacts disagree on its episodes, is refused."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
-    scenario = resolve_scenario(manifest["scenario_document"])
-    digest = config_hash(scenario)
+    document = manifest["scenario_document"]
+    digest = document_hash(document_bytes(document))
     if digest != manifest["config_hash"]:
         raise RunArtifactError(
             f"{runio.MANIFEST_NAME} holds a scenario document that hashes to {digest[:12]}, "
             f"not to its config_hash {manifest['config_hash'][:12]}"
         )
+    scenario = resolve_scenario(document)
     budget = scenario.gate.initial_budget
     envelope = manifest["envelope"]
     delta = envelope["delta"] if envelope["kind"] == "conformal" else 0.0
@@ -218,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     except (TollgateError, OSError) as exc:
         # an OSError names the path and the OS reason
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: unreadable run artifacts ({exc})", file=sys.stderr)
         return 1
 
 

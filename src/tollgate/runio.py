@@ -8,21 +8,22 @@ run directory self-describing for later audits: given the initial budget of
 that document, :func:`read_episode_logs` rebuilds the episode logs.
 
 The episode-log, boundary-log and summary readers and writers stream. A
-writer writes one episode at a time to an open file; a reader decodes a
-bounded batch of lines at a time. Neither holds a file's whole text, its
-list of lines or one decoded record per line. The log readers hold the
-first lines they decode, keyed by their text around the episode number, so
-a line that repeats but for its episode is decoded once and its repeats
-share one record, as the episodes that walk one path share one tuple of
-entries. :func:`read_episode_logs` joins the three logs in one ordered pass
-and refuses logs out of order.
+writer writes one episode at a time to an open file; a reader reads one
+line at a time. Neither holds a file's whole text, its list of lines or one
+decoded record per line. Each line of a log that is not blank must be one
+JSON value, which JSON whitespace may surround; any other line is refused
+as ``<file> does not decode (line <n>: <reason>)``. The log readers hold
+the first lines they decode, keyed by their text around the episode
+number, so a line that repeats but for its episode is decoded once and its
+repeats share one record, as the episodes that walk one path share one
+tuple of entries. :func:`read_episode_logs` joins the three logs in one
+ordered pass and refuses logs out of order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import re
 from operator import itemgetter
@@ -54,16 +55,14 @@ _RECORD_KINDS = dict(
 )
 _KIND_NAMES = {_INT: "non-integer", _STR: "non-string", _NUMBER: "non-numeric"}
 
-# Lines decoded per batch by _read_batches.
-_BATCH_LINES = 1024
-
 
 def _by_identity(encode: Callable) -> Callable:
     """``encode``, memoised on the identities of its arguments for the last
     ``_PATHS_HELD`` distinct argument lists. The memo holds the arguments,
     so no id is reused while it is held. Equal arguments that are distinct
     objects are encoded apart: ``0.0 == -0.0`` and ``1 == 1.0``, but they
-    encode differently."""
+    encode differently. ``_by_identity(lambda *items: items)`` gives calls
+    on the same objects one shared tuple of them."""
     memo: dict[tuple[int, ...], tuple] = {}
 
     def encoded(*args):
@@ -200,10 +199,11 @@ def write_manifest(
 @contextlib.contextmanager
 def _decoding(name: str) -> Iterator[None]:
     """Raise :class:`RunArtifactError`, naming the artifact ``name``, for
-    bytes that are not UTF-8 or JSON nested past the recursion limit."""
+    bytes that are not UTF-8, JSON or CSV, or JSON nested past the
+    recursion limit."""
     try:
         yield
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError, csv.Error) as exc:
         raise RunArtifactError(f"{name} does not decode ({exc})") from None
 
 
@@ -264,6 +264,7 @@ _EPISODE_KEY = '"episode": '
 # hits saved.
 _LINES_HELD = 256
 
+# Decodes a line as the writers write it: one JSON value, then the line end.
 _DECODE = json.JSONDecoder().raw_decode
 
 
@@ -280,11 +281,32 @@ def _one_episode_key(line: str) -> bool:
     return "\\u006" not in line and "\\u007" not in line and line.count('"episode"') == 1
 
 
-def _read_batches(path: Path, convert: Callable) -> Iterator[Iterable[tuple[int, object]]]:
+def _decoded(line: str, name: str, number: int):
+    """The JSON value of line ``number`` of the file ``name``. Raises
+    :class:`RunArtifactError`, naming the file and the line, unless the
+    line is one JSON value, which JSON whitespace may surround."""
+    try:
+        value, end = _DECODE(line)
+        if line[end:] in ("\n", ""):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        reason = f"{exc.msg}: column {exc.pos + 1}"
+    except (ValueError, RecursionError) as exc:
+        # a number past int's digit limit, or arrays nested too deep
+        reason = str(exc)
+    raise RunArtifactError(f"{name} does not decode (line {number}: {reason})")
+
+
+def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
     """The ``(episode, value)`` pairs ``convert`` makes of the records of a
-    JSON-lines file, in order, one batch of up to ``_BATCH_LINES`` lines at
-    a time; blank lines are skipped. ``convert`` raises
-    :class:`RunArtifactError` for a record it refuses.
+    JSON-lines file, read one line at a time, in order. Blank lines are
+    skipped; every other line must be one JSON value (:func:`_decoded`),
+    and ``convert`` raises :class:`RunArtifactError` for a record it
+    refuses.
 
     A line is cut at its first ``"episode": `` key, and the text around the
     number is the key of a memo of the values converted so far, so a line
@@ -293,81 +315,27 @@ def _read_batches(path: Path, convert: Callable) -> Iterator[Iterable[tuple[int,
     its one episode key (:func:`_one_episode_key`) and its number is how
     ``json`` writes one (``_EPISODE_NUMBER``); then the line with any
     other such number decodes to the same record with that episode.
-
-    A line that misses the memo is decoded alone, and it must be one JSON
-    value and then its line end: then the lines of the batch, joined as one
-    JSON array, decode to exactly those values. A batch with a line that
-    does not, or whose record ``convert`` refuses, is decoded as that array
-    and converted record by record, which is the rule for every batch
-    without the memo; so a refusal raises what it raises without the memo,
-    at the same record, JSON decode offsets included.
     """
-    # Batches keep the text and values in flight bounded, whatever the
-    # file's size. read_episode_records on the 15,000-line log of a
-    # 5000-episode database run took 48 ms decoding each batch as one JSON
-    # array, and 15 ms with the memo; on the 1,800 lines of the 6x80
-    # ladder's 300 episodes, of which 1,148 are distinct, 6.3 ms and 6.9 ms
-    # (CPU time, min of 15 and 60 alternating rounds, 2 vCPUs).
+    # read_episode_records on the 15,000-line log of a 5000-episode
+    # database run took 98 ms decoding and checking every line, and 20 ms
+    # with the memo (CPU time, min of 30 alternating rounds, 2 vCPUs)
     memo: dict[tuple[str, str], object] = {}
-    with _decoding(path.name), path.open(encoding="utf-8") as fh:
-        while lines := list(itertools.islice(fh, _BATCH_LINES)):
-            pairs = _memo_pairs(lines, memo, convert)
-            if pairs is None:
-                text = ",".join(line for line in lines if not line.isspace())
-                pairs = map(convert, json.loads("[" + text + "]")) if text else ()
-            yield pairs
-
-
-def _memo_pairs(lines: list[str], memo: dict, convert: Callable) -> list | None:
-    """The pairs of a batch whose every line hits the memo or decodes alone,
-    adding to the memo the lines that may enter it while it has room; else
-    None."""
-    pairs = []
     cut = number = None
-    for line in lines:
-        head, _, tail = line.partition(_EPISODE_KEY)
-        digits, _, rest = tail.partition(",")
-        if digits != cut:
-            cut, number = digits, int(digits) if _EPISODE_NUMBER.fullmatch(digits) else None
-        key = head, rest
-        value = memo.get(key) if number is not None else None
-        if value is not None:
-            pairs.append((number, value))
-            continue
-        try:
-            record, end = _DECODE(line)
-        except (ValueError, RecursionError):
-            if line.isspace():
-                continue
-            return None
-        if line[end:] != "\n" and end != len(line):
-            return None
-        try:
-            pair = convert(record)
-        except RunArtifactError:
-            return None
-        if number is not None and len(memo) < _LINES_HELD and _one_episode_key(line):
-            memo[key] = pair[1]
-        pairs.append(pair)
-    return pairs
-
-
-def _sharing() -> Callable[[list], tuple]:
-    """A function that makes a list a tuple, the same tuple for lists of the
-    same objects, for the first ``_PATHS_HELD`` distinct lists it meets. It
-    holds each tuple it shares, so no id in its key is reused."""
-    held: dict[tuple[int, ...], tuple] = {}
-
-    def shared(items: list) -> tuple:
-        key = tuple(map(id, items))
-        path = held.get(key)
-        if path is None:
-            path = tuple(items)
-            if len(held) < _PATHS_HELD:
-                held[key] = path
-        return path
-
-    return shared
+    with _decoding(path.name), path.open(encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, 1):
+            head, _, tail = line.partition(_EPISODE_KEY)
+            digits, _, rest = tail.partition(",")
+            if digits != cut:
+                cut, number = digits, int(digits) if _EPISODE_NUMBER.fullmatch(digits) else None
+            key = head, rest
+            value = memo.get(key) if number is not None else None
+            if value is not None:
+                yield number, value
+            elif not line.isspace():
+                pair = convert(_decoded(line, path.name, line_number))
+                if number is not None and len(memo) < _LINES_HELD and _one_episode_key(line):
+                    memo[key] = pair[1]
+                yield pair
 
 
 _FIELDS = itemgetter(*_RECORD_KINDS)
@@ -424,17 +392,16 @@ def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, 
     in order. Raises :class:`RunArtifactError` for a record :func:`_entry`
     refuses. Lines that repeat but for their episode share one entry, and
     runs of lines that share their entries share one tuple of them."""
-    shared = _sharing()
+    shared = _by_identity(lambda *entries: entries)
     current, entries = None, []
-    for pairs in _read_batches(Path(run_dir) / EPISODE_LOG_NAME, _entry):
-        for episode, entry in pairs:
-            if episode != current:
-                if entries:
-                    yield current, shared(entries)
-                current, entries = episode, []
-            entries.append(entry)
+    for episode, entry in _read_lines(Path(run_dir) / EPISODE_LOG_NAME, _entry):
+        if episode != current:
+            if entries:
+                yield current, shared(*entries)
+            current, entries = episode, []
+        entries.append(entry)
     if entries:
-        yield current, shared(entries)
+        yield current, shared(*entries)
 
 
 def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
@@ -472,13 +439,6 @@ def _boundary_record(rec) -> tuple[int, dict]:
     return rec.pop("episode"), rec
 
 
-def _read_boundary_records(run_dir: Path) -> Iterator[tuple[int, dict]]:
-    """``(episode, record)`` of each boundary-log line, in order; lines that
-    repeat but for their episode share one record."""
-    for pairs in _read_batches(Path(run_dir) / BOUNDARY_LOG_NAME, _boundary_record):
-        yield from pairs
-
-
 def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeLog]:
     """Rebuild a run's episode logs, one at a time in summary-row order,
     given the initial budget of its scenario: the inverse of the episode,
@@ -487,8 +447,9 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
     next episode (for a boundary record, once no row is left to take it).
     Episodes whose boundary records are the same objects share one tuple
     of them."""
-    groups, boundary = read_episode_records(run_dir), _read_boundary_records(run_dir)
-    shared = _sharing()
+    groups = read_episode_records(run_dir)
+    boundary = _read_lines(Path(run_dir) / BOUNDARY_LOG_NAME, _boundary_record)
+    shared = _by_identity(lambda *records: records)
     pending = next(boundary, None)
     for episode, loss, final in read_summary(run_dir):
         logged, entries = next(groups, ("none", ()))
@@ -500,7 +461,7 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
         while pending is not None and pending[0] == episode:
             records.append(pending[1])
             pending = next(boundary, None)
-        yield EpisodeLog(episode, entries, loss, budget_initial, final, shared(records))
+        yield EpisodeLog(episode, entries, loss, budget_initial, final, shared(*records))
     for name, left in ((EPISODE_LOG_NAME, next(groups, None)), (BOUNDARY_LOG_NAME, pending)):
         if left is not None:
             raise RunArtifactError(

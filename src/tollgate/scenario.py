@@ -385,11 +385,11 @@ def _resolve_envelope(doc: Mapping) -> dict:
     return config
 
 
-def document_bytes(scenario: Scenario) -> bytes:
-    """The scenario document as one canonical text: compact JSON with sorted
-    keys, which is ASCII. :func:`config_hash` hashes these bytes, and a
-    run's manifest embeds them as they are."""
-    return json.dumps(scenario.raw, sort_keys=True, separators=(",", ":")).encode("ascii")
+def document_bytes(document: Mapping) -> bytes:
+    """A scenario document, as decoded, in one canonical text: compact JSON
+    with sorted keys, which is ASCII. :func:`config_hash` hashes these
+    bytes, and a run's manifest embeds them as they are."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 def document_hash(document: bytes) -> str:
@@ -401,7 +401,7 @@ def document_hash(document: bytes) -> str:
 def config_hash(scenario: Scenario) -> str:
     """Hash of the resolved document; any change to the model family, policy,
     risk mapping, safe defaults, or boundaries changes the digest."""
-    return document_hash(document_bytes(scenario))
+    return document_hash(document_bytes(scenario.raw))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,11 @@ def _zero_the_budget(doc):
     doc["gate"]["initial_budget"] = 0.0
 
 
+def _zero_the_horizon(doc):
+    # a document the loader refuses: its hash is checked, and fails, first
+    doc["model"]["horizon"] = 0
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -114,6 +119,7 @@ def _zero_the_budget(doc):
         _raise_manifest_count,
         _edit_stored_scenario(_zero_every_terminal_loss),
         _edit_stored_scenario(_zero_the_budget),
+        _edit_stored_scenario(_zero_the_horizon),
     ],
     ids=[
         "summary-cut-to-10-rows",
@@ -124,6 +130,7 @@ def _zero_the_budget(doc):
         "manifest-count-too-high",
         "stored-losses-zeroed",
         "stored-budget-zeroed",
+        "stored-horizon-zero",
     ],
 )
 def test_report_refuses_run_whose_artifacts_disagree_on_episodes(corrupt, tmp_path, capsys):
@@ -510,9 +517,24 @@ def _appended(name, data):
     return corrupt
 
 
-def _manifest_with_deep_value(out):
-    path = out / runio.MANIFEST_NAME
-    path.write_text(path.read_text().replace("{", '{"deep":' + _TOO_DEEP + ",", 1))
+def _with_first_value(name, value):
+    # the file's first object given one more key, which holds ``value``
+    def corrupt(out):
+        path = out / name
+        path.write_text(path.read_text().replace("{", '{"x":' + value + ",", 1))
+
+    return corrupt
+
+
+def _truncated(name):
+    # the file cut in the middle of its last line, which keeps its line end
+    def corrupt(out):
+        path = out / name
+        text = path.read_text()
+        start = text.rstrip("\n").rfind("\n") + 1
+        path.write_text(text[: (start + len(text)) // 2] + "\n")
+
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -522,14 +544,22 @@ def _manifest_with_deep_value(out):
         (_appended(runio.SUMMARY_NAME, b"\xff\r\n"), runio.SUMMARY_NAME),
         (_appended(runio.MANIFEST_NAME, b"\xff"), runio.MANIFEST_NAME),
         (_appended(runio.EPISODE_LOG_NAME, f"{_TOO_DEEP}\n".encode()), runio.EPISODE_LOG_NAME),
-        (_manifest_with_deep_value, runio.MANIFEST_NAME),
+        (_with_first_value(runio.MANIFEST_NAME, _TOO_DEEP), runio.MANIFEST_NAME),
+        (_truncated(runio.MANIFEST_NAME), runio.MANIFEST_NAME),
+        (_truncated(runio.EPISODE_LOG_NAME), runio.EPISODE_LOG_NAME),
+        (_with_first_value(runio.MANIFEST_NAME, "1" * 5000), runio.MANIFEST_NAME),
+        (_with_first_value(runio.EPISODE_LOG_NAME, "1" * 5000), runio.EPISODE_LOG_NAME),
+        (_appended(runio.SUMMARY_NAME, b'"' + b"x" * 200_000 + b'"\r\n'), runio.SUMMARY_NAME),
     ],
     ids=["log-not-utf-8", "summary-not-utf-8", "manifest-not-utf-8", "log-line-too-deep",
-         "manifest-value-too-deep"],
+         "manifest-value-too-deep", "manifest-truncated", "log-line-truncated",
+         "manifest-number-too-long", "log-number-too-long", "summary-cell-too-long"],
 )
 def test_report_refuses_undecodable_artifact(corrupt, name, tmp_path, capsys):
-    # bytes that are not UTF-8, or JSON nested past the decoder's recursion
-    # limit, are one error line naming the artifact, not a traceback
+    # bytes that are not UTF-8, JSON or CSV, JSON nested past the decoder's
+    # recursion limit, an integer past int's digit limit, or a CSV cell past
+    # csv's field limit, are one error line naming the artifact, not a
+    # traceback
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
     corrupt(out)
@@ -537,5 +567,38 @@ def test_report_refuses_undecodable_artifact(corrupt, name, tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} does not decode (")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def _two_records_on_one_line(lines):
+    lines[1:3] = [lines[1][:-1] + ", " + lines[2]]
+
+
+def _record_split_at_a_comma(lines):
+    lines[1:2] = lines[1].replace(", ", "\n", 1).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("name", [runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME])
+@pytest.mark.parametrize(
+    "edit",
+    [_two_records_on_one_line, _record_split_at_a_comma],
+    ids=["two-records-on-one-line", "record-split-at-a-comma"],
+)
+def test_report_refuses_log_line_that_is_not_one_record(edit, name, tmp_path, capsys):
+    # negative control: each log line is one JSON value. Two records on one
+    # line, or one record broken across two lines, would decode as JSON
+    # array items, but not as lines; either is one error line that names
+    # the file and the line, not an audit
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
+    path = out / name
+    lines = path.read_text().splitlines(keepends=True)
+    edit(lines)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} does not decode (line 2: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""

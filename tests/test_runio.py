@@ -253,14 +253,14 @@ def test_shared_and_unshared_paths_write_the_same_bytes(tmp_path):
     assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(shared)
 
 
-def test_readers_skip_blank_lines_across_batches(tmp_path):
-    # a stretch of blank lines longer than one batch must not end the read
+def test_readers_skip_long_runs_of_blank_lines(tmp_path):
+    # a stretch of 3,072 blank lines, of several kinds, must not end the read
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "30", "--out", str(out)]) == 0
     budget = load_scenario(bundled_scenario_path("payments")).gate.initial_budget
     expected = list(runio.read_episode_logs(out, budget))
     assert any(log.boundary_records for log in expected)
-    blanks = ["\n", "   \n", "\t \n"] * runio._BATCH_LINES
+    blanks = ["\n", "   \n", "\t \n"] * 1024
     for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
         path = out / name
         first, *rest = path.read_text().splitlines(keepends=True)
@@ -368,7 +368,7 @@ def _traced_memory(fn):
 
 
 def test_reading_episode_logs_holds_less_than_the_log_in_flight(database_run):
-    # what the reader holds beyond the logs it returns is a bounded batch,
+    # what the reader holds beyond the logs it returns is the line it reads,
     # not the file's text, its lines or one decoded record per line
     out, budget = database_run
     size = (out / runio.EPISODE_LOG_NAME).stat().st_size
@@ -411,22 +411,31 @@ def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run
 # the line memo of the readers, against the decode it stands in for
 
 
-def _reference_values(path: Path, batch_lines: int):
-    """The readers' decode before they kept a memo of lines: the values of a
-    JSON-lines file, each batch of lines decoded as one JSON array."""
+def _reference_values(path: Path):
+    """The readers' decode without their memo of lines: the values of a
+    JSON-lines file, each line that is not blank decoded alone."""
     with path.open() as fh:
-        while lines := list(itertools.islice(fh, batch_lines)):
-            text = ",".join(line for line in lines if not line.isspace())
-            if text:
-                yield from json.loads("[" + text + "]")
+        for number, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                reason = f"{exc.msg}: column {exc.pos + 1}"
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                yield value
+                continue
+            raise RunArtifactError(f"{path.name} does not decode (line {number}: {reason})")
 
 
-def _reference_episode_records(run_dir: Path, batch_lines: int):
-    """read_episode_records before it kept a memo of lines."""
+def _reference_episode_records(run_dir: Path):
+    """read_episode_records without its memo of lines."""
     fields = itemgetter(*runio._RECORD_KINDS)
     verdicts = {v.value: v for v in Verdict}
     current, entries = None, []
-    for record in _reference_values(run_dir / runio.EPISODE_LOG_NAME, batch_lines):
+    for record in _reference_values(run_dir / runio.EPISODE_LOG_NAME):
         try:
             episode, step, time, state, proposed, value, verdict, executed, after, version = (
                 fields(record)
@@ -453,9 +462,14 @@ def _reference_episode_records(run_dir: Path, batch_lines: int):
         yield current, tuple(entries)
 
 
-def _reference_boundary_records(run_dir: Path, batch_lines: int):
-    """_read_boundary_records before it kept a memo of lines."""
-    for rec in _reference_values(run_dir / runio.BOUNDARY_LOG_NAME, batch_lines):
+def _read_boundary_records(run_dir: Path):
+    """The boundary-log reader of runio.read_episode_logs."""
+    return runio._read_lines(run_dir / runio.BOUNDARY_LOG_NAME, runio._boundary_record)
+
+
+def _reference_boundary_records(run_dir: Path):
+    """_read_boundary_records without its memo of lines."""
+    for rec in _reference_values(run_dir / runio.BOUNDARY_LOG_NAME):
         if type(rec) is not dict or type(rec.get("episode")) is not int:
             raise RunArtifactError(
                 f"{runio.BOUNDARY_LOG_NAME} logs a record without an integer episode"
@@ -465,7 +479,7 @@ def _reference_boundary_records(run_dir: Path, batch_lines: int):
 
 _READERS = {
     runio.EPISODE_LOG_NAME: (runio.read_episode_records, _reference_episode_records),
-    runio.BOUNDARY_LOG_NAME: (runio._read_boundary_records, _reference_boundary_records),
+    runio.BOUNDARY_LOG_NAME: (_read_boundary_records, _reference_boundary_records),
 }
 
 
@@ -481,9 +495,9 @@ def _outcome(items) -> tuple:
     return repr(got), None, None
 
 
-def _agrees_with_reference(run_dir: Path, name: str, batch_lines: int) -> bool:
+def _agrees_with_reference(run_dir: Path, name: str) -> bool:
     read, reference = _READERS[name]
-    return _outcome(read(run_dir)) == _outcome(reference(run_dir, batch_lines))
+    return _outcome(read(run_dir)) == _outcome(reference(run_dir))
 
 
 def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
@@ -502,8 +516,14 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
             copy(2).replace('"EXECUTE"', '"MAYBE"'),
             "episodes.jsonl logs an unknown verdict 'MAYBE'",
         ),
-        "leading zero": (copy("02"), "Expecting ',' delimiter: line 3 column 82 (char 497)"),
-        "arabic digit": (copy("٢"), "Expecting value: line 3 column 81 (char 496)"),
+        "leading zero": (
+            copy("02"),
+            "episodes.jsonl does not decode (line 3: Expecting ',' delimiter: column 81)",
+        ),
+        "arabic digit": (
+            copy("٢"),
+            "episodes.jsonl does not decode (line 3: Expecting value: column 80)",
+        ),
         "float episode": (copy("2.0"), "episodes.jsonl logs a non-integer episode 2.0"),
         "escaped key": (
             copy(2).replace("}\n", ', "\\u0065pisode": "2"}\n'),
@@ -511,14 +531,15 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
         ),
         "second key": (copy(2).replace("}\n", ', "episode": -1}\n'), None),
         "truncated": (
-            copy(2)[:-30] + "\n", "Invalid control character at: line 3 column 179 (char 594)"
+            copy(2)[:-30] + "\n",
+            "episodes.jsonl does not decode (line 3: Invalid control character at: column 178)",
         ),
     }
     for what, (bad, message) in corruptions.items():
         run_dir = tmp_path / what.replace(" ", "-")
         run_dir.mkdir()
         (run_dir / runio.EPISODE_LOG_NAME).write_text(copy(0) + copy(1) + bad)
-        assert _agrees_with_reference(run_dir, runio.EPISODE_LOG_NAME, runio._BATCH_LINES), what
+        assert _agrees_with_reference(run_dir, runio.EPISODE_LOG_NAME), what
         if message is None:
             # a later key wins, and the reader takes the line apart from
             # the held one
@@ -528,9 +549,8 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
             list(runio.read_episode_records(run_dir))
 
 
-# Lines per batch in the differential test, so that its short logs span
-# several batches, and the lines of each log it edits.
-_EDIT_BATCH_LINES, _EDIT_LOG_LINES = 8, 32
+# The lines of each log the differential test edits.
+_EDIT_LOG_LINES = 32
 
 _DIGITS = "0123456789"
 _FOREIGN_DIGITS = ("٠١٢٣٤٥٦٧٨٩",
@@ -634,10 +654,9 @@ def _edit(rng: random.Random, kind: str, lines: list[str]) -> list[str]:
     """``lines`` with an edit of ``kind``: a line edit on a random line, or
     one of the edits of the whole log below."""
     lines = list(lines)
-    edge = _EDIT_BATCH_LINES * rng.randrange(1, _EDIT_LOG_LINES // _EDIT_BATCH_LINES)
-    if kind == "blank lines across a batch edge":
+    if kind == "blank lines":
         blanks = [rng.choice(["\n", " \n", "\t\n"]) for _ in range(rng.randrange(1, 12))]
-        at = edge + rng.randrange(-3, 2)
+        at = rng.randrange(len(lines) + 1)
         lines[at:at] = blanks
     elif kind == "CRLF everywhere":
         lines = [line.replace("\n", "\r\n") for line in lines]
@@ -650,8 +669,8 @@ def _edit(rng: random.Random, kind: str, lines: list[str]) -> list[str]:
         i = rng.randrange(len(lines))
         edited = _LINE_EDITS[rng.choice([k for k in _LINE_EDITS if k != "blank"])](rng, lines[i])
         lines[i : i + 1] = [edited, _with_episode(edited, str(rng.randrange(40)))]
-    elif kind == "bad lines in two batches":
-        first, later = rng.randrange(edge), edge + rng.randrange(len(lines) - edge)
+    elif kind == "two bad lines":
+        first, later = sorted(rng.sample(range(len(lines)), 2))
         for i in (later, first):
             lines[i] = _LINE_EDITS[rng.choice(["truncated", "unknown verdict", "float"])](
                 rng, lines[i]
@@ -666,19 +685,18 @@ def _edit(rng: random.Random, kind: str, lines: list[str]) -> list[str]:
 
 
 _FILE_EDITS = (
-    "blank lines across a batch edge",
+    "blank lines",
     "CRLF everywhere",
     "copy with another number, then corrupted",
     "edited, then copied with another number",
-    "bad lines in two batches",
+    "two bad lines",
     "swapped lines",
 )
 
 
-def test_readers_agree_with_the_batch_decode_on_edited_logs(bundled_run, tmp_path, monkeypatch):
-    # each edit reads back as the batch decode reads it: the same records,
-    # or the same error after the same records
-    monkeypatch.setattr(runio, "_BATCH_LINES", _EDIT_BATCH_LINES)
+def test_readers_agree_with_a_per_line_decode_on_edited_logs(bundled_run, tmp_path):
+    # each edit reads back as a decode of each line alone reads it: the
+    # same records, or the same error after the same records
     rng = random.Random(20261019)
     kinds = [*_LINE_EDITS, *_FILE_EDITS]
     edits = 0
@@ -694,6 +712,6 @@ def test_readers_agree_with_the_batch_decode_on_edited_logs(bundled_run, tmp_pat
                 if rng.random() < 0.25:
                     edited = _edit(rng, rng.choice(kinds), edited)
                 (run_dir / name).write_bytes("".join(edited).encode("utf-8", "surrogatepass"))
-                assert _agrees_with_reference(run_dir, name, _EDIT_BATCH_LINES), (kind, edited)
+                assert _agrees_with_reference(run_dir, name), (kind, edited)
                 edits += 1
     assert edits >= 1000
