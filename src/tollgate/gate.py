@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -60,12 +60,12 @@ class Verdict(str, Enum):
 
 _VERDICTS_BY_VALUE = tuple((v.value, v) for v in Verdict)
 
-# Paths one identity memo holds: the distinct paths a run-log writer holds
-# encoded, a reader holds shared and the audit holds audited. The episodes
-# one Gate samples share the entries and boundary records of each path they
-# walk, so a memo keyed by those objects does a path's work once while it
-# holds it. A run with more distinct paths than this does some work again,
-# and objects that are shared by nothing are worked on one by one.
+# Distinct paths one memo holds: the paths a run-log writer holds encoded,
+# keyed by the identity of their objects, and the paths the audit holds
+# audited, keyed by their values. The episodes one Gate samples share the
+# entries and boundary records of each path they walk, so either memo does a
+# path's work once while it holds it. A run with more distinct paths than
+# this does some work again.
 _PATHS_HELD = 64
 
 
@@ -359,20 +359,6 @@ def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
 _TALLIES = (*Verdict, "quotes", "quotes_covered", "violations", "overruns")
 
 
-class _PathAudit:
-    """What the audit finds on one path from one initial budget: its
-    ``tally`` in ``_TALLIES`` order, whether its charges replay ``exact``,
-    the ``budget`` after its last entry, and the ``episodes`` that walked it
-    so far. It holds the entries and budget it is keyed by, so their ids
-    are not reused while it is held."""
-
-    __slots__ = ("held", "tally", "exact", "budget", "episodes")
-
-    def __init__(self, entries: tuple[GateEntry, ...], budget_initial: float) -> None:
-        self.held = entries, budget_initial
-        self.exact, self.episodes = True, 0
-
-
 class AuditReport(NamedTuple):
     """Outcome of recomputing true tolls over a batch of episode logs."""
 
@@ -409,19 +395,21 @@ def audit_budget_guarantee(
     its quote, ESCALATE_APPROVED its true toll, any other verdict nothing.
 
     Everything but the final budget follows from an episode's entries and
-    initial budget, so each distinct pair of those objects is audited once,
+    initial budget, so each distinct pair of those values is audited once,
     asking ``true_positive_toll`` once per entry, or twice for one that
-    executes another action than its proposal, and is then counted once per
-    episode that holds it. ``true_positive_toll`` must be a function of its
-    arguments. The pairs are told apart by identity, and at most
-    ``_PATHS_HELD`` of them are held; the episodes of one :class:`Gate`,
-    and those :func:`tollgate.runio.read_episode_logs` rebuilds, share the
-    entries of each path they walk.
+    executes another action than its proposal, while at most
+    ``_PATHS_HELD`` pairs are held; each episode then adds its pair's tally.
+    ``true_positive_toll`` must be a function of its arguments. The pairs
+    are told apart by value: every comparison here treats equal values
+    alike, so paths that are equal but distinct objects audit alike.
     """
 
-    def audited(entries: tuple[GateEntry, ...], budget_initial: float) -> _PathAudit:
-        path = _PathAudit(entries, budget_initial)
+    @lru_cache(maxsize=_PATHS_HELD)
+    def audited(entries: tuple[GateEntry, ...], budget_initial: float) -> tuple:
+        """The path's tally in ``_TALLIES`` order, whether its charges
+        replay exactly, and the budget after its last entry."""
         tally = dict.fromkeys(_TALLIES, 0)
+        exact = True
         true_sum = 0.0
         budget = budget_initial
         for entry in entries:
@@ -430,7 +418,7 @@ def audit_budget_guarantee(
                 budget -= entry.envelope_value
             elif entry.verdict is Verdict.ESCALATE_APPROVED:
                 budget -= true_toll
-            path.exact &= entry.budget_after == budget
+            exact &= entry.budget_after == budget
             budget = entry.budget_after
             tally[entry.verdict] += 1
             if entry.executed == entry.proposed:
@@ -443,32 +431,22 @@ def audit_budget_guarantee(
                 tally["violations"] = 1
         tally["quotes"] = len(entries)
         tally["overruns"] = not (true_sum <= budget_initial + 1e-9)
-        path.tally, path.budget = tally.values(), budget
-        return path
-
-    total = dict.fromkeys(_TALLIES, 0)
-
-    def count(path: _PathAudit) -> None:
-        for name, k in zip(_TALLIES, path.tally):
-            total[name] += k * path.episodes
+        return tuple(tally.values()), exact, budget
 
     n = 0
-    paths: dict[tuple[int, int], _PathAudit] = {}
+    episodes: Counter[tuple[int, ...]] = Counter()  # episodes per path tally
     accounting_exact = True
     final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
     for n, log in enumerate(logs, 1):
-        key = id(log.entries), id(log.budget_initial)
-        path = paths.get(key)
-        if path is None:
-            if len(paths) >= _PATHS_HELD:
-                count(paths.pop(next(iter(paths))))
-            path = paths[key] = audited(log.entries, log.budget_initial)
-        path.episodes += 1
-        accounting_exact &= path.exact and path.budget == log.budget_final
+        tally, exact, budget = audited(log.entries, log.budget_initial)
+        episodes[tally] += 1
+        accounting_exact &= exact and budget == log.budget_final
         final_min = log.budget_final if n == 1 else min(final_min, log.budget_final)
         final_sum += log.budget_final
-    for path in paths.values():
-        count(path)
+    total = dict.fromkeys(_TALLIES, 0)
+    for tally, k in episodes.items():
+        for name, count in zip(_TALLIES, tally):
+            total[name] += count * k
     quotes, overruns, violations = total["quotes"], total["overruns"], total["violations"]
     overrun_fraction = overruns / n if n else 0.0
     violation_fraction = violations / n if n else 0.0

@@ -12,12 +12,12 @@ writer writes one episode at a time to an open file; a reader reads one
 line at a time. Neither holds a file's whole text, its list of lines or one
 decoded record per line. Each line of a log that is not blank must be one
 JSON value, which JSON whitespace may surround; any other line is refused
-as ``<file> does not decode (line <n>: <reason>)``. The log readers hold
-the first lines they decode, keyed by their text around the episode
-number, so a line that repeats but for its episode is decoded once and its
-repeats share one record, as the episodes that walk one path share one
-tuple of entries. :func:`read_episode_logs` joins the three logs in one
-ordered pass and refuses logs out of order.
+as ``<file> does not decode (line <n>: <reason>)``, and so is a line that
+is not UTF-8. A record that a reader refuses names its line too. The log
+readers hold the first lines they decode, keyed by their text around the
+episode number, so a line that repeats but for its episode is decoded once
+and its repeats share one record. :func:`read_episode_logs` joins the three
+logs in one ordered pass and refuses logs out of order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import re
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .exceptions import RunArtifactError
 from .gate import _PATHS_HELD, EpisodeLog, GateEntry, Verdict
@@ -61,8 +61,7 @@ def _by_identity(encode: Callable) -> Callable:
     ``_PATHS_HELD`` distinct argument lists. The memo holds the arguments,
     so no id is reused while it is held. Equal arguments that are distinct
     objects are encoded apart: ``0.0 == -0.0`` and ``1 == 1.0``, but they
-    encode differently. ``_by_identity(lambda *items: items)`` gives calls
-    on the same objects one shared tuple of them."""
+    encode differently."""
     memo: dict[tuple[int, ...], tuple] = {}
 
     def encoded(*args):
@@ -197,14 +196,33 @@ def write_manifest(
 
 
 @contextlib.contextmanager
-def _decoding(name: str) -> Iterator[None]:
-    """Raise :class:`RunArtifactError`, naming the artifact ``name``, for
-    bytes that are not UTF-8, JSON or CSV, or JSON nested past the
-    recursion limit."""
+def _opened(path: Path) -> Iterator[TextIO]:
+    """The artifact at ``path``, open as UTF-8 text. Raises
+    :class:`RunArtifactError`, naming the artifact, for bytes that are not
+    UTF-8, JSON or CSV, or JSON nested past the recursion limit. A text-mode
+    read decodes a chunk at a time, so bytes that are not UTF-8 are found
+    again by line, only once it has failed."""
     try:
-        yield
+        with path.open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        reason = next(_lines_not_utf8(path), exc)
+        raise RunArtifactError(f"{path.name} does not decode ({reason})") from None
     except (ValueError, RecursionError, csv.Error) as exc:
-        raise RunArtifactError(f"{name} does not decode ({exc})") from None
+        raise RunArtifactError(f"{path.name} does not decode ({exc})") from None
+
+
+def _lines_not_utf8(path: Path) -> Iterator[str]:
+    """``line <n>: <reason>`` for each line of ``path`` that is not UTF-8,
+    numbered as a text-mode read numbers them. Latin-1 decodes every byte,
+    and splits lines where UTF-8 does: no UTF-8 character holds a line end
+    but the line end itself."""
+    with path.open(encoding="latin-1") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                yield f"line {number}: {exc}"
 
 
 # The manifest fields report reads: key, rule, and what the rule asks for.
@@ -234,8 +252,8 @@ def read_manifest(run_dir: Path) -> dict:
     whose ``_MANIFEST_FIELDS`` keep their rules and whose envelope ``kind``
     is ``exact`` or ``conformal``, a conformal one with a numeric ``delta``
     in (0, 1)."""
-    with _decoding(MANIFEST_NAME):
-        manifest = json.loads((Path(run_dir) / MANIFEST_NAME).read_text(encoding="utf-8"))
+    with _opened(Path(run_dir) / MANIFEST_NAME) as fh:
+        manifest = json.load(fh)
     if type(manifest) is not dict:
         raise RunArtifactError(f"{MANIFEST_NAME} is not a JSON object")
     for key, ok, what in _MANIFEST_FIELDS:
@@ -281,10 +299,10 @@ def _one_episode_key(line: str) -> bool:
     return "\\u006" not in line and "\\u007" not in line and line.count('"episode"') == 1
 
 
-def _decoded(line: str, name: str, number: int):
-    """The JSON value of line ``number`` of the file ``name``. Raises
-    :class:`RunArtifactError`, naming the file and the line, unless the
-    line is one JSON value, which JSON whitespace may surround."""
+def _decoded(line: str, number: int):
+    """The JSON value of line ``number`` of a file. Raises a ``ValueError``
+    that names the line, which :func:`_opened` reports as the file's,
+    unless the line is one JSON value, which JSON whitespace may surround."""
     try:
         value, end = _DECODE(line)
         if line[end:] in ("\n", ""):
@@ -298,7 +316,7 @@ def _decoded(line: str, name: str, number: int):
     except (ValueError, RecursionError) as exc:
         # a number past int's digit limit, or arrays nested too deep
         reason = str(exc)
-    raise RunArtifactError(f"{name} does not decode (line {number}: {reason})")
+    raise ValueError(f"line {number}: {reason}")
 
 
 def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
@@ -306,7 +324,7 @@ def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
     JSON-lines file, read one line at a time, in order. Blank lines are
     skipped; every other line must be one JSON value (:func:`_decoded`),
     and ``convert`` raises :class:`RunArtifactError` for a record it
-    refuses.
+    refuses, which is raised again with `` (line <n>)`` appended.
 
     A line is cut at its first ``"episode": `` key, and the text around the
     number is the key of a memo of the values converted so far, so a line
@@ -321,7 +339,7 @@ def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
     # with the memo (CPU time, min of 30 alternating rounds, 2 vCPUs)
     memo: dict[tuple[str, str], object] = {}
     cut = number = None
-    with _decoding(path.name), path.open(encoding="utf-8") as fh:
+    with _opened(path) as fh:
         for line_number, line in enumerate(fh, 1):
             head, _, tail = line.partition(_EPISODE_KEY)
             digits, _, rest = tail.partition(",")
@@ -332,7 +350,10 @@ def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
             if value is not None:
                 yield number, value
             elif not line.isspace():
-                pair = convert(_decoded(line, path.name, line_number))
+                try:
+                    pair = convert(_decoded(line, line_number))
+                except RunArtifactError as exc:
+                    raise RunArtifactError(f"{exc} (line {line_number})") from None
                 if number is not None and len(memo) < _LINES_HELD and _one_episode_key(line):
                     memo[key] = pair[1]
                 yield pair
@@ -390,18 +411,16 @@ def _entry(record) -> tuple[int, GateEntry]:
 def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, ...]]]:
     """``(episode, entries)`` of each run of episode-log lines on one episode,
     in order. Raises :class:`RunArtifactError` for a record :func:`_entry`
-    refuses. Lines that repeat but for their episode share one entry, and
-    runs of lines that share their entries share one tuple of them."""
-    shared = _by_identity(lambda *entries: entries)
+    refuses. Lines that repeat but for their episode share one entry."""
     current, entries = None, []
     for episode, entry in _read_lines(Path(run_dir) / EPISODE_LOG_NAME, _entry):
         if episode != current:
             if entries:
-                yield current, shared(*entries)
+                yield current, tuple(entries)
             current, entries = episode, []
         entries.append(entry)
     if entries:
-        yield current, shared(*entries)
+        yield current, tuple(entries)
 
 
 def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
@@ -410,7 +429,7 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
     :class:`RunArtifactError` for a missing column, a row shorter than the
     header or a cell that does not convert."""
     names = ("episode", "terminal_loss", "b_final")
-    with _decoding(SUMMARY_NAME), (Path(run_dir) / SUMMARY_NAME).open(encoding="utf-8") as fh:
+    with _opened(Path(run_dir) / SUMMARY_NAME) as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None:
@@ -426,6 +445,8 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
             raise RunArtifactError(
                 f"{SUMMARY_NAME} has a row shorter than its header (line {rows.line_num})"
             ) from None
+        except UnicodeDecodeError:
+            raise
         except ValueError as exc:
             raise RunArtifactError(
                 f"{SUMMARY_NAME} holds a cell that does not convert ({exc})"
@@ -444,12 +465,9 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
     given the initial budget of its scenario: the inverse of the episode,
     summary and boundary writers. Raises :class:`RunArtifactError` for a
     record or cell that does not convert, or where the logs disagree on the
-    next episode (for a boundary record, once no row is left to take it).
-    Episodes whose boundary records are the same objects share one tuple
-    of them."""
+    next episode (for a boundary record, once no row is left to take it)."""
     groups = read_episode_records(run_dir)
     boundary = _read_lines(Path(run_dir) / BOUNDARY_LOG_NAME, _boundary_record)
-    shared = _by_identity(lambda *records: records)
     pending = next(boundary, None)
     for episode, loss, final in read_summary(run_dir):
         logged, entries = next(groups, ("none", ()))
@@ -461,7 +479,7 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
         while pending is not None and pending[0] == episode:
             records.append(pending[1])
             pending = next(boundary, None)
-        yield EpisodeLog(episode, entries, loss, budget_initial, final, shared(*records))
+        yield EpisodeLog(episode, entries, loss, budget_initial, final, tuple(records))
     for name, left in ((EPISODE_LOG_NAME, next(groups, None)), (BOUNDARY_LOG_NAME, pending)):
         if left is not None:
             raise RunArtifactError(

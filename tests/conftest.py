@@ -3,28 +3,10 @@ modules."""
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
-
 import pytest
-from hypothesis import settings
 
 from tollgate.cli import main
 from tollgate.envmodel import Policy, build_model
-
-# Property tests draw the same examples on every run and keep no example
-# database on disk. Hypothesis still caches each test module's literal
-# constants under its storage directory, whatever the profile says, so that
-# directory is a temporary one for the session, named before any test runs.
-_HYPOTHESIS_STORAGE = tempfile.mkdtemp(prefix="tollgate-hypothesis-")
-os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _HYPOTHESIS_STORAGE
-settings.register_profile("tollgate", derandomize=True, database=None)
-settings.load_profile("tollgate")
-
-
-def pytest_sessionfinish(session, exitstatus):
-    shutil.rmtree(_HYPOTHESIS_STORAGE, ignore_errors=True)
 
 
 # Episodes and seed of the shared bundled runs: the size the benchmark runs,

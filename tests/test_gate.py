@@ -779,15 +779,16 @@ def test_audit_replays_escalated_and_downgraded_charges():
 def test_audit_asks_the_quoter_once_where_one_answer_serves():
     # an entry that executes its proposal needs one true toll; a diverted
     # one needs the proposal's and the executed action's; and the episodes
-    # that share one path's entries need them once
+    # whose paths are equal by value need them once, also where the gate
+    # holds two equal paths that end in different leaves
     sc = load_scenario(bundled_scenario_path("payments"))
     gate = Gate(sc.model, sc.policy, sc.gate)
     logs = [run_episode(gate, seed=301, episode=i) for i in range(200)]
     entries = [e for log in logs for e in log.entries]
     diverted = sum(e.executed != e.proposed for e in entries)
     assert 0 < diverted < len(entries)
-    paths = {id(log.entries): log.entries for log in logs}.values()
-    assert len(paths) < 20
+    paths = {log.entries for log in logs}
+    assert len(paths) < len({id(log.entries) for log in logs}) < 20
     truth, calls = sc.gate.exact_quoter.predict, []
 
     def counted(t, s, a):
@@ -797,31 +798,55 @@ def test_audit_asks_the_quoter_once_where_one_answer_serves():
     assert audit_budget_guarantee(logs, counted, delta=0.0) == audit_budget_guarantee(
         logs, truth, delta=0.0
     )
-    assert len(calls) == sum(1 + (e.executed != e.proposed) for path in paths for e in path)
+    assert len(calls) == sum(1 + (e.executed != e.proposed) for path in paths for e in path) == 21
 
 
-def test_audit_counts_and_checks_every_episode_of_a_shared_path():
-    # a path is folded once per entries and initial budget, but every
-    # episode on it is counted and its final budget checked, also once the
-    # paths outnumber the ones the audit holds
+def _shared_and_copied_logs():
+    """Payments logs of one Gate, each followed by a copy whose entries are
+    another tuple of equal value, and the exact quoter."""
     sc = load_scenario(bundled_scenario_path("payments"))
     gate = Gate(sc.model, sc.policy, sc.gate)
-    truth = sc.gate.exact_quoter.predict
     shared = [run_episode(gate, seed=5, episode=i) for i in range(150)]
     copies = [log._replace(entries=tuple(list(log.entries))) for log in shared]
-    logs = [log for pair in zip(shared, copies) for log in pair]
-    assert len({id(log.entries) for log in logs}) > gate_module._PATHS_HELD
+    return [log for pair in zip(shared, copies) for log in pair], sc.gate.exact_quoter.predict
+
+
+def _counts_every_episode(logs, truth) -> bool:
+    """Whether the audit of ``logs`` passes and counts every episode, every
+    entry and every verdict."""
     audit = audit_budget_guarantee(logs, truth, delta=0.0)
     entries = [e for log in logs for e in log.entries]
-    assert (audit.episodes, audit.quotes) == (len(logs), len(entries))
-    assert audit.decisions == {v.value: sum(e.verdict is v for e in entries) for v in Verdict}
-    assert audit.passed
-    log = shared[0]
+    decisions = {v.value: sum(e.verdict is v for e in entries) for v in Verdict}
+    return audit.passed and (audit.episodes, audit.quotes, audit.decisions) == (
+        len(logs), len(entries), decisions
+    )
+
+
+def test_audit_counts_and_checks_every_episode_of_a_shared_path(monkeypatch):
+    # a path is folded once per value of its entries and initial budget, but
+    # every episode on it is counted and its final budget checked, also once
+    # the paths outnumber the ones the audit holds
+    monkeypatch.setattr(gate_module, "_PATHS_HELD", 2)
+    logs, truth = _shared_and_copied_logs()
+    assert len({log.entries for log in logs}) > gate_module._PATHS_HELD
+    assert _counts_every_episode(logs, truth)
+    log = logs[0]
     for bad in (
         log._replace(budget_final=log.budget_final + 1.0),
         log._replace(budget_initial=log.budget_initial + 1.0),
     ):
         assert not audit_budget_guarantee([log, bad], truth, delta=0.0).accounting_exact
+
+
+def test_audit_that_adds_each_tally_once_undercounts(monkeypatch):
+    # negative control: an audit that adds each distinct path tally once,
+    # not once per episode that walks a path with it, fails the count
+    class OncePerTally(Counter):
+        def __setitem__(self, tally, episodes):
+            super().__setitem__(tally, min(episodes, 1))
+
+    monkeypatch.setattr(gate_module, "Counter", OncePerTally)
+    assert not _counts_every_episode(*_shared_and_copied_logs())
 
 
 def _payments_log_and_truth():

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -395,41 +396,53 @@ _MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document
             "summary.csv holds a cell that does not convert "
             "(could not convert string to float: 'abc')",
         ),
-        (_logged_episode_a_string, "episodes.jsonl logs a non-integer episode '0'"),
+        (_logged_episode_a_string, "episodes.jsonl logs a non-integer episode '0' (line 1)"),
         (
             _first_log_field("envelope_value", "abc"),
-            "episodes.jsonl logs a non-numeric envelope_value 'abc'",
+            "episodes.jsonl logs a non-numeric envelope_value 'abc' (line 1)",
         ),
         (
             _first_log_field("budget_after", None),
-            "episodes.jsonl logs a non-numeric budget_after None",
+            "episodes.jsonl logs a non-numeric budget_after None (line 1)",
         ),
-        (_first_log_field("step", 1.5), "episodes.jsonl logs a non-integer step 1.5"),
-        (_first_log_field("step", 5), "episodes.jsonl logs step 5 at time 0"),
-        (_first_log_field("time", "0"), "episodes.jsonl logs a non-integer time '0'"),
+        (_first_log_field("step", 1.5), "episodes.jsonl logs a non-integer step 1.5 (line 1)"),
+        (_first_log_field("step", 5), "episodes.jsonl logs step 5 at time 0 (line 1)"),
+        (_first_log_field("time", "0"), "episodes.jsonl logs a non-integer time '0' (line 1)"),
         (
             _first_log_field("boundary_version", True),
-            "episodes.jsonl logs a non-integer boundary_version True",
+            "episodes.jsonl logs a non-integer boundary_version True (line 1)",
         ),
-        (_first_log_field("state", ["s"]), "episodes.jsonl logs a non-string state ['s']"),
-        (_first_log_field("proposed", {}), "episodes.jsonl logs a non-string proposed {}"),
-        (_first_log_field("executed", 7), "episodes.jsonl logs a non-string executed 7"),
-        (_first_log_field("verdict", "MAYBE"), "episodes.jsonl logs an unknown verdict 'MAYBE'"),
+        (
+            _first_log_field("state", ["s"]),
+            "episodes.jsonl logs a non-string state ['s'] (line 1)",
+        ),
+        (
+            _first_log_field("proposed", {}),
+            "episodes.jsonl logs a non-string proposed {} (line 1)",
+        ),
+        (_first_log_field("executed", 7), "episodes.jsonl logs a non-string executed 7 (line 1)"),
+        (
+            _first_log_field("verdict", "MAYBE"),
+            "episodes.jsonl logs an unknown verdict 'MAYBE' (line 1)",
+        ),
         (
             _first_log_field("verdict", ["EXECUTE"]),
-            "episodes.jsonl logs a non-string verdict ['EXECUTE']",
+            "episodes.jsonl logs a non-string verdict ['EXECUTE'] (line 1)",
         ),
         (
             _first_log_record(lambda record: {k: v for k, v in record.items() if k != "step"}),
-            "episodes.jsonl logs a record without 'step'",
+            "episodes.jsonl logs a record without 'step' (line 1)",
         ),
         (
             _first_log_record(lambda record: [0, 1]),
-            "episodes.jsonl logs a non-object record [0, 1]",
+            "episodes.jsonl logs a non-object record [0, 1] (line 1)",
         ),
         (_summary_row_cut_short, "summary.csv has a row shorter than its header (line 3)"),
         (_summary_column_renamed, "summary.csv has no 'terminal_loss' column"),
-        (_boundary_record_a_list, "boundaries.jsonl logs a record without an integer episode"),
+        (
+            _boundary_record_a_list,
+            "boundaries.jsonl logs a record without an integer episode (line 1)",
+        ),
         (_manifest(lambda manifest: [manifest]), "manifest.json is not a JSON object"),
         *(
             (_manifest_without(key), f"manifest.json has no {key!r}")
@@ -568,6 +581,29 @@ def test_report_refuses_undecodable_artifact(corrupt, name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} does not decode (")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "name", [runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME, runio.SUMMARY_NAME]
+)
+def test_report_names_the_line_that_is_not_utf_8(name, bundled_run, tmp_path, capsys):
+    # a text-mode read decodes a chunk at a time, many lines ahead of the
+    # one it yields; the refusal names the line that holds the byte, and
+    # the byte's place in that line, not in the chunk
+    out = tmp_path / "run"
+    shutil.copytree(bundled_run("database"), out)
+    path = out / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[999] = lines[999][:3] + b"\xff" + lines[999][3:]
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {name} does not decode (line 1000: 'utf-8' codec can't decode byte 0xff"
+        " in position 3: invalid start byte)\n"
+    )
     assert captured.out == ""
 
 

@@ -7,8 +7,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tollgate import risk
 from tollgate.envmodel import Intervention
@@ -170,39 +168,48 @@ def test_normalisation_direct():
     assert one_step_risk(ENT, [(0.0, 0.3), (0.0, 0.7)]) == pytest.approx(0.0, abs=1e-12)
 
 
-@given(
-    values=st.lists(st.floats(-20, 20), min_size=1, max_size=6),
-    shift=st.floats(-10, 10),
-)
-@settings(max_examples=200, deadline=None)
-def test_translation_invariance_one_step(values, shift):
-    probs = [1.0 / len(values)] * len(values)
-    for spec in (ENT, MEAN, ES):
-        base = one_step_risk(spec, list(zip(values, probs)))
-        moved = one_step_risk(spec, list(zip([v + shift for v in values], probs)))
-        assert moved == pytest.approx(base + shift, abs=1e-9)
+def _float_lists(rng: random.Random, lo: float, hi: float, min_size: int = 1):
+    """Lists of floats in ``[lo, hi]`` to check a one-step property on: the
+    fixed edge cases first, one-item lists of each bound and of each signed
+    zero and a list of all four, then 200 lists of ``min_size`` to 6 items
+    drawn from ``rng``."""
+    edges = [lo, hi, 0.0, -0.0]
+    yield from ([v] for v in edges)
+    yield edges
+    for _ in range(200):
+        yield [rng.uniform(lo, hi) for _ in range(rng.randint(min_size, 6))]
 
 
-@given(
-    values=st.lists(st.floats(0, 20), min_size=1, max_size=6),
-    bumps=st.lists(st.floats(0, 5), min_size=6, max_size=6),
-)
-@settings(max_examples=200, deadline=None)
-def test_monotonicity_one_step(values, bumps):
-    probs = [1.0 / len(values)] * len(values)
-    upper = [v + b for v, b in zip(values, bumps)]
-    for spec in (ENT, MEAN, ES):
-        lo = one_step_risk(spec, list(zip(values, probs)))
-        hi = one_step_risk(spec, list(zip(upper, probs)))
-        assert lo <= hi + 1e-9
+def test_translation_invariance_one_step():
+    rng = random.Random(31)
+    for values in _float_lists(rng, -20.0, 20.0):
+        probs = [1.0 / len(values)] * len(values)
+        for shift in (-10.0, 10.0, 0.0, -0.0, rng.uniform(-10.0, 10.0)):
+            for spec in (ENT, MEAN, ES):
+                base = one_step_risk(spec, list(zip(values, probs)))
+                moved = one_step_risk(spec, list(zip([v + shift for v in values], probs)))
+                assert moved == pytest.approx(base + shift, abs=1e-9), (values, shift)
 
 
-@given(values=st.lists(st.floats(-10, 10), min_size=2, max_size=6))
-@settings(max_examples=200, deadline=None)
-def test_entropic_dominates_expectation(values):
-    probs = [1.0 / len(values)] * len(values)
-    pairs = list(zip(values, probs))
-    assert one_step_risk(ENT, pairs) >= one_step_risk(MEAN, pairs) - 1e-9
+def test_monotonicity_one_step():
+    rng = random.Random(32)
+    for values in _float_lists(rng, 0.0, 20.0):
+        probs = [1.0 / len(values)] * len(values)
+        for bump in (0.0, 5.0, -0.0, None):
+            bumps = [rng.uniform(0.0, 5.0) if bump is None else bump for _ in values]
+            upper = [v + b for v, b in zip(values, bumps)]
+            for spec in (ENT, MEAN, ES):
+                lo = one_step_risk(spec, list(zip(values, probs)))
+                hi = one_step_risk(spec, list(zip(upper, probs)))
+                assert lo <= hi + 1e-9, (values, bumps)
+
+
+def test_entropic_dominates_expectation():
+    rng = random.Random(33)
+    for values in _float_lists(rng, -10.0, 10.0, min_size=2):
+        probs = [1.0 / len(values)] * len(values)
+        pairs = list(zip(values, probs))
+        assert one_step_risk(ENT, pairs) >= one_step_risk(MEAN, pairs) - 1e-9, values
 
 
 def test_recursive_translation_invariance_on_random_trees():

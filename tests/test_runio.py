@@ -412,8 +412,9 @@ def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run
 
 
 def _reference_values(path: Path):
-    """The readers' decode without their memo of lines: the values of a
-    JSON-lines file, each line that is not blank decoded alone."""
+    """The readers' decode without their memo of lines: the line number and
+    value of each line of a JSON-lines file that is not blank, decoded
+    alone."""
     with path.open() as fh:
         for number, line in enumerate(fh, 1):
             if line.isspace():
@@ -425,9 +426,13 @@ def _reference_values(path: Path):
             except ValueError as exc:
                 reason = str(exc)
             else:
-                yield value
+                yield number, value
                 continue
             raise RunArtifactError(f"{path.name} does not decode (line {number}: {reason})")
+
+
+def _refused(error: RunArtifactError, number: int) -> RunArtifactError:
+    return RunArtifactError(f"{error} (line {number})")
 
 
 def _reference_episode_records(run_dir: Path):
@@ -435,13 +440,13 @@ def _reference_episode_records(run_dir: Path):
     fields = itemgetter(*runio._RECORD_KINDS)
     verdicts = {v.value: v for v in Verdict}
     current, entries = None, []
-    for record in _reference_values(run_dir / runio.EPISODE_LOG_NAME):
+    for number, record in _reference_values(run_dir / runio.EPISODE_LOG_NAME):
         try:
             episode, step, time, state, proposed, value, verdict, executed, after, version = (
                 fields(record)
             )
         except (KeyError, TypeError):
-            raise runio._record_error(record) from None
+            raise _refused(runio._record_error(record), number) from None
         if not (
             type(episode) is type(step) is type(time) is type(version) is int
             and type(state) is type(proposed) is type(verdict) is type(executed) is str
@@ -450,7 +455,7 @@ def _reference_episode_records(run_dir: Path):
             and verdict in verdicts
             and step == time
         ):
-            raise runio._record_error(record)
+            raise _refused(runio._record_error(record), number)
         if episode != current:
             if entries:
                 yield current, tuple(entries)
@@ -469,10 +474,11 @@ def _read_boundary_records(run_dir: Path):
 
 def _reference_boundary_records(run_dir: Path):
     """_read_boundary_records without its memo of lines."""
-    for rec in _reference_values(run_dir / runio.BOUNDARY_LOG_NAME):
+    for number, rec in _reference_values(run_dir / runio.BOUNDARY_LOG_NAME):
         if type(rec) is not dict or type(rec.get("episode")) is not int:
             raise RunArtifactError(
                 f"{runio.BOUNDARY_LOG_NAME} logs a record without an integer episode"
+                f" (line {number})"
             )
         yield rec.pop("episode"), rec
 
@@ -514,7 +520,7 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
     corruptions = {
         "verdict": (
             copy(2).replace('"EXECUTE"', '"MAYBE"'),
-            "episodes.jsonl logs an unknown verdict 'MAYBE'",
+            "episodes.jsonl logs an unknown verdict 'MAYBE' (line 3)",
         ),
         "leading zero": (
             copy("02"),
@@ -524,10 +530,10 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
             copy("٢"),
             "episodes.jsonl does not decode (line 3: Expecting value: column 80)",
         ),
-        "float episode": (copy("2.0"), "episodes.jsonl logs a non-integer episode 2.0"),
+        "float episode": (copy("2.0"), "episodes.jsonl logs a non-integer episode 2.0 (line 3)"),
         "escaped key": (
             copy(2).replace("}\n", ', "\\u0065pisode": "2"}\n'),
-            "episodes.jsonl logs a non-integer episode '2'",
+            "episodes.jsonl logs a non-integer episode '2' (line 3)",
         ),
         "second key": (copy(2).replace("}\n", ', "episode": -1}\n'), None),
         "truncated": (
@@ -545,7 +551,7 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
             # the held one
             assert [ep for ep, _ in runio.read_episode_records(run_dir)] == [0, 1, -1]
             continue
-        with pytest.raises((RunArtifactError, ValueError), match=re.escape(message)):
+        with pytest.raises((RunArtifactError, ValueError), match=f"^{re.escape(message)}$"):
             list(runio.read_episode_records(run_dir))
 
 
