@@ -14,7 +14,7 @@ from pathlib import Path
 from . import runio
 from .envelope import conformal_rank
 from .exceptions import RunArtifactError, ScenarioError, TollgateError
-from .gate import Gate, audit_budget_guarantee, run_episode
+from .gate import audit_budget_guarantee, run_episode
 from .scenario import (
     BUNDLED_SCENARIOS,
     Scenario,
@@ -25,6 +25,7 @@ from .scenario import (
     document_hash,
     load_scenario,
     resolve_scenario,
+    run_gate,
 )
 from .verify import SUITES, run_suite
 
@@ -53,31 +54,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cfg = scenario.gate
-    envelope_record: dict = {"kind": "exact"}
-    if scenario.envelope_config["kind"] == "conformal":
-        delta = scenario.envelope_config["delta"]
-        n = scenario.envelope_config["calibration_episodes"]
-        train = scenario.envelope_config["training_episodes"]
-        envelope, _ = calibrate_conformal(
-            scenario, n, delta, seed=seed + 10_000, training_episodes=train
-        )
-        cfg = cfg._replace(envelope=envelope)
-        envelope_record = {
-            "kind": "conformal",
-            "delta": delta,
-            "inflation": envelope.inflation,
-            "quantile_rank": envelope.quantile_rank,
-            "calibration_episodes": n,
-        }
-
-    gate = Gate(scenario.model, scenario.policy, cfg)
+    gate, envelope_record = run_gate(scenario, seed)
     logs = [run_episode(gate, seed=seed, episode=i) for i in range(args.episodes)]
     # the logs keep the entries and records they share; the rest of the
     # trie is freed before the writers allocate theirs
     del gate
     runio.write_episode_logs(out_dir, logs)
-    runio.write_summary_csv(out_dir, logs)
+    runio.write_summary_csv(out_dir, logs, scenario.gate.initial_budget)
     runio.write_boundary_log(out_dir, logs)
     # the document is encoded once, for its hash and the manifest, and only
     # now, so its bytes are not held while the episodes run
@@ -131,10 +114,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Audit a run directory through :func:`audit_budget_guarantee`, the
-    same audit the gating suite runs, in one pass, with delta taken from the
-    manifest. A directory whose stored scenario does not hash to its
-    recorded ``config_hash``, checked before the document is resolved, or
-    whose artifacts disagree on its episodes, is refused."""
+    same audit the gating suite runs, in one pass. The run's gate is rebuilt
+    by :func:`run_gate` from the stored scenario and the manifest's seed,
+    and delta is taken from its envelope record. A directory whose stored
+    scenario does not hash to its recorded ``config_hash``, checked before
+    the document is resolved, whose manifest envelope is not the rebuilt
+    gate's, or whose artifacts disagree on its episodes, is refused."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
     document = manifest["scenario_document"]
@@ -144,12 +129,15 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"{runio.MANIFEST_NAME} holds a scenario document that hashes to {digest[:12]}, "
             f"not to its config_hash {manifest['config_hash'][:12]}"
         )
-    scenario = resolve_scenario(document)
-    budget = scenario.gate.initial_budget
-    envelope = manifest["envelope"]
-    delta = envelope["delta"] if envelope["kind"] == "conformal" else 0.0
-    logs = runio.read_episode_logs(run_dir, budget)
-    audit = audit_budget_guarantee(logs, scenario.gate.exact_quoter.predict, delta)
+    gate, envelope = run_gate(resolve_scenario(document), manifest["seed"])
+    if manifest["envelope"] != envelope:
+        raise RunArtifactError(
+            f"{runio.MANIFEST_NAME} holds envelope {manifest['envelope']!r}, not the "
+            f"{envelope!r} its scenario and seed give"
+        )
+    audit = audit_budget_guarantee(
+        runio.read_episode_logs(run_dir), gate, envelope.get("delta", 0.0)
+    )
     if audit.episodes != manifest["episodes"]:
         raise RunArtifactError(
             f"manifest records {manifest['episodes']} episode(s) but "
@@ -163,7 +151,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"scenario            : {manifest['scenario_name']} (hash {manifest['config_hash'][:12]})")
     print(f"episodes            : {manifest['episodes']}")
     print("decision mix        : " + ", ".join(mix))
-    print(f"initial budget      : {budget}")
+    print(f"initial budget      : {gate.cfg.initial_budget}")
     print(f"final budget        : min={audit.final_min:.6f} mean={audit.final_mean:.6f}")
     covered, quotes = audit.quotes_covered, audit.quotes
     print(f"coverage estimate   : {covered}/{quotes} quotes covered ({covered/quotes:.4f})")
@@ -172,6 +160,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"budget guarantee    : {audit.overruns} overrun episode(s), "
         f"fraction {audit.overrun_fraction:.4f} -> {verdict}"
     )
+    if not audit.accounting_exact:
+        print("accounting          : the logs are not what the gate replays -> FAIL")
     return 0 if audit.passed else 1
 
 

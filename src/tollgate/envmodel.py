@@ -199,7 +199,8 @@ class Policy:
                         f"policy puts mass on unavailable action {a!r}",
                         path=f"policy[{t},{s}]",
                     )
-            dist[(t, s)] = tuple((a, float(p)) for a, p in probs.items())
+            # sorted, so a row does not depend on the key order of its document
+            dist[(t, s)] = tuple((a, float(probs[a])) for a in sorted(probs))
         return cls(dist)
 
     @classmethod

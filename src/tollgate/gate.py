@@ -58,11 +58,9 @@ class Verdict(str, Enum):
     BLOCK = "BLOCK"
 
 
-_VERDICTS_BY_VALUE = tuple((v.value, v) for v in Verdict)
-
 # Distinct paths one memo holds: the paths a run-log writer holds encoded,
 # keyed by the identity of their objects, and the paths the audit holds
-# audited, keyed by their values. The episodes one Gate samples share the
+# replayed, keyed by their values. The episodes one Gate samples share the
 # entries and boundary records of each path they walk, so either memo does a
 # path's work once while it holds it. A run with more distinct paths than
 # this does some work again.
@@ -207,25 +205,8 @@ class EpisodeLog(NamedTuple):
     episode: int
     entries: tuple[GateEntry, ...]
     terminal_loss: float
-    budget_initial: float
     budget_final: float
     boundary_records: tuple[dict, ...]
-
-    @property
-    def charged_total(self) -> float:
-        return math.fsum(e_prev - e.budget_after for e_prev, e in _budget_steps(self))
-
-    def decision_counts(self) -> dict[str, int]:
-        """Entries per verdict, keyed by value in declaration order."""
-        verdicts = [e.verdict for e in self.entries]
-        return {value: verdicts.count(v) for value, v in _VERDICTS_BY_VALUE}
-
-
-def _budget_steps(log: EpisodeLog):
-    prev = log.budget_initial
-    for entry in log.entries:
-        yield prev, entry
-        prev = entry.budget_after
 
 
 def uniform_stream(seed: int, episode: int) -> Callable[[], float]:
@@ -346,7 +327,7 @@ def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
     if node.outcome is None:
         node.outcome = (tuple(entries), model.terminal_loss(state), ledger.records)
     entries, terminal_loss, records = node.outcome
-    return EpisodeLog(index(episode), entries, terminal_loss, cfg.initial_budget, budget, records)
+    return EpisodeLog(index(episode), entries, terminal_loss, budget, records)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +341,7 @@ _TALLIES = (*Verdict, "quotes", "quotes_covered", "violations", "overruns")
 
 
 class AuditReport(NamedTuple):
-    """Outcome of recomputing true tolls over a batch of episode logs."""
+    """Outcome of replaying a batch of episode logs through their gate."""
 
     episodes: int
     quotes: int
@@ -376,71 +357,82 @@ class AuditReport(NamedTuple):
     final_mean: float
 
 
-def audit_budget_guarantee(
-    logs: Iterable[EpisodeLog],
-    true_positive_toll: Callable[[int, str, str], float],
-    delta: float,
-) -> AuditReport:
-    """Recompute every executed action's true positive toll and check the
+def _drawn(row: tuple[tuple[str, float], ...], label: str | None) -> bool:
+    """Whether a ``(label, probability)`` row draws ``label``."""
+    return any(p > 0.0 for drawn, p in row if drawn == label)
+
+
+def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float) -> AuditReport:
+    """Replay every episode of ``logs`` through ``gate`` and check the
     budget guarantee, in one pass over ``logs`` that keeps running totals.
 
-    An episode violates coverage when some quoted proposal's true toll
-    exceeds its logged envelope value; it overruns when the executed true
-    tolls sum above its initial budget. A NaN quote, toll or sum is never
-    within its bound, so it counts against the run. The batch passes when
-    the overrun fraction stays within delta plus three binomial sigmas
-    (exactly zero when delta is zero, the exact-envelope case). Each
-    ``budget_after`` must be the budget before it less the charge its verdict
-    implies, and the last one the final budget, bit for bit: EXECUTE charges
-    its quote, ESCALATE_APPROVED its true toll, any other verdict nothing.
+    The replay starts each path from ``gate.empty_ledger`` and the initial
+    budget of ``gate.cfg``, and decides each logged proposal with
+    :func:`gate_step` at the logged state and the budget before it. The
+    accounting holds when each path is one the gate can walk (one entry per
+    time step from the initial state, each proposal drawn by the policy and
+    each next state by the executed action's kernel), each logged step is
+    what ``gate_step`` gives, and the replay ends at the episode's final
+    budget and boundary records, all by value.
 
-    Everything but the final budget follows from an episode's entries and
-    initial budget, so each distinct pair of those values is audited once,
-    asking ``true_positive_toll`` once per entry, or twice for one that
-    executes another action than its proposal, while at most
-    ``_PATHS_HELD`` pairs are held; each episode then adds its pair's tally.
-    ``true_positive_toll`` must be a function of its arguments. The pairs
-    are told apart by value: every comparison here treats equal values
-    alike, so paths that are equal but distinct objects audit alike.
+    The true tolls come from ``gate.cfg.exact_quoter``. An episode violates
+    coverage when some quoted proposal's true toll exceeds its logged
+    envelope value; it overruns when the executed true tolls sum above the
+    initial budget. A NaN quote, toll or sum is never within its bound, so
+    it counts against the run, and so does an entry off every path the gate
+    can walk, which has no true toll. The batch passes when the accounting
+    holds and the overrun fraction stays within delta plus three binomial
+    sigmas (exactly zero when delta is zero, the exact-envelope case).
+
+    Everything but the final budget and boundary records follows from an
+    episode's entries, so each distinct path is replayed once while at most
+    ``_PATHS_HELD`` paths are held, told apart by value; each episode then
+    adds its path's tally.
     """
+    cfg, model = gate.cfg, gate.model
+    truth = cfg.exact_quoter.predict
 
     @lru_cache(maxsize=_PATHS_HELD)
-    def audited(entries: tuple[GateEntry, ...], budget_initial: float) -> tuple:
-        """The path's tally in ``_TALLIES`` order, whether its charges
-        replay exactly, and the budget after its last entry."""
+    def audited(entries: tuple[GateEntry, ...]) -> tuple:
+        """The path's tally in ``_TALLIES`` order, whether the gate replays
+        it, and the replay's final budget and boundary records."""
         tally = dict.fromkeys(_TALLIES, 0)
-        exact = True
+        exact = len(entries) == model.horizon
+        budget, ledger = cfg.initial_budget, gate.empty_ledger
+        state = model.initial_state if exact else None
         true_sum = 0.0
-        budget = budget_initial
-        for entry in entries:
-            true_toll = true_positive_toll(entry.time, entry.state, entry.proposed)
-            if entry.verdict is Verdict.EXECUTE:
-                budget -= entry.envelope_value
-            elif entry.verdict is Verdict.ESCALATE_APPROVED:
-                budget -= true_toll
-            exact &= entry.budget_after == budget
-            budget = entry.budget_after
+        for t, entry in enumerate(entries):
             tally[entry.verdict] += 1
-            if entry.executed == entry.proposed:
-                true_sum += true_toll
+            on_path = (entry.time, entry.state) == (t, state)
+            if on_path and _drawn(gate.policy.action_dist(t, state), entry.proposed):
+                proposed = entry.proposed
+                step, _, ledger = gate_step(budget, cfg, model, ledger, t, state, proposed, {})
+                exact &= step == entry
+                budget = step.budget_after
+                true_toll = truth(t, state, proposed)
+                diverted = step.executed != proposed
+                true_sum += truth(t, state, step.executed) if diverted else true_toll
+                following = entries[t + 1].state if t + 1 < len(entries) else None
+                kernel = model.kernel(t, state, step.executed)
+                state = following if _drawn(kernel, following) else None
             else:
-                true_sum += true_positive_toll(entry.time, entry.state, entry.executed)
+                exact, state, true_toll, true_sum = False, None, math.nan, math.nan
             if true_toll <= entry.envelope_value + 1e-9:
                 tally["quotes_covered"] += 1
             else:
                 tally["violations"] = 1
         tally["quotes"] = len(entries)
-        tally["overruns"] = not (true_sum <= budget_initial + 1e-9)
-        return tuple(tally.values()), exact, budget
+        tally["overruns"] = not (true_sum <= cfg.initial_budget + 1e-9)
+        return tuple(tally.values()), exact, budget, ledger.records
 
     n = 0
     episodes: Counter[tuple[int, ...]] = Counter()  # episodes per path tally
     accounting_exact = True
     final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
     for n, log in enumerate(logs, 1):
-        tally, exact, budget = audited(log.entries, log.budget_initial)
+        tally, exact, budget, records = audited(log.entries)
         episodes[tally] += 1
-        accounting_exact &= exact and budget == log.budget_final
+        accounting_exact &= exact and budget == log.budget_final and records == log.boundary_records
         final_min = log.budget_final if n == 1 else min(final_min, log.budget_final)
         final_sum += log.budget_final
     total = dict.fromkeys(_TALLIES, 0)

@@ -4,8 +4,9 @@ Episode logs are line-delimited JSON, one object per gate step, with sorted
 keys so identical runs serialize byte for byte. Summaries are plain CSV.
 The manifest is compact JSON with sorted keys. It embeds the scenario
 document, in the canonical bytes its ``config_hash`` hashes, which makes a
-run directory self-describing for later audits: given the initial budget of
-that document, :func:`read_episode_logs` rebuilds the episode logs.
+run directory self-describing for later audits: :func:`read_episode_logs`
+rebuilds the episode logs, and the stored document and seed rebuild the
+gate that wrote them.
 
 The episode-log, boundary-log and summary readers and writers stream. A
 writer writes one episode at a time to an open file; a reader reads one
@@ -25,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import re
 from operator import itemgetter
 from pathlib import Path
@@ -38,8 +40,7 @@ SUMMARY_NAME = "summary.csv"
 MANIFEST_NAME = "manifest.json"
 BOUNDARY_LOG_NAME = "boundaries.jsonl"
 
-# One count column per verdict, in declaration order, which is the order of
-# EpisodeLog.decision_counts.
+# One count column per verdict, in declaration order.
 _SUMMARY_FIELDS = ("episode", "b_final", "charged_sum", "terminal_loss") + tuple(
     "n_" + v.value.lower() for v in Verdict
 )
@@ -134,22 +135,28 @@ def write_boundary_log(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
 
 
 def _summary_tail(entries, budget_initial, budget_final, terminal_loss) -> str:
-    """A summary row after its episode cell: the cells csv.writer writes,
-    none of which needs quoting, and the row's terminator."""
-    log = EpisodeLog(0, entries, terminal_loss, budget_initial, budget_final, ())
-    cells = (repr(budget_final), repr(log.charged_total), repr(terminal_loss)) + tuple(
-        map(str, log.decision_counts().values())
+    """A summary row after its episode cell: the final budget, the ``fsum``
+    of the budget each entry takes off the one before it, the terminal loss
+    and the entries per verdict, as csv.writer writes them, none of which
+    needs quoting, and the row's terminator."""
+    before = (budget_initial, *(e.budget_after for e in entries[:-1]))
+    charged = math.fsum(b - e.budget_after for b, e in zip(before, entries))
+    verdicts = [e.verdict for e in entries]
+    cells = (repr(budget_final), repr(charged), repr(terminal_loss)) + tuple(
+        str(verdicts.count(v)) for v in Verdict
     )
     return "," + ",".join(cells) + "\r\n"
 
 
-def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog]) -> Path:
+def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog], budget_initial: float) -> Path:
+    """One summary row per episode of ``logs``, a gate's episodes from
+    ``budget_initial``."""
     path = out_dir / SUMMARY_NAME
     tail_of = _by_identity(_summary_tail)
     with path.open("w", newline="") as fh:
         fh.write(",".join(_SUMMARY_FIELDS) + "\r\n")
         for log in logs:
-            tail = tail_of(log.entries, log.budget_initial, log.budget_final, log.terminal_loss)
+            tail = tail_of(log.entries, budget_initial, log.budget_final, log.terminal_loss)
             fh.write(str(log.episode) + tail)
     return path
 
@@ -229,45 +236,26 @@ def _lines_not_utf8(path: Path) -> Iterator[str]:
 _MANIFEST_FIELDS = (
     ("scenario_name", lambda v: type(v) is str, "a string"),
     ("config_hash", lambda v: type(v) is str, "a string"),
+    ("seed", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     ("episodes", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     ("scenario_document", lambda v: type(v) is dict, "an object"),
     ("envelope", lambda v: type(v) is dict, "an object"),
 )
 
 
-def _manifest_field(record: dict, key: str, ok: Callable[[object], bool], what: str, path=""):
-    """``record[key]``; raises :class:`RunArtifactError`, naming ``path +
-    key``, when it is missing or not ``ok``."""
-    if key not in record:
-        raise RunArtifactError(f"{MANIFEST_NAME} has no {path + key!r}")
-    value = record[key]
-    if not ok(value):
-        raise RunArtifactError(f"{MANIFEST_NAME} holds {path + key} {value!r}, not {what}")
-    return value
-
-
 def read_manifest(run_dir: Path) -> dict:
     """The manifest :func:`write_manifest` wrote. Raises
     :class:`RunArtifactError`, naming the field, unless it is an object
-    whose ``_MANIFEST_FIELDS`` keep their rules and whose envelope ``kind``
-    is ``exact`` or ``conformal``, a conformal one with a numeric ``delta``
-    in (0, 1)."""
+    whose ``_MANIFEST_FIELDS`` are there and keep their rules."""
     with _opened(Path(run_dir) / MANIFEST_NAME) as fh:
         manifest = json.load(fh)
     if type(manifest) is not dict:
         raise RunArtifactError(f"{MANIFEST_NAME} is not a JSON object")
     for key, ok, what in _MANIFEST_FIELDS:
-        _manifest_field(manifest, key, ok, what)
-    envelope = manifest["envelope"]
-    kind = _manifest_field(
-        envelope, "kind", lambda v: v in ("exact", "conformal"), "'exact' or 'conformal'",
-        "envelope.",
-    )
-    if kind == "conformal":
-        _manifest_field(
-            envelope, "delta", lambda v: type(v) in _NUMBER and 0.0 < v < 1.0,
-            "a number in (0, 1)", "envelope.",
-        )
+        if key not in manifest:
+            raise RunArtifactError(f"{MANIFEST_NAME} has no {key!r}")
+        if not ok(manifest[key]):
+            raise RunArtifactError(f"{MANIFEST_NAME} holds {key} {manifest[key]!r}, not {what}")
     return manifest
 
 
@@ -450,6 +438,7 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, float]]:
         except ValueError as exc:
             raise RunArtifactError(
                 f"{SUMMARY_NAME} holds a cell that does not convert ({exc})"
+                f" (line {rows.line_num})"
             ) from None
 
 
@@ -460,12 +449,12 @@ def _boundary_record(rec) -> tuple[int, dict]:
     return rec.pop("episode"), rec
 
 
-def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeLog]:
-    """Rebuild a run's episode logs, one at a time in summary-row order,
-    given the initial budget of its scenario: the inverse of the episode,
-    summary and boundary writers. Raises :class:`RunArtifactError` for a
-    record or cell that does not convert, or where the logs disagree on the
-    next episode (for a boundary record, once no row is left to take it)."""
+def read_episode_logs(run_dir: Path) -> Iterator[EpisodeLog]:
+    """Rebuild a run's episode logs, one at a time in summary-row order: the
+    inverse of the episode, summary and boundary writers. Raises
+    :class:`RunArtifactError` for a record or cell that does not convert, or
+    where the logs disagree on the next episode (for a boundary record, once
+    no row is left to take it)."""
     groups = read_episode_records(run_dir)
     boundary = _read_lines(Path(run_dir) / BOUNDARY_LOG_NAME, _boundary_record)
     pending = next(boundary, None)
@@ -479,7 +468,7 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
         while pending is not None and pending[0] == episode:
             records.append(pending[1])
             pending = next(boundary, None)
-        yield EpisodeLog(episode, entries, loss, budget_initial, final, tuple(records))
+        yield EpisodeLog(episode, entries, loss, final, tuple(records))
     for name, left in ((EPISODE_LOG_NAME, next(groups, None)), (BOUNDARY_LOG_NAME, pending)):
         if left is not None:
             raise RunArtifactError(

@@ -317,7 +317,8 @@ def _resolve_exposure(
             apath = f"model.nodes[{i}].actions[{a}]"
             increments = optional_field(arec, "exposure", as_object, apath, {})
             path = f"{apath}.exposure"
-            for bid in increments:
+            # committed in sorted order, whatever the document's key order
+            for bid in sorted(increments):
                 if bid not in dims:
                     raise ScenarioReferenceError(
                         f"exposure names unknown boundary {bid!r}", path=path
@@ -484,3 +485,30 @@ def calibrate_conformal(
             }
         )
     return fit_conformal_envelope(predictor, picked, delta), rows
+
+
+def run_gate(scenario: Scenario, seed: int) -> tuple[Gate, dict]:
+    """The gate ``run`` gates the episodes of ``scenario`` at ``seed``
+    through, and the manifest's record of its envelope tier: ``{"kind":
+    "exact"}``, or for a conformal envelope the ``delta``, the fitted
+    ``inflation`` and ``quantile_rank``, and the ``calibration_episodes``.
+    A conformal envelope is calibrated here, from the document and the seed
+    alone, so ``report`` rebuilds the gate of a run from its manifest; an
+    exact one is the scenario's own and never calibrates."""
+    cfg, record = scenario.gate, {"kind": "exact"}
+    if scenario.envelope_config["kind"] == "conformal":
+        delta = scenario.envelope_config["delta"]
+        n = scenario.envelope_config["calibration_episodes"]
+        envelope, _ = calibrate_conformal(
+            scenario, n, delta, seed=seed + 10_000,
+            training_episodes=scenario.envelope_config["training_episodes"],
+        )
+        cfg = cfg._replace(envelope=envelope)
+        record = {
+            "kind": "conformal",
+            "delta": delta,
+            "inflation": envelope.inflation,
+            "quantile_rank": envelope.quantile_rank,
+            "calibration_episodes": n,
+        }
+    return Gate(scenario.model, scenario.policy, cfg), record

@@ -557,7 +557,7 @@ def gating_suite(seed: int) -> SuiteResult:
     for sc in scenarios:
         gate = Gate(sc.model, sc.policy, sc.gate)
         logs = (run_episode(gate, seed=seed, episode=i) for i in range(500))
-        audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
+        audit = audit_budget_guarantee(logs, gate, delta=0.0)
         props.append(
             PropertyResult(
                 f"exact-envelope-budget-guarantee[{sc.name}]",
@@ -571,7 +571,6 @@ def gating_suite(seed: int) -> SuiteResult:
         )
 
     sc = scenarios[0]
-    truth = sc.gate.exact_quoter.predict
     runs = []
     for _ in range(2):
         # a fresh gate per run, so the rerun decides every step again
@@ -590,7 +589,7 @@ def gating_suite(seed: int) -> SuiteResult:
     eval_cfg = sc.gate._replace(envelope=conformal, initial_budget=50.0)
     eval_gate = Gate(sc.model, sc.policy, eval_cfg)
     eval_logs = [run_episode(eval_gate, seed=seed + 2000, episode=i) for i in range(1000)]
-    audit = audit_budget_guarantee(eval_logs, truth, delta=_CONFORMAL_DELTA)
+    audit = audit_budget_guarantee(eval_logs, eval_gate, delta=_CONFORMAL_DELTA)
     props.append(
         PropertyResult(
             "conformal-envelope-budget-guarantee",
@@ -609,7 +608,7 @@ def gating_suite(seed: int) -> SuiteResult:
     bad_cfg = eval_cfg._replace(envelope=deflated)
     bad_gate = Gate(sc.model, sc.policy, bad_cfg)
     bad_logs = [run_episode(bad_gate, seed=seed + 3000, episode=i) for i in range(300)]
-    bad_audit = audit_budget_guarantee(bad_logs, truth, delta=_CONFORMAL_DELTA)
+    bad_audit = audit_budget_guarantee(bad_logs, bad_gate, delta=_CONFORMAL_DELTA)
     props.append(
         PropertyResult(
             "deflated-envelope-fails-audit",

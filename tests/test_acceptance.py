@@ -136,22 +136,22 @@ def test_criterion_7_budget_guarantee_exact():
         sc = load_scenario(bundled_scenario_path(name))
         gate = Gate(sc.model, sc.policy, sc.gate)
         logs = [run_episode(gate, seed=SEED, episode=i) for i in range(episodes)]
-        audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
+        audit = audit_budget_guarantee(logs, gate, delta=0.0)
         assert audit.overruns == 0, f"{name}: {audit.overruns} overruns"
         assert audit.violation_fraction == 0.0
         assert audit.accounting_exact
         for log in logs:
             charges = []
-            prev = log.budget_initial
+            prev = sc.gate.initial_budget
             for entry in log.entries:
                 charges.append(prev - entry.budget_after)
                 prev = entry.budget_after
-            replay = log.budget_initial
+            replay = sc.gate.initial_budget
             for c in charges:
                 replay -= c
             assert replay == log.budget_final
             assert math.fsum(charges) == pytest.approx(
-                log.budget_initial - log.budget_final, abs=1e-12
+                sc.gate.initial_budget - log.budget_final, abs=1e-12
             )
     _report(
         "criterion-7",

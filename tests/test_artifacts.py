@@ -17,25 +17,25 @@ from tollgate.scenario import bundled_scenario_path
 
 RUN_DIGESTS = {
     "payments": {
-        "boundaries.jsonl": "311cfa227df8ec93b639d14ffad4b09b40fc8b3aebb903a4cedf1b9fe7c05a3e",
-        "episodes.jsonl": "011ab309446cc72449630382f95abc4271620244ed07f814ab070b061fd092e6",
+        "boundaries.jsonl": "12bfb46482d6d96f7a03a49ded84e391dc195835eaf9192d256827246bf275e2",
+        "episodes.jsonl": "72517ee83b90353842cc4ee0d54a01e5a464661b5c4aa9d4eb1e25d80339f9b1",
         "manifest.json": "e68b8a7fb202f05b50d21aad96267760695f56d41fd69b4cc7137b129ae05415",
-        "summary.csv": "918159758f9ca994a86ce52b81be0e7a78b326827f9da5e8b1a161df69639b8b",
-        "report": "9b22a0c018ec340cc03a65857bd598ade8d73288c2a302847378a7d42153a894",
+        "summary.csv": "1f82adfdf982d1a1604f7da737a216e8730c64531d03ab650268580af4462abe",
+        "report": "a02e55a9a77c272bebdc7d1bf1114cacc25eed896622219eb18c79c7fb121f99",
     },
     "database": {
         "boundaries.jsonl": "73493aca3b9f0ab7dad5bd0b5c5e0660afd2c56872e9d98444a1b24a831802dc",
-        "episodes.jsonl": "7725ce4d4acfd66f64ffe71954759c14bca5766c989389865ffc68352fb6a046",
+        "episodes.jsonl": "f4dad07c6bb7dc25a03af33966743efd55794b6c939c7d129b769075240338e1",
         "manifest.json": "9e98396a8bb5f316fe8d72ab5e3bcfc503343f92a72e887f05e16403e20adaac",
         "summary.csv": "5c068c13c6751c2971c8263e07cee7999cbb5a8de0c7b787912eb1ca9316e82b",
         "report": "77e772b51d0d317a96155623bfd560ade47b6bb8cd1432b767f9f3e3fc2ac6f0",
     },
     "trading": {
         "boundaries.jsonl": "2aa674f6539e3ec35baa92521cf2949e33f5c07d506327c69f200d37424d5894",
-        "episodes.jsonl": "ce76cb4ca35136b743869c51ff8b333d21bbb3d1b9b676b594ae96e4524ca969",
+        "episodes.jsonl": "eaf7c6841c42b63d7308a6f89fd4d10e0dbc3fcc07105b7423dce4e34beab7ac",
         "manifest.json": "1b52194c2a986e084db4ffb590bf8dfc90ea3c73e0eca5b8be649c584a38d204",
-        "summary.csv": "5b974aeb3b1fe5d88dcbb35f57d71145a9efca70c51e3b8e320972b53473a861",
-        "report": "693cebf2d1b255f781101b7578e59857a113bebf6999684d50e7d9112dc60dd6",
+        "summary.csv": "a8c73631b7ce05c6c8fd2a22909219cb6823dba6abad0bba3ed00373ab3203fb",
+        "report": "b831954d9f001e1425ecaecae698cbff74c05ac95cfa0676f3fcbc020dd42e4e",
     },
 }
 
@@ -45,41 +45,41 @@ RUN_DIGESTS = {
 # these reports go through the readers' line memo and the audit's path memo.
 BENCH_SIZE_DIGESTS = {
     "payments": {
-        "boundaries.jsonl": "d4f948fe2d82173f043d186824d06883aaf4a6727ea71d0ea1681d30b8123de7",
-        "episodes.jsonl": "2402686ffcff69028e3250ae9af5b80a532ae05b6ca145ab2af53dcdd96ddd75",
+        "boundaries.jsonl": "0eef7afae7164f6759ba272ea6db2ca11283a8f7fe167d97cbab4fd6f32de7d5",
+        "episodes.jsonl": "afff99d45b205707d0c4520ea1cb9a256f0a14e2ff3e9cdc1ea1d67af707e7c9",
         "manifest.json": "bee728eccd5b25540b3bc5bdc50feb0117296653b45321673e2e1a53048b96ef",
-        "summary.csv": "e1845461f17ee283600302b28f3dec47c769c4bd0d94be0650b473ac9735278d",
-        "report": "0b408b13a2dc9bcc85ca02c55df9c8804b3f2dfc32d4ad911c13e6e23572986b",
+        "summary.csv": "1c638d47c3a12e124c7fae10613e369ab7c879423a9b4fa86dae220e201a25e9",
+        "report": "ad189dca99830aa44b7b514734c8b2cca5b45df9373f9a9e5bc9e48ae68fb284",
     },
     "database": {
         "boundaries.jsonl": "70e3a07bfd749fecff7573671244ba2c8e25968fa0dcf69986abc742ac627b64",
-        "episodes.jsonl": "c4006afc4b1891c79fc36ebf74b264b3401c6f0e14fe532df2a20e650ef2f138",
+        "episodes.jsonl": "c1ac6667b5271b3bce218fd0235ae381a023a47eabe23ddc69be3a463eb617ab",
         "manifest.json": "fec25839bb3d8c2f0d243cfb2488d546ee9aa44bf04e9315e0978936dcdb7f68",
-        "summary.csv": "9f439b8cfc9cb27d2eff686f153de564ea621d8cb75128b0178748665974b68d",
+        "summary.csv": "b5324d04eab521bb1f65ac0ed1844d87d207f416da7e727eb6a1331b5138be25",
         "report": "7d24148db9e5b68495ca614461c7974e9931cd14f8d6648f797088dc6f0817d4",
     },
     "trading": {
         "boundaries.jsonl": "01b30db9f6b7a7415f5babef47a78f4d9b3f46fc225d1efc77aa140dc40e49c5",
-        "episodes.jsonl": "f450e1d548597260448090965933c4edd8f01d4ffb2b7b2eeee10697bfe6527e",
+        "episodes.jsonl": "6447d1deb42aa0e8219d67aa875cd63d9864c7682f072a250d25763053bde705",
         "manifest.json": "c2ad7f4fe45ea1028e78f6eb05a983f221813dc16b79b229b4af5f810fd8adeb",
-        "summary.csv": "860f2cff792bd34d9a7ab7b5ab98c46c0e8297ab3b71185f40ddd380078c30b3",
-        "report": "bc670143548d568bb7d6c6691b34629f192bd6edf5c6fad5e5af632d4fcf4780",
+        "summary.csv": "0018b91073a80e871295ac42bb85650579674f2884033d928b12a2f848c6b471",
+        "report": "6dbc34b31518be22caeba8fb214cfdd0d57c221754c2fb9808571d6f90c4675f",
     },
 }
 
 # Payments with a conformal envelope: the run calibrates before it gates,
 # and the manifest records the fitted inflation and rank.
 CONFORMAL_RUN_DIGESTS = {
-    "boundaries.jsonl": "130f7d3be3b8bb1b1ea2a5ad960b1e09291349c25e70ebcad3d5546b490fe32a",
-    "episodes.jsonl": "1f90482f1c5852139ea0b12b9aa2683ebd17a73ec23913dab39f3af762c0cdf2",
-    "manifest.json": "cff572b37ecbb75efe243c0f6141f90c4836b41f3fa6471957dfa3ef0d4ed0c2",
-    "summary.csv": "f5ae9b7694d75bf3ea1fe3d31e2fcede0003ae2eee30d165f6dbfed33e1d16f3",
-    "report": "180114f3c3e702eab4c6172b34f9fea5f4b032712fc48682b627a6bd17a24dee",
+    "boundaries.jsonl": "c5d478fa147a5fb2de112136d50cba2626823cd751cf76faa740a048f4d307e0",
+    "episodes.jsonl": "8034151471232b23c8720d4d1f9d71f7f5c3b79b8c0367b3acbb3c9ac27e0806",
+    "manifest.json": "c1a4129731aaf5d4d406980f09d30f92dbcb1a66c6b257e7f78b5ebc57438b4e",
+    "summary.csv": "422a66b9eddec0477f24eac4e00599bba00408f4d04791ef383d1cc8012fa680",
+    "report": "ef251cee2e565d8e14c764f27a0c262cbd769c3f41fa249ad9b984e7b38f6b29",
 }
 
 CALIBRATION_DIGESTS = {
-    "calibration.csv": "bd7c721d4f03dea87f51f27472ed0e7534ebf2c50015cd6e3b09872d2478c74f",
-    "envelope.json": "4877f401bd4502bb698afb2f9c441476b56128663c602a9483ccbc518581398d",
+    "calibration.csv": "8c0d5cb3366fcfc82271575e8fde3faba245bbe5d4f829f7f90787efb2bf4834",
+    "envelope.json": "a596f990e447cbe3ff16dc52b36b74ca86c4eeb97cb24b5d87a0e5051c3b4613",
 }
 
 VERIFY_DIGESTS = {
@@ -87,7 +87,7 @@ VERIFY_DIGESTS = {
     "cvar-demo": "2b3fabea527e08ed40652780a0436c0da7525e10141167ee5160a733eeab2719",
     "no-splitting": "2628751b089faaf3382355bf6fd56623b8ef20d91bb16db69618279e85b65336",
     "iap": "6d146b675d7d1a7203fbb839b3df0c373e711b88b3c6570e61969fb578036d26",
-    "gating": "492c7230b57532e9a9ae9295bf2e1ea539586c796298cc990f771805410993e9",
+    "gating": "4a86b5296cb3a4d942e3a2159e1c188ca0c358e0e703f44864459e5bec76b0d2",
 }
 
 

@@ -320,10 +320,7 @@ def _stepped_episode(model, policy, cfg, seed: int, episode: int, ledger: Bounda
         targets, cdf = _inverse_cdf(model.kernel(t, state, entry.executed))
         state = targets[bisect_right(cdf, uniform())]
         yield None
-    yield EpisodeLog(
-        episode, tuple(entries), model.terminal_loss(state), cfg.initial_budget, budget,
-        ledger.records,
-    )
+    yield EpisodeLog(episode, tuple(entries), model.terminal_loss(state), budget, ledger.records)
 
 
 def _alternated_logs(sc, seed: int, episodes) -> list:
@@ -715,7 +712,7 @@ def test_budget_never_negative_and_charges_telescope():
     gate = Gate(sc.model, sc.policy, sc.gate)
     logs = [run_episode(gate, seed=31, episode=i) for i in range(100)]
     for log in logs:
-        prev = log.budget_initial
+        prev = sc.gate.initial_budget
         charges = []
         for entry in log.entries:
             assert entry.budget_after >= 0.0
@@ -723,23 +720,22 @@ def test_budget_never_negative_and_charges_telescope():
             charges.append(prev - entry.budget_after)
             prev = entry.budget_after
         # replaying the charges reproduces the final budget bit for bit
-        budget = log.budget_initial
+        budget = sc.gate.initial_budget
         for c in charges:
             budget -= c
         assert budget == log.budget_final
         assert math.fsum(charges) == pytest.approx(
-            log.budget_initial - log.budget_final, abs=1e-12
+            sc.gate.initial_budget - log.budget_final, abs=1e-12
         )
 
 
 def test_audit_flags_deflated_envelope():
     sc = load_scenario(bundled_scenario_path("payments"))
-    truth = sc.gate.exact_quoter.predict
     flat = Envelope(kind="conformal", predict=lambda t, s, a: 0.0, inflation=0.0)
     cfg = sc.gate._replace(envelope=flat, initial_budget=5.0)
     gate = Gate(sc.model, sc.policy, cfg)
     logs = [run_episode(gate, seed=77, episode=i) for i in range(150)]
-    audit = audit_budget_guarantee(logs, truth, delta=0.1)
+    audit = audit_budget_guarantee(logs, gate, delta=0.1)
     assert audit.violation_fraction > audit.threshold
     assert not audit.passed
 
@@ -748,7 +744,7 @@ def test_audit_exact_envelope_is_clean():
     sc = load_scenario(bundled_scenario_path("trading"))
     gate = Gate(sc.model, sc.policy, sc.gate)
     logs = [run_episode(gate, seed=5, episode=i) for i in range(120)]
-    audit = audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, delta=0.0)
+    audit = audit_budget_guarantee(logs, gate, delta=0.0)
     assert audit.passed
     assert audit.overruns == 0
     assert audit.violation_fraction == 0.0
@@ -759,7 +755,7 @@ def test_audit_exact_envelope_is_clean():
 def test_audit_replays_escalated_and_downgraded_charges():
     # a fast tier that quotes three times the exact toll sends proposals
     # down the chain: approved escalations are charged their exact re-quote,
-    # downgrades nothing, and the audit derives both charges from the verdict
+    # downgrades nothing, and the audit's replay of the gate charges both so
     sc = load_scenario(bundled_scenario_path("payments"))
     truth = sc.gate.exact_quoter.predict
     fast = Envelope(kind="conformal", predict=lambda t, s, a: 3.0 * truth(t, s, a))
@@ -771,50 +767,62 @@ def test_audit_replays_escalated_and_downgraded_charges():
     logs = [run_episode(gate, seed=3, episode=i) for i in range(200)]
     verdicts = {e.verdict for log in logs for e in log.entries}
     assert {Verdict.ESCALATE_APPROVED, Verdict.DOWNGRADE} <= verdicts
-    assert audit_budget_guarantee(logs, truth, delta=0.1).accounting_exact
-    # the same logs judged as if an approved escalation were free
-    assert not audit_budget_guarantee(logs, lambda t, s, a: 0.0, delta=0.1).accounting_exact
+    assert audit_budget_guarantee(logs, gate, delta=0.1).accounting_exact
+    # the same logs replayed by a gate whose approved escalations are free
+    free = Envelope(kind="exact", predict=lambda t, s, a: 0.0)
+    free_gate = Gate(sc.model, sc.policy, cfg._replace(exact_quoter=free))
+    assert not audit_budget_guarantee(logs, free_gate, delta=0.1).accounting_exact
 
 
-def test_audit_asks_the_quoter_once_where_one_answer_serves():
+def test_audit_asks_the_quoter_once_where_one_answer_serves(monkeypatch):
     # an entry that executes its proposal needs one true toll; a diverted
     # one needs the proposal's and the executed action's; and the episodes
-    # whose paths are equal by value need them once, also where the gate
-    # holds two equal paths that end in different leaves
+    # whose paths are equal by value are replayed, and need them, once, also
+    # where the gate holds two equal paths that end in different leaves
     sc = load_scenario(bundled_scenario_path("payments"))
-    gate = Gate(sc.model, sc.policy, sc.gate)
-    logs = [run_episode(gate, seed=301, episode=i) for i in range(200)]
-    entries = [e for log in logs for e in log.entries]
-    diverted = sum(e.executed != e.proposed for e in entries)
-    assert 0 < diverted < len(entries)
-    paths = {log.entries for log in logs}
-    assert len(paths) < len({id(log.entries) for log in logs}) < 20
-    truth, calls = sc.gate.exact_quoter.predict, []
+    truth, calls, steps = sc.gate.exact_quoter.predict, [], []
 
     def counted(t, s, a):
         calls.append(a)
         return truth(t, s, a)
 
-    assert audit_budget_guarantee(logs, counted, delta=0.0) == audit_budget_guarantee(
-        logs, truth, delta=0.0
+    # the payments chain never escalates, so only the audit asks the
+    # exact quoter, and the gate quotes through its own copy of it
+    cfg = sc.gate._replace(
+        envelope=Envelope(kind="exact", predict=truth),
+        exact_quoter=Envelope(kind="exact", predict=counted),
     )
+    gate = Gate(sc.model, sc.policy, cfg)
+    # seed 300: one of its ten paths ends in two leaves
+    logs = [run_episode(gate, seed=300, episode=i) for i in range(200)]
+    assert not calls
+    entries = [e for log in logs for e in log.entries]
+    diverted = sum(e.executed != e.proposed for e in entries)
+    assert 0 < diverted < len(entries)
+    paths = {log.entries for log in logs}
+    assert len(paths) < len({id(log.entries) for log in logs}) < 20
+    step = gate_module.gate_step
+    monkeypatch.setattr(gate_module, "gate_step", lambda *args: steps.append(0) or step(*args))
+    audit = audit_budget_guarantee(logs, gate, delta=0.0)
+    assert audit.passed
+    assert len(steps) == sum(map(len, paths))
     assert len(calls) == sum(1 + (e.executed != e.proposed) for path in paths for e in path) == 21
 
 
 def _shared_and_copied_logs():
     """Payments logs of one Gate, each followed by a copy whose entries are
-    another tuple of equal value, and the exact quoter."""
+    another tuple of equal value, and the gate."""
     sc = load_scenario(bundled_scenario_path("payments"))
     gate = Gate(sc.model, sc.policy, sc.gate)
     shared = [run_episode(gate, seed=5, episode=i) for i in range(150)]
     copies = [log._replace(entries=tuple(list(log.entries))) for log in shared]
-    return [log for pair in zip(shared, copies) for log in pair], sc.gate.exact_quoter.predict
+    return [log for pair in zip(shared, copies) for log in pair], gate
 
 
-def _counts_every_episode(logs, truth) -> bool:
+def _counts_every_episode(logs, gate) -> bool:
     """Whether the audit of ``logs`` passes and counts every episode, every
     entry and every verdict."""
-    audit = audit_budget_guarantee(logs, truth, delta=0.0)
+    audit = audit_budget_guarantee(logs, gate, delta=0.0)
     entries = [e for log in logs for e in log.entries]
     decisions = {v.value: sum(e.verdict is v for e in entries) for v in Verdict}
     return audit.passed and (audit.episodes, audit.quotes, audit.decisions) == (
@@ -823,19 +831,19 @@ def _counts_every_episode(logs, truth) -> bool:
 
 
 def test_audit_counts_and_checks_every_episode_of_a_shared_path(monkeypatch):
-    # a path is folded once per value of its entries and initial budget, but
-    # every episode on it is counted and its final budget checked, also once
-    # the paths outnumber the ones the audit holds
+    # a path is replayed once per value of its entries, but every episode
+    # on it is counted and its final budget and boundary records checked,
+    # also once the paths outnumber the ones the audit holds
     monkeypatch.setattr(gate_module, "_PATHS_HELD", 2)
-    logs, truth = _shared_and_copied_logs()
+    logs, gate = _shared_and_copied_logs()
     assert len({log.entries for log in logs}) > gate_module._PATHS_HELD
-    assert _counts_every_episode(logs, truth)
-    log = logs[0]
+    assert _counts_every_episode(logs, gate)
+    log = next(log for log in logs if log.boundary_records)
     for bad in (
         log._replace(budget_final=log.budget_final + 1.0),
-        log._replace(budget_initial=log.budget_initial + 1.0),
+        log._replace(boundary_records=log.boundary_records[1:]),
     ):
-        assert not audit_budget_guarantee([log, bad], truth, delta=0.0).accounting_exact
+        assert not audit_budget_guarantee([log, bad], gate, delta=0.0).accounting_exact
 
 
 def test_audit_that_adds_each_tally_once_undercounts(monkeypatch):
@@ -849,19 +857,19 @@ def test_audit_that_adds_each_tally_once_undercounts(monkeypatch):
     assert not _counts_every_episode(*_shared_and_copied_logs())
 
 
-def _payments_log_and_truth():
+def _payments_log_and_gate():
     sc = load_scenario(bundled_scenario_path("payments"))
-    log = run_episode(Gate(sc.model, sc.policy, sc.gate), seed=5, episode=0)
-    truth = sc.gate.exact_quoter.predict
-    assert audit_budget_guarantee([log], truth, delta=0.0).passed
-    return log, truth
+    gate = Gate(sc.model, sc.policy, sc.gate)
+    log = run_episode(gate, seed=5, episode=0)
+    assert audit_budget_guarantee([log], gate, delta=0.0).passed
+    return log, gate
 
 
 def test_audit_fails_nan_quote():
     # negative control: a NaN envelope value covers nothing
-    log, truth = _payments_log_and_truth()
+    log, gate = _payments_log_and_gate()
     entries = (log.entries[0]._replace(envelope_value=math.nan),) + log.entries[1:]
-    audit = audit_budget_guarantee([log._replace(entries=entries)], truth, delta=0.0)
+    audit = audit_budget_guarantee([log._replace(entries=entries)], gate, delta=0.0)
     assert audit.quotes_covered == audit.quotes - 1
     assert not audit.passed
 
@@ -869,12 +877,15 @@ def test_audit_fails_nan_quote():
 def test_audit_fails_nan_true_toll():
     # negative control: a NaN true toll on an executed proposal is neither
     # covered nor within the budget
-    log, truth = _payments_log_and_truth()
+    log, gate = _payments_log_and_gate()
     entry = next(e for e in log.entries if e.verdict is Verdict.EXECUTE)
     key = (entry.time, entry.state, entry.proposed)
-    audit = audit_budget_guarantee(
-        [log], lambda t, s, a: math.nan if (t, s, a) == key else truth(t, s, a), delta=0.0
+    truth = gate.cfg.exact_quoter.predict
+    nan_quoter = Envelope(
+        kind="exact", predict=lambda t, s, a: math.nan if (t, s, a) == key else truth(t, s, a)
     )
+    gate = Gate(gate.model, gate.policy, gate.cfg._replace(exact_quoter=nan_quoter))
+    audit = audit_budget_guarantee([log], gate, delta=0.0)
     assert audit.quotes_covered < audit.quotes
     assert audit.overruns == 1
     assert not audit.passed

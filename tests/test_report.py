@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -14,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from tollgate import runio
+from tollgate import scenario as scenario_module
 from tollgate.cli import main
-from tollgate.gate import Gate, run_episode
+from tollgate.gate import Gate, Verdict, run_episode
 from tollgate.scenario import BUNDLED_SCENARIOS, bundled_scenario_path, load_scenario
 
 
@@ -26,7 +29,7 @@ def test_read_episode_logs_round_trips_run(name, tmp_path):
     sc = load_scenario(bundled_scenario_path(name))
     gate = Gate(sc.model, sc.policy, sc.gate)
     written = [run_episode(gate, seed=7, episode=i) for i in range(30)]
-    assert list(runio.read_episode_logs(out, sc.gate.initial_budget)) == written
+    assert list(runio.read_episode_logs(out)) == written
 
 
 def test_report_fails_exact_run_with_under_quoted_action(tmp_path, capsys):
@@ -179,6 +182,28 @@ def test_report_takes_delta_from_conformal_manifest(tmp_path, capsys):
         pytest.fail("no seed left a quote uncovered")
 
 
+def test_exact_tier_report_never_calibrates(monkeypatch, tmp_path, capsys):
+    # report rebuilds the run's gate, which calibrates only a conformal
+    # envelope; an exact-tier run, as every bench workload is, never does
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 20, "training_episodes": 10}
+    conformal = tmp_path / "payments-conformal.scn.json"
+    conformal.write_text(json.dumps(doc))
+    exact_run, conformal_run = tmp_path / "exact", tmp_path / "conformal"
+    for scenario, out in (("payments", exact_run), (str(conformal), conformal_run)):
+        assert main(["run", "--scenario", scenario, "--episodes", "20", "--out", str(out)]) == 0
+
+    def calibrate(*args, **kwargs):
+        raise AssertionError("report calibrated")
+
+    monkeypatch.setattr(scenario_module, "calibrate_conformal", calibrate)
+    code, text = _report_exit(exact_run, capsys)
+    assert code == 0 and text.rstrip().endswith("-> PASS")
+    # the patch bites: a conformal run's report calibrates
+    with pytest.raises(AssertionError, match="report calibrated"):
+        main(["report", "--out", str(conformal_run)])
+
+
 def test_no_command_loads_numpy_or_scipy(tmp_path):
     # the package has no runtime dependency: an exact-tier run of each
     # bundled scenario samples from the standard library's generator,
@@ -222,6 +247,10 @@ def _report_exit(out, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
+# The line report adds when the logs are not what the run's gate replays.
+_ACCOUNTING_FAILS = "accounting          : the logs are not what the gate replays -> FAIL"
+
+
 def test_report_fails_run_with_a_corrupted_budget_after(tmp_path, capsys):
     # negative control: each charge follows from its entry's verdict, so a
     # budget_after that no charge explains fails the accounting, even where
@@ -237,7 +266,39 @@ def test_report_fails_run_with_a_corrupted_budget_after(tmp_path, capsys):
     path.write_text(json.dumps(record) + "\n" + rest)
     code, text = _report_exit(out, capsys)
     assert code == 1
-    assert text.rstrip().endswith("-> FAIL")
+    assert text.rstrip().endswith(_ACCOUNTING_FAILS)
+
+
+def test_report_fails_an_episode_cut_short(tmp_path, capsys):
+    # negative control: a path holds one entry per time step. The last
+    # episode's last step changes neither the budget nor the boundaries, so
+    # only the length of its path tells the logs without it from a run
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "database", "--episodes", "50", "--out", str(out)]) == 0
+    path = out / runio.EPISODE_LOG_NAME
+    *kept, last = path.read_text().splitlines(keepends=True)
+    record = json.loads(last)
+    assert (record["verdict"], record["envelope_value"]) == ("EXECUTE", 0.0)
+    path.write_text("".join(kept))
+    code, text = _report_exit(out, capsys)
+    assert code == 1
+    assert text.rstrip().endswith(_ACCOUNTING_FAILS)
+
+
+@pytest.mark.parametrize("key", ["state", "proposed"])
+def test_report_fails_a_step_off_every_path_of_the_model(key, tmp_path, capsys):
+    # negative control: a logged state the model lacks, or a proposal the
+    # policy never draws, has no gate step and no true toll, nor has the
+    # rest of its path; the audit fails them, and never asks the model or
+    # the quoter about them
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
+    _first_log_field(key, "nowhere")(out)
+    code, text = _report_exit(out, capsys)
+    assert code == 1
+    assert "coverage estimate   : 8/10 quotes covered" in text
+    assert "budget guarantee    : 1 overrun episode(s)" in text
+    assert text.rstrip().endswith(_ACCOUNTING_FAILS)
 
 
 def test_report_passes_run_at_an_infinite_budget(tmp_path, capsys):
@@ -380,7 +441,17 @@ def _manifest_without(key):
     return _manifest(lambda manifest: {k: v for k, v in manifest.items() if k != key})
 
 
-_MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document", "envelope")
+_MANIFEST_KEYS = (
+    "scenario_name", "config_hash", "seed", "episodes", "scenario_document", "envelope"
+)
+
+
+def _envelope_refused(envelope) -> str:
+    """The refusal of a payments run's manifest that records ``envelope``."""
+    return (
+        f"manifest.json holds envelope {envelope!r}, not the {{'kind': 'exact'}} "
+        "its scenario and seed give"
+    )
 
 
 @pytest.mark.parametrize(
@@ -389,12 +460,12 @@ _MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document
         (
             _summary_episode_not_a_number,
             "summary.csv holds a cell that does not convert "
-            "(invalid literal for int() with base 10: 'x')",
+            "(invalid literal for int() with base 10: 'x') (line 2)",
         ),
         (
             _summary_final_budget_not_a_number,
             "summary.csv holds a cell that does not convert "
-            "(could not convert string to float: 'abc')",
+            "(could not convert string to float: 'abc') (line 2)",
         ),
         (_logged_episode_a_string, "episodes.jsonl logs a non-integer episode '0' (line 1)"),
         (
@@ -453,6 +524,13 @@ _MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document
             _manifest_field("config_hash", None),
             "manifest.json holds config_hash None, not a string",
         ),
+        *(
+            (
+                _manifest_field("seed", seed),
+                f"manifest.json holds seed {seed!r}, not a non-negative integer",
+            )
+            for seed in (-1, True)
+        ),
         (
             _manifest_field("episodes", "5"),
             "manifest.json holds episodes '5', not a non-negative integer",
@@ -473,21 +551,14 @@ _MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document
             _manifest_field("envelope", [{"kind": "exact"}]),
             "manifest.json holds envelope [{'kind': 'exact'}], not an object",
         ),
-        (_manifest_field("envelope", {}), "manifest.json has no 'envelope.kind'"),
-        (
-            _manifest_field("envelope", {"kind": "fast"}),
-            "manifest.json holds envelope.kind 'fast', not 'exact' or 'conformal'",
-        ),
-        (
-            _manifest_field("envelope", {"kind": "conformal"}),
-            "manifest.json has no 'envelope.delta'",
-        ),
         *(
-            (
-                _manifest_field("envelope", {"kind": "conformal", "delta": delta}),
-                f"manifest.json holds envelope.delta {delta!r}, not a number in (0, 1)",
+            (_manifest_field("envelope", envelope), _envelope_refused(envelope))
+            for envelope in (
+                {},
+                {"kind": "fast"},
+                {"kind": "conformal"},
+                *({"kind": "conformal", "delta": delta} for delta in ("0.1", 1.5, -0.2)),
             )
-            for delta in ("0.1", 1.5, -0.2)
         ),
     ],
     ids=[
@@ -498,7 +569,8 @@ _MANIFEST_KEYS = ("scenario_name", "config_hash", "episodes", "scenario_document
         "log-executed-int", "log-verdict-unknown", "log-verdict-list", "log-step-missing",
         "log-record-list", "summary-row-short", "summary-column-missing", "boundary-record-list",
         "manifest-list", *(f"manifest-without-{key}" for key in _MANIFEST_KEYS),
-        "manifest-scenario-name-int", "manifest-config-hash-null", "manifest-episodes-string",
+        "manifest-scenario-name-int", "manifest-config-hash-null", "manifest-seed-negative",
+        "manifest-seed-bool", "manifest-episodes-string",
         "manifest-episodes-bool", "manifest-episodes-negative", "manifest-document-list",
         "manifest-envelope-list", "manifest-envelope-without-kind", "manifest-envelope-kind-fast",
         "manifest-conformal-without-delta", "manifest-delta-string", "manifest-delta-1.5",
@@ -638,3 +710,95 @@ def test_report_refuses_log_line_that_is_not_one_record(edit, name, tmp_path, ca
     assert captured.err.startswith(f"error: {name} does not decode (line 2: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def _changed(rng, value, strings):
+    """A value of the same JSON kind as ``value`` that differs from it by
+    value: a nearby number, a list with one element more, one less or one
+    changed, or another of ``strings`` or a new string."""
+    if type(value) is int:
+        candidates = [value + 1, value - 1, value + 7]
+    elif type(value) is float:
+        candidates = [value + 0.25, value - 1e-9, 3.0 * value, -value - 1.0]
+    elif type(value) is list:
+        i = rng.randrange(len(value))
+        candidates = [value + [0.0], value[:-1], [*value[:i], value[i] + 0.5, *value[i + 1:]]]
+    else:
+        candidates = sorted(strings - {value}) + [value + "x"]
+    rng.shuffle(candidates)
+    return next(c for c in candidates if c != value)
+
+
+def _log_edits(rng, out, name, count):
+    """``count`` seeded edits of one field of one line of the log ``name``
+    of the run ``out``: each the file's new text, and a label."""
+    lines = (out / name).read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    keys = sorted(records[0])
+    strings = {key: {r[key] for r in records if type(r[key]) is str} for key in keys}
+    strings["verdict"] = {v.value for v in Verdict}
+    for _ in range(count):
+        i, key = rng.randrange(len(records)), rng.choice(keys)
+        value = _changed(rng, records[i][key], strings[key])
+        line = json.dumps({**records[i], key: value}, sort_keys=True)
+        text = "\n".join([*lines[:i], line, *lines[i + 1:]]) + "\n"
+        yield text, f"{name} line {i + 1} {key}={value!r}"
+
+
+def _manifest_edits(rng, out, count):
+    """``count`` seeded edits of the manifest's ``seed`` or of one field of
+    its ``envelope``, as in :func:`_log_edits`."""
+    manifest = json.loads((out / runio.MANIFEST_NAME).read_text())
+    fields = [("seed",), *(("envelope", key) for key in sorted(manifest["envelope"]))]
+    for _ in range(count):
+        path = rng.choice(fields)
+        edited = copy.deepcopy(manifest)
+        *parents, key = path
+        target = edited
+        for parent in parents:
+            target = target[parent]
+        target[key] = _changed(rng, target[key], {"exact", "conformal"})
+        text = json.dumps(edited, sort_keys=True, separators=(",", ":")) + "\n"
+        yield text, f"{'.'.join(path)}={target[key]!r}"
+
+
+def test_report_refuses_every_seeded_single_field_edit(tmp_path, capsys):
+    # negative control: report replays each logged path through the run's
+    # own gate, rebuilt from the stored document and seed, so an edit of any
+    # one field of an episode-log or boundary-log record, or of a conformal
+    # run's seed or envelope, is refused or fails the audit. The summary's
+    # charged_sum, terminal_loss and n_* cells are not checked against the
+    # replay yet, so no edit here touches them
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 20, "training_episodes": 10}
+    conformal = tmp_path / "payments-conformal.scn.json"
+    conformal.write_text(json.dumps(doc))
+    rng = random.Random(20261020)
+    edits = []
+    for scenario in ("payments", "database", str(conformal)):
+        out = tmp_path / f"run-{len(edits)}"
+        assert main(["run", "--scenario", scenario, "--episodes", "30", "--out", str(out)]) == 0
+        if scenario == str(conformal):
+            edits += [(out, runio.MANIFEST_NAME, *e) for e in _manifest_edits(rng, out, 48)]
+            continue
+        for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
+            edits += [(out, name, *e) for e in _log_edits(rng, out, name, 90)]
+    assert len(edits) >= 400
+    passed = []
+    for out, name, text, label in edits:
+        path = out / name
+        original = path.read_bytes()
+        path.write_text(text)
+        capsys.readouterr()
+        code = main(["report", "--out", str(out)])
+        captured = capsys.readouterr()
+        path.write_bytes(original)
+        if code == 0:
+            passed.append(label)
+        elif captured.out:
+            # an audit that fails says why: coverage or overruns end the
+            # guarantee line in FAIL, a replay that differs adds its line
+            assert captured.out.rstrip().endswith("-> FAIL"), label
+        else:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, label
+    assert not passed, f"{len(passed)} of {len(edits)} edits passed: {passed[:5]}"

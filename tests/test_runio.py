@@ -98,7 +98,7 @@ def _edge_logs() -> list[EpisodeLog]:
             {"boundary_id": "b", "version": 2, "exposure": [], "outside_state": label},
         )
         logs.append(
-            EpisodeLog(10**12 * episode, entries, 0.0, INF, entries[-1].budget_after, records)
+            EpisodeLog(10**12 * episode, entries, 0.0, entries[-1].budget_after, records)
         )
     return logs
 
@@ -122,7 +122,7 @@ def test_infinite_budget_run_writes_json_dumps_lines(tmp_path):
     records = [json.loads(line) for line in lines]
     assert lines == [json.dumps(r, sort_keys=True) for r in records]
     assert all(r["budget_after"] == INF for r in records)
-    logs = list(runio.read_episode_logs(out, INF))
+    logs = list(runio.read_episode_logs(out))
     assert runio.episode_json_lines(logs) == lines
 
 
@@ -134,20 +134,26 @@ def test_written_episode_log_reads_back_on_edge_entries(tmp_path):
     entries = dict(runio.read_episode_records(tmp_path))
     assert [log.episode for log in logs] == list(entries)
     rebuilt = [
-        EpisodeLog(log.episode, tuple(entries[log.episode]), 0.0, INF, 0.0, ()) for log in logs
+        EpisodeLog(log.episode, tuple(entries[log.episode]), 0.0, 0.0, ()) for log in logs
     ]
     assert runio.episode_json_lines(rebuilt) == lines
 
 
-def _summary_reference(logs) -> str:
-    """summary.csv as csv.writer writes it, cell by cell."""
+def _summary_reference(logs, budget_initial) -> str:
+    """summary.csv as csv.writer writes it, cell by cell, for episodes from
+    ``budget_initial``."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(runio._SUMMARY_FIELDS)
     for log in logs:
+        charges, prev = [], budget_initial
+        for entry in log.entries:
+            charges.append(prev - entry.budget_after)
+            prev = entry.budget_after
+        counts = [sum(e.verdict is v for e in log.entries) for v in Verdict]
         writer.writerow(
-            (log.episode, repr(log.budget_final), repr(log.charged_total),
-             repr(log.terminal_loss), *log.decision_counts().values())
+            (log.episode, repr(log.budget_final), repr(math.fsum(charges)),
+             repr(log.terminal_loss), *counts)
         )
     return out.getvalue()
 
@@ -160,12 +166,13 @@ def _boundary_reference(logs) -> str:
     )
 
 
-def _written(tmp_path: Path, logs) -> dict[str, str]:
-    """The text of each run log the writers make of ``logs``."""
+def _written(tmp_path: Path, logs, budget_initial) -> dict[str, str]:
+    """The text of each run log the writers make of ``logs``, episodes
+    from ``budget_initial``."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     paths = (
         runio.write_episode_logs(tmp_path, logs),
-        runio.write_summary_csv(tmp_path, logs),
+        runio.write_summary_csv(tmp_path, logs, budget_initial),
         runio.write_boundary_log(tmp_path, logs),
     )
     return {path.name: path.read_bytes().decode() for path in paths}
@@ -190,19 +197,18 @@ def _twin_logs() -> list[EpisodeLog]:
         for entries in (a, b, a, b):
             for boundary_records in records:
                 logs.append(
-                    EpisodeLog(len(logs), entries, 0.0, 1.0, entries[-1].budget_after,
-                               boundary_records)
+                    EpisodeLog(len(logs), entries, 0.0, entries[-1].budget_after, boundary_records)
                 )
     return logs
 
 
 def test_writers_encode_twin_paths_apart(tmp_path):
     logs = _twin_logs()
-    written = _written(tmp_path, logs)
+    written = _written(tmp_path, logs, 1.0)
     assert written[runio.EPISODE_LOG_NAME] == "".join(
         json.dumps(_record(log, e), sort_keys=True) + "\n" for log in logs for e in log.entries
     )
-    assert written[runio.SUMMARY_NAME] == _summary_reference(logs)
+    assert written[runio.SUMMARY_NAME] == _summary_reference(logs, 1.0)
     assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(logs)
     assert '"budget_after": -0.0' in written[runio.EPISODE_LOG_NAME]
     assert '"envelope_value": 1,' in written[runio.EPISODE_LOG_NAME]
@@ -211,15 +217,15 @@ def test_writers_encode_twin_paths_apart(tmp_path):
 
 def test_writers_match_csv_and_json_dumps_on_edge_logs(tmp_path):
     logs = _edge_logs()
-    written = _written(tmp_path, logs)
-    assert written[runio.SUMMARY_NAME] == _summary_reference(logs)
+    written = _written(tmp_path, logs, INF)
+    assert written[runio.SUMMARY_NAME] == _summary_reference(logs, INF)
     assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(logs)
 
 
 @pytest.mark.parametrize("value", [INF, -INF, NAN, -0.0, 5e-324, 1e16, True, None, 3, "é\x00"])
 def test_record_lines_equal_json_dumps_on_scalar_values(value, tmp_path):
     record = {"boundary_id": value, "exposure": [value], "version": value}
-    logs = [EpisodeLog(3, (), 0.0, 1.0, 1.0, (record,))]
+    logs = [EpisodeLog(3, (), 0.0, 1.0, (record,))]
     path = runio.write_boundary_log(tmp_path, logs)
     assert path.read_text() == _boundary_reference(logs)
 
@@ -229,8 +235,8 @@ def test_bool_episode_logs_read_back(tmp_path):
     # True name episode 1, which the readers take back
     sc = load_scenario(bundled_scenario_path("payments"))
     log = run_episode(Gate(sc.model, sc.policy, sc.gate), 1, True)
-    _written(tmp_path, [log])
-    assert list(runio.read_episode_logs(tmp_path, sc.gate.initial_budget)) == [log]
+    _written(tmp_path, [log], sc.gate.initial_budget)
+    assert list(runio.read_episode_logs(tmp_path)) == [log]
     assert type(log.episode) is int
 
 
@@ -247,9 +253,10 @@ def test_shared_and_unshared_paths_write_the_same_bytes(tmp_path):
         for log in shared
     ]
     assert len({id(log.entries) for log in unshared}) == 200
-    written = _written(tmp_path / "shared", shared)
-    assert written == _written(tmp_path / "unshared", unshared)
-    assert written[runio.SUMMARY_NAME] == _summary_reference(shared)
+    budget = sc.gate.initial_budget
+    written = _written(tmp_path / "shared", shared, budget)
+    assert written == _written(tmp_path / "unshared", unshared, budget)
+    assert written[runio.SUMMARY_NAME] == _summary_reference(shared, budget)
     assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(shared)
 
 
@@ -257,15 +264,14 @@ def test_readers_skip_long_runs_of_blank_lines(tmp_path):
     # a stretch of 3,072 blank lines, of several kinds, must not end the read
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "30", "--out", str(out)]) == 0
-    budget = load_scenario(bundled_scenario_path("payments")).gate.initial_budget
-    expected = list(runio.read_episode_logs(out, budget))
+    expected = list(runio.read_episode_logs(out))
     assert any(log.boundary_records for log in expected)
     blanks = ["\n", "   \n", "\t \n"] * 1024
     for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
         path = out / name
         first, *rest = path.read_text().splitlines(keepends=True)
         path.write_text("".join(["\n", first, *blanks, *rest, " \n"]))
-    assert list(runio.read_episode_logs(out, budget)) == expected
+    assert list(runio.read_episode_logs(out)) == expected
 
 
 def test_zero_episode_run_writes_empty_logs_and_a_header_only_summary(tmp_path, capsys):
@@ -353,7 +359,7 @@ def test_report_reads_an_indented_manifest_alike(name, bundled_run, conformal_ru
 
 @pytest.fixture
 def database_run(bundled_run):
-    return bundled_run("database"), load_scenario(bundled_scenario_path("database")).gate.initial_budget
+    return bundled_run("database")
 
 
 def _traced_memory(fn):
@@ -370,9 +376,9 @@ def _traced_memory(fn):
 def test_reading_episode_logs_holds_less_than_the_log_in_flight(database_run):
     # what the reader holds beyond the logs it returns is the line it reads,
     # not the file's text, its lines or one decoded record per line
-    out, budget = database_run
+    out = database_run
     size = (out / runio.EPISODE_LOG_NAME).stat().st_size
-    logs, retained, peak = _traced_memory(lambda: list(runio.read_episode_logs(out, budget)))
+    logs, retained, peak = _traced_memory(lambda: list(runio.read_episode_logs(out)))
     assert len(logs) == 5000
     assert peak - retained < size
 
@@ -380,13 +386,14 @@ def test_reading_episode_logs_holds_less_than_the_log_in_flight(database_run):
 def test_report_audit_peak_does_not_grow_with_the_run(database_run, tmp_path):
     # the audit folds over the logs as they are read and keeps running
     # totals, so a run ten times longer peaks no higher, within 1 MB
-    out, budget = database_run
+    out = database_run
     short = tmp_path / "run"
     assert main(["run", "--scenario", "database", "--episodes", "500", "--out", str(short)]) == 0
-    truth = load_scenario(bundled_scenario_path("database")).gate.exact_quoter.predict
+    sc = load_scenario(bundled_scenario_path("database"))
+    gate = Gate(sc.model, sc.policy, sc.gate)
 
     def audit(run_dir):
-        return audit_budget_guarantee(runio.read_episode_logs(run_dir, budget), truth, 0.0)
+        return audit_budget_guarantee(runio.read_episode_logs(run_dir), gate, 0.0)
 
     audit(out)  # prices every quoted key before either audit is traced
     short_audit, _, short_peak = _traced_memory(lambda: audit(short))
@@ -396,8 +403,8 @@ def test_report_audit_peak_does_not_grow_with_the_run(database_run, tmp_path):
 
 
 def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run, tmp_path):
-    out, budget = database_run
-    logs = list(runio.read_episode_logs(out, budget))
+    out = database_run
+    logs = list(runio.read_episode_logs(out))
     size = (out / runio.EPISODE_LOG_NAME).stat().st_size
     _, _, peak = _traced_memory(
         lambda: (runio.write_episode_logs(tmp_path, logs), runio.write_boundary_log(tmp_path, logs))
@@ -510,7 +517,7 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
     # two lines that differ only in their episode put the line in the memo;
     # a copy of it that is corrupted anywhere but in a canonical episode
     # number is refused as a read without the memo refuses it
-    with (database_run[0] / runio.EPISODE_LOG_NAME).open() as fh:
+    with (database_run / runio.EPISODE_LOG_NAME).open() as fh:
         first = fh.readline()
     assert first.startswith('{"boundary_version": 1,') and '"episode": 0,' in first
 

@@ -368,22 +368,44 @@ def _reversed_keys(node):
     return node
 
 
-def test_key_order_changes_neither_hash_nor_manifest(payments_doc, tmp_path):
-    # a resolved scenario keeps its document as given, so the hash and the
-    # manifest must not depend on the document's key order; the episodes may
-    # (action order follows it), so only these two are compared
-    flipped = _reversed_keys(payments_doc)
-    assert json.dumps(flipped) != json.dumps(payments_doc)
-    assert json.dumps(flipped, sort_keys=True) == json.dumps(payments_doc, sort_keys=True)
-    assert config_hash(resolve_scenario(flipped)) == config_hash(resolve_scenario(payments_doc))
-    manifests = []
-    for name, doc in (("given", payments_doc), ("flipped", flipped)):
-        path = tmp_path / f"{name}.scn.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / name
-        assert main(["run", "--scenario", str(path), "--episodes", "5", "--out", str(out)]) == 0
-        manifests.append((out / "manifest.json").read_bytes())
-    assert manifests[0] == manifests[1]
+def _with_a_second_boundary(doc):
+    """``doc`` with a second boundary, which every action that grows the
+    first one's exposure grows too: such an action commits to both."""
+    doc = copy.deepcopy(doc)
+    doc["boundaries"].append({"id": "audit_trail", "potential": {"weights": [0.5]}})
+    for node in doc["model"]["nodes"]:
+        for action in node["actions"].values():
+            if "exposure" in action:
+                action["exposure"]["audit_trail"] = [2.0]
+    return doc
+
+
+def test_key_order_changes_neither_hash_nor_manifest(payments_doc, tmp_path, capsys):
+    # a resolved scenario keeps its document as given, and the manifest
+    # stores it with sorted keys; so no artifact and no report may depend on
+    # the document's key order: not the policy rows the proposals are drawn
+    # from, nor the order in which one action's exposure is committed to two
+    # boundaries
+    for doc in (payments_doc, _with_a_second_boundary(payments_doc)):
+        flipped = _reversed_keys(doc)
+        assert json.dumps(flipped) != json.dumps(doc)
+        assert json.dumps(flipped, sort_keys=True) == json.dumps(doc, sort_keys=True)
+        assert config_hash(resolve_scenario(flipped)) == config_hash(resolve_scenario(doc))
+        outputs = []
+        for name, given in (("given", doc), ("flipped", flipped)):
+            path = tmp_path / f"{name}.scn.json"
+            path.write_text(json.dumps(given))
+            out = tmp_path / name
+            run = ["run", "--scenario", str(path), "--episodes", "300", "--out", str(out)]
+            assert main(run) == 0
+            capsys.readouterr()
+            assert main(["report", "--out", str(out)]) == 0
+            written = {p.name: p.read_bytes() for p in out.iterdir()}
+            outputs.append((written, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0]) == 4 and outputs[0][1].rstrip().endswith("-> PASS")
+    records = [json.loads(line) for line in (out / "boundaries.jsonl").open()]
+    assert {r["boundary_id"] for r in records} == {"vendor_payments", "audit_trail"}
 
 
 def test_cli_run_report_round_trip(tmp_path, capsys):
@@ -1070,5 +1092,5 @@ def test_fuzzed_document_resolves_or_raises_coded_error(name):
             continue
         gate = Gate(sc.model, sc.policy, sc.gate)
         logs = [run_episode(gate, seed=0, episode=i) for i in range(3)]
-        assert audit_budget_guarantee(logs, sc.gate.exact_quoter.predict, 0.0).passed, path
+        assert audit_budget_guarantee(logs, gate, 0.0).passed, path
     assert not unrooted, f"{len(unrooted)} refusal(s) not rooted at the document: {unrooted[:3]}"
