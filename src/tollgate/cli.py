@@ -135,9 +135,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"{runio.MANIFEST_NAME} holds envelope {manifest['envelope']!r}, not the "
             f"{envelope!r} its scenario and seed give"
         )
-    audit = audit_budget_guarantee(
-        runio.read_episode_logs(run_dir), gate, envelope.get("delta", 0.0)
-    )
+    logs = runio.read_episode_logs(run_dir, gate.cfg.initial_budget)
+    audit = audit_budget_guarantee(logs, gate, envelope.get("delta", 0.0))
     if audit.episodes != manifest["episodes"]:
         raise RunArtifactError(
             f"manifest records {manifest['episodes']} episode(s) but "

@@ -59,11 +59,12 @@ class Verdict(str, Enum):
 
 
 # Distinct paths one memo holds: the paths a run-log writer holds encoded,
-# keyed by the identity of their objects, and the paths the audit holds
-# replayed, keyed by their values. The episodes one Gate samples share the
-# entries and boundary records of each path they walk, so either memo does a
-# path's work once while it holds it. A run with more distinct paths than
-# this does some work again.
+# keyed by the identity of their objects, the summary rows the run-log
+# reader holds checked, and the paths the audit holds replayed, both keyed
+# by their values. The episodes one Gate samples share the entries and
+# boundary records of each path they walk, so each memo does a path's work
+# once while it holds it. A run with more distinct paths than this does
+# some work again.
 _PATHS_HELD = 64
 
 
@@ -205,7 +206,6 @@ class EpisodeLog(NamedTuple):
     episode: int
     entries: tuple[GateEntry, ...]
     terminal_loss: float
-    budget_final: float
     boundary_records: tuple[dict, ...]
 
 
@@ -327,7 +327,7 @@ def run_episode(gate: Gate, seed: int, episode: int = 0) -> EpisodeLog:
     if node.outcome is None:
         node.outcome = (tuple(entries), model.terminal_loss(state), ledger.records)
     entries, terminal_loss, records = node.outcome
-    return EpisodeLog(index(episode), entries, terminal_loss, budget, records)
+    return EpisodeLog(index(episode), entries, terminal_loss, records)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +372,11 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     accounting holds when each path is one the gate can walk (one entry per
     time step from the initial state, each proposal drawn by the policy and
     each next state by the executed action's kernel), each logged step is
-    what ``gate_step`` gives, and the replay ends at the episode's final
-    budget and boundary records, all by value.
+    what ``gate_step`` gives, the replay ends at the episode's boundary
+    records, all by value, and the episode's terminal loss is the loss of a
+    leaf that the path's last executed step reaches with positive
+    probability. A loss edited onto another such leaf's loss passes: no
+    artifact records the leaf.
 
     The true tolls come from ``gate.cfg.exact_quoter``. An episode violates
     coverage when some quoted proposal's true toll exceeds its logged
@@ -384,10 +387,11 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     holds and the overrun fraction stays within delta plus three binomial
     sigmas (exactly zero when delta is zero, the exact-envelope case).
 
-    Everything but the final budget and boundary records follows from an
+    Everything but the terminal loss and boundary records follows from an
     episode's entries, so each distinct path is replayed once while at most
     ``_PATHS_HELD`` paths are held, told apart by value; each episode then
-    adds its path's tally.
+    adds its path's tally. An episode's final budget is its last entry's
+    ``budget_after``.
     """
     cfg, model = gate.cfg, gate.model
     truth = cfg.exact_quoter.predict
@@ -395,12 +399,13 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     @lru_cache(maxsize=_PATHS_HELD)
     def audited(entries: tuple[GateEntry, ...]) -> tuple:
         """The path's tally in ``_TALLIES`` order, whether the gate replays
-        it, and the replay's final budget and boundary records."""
+        it, the losses of the leaves it may end in, and the replay's boundary
+        records."""
         tally = dict.fromkeys(_TALLIES, 0)
         exact = len(entries) == model.horizon
         budget, ledger = cfg.initial_budget, gate.empty_ledger
         state = model.initial_state if exact else None
-        true_sum = 0.0
+        true_sum, kernel = 0.0, ()
         for t, entry in enumerate(entries):
             tally[entry.verdict] += 1
             on_path = (entry.time, entry.state) == (t, state)
@@ -423,18 +428,25 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
                 tally["violations"] = 1
         tally["quotes"] = len(entries)
         tally["overruns"] = not (true_sum <= cfg.initial_budget + 1e-9)
-        return tuple(tally.values()), exact, budget, ledger.records
+        # an exact replay ends on its last executed step's kernel, whose
+        # targets are leaves
+        leaves = [leaf for leaf, p in kernel if p > 0.0] if exact else []
+        losses = frozenset(map(model.terminal_loss, leaves))
+        return tuple(tally.values()), exact, losses, ledger.records
 
     n = 0
     episodes: Counter[tuple[int, ...]] = Counter()  # episodes per path tally
     accounting_exact = True
     final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
     for n, log in enumerate(logs, 1):
-        tally, exact, budget, records = audited(log.entries)
+        tally, exact, losses, records = audited(log.entries)
         episodes[tally] += 1
-        accounting_exact &= exact and budget == log.budget_final and records == log.boundary_records
-        final_min = log.budget_final if n == 1 else min(final_min, log.budget_final)
-        final_sum += log.budget_final
+        accounting_exact &= (
+            exact and log.terminal_loss in losses and records == log.boundary_records
+        )
+        final = log.entries[-1].budget_after
+        final_min = final if n == 1 else min(final_min, final)
+        final_sum += final
     total = dict.fromkeys(_TALLIES, 0)
     for tally, k in episodes.items():
         for name, count in zip(_TALLIES, tally):

@@ -149,9 +149,9 @@ def test_criterion_7_budget_guarantee_exact():
             replay = sc.gate.initial_budget
             for c in charges:
                 replay -= c
-            assert replay == log.budget_final
+            assert replay == log.entries[-1].budget_after
             assert math.fsum(charges) == pytest.approx(
-                sc.gate.initial_budget - log.budget_final, abs=1e-12
+                sc.gate.initial_budget - log.entries[-1].budget_after, abs=1e-12
             )
     _report(
         "criterion-7",

@@ -278,7 +278,7 @@ def test_zero_toll_scenario_executes_everything(coin_model, noop_policy):
     )
     log = run_episode(Gate(coin_model, cont, cfg), seed=1, episode=0)
     assert all(e.verdict is Verdict.EXECUTE for e in log.entries)
-    assert log.budget_final == 3.0
+    assert log.entries[-1].budget_after == 3.0
 
 
 def test_zero_budget_forces_safe_defaults():
@@ -287,7 +287,7 @@ def test_zero_budget_forces_safe_defaults():
     gate = Gate(sc.model, sc.policy, cfg)
     logs = [run_episode(gate, seed=9, episode=i) for i in range(40)]
     for log in logs:
-        assert log.budget_final == 0.0
+        assert log.entries[-1].budget_after == 0.0
         for entry in log.entries:
             if entry.envelope_value > 0.0:
                 assert entry.verdict is not Verdict.EXECUTE
@@ -320,7 +320,7 @@ def _stepped_episode(model, policy, cfg, seed: int, episode: int, ledger: Bounda
         targets, cdf = _inverse_cdf(model.kernel(t, state, entry.executed))
         state = targets[bisect_right(cdf, uniform())]
         yield None
-    yield EpisodeLog(episode, tuple(entries), model.terminal_loss(state), budget, ledger.records)
+    yield EpisodeLog(episode, tuple(entries), model.terminal_loss(state), ledger.records)
 
 
 def _alternated_logs(sc, seed: int, episodes) -> list:
@@ -723,9 +723,9 @@ def test_budget_never_negative_and_charges_telescope():
         budget = sc.gate.initial_budget
         for c in charges:
             budget -= c
-        assert budget == log.budget_final
+        assert budget == log.entries[-1].budget_after
         assert math.fsum(charges) == pytest.approx(
-            sc.gate.initial_budget - log.budget_final, abs=1e-12
+            sc.gate.initial_budget - log.entries[-1].budget_after, abs=1e-12
         )
 
 
@@ -832,7 +832,7 @@ def _counts_every_episode(logs, gate) -> bool:
 
 def test_audit_counts_and_checks_every_episode_of_a_shared_path(monkeypatch):
     # a path is replayed once per value of its entries, but every episode
-    # on it is counted and its final budget and boundary records checked,
+    # on it is counted and its terminal loss and boundary records checked,
     # also once the paths outnumber the ones the audit holds
     monkeypatch.setattr(gate_module, "_PATHS_HELD", 2)
     logs, gate = _shared_and_copied_logs()
@@ -840,7 +840,7 @@ def test_audit_counts_and_checks_every_episode_of_a_shared_path(monkeypatch):
     assert _counts_every_episode(logs, gate)
     log = next(log for log in logs if log.boundary_records)
     for bad in (
-        log._replace(budget_final=log.budget_final + 1.0),
+        log._replace(terminal_loss=log.terminal_loss + 0.25),
         log._replace(boundary_records=log.boundary_records[1:]),
     ):
         assert not audit_budget_guarantee([log, bad], gate, delta=0.0).accounting_exact

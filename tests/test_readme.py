@@ -1,4 +1,5 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and its run-artifact
+schema is the one runio reads and writes."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from tollgate import runio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,3 +24,11 @@ def test_readme_library_sketch_runs(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 3
+
+
+def test_readme_states_the_episode_log_keys_and_the_summary_header():
+    text = (ROOT / "README.md").read_text()
+    keys = re.search(r"^\* `episodes\.jsonl` - .*?`\{(.*?)\}`", text, re.M | re.S)
+    assert keys and keys.group(1).split(", ") == list(runio._RECORD_KINDS)
+    header = re.search(r"^\* `summary\.csv` - .*?`(episode,.*?)`", text, re.M | re.S)
+    assert header and tuple(header.group(1).split(",")) == runio._SUMMARY_FIELDS

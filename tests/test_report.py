@@ -29,7 +29,7 @@ def test_read_episode_logs_round_trips_run(name, tmp_path):
     sc = load_scenario(bundled_scenario_path(name))
     gate = Gate(sc.model, sc.policy, sc.gate)
     written = [run_episode(gate, seed=7, episode=i) for i in range(30)]
-    assert list(runio.read_episode_logs(out)) == written
+    assert list(runio.read_episode_logs(out, sc.gate.initial_budget)) == written
 
 
 def test_report_fails_exact_run_with_under_quoted_action(tmp_path, capsys):
@@ -50,9 +50,17 @@ def test_report_fails_exact_run_with_under_quoted_action(tmp_path, capsys):
     assert text.rstrip().endswith("-> FAIL")
 
 
+def _summary_lines(out) -> list[str]:
+    """The lines of a run's summary.csv, each with its own line end."""
+    return (out / runio.SUMMARY_NAME).read_bytes().decode().splitlines(keepends=True)
+
+
+def _write_summary(out, lines):
+    (out / runio.SUMMARY_NAME).write_bytes("".join(lines).encode())
+
+
 def _cut_summary(out):
-    path = out / runio.SUMMARY_NAME
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:11]))
+    _write_summary(out, _summary_lines(out)[:11])
 
 
 def _drop_last_logged_episode(out):
@@ -74,9 +82,9 @@ def _split_logged_episode(out):
 def _swap_lines(name, i, j):
     def corrupt(out):
         path = out / name
-        lines = path.read_text().splitlines(keepends=True)
+        lines = path.read_bytes().splitlines(keepends=True)
         lines[i], lines[j] = lines[j], lines[i]
-        path.write_text("".join(lines))
+        path.write_bytes(b"".join(lines))
 
     return corrupt
 
@@ -272,7 +280,8 @@ def test_report_fails_run_with_a_corrupted_budget_after(tmp_path, capsys):
 def test_report_fails_an_episode_cut_short(tmp_path, capsys):
     # negative control: a path holds one entry per time step. The last
     # episode's last step changes neither the budget nor the boundaries, so
-    # only the length of its path tells the logs without it from a run
+    # once its summary row counts one EXECUTE less, only the length of its
+    # path tells the logs without it from a run
     out = tmp_path / "run"
     assert main(["run", "--scenario", "database", "--episodes", "50", "--out", str(out)]) == 0
     path = out / runio.EPISODE_LOG_NAME
@@ -280,6 +289,10 @@ def test_report_fails_an_episode_cut_short(tmp_path, capsys):
     record = json.loads(last)
     assert (record["verdict"], record["envelope_value"]) == ("EXECUTE", 0.0)
     path.write_text("".join(kept))
+    header, *rows, row = _summary_lines(out)
+    cells, column = row.split(","), header.split(",").index("n_execute")
+    cells[column] = str(int(cells[column]) - 1)
+    _write_summary(out, [header, *rows, ",".join(cells)])
     code, text = _report_exit(out, capsys)
     assert code == 1
     assert text.rstrip().endswith(_ACCOUNTING_FAILS)
@@ -371,19 +384,37 @@ def test_deep_chain_runs_and_reports(tmp_path, capsys):
     assert {rec["envelope_value"] for rec in records if rec["proposed"] == "noop"} == {0.0}
 
 
+def test_report_passes_a_path_whose_leaves_write_their_equal_losses_apart(tmp_path, capsys):
+    # risky ends in a leaf of loss 0.0 or one of loss -0.0: equal values
+    # that the summary writes apart, so the rows of one path differ in
+    # their loss cell, and each is the writer's row for its own text
+    scenario = tmp_path / "signed-zero.scn.json"
+    scenario.write_text(json.dumps(_deep_chain_document(1, p=0.5, loss=-0.0)))
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario), "--episodes", "40", "--out", str(out)]) == 0
+    # one log line per episode, at horizon 1
+    records = (out / runio.EPISODE_LOG_NAME).read_text().splitlines()
+    risky = {
+        row.split(",")[3]
+        for row, record in zip(_summary_lines(out)[1:], records)
+        if json.loads(record)["proposed"] == "risky"
+    }
+    assert risky == {"0.0", "-0.0"}
+    code, text = _report_exit(out, capsys)
+    assert code == 0 and text.rstrip().endswith("-> PASS")
+
+
 def _summary_episode_not_a_number(out):
-    path = out / runio.SUMMARY_NAME
-    lines = path.read_text().splitlines(keepends=True)
+    lines = _summary_lines(out)
     lines[1] = "x" + lines[1][lines[1].index(","):]
-    path.write_text("".join(lines))
+    _write_summary(out, lines)
 
 
 def _summary_final_budget_not_a_number(out):
-    path = out / runio.SUMMARY_NAME
-    header, first, *rest = path.read_text().splitlines(keepends=True)
+    header, first, *rest = _summary_lines(out)
     cells = first.split(",")
     cells[header.split(",").index("b_final")] = "abc"
-    path.write_text("".join([header, ",".join(cells), *rest]))
+    _write_summary(out, [header, ",".join(cells), *rest])
 
 
 def _logged_episode_a_string(out):
@@ -409,15 +440,15 @@ def _first_log_field(key, value):
 
 
 def _summary_row_cut_short(out):
-    path = out / runio.SUMMARY_NAME
-    lines = path.read_text().splitlines(keepends=True)
-    lines[2] = lines[2].split(",", 1)[0] + "\n"
-    path.write_text("".join(lines))
+    lines = _summary_lines(out)
+    lines[2] = lines[2].split(",", 1)[0] + "\r\n"
+    _write_summary(out, lines)
 
 
 def _summary_column_renamed(out):
-    path = out / runio.SUMMARY_NAME
-    path.write_text(path.read_text().replace("terminal_loss", "loss", 1))
+    lines = _summary_lines(out)
+    lines[0] = lines[0].replace("terminal_loss", "loss")
+    _write_summary(out, lines)
 
 
 def _boundary_record_a_list(out):
@@ -464,8 +495,8 @@ def _envelope_refused(envelope) -> str:
         ),
         (
             _summary_final_budget_not_a_number,
-            "summary.csv holds a cell that does not convert "
-            "(could not convert string to float: 'abc') (line 2)",
+            "summary.csv holds the row '0,abc,7.697823422919827,0.0,2,0,0,0,0\\r\\n', where the"
+            " logs of episode 0 give '0,0.3021765770801732,7.697823422919827,0.0,2,0,0,0,0\\r\\n'",
         ),
         (_logged_episode_a_string, "episodes.jsonl logs a non-integer episode '0' (line 1)"),
         (
@@ -508,8 +539,13 @@ def _envelope_refused(envelope) -> str:
             _first_log_record(lambda record: [0, 1]),
             "episodes.jsonl logs a non-object record [0, 1] (line 1)",
         ),
-        (_summary_row_cut_short, "summary.csv has a row shorter than its header (line 3)"),
-        (_summary_column_renamed, "summary.csv has no 'terminal_loss' column"),
+        (_summary_row_cut_short, "summary.csv does not decode (line 3: 1 cell(s), not 9)"),
+        (
+            _summary_column_renamed,
+            "summary.csv does not decode (line 1: header 'episode,b_final,charged_sum,loss,"
+            "n_execute,n_downgrade,n_escalate_approved,n_escalate_denied,n_block\\r\\n' is not"
+            " the writer's)",
+        ),
         (
             _boundary_record_a_list,
             "boundaries.jsonl logs a record without an integer episode (line 1)",
@@ -762,13 +798,36 @@ def _manifest_edits(rng, out, count):
         yield text, f"{'.'.join(path)}={target[key]!r}"
 
 
+def _passed(edits, capsys) -> list[str]:
+    """The labels of the ``(run_dir, name, text, label)`` edits that
+    ``report`` passes, each written over the artifact ``name`` of its run
+    and then undone. An edit that is refused is one ``error:`` line, or an
+    audit whose last line ends in ``-> FAIL``."""
+    passed = []
+    for out, name, text, label in edits:
+        path = out / name
+        original = path.read_bytes()
+        path.write_bytes(text.encode())
+        capsys.readouterr()
+        code = main(["report", "--out", str(out)])
+        captured = capsys.readouterr()
+        path.write_bytes(original)
+        if code == 0:
+            passed.append(label)
+        elif captured.out:
+            # an audit that fails says why: coverage or overruns end the
+            # guarantee line in FAIL, a replay that differs adds its line
+            assert captured.out.rstrip().endswith("-> FAIL"), label
+        else:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, label
+    return passed
+
+
 def test_report_refuses_every_seeded_single_field_edit(tmp_path, capsys):
     # negative control: report replays each logged path through the run's
     # own gate, rebuilt from the stored document and seed, so an edit of any
     # one field of an episode-log or boundary-log record, or of a conformal
-    # run's seed or envelope, is refused or fails the audit. The summary's
-    # charged_sum, terminal_loss and n_* cells are not checked against the
-    # replay yet, so no edit here touches them
+    # run's seed or envelope, is refused or fails the audit
     doc = json.loads(bundled_scenario_path("payments").read_text())
     doc["envelope"] = {"kind": "conformal", "calibration_episodes": 20, "training_episodes": 10}
     conformal = tmp_path / "payments-conformal.scn.json"
@@ -784,21 +843,82 @@ def test_report_refuses_every_seeded_single_field_edit(tmp_path, capsys):
         for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
             edits += [(out, name, *e) for e in _log_edits(rng, out, name, 90)]
     assert len(edits) >= 400
-    passed = []
-    for out, name, text, label in edits:
-        path = out / name
-        original = path.read_bytes()
-        path.write_text(text)
-        capsys.readouterr()
-        code = main(["report", "--out", str(out)])
-        captured = capsys.readouterr()
-        path.write_bytes(original)
-        if code == 0:
-            passed.append(label)
-        elif captured.out:
-            # an audit that fails says why: coverage or overruns end the
-            # guarantee line in FAIL, a replay that differs adds its line
-            assert captured.out.rstrip().endswith("-> FAIL"), label
-        else:
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, label
+    passed = _passed(edits, capsys)
     assert not passed, f"{len(passed)} of {len(edits)} edits passed: {passed[:5]}"
+
+
+def _summary_edits(rng, out, per_column):
+    """``per_column`` seeded edits of each summary column of the run
+    ``out``, each of one cell of one row, as in :func:`_log_edits`: a cell
+    changed by value, written as the writer writes its kind of value."""
+    header, *rows = _summary_lines(out)
+    names = header.rstrip("\r\n").split(",")
+    for column, name in enumerate(names):
+        for _ in range(per_column):
+            i = rng.randrange(len(rows))
+            cells = rows[i].rstrip("\r\n").split(",")
+            kind = int if name == "episode" or name.startswith("n_") else float
+            cells[column] = repr(_changed(rng, kind(cells[column]), set()))
+            lines = [header, *rows[:i], ",".join(cells) + "\r\n", *rows[i + 1:]]
+            yield "".join(lines), f"summary row {i + 1} {name}={cells[column]}"
+
+
+def _summary_restructured(out):
+    """Edits of a run's summary that keep every value but not the writer's
+    text: a float written with one more digit, an episode with a leading
+    zero, a cell appended to a row, and two columns swapped along with
+    their header cells."""
+    header, first, *rows = _summary_lines(out)
+    cells = first.split(",")
+    cells[1] += "0"
+    yield "".join([header, ",".join(cells), *rows]), f"b_final spelled {cells[1]}"
+    yield "".join([header, "0" + first, *rows]), f"episode spelled 0{cells[0]}"
+    yield "".join([header, first.replace("\r\n", ",0\r\n"), *rows]), "a cell appended"
+
+    def swapped(line):
+        cells = line.split(",")
+        cells[1], cells[2] = cells[2], cells[1]
+        return ",".join(cells)
+
+    yield "".join(map(swapped, [header, first, *rows])), "b_final and charged_sum swapped"
+
+
+def test_report_refuses_every_seeded_summary_edit(tmp_path, capsys):
+    # negative control: every summary cell but the episode and terminal loss
+    # follows from the episode's log lines and the initial budget, so the
+    # reader renders each row as the writer does and refuses a row that
+    # differs; an edited terminal loss that no leaf of its path has fails
+    # the audit. An edit onto the loss of another leaf the path's last step
+    # reaches would pass, since no artifact records the leaf; none of these
+    # edits lands on one
+    rng = random.Random(20261021)
+    edits = []
+    for scenario in ("payments", "database"):
+        out = tmp_path / scenario
+        assert main(["run", "--scenario", scenario, "--episodes", "30", "--out", str(out)]) == 0
+        assert _report_exit(out, capsys)[0] == 0
+        edits += [(out, runio.SUMMARY_NAME, *e) for e in _summary_edits(rng, out, 12)]
+        if scenario == "payments":
+            assert _summary_lines(out)[1].split(",")[1] == "0.3021765770801732"
+            edits += [(out, runio.SUMMARY_NAME, *e) for e in _summary_restructured(out)]
+    assert len(edits) == 2 * 9 * 12 + 4
+    passed = _passed(edits, capsys)
+    assert not passed, f"{len(passed)} of {len(edits)} edits passed: {passed[:5]}"
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_report_fails_a_terminal_loss_no_reachable_leaf_has(name, tmp_path, capsys):
+    # negative control: the first episode's terminal loss raised by 0.25,
+    # the loss of no leaf its path's last executed step reaches; the row is
+    # still the one the writer would write for that loss, so only the audit
+    # can fail it
+    out = tmp_path / "run"
+    run = ["run", "--scenario", name, "--episodes", "30", "--seed", "1", "--out", str(out)]
+    assert main(run) == 0
+    header, first, *rows = _summary_lines(out)
+    cells = first.split(",")
+    cells[3] = repr(float(cells[3]) + 0.25)
+    _write_summary(out, [header, ",".join(cells), *rows])
+    code, text = _report_exit(out, capsys)
+    assert code == 1
+    assert text.rstrip().endswith(_ACCOUNTING_FAILS)

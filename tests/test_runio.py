@@ -14,7 +14,6 @@ import random
 import re
 import shutil
 import tracemalloc
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -97,9 +96,7 @@ def _edge_logs() -> list[EpisodeLog]:
             {"boundary_id": label, "version": 1, "exposure": [INF, -0.0], "outside_state": "s"},
             {"boundary_id": "b", "version": 2, "exposure": [], "outside_state": label},
         )
-        logs.append(
-            EpisodeLog(10**12 * episode, entries, 0.0, entries[-1].budget_after, records)
-        )
+        logs.append(EpisodeLog(10**12 * episode, entries, 0.0, records))
     return logs
 
 
@@ -122,7 +119,7 @@ def test_infinite_budget_run_writes_json_dumps_lines(tmp_path):
     records = [json.loads(line) for line in lines]
     assert lines == [json.dumps(r, sort_keys=True) for r in records]
     assert all(r["budget_after"] == INF for r in records)
-    logs = list(runio.read_episode_logs(out))
+    logs = list(runio.read_episode_logs(out, INF))
     assert runio.episode_json_lines(logs) == lines
 
 
@@ -134,7 +131,7 @@ def test_written_episode_log_reads_back_on_edge_entries(tmp_path):
     entries = dict(runio.read_episode_records(tmp_path))
     assert [log.episode for log in logs] == list(entries)
     rebuilt = [
-        EpisodeLog(log.episode, tuple(entries[log.episode]), 0.0, 0.0, ()) for log in logs
+        EpisodeLog(log.episode, tuple(entries[log.episode]), 0.0, ()) for log in logs
     ]
     assert runio.episode_json_lines(rebuilt) == lines
 
@@ -152,7 +149,7 @@ def _summary_reference(logs, budget_initial) -> str:
             prev = entry.budget_after
         counts = [sum(e.verdict is v for e in log.entries) for v in Verdict]
         writer.writerow(
-            (log.episode, repr(log.budget_final), repr(math.fsum(charges)),
+            (log.episode, repr(log.entries[-1].budget_after), repr(math.fsum(charges)),
              repr(log.terminal_loss), *counts)
         )
     return out.getvalue()
@@ -196,9 +193,7 @@ def _twin_logs() -> list[EpisodeLog]:
     for a, b in twins:
         for entries in (a, b, a, b):
             for boundary_records in records:
-                logs.append(
-                    EpisodeLog(len(logs), entries, 0.0, entries[-1].budget_after, boundary_records)
-                )
+                logs.append(EpisodeLog(len(logs), entries, 0.0, boundary_records))
     return logs
 
 
@@ -225,7 +220,7 @@ def test_writers_match_csv_and_json_dumps_on_edge_logs(tmp_path):
 @pytest.mark.parametrize("value", [INF, -INF, NAN, -0.0, 5e-324, 1e16, True, None, 3, "é\x00"])
 def test_record_lines_equal_json_dumps_on_scalar_values(value, tmp_path):
     record = {"boundary_id": value, "exposure": [value], "version": value}
-    logs = [EpisodeLog(3, (), 0.0, 1.0, (record,))]
+    logs = [EpisodeLog(3, (), 0.0, (record,))]
     path = runio.write_boundary_log(tmp_path, logs)
     assert path.read_text() == _boundary_reference(logs)
 
@@ -236,7 +231,7 @@ def test_bool_episode_logs_read_back(tmp_path):
     sc = load_scenario(bundled_scenario_path("payments"))
     log = run_episode(Gate(sc.model, sc.policy, sc.gate), 1, True)
     _written(tmp_path, [log], sc.gate.initial_budget)
-    assert list(runio.read_episode_logs(tmp_path)) == [log]
+    assert list(runio.read_episode_logs(tmp_path, sc.gate.initial_budget)) == [log]
     assert type(log.episode) is int
 
 
@@ -260,18 +255,25 @@ def test_shared_and_unshared_paths_write_the_same_bytes(tmp_path):
     assert written[runio.BOUNDARY_LOG_NAME] == _boundary_reference(shared)
 
 
+def _read_logs(run_dir: Path) -> list[EpisodeLog]:
+    """The episode logs of a run directory, read from the initial budget
+    of its stored scenario."""
+    budget = runio.read_manifest(run_dir)["scenario_document"]["gate"]["initial_budget"]
+    return list(runio.read_episode_logs(run_dir, budget))
+
+
 def test_readers_skip_long_runs_of_blank_lines(tmp_path):
     # a stretch of 3,072 blank lines, of several kinds, must not end the read
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "30", "--out", str(out)]) == 0
-    expected = list(runio.read_episode_logs(out))
+    expected = _read_logs(out)
     assert any(log.boundary_records for log in expected)
     blanks = ["\n", "   \n", "\t \n"] * 1024
     for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
         path = out / name
         first, *rest = path.read_text().splitlines(keepends=True)
         path.write_text("".join(["\n", first, *blanks, *rest, " \n"]))
-    assert list(runio.read_episode_logs(out)) == expected
+    assert _read_logs(out) == expected
 
 
 def test_zero_episode_run_writes_empty_logs_and_a_header_only_summary(tmp_path, capsys):
@@ -378,7 +380,7 @@ def test_reading_episode_logs_holds_less_than_the_log_in_flight(database_run):
     # not the file's text, its lines or one decoded record per line
     out = database_run
     size = (out / runio.EPISODE_LOG_NAME).stat().st_size
-    logs, retained, peak = _traced_memory(lambda: list(runio.read_episode_logs(out)))
+    logs, retained, peak = _traced_memory(lambda: _read_logs(out))
     assert len(logs) == 5000
     assert peak - retained < size
 
@@ -393,7 +395,8 @@ def test_report_audit_peak_does_not_grow_with_the_run(database_run, tmp_path):
     gate = Gate(sc.model, sc.policy, sc.gate)
 
     def audit(run_dir):
-        return audit_budget_guarantee(runio.read_episode_logs(run_dir), gate, 0.0)
+        logs = runio.read_episode_logs(run_dir, sc.gate.initial_budget)
+        return audit_budget_guarantee(logs, gate, 0.0)
 
     audit(out)  # prices every quoted key before either audit is traced
     short_audit, _, short_peak = _traced_memory(lambda: audit(short))
@@ -404,7 +407,7 @@ def test_report_audit_peak_does_not_grow_with_the_run(database_run, tmp_path):
 
 def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run, tmp_path):
     out = database_run
-    logs = list(runio.read_episode_logs(out))
+    logs = _read_logs(out)
     size = (out / runio.EPISODE_LOG_NAME).stat().st_size
     _, _, peak = _traced_memory(
         lambda: (runio.write_episode_logs(tmp_path, logs), runio.write_boundary_log(tmp_path, logs))
@@ -444,32 +447,17 @@ def _refused(error: RunArtifactError, number: int) -> RunArtifactError:
 
 def _reference_episode_records(run_dir: Path):
     """read_episode_records without its memo of lines."""
-    fields = itemgetter(*runio._RECORD_KINDS)
-    verdicts = {v.value: v for v in Verdict}
     current, entries = None, []
     for number, record in _reference_values(run_dir / runio.EPISODE_LOG_NAME):
         try:
-            episode, step, time, state, proposed, value, verdict, executed, after, version = (
-                fields(record)
-            )
-        except (KeyError, TypeError):
-            raise _refused(runio._record_error(record), number) from None
-        if not (
-            type(episode) is type(step) is type(time) is type(version) is int
-            and type(state) is type(proposed) is type(verdict) is type(executed) is str
-            and type(value) in (int, float)
-            and type(after) in (int, float)
-            and verdict in verdicts
-            and step == time
-        ):
-            raise _refused(runio._record_error(record), number)
+            episode, entry = runio._entry(record)
+        except RunArtifactError as exc:
+            raise _refused(exc, number) from None
         if episode != current:
             if entries:
                 yield current, tuple(entries)
             current, entries = episode, []
-        entries.append(
-            GateEntry(time, state, proposed, value, verdicts[verdict], executed, after, version)
-        )
+        entries.append(entry)
     if entries:
         yield current, tuple(entries)
 
