@@ -118,8 +118,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     by :func:`run_gate` from the stored scenario and the manifest's seed,
     and delta is taken from its envelope record. A directory whose stored
     scenario does not hash to its recorded ``config_hash``, checked before
-    the document is resolved, whose manifest envelope is not the rebuilt
-    gate's, or whose artifacts disagree on its episodes, is refused."""
+    the document is resolved, whose manifest fields are not the
+    :func:`runio.manifest_fields` of the rebuilt gate, or whose artifacts
+    disagree on its episodes, is refused."""
     run_dir = Path(args.out)
     manifest = runio.read_manifest(run_dir)
     document = manifest["scenario_document"]
@@ -129,12 +130,16 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"{runio.MANIFEST_NAME} holds a scenario document that hashes to {digest[:12]}, "
             f"not to its config_hash {manifest['config_hash'][:12]}"
         )
-    gate, envelope = run_gate(resolve_scenario(document), manifest["seed"])
-    if manifest["envelope"] != envelope:
-        raise RunArtifactError(
-            f"{runio.MANIFEST_NAME} holds envelope {manifest['envelope']!r}, not the "
-            f"{envelope!r} its scenario and seed give"
-        )
+    scenario = resolve_scenario(document)
+    gate, envelope = run_gate(scenario, manifest["seed"])
+    # read_manifest refuses a key set other than the writer's
+    fields = runio.manifest_fields(scenario.name, digest, manifest["seed"], envelope)
+    for key, value in sorted(fields.items()):
+        if manifest[key] != value:
+            raise RunArtifactError(
+                f"{runio.MANIFEST_NAME} holds {key} {manifest[key]!r}, not the "
+                f"{value!r} its scenario and seed give"
+            )
     logs = runio.read_episode_logs(run_dir, gate.cfg.initial_budget)
     audit = audit_budget_guarantee(logs, gate, envelope.get("delta", 0.0))
     if audit.episodes != manifest["episodes"]:

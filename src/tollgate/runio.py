@@ -14,15 +14,18 @@ gate that wrote them.
 
 The episode-log, boundary-log and summary readers and writers stream. A
 writer writes one episode at a time to an open file; a reader reads one
-line at a time. Neither holds a file's whole text, its list of lines or one
-decoded record per line. Each line of a log that is not blank must be one
-JSON value, which JSON whitespace may surround; any other line is refused
-as ``<file> does not decode (line <n>: <reason>)``, and so is a line that
-is not UTF-8. A record that a reader refuses names its line too. The log
-readers hold the first lines they decode, keyed by their text around the
-episode number, so a line that repeats but for its episode is decoded once
-and its repeats share one record. :func:`read_episode_logs` joins the three
-logs in one ordered pass and refuses logs out of order.
+line at a time, with ``newline=""``, so each line keeps the line end it was
+written with. Neither holds a file's whole text, its list of lines or one
+decoded record per line. Each log line must be, byte for byte, the line the
+writer writes for the record it decodes to, line end included: a line
+that is not one JSON value is refused as ``<file> does not decode (line
+<n>: <reason>)``, and so is a line that is not UTF-8; any other line that
+is not the writer's is refused as ``<file> holds a line the writer does
+not write (line <n>)``. The log readers hold the first lines they read,
+keyed by their text around the episode number, so a line that repeats but
+for its episode is decoded once and its repeats share one record.
+:func:`read_episode_logs` joins the three logs in one ordered pass and
+refuses logs out of order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import contextlib
 import csv
 import json
 import math
+import operator
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -49,18 +53,6 @@ _SUMMARY_FIELDS = ("episode", "b_final", "charged_sum", "terminal_loss") + tuple
     "n_" + v.value.lower() for v in Verdict
 )
 _SUMMARY_HEADER = ",".join(_SUMMARY_FIELDS) + "\r\n"
-
-# The JSON types each key of an episode-log line may hold: the episode, the
-# step, which is the entry's time, then the GateEntry fields in their order.
-_INT, _STR, _NUMBER = (int,), (str,), (int, float)
-_RECORD_KINDS = dict(
-    zip(
-        ("episode", "step") + GateEntry._fields,
-        (_INT, _INT, _INT, _STR, _STR, _NUMBER, _STR, _STR, _NUMBER, _INT),
-    )
-)
-_KIND_NAMES = {_INT: "non-integer", _STR: "non-string", _NUMBER: "non-numeric"}
-
 
 def _by_identity(encode: Callable) -> Callable:
     """``encode``, memoised on the identities of its arguments for the last
@@ -167,6 +159,25 @@ def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog], budget_initial:
     return path
 
 
+def manifest_fields(scenario_name: str, scenario_hash: str, seed: int, envelope: dict) -> dict:
+    """The manifest's fields that a run's scenario and seed give: all but
+    the scenario document and the episode count. ``envelope`` records the
+    tier that quoted the run (``kind``, plus the conformal fit's ``delta``
+    and calibration). :func:`write_manifest` writes them, and ``report``
+    compares a manifest with those of the gate it rebuilds."""
+    return {
+        "scenario_name": scenario_name,
+        "config_hash": scenario_hash,
+        "seed": seed,
+        "artifacts": {
+            "episode_log": EPISODE_LOG_NAME,
+            "summary": SUMMARY_NAME,
+            "boundary_log": BOUNDARY_LOG_NAME,
+        },
+        "envelope": envelope,
+    }
+
+
 def write_manifest(
     out_dir: Path,
     scenario_name: str,
@@ -177,25 +188,15 @@ def write_manifest(
     envelope: dict,
 ) -> Path:
     """Write the manifest as ``json.dumps(manifest, sort_keys=True,
-    separators=(",", ":"))`` and a newline, where ``scenario_document`` is
-    the document's own encoding by those rules, the bytes its
-    ``scenario_hash`` hashes. Those bytes go in as they are, so the
-    document is never encoded again. ``envelope`` records the tier that
-    quoted the run (``kind``, plus the conformal fit's ``delta`` and
-    calibration)."""
+    separators=(",", ":"))`` and a newline: the :func:`manifest_fields`,
+    the episode count and ``scenario_document``, which is the document's own
+    encoding by those rules, the bytes its ``scenario_hash`` hashes. Those
+    bytes go in as they are, so the document is never encoded again."""
     path = out_dir / MANIFEST_NAME
     manifest = {
-        "scenario_name": scenario_name,
-        "config_hash": scenario_hash,
-        "seed": seed,
+        **manifest_fields(scenario_name, scenario_hash, seed, envelope),
         "episodes": episodes,
-        "artifacts": {
-            "episode_log": EPISODE_LOG_NAME,
-            "summary": SUMMARY_NAME,
-            "boundary_log": BOUNDARY_LOG_NAME,
-        },
         "scenario_document": 0,
-        "envelope": envelope,
     }
     # encoded with a 0 for the document and split there; a quote inside a
     # JSON string is escaped, so no value can match the key
@@ -209,17 +210,16 @@ def write_manifest(
 
 
 @contextlib.contextmanager
-def _opened(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """The artifact at ``path``, open as UTF-8 text with ``open``'s
-    ``newline``. Raises :class:`RunArtifactError`, naming the artifact, for
+def _opened(path: Path) -> Iterator[TextIO]:
+    """The artifact at ``path``, open as UTF-8 text with ``newline=""``, so
+    a line keeps its line end as written, and a ``\\r`` ends a line as a
+    ``\\n`` does. Raises :class:`RunArtifactError`, naming the artifact, for
     bytes that are not UTF-8 or JSON, JSON nested past the recursion limit,
     or a ``ValueError`` its reader raises. A text-mode read decodes a chunk
     at a time, so bytes that are not UTF-8 are found again by line, only
-    once it has failed. The JSON-lines readers keep the default newline,
-    which JSON reads as whitespace either way: ``newline=""`` took 4.0 ms,
-    not 2.1 ms, to read the 15,000 lines of a 5,000-episode database log."""
+    once it has failed."""
     try:
-        with path.open(encoding="utf-8", newline=newline) as fh:
+        with path.open(encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         reason = next(_lines_not_utf8(path), exc)
@@ -241,7 +241,7 @@ def _lines_not_utf8(path: Path) -> Iterator[str]:
                 yield f"line {number}: {exc}"
 
 
-# The manifest fields report reads: key, rule, and what the rule asks for.
+# The manifest fields: key, rule, and what the rule asks for.
 _MANIFEST_FIELDS = (
     ("scenario_name", lambda v: type(v) is str, "a string"),
     ("config_hash", lambda v: type(v) is str, "a string"),
@@ -249,13 +249,14 @@ _MANIFEST_FIELDS = (
     ("episodes", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     ("scenario_document", lambda v: type(v) is dict, "an object"),
     ("envelope", lambda v: type(v) is dict, "an object"),
+    ("artifacts", lambda v: type(v) is dict, "an object"),
 )
 
 
 def read_manifest(run_dir: Path) -> dict:
     """The manifest :func:`write_manifest` wrote. Raises
     :class:`RunArtifactError`, naming the field, unless it is an object
-    whose ``_MANIFEST_FIELDS`` are there and keep their rules."""
+    whose keys are those of ``_MANIFEST_FIELDS``, each keeping its rule."""
     with _opened(Path(run_dir) / MANIFEST_NAME) as fh:
         manifest = json.load(fh)
     if type(manifest) is not dict:
@@ -265,6 +266,8 @@ def read_manifest(run_dir: Path) -> dict:
             raise RunArtifactError(f"{MANIFEST_NAME} has no {key!r}")
         if not ok(manifest[key]):
             raise RunArtifactError(f"{MANIFEST_NAME} holds {key} {manifest[key]!r}, not {what}")
+    for key in sorted(manifest.keys() - {field for field, _, _ in _MANIFEST_FIELDS}):
+        raise RunArtifactError(f"{MANIFEST_NAME} holds {key} {manifest[key]!r}, an unknown field")
     return manifest
 
 
@@ -284,14 +287,6 @@ _LINES_HELD = 256
 _EPISODE_NUMBER = re.compile(r"0|[1-9][0-9]{0,99}")
 
 
-def _one_episode_key(line: str) -> bool:
-    """Whether ``line`` spells "episode" as a JSON string once, as
-    ``"episode"``: every other spelling of it escapes a letter as
-    ``\\u006x`` or ``\\u007x``. The record of such a line that has an
-    episode key has it there, and nowhere else."""
-    return "\\u006" not in line and "\\u007" not in line and line.count('"episode"') == 1
-
-
 def _decoded(line: str, number: int):
     """The JSON value of line ``number`` of a file. Raises a ``ValueError``
     that names the line, which :func:`_opened` reports as the file's,
@@ -308,18 +303,22 @@ def _decoded(line: str, number: int):
 
 def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
     """The ``(episode, value)`` pairs ``convert`` makes of the records of a
-    JSON-lines file, read one line at a time, in order. Blank lines are
-    skipped; every other line must be one JSON value (:func:`_decoded`),
-    and ``convert`` raises :class:`RunArtifactError` for a record it
-    refuses, which is raised again with `` (line <n>)`` appended.
+    JSON-lines file, read one line at a time, in order. Each line must be
+    one JSON value (:func:`_decoded`) that ``convert`` takes to a value and
+    the record the writer writes for it, episode included, and the line
+    must be the one the writer writes for that record, ``json.dumps(record,
+    sort_keys=True)`` and a newline. A ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``OverflowError`` that ``convert`` raises refuses the
+    line too, as :class:`RunArtifactError`.
 
     A line is cut at its first ``"episode": `` key, and the text around the
-    number is the key of a memo of the values converted so far, so a line
-    that repeats but for its episode is decoded and checked once, and its
-    repeats share one value. A line enters the memo only when the cut is
-    its one episode key (:func:`_one_episode_key`) and its number is how
-    ``json`` writes one (``_EPISODE_NUMBER``); then the line with any
-    other such number decodes to the same record with that episode.
+    number is the key of a memo of the values read so far, so a line that
+    repeats but for its episode is decoded and checked once, and its
+    repeats share one value. A line enters the memo only once it is the
+    writer's line. Before the writer's episode key come only numbers and
+    an escaped string, so the cut is at that key, and the line with any
+    other number written as ``json`` writes one (``_EPISODE_NUMBER``) is
+    the writer's line for the same value at that episode.
     """
     # read_episode_records on the 15,000-line log of a 5000-episode
     # database run took 98 ms decoding and checking every line, and 20 ms
@@ -336,51 +335,40 @@ def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
             value = memo.get(key) if number is not None else None
             if value is not None:
                 yield number, value
-            elif not line.isspace():
-                try:
-                    pair = convert(_decoded(line, line_number))
-                except RunArtifactError as exc:
-                    raise RunArtifactError(f"{exc} (line {line_number})") from None
-                if number is not None and len(memo) < _LINES_HELD and _one_episode_key(line):
-                    memo[key] = pair[1]
-                yield pair
+                continue
+            decoded = _decoded(line, line_number)
+            try:
+                value, record = convert(decoded)
+                written = _ENCODE(record) + "\n"
+            except (KeyError, TypeError, ValueError, OverflowError):
+                written = None
+            if written != line:
+                raise RunArtifactError(
+                    f"{path.name} holds a line the writer does not write (line {line_number})"
+                )
+            if number is not None and len(memo) < _LINES_HELD:
+                memo[key] = value
+            yield record["episode"], value
 
 
-_VERDICTS = {v.value: v for v in Verdict}
-
-
-def _entry(record) -> tuple[int, GateEntry]:
-    """The episode and gate entry of an episode-log record. Raises
-    :class:`RunArtifactError` for a record that is not an object, lacks a
-    key or holds a value of the wrong JSON type, checked key by key in
-    ``_RECORD_KINDS`` order, then for one that logs a step other than its
-    time or names an unknown verdict."""
-    if type(record) is not dict:
-        raise RunArtifactError(f"{EPISODE_LOG_NAME} logs a non-object record {record!r}")
-    for key, kinds in _RECORD_KINDS.items():
-        if key not in record:
-            raise RunArtifactError(f"{EPISODE_LOG_NAME} logs a record without {key!r}")
-        if type(record[key]) not in kinds:
-            raise RunArtifactError(
-                f"{EPISODE_LOG_NAME} logs a {_KIND_NAMES[kinds]} {key} {record[key]!r}"
-            )
-    if record["step"] != record["time"]:
-        raise RunArtifactError(
-            f"{EPISODE_LOG_NAME} logs step {record['step']} at time {record['time']}"
-        )
-    verdict = _VERDICTS.get(record["verdict"])
-    if verdict is None:
-        raise RunArtifactError(f"{EPISODE_LOG_NAME} logs an unknown verdict {record['verdict']!r}")
-    return record["episode"], GateEntry(
-        record["time"], record["state"], record["proposed"], record["envelope_value"],
-        verdict, record["executed"], record["budget_after"], record["boundary_version"],
+def _entry(record) -> tuple[GateEntry, dict]:
+    """The gate entry of an episode-log record, converted field by field,
+    and the record the writer writes for it: the entry's fields, its
+    ``step``, which is its time, and its episode."""
+    entry = GateEntry(
+        int(record["time"]), str(record["state"]), str(record["proposed"]),
+        float(record["envelope_value"]), Verdict(record["verdict"]), str(record["executed"]),
+        float(record["budget_after"]), int(record["boundary_version"]),
     )
+    episode = operator.index(record["episode"])
+    return entry, dict(zip(GateEntry._fields, entry), step=entry.time, episode=episode)
 
 
 def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, ...]]]:
     """``(episode, entries)`` of each run of episode-log lines on one episode,
-    in order. Raises :class:`RunArtifactError` for a record :func:`_entry`
-    refuses. Lines that repeat but for their episode share one entry."""
+    in order. Raises :class:`RunArtifactError` for a line that is not the
+    writer's (:func:`_read_lines`, :func:`_entry`). Lines that repeat but
+    for their episode share one entry."""
     current, entries = None, []
     for episode, entry in _read_lines(Path(run_dir) / EPISODE_LOG_NAME, _entry):
         if episode != current:
@@ -398,8 +386,7 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, str]]:
     row as it was read, line end included. Raises :class:`RunArtifactError`
     for a header that is not the writer's, a row of other than one cell per
     header field, or an episode or loss cell that does not convert."""
-    # newline="" keeps each line end as written, which the row check reads
-    with _opened(Path(run_dir) / SUMMARY_NAME, newline="") as fh:
+    with _opened(Path(run_dir) / SUMMARY_NAME) as fh:
         header = fh.readline()
         if header != _SUMMARY_HEADER:
             raise ValueError(f"line 1: header {header!r} is not the writer's")
@@ -416,11 +403,16 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, str]]:
             yield episode, terminal_loss, row
 
 
-def _boundary_record(rec) -> tuple[int, dict]:
-    """The episode of a boundary-log record, and the record without it."""
-    if type(rec) is not dict or type(rec.get("episode")) is not int:
-        raise RunArtifactError(f"{BOUNDARY_LOG_NAME} logs a record without an integer episode")
-    return rec.pop("episode"), rec
+def _boundary_record(rec) -> tuple[dict, dict]:
+    """A boundary-log record without its episode, converted field by field,
+    and the record the writer writes for it, episode included."""
+    record = {
+        "boundary_id": str(rec["boundary_id"]),
+        "version": int(rec["version"]),
+        "exposure": [float(x) for x in rec["exposure"]],
+        "outside_state": str(rec["outside_state"]),
+    }
+    return record, {**record, "episode": operator.index(rec["episode"])}
 
 
 def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeLog]:

@@ -473,7 +473,8 @@ def _manifest_without(key):
 
 
 _MANIFEST_KEYS = (
-    "scenario_name", "config_hash", "seed", "episodes", "scenario_document", "envelope"
+    "scenario_name", "config_hash", "seed", "episodes", "scenario_document", "envelope",
+    "artifacts",
 )
 
 
@@ -498,46 +499,25 @@ def _envelope_refused(envelope) -> str:
             "summary.csv holds the row '0,abc,7.697823422919827,0.0,2,0,0,0,0\\r\\n', where the"
             " logs of episode 0 give '0,0.3021765770801732,7.697823422919827,0.0,2,0,0,0,0\\r\\n'",
         ),
-        (_logged_episode_a_string, "episodes.jsonl logs a non-integer episode '0' (line 1)"),
-        (
-            _first_log_field("envelope_value", "abc"),
-            "episodes.jsonl logs a non-numeric envelope_value 'abc' (line 1)",
-        ),
-        (
-            _first_log_field("budget_after", None),
-            "episodes.jsonl logs a non-numeric budget_after None (line 1)",
-        ),
-        (_first_log_field("step", 1.5), "episodes.jsonl logs a non-integer step 1.5 (line 1)"),
-        (_first_log_field("step", 5), "episodes.jsonl logs step 5 at time 0 (line 1)"),
-        (_first_log_field("time", "0"), "episodes.jsonl logs a non-integer time '0' (line 1)"),
-        (
-            _first_log_field("boundary_version", True),
-            "episodes.jsonl logs a non-integer boundary_version True (line 1)",
-        ),
-        (
-            _first_log_field("state", ["s"]),
-            "episodes.jsonl logs a non-string state ['s'] (line 1)",
-        ),
-        (
-            _first_log_field("proposed", {}),
-            "episodes.jsonl logs a non-string proposed {} (line 1)",
-        ),
-        (_first_log_field("executed", 7), "episodes.jsonl logs a non-string executed 7 (line 1)"),
-        (
-            _first_log_field("verdict", "MAYBE"),
-            "episodes.jsonl logs an unknown verdict 'MAYBE' (line 1)",
-        ),
-        (
-            _first_log_field("verdict", ["EXECUTE"]),
-            "episodes.jsonl logs a non-string verdict ['EXECUTE'] (line 1)",
-        ),
-        (
-            _first_log_record(lambda record: {k: v for k, v in record.items() if k != "step"}),
-            "episodes.jsonl logs a record without 'step' (line 1)",
-        ),
-        (
-            _first_log_record(lambda record: [0, 1]),
-            "episodes.jsonl logs a non-object record [0, 1] (line 1)",
+        *(
+            (corrupt, "episodes.jsonl holds a line the writer does not write (line 1)")
+            for corrupt in (
+                _logged_episode_a_string,
+                _first_log_field("envelope_value", "abc"),
+                _first_log_field("budget_after", None),
+                _first_log_field("step", 1.5),
+                _first_log_field("step", 5),
+                _first_log_field("time", "0"),
+                _first_log_field("time", math.inf),
+                _first_log_field("boundary_version", True),
+                _first_log_field("state", ["s"]),
+                _first_log_field("proposed", {}),
+                _first_log_field("executed", 7),
+                _first_log_field("verdict", "MAYBE"),
+                _first_log_field("verdict", ["EXECUTE"]),
+                _first_log_record(lambda record: {k: v for k, v in record.items() if k != "step"}),
+                _first_log_record(lambda record: [0, 1]),
+            )
         ),
         (_summary_row_cut_short, "summary.csv does not decode (line 3: 1 cell(s), not 9)"),
         (
@@ -548,7 +528,7 @@ def _envelope_refused(envelope) -> str:
         ),
         (
             _boundary_record_a_list,
-            "boundaries.jsonl logs a record without an integer episode (line 1)",
+            "boundaries.jsonl holds a line the writer does not write (line 1)",
         ),
         (_manifest(lambda manifest: [manifest]), "manifest.json is not a JSON object"),
         *(
@@ -587,6 +567,23 @@ def _envelope_refused(envelope) -> str:
             _manifest_field("envelope", [{"kind": "exact"}]),
             "manifest.json holds envelope [{'kind': 'exact'}], not an object",
         ),
+        (
+            _manifest_field("artifacts", []),
+            "manifest.json holds artifacts [], not an object",
+        ),
+        (
+            _manifest_field("scenario_name", "trading"),
+            "manifest.json holds scenario_name 'trading', not the 'payments' its scenario and"
+            " seed give",
+        ),
+        (
+            _manifest(lambda m: {**m, "artifacts": {**m["artifacts"], "summary": "other.csv"}}),
+            "manifest.json holds artifacts {'boundary_log': 'boundaries.jsonl', 'episode_log':"
+            " 'episodes.jsonl', 'summary': 'other.csv'}, not the {'episode_log':"
+            " 'episodes.jsonl', 'summary': 'summary.csv', 'boundary_log': 'boundaries.jsonl'}"
+            " its scenario and seed give",
+        ),
+        (_manifest_field("notes", 1), "manifest.json holds notes 1, an unknown field"),
         *(
             (_manifest_field("envelope", envelope), _envelope_refused(envelope))
             for envelope in (
@@ -600,7 +597,7 @@ def _envelope_refused(envelope) -> str:
     ids=[
         "summary-episode-x", "summary-b-final-abc", "log-episode-string",
         "log-envelope-value-abc", "log-budget-after-null", "log-step-float", "log-step-not-time",
-        "log-time-string",
+        "log-time-string", "log-time-infinite",
         "log-boundary-version-bool", "log-state-list", "log-proposed-object",
         "log-executed-int", "log-verdict-unknown", "log-verdict-list", "log-step-missing",
         "log-record-list", "summary-row-short", "summary-column-missing", "boundary-record-list",
@@ -608,14 +605,18 @@ def _envelope_refused(envelope) -> str:
         "manifest-scenario-name-int", "manifest-config-hash-null", "manifest-seed-negative",
         "manifest-seed-bool", "manifest-episodes-string",
         "manifest-episodes-bool", "manifest-episodes-negative", "manifest-document-list",
-        "manifest-envelope-list", "manifest-envelope-without-kind", "manifest-envelope-kind-fast",
+        "manifest-envelope-list", "manifest-artifacts-list", "manifest-scenario-name-other",
+        "manifest-summary-other", "manifest-extra-key", "manifest-envelope-without-kind",
+        "manifest-envelope-kind-fast",
         "manifest-conformal-without-delta", "manifest-delta-string", "manifest-delta-1.5",
         "manifest-delta-negative",
     ],
 )
 def test_report_refuses_unreadable_artifact_cells(corrupt, message, tmp_path, capsys):
-    # a record or cell that does not convert, or a record field of the wrong
-    # JSON type, is a coded run-artifact error with exit 1, not a traceback
+    # a cell that does not convert, a log line that is not the writer's, or
+    # a manifest field of the wrong JSON type or that the run's scenario and
+    # seed do not give, is a coded run-artifact error with exit 1, not a
+    # traceback
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
     corrupt(out)
@@ -843,6 +844,91 @@ def test_report_refuses_every_seeded_single_field_edit(tmp_path, capsys):
         for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
             edits += [(out, name, *e) for e in _log_edits(rng, out, name, 90)]
     assert len(edits) >= 400
+    passed = _passed(edits, capsys)
+    assert not passed, f"{len(passed)} of {len(edits)} edits passed: {passed[:5]}"
+
+
+# An edit that only flips the sign of a logged zero: ``0.0`` and ``-0.0``
+# are equal, and each is the writer's spelling of itself.
+_SIGNED_ZERO = re.compile(r"-(?=0\.0(?![0-9]))")
+
+
+def _byte_edits(rng, out, name, count):
+    """``count`` seeded single-byte edits of the log ``name`` of the run
+    ``out``, each a substitution, insertion or deletion of one printable
+    ASCII byte or line end, as in :func:`_log_edits`. Edits that leave the
+    log as it was, or only flip the sign of a zero, are not made."""
+    text = (out / name).read_text()
+    alphabet = [chr(c) for c in range(32, 127)] + ["\n", "\r", "\t"]
+    made = 0
+    while made < count:
+        at, byte = rng.randrange(len(text)), rng.choice(alphabet)
+        kind, edited = rng.choice([
+            (f"{text[at]!r} to {byte!r}", text[:at] + byte + text[at + 1:]),
+            (f"{byte!r} inserted", text[:at] + byte + text[at:]),
+            (f"{text[at]!r} deleted", text[:at] + text[at + 1:]),
+        ])
+        if _SIGNED_ZERO.sub("", edited) != _SIGNED_ZERO.sub("", text):
+            made += 1
+            yield edited, f"{name} byte {at}: {kind}"
+
+
+def _hand_edits(out):
+    """Edits of a run's logs that keep every value but not the writer's
+    text, and one that logs an infinite time: each ``(name, text, label)``."""
+    names = (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME)
+    texts = {name: (out / name).read_text() for name in names}
+    log, boundaries = (texts[name] for name in names)
+    first, rest = log.split("\n", 1)
+    record = json.loads(first)
+    items = list(record.items())
+    edits = {
+        "an extra key": json.dumps({**record, "x": 1}, sort_keys=True),
+        "two keys swapped": json.dumps(dict([items[1], items[0], *items[2:]])),
+        "a float written as an integer": re.sub(r": (\d+)\.0,", r": \1,", first, count=1),
+        "a state spelled with an escape": re.sub(
+            r'"state": "(.)', lambda m: '"state": "\\u%04x' % ord(m.group(1)), first, count=1
+        ),
+        "an infinite time": re.sub(r'"time": \d+', '"time": Infinity', first, count=1),
+    }
+    for label, line in edits.items():
+        assert line != first, label
+        yield runio.EPISODE_LOG_NAME, f"{line}\n{rest}", label
+    exposure = re.sub(r"\[(\d+)\.0\]", r"[\1]", boundaries, count=1)
+    assert exposure != boundaries
+    yield runio.BOUNDARY_LOG_NAME, exposure, "an exposure written as an integer"
+    for name, text in texts.items():
+        yield name, text.replace("\n", "\r\n", 1), f"{name} CRLF line end"
+        yield name, text + "\n\n", f"{name} blank lines appended"
+        yield name, text[:-1], f"{name} last line without a newline"
+
+
+def test_report_refuses_every_seeded_byte_edit(tmp_path, capsys):
+    # negative control: each log line must be, byte for byte, the line the
+    # writer writes for the record it decodes to, so an edit of one byte,
+    # a respelled value, key or line end, or a blank line is refused, as is
+    # a manifest field the run's scenario and seed do not give. A zero whose
+    # sign flips is its own writer's spelling, and the audit compares
+    # values, so that edit would pass; the generator makes none
+    rng = random.Random(20261022)
+    edits = []
+    for scenario in ("payments", "database"):
+        out = tmp_path / scenario
+        run = ["run", "--scenario", scenario, "--episodes", "30", "--seed", "1", "--out", str(out)]
+        assert main(run) == 0
+        assert _report_exit(out, capsys)[0] == 0
+        for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
+            edits += [(out, name, *e) for e in _byte_edits(rng, out, name, 110)]
+        edits += [(out, name, text, label) for name, text, label in _hand_edits(out)]
+    manifest = json.loads((tmp_path / "payments" / runio.MANIFEST_NAME).read_text())
+    for label, edited in {
+        "scenario_name": {**manifest, "scenario_name": "trading"},
+        "artifacts": {**manifest, "artifacts": {**manifest["artifacts"], "summary": "other.csv"}},
+        "an extra key": {**manifest, "notes": "x"},
+    }.items():
+        text = json.dumps(edited, sort_keys=True, separators=(",", ":")) + "\n"
+        edits.append((tmp_path / "payments", runio.MANIFEST_NAME, text, f"manifest {label}"))
+    assert len(edits) == 4 * 110 + 2 * 12 + 3
     passed = _passed(edits, capsys)
     assert not passed, f"{len(passed)} of {len(edits)} edits passed: {passed[:5]}"
 

@@ -262,17 +262,23 @@ def _read_logs(run_dir: Path) -> list[EpisodeLog]:
     return list(runio.read_episode_logs(run_dir, budget))
 
 
-def test_readers_skip_long_runs_of_blank_lines(tmp_path):
-    # a stretch of 3,072 blank lines, of several kinds, must not end the read
+def test_readers_refuse_blank_lines(tmp_path):
+    # no writer writes a blank line, so one of any kind is refused wherever
+    # it stands, as a line that is not one JSON value
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "30", "--out", str(out)]) == 0
     expected = _read_logs(out)
     assert any(log.boundary_records for log in expected)
-    blanks = ["\n", "   \n", "\t \n"] * 1024
     for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
         path = out / name
-        first, *rest = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(["\n", first, *blanks, *rest, " \n"]))
+        written = path.read_bytes()
+        lines = written.splitlines(keepends=True)
+        for blank, at in itertools.product([b"\n", b"   \n", b"\t \n"], [0, 1, len(lines)]):
+            path.write_bytes(b"".join([*lines[:at], blank, *lines[at:]]))
+            refused = f"^{re.escape(name)} does not decode \\(line {at + 1}: Expecting value: "
+            with pytest.raises(RunArtifactError, match=refused):
+                _read_logs(out)
+        path.write_bytes(written)
     assert _read_logs(out) == expected
 
 
@@ -418,48 +424,7 @@ def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run
 
 
 # ---------------------------------------------------------------------------
-# the line memo of the readers, against the decode it stands in for
-
-
-def _reference_values(path: Path):
-    """The readers' decode without their memo of lines: the line number and
-    value of each line of a JSON-lines file that is not blank, decoded
-    alone."""
-    with path.open() as fh:
-        for number, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                reason = f"{exc.msg}: column {exc.pos + 1}"
-            except ValueError as exc:
-                reason = str(exc)
-            else:
-                yield number, value
-                continue
-            raise RunArtifactError(f"{path.name} does not decode (line {number}: {reason})")
-
-
-def _refused(error: RunArtifactError, number: int) -> RunArtifactError:
-    return RunArtifactError(f"{error} (line {number})")
-
-
-def _reference_episode_records(run_dir: Path):
-    """read_episode_records without its memo of lines."""
-    current, entries = None, []
-    for number, record in _reference_values(run_dir / runio.EPISODE_LOG_NAME):
-        try:
-            episode, entry = runio._entry(record)
-        except RunArtifactError as exc:
-            raise _refused(exc, number) from None
-        if episode != current:
-            if entries:
-                yield current, tuple(entries)
-            current, entries = episode, []
-        entries.append(entry)
-    if entries:
-        yield current, tuple(entries)
+# the line memo of the readers, and the one line rule behind it
 
 
 def _read_boundary_records(run_dir: Path):
@@ -467,44 +432,22 @@ def _read_boundary_records(run_dir: Path):
     return runio._read_lines(run_dir / runio.BOUNDARY_LOG_NAME, runio._boundary_record)
 
 
-def _reference_boundary_records(run_dir: Path):
-    """_read_boundary_records without its memo of lines."""
-    for number, rec in _reference_values(run_dir / runio.BOUNDARY_LOG_NAME):
-        if type(rec) is not dict or type(rec.get("episode")) is not int:
-            raise RunArtifactError(
-                f"{runio.BOUNDARY_LOG_NAME} logs a record without an integer episode"
-                f" (line {number})"
-            )
-        yield rec.pop("episode"), rec
-
-
-_READERS = {
-    runio.EPISODE_LOG_NAME: (runio.read_episode_records, _reference_episode_records),
-    runio.BOUNDARY_LOG_NAME: (_read_boundary_records, _reference_boundary_records),
-}
-
-
-def _outcome(items) -> tuple:
-    """The repr of what a reader yields, and the type and message of what it
-    raises after that, if anything."""
-    got = []
-    try:
-        for item in items:
-            got.append(item)
-    except (RunArtifactError, ValueError) as exc:
-        return repr(got), type(exc), str(exc)
-    return repr(got), None, None
-
-
-def _agrees_with_reference(run_dir: Path, name: str) -> bool:
-    read, reference = _READERS[name]
-    return _outcome(read(run_dir)) == _outcome(reference(run_dir))
+def _rewritten(run_dir: Path, name: str) -> str:
+    """The text ``json.dumps`` writes, with sorted keys, of what the reader of
+    the log ``name`` of ``run_dir`` reads from it."""
+    if name == runio.EPISODE_LOG_NAME:
+        groups = runio.read_episode_records(run_dir)
+        logs = (EpisodeLog(ep, entries, 0.0, ()) for ep, entries in groups)
+        records = (_record(log, entry) for log in logs for entry in log.entries)
+    else:
+        records = ({**rec, "episode": ep} for ep, rec in _read_boundary_records(run_dir))
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
     # two lines that differ only in their episode put the line in the memo;
     # a copy of it that is corrupted anywhere but in a canonical episode
-    # number is refused as a read without the memo refuses it
+    # number is not the writer's line, and is refused
     with (database_run / runio.EPISODE_LOG_NAME).open() as fh:
         first = fh.readline()
     assert first.startswith('{"boundary_version": 1,') and '"episode": 0,' in first
@@ -512,11 +455,9 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
     def copy(episode):
         return first.replace('"episode": 0,', f'"episode": {episode},')
 
+    not_written = "episodes.jsonl holds a line the writer does not write (line 3)"
     corruptions = {
-        "verdict": (
-            copy(2).replace('"EXECUTE"', '"MAYBE"'),
-            "episodes.jsonl logs an unknown verdict 'MAYBE' (line 3)",
-        ),
+        "verdict": (copy(2).replace('"EXECUTE"', '"MAYBE"'), not_written),
         "leading zero": (
             copy("02"),
             "episodes.jsonl does not decode (line 3: Expecting ',' delimiter: column 81)",
@@ -525,12 +466,9 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
             copy("٢"),
             "episodes.jsonl does not decode (line 3: Expecting value: column 80)",
         ),
-        "float episode": (copy("2.0"), "episodes.jsonl logs a non-integer episode 2.0 (line 3)"),
-        "escaped key": (
-            copy(2).replace("}\n", ', "\\u0065pisode": "2"}\n'),
-            "episodes.jsonl logs a non-integer episode '2' (line 3)",
-        ),
-        "second key": (copy(2).replace("}\n", ', "episode": -1}\n'), None),
+        "float episode": (copy("2.0"), not_written),
+        "escaped key": (copy(2).replace("}\n", ', "\\u0065pisode": "2"}\n'), not_written),
+        "second key": (copy(2).replace("}\n", ', "episode": -1}\n'), not_written),
         "truncated": (
             copy(2)[:-30] + "\n",
             "episodes.jsonl does not decode (line 3: Invalid control character at: column 178)",
@@ -540,17 +478,11 @@ def test_a_corrupted_copy_of_a_held_line_is_refused(database_run, tmp_path):
         run_dir = tmp_path / what.replace(" ", "-")
         run_dir.mkdir()
         (run_dir / runio.EPISODE_LOG_NAME).write_text(copy(0) + copy(1) + bad)
-        assert _agrees_with_reference(run_dir, runio.EPISODE_LOG_NAME), what
-        if message is None:
-            # a later key wins, and the reader takes the line apart from
-            # the held one
-            assert [ep for ep, _ in runio.read_episode_records(run_dir)] == [0, 1, -1]
-            continue
-        with pytest.raises((RunArtifactError, ValueError), match=f"^{re.escape(message)}$"):
+        with pytest.raises(RunArtifactError, match=f"^{re.escape(message)}$"):
             list(runio.read_episode_records(run_dir))
 
 
-# The lines of each log the differential test edits.
+# The lines of each log the edit test edits.
 _EDIT_LOG_LINES = 32
 
 _DIGITS = "0123456789"
@@ -695,24 +627,42 @@ _FILE_EDITS = (
 )
 
 
-def test_readers_agree_with_a_per_line_decode_on_edited_logs(bundled_run, tmp_path):
-    # each edit reads back as a decode of each line alone reads it: the
-    # same records, or the same error after the same records
+def test_readers_refuse_every_edit_of_a_log(bundled_run, tmp_path):
+    # a log reads back as written, and an edit that changes its bytes is
+    # refused, or reads as the records whose lines the edited log holds
+    # (another episode number, or two lines swapped), each the writer's
+    # line for what was read, which report then refuses by the summary rows
+    # and the audit; no edit reads as records the writer would write apart
     rng = random.Random(20261019)
     kinds = [*_LINE_EDITS, *_FILE_EDITS]
-    edits = 0
+    edits = refused = 0
     for scenario in ("payments", "database"):
-        for name in _READERS:
+        for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
             with (bundled_run(scenario) / name).open() as fh:
                 lines = list(itertools.islice(fh, _EDIT_LOG_LINES))
             run_dir = tmp_path / f"{scenario}-{name}"
             run_dir.mkdir()
+            refusal = re.compile(
+                f"{re.escape(name)} (does not decode \\(line \\d+: .*\\)"
+                "|holds a line the writer does not write \\(line \\d+\\))"
+            )
+            written = "".join(lines)
+            (run_dir / name).write_text(written)
+            assert _rewritten(run_dir, name) == written
             for k in range(7 * len(kinds)):
                 kind = kinds[k % len(kinds)]
                 edited = _edit(rng, kind, lines)
                 if rng.random() < 0.25:
                     edited = _edit(rng, rng.choice(kinds), edited)
-                (run_dir / name).write_bytes("".join(edited).encode("utf-8", "surrogatepass"))
-                assert _agrees_with_reference(run_dir, name), (kind, edited)
+                data = "".join(edited).encode("utf-8", "surrogatepass")
+                (run_dir / name).write_bytes(data)
                 edits += 1
-    assert edits >= 1000
+                try:
+                    text = _rewritten(run_dir, name)
+                except RunArtifactError as exc:
+                    assert data != written.encode(), (kind, edited)
+                    assert refusal.fullmatch(str(exc)), (kind, str(exc))
+                    refused += 1
+                    continue
+                assert text.encode() == data, (kind, edited)
+    assert edits >= 1000 and refused > 0.8 * edits

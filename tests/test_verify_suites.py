@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from tollgate import boundary, gate, risk, tolls
+from tollgate import boundary, gate, risk, tolls, witnesses
 from tollgate.envmodel import EnvironmentModel
 from tollgate.tolls import AmbiguitySet
 from tollgate.verify import (
@@ -136,6 +136,46 @@ def test_first_model_capital_fails_capital_iff(monkeypatch, clean):
     ]
     assert failures
     assert all(isinstance(f["report"], dict) for f in failures)
+
+
+def test_negated_shortfall_fails_the_orderings_it_reads(monkeypatch, clean):
+    # a conditional_es mapping of flipped sign is no longer monotone, so the
+    # orderings that the shortfall properties read reverse, and the engine
+    # parts from the oracle's static shortfall; the other mappings keep theirs
+    assert not _failing(clean["time-consistency"])
+    assert not _failing(clean["cvar-demo"])
+    sigma = risk._sigma
+
+    def negated(spec, values, probs):
+        value = sigma(spec, values, probs)
+        return -value if spec.kind == "conditional_es" else value
+
+    monkeypatch.setattr(risk, "_sigma", negated)
+    assert _failing(time_consistency_suite(11)) == {
+        "recursive-ordering-implication",
+        "comparison-mapping-axioms",
+    }
+    assert _failing(cvar_demo_suite(11)) == {
+        "stagewise-ordering-holds",
+        "static-reading-reverses",
+        "oracle-agrees-with-static-values",
+    }
+
+
+def test_frozen_continuation_alone_fails_the_hedgeable_variant(monkeypatch, clean):
+    # hedging resistance is judged over every continuation of the executed
+    # branch; an enumeration that yields only the frozen one never finds the
+    # recall that claws the loss back, so the hedgeable variant resists. An
+    # empty enumeration reads as a hedge that erases the whole gap, and
+    # does not fail the property
+    assert not _failing(clean["iap"])
+    monkeypatch.setattr(
+        tolls, "enumerate_policies",
+        lambda model, *args, **kwargs: iter([witnesses._payment_continuation(model)]),
+    )
+    assert _failing(iap_suite(seed=11)) == {"hedgeable-variant-fails-condition-two"}
+    monkeypatch.setattr(tolls, "enumerate_policies", lambda *args, **kwargs: iter(()))
+    assert "hedgeable-variant-fails-condition-two" not in _failing(iap_suite(seed=11))
 
 
 def test_inflated_entropic_mapping_fails_tower_identity(monkeypatch, clean):
