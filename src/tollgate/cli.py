@@ -65,15 +65,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     # the document is encoded once, for its hash and the manifest, and only
     # now, so its bytes are not held while the episodes run
     document = document_bytes(scenario.raw)
-    runio.write_manifest(
-        out_dir,
-        scenario.name,
-        document,
-        document_hash(document),
-        seed,
-        args.episodes,
-        envelope_record,
+    parts = runio.manifest_parts(
+        scenario.name, document_hash(document), seed, args.episodes, envelope_record
     )
+    runio.write_manifest(out_dir, document, parts)
     print(f"wrote {args.episodes} episode(s) to {out_dir}")
     return 0
 
@@ -118,42 +113,37 @@ def cmd_report(args: argparse.Namespace) -> int:
     by :func:`run_gate` from the stored scenario and the manifest's seed,
     and delta is taken from its envelope record. A directory whose stored
     scenario does not hash to its recorded ``config_hash``, checked before
-    the document is resolved, whose manifest fields are not the
-    :func:`runio.manifest_fields` of the rebuilt gate, or whose artifacts
-    disagree on its episodes, is refused."""
+    the document is resolved, whose manifest is not the one
+    :func:`runio.write_manifest` writes for the rebuilt gate, or whose
+    artifacts disagree on its episodes, is refused."""
     run_dir = Path(args.out)
-    manifest = runio.read_manifest(run_dir)
-    document = manifest["scenario_document"]
-    digest = document_hash(document_bytes(document))
+    manifest, data = runio.read_manifest(run_dir)
+    seed, episodes = manifest["seed"], manifest["episodes"]
+    document = document_bytes(manifest["scenario_document"])
+    digest = document_hash(document)
     if digest != manifest["config_hash"]:
         raise RunArtifactError(
             f"{runio.MANIFEST_NAME} holds a scenario document that hashes to {digest[:12]}, "
             f"not to its config_hash {manifest['config_hash'][:12]}"
         )
-    scenario = resolve_scenario(document)
-    gate, envelope = run_gate(scenario, manifest["seed"])
-    # read_manifest refuses a key set other than the writer's
-    fields = runio.manifest_fields(scenario.name, digest, manifest["seed"], envelope)
-    for key, value in sorted(fields.items()):
-        if manifest[key] != value:
-            raise RunArtifactError(
-                f"{runio.MANIFEST_NAME} holds {key} {manifest[key]!r}, not the "
-                f"{value!r} its scenario and seed give"
-            )
+    scenario = resolve_scenario(manifest["scenario_document"])
+    gate, envelope = run_gate(scenario, seed)
+    parts = runio.manifest_parts(scenario.name, digest, seed, episodes, envelope)
+    runio.check_manifest(data, document, parts)
     logs = runio.read_episode_logs(run_dir, gate.cfg.initial_budget)
     audit = audit_budget_guarantee(logs, gate, envelope.get("delta", 0.0))
-    if audit.episodes != manifest["episodes"]:
+    if audit.episodes != episodes:
         raise RunArtifactError(
-            f"manifest records {manifest['episodes']} episode(s) but "
+            f"manifest records {episodes} episode(s) but "
             f"{runio.SUMMARY_NAME} has {audit.episodes}"
         )
     if not audit.episodes:
-        print(f"run of scenario {manifest['scenario_name']!r}: zero episodes, nothing to audit")
+        print(f"run of scenario {scenario.name!r}: zero episodes, nothing to audit")
         return 0
 
     mix = sorted(f"{verdict}={k}" for verdict, k in audit.decisions.items() if k)
-    print(f"scenario            : {manifest['scenario_name']} (hash {manifest['config_hash'][:12]})")
-    print(f"episodes            : {manifest['episodes']}")
+    print(f"scenario            : {scenario.name} (hash {digest[:12]})")
+    print(f"episodes            : {episodes}")
     print("decision mix        : " + ", ".join(mix))
     print(f"initial budget      : {gate.cfg.initial_budget}")
     print(f"final budget        : min={audit.final_min:.6f} mean={audit.final_mean:.6f}")

@@ -38,6 +38,7 @@ from collections import Counter, namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from math import copysign
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
@@ -61,10 +62,10 @@ class Verdict(str, Enum):
 # Distinct paths one memo holds: the paths a run-log writer holds encoded,
 # keyed by the identity of their objects, the summary rows the run-log
 # reader holds checked, and the paths the audit holds replayed, both keyed
-# by their values. The episodes one Gate samples share the entries and
-# boundary records of each path they walk, so each memo does a path's work
-# once while it holds it. A run with more distinct paths than this does
-# some work again.
+# by their values and spelling. The episodes one Gate samples share the
+# entries and boundary records of each path they walk, so each memo does a
+# path's work once while it holds it. A run with more distinct paths than
+# this does some work again.
 _PATHS_HELD = 64
 
 
@@ -357,6 +358,15 @@ class AuditReport(NamedTuple):
     final_mean: float
 
 
+def _signs(entries: tuple[GateEntry, ...], records: tuple[dict, ...]) -> tuple:
+    """The signs of the zeros among the floats a path's log lines write:
+    equal floats are written apart only as zeros of opposite sign."""
+    return (
+        *[copysign(1.0, x) for e in entries for x in (e.envelope_value, e.budget_after) if not x],
+        *[copysign(1.0, x) for record in records for x in record["exposure"] if not x],
+    )
+
+
 def _drawn(row: tuple[tuple[str, float], ...], label: str | None) -> bool:
     """Whether a ``(label, probability)`` row draws ``label``."""
     return any(p > 0.0 for drawn, p in row if drawn == label)
@@ -373,10 +383,11 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     time step from the initial state, each proposal drawn by the policy and
     each next state by the executed action's kernel), each logged step is
     what ``gate_step`` gives, the replay ends at the episode's boundary
-    records, all by value, and the episode's terminal loss is the loss of a
-    leaf that the path's last executed step reaches with positive
-    probability. A loss edited onto another such leaf's loss passes: no
-    artifact records the leaf.
+    records, all by value and by the signs of their zeros, and the
+    episode's terminal loss is, as ``repr`` writes it, the loss of a leaf
+    that the path's last executed step reaches with positive probability.
+    A loss edited onto another such leaf's loss passes: no artifact records
+    the leaf.
 
     The true tolls come from ``gate.cfg.exact_quoter``. An episode violates
     coverage when some quoted proposal's true toll exceeds its logged
@@ -388,24 +399,25 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     sigmas (exactly zero when delta is zero, the exact-envelope case).
 
     Everything but the terminal loss and boundary records follows from an
-    episode's entries, so each distinct path is replayed once while at most
-    ``_PATHS_HELD`` paths are held, told apart by value; each episode then
-    adds its path's tally. An episode's final budget is its last entry's
+    episode's entries and the signs of its zeros (:func:`_signs`), so each
+    distinct path is replayed once while at most ``_PATHS_HELD`` paths are
+    held, told apart by value and by those signs; each episode then adds
+    its path's tally. An episode's final budget is its last entry's
     ``budget_after``.
     """
     cfg, model = gate.cfg, gate.model
     truth = cfg.exact_quoter.predict
 
     @lru_cache(maxsize=_PATHS_HELD)
-    def audited(entries: tuple[GateEntry, ...]) -> tuple:
+    def audited(entries: tuple[GateEntry, ...], signs: tuple) -> tuple:
         """The path's tally in ``_TALLIES`` order, whether the gate replays
-        it, the losses of the leaves it may end in, and the replay's boundary
-        records."""
+        it and the ``signs`` of its zeros, the losses of the leaves it may
+        end in as ``repr`` writes them, and the replay's boundary records."""
         tally = dict.fromkeys(_TALLIES, 0)
         exact = len(entries) == model.horizon
         budget, ledger = cfg.initial_budget, gate.empty_ledger
         state = model.initial_state if exact else None
-        true_sum, kernel = 0.0, ()
+        true_sum, kernel, steps = 0.0, (), []
         for t, entry in enumerate(entries):
             tally[entry.verdict] += 1
             on_path = (entry.time, entry.state) == (t, state)
@@ -413,6 +425,7 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
                 proposed = entry.proposed
                 step, _, ledger = gate_step(budget, cfg, model, ledger, t, state, proposed, {})
                 exact &= step == entry
+                steps.append(step)
                 budget = step.budget_after
                 true_toll = truth(t, state, proposed)
                 diverted = step.executed != proposed
@@ -431,7 +444,8 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
         # an exact replay ends on its last executed step's kernel, whose
         # targets are leaves
         leaves = [leaf for leaf, p in kernel if p > 0.0] if exact else []
-        losses = frozenset(map(model.terminal_loss, leaves))
+        losses = frozenset(repr(model.terminal_loss(leaf)) for leaf in leaves)
+        exact &= _signs(steps, ledger.records) == signs
         return tuple(tally.values()), exact, losses, ledger.records
 
     n = 0
@@ -439,10 +453,11 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     accounting_exact = True
     final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
     for n, log in enumerate(logs, 1):
-        tally, exact, losses, records = audited(log.entries)
+        signs = _signs(log.entries, log.boundary_records)
+        tally, exact, losses, records = audited(log.entries, signs)
         episodes[tally] += 1
         accounting_exact &= (
-            exact and log.terminal_loss in losses and records == log.boundary_records
+            exact and repr(log.terminal_loss) in losses and records == log.boundary_records
         )
         final = log.entries[-1].budget_after
         final_min = final if n == 1 else min(final_min, final)

@@ -10,7 +10,8 @@ The manifest is compact JSON with sorted keys. It embeds the scenario
 document, in the canonical bytes its ``config_hash`` hashes, which makes a
 run directory self-describing for later audits: :func:`read_episode_logs`
 rebuilds the episode logs, and the stored document and seed rebuild the
-gate that wrote them.
+gate that wrote them. :func:`manifest_parts` renders the bytes around the
+document for the writer and for :func:`check_manifest`.
 
 The episode-log, boundary-log and summary readers and writers stream. A
 writer writes one episode at a time to an open file; a reader reads one
@@ -35,6 +36,7 @@ import csv
 import json
 import math
 import operator
+import os
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -159,54 +161,51 @@ def write_summary_csv(out_dir: Path, logs: Sequence[EpisodeLog], budget_initial:
     return path
 
 
-def manifest_fields(scenario_name: str, scenario_hash: str, seed: int, envelope: dict) -> dict:
-    """The manifest's fields that a run's scenario and seed give: all but
-    the scenario document and the episode count. ``envelope`` records the
-    tier that quoted the run (``kind``, plus the conformal fit's ``delta``
-    and calibration). :func:`write_manifest` writes them, and ``report``
-    compares a manifest with those of the gate it rebuilds."""
-    return {
-        "scenario_name": scenario_name,
-        "config_hash": scenario_hash,
-        "seed": seed,
-        "artifacts": {
-            "episode_log": EPISODE_LOG_NAME,
-            "summary": SUMMARY_NAME,
-            "boundary_log": BOUNDARY_LOG_NAME,
-        },
-        "envelope": envelope,
-    }
-
-
-def write_manifest(
-    out_dir: Path,
-    scenario_name: str,
-    scenario_document: bytes,
-    scenario_hash: str,
-    seed: int,
-    episodes: int,
-    envelope: dict,
-) -> Path:
-    """Write the manifest as ``json.dumps(manifest, sort_keys=True,
-    separators=(",", ":"))`` and a newline: the :func:`manifest_fields`,
-    the episode count and ``scenario_document``, which is the document's own
-    encoding by those rules, the bytes its ``scenario_hash`` hashes. Those
-    bytes go in as they are, so the document is never encoded again."""
-    path = out_dir / MANIFEST_NAME
-    manifest = {
-        **manifest_fields(scenario_name, scenario_hash, seed, envelope),
-        "episodes": episodes,
-        "scenario_document": 0,
-    }
+def manifest_parts(
+    scenario_name: str, scenario_hash: str, seed: int, episodes: int, envelope: dict
+) -> tuple[bytes, bytes]:
+    """The bytes before and after the scenario document of the manifest,
+    ``json.dumps(manifest, sort_keys=True, separators=(",", ":"))`` and a
+    newline. ``envelope`` records the tier that quoted the run."""
+    artifacts = dict(
+        episode_log=EPISODE_LOG_NAME, summary=SUMMARY_NAME, boundary_log=BOUNDARY_LOG_NAME
+    )
+    manifest = dict(
+        artifacts=artifacts, config_hash=scenario_hash, envelope=envelope, episodes=episodes,
+        scenario_document=0, scenario_name=scenario_name, seed=seed,
+    )
     # encoded with a 0 for the document and split there; a quote inside a
     # JSON string is escaped, so no value can match the key
     text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     head, tail = text.split('"scenario_document":0', 1)
+    return f'{head}"scenario_document":'.encode(), f"{tail}\n".encode()
+
+
+def write_manifest(out_dir: Path, document: bytes, parts: tuple[bytes, bytes]) -> Path:
+    """Write ``document``, the bytes the run's ``config_hash`` hashes, as
+    they are between the two :func:`manifest_parts`, so the document is
+    never encoded again."""
+    path = out_dir / MANIFEST_NAME
     with path.open("wb") as fh:
-        fh.write(f'{head}"scenario_document":'.encode())
-        fh.write(scenario_document)
-        fh.write(f"{tail}\n".encode())
+        fh.writelines((parts[0], document, parts[1]))
     return path
+
+
+def check_manifest(data: bytes, document: bytes, parts: tuple[bytes, bytes]) -> None:
+    """Raise :class:`RunArtifactError`, naming the first byte that differs,
+    unless ``data`` is the manifest :func:`write_manifest` writes for
+    ``document`` and ``parts``, which are compared in place."""
+    head, tail = parts
+    end = len(head) + len(document)
+    if data.startswith(head) and data.startswith(document, len(head)) and data[end:] == tail:
+        return
+    # past the end of either text, its byte shows as b''
+    written = head + document + tail
+    at = len(os.path.commonprefix([data, written]))
+    raise RunArtifactError(
+        f"{MANIFEST_NAME} holds {data[at : at + 1]!r} at byte {at}, where the writer writes"
+        f" {written[at : at + 1]!r} for its scenario, seed and episodes"
+    )
 
 
 @contextlib.contextmanager
@@ -241,24 +240,22 @@ def _lines_not_utf8(path: Path) -> Iterator[str]:
                 yield f"line {number}: {exc}"
 
 
-# The manifest fields: key, rule, and what the rule asks for.
+# The manifest fields read before the run's gate is rebuilt, with their rules.
 _MANIFEST_FIELDS = (
-    ("scenario_name", lambda v: type(v) is str, "a string"),
     ("config_hash", lambda v: type(v) is str, "a string"),
     ("seed", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     ("episodes", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     ("scenario_document", lambda v: type(v) is dict, "an object"),
-    ("envelope", lambda v: type(v) is dict, "an object"),
-    ("artifacts", lambda v: type(v) is dict, "an object"),
 )
 
 
-def read_manifest(run_dir: Path) -> dict:
-    """The manifest :func:`write_manifest` wrote. Raises
-    :class:`RunArtifactError`, naming the field, unless it is an object
-    whose keys are those of ``_MANIFEST_FIELDS``, each keeping its rule."""
+def read_manifest(run_dir: Path) -> tuple[dict, bytes]:
+    """The manifest :func:`write_manifest` wrote, decoded, and its bytes.
+    Raises :class:`RunArtifactError`, naming the field, unless it is an
+    object whose ``_MANIFEST_FIELDS`` each keep their rule."""
     with _opened(Path(run_dir) / MANIFEST_NAME) as fh:
-        manifest = json.load(fh)
+        text = fh.read()
+        manifest = json.loads(text)
     if type(manifest) is not dict:
         raise RunArtifactError(f"{MANIFEST_NAME} is not a JSON object")
     for key, ok, what in _MANIFEST_FIELDS:
@@ -266,9 +263,7 @@ def read_manifest(run_dir: Path) -> dict:
             raise RunArtifactError(f"{MANIFEST_NAME} has no {key!r}")
         if not ok(manifest[key]):
             raise RunArtifactError(f"{MANIFEST_NAME} holds {key} {manifest[key]!r}, not {what}")
-    for key in sorted(manifest.keys() - {field for field, _, _ in _MANIFEST_FIELDS}):
-        raise RunArtifactError(f"{MANIFEST_NAME} holds {key} {manifest[key]!r}, an unknown field")
-    return manifest
+    return manifest, text.encode()
 
 
 # The key before the episode number on each line the writers write.
@@ -301,15 +296,14 @@ def _decoded(line: str, number: int):
     raise ValueError(f"line {number}: {reason}")
 
 
-def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
+def _read_lines(path: Path, convert: Callable, parts_of: Callable) -> Iterator[tuple[int, object]]:
     """The ``(episode, value)`` pairs ``convert`` makes of the records of a
     JSON-lines file, read one line at a time, in order. Each line must be
-    one JSON value (:func:`_decoded`) that ``convert`` takes to a value and
-    the record the writer writes for it, episode included, and the line
-    must be the one the writer writes for that record, ``json.dumps(record,
-    sort_keys=True)`` and a newline. A ``KeyError``, ``TypeError``,
-    ``ValueError`` or ``OverflowError`` that ``convert`` raises refuses the
-    line too, as :class:`RunArtifactError`.
+    one JSON value (:func:`_decoded`) that ``convert`` takes to an episode
+    and a value, and the line must be the one the writer writes for them:
+    ``str(episode).join(parts_of((value,)))``. A ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``OverflowError`` that ``convert``
+    raises refuses the line too, as :class:`RunArtifactError`.
 
     A line is cut at its first ``"episode": `` key, and the text around the
     number is the key of a memo of the values read so far, so a line that
@@ -338,8 +332,8 @@ def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
                 continue
             decoded = _decoded(line, line_number)
             try:
-                value, record = convert(decoded)
-                written = _ENCODE(record) + "\n"
+                episode, value = convert(decoded)
+                written = str(episode).join(parts_of((value,)))
             except (KeyError, TypeError, ValueError, OverflowError):
                 written = None
             if written != line:
@@ -348,20 +342,18 @@ def _read_lines(path: Path, convert: Callable) -> Iterator[tuple[int, object]]:
                 )
             if number is not None and len(memo) < _LINES_HELD:
                 memo[key] = value
-            yield record["episode"], value
+            yield episode, value
 
 
-def _entry(record) -> tuple[GateEntry, dict]:
-    """The gate entry of an episode-log record, converted field by field,
-    and the record the writer writes for it: the entry's fields, its
-    ``step``, which is its time, and its episode."""
+def _entry(record) -> tuple[int, GateEntry]:
+    """The episode and gate entry of an episode-log record, converted field
+    by field."""
     entry = GateEntry(
         int(record["time"]), str(record["state"]), str(record["proposed"]),
         float(record["envelope_value"]), Verdict(record["verdict"]), str(record["executed"]),
         float(record["budget_after"]), int(record["boundary_version"]),
     )
-    episode = operator.index(record["episode"])
-    return entry, dict(zip(GateEntry._fields, entry), step=entry.time, episode=episode)
+    return operator.index(record["episode"]), entry
 
 
 def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, ...]]]:
@@ -370,7 +362,7 @@ def read_episode_records(run_dir: Path) -> Iterator[tuple[int, tuple[GateEntry, 
     writer's (:func:`_read_lines`, :func:`_entry`). Lines that repeat but
     for their episode share one entry."""
     current, entries = None, []
-    for episode, entry in _read_lines(Path(run_dir) / EPISODE_LOG_NAME, _entry):
+    for episode, entry in _read_lines(Path(run_dir) / EPISODE_LOG_NAME, _entry, _entry_parts):
         if episode != current:
             if entries:
                 yield current, tuple(entries)
@@ -403,16 +395,16 @@ def read_summary(run_dir: Path) -> Iterator[tuple[int, float, str]]:
             yield episode, terminal_loss, row
 
 
-def _boundary_record(rec) -> tuple[dict, dict]:
-    """A boundary-log record without its episode, converted field by field,
-    and the record the writer writes for it, episode included."""
+def _boundary_record(rec) -> tuple[int, dict]:
+    """The episode and boundary record of a boundary-log record, converted
+    field by field."""
     record = {
         "boundary_id": str(rec["boundary_id"]),
         "version": int(rec["version"]),
         "exposure": [float(x) for x in rec["exposure"]],
         "outside_state": str(rec["outside_state"]),
     }
-    return record, {**record, "episode": operator.index(rec["episode"])}
+    return operator.index(rec["episode"]), record
 
 
 def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeLog]:
@@ -434,7 +426,7 @@ def read_episode_logs(run_dir: Path, budget_initial: float) -> Iterator[EpisodeL
         return cells == _summary_cells(entries, budget_initial, terminal_loss)
 
     groups = read_episode_records(run_dir)
-    boundary = _read_lines(Path(run_dir) / BOUNDARY_LOG_NAME, _boundary_record)
+    boundary = _read_lines(Path(run_dir) / BOUNDARY_LOG_NAME, _boundary_record, _record_parts)
     pending = next(boundary, None)
     for episode, loss, row in read_summary(run_dir):
         logged, entries = next(groups, ("none", ()))

@@ -45,3 +45,12 @@ def test_readme_states_the_episode_log_keys_and_the_summary_header(tmp_path):
         assert keys and sorted(keys.group(1).split(", ")) == list(json.loads(line)), name
     header = re.search(r"^\* `summary\.csv` - .*?`(episode,.*?)`", text, re.M | re.S)
     assert header and tuple(header.group(1).split(",")) == runio._SUMMARY_FIELDS
+
+
+def test_readme_states_the_manifest_keys(tmp_path):
+    # the keys of a manifest the writer writes, in any order
+    parts = runio.manifest_parts("x", "0" * 64, 1, 0, {"kind": "exact"})
+    path = runio.write_manifest(tmp_path, b"{}", parts)
+    text = (ROOT / "README.md").read_text()
+    keys = re.search(r"^\* `manifest\.json` - .*?`\{(.*?)\}`", text, re.M | re.S)
+    assert keys and sorted(keys.group(1).split(", ")) == list(json.loads(path.read_text()))

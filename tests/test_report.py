@@ -89,19 +89,24 @@ def _swap_lines(name, i, j):
     return corrupt
 
 
+def _write_manifest(out, manifest):
+    """Write ``manifest`` over the run's manifest as the writer spells one:
+    compact, with sorted keys, and a newline."""
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    (out / runio.MANIFEST_NAME).write_text(text)
+
+
 def _raise_manifest_count(out):
-    path = out / runio.MANIFEST_NAME
-    manifest = json.loads(path.read_text())
+    manifest = json.loads((out / runio.MANIFEST_NAME).read_text())
     manifest["episodes"] += 1
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_manifest(out, manifest)
 
 
 def _edit_stored_scenario(edit):
     def corrupt(out):
-        path = out / runio.MANIFEST_NAME
-        manifest = json.loads(path.read_text())
+        manifest = json.loads((out / runio.MANIFEST_NAME).read_text())
         edit(manifest["scenario_document"])
-        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        _write_manifest(out, manifest)
 
     return corrupt
 
@@ -178,7 +183,8 @@ def test_report_takes_delta_from_conformal_manifest(tmp_path, capsys):
         out = tmp_path / f"run-{seed}"
         run = ["run", "--scenario", str(scenario), "--episodes", "150", "--seed", str(seed)]
         assert main([*run, "--out", str(out)]) == 0
-        assert runio.read_manifest(out)["envelope"]["delta"] == 0.1
+        manifest, _ = runio.read_manifest(out)
+        assert manifest["envelope"]["delta"] == 0.1
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
@@ -458,8 +464,7 @@ def _boundary_record_a_list(out):
 
 def _manifest(change):
     def corrupt(out):
-        path = out / runio.MANIFEST_NAME
-        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        _write_manifest(out, change(json.loads((out / runio.MANIFEST_NAME).read_text())))
 
     return corrupt
 
@@ -472,17 +477,12 @@ def _manifest_without(key):
     return _manifest(lambda manifest: {k: v for k, v in manifest.items() if k != key})
 
 
-_MANIFEST_KEYS = (
-    "scenario_name", "config_hash", "seed", "episodes", "scenario_document", "envelope",
-    "artifacts",
-)
-
-
-def _envelope_refused(envelope) -> str:
-    """The refusal of a payments run's manifest that records ``envelope``."""
+def _byte_refused(at: int, held: str, written: str) -> str:
+    """The refusal of a 5-episode payments run's manifest that holds
+    ``held`` at byte ``at``, where the writer writes ``written``."""
     return (
-        f"manifest.json holds envelope {envelope!r}, not the {{'kind': 'exact'}} "
-        "its scenario and seed give"
+        f"manifest.json holds {held} at byte {at}, where the writer writes {written} for its"
+        " scenario, seed and episodes"
     )
 
 
@@ -531,11 +531,14 @@ def _envelope_refused(envelope) -> str:
             "boundaries.jsonl holds a line the writer does not write (line 1)",
         ),
         (_manifest(lambda manifest: [manifest]), "manifest.json is not a JSON object"),
+        (_manifest_without("scenario_name"), _byte_refused(5121, "b'e'", "b'c'")),
         *(
             (_manifest_without(key), f"manifest.json has no {key!r}")
-            for key in _MANIFEST_KEYS
+            for key in ("config_hash", "seed", "episodes", "scenario_document")
         ),
-        (_manifest_field("scenario_name", 3), "manifest.json holds scenario_name 3, not a string"),
+        (_manifest_without("envelope"), _byte_refused(187, "b'p'", "b'n'")),
+        (_manifest_without("artifacts"), _byte_refused(2, "b'c'", "b'a'")),
+        (_manifest_field("scenario_name", 3), _byte_refused(5135, "b'3'", "b'\"'")),
         (
             _manifest_field("config_hash", None),
             "manifest.json holds config_hash None, not a string",
@@ -563,35 +566,25 @@ def _envelope_refused(envelope) -> str:
             _manifest_field("scenario_document", []),
             "manifest.json holds scenario_document [], not an object",
         ),
-        (
-            _manifest_field("envelope", [{"kind": "exact"}]),
-            "manifest.json holds envelope [{'kind': 'exact'}], not an object",
-        ),
-        (
-            _manifest_field("artifacts", []),
-            "manifest.json holds artifacts [], not an object",
-        ),
-        (
-            _manifest_field("scenario_name", "trading"),
-            "manifest.json holds scenario_name 'trading', not the 'payments' its scenario and"
-            " seed give",
-        ),
+        (_manifest_field("envelope", [{"kind": "exact"}]), _byte_refused(196, "b'['", "b'{'")),
+        (_manifest_field("artifacts", []), _byte_refused(13, "b'['", "b'{'")),
+        (_manifest_field("scenario_name", "trading"), _byte_refused(5136, "b't'", "b'p'")),
         (
             _manifest(lambda m: {**m, "artifacts": {**m["artifacts"], "summary": "other.csv"}}),
-            "manifest.json holds artifacts {'boundary_log': 'boundaries.jsonl', 'episode_log':"
-            " 'episodes.jsonl', 'summary': 'other.csv'}, not the {'episode_log':"
-            " 'episodes.jsonl', 'summary': 'summary.csv', 'boundary_log': 'boundaries.jsonl'}"
-            " its scenario and seed give",
+            _byte_refused(90, "b'o'", "b's'"),
         ),
-        (_manifest_field("notes", 1), "manifest.json holds notes 1, an unknown field"),
+        (_manifest_field("notes", 1), _byte_refused(227, "b'n'", "b's'")),
+        (_manifest_field("envelope", {}), _byte_refused(197, "b'}'", "b'\"'")),
         *(
-            (_manifest_field("envelope", envelope), _envelope_refused(envelope))
-            for envelope in (
-                {},
-                {"kind": "fast"},
-                {"kind": "conformal"},
-                *({"kind": "conformal", "delta": delta} for delta in ("0.1", 1.5, -0.2)),
+            (_manifest_field("envelope", {"kind": kind}), _byte_refused(205, held, "b'e'"))
+            for kind, held in (("fast", "b'f'"), ("conformal", "b'c'"))
+        ),
+        *(
+            (
+                _manifest_field("envelope", {"kind": "conformal", "delta": delta}),
+                _byte_refused(198, "b'd'", "b'k'"),
             )
+            for delta in ("0.1", 1.5, -0.2)
         ),
     ],
     ids=[
@@ -601,7 +594,14 @@ def _envelope_refused(envelope) -> str:
         "log-boundary-version-bool", "log-state-list", "log-proposed-object",
         "log-executed-int", "log-verdict-unknown", "log-verdict-list", "log-step-missing",
         "log-record-list", "summary-row-short", "summary-column-missing", "boundary-record-list",
-        "manifest-list", *(f"manifest-without-{key}" for key in _MANIFEST_KEYS),
+        "manifest-list",
+        *(
+            f"manifest-without-{key}"
+            for key in (
+                "scenario_name", "config_hash", "seed", "episodes", "scenario_document",
+                "envelope", "artifacts",
+            )
+        ),
         "manifest-scenario-name-int", "manifest-config-hash-null", "manifest-seed-negative",
         "manifest-seed-bool", "manifest-episodes-string",
         "manifest-episodes-bool", "manifest-episodes-negative", "manifest-document-list",
@@ -613,10 +613,12 @@ def _envelope_refused(envelope) -> str:
     ],
 )
 def test_report_refuses_unreadable_artifact_cells(corrupt, message, tmp_path, capsys):
-    # a cell that does not convert, a log line that is not the writer's, or
-    # a manifest field of the wrong JSON type or that the run's scenario and
-    # seed do not give, is a coded run-artifact error with exit 1, not a
-    # traceback
+    # a cell that does not convert, a log line that is not the writer's, a
+    # manifest field that report reads before it rebuilds the run's gate and
+    # that is of the wrong JSON type, or a manifest that is not the one the
+    # writer writes for that gate, is a coded run-artifact error with exit
+    # 1, not a traceback; each edited manifest is written in the writer's
+    # spelling, so each reaches the rule it is named for
     out = tmp_path / "run"
     assert main(["run", "--scenario", "payments", "--episodes", "5", "--out", str(out)]) == 0
     corrupt(out)
@@ -848,18 +850,20 @@ def test_report_refuses_every_seeded_single_field_edit(tmp_path, capsys):
     assert not passed, f"{len(passed)} of {len(edits)} edits passed: {passed[:5]}"
 
 
-# An edit that only flips the sign of a logged zero: ``0.0`` and ``-0.0``
-# are equal, and each is the writer's spelling of itself.
-_SIGNED_ZERO = re.compile(r"-(?=0\.0(?![0-9]))")
+# Printable ASCII and the line ends: the bytes a single-byte edit writes.
+_PRINTABLE = "".join(map(chr, range(32, 127))) + "\n\r\t"
+
+# JSON whitespace and a digit: bytes whose insertion between two tokens, or
+# after a float's last digit, keeps every value.
+_VALUE_KEEPING = " \t\r\n0"
 
 
-def _byte_edits(rng, out, name, count):
-    """``count`` seeded single-byte edits of the log ``name`` of the run
-    ``out``, each a substitution, insertion or deletion of one printable
-    ASCII byte or line end, as in :func:`_log_edits`. Edits that leave the
-    log as it was, or only flip the sign of a zero, are not made."""
+def _byte_edits(rng, out, name, count, alphabet=_PRINTABLE, skipped=lambda edited: False):
+    """``count`` seeded single-byte edits of the file ``name`` of the run
+    ``out``, each a substitution, insertion or deletion of one byte of
+    ``alphabet``, as in :func:`_log_edits`. Edits that leave the file as it
+    was, or that ``skipped`` names, are not made."""
     text = (out / name).read_text()
-    alphabet = [chr(c) for c in range(32, 127)] + ["\n", "\r", "\t"]
     made = 0
     while made < count:
         at, byte = rng.randrange(len(text)), rng.choice(alphabet)
@@ -868,14 +872,15 @@ def _byte_edits(rng, out, name, count):
             (f"{byte!r} inserted", text[:at] + byte + text[at:]),
             (f"{text[at]!r} deleted", text[:at] + text[at + 1:]),
         ])
-        if _SIGNED_ZERO.sub("", edited) != _SIGNED_ZERO.sub("", text):
+        if edited != text and not skipped(edited):
             made += 1
             yield edited, f"{name} byte {at}: {kind}"
 
 
 def _hand_edits(out):
     """Edits of a run's logs that keep every value but not the writer's
-    text, and one that logs an infinite time: each ``(name, text, label)``."""
+    text, one that logs an infinite time, and the sign flips of a logged
+    zero: each ``(name, text, label)``."""
     names = (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME)
     texts = {name: (out / name).read_text() for name in names}
     log, boundaries = (texts[name] for name in names)
@@ -901,36 +906,114 @@ def _hand_edits(out):
         yield name, text.replace("\n", "\r\n", 1), f"{name} CRLF line end"
         yield name, text + "\n\n", f"{name} blank lines appended"
         yield name, text[:-1], f"{name} last line without a newline"
+    # 0.0 and -0.0 are equal, and each is its own writer's spelling
+    zero = '"envelope_value": 0.0,'
+    first_zero, last_zero = log.index(zero), log.rindex(zero)
+    assert log.rindex("\n", 0, -1) > first_zero
+    for at, where in ((first_zero, "first"), (last_zero, "last")):
+        edited = log[:at] + zero.replace("0.0", "-0.0") + log[at + len(zero):]
+        yield runio.EPISODE_LOG_NAME, edited, f"the {where} zero quote signed"
+    header, row, *rows = _summary_lines(out)
+    cells = row.split(",")
+    assert cells[3] == "0.0"
+    cells[3] = "-0.0"
+    yield runio.SUMMARY_NAME, "".join([header, ",".join(cells), *rows]), "a zero loss signed"
+
+
+# The seed of an exact-tier run's manifest: the audit replays the logged
+# paths, not the draws that chose them, so no check reads it but its type.
+_SEED = re.compile(r'"seed":[0-9]+')
 
 
 def test_report_refuses_every_seeded_byte_edit(tmp_path, capsys):
     # negative control: each log line must be, byte for byte, the line the
-    # writer writes for the record it decodes to, so an edit of one byte,
-    # a respelled value, key or line end, or a blank line is refused, as is
-    # a manifest field the run's scenario and seed do not give. A zero whose
-    # sign flips is its own writer's spelling, and the audit compares
-    # values, so that edit would pass; the generator makes none
+    # writer writes for the record it decodes to, and the manifest the one
+    # the writer writes for the rebuilt gate, so an edit of one byte, a
+    # respelled value, key or line end, or a blank line is refused; the
+    # audit compares the replay with the logs by spelling as well as by
+    # value, so a zero whose sign flips is refused too. An exact-tier
+    # run's seed has only its type checked, so the generator makes no edit
+    # of the payments manifest that changes its seed alone
+    doc = json.loads(bundled_scenario_path("payments").read_text())
+    doc["envelope"] = {"kind": "conformal", "calibration_episodes": 20, "training_episodes": 10}
+    conformal = tmp_path / "payments-conformal.scn.json"
+    conformal.write_text(json.dumps(doc))
     rng = random.Random(20261022)
     edits = []
-    for scenario in ("payments", "database"):
-        out = tmp_path / scenario
+    for scenario in ("payments", "database", str(conformal)):
+        out = tmp_path / f"run-{len(edits)}"
         run = ["run", "--scenario", scenario, "--episodes", "30", "--seed", "1", "--out", str(out)]
         assert main(run) == 0
         assert _report_exit(out, capsys)[0] == 0
-        for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
-            edits += [(out, name, *e) for e in _byte_edits(rng, out, name, 110)]
-        edits += [(out, name, text, label) for name, text, label in _hand_edits(out)]
-    manifest = json.loads((tmp_path / "payments" / runio.MANIFEST_NAME).read_text())
-    for label, edited in {
-        "scenario_name": {**manifest, "scenario_name": "trading"},
-        "artifacts": {**manifest, "artifacts": {**manifest["artifacts"], "summary": "other.csv"}},
-        "an extra key": {**manifest, "notes": "x"},
-    }.items():
-        text = json.dumps(edited, sort_keys=True, separators=(",", ":")) + "\n"
-        edits.append((tmp_path / "payments", runio.MANIFEST_NAME, text, f"manifest {label}"))
-    assert len(edits) == 4 * 110 + 2 * 12 + 3
+        if scenario != "database":
+            manifest = (out / runio.MANIFEST_NAME).read_text()
+            exact = scenario == "payments"
+
+            def seed_only(edited):
+                return exact and _SEED.sub("", edited) == _SEED.sub("", manifest)
+
+            edits += [
+                (out, runio.MANIFEST_NAME, *e)
+                for alphabet in (_PRINTABLE, _VALUE_KEEPING)
+                for e in _byte_edits(rng, out, runio.MANIFEST_NAME, 30, alphabet, seed_only)
+            ]
+        if scenario != str(conformal):
+            for name in (runio.EPISODE_LOG_NAME, runio.BOUNDARY_LOG_NAME):
+                edits += [(out, name, *e) for e in _byte_edits(rng, out, name, 110)]
+            edits += [(out, name, text, label) for name, text, label in _hand_edits(out)]
+    assert len(edits) == 2 * 2 * 30 + 4 * 110 + 2 * 15
     passed = _passed(edits, capsys)
     assert not passed, f"{len(passed)} of {len(edits)} edits passed: {passed[:5]}"
+
+
+def _dumped(manifest: dict, **rules) -> bytes:
+    """``manifest`` written by ``json.dumps`` with ``rules``, and a newline."""
+    return (json.dumps(manifest, **rules) + "\n").encode()
+
+
+def _escaped_hash(data: bytes) -> bytes:
+    at = data.index(b'"config_hash":"') + len(b'"config_hash":"')
+    return b"%s\\u%04x%s" % (data[:at], data[at], data[at + 1:])
+
+
+# A 30-episode payments run's manifest spelled in twelve other ways that
+# keep every value, by label.
+_RESPELLINGS = {
+    "indented": lambda data: _dumped(json.loads(data), sort_keys=True, indent=2),
+    "spaced": lambda data: _dumped(json.loads(data), sort_keys=True),
+    "keys-reversed": lambda data: _dumped(
+        dict(sorted(json.loads(data).items(), reverse=True)), separators=(",", ":")
+    ),
+    "episodes-twice": lambda data: data.replace(b'"episodes":30', b'"episodes":31,"episodes":30'),
+    "budget-8.00": lambda data: data.replace(b'"initial_budget":8.0', b'"initial_budget":8.00'),
+    "budget-8e0": lambda data: data.replace(b'"initial_budget":8.0', b'"initial_budget":8e0'),
+    "kind-twice": lambda data: data.replace(b'"kind":"exact"', b'"kind":"exact","kind":"exact"'),
+    "hash-escaped": _escaped_hash,
+    "leading-space": lambda data: b" " + data,
+    "trailing-space": lambda data: data[:-1] + b" \n",
+    "no-final-newline": lambda data: data[:-1],
+    "crlf": lambda data: data[:-1] + b"\r\n",
+}
+
+
+@pytest.mark.parametrize("label", list(_RESPELLINGS))
+def test_report_refuses_a_respelled_manifest(label, tmp_path, capsys):
+    # negative control: the manifest must be the writer's bytes, so each of
+    # these spellings of the same values is one error line
+    out = tmp_path / "run"
+    run = ["run", "--scenario", "payments", "--episodes", "30", "--seed", "1", "--out", str(out)]
+    assert main(run) == 0
+    path = out / runio.MANIFEST_NAME
+    data = path.read_bytes()
+    edited = _RESPELLINGS[label](data)
+    assert edited != data and json.loads(edited) == json.loads(data)
+    path.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    refused = r"error: manifest\.json holds .* at byte \d+, where the writer writes .*\n"
+    assert re.fullmatch(refused, captured.err)
+    assert captured.out == ""
 
 
 def _summary_edits(rng, out, per_column):

@@ -258,7 +258,8 @@ def test_shared_and_unshared_paths_write_the_same_bytes(tmp_path):
 def _read_logs(run_dir: Path) -> list[EpisodeLog]:
     """The episode logs of a run directory, read from the initial budget
     of its stored scenario."""
-    budget = runio.read_manifest(run_dir)["scenario_document"]["gate"]["initial_budget"]
+    manifest, _ = runio.read_manifest(run_dir)
+    budget = manifest["scenario_document"]["gate"]["initial_budget"]
     return list(runio.read_episode_logs(run_dir, budget))
 
 
@@ -348,21 +349,22 @@ def test_manifest_is_canonical_around_the_hashed_document(name, bundled_run, con
 
 
 @pytest.mark.parametrize("name", _MANIFEST_RUNS)
-def test_report_reads_an_indented_manifest_alike(name, bundled_run, conformal_run, tmp_path, capsys):
-    # a run directory written while manifests were indented reports the
-    # same bytes as its compact twin
+def test_report_refuses_an_indented_manifest(name, bundled_run, conformal_run, tmp_path, capsys):
+    # negative control: no writer writes an indented manifest, so one is
+    # refused at its first newline, though it holds the same values
     out = _manifest_run(name, bundled_run, conformal_run)
     indented = tmp_path / "indented"
     shutil.copytree(out, indented)
     path = indented / runio.MANIFEST_NAME
     path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2) + "\n")
-    assert path.read_bytes() != (out / runio.MANIFEST_NAME).read_bytes()
     capsys.readouterr()
-    reports = []
-    for run_dir in (out, indented):
-        assert main(["report", "--out", str(run_dir)]) == 0
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
+    assert main(["report", "--out", str(indented)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: manifest.json holds b'\\n' at byte 1, where the writer writes b'\"' for its"
+        " scenario, seed and episodes\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.fixture
@@ -429,7 +431,8 @@ def test_writing_episode_and_boundary_logs_peaks_below_the_log_size(database_run
 
 def _read_boundary_records(run_dir: Path):
     """The boundary-log reader of runio.read_episode_logs."""
-    return runio._read_lines(run_dir / runio.BOUNDARY_LOG_NAME, runio._boundary_record)
+    path = run_dir / runio.BOUNDARY_LOG_NAME
+    return runio._read_lines(path, runio._boundary_record, runio._record_parts)
 
 
 def _rewritten(run_dir: Path, name: str) -> str:

@@ -6,8 +6,9 @@ import itertools
 
 import pytest
 
-from tollgate import boundary, gate, risk, tolls, witnesses
-from tollgate.envmodel import EnvironmentModel
+from tollgate import boundary, gate, risk, tolls, verify, witnesses
+from tollgate.envmodel import EnvironmentModel, Intervention
+from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.tolls import AmbiguitySet
 from tollgate.verify import (
     cvar_demo_suite,
@@ -206,3 +207,56 @@ def test_drifting_episode_stream_fails_determinism(monkeypatch, clean):
         gate, "uniform_stream", lambda seed, episode: stream(seed, episode + next(calls))
     )
     assert _failing(gating_suite(11)) == {"episode-determinism"}
+
+
+def test_static_root_fails_recursive_composition(monkeypatch, clean):
+    # a policy valuation whose root is the static shortfall of the terminal
+    # law reads the one-shot ordering, which reverses the stagewise one, so
+    # the recursive composition is no longer consistent with the stages
+    assert not _failing(clean["cvar-demo"])
+    valuation = verify.evaluate_policy_risk
+
+    def static_root(model, cont, spec):
+        law = {}
+        for action, p in cont.action_dist(0, model.initial_state):
+            iv = Intervention(0, model.initial_state, action)
+            for loss, q in enumerate_terminal_law(model, iv, cont).items():
+                law[loss] = law.get(loss, 0.0) + p * q
+        return valuation(model, cont, spec)._replace(root=static_risk(law, spec))
+
+    monkeypatch.setattr(verify, "evaluate_policy_risk", static_root)
+    assert _failing(cvar_demo_suite(11)) == {"recursive-composition-consistent"}
+
+
+@pytest.mark.parametrize(
+    "kept, failing",
+    [
+        (
+            lambda actions: actions[:2],
+            {
+                "shipped-witness-binds-capital",
+                "riskier-incumbent-leaves-capital-flat",
+                "capital-iff-random-families",
+            },
+        ),
+        (
+            lambda actions: actions[:-1] or actions,
+            {"riskier-incumbent-leaves-capital-flat", "capital-iff-random-families"},
+        ),
+    ],
+    ids=["first-two-actions", "last-action-dropped"],
+)
+def test_capital_over_too_few_actions_fails_the_capital_properties(
+    kept, failing, monkeypatch, clean
+):
+    # a robust capital that values only part of a granted action set misses
+    # the added action that raises it: the shipped witness no longer binds
+    # capital, while the riskier incumbent, dropped from the base set, now
+    # seems to raise it. A set of one action keeps it, or none is left
+    assert not _failing(clean["iap"])
+    capital = tolls.robust_capital
+    monkeypatch.setattr(
+        tolls, "robust_capital",
+        lambda amb, time, state, actions, *rest: capital(amb, time, state, kept(actions), *rest),
+    )
+    assert _failing(iap_suite(seed=11)) == failing
