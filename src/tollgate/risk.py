@@ -90,10 +90,12 @@ def one_step_risk(spec: RiskSpec, dist: Mapping[float, float] | Sequence[tuple[f
 
     ``dist`` is either a mapping value -> probability or a sequence of
     (value, probability) pairs. Probabilities must be nonnegative and sum to
-    one (within ``KERNEL_TOL``); atoms of zero probability take no part,
-    whatever their value. The entropic case always
-    evaluates through a log-sum-exp shifted by the largest value of positive
-    probability, so large gamma * value products cannot overflow.
+    one (within ``KERNEL_TOL``), and no value may be NaN; otherwise atoms of
+    zero probability take no part, whatever their value. A ``+inf`` value of
+    positive probability gives ``+inf`` under every mapping. The entropic
+    case always evaluates through a log-sum-exp shifted by the largest value
+    of positive probability, so large gamma * value products cannot
+    overflow.
     """
     pairs = list(dist.items()) if isinstance(dist, Mapping) else list(dist)
     values = [float(v) for v, _ in pairs]
@@ -102,6 +104,10 @@ def one_step_risk(spec: RiskSpec, dist: Mapping[float, float] | Sequence[tuple[f
         raise ModelValidationError(
             "probabilities must be nonnegative and sum to 1", path="dist"
         )
+    if any(math.isnan(v) for v in values):
+        raise ModelValidationError("values must not be NaN", path="dist")
+    if any(v == math.inf and p > 0.0 for v, p in zip(values, probs)):
+        return math.inf
     return _sigma(spec, values, probs)
 
 

@@ -12,7 +12,9 @@ failure. The instances they run on come from :mod:`tollgate.instances`.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import threading
 from typing import Mapping, NamedTuple, Sequence
 
 # The path-dependence check reaches boundary._sequence_toll through its
@@ -638,8 +640,87 @@ SUITES = tuple(_suite_table())
 
 
 def run_suite(name: str, seed: int) -> list[SuiteResult]:
-    """Dispatch one suite by CLI name, or every suite for ``all``."""
+    """Dispatch one suite by CLI name, or every suite for ``all``.
+
+    Each suite is a function of the seed alone, so with more than one CPU
+    the suites after the first run in forked children (see
+    :func:`_run_forked`); the results are the same, in the same order. A
+    process that runs other threads forks nothing: a child could inherit a
+    lock that one of them holds, and wait on it forever.
+    """
     table = _suite_table()
     if name != "all" and name not in table:
         raise ValueError(f"unknown suite {name!r}")
-    return [fn(seed) for suite, fn in table.items() if name in ("all", suite)]
+    fns = [fn for suite, fn in table.items() if name in ("all", suite)]
+    if len(fns) < 2 or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return [fn(seed) for fn in fns]
+    return _run_forked(fns, seed)
+
+
+def _run_forked(fns: list, seed: int) -> list[SuiteResult]:
+    """Run ``fns[0]`` here and each later suite in a forked child, which
+    sends back its pickled result through a pipe.
+
+    A child inherits this process's memory, so a fault patched in here
+    reaches the suite it runs. It leaves by ``os._exit``: it flushes no
+    inherited buffer and runs no exit hook. A suite whose child returns no
+    result, whatever the reason, runs here again, so it raises as it would
+    serially. Every child is reaped, also when a suite raises here.
+    """
+    import pickle
+
+    children = []  # (pid, read end), or None, per later suite not yet reaped
+    try:
+        for fn in fns[1:]:
+            children.append(_fork_suite(fn, seed))
+        results = [fns[0](seed)]
+        for fn in fns[1:]:
+            data = _reap(children.pop(0))
+            results.append(pickle.loads(data) if data else fn(seed))
+        return results
+    finally:
+        for child in children:
+            _reap(child)
+
+
+def _fork_suite(fn, seed: int) -> tuple[int, int] | None:
+    """Fork a child that writes ``pickle.dumps(fn(seed))`` to a pipe and
+    exits 0, or exits 1 without a result; ``None`` if no child started."""
+    import pickle
+
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            data = pickle.dumps(fn(seed))
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _reap(child: tuple[int, int] | None) -> bytes | None:
+    """Read a child's pipe to its end and wait for the child. The bytes
+    count only if the child exited 0, that is, wrote all of them."""
+    if child is None:
+        return None
+    pid, read = child
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data if status == 0 else None

@@ -88,6 +88,7 @@ VERIFY_DIGESTS = {
     "no-splitting": "2628751b089faaf3382355bf6fd56623b8ef20d91bb16db69618279e85b65336",
     "iap": "6d146b675d7d1a7203fbb839b3df0c373e711b88b3c6570e61969fb578036d26",
     "gating": "4a86b5296cb3a4d942e3a2159e1c188ca0c358e0e703f44864459e5bec76b0d2",
+    "all": "11dee1f3f96d259078450bed832f08db3950924cc7a67fe4c7bea35e3772067a",
 }
 
 

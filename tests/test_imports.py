@@ -59,7 +59,7 @@ def test_oracle_loads_no_engine_module():
 
 
 def test_cli_loads_neither_dataclasses_nor_inspect():
-    # every command pays for what the CLI imports before it does any work
-    assert not _fresh(
-        "import sys, tollgate.cli; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
-    )
+    # every command pays for what the CLI imports before it does any work;
+    # verify loads pickle only when it forks its suites, and never a pool
+    unwanted = "{'dataclasses', 'inspect', 'pickle', 'multiprocessing', 'concurrent'}"
+    assert not _fresh(f"import sys, tollgate.cli; print(*{unwanted} & set(sys.modules))")

@@ -84,6 +84,28 @@ def test_one_step_ignores_zero_mass_atoms():
         assert one_step_risk(spec, [(math.inf, 0.0), (2.0, 1.0)]) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_one_step_refuses_nan_values_in_any_order():
+    # a NaN value made the shortfall depend on the order of the atoms
+    for spec in (ENT, MEAN, ES):
+        for bad in ([(math.nan, 0.5), (1.0, 0.5)], [(1.0, 0.5), (math.nan, 0.5)]):
+            with pytest.raises(ModelValidationError) as exc:
+                one_step_risk(spec, bad)
+            assert exc.value.path == "dist"
+
+
+def test_one_step_infinite_values():
+    # +inf of positive mass is +inf under every mapping, even beside -inf,
+    # where the entropic shift and the expectation's sum gave NaN
+    for spec in (ENT, MEAN, ES):
+        assert one_step_risk(spec, [(math.inf, 0.5), (1.0, 0.5)]) == math.inf
+        assert one_step_risk(spec, [(math.inf, 0.5), (-math.inf, 0.5)]) == math.inf
+    # -inf of positive mass keeps what each mapping makes of it
+    low = [(-math.inf, 0.5), (1.0, 0.5)]
+    assert one_step_risk(ENT, low) == 0.3068528194400547
+    assert one_step_risk(ES, low) == 1.0
+    assert one_step_risk(MEAN, low) == -math.inf
+
+
 def test_single_step_recursion_equals_one_step(coin_model, noop_policy):
     cont = noop_policy(coin_model)
     iv = Intervention(0, "start", "flip")

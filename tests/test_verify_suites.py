@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 
 import pytest
 
@@ -41,19 +43,103 @@ def test_run_suite_unknown_name():
         run_suite("bogus", seed=1)
 
 
-def test_no_splitting_fault_injection_fails_with_payload(monkeypatch):
-    # a volume discount on later increments breaks the telescoping identity;
-    # the suite's own tolerance rule must catch it and report the worst gap
-    def discounted(pot, start, steps):
-        exposure = tuple(float(x) for x in start)
-        total = 0.0
-        for k, step in enumerate(steps):
-            after = tuple(e + d for e, d in zip(exposure, step))
-            total += (pot.value(after) - pot.value(exposure)) * 0.9**k
-            exposure = after
-        return total
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    monkeypatch.setattr(boundary, "_sequence_toll", discounted)
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def _dicts(results) -> list[dict]:
+    return [result.to_dict() for result in results]
+
+
+def test_a_fault_patched_here_reaches_a_forked_suite(monkeypatch):
+    # no-splitting is not the first suite, so with more than one CPU it runs
+    # in a child, which inherits the patched boundary module
+    monkeypatch.setattr(boundary, "_sequence_toll", _discounted_sequence_toll)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    results = {result.suite: result for result in run_suite("all", seed=11)}
+    assert "telescoping-identity" in _failing(results["no-splitting"])
+    # one child per suite after the first
+    assert len(forks) == (len(results) - 1 if len(os.sched_getaffinity(0)) > 1 else 0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "patched, suite",
+    [("calibrate_conformal", gating_suite), ("check_axioms", time_consistency_suite)],
+    ids=["forked-suite", "first-suite"],
+)
+def test_a_raising_suite_raises_as_it_does_alone(patched, suite, monkeypatch):
+    # gating, the last suite, raises in a child and again when it is run
+    # here; time-consistency, the first, raises here while the children run
+    def fault(*args, **kwargs):
+        raise ArithmeticError(f"injected into {patched}")
+
+    monkeypatch.setattr(verify, patched, fault)
+    with pytest.raises(ArithmeticError) as alone:
+        suite(seed=11)
+    with pytest.raises(ArithmeticError) as dispatched:
+        run_suite("all", seed=11)
+    assert type(dispatched.value) is type(alone.value)
+    assert str(dispatched.value) == str(alone.value)
+    assert dispatched.traceback[-1].name == alone.traceback[-1].name == "fault"
+    _no_child_left()
+
+
+def test_a_fork_that_fails_runs_its_suite_in_process(monkeypatch, clean):
+    def fork_fails():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    assert _dicts(run_suite("all", seed=11)) == _dicts(clean.values())
+    _no_child_left()
+
+
+def test_one_cpu_runs_the_suites_in_process(monkeypatch, clean):
+    # the forked results of the clean fixture equal the serial ones; one
+    # suite, or one CPU, forks nothing
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _dicts(run_suite("cvar-demo", seed=11)) == _dicts([clean["cvar-demo"]])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _dicts(run_suite("all", seed=11)) == _dicts(clean.values())
+
+
+def test_a_process_with_other_threads_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    for suite, fn in verify._suite_table().items():
+        monkeypatch.setattr(verify, fn.__name__, lambda seed, suite=suite: suite)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert run_suite("all", seed=11) == list(verify.SUITES)
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+
+
+def _discounted_sequence_toll(pot, start, steps):
+    # a volume discount on later increments: it breaks the telescoping identity
+    exposure = tuple(float(x) for x in start)
+    total = 0.0
+    for k, step in enumerate(steps):
+        after = tuple(e + d for e, d in zip(exposure, step))
+        total += (pot.value(after) - pot.value(exposure)) * 0.9**k
+        exposure = after
+    return total
+
+
+def test_no_splitting_fault_injection_fails_with_payload(monkeypatch):
+    # the suite's own tolerance rule must catch a volume discount and report
+    # the worst gap
+    monkeypatch.setattr(boundary, "_sequence_toll", _discounted_sequence_toll)
     result = no_splitting_suite(seed=11)
     assert not result.passed
     props = {p.name: p for p in result.properties}
