@@ -643,49 +643,53 @@ def run_suite(name: str, seed: int) -> list[SuiteResult]:
     """Dispatch one suite by CLI name, or every suite for ``all``.
 
     Each suite is a function of the seed alone, so with more than one CPU
-    the suites after the first run in forked children (see
-    :func:`_run_forked`); the results are the same, in the same order. A
-    process that runs other threads forks nothing: a child could inherit a
-    lock that one of them holds, and wait on it forever.
+    the suites after the first run in a forked child (see
+    :func:`_run_forked`); the results are the same, in the same order.
     """
     table = _suite_table()
     if name != "all" and name not in table:
         raise ValueError(f"unknown suite {name!r}")
     fns = [fn for suite, fn in table.items() if name in ("all", suite)]
-    if len(fns) < 2 or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+    if len(fns) < 2 or not _can_fork():
         return [fn(seed) for fn in fns]
     return _run_forked(fns, seed)
 
 
+def _can_fork() -> bool:
+    """True if this process may fork a child to share the work with: the
+    platform has ``os.fork`` and ``os.sched_getaffinity``, which Windows and
+    macOS lack, more than one CPU is available, and no other thread runs,
+    since a child could inherit a lock that one of them holds and wait on it
+    forever."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    return len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
+
+
 def _run_forked(fns: list, seed: int) -> list[SuiteResult]:
-    """Run ``fns[0]`` here and each later suite in a forked child, which
-    sends back its pickled result through a pipe.
+    """Run ``fns[0]`` here and the later suites in turn in one forked child,
+    which sends back its pickled results through a pipe.
 
     A child inherits this process's memory, so a fault patched in here
-    reaches the suite it runs. It leaves by ``os._exit``: it flushes no
-    inherited buffer and runs no exit hook. A suite whose child returns no
-    result, whatever the reason, runs here again, so it raises as it would
-    serially. Every child is reaped, also when a suite raises here.
+    reaches the suites it runs. It leaves by ``os._exit``: it flushes no
+    inherited buffer and runs no exit hook. If the child returns no results,
+    whatever the reason, the later suites run here again, so they raise as
+    they would serially. The child is reaped, also when ``fns[0]`` raises.
     """
     import pickle
 
-    children = []  # (pid, read end), or None, per later suite not yet reaped
+    child = _fork_suites(fns[1:], seed)
     try:
-        for fn in fns[1:]:
-            children.append(_fork_suite(fn, seed))
-        results = [fns[0](seed)]
-        for fn in fns[1:]:
-            data = _reap(children.pop(0))
-            results.append(pickle.loads(data) if data else fn(seed))
-        return results
+        first = fns[0](seed)
     finally:
-        for child in children:
-            _reap(child)
+        data = _reap(child)
+    return [first, *(pickle.loads(data) if data else [fn(seed) for fn in fns[1:]])]
 
 
-def _fork_suite(fn, seed: int) -> tuple[int, int] | None:
-    """Fork a child that writes ``pickle.dumps(fn(seed))`` to a pipe and
-    exits 0, or exits 1 without a result; ``None`` if no child started."""
+def _fork_suites(fns: list, seed: int) -> tuple[int, int] | None:
+    """Fork a child that writes ``pickle.dumps([fn(seed) for fn in fns])``
+    to a pipe and exits 0, or exits 1 without a result; ``None`` if no child
+    started."""
     import pickle
 
     try:
@@ -702,7 +706,7 @@ def _fork_suite(fn, seed: int) -> tuple[int, int] | None:
         code = 1
         try:
             os.close(read)
-            data = pickle.dumps(fn(seed))
+            data = pickle.dumps([fn(seed) for fn in fns])
             with open(write, "wb") as pipe:
                 pipe.write(data)
             code = 0

@@ -25,8 +25,16 @@ from tollgate.verify import (
 @pytest.fixture(scope="module")
 def clean():
     """Each suite's clean result at seed 11, by suite name: run once per
-    module, so the controls below spend their time on the fault runs."""
-    return {result.suite: result for result in run_suite("all", seed=11)}
+    module, so the controls below spend their time on the fault runs. It is
+    run by the forked dispatcher on any host, so the serial runs below also
+    show that the forked results equal the serial ones."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+        return {result.suite: result for result in run_suite("all", seed=11)}
+
+
+def _two_cpus(pid):
+    return {0, 1}
 
 
 def test_run_suite_dispatch_and_reports(clean):
@@ -56,17 +64,26 @@ def _dicts(results) -> list[dict]:
     return [result.to_dict() for result in results]
 
 
-def test_a_fault_patched_here_reaches_a_forked_suite(monkeypatch):
-    # no-splitting is not the first suite, so with more than one CPU it runs
-    # in a child, which inherits the patched boundary module
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # the dispatcher forks on any host, also on one with one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+
+
+def test_a_fault_patched_here_reaches_the_forked_suites(monkeypatch, two_cpus):
+    # no-splitting is not the first suite, so it runs in the child, which
+    # inherits the patched boundary module
     monkeypatch.setattr(boundary, "_sequence_toll", _discounted_sequence_toll)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    here = []  # runs of no-splitting in this process; the child's stay there
+    suite = verify.no_splitting_suite
+    monkeypatch.setattr(verify, "no_splitting_suite", lambda seed: here.append(seed) or suite(seed))
     results = {result.suite: result for result in run_suite("all", seed=11)}
     assert "telescoping-identity" in _failing(results["no-splitting"])
-    # one child per suite after the first
-    assert len(forks) == (len(results) - 1 if len(os.sched_getaffinity(0)) > 1 else 0)
+    assert forks == [1]
+    assert here == []
     _no_child_left()
 
 
@@ -75,24 +92,28 @@ def test_a_fault_patched_here_reaches_a_forked_suite(monkeypatch):
     [("calibrate_conformal", gating_suite), ("check_axioms", time_consistency_suite)],
     ids=["forked-suite", "first-suite"],
 )
-def test_a_raising_suite_raises_as_it_does_alone(patched, suite, monkeypatch):
-    # gating, the last suite, raises in a child and again when it is run
-    # here; time-consistency, the first, raises here while the children run
+def test_a_raising_suite_raises_as_it_does_alone(patched, suite, monkeypatch, two_cpus):
+    # gating, the last suite, raises in the child and again when it is run
+    # here; time-consistency, the first, raises here while the child runs
     def fault(*args, **kwargs):
         raise ArithmeticError(f"injected into {patched}")
 
     monkeypatch.setattr(verify, patched, fault)
     with pytest.raises(ArithmeticError) as alone:
         suite(seed=11)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     with pytest.raises(ArithmeticError) as dispatched:
         run_suite("all", seed=11)
+    assert forks == [1]
     assert type(dispatched.value) is type(alone.value)
     assert str(dispatched.value) == str(alone.value)
     assert dispatched.traceback[-1].name == alone.traceback[-1].name == "fault"
     _no_child_left()
 
 
-def test_a_fork_that_fails_runs_its_suite_in_process(monkeypatch, clean):
+def test_a_fork_that_fails_runs_its_suites_in_process(monkeypatch, clean, two_cpus):
     def fork_fails():
         raise BlockingIOError("no process left")
 
@@ -101,16 +122,21 @@ def test_a_fork_that_fails_runs_its_suite_in_process(monkeypatch, clean):
     _no_child_left()
 
 
-def test_one_cpu_runs_the_suites_in_process(monkeypatch, clean):
-    # the forked results of the clean fixture equal the serial ones; one
-    # suite, or one CPU, forks nothing
-    monkeypatch.setattr(os, "fork", _no_fork)
+@pytest.mark.parametrize("lacking", ["one-cpu", "sched_getaffinity", "fork"])
+def test_a_host_that_cannot_share_runs_the_suites_in_process(lacking, monkeypatch, clean):
+    # one suite, one CPU, or a platform without sched_getaffinity (macOS) or
+    # fork (Windows) forks nothing
+    if lacking == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, lacking, raising=False)
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", _no_fork)
     assert _dicts(run_suite("cvar-demo", seed=11)) == _dicts([clean["cvar-demo"]])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _dicts(run_suite("all", seed=11)) == _dicts(clean.values())
 
 
-def test_a_process_with_other_threads_forks_nothing(monkeypatch):
+def test_a_process_with_other_threads_forks_nothing(monkeypatch, two_cpus):
     monkeypatch.setattr(os, "fork", _no_fork)
     for suite, fn in verify._suite_table().items():
         monkeypatch.setattr(verify, fn.__name__, lambda seed, suite=suite: suite)
