@@ -31,7 +31,7 @@ class Envelope(NamedTuple):
     quantile_rank: int = 0  # rank of the conformal margin; 0 when not fitted
 
     def query(self, time: int, state: str, action: str) -> float:
-        return max(self.predict(time, state, action) + self.inflation, 0.0)
+        return float(max(self.predict(time, state, action) + self.inflation, 0.0))
 
 
 def exact_envelope(

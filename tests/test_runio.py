@@ -20,6 +20,7 @@ import pytest
 
 from tollgate import runio
 from tollgate.cli import main
+from tollgate.envelope import Envelope
 from tollgate.exceptions import RunArtifactError
 from tollgate.gate import (
     EpisodeLog,
@@ -233,6 +234,17 @@ def test_bool_episode_logs_read_back(tmp_path):
     _written(tmp_path, [log], sc.gate.initial_budget)
     assert list(runio.read_episode_logs(tmp_path, sc.gate.initial_budget)) == [log]
     assert type(log.episode) is int
+
+
+def test_an_envelope_of_integer_predictions_logs_float_quotes(tmp_path):
+    # the log's envelope_value is a float field, so a quote is a float
+    # whatever number type its predictor returns, and the run reads back
+    sc = load_scenario(bundled_scenario_path("payments"))
+    ints = Envelope(kind="exact", predict=lambda t, s, a: 1, inflation=0)
+    log = run_episode(Gate(sc.model, sc.policy, sc.gate._replace(envelope=ints)), 1, 0)
+    assert all(type(entry.envelope_value) is float for entry in log.entries)
+    _written(tmp_path, [log], sc.gate.initial_budget)
+    assert list(runio.read_episode_logs(tmp_path, sc.gate.initial_budget)) == [log]
 
 
 def test_shared_and_unshared_paths_write_the_same_bytes(tmp_path):

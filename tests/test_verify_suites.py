@@ -3,23 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
+from typing import Callable, NamedTuple
 
 import pytest
 
-from tollgate import boundary, gate, risk, tolls, verify, witnesses
+from tollgate import boundary, envelope, gate, risk, scenario, tolls, verify, witnesses
 from tollgate.envmodel import EnvironmentModel, Intervention
 from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.tolls import AmbiguitySet
-from tollgate.verify import (
-    cvar_demo_suite,
-    gating_suite,
-    iap_suite,
-    no_splitting_suite,
-    run_suite,
-    time_consistency_suite,
-)
+from tollgate.verify import gating_suite, run_suite, time_consistency_suite
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +68,8 @@ def two_cpus(monkeypatch):
 def test_a_fault_patched_here_reaches_the_forked_suites(monkeypatch, two_cpus):
     # no-splitting is not the first suite, so it runs in the child, which
     # inherits the patched boundary module
-    monkeypatch.setattr(boundary, "_sequence_toll", _discounted_sequence_toll)
+    fault = FAULTS["discounted-sequence-toll"]
+    fault.apply(monkeypatch)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -81,7 +77,7 @@ def test_a_fault_patched_here_reaches_the_forked_suites(monkeypatch, two_cpus):
     suite = verify.no_splitting_suite
     monkeypatch.setattr(verify, "no_splitting_suite", lambda seed: here.append(seed) or suite(seed))
     results = {result.suite: result for result in run_suite("all", seed=11)}
-    assert "telescoping-identity" in _failing(results["no-splitting"])
+    assert _failing(results["no-splitting"]) == fault.fails["no-splitting"]
     assert forks == [1]
     assert here == []
     _no_child_left()
@@ -151,6 +147,14 @@ def test_a_process_with_other_threads_forks_nothing(monkeypatch, two_cpus):
     assert not waiting.is_alive()
 
 
+def _failing(result) -> set[str]:
+    return {p.name for p in result.properties if not p.passed}
+
+
+def _details(result, name: str) -> dict:
+    return next(p.details for p in result.properties if p.name == name)
+
+
 def _discounted_sequence_toll(pot, start, steps):
     # a volume discount on later increments: it breaks the telescoping identity
     exposure = tuple(float(x) for x in start)
@@ -162,172 +166,9 @@ def _discounted_sequence_toll(pot, start, steps):
     return total
 
 
-def test_no_splitting_fault_injection_fails_with_payload(monkeypatch):
-    # the suite's own tolerance rule must catch a volume discount and report
-    # the worst gap
-    monkeypatch.setattr(boundary, "_sequence_toll", _discounted_sequence_toll)
-    result = no_splitting_suite(seed=11)
-    assert not result.passed
-    props = {p.name: p for p in result.properties}
-    broken = props["telescoping-identity"]
-    assert not broken.passed
-    worst = broken.details["worst_gap"]
-    assert worst > 1e-6
-    assert broken.details["worst_case"]["gap"] == worst
-    # the built-in instances price their sequences through the same sum
-    for name in (
-        "path-dependence-counterexample",
-        "boundary-redesign-restores-pricing",
-        "compliant-instance-has-no-ordering-gap",
-    ):
-        assert not props[name].passed, name
-
-
-def _failing(result) -> set[str]:
-    return {p.name for p in result.properties if not p.passed}
-
-
-def test_no_splitting_negated_potential_fails_nonnegativity(monkeypatch):
-    # a decreasing potential still telescopes, but charges negative tolls
-    value = boundary.PotentialSpec.value
-    monkeypatch.setattr(boundary.PotentialSpec, "value", lambda pot, e: -value(pot, e))
-    failing = _failing(no_splitting_suite(seed=11))
-    assert "toll-nonnegativity" in failing
-    assert "telescoping-identity" not in failing
-
-
-def test_no_splitting_concave_power_fails_marginal_monotonicity(monkeypatch):
-    # a concave power potential telescopes and charges nonnegative tolls, but
-    # a fixed increment gets cheaper at higher exposure
-    value = boundary.PotentialSpec.value
-
-    def concave(pot, exposure):
-        if pot.kind != "power":
-            return value(pot, exposure)
-        return float(sum(w * e**0.5 for w, e in zip(pot.weights, exposure)))
-
-    monkeypatch.setattr(boundary.PotentialSpec, "value", concave)
-    assert _failing(no_splitting_suite(seed=11)) == {"convex-marginal-monotonicity"}
-
-
-def test_dropped_loss_variants_fail_cvar_demo_and_iap(monkeypatch, clean):
-    # a loss variant that keeps the base losses: the cvar instance values
-    # loss b as loss a, and a witness bump moves no risk
-    replaced = EnvironmentModel.replaced
-
-    def without_losses(model, rows=None, losses=None, paths=None, losses_path="terminal_losses"):
-        return replaced(model, rows, None, paths)
-
-    assert not _failing(clean["cvar-demo"])
-    assert not _failing(clean["iap"])
-    monkeypatch.setattr(EnvironmentModel, "replaced", without_losses)
-    assert _failing(cvar_demo_suite(seed=11)) == {
-        "oracle-agrees-with-static-values",
-        "expectation-tower-no-reversal",
-    }
-    assert _failing(iap_suite(seed=11)) == {
-        "shipped-witness-certifies",
-        "tail-threshold-variant-splits-mappings",
-        "certificate-implies-positive-premium",
-    }
-
-
-def test_first_model_capital_fails_capital_iff(monkeypatch, clean):
-    # a robust capital that prices only the first model misses the worst
-    # case that the added action's own root risk, taken over every model,
-    # still sees
-    assert not _failing(clean["iap"])
-    capital = tolls.robust_capital
-    monkeypatch.setattr(
-        tolls, "robust_capital",
-        lambda amb, *args: capital(AmbiguitySet(amb.models[:1]), *args),
-    )
-    result = iap_suite(seed=11)
-    assert _failing(result) == {"capital-iff-random-families"}
-    failures = {p.name: p for p in result.properties}["capital-iff-random-families"].details[
-        "failures"
-    ]
-    assert failures
-    assert all(isinstance(f["report"], dict) for f in failures)
-
-
-def test_negated_shortfall_fails_the_orderings_it_reads(monkeypatch, clean):
-    # a conditional_es mapping of flipped sign is no longer monotone, so the
-    # orderings that the shortfall properties read reverse, and the engine
-    # parts from the oracle's static shortfall; the other mappings keep theirs
-    assert not _failing(clean["time-consistency"])
-    assert not _failing(clean["cvar-demo"])
-    sigma = risk._sigma
-
-    def negated(spec, values, probs):
-        value = sigma(spec, values, probs)
-        return -value if spec.kind == "conditional_es" else value
-
-    monkeypatch.setattr(risk, "_sigma", negated)
-    assert _failing(time_consistency_suite(11)) == {
-        "recursive-ordering-implication",
-        "comparison-mapping-axioms",
-    }
-    assert _failing(cvar_demo_suite(11)) == {
-        "stagewise-ordering-holds",
-        "static-reading-reverses",
-        "oracle-agrees-with-static-values",
-    }
-
-
-def test_frozen_continuation_alone_fails_the_hedgeable_variant(monkeypatch, clean):
-    # hedging resistance is judged over every continuation of the executed
-    # branch; an enumeration that yields only the frozen one never finds the
-    # recall that claws the loss back, so the hedgeable variant resists. An
-    # empty enumeration reads as a hedge that erases the whole gap, and
-    # does not fail the property
-    assert not _failing(clean["iap"])
-    monkeypatch.setattr(
-        tolls, "enumerate_policies",
-        lambda model, *args, **kwargs: iter([witnesses._payment_continuation(model)]),
-    )
-    assert _failing(iap_suite(seed=11)) == {"hedgeable-variant-fails-condition-two"}
-    monkeypatch.setattr(tolls, "enumerate_policies", lambda *args, **kwargs: iter(()))
-    assert "hedgeable-variant-fails-condition-two" not in _failing(iap_suite(seed=11))
-
-
-def test_inflated_entropic_mapping_fails_tower_identity(monkeypatch, clean):
-    # a relative error of 1e-6 in the engine's entropic mapping, far above
-    # the tower identity's tolerance, separates it from the oracle's
-    # static log-sum-exp
-    assert not _failing(clean["time-consistency"])
-    entropic = risk._entropic
-    monkeypatch.setattr(
-        risk, "_entropic", lambda values, probs, gamma: entropic(values, probs, gamma) * (1 + 1e-6)
-    )
-    # the scaled mapping also breaks translation invariance and keeps the
-    # small-gamma limit away from the expectation
-    assert _failing(time_consistency_suite(11)) == {
-        "entropic-axioms",
-        "entropic-tower-identity",
-        "entropic-vanishing-gamma-limit",
-    }
-
-
-def test_drifting_episode_stream_fails_determinism(monkeypatch, clean):
-    # a stream that shifts each episode by how often it was asked for samples
-    # valid trajectories, so only the rerun comparison can catch it
-    assert not _failing(clean["gating"])
-    calls = itertools.count()
-    stream = gate.uniform_stream
-    monkeypatch.setattr(
-        gate, "uniform_stream", lambda seed, episode: stream(seed, episode + next(calls))
-    )
-    assert _failing(gating_suite(11)) == {"episode-determinism"}
-
-
-def test_static_root_fails_recursive_composition(monkeypatch, clean):
+def _static_root(valuation):
     # a policy valuation whose root is the static shortfall of the terminal
-    # law reads the one-shot ordering, which reverses the stagewise one, so
-    # the recursive composition is no longer consistent with the stages
-    assert not _failing(clean["cvar-demo"])
-    valuation = verify.evaluate_policy_risk
-
+    # law reads the one-shot ordering, which reverses the stagewise one
     def static_root(model, cont, spec):
         law = {}
         for action, p in cont.action_dist(0, model.initial_state):
@@ -336,39 +177,196 @@ def test_static_root_fails_recursive_composition(monkeypatch, clean):
                 law[loss] = law.get(loss, 0.0) + p * q
         return valuation(model, cont, spec)._replace(root=static_risk(law, spec))
 
-    monkeypatch.setattr(verify, "evaluate_policy_risk", static_root)
-    assert _failing(cvar_demo_suite(11)) == {"recursive-composition-consistent"}
+    return static_root
 
 
-@pytest.mark.parametrize(
-    "kept, failing",
-    [
-        (
-            lambda actions: actions[:2],
-            {
-                "shipped-witness-binds-capital",
-                "riskier-incumbent-leaves-capital-flat",
-                "capital-iff-random-families",
-            },
+def _drifting(stream):
+    # a stream that shifts each episode by how often it was asked for samples
+    # valid trajectories, so only the rerun comparison can catch it
+    calls = itertools.count()
+    return lambda seed, episode: stream(seed, episode + next(calls))
+
+
+def _worst_gap_reported(results):
+    details = _details(results["no-splitting"], "telescoping-identity")
+    assert details["worst_case"]["gap"] == details["worst_gap"] > 1e-6
+
+
+def _capital_failures_reported(results):
+    failures = _details(results["iap"], "capital-iff-random-families")["failures"]
+    assert failures and all(isinstance(f["report"], dict) for f in failures)
+
+
+def _no_hedge_is_a_full_hedge(results):
+    # an empty enumeration reads as a hedge that erases the whole gap
+    assert "hedgeable-variant-fails-condition-two" not in _failing(results["iap"])
+
+
+class Fault(NamedTuple):
+    """A fault: ``owner.attr``, a function the properties themselves run,
+    replaced by ``make(original)``. ``fails`` holds the exact set of
+    properties it fails in each suite it runs at seed 11, and ``check``
+    asserts on the faulted results, by suite, what those sets do not show."""
+
+    owner: object
+    attr: str
+    make: Callable
+    fails: dict[str, set[str]]
+    check: Callable[[dict], None] | None = None
+
+    def apply(self, monkeypatch) -> None:
+        monkeypatch.setattr(self.owner, self.attr, self.make(getattr(self.owner, self.attr)))
+
+
+_CERTIFYING = {  # the iap properties that certify a witness
+    "shipped-witness-certifies", "tail-threshold-variant-splits-mappings",
+    "certificate-implies-positive-premium",
+}
+
+FAULTS = {
+    # the built-in instances price their sequences through the same sum
+    "discounted-sequence-toll": Fault(
+        boundary, "_sequence_toll", lambda toll: _discounted_sequence_toll,
+        {"no-splitting": {
+            "telescoping-identity", "path-dependence-counterexample",
+            "boundary-redesign-restores-pricing", "compliant-instance-has-no-ordering-gap",
+        }},
+        _worst_gap_reported,
+    ),
+    # a decreasing potential still telescopes, but charges negative tolls
+    "negated-potential": Fault(
+        boundary.PotentialSpec, "value", lambda value: lambda pot, e: -value(pot, e),
+        {"no-splitting": {
+            "toll-nonnegativity", "convex-marginal-monotonicity",
+            "boundary-redesign-restores-pricing",
+        }},
+    ),
+    # a concave power potential telescopes and charges nonnegative tolls, but
+    # a fixed increment gets cheaper at higher exposure
+    "concave-power-potential": Fault(
+        boundary.PotentialSpec, "value",
+        lambda value: lambda pot, e: value(pot, e) if pot.kind != "power"
+        else float(sum(w * x**0.5 for w, x in zip(pot.weights, e))),
+        {"no-splitting": {"convex-marginal-monotonicity"}},
+    ),
+    # a loss variant that keeps the base losses: the cvar instance values
+    # loss b as loss a, and a witness bump moves no risk
+    "dropped-loss-variants": Fault(
+        EnvironmentModel, "replaced",
+        lambda replaced: lambda model, rows=None, losses=None, paths=None, *rest: replaced(
+            model, rows, None, paths
         ),
-        (
-            lambda actions: actions[:-1] or actions,
-            {"riskier-incumbent-leaves-capital-flat", "capital-iff-random-families"},
-        ),
-    ],
-    ids=["first-two-actions", "last-action-dropped"],
-)
-def test_capital_over_too_few_actions_fails_the_capital_properties(
-    kept, failing, monkeypatch, clean
-):
-    # a robust capital that values only part of a granted action set misses
-    # the added action that raises it: the shipped witness no longer binds
-    # capital, while the riskier incumbent, dropped from the base set, now
-    # seems to raise it. A set of one action keeps it, or none is left
-    assert not _failing(clean["iap"])
-    capital = tolls.robust_capital
-    monkeypatch.setattr(
+        {
+            "cvar-demo": {"oracle-agrees-with-static-values", "expectation-tower-no-reversal"},
+            "iap": _CERTIFYING,
+        },
+    ),
+    # pricing only the first model misses the worst case that the added
+    # action's own root risk, taken over every model, still sees. Only the
+    # iff half can fail so: the decomposition gap of a correct capital is 0
+    "first-model-capital": Fault(
         tolls, "robust_capital",
-        lambda amb, time, state, actions, *rest: capital(amb, time, state, kept(actions), *rest),
-    )
-    assert _failing(iap_suite(seed=11)) == failing
+        lambda capital: lambda amb, *args: capital(AmbiguitySet(amb.models[:1]), *args),
+        {"iap": {"capital-iff-random-families"}},
+        _capital_failures_reported,
+    ),
+    # a capital over part of a granted action set misses the added action
+    # that raises it: the shipped witness no longer binds capital, while the
+    # riskier incumbent, dropped from the base set, now seems to raise it
+    "capital-over-first-two-actions": Fault(
+        tolls, "robust_capital",
+        lambda capital: lambda amb, t, s, actions, *rest: capital(amb, t, s, actions[:2], *rest),
+        {"iap": {
+            "shipped-witness-binds-capital", "riskier-incumbent-leaves-capital-flat",
+            "capital-iff-random-families",
+        }},
+    ),
+    # a set of one action keeps it, or none is left
+    "capital-without-last-action": Fault(
+        tolls, "robust_capital",
+        lambda capital: lambda amb, t, s, acts, *rest: capital(amb, t, s, acts[:-1] or acts, *rest),
+        {"iap": {"riskier-incumbent-leaves-capital-flat", "capital-iff-random-families"}},
+    ),
+    # a conditional_es mapping of flipped sign is no longer monotone, so the
+    # orderings that the shortfall properties read reverse, and the engine
+    # parts from the oracle's static shortfall; the other mappings keep theirs
+    "negated-shortfall": Fault(
+        risk, "_sigma",
+        lambda sigma: lambda spec, *law: -sigma(spec, *law) if spec.kind == "conditional_es"
+        else sigma(spec, *law),
+        {
+            "time-consistency": {"recursive-ordering-implication", "comparison-mapping-axioms"},
+            "cvar-demo": {
+                "stagewise-ordering-holds", "static-reading-reverses",
+                "oracle-agrees-with-static-values",
+            },
+        },
+    ),
+    # hedging resistance is judged over every continuation of the executed
+    # branch; the frozen one alone never finds the recall that claws the
+    # loss back, so the hedgeable variant resists
+    "frozen-continuation-alone": Fault(
+        tolls, "enumerate_policies",
+        lambda policies: lambda model, *rest, **kw: iter([witnesses._payment_continuation(model)]),
+        {"iap": {"hedgeable-variant-fails-condition-two"}},
+    ),
+    "empty-hedge-enumeration": Fault(
+        tolls, "enumerate_policies", lambda policies: lambda *args, **kwargs: iter(()),
+        {"iap": _CERTIFYING},
+        _no_hedge_is_a_full_hedge,
+    ),
+    # a relative error of 1e-6, far above the tower identity's tolerance,
+    # also breaks translation invariance and the small-gamma limit
+    "inflated-entropic-mapping": Fault(
+        risk, "_entropic", lambda entropic: lambda *args: entropic(*args) * (1 + 1e-6),
+        {"time-consistency": {
+            "entropic-axioms", "entropic-tower-identity", "entropic-vanishing-gamma-limit",
+        }},
+    ),
+    "static-root-valuation": Fault(
+        verify, "evaluate_policy_risk", _static_root,
+        {"cvar-demo": {"recursive-composition-consistent"}},
+    ),
+    "drifting-episode-stream": Fault(
+        gate, "uniform_stream", _drifting, {"gating": {"episode-determinism"}}
+    ),
+    # a gate that never tests affordability executes every proposal
+    "no-affordability-test": Fault(
+        gate, "gate_step", lambda step: lambda budget, *rest: step(math.inf, *rest),
+        {"gating": {f"exact-envelope-budget-guarantee[{name}]"
+                    for name in ("payments", "database", "trading")}},
+    ),
+    "no-conformal-inflation": Fault(
+        envelope.Envelope, "query", lambda query: lambda env, *key: max(env.predict(*key), 0.0),
+        {"gating": {"conformal-envelope-budget-guarantee"}},
+    ),
+    # the deflated control envelope also lacks the conformal margin, which
+    # alone fails the audit; so its fault acts on the truth side: a zero
+    # truth is covered by every quote
+    "zero-exact-quoter": Fault(
+        scenario, "exact_envelope",
+        lambda exact: lambda *args: envelope.Envelope("exact", lambda *key: 0.0),
+        {"gating": {"deflated-envelope-fails-audit"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_fault_fails_its_recorded_set(name, monkeypatch, clean):
+    fault = FAULTS[name]
+    fault.apply(monkeypatch)
+    results = {suite: run_suite(suite, seed=11)[0] for suite in fault.fails}
+    assert all(clean[suite].passed for suite in fault.fails)
+    assert {suite: _failing(result) for suite, result in results.items()} == fault.fails
+    if fault.check:
+        fault.check(results)
+
+
+def test_every_stated_property_has_a_fault(clean):
+    stated = {(suite, p.name) for suite, result in clean.items() for p in result.properties}
+    named = {
+        (suite, prop) for fault in FAULTS.values() for suite, failing in fault.fails.items()
+        for prop in failing
+    }
+    assert stated - named == set(), "a property that no fault fails"
+    assert named - stated == set(), "an entry names a property its suite does not state"
