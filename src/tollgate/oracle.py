@@ -7,7 +7,9 @@ cross-check. The terminal-law enumerator walks concrete paths one at a time
 static risk evaluator takes the entropic risk as a log-sum-exp over the scaled
 losses, summed with ``math.fsum``, and expected shortfall in its minimisation
 form, instead of the engine's loss-unit shifts and sorted tail averages.
-Agreement between the two routes is itself a tested property.
+Agreement between the two routes is itself a tested property. The
+gated-path enumerator is handed the gate rule it walks, and walks every
+branch where the engine samples one.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from .envmodel import EnvironmentModel, Intervention, Policy
 from .exceptions import Checked, EnumerationBudgetError, ModelValidationError
 
 if TYPE_CHECKING:
+    from .boundary import BoundaryLedger
     from .risk import RiskSpec
 
 
@@ -82,6 +85,57 @@ def enumerate_terminal_law(
     for loss, p in sorted(paths):
         law[loss] = law.get(loss, 0.0) + p
     return law
+
+
+def enumerate_gated_paths(
+    model: EnvironmentModel,
+    policy: Policy,
+    step: Callable[..., tuple],
+    cfg: Any,
+    ledger: BoundaryLedger,
+    budget: EnumerationBudget | None = None,
+) -> list[tuple[float, tuple, str, tuple[dict, ...]]]:
+    """Exact law of gated episodes by exhaustive path walk.
+
+    ``step`` is the gate rule, injected so that this module imports no
+    engine module: each proposal of positive probability is decided by
+    ``step(remaining, cfg, model, ledger, time, state, proposed, {})``, with
+    a fresh memo, which returns the entry, the charge and the next ledger.
+    Every transition of positive probability under the entry's executed
+    action opens its own path. A path starts at the model's initial state,
+    ``cfg.initial_budget`` and ``ledger``, and each step's remaining budget
+    is its predecessor entry's ``budget_after``.
+
+    Returns ``(probability, entries, leaf, boundary records)`` per path, in
+    policy-row then kernel-row order; more than ``budget.max_paths`` paths
+    raise :class:`EnumerationBudgetError`.
+    """
+    budget = budget or EnumerationBudget()
+    paths: list[tuple[float, tuple, str, tuple[dict, ...]]] = []
+    # stack entries: (probability_so_far, entries, state, remaining, ledger)
+    stack = [(1.0, (), model.initial_state, cfg.initial_budget, ledger)]
+    while stack:
+        prob, entries, s, remaining, led = stack.pop()
+        t = len(entries)
+        if t == model.horizon:
+            paths.append((prob, entries, s, led.records))
+            if len(paths) > budget.max_paths:
+                raise EnumerationBudgetError(
+                    f"path enumeration exceeded cap {budget.max_paths}"
+                )
+            continue
+        branches = []
+        for proposed, ap in policy.action_dist(t, s):
+            if ap <= 0.0:
+                continue
+            entry, _, after = step(remaining, cfg, model, led, t, s, proposed, {})
+            for nxt, tp in model.kernel(t, s, entry.executed):
+                if tp > 0.0:
+                    branches.append(
+                        (prob * ap * tp, (*entries, entry), nxt, entry.budget_after, after)
+                    )
+        stack.extend(reversed(branches))
+    return paths
 
 
 def static_risk(dist: Mapping[float, float], spec: RiskSpec) -> float:

@@ -357,7 +357,6 @@ class AuthorityCheckReport(NamedTuple):
     capital_increased: bool
     added_exceeds_base: bool
     iff_holds: bool
-    max_decomposition_gap: float
 
 
 def iap_check(
@@ -371,13 +370,7 @@ def iap_check(
     sdm: SafeDefaultMap,
 ) -> AuthorityCheckReport:
     """Evaluate the action-level premium and the set-level capital effect of
-    granting ``added_action`` on top of ``base_actions``.
-
-    The capital of the extended set must decompose as the max of the base
-    capital and the added action's worst-case risk; the report carries the
-    numeric gap of that identity alongside both sides of the
-    increase-iff-binding equivalence.
-    """
+    granting ``added_action`` on top of ``base_actions``."""
     if added_action in base_actions:
         raise ModelValidationError(
             "added action must not already be in the base set", path="added_action"
@@ -399,5 +392,4 @@ def iap_check(
         capital_increased=capital_increased,
         added_exceeds_base=added_exceeds_base,
         iff_holds=capital_increased == added_exceeds_base,
-        max_decomposition_gap=abs(capital_extended - max(capital_base, worst_added)),
     )

@@ -12,18 +12,20 @@ failure. The instances they run on come from :mod:`tollgate.instances`.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import threading
 from typing import Mapping, NamedTuple, Sequence
 
-# The path-dependence check reaches boundary._sequence_toll through its
-# module at call time, so a fault patched into it reaches the check too.
-from . import boundary
+# The path-dependence check reaches boundary._sequence_toll, and the exact-tier
+# gating properties gate.gate_step, through their modules at call time, so a
+# fault patched into either reaches them too.
+from . import boundary, gate
 from .boundary import PotentialSpec, boundary_toll, splitting_invariance_check
-from .envelope import Envelope, scaled_predictor
+from .envelope import scaled_predictor
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
-from .gate import Gate, audit_budget_guarantee, run_episode
+from .gate import EpisodeLog, Gate, audit_budget_guarantee, run_episode
 from .instances import (
     _TOL,
     CORE_AXIOMS,
@@ -37,7 +39,7 @@ from .instances import (
     rekernel,
     uniforms,
 )
-from .oracle import enumerate_terminal_law, static_risk
+from .oracle import enumerate_gated_paths, enumerate_terminal_law, static_risk
 from .risk import RiskSpec, evaluate_dynamic_risk, evaluate_policy_risk, one_step_risk
 from .runio import episode_json_lines
 from .scenario import (
@@ -449,7 +451,6 @@ def iap_suite(seed: int) -> SuiteResult:
     )
 
     iff_failures = []
-    decomp_worst = 0.0
     for _ in range(_IAP_RANDOM_SETS):
         model = random_layered_model(rng, max_depth=4)
         root_actions = model.actions(0, model.initial_state)
@@ -467,7 +468,6 @@ def iap_suite(seed: int) -> SuiteResult:
             (ent, RiskSpec(kind="expectation"), RiskSpec(kind="conditional_es", alpha=0.7))
         )
         chk = iap_check(amb, 0, model.initial_state, base, added, cont, spec, sdm)
-        decomp_worst = max(decomp_worst, chk.max_decomposition_gap)
         if not chk.iff_holds:
             iff_failures.append({"added": added, "report": chk._asdict()})
 
@@ -529,8 +529,7 @@ def iap_suite(seed: int) -> SuiteResult:
             passed=legacy_check.premium > 0.0
             and not legacy_check.capital_increased
             and not legacy_check.added_exceeds_base
-            and legacy_check.iff_holds
-            and legacy_check.max_decomposition_gap <= _TOL,
+            and legacy_check.iff_holds,
             details={
                 "premium": legacy_check.premium,
                 "capital_base": legacy_check.capital_base,
@@ -539,9 +538,8 @@ def iap_suite(seed: int) -> SuiteResult:
         ),
         PropertyResult(
             "capital-iff-random-families",
-            passed=not iff_failures and decomp_worst <= _TOL,
-            details={"failures": iff_failures[:3], "worst_decomposition_gap": decomp_worst,
-                     "sets": _IAP_RANDOM_SETS},
+            passed=not iff_failures,
+            details={"failures": iff_failures[:3], "sets": _IAP_RANDOM_SETS},
         ),
         PropertyResult(
             "certificate-implies-positive-premium",
@@ -556,19 +554,19 @@ def gating_suite(seed: int) -> SuiteResult:
     props: list[PropertyResult] = []
     scenarios = _reference_scenarios()
 
+    # the exact tier quotes the toll, so no path of the gated law may overrun
     for sc in scenarios:
-        gate = Gate(sc.model, sc.policy, sc.gate)
-        logs = (run_episode(gate, seed=seed, episode=i) for i in range(500))
-        audit = audit_budget_guarantee(logs, gate, delta=0.0)
+        exact = Gate(sc.model, sc.policy, sc.gate)
+        paths = enumerate_gated_paths(sc.model, sc.policy, gate.gate_step, sc.gate, exact.empty_ledger)
+        logs = (EpisodeLog(i, entries, sc.model.terminal_loss(leaf), records)
+                for i, (_, entries, leaf, records) in enumerate(paths))
+        audit = audit_budget_guarantee(logs, exact, delta=0.0)
+        mass = math.fsum(p for p, *_ in paths)
         props.append(
             PropertyResult(
                 f"exact-envelope-budget-guarantee[{sc.name}]",
-                passed=audit.passed,
-                details={
-                    "episodes": audit.episodes,
-                    "overruns": audit.overruns,
-                    "decision_mix": audit.decisions,
-                },
+                passed=audit.passed and abs(mass - 1.0) <= 1e-12,
+                details={"paths": audit.episodes, "mass": mass, "overruns": audit.overruns},
             )
         )
 
@@ -576,8 +574,8 @@ def gating_suite(seed: int) -> SuiteResult:
     runs = []
     for _ in range(2):
         # a fresh gate per run, so the rerun decides every step again
-        gate = Gate(sc.model, sc.policy, sc.gate)
-        logs = [run_episode(gate, seed=seed + 17, episode=i) for i in range(_DETERMINISM_EPISODES)]
+        fresh = Gate(sc.model, sc.policy, sc.gate)
+        logs = [run_episode(fresh, seed=seed + 17, episode=i) for i in range(_DETERMINISM_EPISODES)]
         runs.append("\n".join(episode_json_lines(logs)))
     props.append(
         PropertyResult(
@@ -606,7 +604,8 @@ def gating_suite(seed: int) -> SuiteResult:
         )
     )
 
-    deflated = Envelope(kind="conformal", predict=scaled_predictor(conformal.predict, 0.2))
+    # the fitted inflation stays, so the 0.2 factor alone must fail the audit
+    deflated = conformal._replace(predict=scaled_predictor(conformal.predict, 0.2))
     bad_cfg = eval_cfg._replace(envelope=deflated)
     bad_gate = Gate(sc.model, sc.policy, bad_cfg)
     bad_logs = [run_episode(bad_gate, seed=seed + 3000, episode=i) for i in range(300)]

@@ -126,7 +126,7 @@ def test_criterion_6_irreversible_authority():
     _report(
         "criterion-6",
         "witness certified with positive premium; capital iff held on 100 random "
-        "ambiguity sets with exact max decomposition",
+        "ambiguity sets",
     )
 
 

@@ -86,9 +86,9 @@ VERIFY_DIGESTS = {
     "time-consistency": "651b555707cf77a514da044fa63316450c656dc888e8c7ff6d0e3dc0339167ca",
     "cvar-demo": "2b3fabea527e08ed40652780a0436c0da7525e10141167ee5160a733eeab2719",
     "no-splitting": "2628751b089faaf3382355bf6fd56623b8ef20d91bb16db69618279e85b65336",
-    "iap": "6d146b675d7d1a7203fbb839b3df0c373e711b88b3c6570e61969fb578036d26",
-    "gating": "4a86b5296cb3a4d942e3a2159e1c188ca0c358e0e703f44864459e5bec76b0d2",
-    "all": "11dee1f3f96d259078450bed832f08db3950924cc7a67fe4c7bea35e3772067a",
+    "iap": "1453a5079385468530eec404310d2eed33720455b7852608e8fa87bb8fb5bc36",
+    "gating": "0fae5bb6d3581d3e3fa5006a95acf9ab286fd023cd59e82b6ab0885a2b818b6a",
+    "all": "235fab1e1840f9abf0a52c22a77608472627a936e1f40a48450f4ed92b330c61",
 }
 
 

@@ -18,7 +18,7 @@ from tollgate.cli import main
 from tollgate.envelope import Envelope
 from tollgate.envmodel import KERNEL_TOL, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import ModelValidationError
-from tollgate.oracle import EnumerationBudget
+from tollgate.oracle import EnumerationBudget, enumerate_gated_paths
 from tollgate.risk import RiskSpec
 from tollgate.tolls import AmbiguitySet, WitnessSpec
 from tollgate.gate import (
@@ -598,29 +598,6 @@ def test_bool_seed_streams_as_its_int():
     assert [a() for _ in range(8)] == [b() for _ in range(8)]
 
 
-def _path_law(model, policy, cfg) -> dict:
-    """The exact law of gated paths, each keyed by its ``(state, proposed)``
-    steps and its terminal loss: every proposal and transition branch walked
-    through ``gate_step`` with a fresh memo."""
-    law: Counter = Counter()
-
-    def walk(t, state, budget, ledger, steps, mass):
-        if t == model.horizon:
-            law[steps, model.terminal_loss(state)] += mass
-            return
-        for proposed, p in policy.action_dist(t, state):
-            if p == 0.0:
-                continue
-            entry, _, after = gate_step(budget, cfg, model, ledger, t, state, proposed, {})
-            for target, q in model.kernel(t, state, entry.executed):
-                if q > 0.0:
-                    walk(t + 1, target, entry.budget_after, after,
-                         (*steps, (state, proposed)), mass * p * q)
-
-    walk(0, model.initial_state, cfg.initial_budget, BoundaryLedger.empty(cfg.boundaries), (), 1.0)
-    return law
-
-
 # 0.999 quantiles of the chi-square law, by degrees of freedom
 _CHI2_999 = {7: 24.32, 9: 27.88, 10: 29.59}
 
@@ -631,8 +608,15 @@ def _fidelity_problems(name: str, seed: int = 1, episodes: int = 5000) -> list[s
     mass is not 1, and a chi-square statistic at or above its 0.999
     quantile are problems."""
     sc = load_scenario(bundled_scenario_path(name))
-    law = _path_law(sc.model, sc.policy, sc.gate)
     gate = Gate(sc.model, sc.policy, sc.gate)
+    # the law of paths keyed by their (state, proposed) steps and terminal
+    # loss, walked through the gate_step imported here: the controls below
+    # patch the gate module's, which only the sampler calls
+    law: Counter = Counter()
+    for p, entries, leaf, _ in enumerate_gated_paths(
+        sc.model, sc.policy, gate_step, sc.gate, gate.empty_ledger
+    ):
+        law[tuple((e.state, e.proposed) for e in entries), sc.model.terminal_loss(leaf)] += p
     counts = Counter(
         (tuple((e.state, e.proposed) for e in log.entries), log.terminal_loss)
         for log in (run_episode(gate, seed, ep) for ep in range(episodes))

@@ -9,19 +9,24 @@ import subprocess
 import sys
 from decimal import MAX_EMAX, Decimal, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from tollgate.boundary import BoundaryLedger
 from tollgate.envmodel import Intervention, build_model
 from tollgate.exceptions import EnumerationBudgetError, ModelValidationError
+from tollgate.gate import gate_step
 from tollgate.instances import random_layered_model, random_policy
 from tollgate.oracle import (
     EnumerationBudget,
+    enumerate_gated_paths,
     enumerate_policies,
     enumerate_terminal_law,
     static_risk,
 )
 from tollgate.risk import RiskSpec, evaluate_dynamic_risk
+from tollgate.scenario import bundled_scenario_path, load_scenario
 from tollgate.witnesses import payment_release_witness
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)
@@ -102,6 +107,42 @@ def test_path_budget_exceeded(noop_policy):
             noop_policy(model),
             budget=EnumerationBudget(max_paths=10),
         )
+
+
+def _bundled_gated_paths(name: str, budget: EnumerationBudget | None = None) -> list:
+    sc = load_scenario(bundled_scenario_path(name))
+    ledger = BoundaryLedger.empty(sc.gate.boundaries)
+    return enumerate_gated_paths(sc.model, sc.policy, gate_step, sc.gate, ledger, budget)
+
+
+@pytest.mark.parametrize("name, count", [("payments", 11), ("database", 10), ("trading", 8)])
+def test_gated_paths_of_the_bundled_scenarios(name, count):
+    paths = _bundled_gated_paths(name)
+    assert len(paths) == count
+    assert abs(math.fsum(p for p, *_ in paths) - 1.0) <= 1e-12
+
+
+def test_gated_path_budget_exceeded():
+    with pytest.raises(EnumerationBudgetError):
+        _bundled_gated_paths("payments", EnumerationBudget(max_paths=10))
+
+
+def test_gated_paths_follow_the_injected_rule_in_row_order(bernoulli_sum_model, noop_policy):
+    # a rule that executes each proposal at no charge walks the ungated tree,
+    # kernel rows in order; the rule is all the enumerator calls
+    def executes(remaining, cfg, model, ledger, time, state, proposed, node):
+        assert node == {}
+        return SimpleNamespace(executed=proposed, budget_after=remaining), 0.0, ledger
+
+    model = bernoulli_sum_model
+    paths = enumerate_gated_paths(
+        model, noop_policy(model), executes, SimpleNamespace(initial_budget=0.0),
+        SimpleNamespace(records=()),
+    )
+    assert [(p, leaf) for p, _, leaf, _ in paths] == [
+        (0.25, "total0"), (0.25, "total1"), (0.25, "total1"), (0.25, "total2")
+    ]
+    assert all(len(entries) == model.horizon and records == () for _, entries, _, records in paths)
 
 
 def test_static_risk_formulas():

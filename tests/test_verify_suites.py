@@ -262,8 +262,8 @@ FAULTS = {
         },
     ),
     # pricing only the first model misses the worst case that the added
-    # action's own root risk, taken over every model, still sees. Only the
-    # iff half can fail so: the decomposition gap of a correct capital is 0
+    # action's own root risk, taken over every model, still sees, so the
+    # capital increase and the added action's excess part ways
     "first-model-capital": Fault(
         tolls, "robust_capital",
         lambda capital: lambda amb, *args: capital(AmbiguitySet(amb.models[:1]), *args),
@@ -330,7 +330,8 @@ FAULTS = {
     "drifting-episode-stream": Fault(
         gate, "uniform_stream", _drifting, {"gating": {"episode-determinism"}}
     ),
-    # a gate that never tests affordability executes every proposal
+    # a gate that never tests affordability executes every proposal, and the
+    # exact gated law it walks has paths that overrun
     "no-affordability-test": Fault(
         gate, "gate_step", lambda step: lambda budget, *rest: step(math.inf, *rest),
         {"gating": {f"exact-envelope-budget-guarantee[{name}]"
@@ -340,12 +341,16 @@ FAULTS = {
         envelope.Envelope, "query", lambda query: lambda env, *key: max(env.predict(*key), 0.0),
         {"gating": {"conformal-envelope-budget-guarantee"}},
     ),
-    # the deflated control envelope also lacks the conformal margin, which
-    # alone fails the audit; so its fault acts on the truth side: a zero
-    # truth is covered by every quote
+    # a zero truth is covered by every quote, the deflated ones too
     "zero-exact-quoter": Fault(
         scenario, "exact_envelope",
         lambda exact: lambda *args: envelope.Envelope("exact", lambda *key: 0.0),
+        {"gating": {"deflated-envelope-fails-audit"}},
+    ),
+    # the control envelope keeps the fitted inflation, so an unscaled
+    # predictor leaves it as well calibrated as the tier it deflates
+    "unscaled-deflated-predictor": Fault(
+        verify, "scaled_predictor", lambda scaled: lambda predict, factor: predict,
         {"gating": {"deflated-envelope-fails-audit"}},
     ),
 }
@@ -370,3 +375,15 @@ def test_every_stated_property_has_a_fault(clean):
     }
     assert stated - named == set(), "a property that no fault fails"
     assert named - stated == set(), "an entry names a property its suite does not state"
+
+
+def test_the_exact_tier_properties_do_not_depend_on_the_seed():
+    # each walks every path of the exact gated law, not a sample drawn by seed
+    def exact_tier(seed):
+        return [
+            (p.name, p.details) for p in gating_suite(seed).properties
+            if p.name.startswith("exact-envelope-budget-guarantee[")
+        ]
+
+    assert exact_tier(7) == exact_tier(301)
+    assert [details["paths"] for _, details in exact_tier(7)] == [11, 10, 8]
