@@ -239,13 +239,15 @@ class SplitCheckReport(NamedTuple):
 
 def _sequence_toll(pot: PotentialSpec, start: Sequence[float], steps: Sequence[Sequence[float]]) -> float:
     """Toll of checked ``steps`` taken in order from ``start``: each step's
-    potential difference, summed."""
+    potential difference, summed, each exposure valued once."""
     exposure = tuple(float(x) for x in start)
+    before = pot.value(exposure)
     total = 0.0
     for step in steps:
-        after = tuple(e + d for e, d in zip(exposure, step))
-        total += pot.value(after) - pot.value(exposure)
-        exposure = after
+        exposure = tuple(e + d for e, d in zip(exposure, step))
+        after = pot.value(exposure)
+        total += after - before
+        before = after
     return total
 
 

@@ -147,12 +147,3 @@ def _least_squares_weights(
         tail = _dot([r[j, k] for k in range(j + 1, n)], weights[j + 1:])
         weights[j] = (r[j, n] - tail) / r[j, j]
     return weights
-
-
-def scaled_predictor(base: Predictor, factor: float) -> Predictor:
-    """Deliberately biased variant of a predictor, for negative controls."""
-
-    def predict(time: int, state: str, action: str) -> float:
-        return factor * base(time, state, action)
-
-    return predict

@@ -1,9 +1,9 @@
 """Instances the property suites of :mod:`tollgate.verify` run on.
 
 Random layered trees, policies, loss pairs, kernel jitters, potentials and
-partitions; the randomised fuzzer of the one-step axioms; and the two-stage
-shortfall instance of result (i). Nothing here runs in ``run``, ``report``
-or ``calibrate``.
+partitions; the randomised fuzzer of the one-step axioms; the two-stage
+shortfall instance of result (i); a predictor biased for a negative control.
+Nothing here runs in ``run``, ``report`` or ``calibrate``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Sequence
 # patched into it reaches the fuzzer too.
 from . import risk
 from .boundary import PotentialSpec
+from .envelope import Predictor
 from .envmodel import EnvironmentModel, Policy, build_model
 from .risk import RiskSpec
 
@@ -249,3 +250,16 @@ def cvar_demo_model() -> tuple[EnvironmentModel, Policy]:
         model,
     )
     return model, cont
+
+
+# ---------------------------------------------------------------------------
+# negative-control predictor
+
+
+def scaled_predictor(base: Predictor, factor: float) -> Predictor:
+    """Deliberately biased variant of a predictor, for negative controls."""
+
+    def predict(time: int, state: str, action: str) -> float:
+        return factor * base(time, state, action)
+
+    return predict

@@ -235,7 +235,9 @@ def evaluate_dynamic_risk(
         )
     before = len(values.memo)
     root = values.forced(iv.time, iv.state, iv.action)
-    valued = dict(islice(values.memo.items(), before, None))
+    # the nodes this call valued are the memo's last: walk back over them alone
+    added = islice(reversed(values.memo.items()), len(values.memo) - before)
+    valued = dict(reversed(list(added)))
     valued[(iv.time, iv.state)] = root
     return RiskValuation(values=valued, root=root)
 

@@ -15,7 +15,7 @@ an action set is the worst case over both models and actions.
 Witness verification checks the three structural conditions that make an
 added action genuinely, irreversibly worse than its safe default under some
 model in the set: a pathwise tail-loss gap, hedging resistance over every
-deterministic continuation, and strict sensitivity of the risk mapping to a
+continuation handed in, and strict sensitivity of the risk mapping to a
 loss bump on the designated event. Pathwise comparison across the two forced
 actions uses a comonotone coupling: both branches consume one shared uniform
 draw per step, mapped through each branch's next-state CDF in the model's
@@ -25,11 +25,10 @@ declared state order, so exogenous randomness moves both branches together.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
 from .exceptions import Checked, InvalidWitnessError, ModelValidationError
-from .oracle import enumerate_policies
 from .risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
 
 _TOL = 1e-9
@@ -273,6 +272,7 @@ def verify_witness(
     spec: RiskSpec,
     sdm: SafeDefaultMap,
     witness: WitnessSpec,
+    hedges: Iterable[Policy],
 ) -> WitnessReport:
     """Check the three certificate conditions for ``action`` against its safe
     default under the witness model.
@@ -280,10 +280,10 @@ def verify_witness(
     1. Tail-loss gap: on every coupled cell the executed branch loses at
        least as much as the default branch, and at least ``min_gap`` more on
        cells whose executed leaf lies in the event.
-    2. Hedging resistance: over every deterministic Markov continuation of
-       the executed branch (default branch keeps the frozen policy), the
-       smallest gap achievable on the event gives back at most
-       ``hedge_allowance`` of ``min_gap``.
+    2. Hedging resistance: over every continuation in ``hedges`` of the
+       executed branch (every deterministic Markov one, for a certificate;
+       the default branch keeps the frozen policy), the smallest gap
+       achievable on the event gives back at most ``hedge_allowance``.
     3. Strict risk response: adding ``min_gap`` to the default branch's loss
        on event leaves strictly raises its root valuation under the witness
        model, i.e. the mapping actually sees mass on the event.
@@ -307,24 +307,17 @@ def verify_witness(
             gaps_event.append(gap)
     tail_gap_ok = min(gaps_all) >= -_TOL and min(gaps_event) >= witness.min_gap - _TOL
 
-    worst_hedged = None
-    n_policies = 0
-    for hedge in enumerate_policies(model, time, state, first_action=action):
-        n_policies += 1
+    achieved = []
+    for hedge in hedges:
         hedged_cells = coupled_terminal_cells(model, time, state, action, default, hedge, cont)
-        event_gaps = [
-            model.terminal_loss(le) - model.terminal_loss(ld)
-            for p, le, ld in hedged_cells
-            if le in witness.event
-        ]
-        if not event_gaps:
-            # the hedge steered the executed branch clear of the event; it
-            # erased the whole gap there
-            achieved = 0.0
-        else:
-            achieved = min(event_gaps)
-        worst_hedged = achieved if worst_hedged is None else min(worst_hedged, achieved)
-    worst_hedged = 0.0 if worst_hedged is None else worst_hedged
+        # a hedge that steers the executed branch clear of the event erases
+        # the whole gap there
+        achieved.append(min(
+            (model.terminal_loss(le) - model.terminal_loss(ld)
+             for _, le, ld in hedged_cells if le in witness.event),
+            default=0.0,
+        ))
+    worst_hedged = min(achieved, default=0.0)
     reduction = witness.min_gap - worst_hedged
     hedge_resistant = reduction <= witness.hedge_allowance + _TOL
 
@@ -344,7 +337,7 @@ def verify_witness(
         risk_strictly_monotone=risk_strictly_monotone,
         event_probability=event_prob,
         worst_hedged_gap=worst_hedged,
-        policies_enumerated=n_policies,
+        policies_enumerated=len(achieved),
     )
 
 

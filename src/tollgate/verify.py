@@ -23,7 +23,6 @@ from typing import Mapping, NamedTuple, Sequence
 # fault patched into either reaches them too.
 from . import boundary, gate
 from .boundary import PotentialSpec, boundary_toll, splitting_invariance_check
-from .envelope import scaled_predictor
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
 from .gate import EpisodeLog, Gate, audit_budget_guarantee, run_episode
 from .instances import (
@@ -37,9 +36,10 @@ from .instances import (
     random_policy,
     random_potential,
     rekernel,
+    scaled_predictor,
     uniforms,
 )
-from .oracle import enumerate_gated_paths, enumerate_terminal_law, static_risk
+from .oracle import enumerate_gated_paths, enumerate_policies, enumerate_terminal_law, static_risk
 from .risk import RiskSpec, evaluate_dynamic_risk, evaluate_policy_risk, one_step_risk
 from .runio import episode_json_lines
 from .scenario import (
@@ -48,8 +48,10 @@ from .scenario import (
     calibrate_conformal,
     load_scenario,
 )
-from .tolls import AmbiguitySet, authority_premium, iap_check, verify_witness
-from .witnesses import payment_release_witness, random_payment_witness, shipment_tail_witness
+from .tolls import AmbiguitySet, WitnessReport, authority_premium, iap_check, verify_witness
+from .witnesses import (
+    WitnessCase, payment_release_witness, random_payment_witness, shipment_tail_witness,
+)
 
 # miss rate at which the gating suite calibrates and audits the conformal tier
 _CONFORMAL_DELTA = 0.1
@@ -415,34 +417,33 @@ def no_splitting_suite(seed: int) -> SuiteResult:
     return SuiteResult(suite="no-splitting", seed=seed, properties=tuple(props))
 
 
+def _certify(case: WitnessCase, spec: RiskSpec) -> WitnessReport:
+    """The witness conditions of ``case`` under ``spec``, hedged over every
+    continuation of the executed branch that the oracle enumerates."""
+    model = case.ambiguity.models[case.witness.model_index]
+    return verify_witness(
+        case.ambiguity, case.time, case.state, case.action, case.cont, spec, case.sdm,
+        case.witness, enumerate_policies(model, case.time, case.state, first_action=case.action),
+    )
+
+
 def iap_suite(seed: int) -> SuiteResult:
     rng = random.Random(seed)
     ent = RiskSpec(kind="entropic", gamma=1.0)
 
     shipped = payment_release_witness()
-    report = verify_witness(
-        shipped.ambiguity, shipped.time, shipped.state, shipped.action,
-        shipped.cont, ent, shipped.sdm, shipped.witness,
-    )
+    report = _certify(shipped, ent)
     shipped_check = iap_check(
         shipped.ambiguity, shipped.time, shipped.state, shipped.base_actions,
         shipped.action, shipped.cont, ent, shipped.sdm,
     )
 
-    hedged = payment_release_witness(recall_recovers=True)
-    hedged_report = verify_witness(
-        hedged.ambiguity, hedged.time, hedged.state, hedged.action,
-        hedged.cont, ent, hedged.sdm, hedged.witness,
-    )
+    hedged_report = _certify(payment_release_witness(recall_recovers=True), ent)
 
     tail = shipment_tail_witness()
     es = RiskSpec(kind="conditional_es", alpha=0.8)
-    tail_es = verify_witness(
-        tail.ambiguity, tail.time, tail.state, tail.action, tail.cont, es, tail.sdm, tail.witness
-    )
-    tail_ent = verify_witness(
-        tail.ambiguity, tail.time, tail.state, tail.action, tail.cont, ent, tail.sdm, tail.witness
-    )
+    tail_es = _certify(tail, es)
+    tail_ent = _certify(tail, ent)
 
     legacy = payment_release_witness(include_legacy=True)
     legacy_check = iap_check(
@@ -476,10 +477,7 @@ def iap_suite(seed: int) -> SuiteResult:
     for _ in range(60):
         case = random_payment_witness(rng)
         for spec in (ent, RiskSpec(kind="expectation")):
-            rep = verify_witness(
-                case.ambiguity, case.time, case.state, case.action,
-                case.cont, spec, case.sdm, case.witness,
-            )
+            rep = _certify(case, spec)
             if rep.satisfied:
                 satisfied_count += 1
                 prem = authority_premium(

@@ -12,13 +12,9 @@ import pytest
 
 from tollgate import envelope
 from tollgate.cli import main
-from tollgate.envelope import (
-    exact_envelope,
-    fit_conformal_envelope,
-    least_squares_predictor,
-    scaled_predictor,
-)
+from tollgate.envelope import exact_envelope, fit_conformal_envelope, least_squares_predictor
 from tollgate.exceptions import CalibrationSizeError, ModelValidationError
+from tollgate.instances import scaled_predictor
 from tollgate.risk import RiskSpec
 from tollgate.scenario import (
     BUNDLED_SCENARIOS,

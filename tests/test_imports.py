@@ -1,6 +1,7 @@
 """Each module loads only what it runs: every module imports on its own, the
-gate reaches the pricing tier only through the envelope it is handed, and
-the oracle stays independent of the engine it cross-checks."""
+gate reaches the pricing tier only through the envelope it is handed, no
+runtime module loads the code that checks it, and the oracle stays
+independent of the engine it cross-checks."""
 
 from __future__ import annotations
 
@@ -17,6 +18,10 @@ MODULES = sorted(
     "tollgate" + ("" if path.stem == "__init__" else "." + path.stem)
     for path in (SRC / "tollgate").glob("*.py")
 )
+# the modules only ``verify`` runs, which ``cli`` loads through ``verify``;
+# every other module is a runtime module of ``run``, ``report`` and ``calibrate``
+CHECKERS = {"tollgate.oracle", "tollgate.instances", "tollgate.witnesses", "tollgate.verify"}
+RUNTIME = [module for module in MODULES if module not in CHECKERS | {"tollgate.cli"}]
 
 
 def _fresh(code: str) -> frozenset[str]:
@@ -51,6 +56,11 @@ def test_gate_loads_no_pricing_module():
         "tollgate.exceptions",
         "tollgate.gate",
     }
+
+
+@pytest.mark.parametrize("module", RUNTIME)
+def test_runtime_module_loads_no_checker_module(module):
+    assert not _loaded(module) & CHECKERS
 
 
 def test_oracle_loads_no_engine_module():

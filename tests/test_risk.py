@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -19,7 +20,13 @@ from tollgate.instances import (
     random_policy,
 )
 from tollgate.oracle import enumerate_terminal_law, static_risk
-from tollgate.risk import RiskSpec, evaluate_dynamic_risk, evaluate_policy_risk, one_step_risk
+from tollgate.risk import (
+    PolicyValues,
+    RiskSpec,
+    evaluate_dynamic_risk,
+    evaluate_policy_risk,
+    one_step_risk,
+)
 from tollgate.verify import cvar_demo_suite
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)
@@ -184,6 +191,26 @@ def test_engine_values_match_the_reference_recursion(reference_values):
                     expected = reference_values(model, cont, spec, (t, s), forced=iv)
                     assert list(got.values.items()) == list(expected.items())
                     assert got.root == expected[(t, s)]
+
+
+def test_shared_values_report_the_nodes_each_call_valued_first():
+    # every key of a tree priced off one PolicyValues, in a shuffled order:
+    # each call's values are the memo's entries from its start on, in memo
+    # order, then its root
+    rng = random.Random(25)
+    for _ in range(20):
+        model = random_layered_model(rng, max_depth=5)
+        cont = random_policy(rng, model)
+        spec = rng.choice((ENT, MEAN, ES))
+        shared = PolicyValues(model, cont, spec)
+        keys = [(t, s, a) for t, s in model.all_nodes() for a in model.actions(t, s)]
+        rng.shuffle(keys)
+        for key in keys:
+            before = len(shared.memo)
+            got = evaluate_dynamic_risk(model, Intervention(*key), cont, spec, values=shared)
+            expected = dict(islice(shared.memo.items(), before, None))
+            expected[key[:2]] = got.root
+            assert list(got.values.items()) == list(expected.items())
 
 
 def test_normalisation_direct():

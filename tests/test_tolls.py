@@ -9,7 +9,7 @@ import pytest
 from tollgate.envmodel import Intervention, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import InvalidWitnessError, ModelValidationError
 from tollgate.instances import random_layered_model, random_policy
-from tollgate.oracle import enumerate_terminal_law
+from tollgate.oracle import enumerate_policies, enumerate_terminal_law
 from tollgate import risk
 from tollgate.risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
 from tollgate.scenario import BUNDLED_SCENARIOS, bundled_scenario_path, load_scenario
@@ -24,6 +24,7 @@ from tollgate.tolls import (
     verify_witness,
 )
 from tollgate.witnesses import (
+    _payment_continuation,
     _payment_model_spec,
     payment_release_witness,
     random_payment_witness,
@@ -360,10 +361,18 @@ def test_coupled_cells_align_exogenous_randomness():
     assert pairs[("funds_settled", "invoice_pending")] == pytest.approx(0.65, abs=1e-12)
 
 
+def _hedges(case):
+    """Every deterministic continuation of the executed branch under the
+    witness model: the hedges a certificate is judged over."""
+    model = case.ambiguity.models[case.witness.model_index]
+    return enumerate_policies(model, case.time, case.state, first_action=case.action)
+
+
 def test_shipped_witness_all_conditions_and_premium():
     case = payment_release_witness()
     report = verify_witness(
-        case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm, case.witness
+        case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm,
+        case.witness, _hedges(case),
     )
     assert report.tail_gap_ok and report.hedge_resistant and report.risk_strictly_monotone
     assert report.satisfied
@@ -376,22 +385,30 @@ def test_shipped_witness_all_conditions_and_premium():
 
 def test_hedgeable_variant_fails_condition_two():
     case = payment_release_witness(recall_recovers=True)
-    report = verify_witness(
-        case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm, case.witness
-    )
+    args = (case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm,
+            case.witness)
+    report = verify_witness(*args, _hedges(case))
     assert report.tail_gap_ok
     assert not report.hedge_resistant
+    assert report.policies_enumerated == 9
     assert report.worst_hedged_gap == pytest.approx(0.0, abs=1e-9)
+    # judged over the frozen continuation alone, which never recalls the
+    # transfer, the variant resists
+    frozen = [_payment_continuation(case.ambiguity.models[case.witness.model_index])]
+    alone = verify_witness(*args, frozen)
+    assert alone.hedge_resistant and alone.policies_enumerated == 1
 
 
 def test_tail_variant_splits_risk_mappings():
     case = shipment_tail_witness()
     es = RiskSpec(kind="conditional_es", alpha=0.8)
     r_es = verify_witness(
-        case.ambiguity, case.time, case.state, case.action, case.cont, es, case.sdm, case.witness
+        case.ambiguity, case.time, case.state, case.action, case.cont, es, case.sdm,
+        case.witness, _hedges(case),
     )
     r_ent = verify_witness(
-        case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm, case.witness
+        case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm,
+        case.witness, _hedges(case),
     )
     assert r_es.tail_gap_ok and r_es.hedge_resistant and not r_es.risk_strictly_monotone
     assert r_ent.satisfied
@@ -411,7 +428,8 @@ def test_zero_probability_event_is_invalid():
     )
     with pytest.raises(InvalidWitnessError):
         verify_witness(
-            case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm, bad
+            case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm, bad,
+            _hedges(case),
         )
 
 
@@ -444,8 +462,6 @@ def test_iap_duplicate_in_law_permits_zero_premium():
         "kernel": dict(spec["nodes"][0]["actions"]["wire_transfer"]["kernel"])
     }
     model = build_model(spec)
-    from tollgate.witnesses import _payment_continuation
-
     cont = _payment_continuation(model)
     sdm = SafeDefaultMap.from_entries(
         {(0, "start", "wire_mirror"): "wire_transfer"}, model
@@ -477,7 +493,7 @@ def test_certificate_implies_positive_premium_randomised():
         for spec in (ENT, MEAN):
             report = verify_witness(
                 case.ambiguity, case.time, case.state, case.action,
-                case.cont, spec, case.sdm, case.witness,
+                case.cont, spec, case.sdm, case.witness, _hedges(case),
             )
             if report.satisfied:
                 satisfied += 1

@@ -306,12 +306,12 @@ FAULTS = {
     # branch; the frozen one alone never finds the recall that claws the
     # loss back, so the hedgeable variant resists
     "frozen-continuation-alone": Fault(
-        tolls, "enumerate_policies",
+        verify, "enumerate_policies",
         lambda policies: lambda model, *rest, **kw: iter([witnesses._payment_continuation(model)]),
         {"iap": {"hedgeable-variant-fails-condition-two"}},
     ),
     "empty-hedge-enumeration": Fault(
-        tolls, "enumerate_policies", lambda policies: lambda *args, **kwargs: iter(()),
+        verify, "enumerate_policies", lambda policies: lambda *args, **kwargs: iter(()),
         {"iap": _CERTIFYING},
         _no_hedge_is_a_full_hedge,
     ),
