@@ -475,7 +475,7 @@ def iap_suite(seed: int) -> SuiteResult:
     implication_failures = []
     satisfied_count = 0
     for _ in range(60):
-        case = random_payment_witness(rng)
+        case = random_payment_witness(rng, shipped)
         for spec in (ent, RiskSpec(kind="expectation")):
             rep = _certify(case, spec)
             if rep.satisfied:

@@ -1,21 +1,25 @@
 """Built-in irreversibility-witness instances.
 
-The primary instance prices an invoice-payment agent: wiring funds now
+The payment witnesses are the shipped ``payments`` scenario document plus
+named edits. The document prices an invoice-payment agent: wiring funds now
 versus drafting a payment for approval. An exogenous fraud flag moves both
 rollouts together; wiring into fraud loses the funds while drafting gets
 caught in review, so the executed branch carries a large loss gap exactly on
 the fraud event, recall can claw back only a sliver of it, and the default
-branch still sees the event with positive probability. Variants flip each
-certificate condition off individually, and a randomised family of the same
-shape feeds the structural property suites.
+branch still sees the event with positive probability. Its ``fraud_stress``
+ambiguity variant is the witness model. The edits flip each certificate
+condition off individually, and a randomised family that redraws the
+document's fraud rate and losses feeds the structural property suites.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from typing import NamedTuple
 
 from .envmodel import EnvironmentModel, Policy, SafeDefaultMap, build_model
+from .scenario import bundled_scenario_path, resolve_scenario
 from .tolls import AmbiguitySet, WitnessSpec
 
 
@@ -32,105 +36,45 @@ class WitnessCase(NamedTuple):
     witness: WitnessSpec
 
 
-def _payment_model_spec(
-    fraud_prob: float,
-    loss_lost: float,
-    loss_recall: float,
-    loss_review: float,
-    loss_recalled_clean: float = 0.5,
-    include_legacy: bool = False,
-) -> dict:
-    f = fraud_prob
-    states = [
-        {"id": "start", "components": {"phase": "idle", "funds_out": 0, "fraud": 0}},
-        # fraud variants listed before clear ones so the shared-uniform
-        # coupling moves the fraud flag identically across forced actions
-        {"id": "wired_fraud", "components": {"phase": "wired", "funds_out": 1, "fraud": 1}},
-        {"id": "draft_fraud", "components": {"phase": "drafted", "funds_out": 0, "fraud": 1}},
-        {"id": "idle_fraud", "components": {"phase": "idle", "funds_out": 0, "fraud": 1}},
-        {"id": "wired_clear", "components": {"phase": "wired", "funds_out": 1, "fraud": 0}},
-        {"id": "draft_clear", "components": {"phase": "drafted", "funds_out": 0, "fraud": 0}},
-        {"id": "idle_clear", "components": {"phase": "idle", "funds_out": 0, "fraud": 0}},
-        {"id": "funds_lost", "components": {"phase": "done", "funds_out": 1, "fraud": 1}},
-        {"id": "recall_shortfall", "components": {"phase": "done", "funds_out": 1, "fraud": 1}},
-        {"id": "review_flagged", "components": {"phase": "done", "funds_out": 0, "fraud": 1}},
-        {"id": "fraud_averted", "components": {"phase": "done", "funds_out": 0, "fraud": 1}},
-        {"id": "funds_settled", "components": {"phase": "done", "funds_out": 1, "fraud": 0}},
-        {"id": "wire_recalled", "components": {"phase": "done", "funds_out": 1, "fraud": 0}},
-        {"id": "invoice_pending", "components": {"phase": "done", "funds_out": 0, "fraud": 0}},
-        {"id": "nothing_done", "components": {"phase": "done", "funds_out": 0, "fraud": 0}},
+def _payments_document() -> dict:
+    """The bundled payments document, decoded afresh for a witness to edit."""
+    return json.loads(bundled_scenario_path("payments").read_text(encoding="utf-8"))
+
+
+def _batched(kernel: dict) -> dict:
+    # the batcher meets fraud exactly when a wire would
+    return {"batch_fraud": kernel["wired_fraud"], "batch_clear": kernel["wired_clear"]}
+
+
+def _add_legacy_batch(doc: dict) -> None:
+    """Grant a legacy batcher at the start: it sends the funds out with the
+    wire's fraud rate in every model, and a fraudulent batch loses 30."""
+    model = doc["model"]
+    model["states"] += [
+        {"id": "batch_fraud", "components": {"phase": "batched", "funds_out": 1, "fraud": 1}},
+        {"id": "batch_clear", "components": {"phase": "batched", "funds_out": 1, "fraud": 0}},
+        {"id": "batch_lost", "components": {"phase": "done", "funds_out": 1, "fraud": 1}},
+        {"id": "batch_done", "components": {"phase": "done", "funds_out": 1, "fraud": 0}},
     ]
-    start_actions = {
-        "wire_transfer": {"kernel": {"wired_fraud": f, "wired_clear": 1 - f}},
-        "draft_payment": {"kernel": {"draft_fraud": f, "draft_clear": 1 - f}},
-        "noop": {"kernel": {"idle_fraud": f, "idle_clear": 1 - f}},
-    }
-    nodes = [
-        {"time": 0, "state": "start", "actions": start_actions},
-        {"time": 1, "state": "wired_fraud", "actions": {
-            "release": {"kernel": {"funds_lost": 1.0}},
-            "recall": {"kernel": {"recall_shortfall": 1.0}},
-            "noop": {"kernel": {"funds_lost": 1.0}},
-        }},
-        {"time": 1, "state": "wired_clear", "actions": {
-            "release": {"kernel": {"funds_settled": 1.0}},
-            "recall": {"kernel": {"wire_recalled": 1.0}},
-            "noop": {"kernel": {"funds_settled": 1.0}},
-        }},
-        {"time": 1, "state": "draft_fraud", "actions": {
-            "noop": {"kernel": {"review_flagged": 1.0}},
-        }},
-        {"time": 1, "state": "draft_clear", "actions": {
-            "noop": {"kernel": {"invoice_pending": 1.0}},
-        }},
-        {"time": 1, "state": "idle_fraud", "actions": {
-            "noop": {"kernel": {"fraud_averted": 1.0}},
-        }},
-        {"time": 1, "state": "idle_clear", "actions": {
-            "noop": {"kernel": {"nothing_done": 1.0}},
-        }},
+    start = model["nodes"][0]["actions"]
+    start["legacy_batch"] = {"kernel": _batched(start["wire_transfer"]["kernel"])}
+    model["nodes"] += [
+        {"time": 1, "state": "batch_fraud", "actions": {"noop": {"kernel": {"batch_lost": 1.0}}}},
+        {"time": 1, "state": "batch_clear", "actions": {"noop": {"kernel": {"batch_done": 1.0}}}},
     ]
-    losses = {
-        "funds_lost": loss_lost,
-        "recall_shortfall": loss_recall,
-        "review_flagged": loss_review,
-        "fraud_averted": 0.0,
-        "funds_settled": 0.0,
-        "wire_recalled": loss_recalled_clean,
-        "invoice_pending": 0.0,
-        "nothing_done": 2.0,
-    }
-    if include_legacy:
-        states.extend([
-            {"id": "batch_fraud", "components": {"phase": "batched", "funds_out": 1, "fraud": 1}},
-            {"id": "batch_clear", "components": {"phase": "batched", "funds_out": 1, "fraud": 0}},
-            {"id": "batch_lost", "components": {"phase": "done", "funds_out": 1, "fraud": 1}},
-            {"id": "batch_done", "components": {"phase": "done", "funds_out": 1, "fraud": 0}},
-        ])
-        start_actions["legacy_batch"] = {"kernel": {"batch_fraud": f, "batch_clear": 1 - f}}
-        nodes.extend([
-            {"time": 1, "state": "batch_fraud", "actions": {
-                "noop": {"kernel": {"batch_lost": 1.0}},
-            }},
-            {"time": 1, "state": "batch_clear", "actions": {
-                "noop": {"kernel": {"batch_done": 1.0}},
-            }},
-        ])
-        losses["batch_lost"] = 30.0
-        losses["batch_done"] = 0.0
-    return {
-        "horizon": 2,
-        "components": [
-            {"name": "phase", "external": False},
-            {"name": "funds_out", "external": True},
-            {"name": "fraud", "external": True},
-        ],
-        "states": states,
-        "initial_state": "start",
-        "null_action": "noop",
-        "nodes": nodes,
-        "terminal_losses": losses,
-    }
+    model["terminal_losses"].update(batch_lost=30.0, batch_done=0.0)
+    doc["safe_defaults"].append(
+        {"time": 0, "state": "start", "action": "legacy_batch", "default": "draft_payment"}
+    )
+    doc["policy"] += [
+        {"time": 1, "state": s, "probs": {"noop": 1.0}} for s in ("batch_fraud", "batch_clear")
+    ]
+    for variant in doc["ambiguity"]:
+        overrides = variant["kernel_overrides"]
+        overrides += [
+            {**ov, "action": "legacy_batch", "kernel": _batched(ov["kernel"])}
+            for ov in overrides if ov["action"] == "wire_transfer"
+        ]
 
 
 def _payment_continuation(model: EnvironmentModel) -> Policy:
@@ -138,19 +82,6 @@ def _payment_continuation(model: EnvironmentModel) -> Policy:
     for t, s in model.all_nodes():
         choices[(t, s)] = "release" if s in ("wired_fraud", "wired_clear") else "noop"
     return Policy.deterministic(choices)
-
-
-def _payment_sdm(model: EnvironmentModel) -> SafeDefaultMap:
-    entries = {
-        (0, "start", "wire_transfer"): "draft_payment",
-        (1, "wired_fraud", "release"): "noop",
-        (1, "wired_fraud", "recall"): "noop",
-        (1, "wired_clear", "release"): "noop",
-        (1, "wired_clear", "recall"): "noop",
-    }
-    if "legacy_batch" in model.actions(0, "start"):
-        entries[(0, "start", "legacy_batch")] = "draft_payment"
-    return SafeDefaultMap.from_entries(entries, model)
 
 
 PAYMENT_FRAUD_EVENT = frozenset(
@@ -162,29 +93,31 @@ def payment_release_witness(
     recall_recovers: bool = False,
     include_legacy: bool = False,
 ) -> WitnessCase:
-    """Wire-transfer-versus-draft instance on a two-model ambiguity set.
+    """Wire-transfer-versus-draft instance on the payments document's own
+    ambiguity set and safe defaults.
 
-    The stressed model raises the fraud rate and serves as the witness model.
-    With ``recall_recovers`` the recall action claws the whole loss back, so
-    hedging resistance fails while the tail gap still holds. With
-    ``include_legacy`` the base authority set already contains a batcher
-    whose worst-case risk dwarfs the wire, so granting the wire leaves the
-    set-level capital unchanged.
+    The document's ``fraud_stress`` variant raises the fraud rate and serves
+    as the witness model. With ``recall_recovers`` the recall action claws
+    the whole loss back, so hedging resistance fails while the tail gap
+    still holds. With ``include_legacy`` the base authority set already
+    contains a batcher whose worst-case risk dwarfs the wire, so granting
+    the wire leaves the set-level capital unchanged.
     """
-    loss_recall = 1.0 if recall_recovers else 9.6
-    base = build_model(_payment_model_spec(0.2, 10.0, loss_recall, 1.0, include_legacy=include_legacy))
-    stress = build_model(_payment_model_spec(0.35, 10.0, loss_recall, 1.0, include_legacy=include_legacy))
-    amb = AmbiguitySet(models=(base, stress))
-    cont = _payment_continuation(base)
+    doc = _payments_document()
+    if recall_recovers:
+        doc["model"]["terminal_losses"]["recall_shortfall"] = 1.0
+    if include_legacy:
+        _add_legacy_batch(doc)
+    sc = resolve_scenario(doc)
     base_actions = ("draft_payment", "noop") + (("legacy_batch",) if include_legacy else ())
     return WitnessCase(
-        ambiguity=amb,
+        ambiguity=sc.ambiguity,
         time=0,
         state="start",
         action="wire_transfer",
         base_actions=base_actions,
-        cont=cont,
-        sdm=_payment_sdm(base),
+        cont=_payment_continuation(sc.model),
+        sdm=sc.safe_defaults,
         witness=WitnessSpec(
             model_index=1,
             event=PAYMENT_FRAUD_EVENT,
@@ -251,8 +184,10 @@ def shipment_tail_witness() -> WitnessCase:
     )
 
 
-def random_payment_witness(rng: random.Random) -> WitnessCase:
-    """Randomised payment-shaped instance for structural fuzzing.
+def random_payment_witness(rng: random.Random, shipped: WitnessCase) -> WitnessCase:
+    """Randomised payment-shaped instance for structural fuzzing: the base
+    model of ``shipped``, the payments document's, at drawn fraud rates and
+    losses.
 
     Parameters are drawn so the family mixes certificates that hold with
     ones broken in each condition: recall effectiveness controls hedging
@@ -270,16 +205,18 @@ def random_payment_witness(rng: random.Random) -> WitnessCase:
     clean_gap_break = rng.random() < 0.25
     loss_recalled_clean = rng.uniform(0.0, 1.0)
 
+    base = shipped.ambiguity.models[0]
+    # each start action's first target is its fraud state, its second the clear one
+    starts = {a: [s for s, _ in base.kernel(0, "start", a)] for a in base.actions(0, "start")}
     models = []
     for f in fraud:
-        spec = _payment_model_spec(
-            f, loss_lost, loss_recall, loss_review, loss_recalled_clean=loss_recalled_clean
-        )
+        rows = {(0, "start", a): {hit: f, miss: 1 - f} for a, (hit, miss) in starts.items()}
+        losses = {"funds_lost": loss_lost, "recall_shortfall": loss_recall,
+                  "review_flagged": loss_review, "wire_recalled": loss_recalled_clean}
         if clean_gap_break:
-            spec["terminal_losses"]["invoice_pending"] = rng.uniform(0.5, 2.0)
-        models.append(build_model(spec))
+            losses["invoice_pending"] = rng.uniform(0.5, 2.0)
+        models.append(base.replaced(rows, losses))
     amb = AmbiguitySet(models=tuple(models))
-    cont = _payment_continuation(models[0])
 
     true_gap = loss_lost - loss_review
     overstated = rng.random() < 0.2
@@ -296,8 +233,8 @@ def random_payment_witness(rng: random.Random) -> WitnessCase:
         state="start",
         action="wire_transfer",
         base_actions=("draft_payment", "noop"),
-        cont=cont,
-        sdm=_payment_sdm(models[0]),
+        cont=shipped.cont,
+        sdm=shipped.sdm,
         witness=WitnessSpec(
             model_index=rng.randrange(n_models),
             event=PAYMENT_FRAUD_EVENT,

@@ -86,9 +86,9 @@ VERIFY_DIGESTS = {
     "time-consistency": "651b555707cf77a514da044fa63316450c656dc888e8c7ff6d0e3dc0339167ca",
     "cvar-demo": "2b3fabea527e08ed40652780a0436c0da7525e10141167ee5160a733eeab2719",
     "no-splitting": "2628751b089faaf3382355bf6fd56623b8ef20d91bb16db69618279e85b65336",
-    "iap": "1453a5079385468530eec404310d2eed33720455b7852608e8fa87bb8fb5bc36",
+    "iap": "f5bf9c043e56607c4b45cd80d3fbd2578efddaa84399812930ffc331255c9fd1",
     "gating": "0fae5bb6d3581d3e3fa5006a95acf9ab286fd023cd59e82b6ab0885a2b818b6a",
-    "all": "235fab1e1840f9abf0a52c22a77608472627a936e1f40a48450f4ed92b330c61",
+    "all": "96da9c3286283e530ccbe313ec8876df764b1b12e0430dba412b4bb9be52c5bb",
 }
 
 

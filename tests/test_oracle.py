@@ -246,8 +246,8 @@ def test_witness_policy_count_matches_product():
     case = payment_release_witness()
     model = case.ambiguity.models[1]
     # continuation policies after forcing the wire: the two wired nodes are
-    # the only reachable decision nodes, three actions each
-    assert len(list(enumerate_policies(model, 0, "start", first_action="wire_transfer"))) == 9
+    # the only reachable decision nodes, with three and four actions
+    assert len(list(enumerate_policies(model, 0, "start", first_action="wire_transfer"))) == 12
 
 
 def test_policy_budget_exceeded():

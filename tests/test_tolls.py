@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -25,7 +26,6 @@ from tollgate.tolls import (
 )
 from tollgate.witnesses import (
     _payment_continuation,
-    _payment_model_spec,
     payment_release_witness,
     random_payment_witness,
     shipment_tail_witness,
@@ -376,7 +376,7 @@ def test_shipped_witness_all_conditions_and_premium():
     )
     assert report.tail_gap_ok and report.hedge_resistant and report.risk_strictly_monotone
     assert report.satisfied
-    assert report.policies_enumerated == 9
+    assert report.policies_enumerated == 12
     assert report.event_probability == pytest.approx(0.35, abs=1e-12)
     assert authority_premium(
         case.ambiguity, case.time, case.state, case.action, case.cont, ENT, case.sdm
@@ -390,7 +390,7 @@ def test_hedgeable_variant_fails_condition_two():
     report = verify_witness(*args, _hedges(case))
     assert report.tail_gap_ok
     assert not report.hedge_resistant
-    assert report.policies_enumerated == 9
+    assert report.policies_enumerated == 12
     assert report.worst_hedged_gap == pytest.approx(0.0, abs=1e-9)
     # judged over the frozen continuation alone, which never recalls the
     # transfer, the variant resists
@@ -457,10 +457,9 @@ def test_iap_with_riskier_incumbent():
 def test_iap_duplicate_in_law_permits_zero_premium():
     # an added action distributionally identical to an incumbent: premium may
     # be zero against that incumbent as its safe default, capital unchanged
-    spec = _payment_model_spec(0.2, 10.0, 9.6, 1.0)
-    spec["nodes"][0]["actions"]["wire_mirror"] = {
-        "kernel": dict(spec["nodes"][0]["actions"]["wire_transfer"]["kernel"])
-    }
+    spec = json.loads(bundled_scenario_path("payments").read_text())["model"]
+    start = spec["nodes"][0]["actions"]
+    start["wire_mirror"] = {"kernel": dict(start["wire_transfer"]["kernel"])}
     model = build_model(spec)
     cont = _payment_continuation(model)
     sdm = SafeDefaultMap.from_entries(
@@ -487,9 +486,10 @@ def test_iap_rejects_added_action_already_granted():
 
 def test_certificate_implies_positive_premium_randomised():
     rng = random.Random(42)
+    shipped = payment_release_witness()
     satisfied = 0
     for _ in range(40):
-        case = random_payment_witness(rng)
+        case = random_payment_witness(rng, shipped)
         for spec in (ENT, MEAN):
             report = verify_witness(
                 case.ambiguity, case.time, case.state, case.action,

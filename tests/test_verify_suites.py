@@ -14,22 +14,17 @@ from tollgate import boundary, envelope, gate, risk, scenario, tolls, verify, wi
 from tollgate.envmodel import EnvironmentModel, Intervention
 from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.tolls import AmbiguitySet
-from tollgate.verify import gating_suite, run_suite, time_consistency_suite
+from tollgate.verify import gating_suite, no_splitting_suite, run_suite
 
 
 @pytest.fixture(scope="module")
 def clean():
     """Each suite's clean result at seed 11, by suite name: run once per
     module, so the controls below spend their time on the fault runs. It is
-    run by the forked dispatcher on any host, so the serial runs below also
-    show that the forked results equal the serial ones."""
+    the one run of the real suites by the forked dispatcher, on any host."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         return {result.suite: result for result in run_suite("all", seed=11)}
-
-
-def _two_cpus(pid):
-    return {0, 1}
 
 
 def test_run_suite_dispatch_and_reports(clean):
@@ -39,6 +34,9 @@ def test_run_suite_dispatch_and_reports(clean):
         payload = result.to_dict()
         assert payload["suite"] == result.suite
         assert all("name" in p and "passed" in p for p in payload["properties"])
+    # the suites after the first ran in the forked child; run here, they agree
+    forked = list(verify._suite_table().items())[1:]
+    assert [fn(11).to_dict() for _, fn in forked] == [clean[s].to_dict() for s, _ in forked]
 
 
 def test_run_suite_unknown_name():
@@ -51,31 +49,32 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _no_fork():
-    raise AssertionError("forked")
-
-
-def _dicts(results) -> list[dict]:
-    return [result.to_dict() for result in results]
+@pytest.fixture
+def forks(monkeypatch):
+    # the forks the dispatcher makes, counted; it forks on any host, one-CPU ones too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    # the dispatcher forks on any host, also on one with one CPU
-    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+def stubbed(monkeypatch):
+    # every suite rebound to a stub that returns at once; the results of all
+    results = [verify.SuiteResult(suite, 11, ()) for suite in verify.SUITES]
+    for result, fn in zip(results, verify._suite_table().values()):
+        monkeypatch.setattr(verify, fn.__name__, lambda seed, r=result: r._replace(seed=seed))
+    return results
 
 
-def test_a_fault_patched_here_reaches_the_forked_suites(monkeypatch, two_cpus):
+def test_a_fault_patched_here_reaches_the_forked_suites(monkeypatch, stubbed, forks):
     # no-splitting is not the first suite, so it runs in the child, which
     # inherits the patched boundary module
     fault = FAULTS["discounted-sequence-toll"]
     fault.apply(monkeypatch)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     here = []  # runs of no-splitting in this process; the child's stay there
-    suite = verify.no_splitting_suite
-    monkeypatch.setattr(verify, "no_splitting_suite", lambda seed: here.append(seed) or suite(seed))
+    suite = lambda seed: here.append(seed) or no_splitting_suite(seed)
+    monkeypatch.setattr(verify, "no_splitting_suite", suite)
     results = {result.suite: result for result in run_suite("all", seed=11)}
     assert _failing(results["no-splitting"]) == fault.fails["no-splitting"]
     assert forks == [1]
@@ -84,67 +83,56 @@ def test_a_fault_patched_here_reaches_the_forked_suites(monkeypatch, two_cpus):
 
 
 @pytest.mark.parametrize(
-    "patched, suite",
-    [("calibrate_conformal", gating_suite), ("check_axioms", time_consistency_suite)],
-    ids=["forked-suite", "first-suite"],
+    "suite", ["gating_suite", "time_consistency_suite"], ids=["forked-suite", "first-suite"]
 )
-def test_a_raising_suite_raises_as_it_does_alone(patched, suite, monkeypatch, two_cpus):
+def test_a_raising_suite_raises_as_it_does_alone(suite, monkeypatch, stubbed, forks):
     # gating, the last suite, raises in the child and again when it is run
     # here; time-consistency, the first, raises here while the child runs
-    def fault(*args, **kwargs):
-        raise ArithmeticError(f"injected into {patched}")
+    def fault(seed):
+        raise ArithmeticError(f"injected into {suite}")
 
-    monkeypatch.setattr(verify, patched, fault)
-    with pytest.raises(ArithmeticError) as alone:
-        suite(seed=11)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    with pytest.raises(ArithmeticError) as dispatched:
+    monkeypatch.setattr(verify, suite, fault)
+    with pytest.raises(ArithmeticError, match=f"^injected into {suite}$") as dispatched:
         run_suite("all", seed=11)
     assert forks == [1]
-    assert type(dispatched.value) is type(alone.value)
-    assert str(dispatched.value) == str(alone.value)
-    assert dispatched.traceback[-1].name == alone.traceback[-1].name == "fault"
+    assert type(dispatched.value) is ArithmeticError
+    assert dispatched.traceback[-1].name == "fault"
     _no_child_left()
 
 
-def test_a_fork_that_fails_runs_its_suites_in_process(monkeypatch, clean, two_cpus):
+def test_a_fork_that_fails_runs_its_suites_in_process(monkeypatch, stubbed, forks):
     def fork_fails():
         raise BlockingIOError("no process left")
 
     monkeypatch.setattr(os, "fork", fork_fails)
-    assert _dicts(run_suite("all", seed=11)) == _dicts(clean.values())
+    assert run_suite("all", seed=11) == stubbed
     _no_child_left()
 
 
 @pytest.mark.parametrize("lacking", ["one-cpu", "sched_getaffinity", "fork"])
-def test_a_host_that_cannot_share_runs_the_suites_in_process(lacking, monkeypatch, clean):
+def test_a_host_that_cannot_share_runs_the_suites_in_process(lacking, monkeypatch, stubbed, forks):
     # one suite, one CPU, or a platform without sched_getaffinity (macOS) or
     # fork (Windows) forks nothing
     if lacking == "one-cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     else:
         monkeypatch.delattr(os, lacking, raising=False)
-    if hasattr(os, "fork"):
-        monkeypatch.setattr(os, "fork", _no_fork)
-    assert _dicts(run_suite("cvar-demo", seed=11)) == _dicts([clean["cvar-demo"]])
-    assert _dicts(run_suite("all", seed=11)) == _dicts(clean.values())
+    assert run_suite("cvar-demo", seed=11) == stubbed[1:2]
+    assert run_suite("all", seed=11) == stubbed
+    assert forks == []
 
 
-def test_a_process_with_other_threads_forks_nothing(monkeypatch, two_cpus):
-    monkeypatch.setattr(os, "fork", _no_fork)
-    for suite, fn in verify._suite_table().items():
-        monkeypatch.setattr(verify, fn.__name__, lambda seed, suite=suite: suite)
+def test_a_process_with_other_threads_forks_nothing(stubbed, forks):
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
     waiting.start()
     try:
-        assert run_suite("all", seed=11) == list(verify.SUITES)
+        assert run_suite("all", seed=11) == stubbed
     finally:
         release.set()
         waiting.join(timeout=10)
     assert not waiting.is_alive()
+    assert forks == []
 
 
 def _failing(result) -> set[str]:
@@ -216,6 +204,12 @@ class Fault(NamedTuple):
 
     def apply(self, monkeypatch) -> None:
         monkeypatch.setattr(self.owner, self.attr, self.make(getattr(self.owner, self.attr)))
+
+
+def _cheap_lost_funds(read):
+    # the reader, with the funds a fraudulent wire loses priced at 1.0
+    edit = lambda doc: doc["model"]["terminal_losses"].update(funds_lost=1.0) or doc
+    return lambda: edit(read())
 
 
 _CERTIFYING = {  # the iap properties that certify a witness
@@ -309,6 +303,12 @@ FAULTS = {
         verify, "enumerate_policies",
         lambda policies: lambda model, *rest, **kw: iter([witnesses._payment_continuation(model)]),
         {"iap": {"hedgeable-variant-fails-condition-two"}},
+    ),
+    # the witnesses read the shipped document, so an edit of it reaches the suite
+    "cheap-lost-funds-document": Fault(
+        witnesses, "_payments_document", _cheap_lost_funds,
+        {"iap": {"shipped-witness-certifies", "shipped-witness-binds-capital",
+                 "hedgeable-variant-fails-condition-two", "riskier-incumbent-leaves-capital-flat"}},
     ),
     "empty-hedge-enumeration": Fault(
         verify, "enumerate_policies", lambda policies: lambda *args, **kwargs: iter(()),
