@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 from typing import Iterable, NamedTuple, Sequence
 
-from .exceptions import Checked, ModelValidationError, PartitionMismatchError
+from .exceptions import Checked, ModelValidationError, PartitionMismatchError, fold
 
 _SUM_TOL = 1e-12
 
@@ -99,9 +99,9 @@ class PotentialSpec(
                 path="potential",
             )
         if self.kind == "linear":
-            return float(sum(w * e for w, e in zip(self.weights, exposure)))
+            return float(fold(w * e for w, e in zip(self.weights, exposure)))
         if self.kind == "power":
-            return float(sum(w * e**self.exponent for w, e in zip(self.weights, exposure)))
+            return float(fold(w * e**self.exponent for w, e in zip(self.weights, exposure)))
         total = 0.0
         for dim_knots, e in zip(self.knots, exposure):
             total += _piecewise_eval(dim_knots, e)

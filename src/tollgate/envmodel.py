@@ -22,6 +22,7 @@ from .exceptions import (
     PolicyUndefinedError,
     ScenarioParseError,
     UnreachableNodeError,
+    fold,
 )
 
 KERNEL_TOL = 1e-12
@@ -516,7 +517,7 @@ def is_side_effect_bearing(
     marginal = _external_marginal(model, model.kernel(time, state, action))
     null_marginal = _external_marginal(model, model.kernel(time, state, model.null_action))
     support = set(marginal) | set(null_marginal)
-    tv = 0.5 * sum(abs(marginal.get(k, 0.0) - null_marginal.get(k, 0.0)) for k in support)
+    tv = 0.5 * fold(abs(marginal.get(k, 0.0) - null_marginal.get(k, 0.0)) for k in support)
     return tv > SIDE_EFFECT_TV_TOL
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the base of the records
-that check their fields.
+"""Exception types shared across the package, the base of the records that
+check their fields, and the one left fold that sums floats.
 
 Every refusal of a scenario document is a :class:`ScenarioError` with a
 code and the ``path`` of the offending field from the document root; the
@@ -7,6 +7,9 @@ loader roots a section's errors there with :meth:`ScenarioError.under`.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 
 class TollgateError(Exception):
@@ -85,3 +88,9 @@ class Checked:
         if len(values) != len(cls._fields):
             raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
         return cls(*values)
+
+
+def fold(values):
+    """``values`` added left to right from the int 0, as ``sum()`` adds
+    floats before Python 3.12, whose ``sum()`` compensates."""
+    return functools.reduce(operator.add, values, 0)

@@ -451,7 +451,7 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     n = 0
     episodes: Counter[tuple[int, ...]] = Counter()  # episodes per path tally
     accounting_exact = True
-    final_min, final_sum = math.nan, 0  # folded as min() and sum() fold them
+    final_min, final_sum = math.nan, 0  # folded as min() and fold() fold them
     for n, log in enumerate(logs, 1):
         signs = _signs(log.entries, log.boundary_records)
         tally, exact, losses, records = audited(log.entries, signs)
@@ -469,13 +469,8 @@ def audit_budget_guarantee(logs: Iterable[EpisodeLog], gate: Gate, delta: float)
     quotes, overruns, violations = total["quotes"], total["overruns"], total["violations"]
     overrun_fraction = overruns / n if n else 0.0
     violation_fraction = violations / n if n else 0.0
-    if delta == 0.0:
-        threshold = 0.0
-        passed = overruns == 0 and violations == 0
-    else:
-        slack = 3.0 * math.sqrt(delta * (1.0 - delta) / n) if n else 0.0
-        threshold = delta + slack
-        passed = violation_fraction <= threshold and overrun_fraction <= violation_fraction + 1e-12
+    threshold = delta + (3.0 * math.sqrt(delta * (1.0 - delta) / n) if n else 0.0)
+    passed = violation_fraction <= threshold and overrun_fraction <= violation_fraction + 1e-12
     return AuditReport(
         episodes=n,
         quotes=quotes,

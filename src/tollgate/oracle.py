@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from .envmodel import EnvironmentModel, Intervention, Policy
-from .exceptions import Checked, EnumerationBudgetError, ModelValidationError
+from .exceptions import Checked, EnumerationBudgetError, ModelValidationError, fold
 
 if TYPE_CHECKING:
     from .boundary import BoundaryLedger
@@ -143,7 +143,7 @@ def static_risk(dist: Mapping[float, float], spec: RiskSpec) -> float:
     values = list(dist.keys())
     probs = [dist[v] for v in values]
     if spec.kind == "expectation":
-        return float(sum(v * p for v, p in zip(values, probs)))
+        return float(fold(v * p for v, p in zip(values, probs)))
     if spec.kind == "entropic":
         # Shifted by the largest scaled loss of positive mass, so every
         # exponent is <= 0 and none overflows however large gamma * loss is;
@@ -160,7 +160,7 @@ def _shortfall_by_minimisation(values: list[float], probs: list[float], alpha: f
     tail = 1.0 - alpha
     best = math.inf
     for z in values:
-        excess = sum(p * (v - z) for v, p in zip(values, probs) if v > z)
+        excess = fold(p * (v - z) for v, p in zip(values, probs) if v > z)
         best = min(best, z + excess / tail)
     return float(best)
 

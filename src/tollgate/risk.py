@@ -31,7 +31,7 @@ from .envmodel import (
     Policy,
     _check_intervention,
 )
-from .exceptions import Checked, ModelValidationError
+from .exceptions import Checked, ModelValidationError, fold
 
 RISK_KINDS = ("expectation", "entropic", "conditional_es")
 
@@ -113,7 +113,7 @@ def one_step_risk(spec: RiskSpec, dist: Mapping[float, float] | Sequence[tuple[f
 
 def _sigma(spec: RiskSpec, values: Sequence[float], probs: Sequence[float]) -> float:
     if spec.kind == "expectation":
-        return float(sum(p * v for v, p in zip(values, probs) if p > 0.0))
+        return float(fold(p * v for v, p in zip(values, probs) if p > 0.0))
     if spec.kind == "entropic":
         return _entropic(values, probs, spec.gamma)
     return _expected_shortfall(values, probs, spec.alpha)

@@ -52,6 +52,7 @@ from .exceptions import (
     ScenarioError,
     ScenarioParseError,
     ScenarioReferenceError,
+    fold,
 )
 from .gate import Gate, GateConfig, run_episode
 from .risk import RiskSpec
@@ -413,17 +414,14 @@ def feature_vector(scenario: Scenario, time: int, state: str, action: str) -> tu
     """Features for the envelope predictor: bias, total exposure increment,
     time, and a one-hot action category."""
     incs = scenario.exposure.get((time, state, action), {})
-    total_exposure = sum(sum(vec) for vec in incs.values())
+    total_exposure = fold(fold(vec) for vec in incs.values())
     category = scenario.action_categories.get(action, action)
     onehot = tuple(1.0 if c == category else 0.0 for c in scenario.category_order)
     return (1.0, float(total_exposure), float(time)) + onehot
 
 
 def frozen_rollout_quotes(
-    scenario: Scenario,
-    episodes: int,
-    seed: int,
-    episode_offset: int = 0,
+    scenario: Scenario, episodes: int, seed: int
 ) -> list[list[tuple[tuple[int, str, str], float]]]:
     """Per-episode proposal quotes under the frozen policy, priced by the
     scenario's exact envelope.
@@ -438,7 +436,7 @@ def frozen_rollout_quotes(
     gate = Gate(scenario.model, scenario.policy, cfg)
     out = []
     for ep in range(episodes):
-        log = run_episode(gate, seed, episode_offset + ep)
+        log = run_episode(gate, seed, ep)
         out.append([((e.time, e.state, e.proposed), e.envelope_value) for e in log.entries])
     return out
 
@@ -454,21 +452,20 @@ def calibrate_conformal(
     scenario's exact envelope; return it with one calibration row per
     calibration episode.
 
-    A linear predictor is fit on pooled quotes from a training block of
-    episodes; the conformal margin is then calibrated on one score per
-    calibration episode, namely the quote with the largest one-sided
-    residual, so the fitted margin covers an evaluation episode's whole
-    query set at the requested confidence.
+    A linear predictor is fit on pooled quotes from the first
+    ``training_episodes`` episodes of one rollout; the conformal margin is
+    then calibrated on one score per later episode, namely the quote with
+    the largest one-sided residual, so the fitted margin covers an
+    evaluation episode's whole query set at the requested confidence.
     """
     feature = lambda t, s, a: feature_vector(scenario, t, s, a)
-    train = frozen_rollout_quotes(scenario, training_episodes, seed)
-    pooled = [q for ep in train for q in ep]
+    quotes = frozen_rollout_quotes(scenario, training_episodes + n, seed)
+    pooled = [q for ep in quotes[:training_episodes] for q in ep]
     predictor = least_squares_predictor(feature, pooled)
 
-    calib = frozen_rollout_quotes(scenario, n, seed, episode_offset=training_episodes)
     picked: list[tuple[tuple[int, str, str], float]] = []
     rows: list[dict] = []
-    for ep_quotes in calib:
+    for ep_quotes in quotes[training_episodes:]:
         scored = [
             (true - predictor(t, s, a), (t, s, a), true) for (t, s, a), true in ep_quotes
         ]

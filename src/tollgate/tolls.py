@@ -28,7 +28,7 @@ from collections import namedtuple
 from typing import Iterable, NamedTuple, Sequence
 
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
-from .exceptions import Checked, InvalidWitnessError, ModelValidationError
+from .exceptions import Checked, InvalidWitnessError, ModelValidationError, fold
 from .risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
 
 _TOL = 1e-9
@@ -292,7 +292,7 @@ def verify_witness(
     default = sdm.default_for(time, state, action)
     cells = coupled_terminal_cells(model, time, state, action, default, cont, cont)
 
-    event_prob = sum(p for p, leaf_e, _ in cells if leaf_e in witness.event)
+    event_prob = fold(p for p, leaf_e, _ in cells if leaf_e in witness.event)
     if event_prob <= 0.0:
         raise InvalidWitnessError(
             "witness event has zero probability under the designated model"

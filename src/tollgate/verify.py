@@ -24,19 +24,24 @@ from typing import Mapping, NamedTuple, Sequence
 from . import boundary, gate
 from .boundary import PotentialSpec, boundary_toll, splitting_invariance_check
 from .envmodel import EnvironmentModel, Intervention, Policy, SafeDefaultMap
+from .exceptions import fold
 from .gate import EpisodeLog, Gate, audit_budget_guarantee, run_episode
 from .instances import (
     _TOL,
     CORE_AXIOMS,
+    WitnessCase,
     check_axioms,
     cvar_demo_model,
+    payment_release_witness,
     random_layered_model,
     random_loss_pair,
     random_partition,
+    random_payment_witness,
     random_policy,
     random_potential,
     rekernel,
     scaled_predictor,
+    shipment_tail_witness,
     uniforms,
 )
 from .oracle import enumerate_gated_paths, enumerate_policies, enumerate_terminal_law, static_risk
@@ -49,9 +54,6 @@ from .scenario import (
     load_scenario,
 )
 from .tolls import AmbiguitySet, WitnessReport, authority_premium, iap_check, verify_witness
-from .witnesses import (
-    WitnessCase, payment_release_witness, random_payment_witness, shipment_tail_witness,
-)
 
 # miss rate at which the gating suite calibrates and audits the conformal tier
 _CONFORMAL_DELTA = 0.1
@@ -311,7 +313,7 @@ def _sequence_true_risk(steps: Sequence[Sequence[float]]) -> float:
     # loss grows with the square of total exposure, plus a review-bypass
     # penalty if any single increment reached the large-transfer threshold.
     # The second term depends on the path, not on cumulative exposure.
-    total = sum(step[0] for step in steps)
+    total = fold(step[0] for step in steps)
     loss = 0.5 * total**2
     if any(step[0] >= _LARGE_TRANSFER_THRESHOLD for step in steps):
         loss += _REVIEW_BYPASS_PENALTY
@@ -379,7 +381,7 @@ def no_splitting_suite(seed: int) -> SuiteResult:
     # up to four increments finds no realised-toll gap.
     orderings = list(itertools.permutations([(1.0,), (1.0,), (2.0,), (0.5,)]))
     # the loss law without the path term, and the realised toll
-    risks = [0.5 * sum(s[0] for s in perm) ** 2 for perm in orderings]
+    risks = [0.5 * fold(s[0] for s in perm) ** 2 for perm in orderings]
     tolls = [sequence_toll(pot, (0.0,), perm) for perm in orderings]
     ordering_gap = max(
         max(abs(r - risks[0]), abs(t - tolls[0])) for r, t in zip(risks, tolls)

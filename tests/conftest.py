@@ -14,6 +14,12 @@ from tollgate.envmodel import Policy, build_model
 BUNDLED_RUN_EPISODES, BUNDLED_RUN_SEED = 5000, 1
 
 
+def _bundled_run(name, out):
+    args = ["run", "--scenario", name, "--episodes", str(BUNDLED_RUN_EPISODES)]
+    assert main(args + ["--seed", str(BUNDLED_RUN_SEED), "--out", str(out)]) == 0
+    return out
+
+
 @pytest.fixture(scope="session")
 def bundled_run(tmp_path_factory):
     """A function from a bundled scenario's name to the directory of its
@@ -23,13 +29,17 @@ def bundled_run(tmp_path_factory):
 
     def run(name):
         if name not in made:
-            out = tmp_path_factory.mktemp(name) / "run"
-            args = ["run", "--scenario", name, "--episodes", str(BUNDLED_RUN_EPISODES)]
-            assert main(args + ["--seed", str(BUNDLED_RUN_SEED), "--out", str(out)]) == 0
-            made[name] = out
+            made[name] = _bundled_run(name, tmp_path_factory.mktemp(name) / "run")
         return made[name]
 
     return run
+
+
+@pytest.fixture
+def fresh_bundled_run(tmp_path):
+    """``bundled_run``, made afresh in the test that asks for it: for a test
+    that changes the code the runs go through."""
+    return lambda name: _bundled_run(name, tmp_path / "bundled" / name)
 
 
 @pytest.fixture

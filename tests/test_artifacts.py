@@ -7,11 +7,18 @@ change that re-baselines on purpose updates them and says why.
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
+import importlib.util
 import json
+import math
+import pkgutil
+from pathlib import Path
 
 import pytest
 
+import tollgate
 from tollgate.cli import main
 from tollgate.scenario import bundled_scenario_path
 
@@ -144,3 +151,60 @@ def test_calibrate_bytes_pinned(tmp_path):
 def test_verify_stdout_pinned(suite, capsys):
     assert main(["verify", "--suite", suite, "--seed", "301"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == VERIFY_DIGESTS[suite]
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum()`` as Python 3.12 and later add floats: with
+    Neumaier's compensation, which moves the last bit of some sums."""
+    total, lost = start, 0.0
+    for v in values:
+        t = total + v
+        lost += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + lost if lost and math.isfinite(lost) else total
+
+
+def _expectation_ladder(path: Path) -> Path:
+    """A small seeded ladder of the benchmark, priced by expectation, whose
+    one-step values are plain float sums."""
+    bench = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", bench)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    doc = ladder.ladder_document(3, 10, 1)
+    doc["risk"] = {"kind": "expectation"}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_pinned_bytes_hold_under_a_compensated_sum(
+    tmp_path, capsys, monkeypatch, fresh_bundled_run
+):
+    # every float sum of the package is a left fold or an exact fsum, so a
+    # compensated sum(), as from Python 3.12 on, moves no byte of any output
+    ladder = _expectation_ladder(tmp_path / "ladder.scn.json")
+    builtin = _run_and_report_digests(str(ladder), tmp_path / "ladder-builtin", capsys)
+    for info in pkgutil.iter_modules(tollgate.__path__, "tollgate."):
+        module = importlib.import_module(info.name)
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert _run_and_report_digests(str(ladder), tmp_path / "ladder", capsys) == builtin
+    for name in RUN_DIGESTS:
+        test_run_and_report_bytes_pinned(name, tmp_path, capsys)
+    for name in BENCH_SIZE_DIGESTS:
+        test_run_and_report_bytes_pinned_at_the_benchmark_size(name, fresh_bundled_run, capsys)
+    test_conformal_run_and_report_bytes_pinned(tmp_path, capsys)
+    test_calibrate_bytes_pinned(tmp_path)
+    capsys.readouterr()
+    for suite in VERIFY_DIGESTS:
+        test_verify_stdout_pinned(suite, capsys)
+
+
+def test_no_builtin_sum_is_called():
+    # the test above sees only the sums its outputs reach
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(tollgate.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []

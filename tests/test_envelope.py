@@ -14,7 +14,7 @@ from tollgate import envelope
 from tollgate.cli import main
 from tollgate.envelope import exact_envelope, fit_conformal_envelope, least_squares_predictor
 from tollgate.exceptions import CalibrationSizeError, ModelValidationError
-from tollgate.instances import scaled_predictor
+from tollgate.instances import payment_release_witness, scaled_predictor
 from tollgate.risk import RiskSpec
 from tollgate.scenario import (
     BUNDLED_SCENARIOS,
@@ -25,7 +25,6 @@ from tollgate.scenario import (
 )
 from tollgate.tolls import counterfactual_toll
 from tollgate.verify import gating_suite
-from tollgate.witnesses import payment_release_witness
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)
 

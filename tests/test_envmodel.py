@@ -18,9 +18,9 @@ from tollgate.exceptions import (
     PolicyUndefinedError,
     UnreachableNodeError,
 )
+from tollgate.instances import payment_release_witness
 from tollgate.oracle import enumerate_terminal_law
 from tollgate.risk import RiskSpec, evaluate_dynamic_risk
-from tollgate.witnesses import payment_release_witness
 
 MEAN = RiskSpec(kind="expectation")
 

@@ -20,7 +20,7 @@ MODULES = sorted(
 )
 # the modules only ``verify`` runs, which ``cli`` loads through ``verify``;
 # every other module is a runtime module of ``run``, ``report`` and ``calibrate``
-CHECKERS = {"tollgate.oracle", "tollgate.instances", "tollgate.witnesses", "tollgate.verify"}
+CHECKERS = {"tollgate.oracle", "tollgate.instances", "tollgate.verify"}
 RUNTIME = [module for module in MODULES if module not in CHECKERS | {"tollgate.cli"}]
 
 

@@ -17,7 +17,7 @@ from tollgate.boundary import BoundaryLedger
 from tollgate.envmodel import Intervention, build_model
 from tollgate.exceptions import EnumerationBudgetError, ModelValidationError
 from tollgate.gate import gate_step
-from tollgate.instances import random_layered_model, random_policy
+from tollgate.instances import payment_release_witness, random_layered_model, random_policy
 from tollgate.oracle import (
     EnumerationBudget,
     enumerate_gated_paths,
@@ -27,7 +27,6 @@ from tollgate.oracle import (
 )
 from tollgate.risk import RiskSpec, evaluate_dynamic_risk
 from tollgate.scenario import bundled_scenario_path, load_scenario
-from tollgate.witnesses import payment_release_witness
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)
 MEAN = RiskSpec(kind="expectation")

@@ -9,7 +9,14 @@ import pytest
 
 from tollgate.envmodel import Intervention, Policy, SafeDefaultMap, build_model
 from tollgate.exceptions import InvalidWitnessError, ModelValidationError
-from tollgate.instances import random_layered_model, random_policy
+from tollgate.instances import (
+    _payment_continuation,
+    payment_release_witness,
+    random_layered_model,
+    random_payment_witness,
+    random_policy,
+    shipment_tail_witness,
+)
 from tollgate.oracle import enumerate_policies, enumerate_terminal_law
 from tollgate import risk
 from tollgate.risk import PolicyValues, RiskSpec, evaluate_dynamic_risk
@@ -23,12 +30,6 @@ from tollgate.tolls import (
     iap_check,
     robust_capital,
     verify_witness,
-)
-from tollgate.witnesses import (
-    _payment_continuation,
-    payment_release_witness,
-    random_payment_witness,
-    shipment_tail_witness,
 )
 
 ENT = RiskSpec(kind="entropic", gamma=1.0)

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from tollgate import boundary, envelope, gate, risk, scenario, tolls, verify, witnesses
+from tollgate import boundary, envelope, gate, instances, risk, scenario, tolls, verify
 from tollgate.envmodel import EnvironmentModel, Intervention
 from tollgate.oracle import enumerate_terminal_law, static_risk
 from tollgate.tolls import AmbiguitySet
@@ -107,6 +107,12 @@ def test_a_fork_that_fails_runs_its_suites_in_process(monkeypatch, stubbed, fork
     monkeypatch.setattr(os, "fork", fork_fails)
     assert run_suite("all", seed=11) == stubbed
     _no_child_left()
+
+
+def test_one_suite_forks_nothing(stubbed, forks):
+    # a host that could share the work has no later suite to share
+    assert run_suite("cvar-demo", seed=11) == stubbed[1:2]
+    assert forks == []
 
 
 @pytest.mark.parametrize("lacking", ["one-cpu", "sched_getaffinity", "fork"])
@@ -301,12 +307,12 @@ FAULTS = {
     # loss back, so the hedgeable variant resists
     "frozen-continuation-alone": Fault(
         verify, "enumerate_policies",
-        lambda policies: lambda model, *rest, **kw: iter([witnesses._payment_continuation(model)]),
+        lambda policies: lambda model, *rest, **kw: iter([instances._payment_continuation(model)]),
         {"iap": {"hedgeable-variant-fails-condition-two"}},
     ),
     # the witnesses read the shipped document, so an edit of it reaches the suite
     "cheap-lost-funds-document": Fault(
-        witnesses, "_payments_document", _cheap_lost_funds,
+        instances, "_payments_document", _cheap_lost_funds,
         {"iap": {"shipped-witness-certifies", "shipped-witness-binds-capital",
                  "hedgeable-variant-fails-condition-two", "riskier-incumbent-leaves-capital-flat"}},
     ),
